@@ -4,10 +4,10 @@
 (the entity table in shared memory) and a
 :class:`~repro.dist.pool.ShardWorkerPool` of persistent workers, one per
 contiguous shard.  Per request it ships the model's small
-``ranking_payload`` to every worker, each worker scores its row block
-with the model's :class:`~repro.dist.scorer.ShardScorer` and selects its
-local top-k (global-id offset applied), and the parent merges the
-candidates exactly (:func:`repro.dist.merge.merge_topk`).
+``ranking_payload`` to every worker, each worker asks the model's
+:class:`~repro.dist.scorer.ShardScorer` for the local top-k of its row
+block (global-id offset applied), and the parent merges the candidates
+exactly (:func:`repro.dist.merge.merge_topk`).
 
 Callers treat it interchangeably with the in-process path:
 
@@ -23,15 +23,19 @@ Observability: with ``repro.obs`` tracing enabled each request records
 replies), one ``shard.compute`` span per shard (the worker-measured
 interval, so per-shard latency skew is visible in traces), and
 ``shard.merge``.  Worker processes additionally trace their own
-``worker.handle`` → ``worker.score`` / ``worker.topk`` trees; the pool
-piggybacks those spans on the replies and re-parents them under
-``shard.dispatch``, so ``export_chrome_trace`` renders one swimlane per
-worker process.  Worker-side metrics (``rank_requests{shard=k}``,
-``rank_block_ms{shard=k}``) merge into :attr:`ShardedRanker.metrics`.
+``worker.handle`` → ``worker.score`` trees; the pool piggybacks those
+spans on the replies and re-parents them under ``shard.dispatch``, so
+``export_chrome_trace`` renders one swimlane per worker process.
+Worker-side metrics (``rank_requests{shard=k}``,
+``rank_block_ms{shard=k}``, and for top-k requests
+``rank_refine_rows{shard=k}`` — rows the exact kernel scored after the
+float32 filter — and ``rank_filter_fallbacks{shard=k}``) merge into
+:attr:`ShardedRanker.metrics`.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -46,6 +50,21 @@ from .pool import HedgeConfig, HedgePolicy, ShardWorkerPool, WorkerCrash, \
 from .scorer import ShardScorer
 
 __all__ = ["RankWorkerRole", "ShardedRanker"]
+
+
+def rank_block(scorer: ShardScorer, points: np.ndarray, offset: int,
+               request: dict, stats: dict | None = None) -> dict:
+    """One shard's reply to ``request`` over its row block ``points``.
+
+    The single ranking path of shard workers and the parent-side hedge:
+    both reach the scorer through here with the same rows, so a hedged
+    reply is the worker's reply by construction.
+    """
+    if request["mode"] == "all":
+        return {"distances": scorer.score(points, request["payload"])}
+    local, vals = scorer.topk(points, request["payload"], request["k"],
+                              stats)
+    return {"ids": local + offset, "vals": vals}
 
 
 class RankWorkerRole(WorkerRole):
@@ -76,21 +95,25 @@ class RankWorkerRole(WorkerRole):
             raise WorkerCrash("injected crash before compute")
         registry.counter("rank_requests", shard=self.index).inc()
         started = time.perf_counter()
+        stats: dict = {}
         with tracer.span("worker.score", shard=self.index,
-                         rows=self.shard.stop - self.shard.start):
-            distances = self.scorer.score(points, payload["payload"])
+                         rows=self.shard.stop - self.shard.start,
+                         mode=payload["mode"]):
+            reply = rank_block(self.scorer, points, self.shard.start,
+                               payload, stats)
         registry.histogram("rank_block_ms", shard=self.index).observe(
             1000.0 * (time.perf_counter() - started))
+        # what scorer.topk counted (nothing in mode "all"); zero
+        # increments would not ride the metric delta anyway
+        if stats.get("refine_rows"):
+            registry.counter("rank_refine_rows", shard=self.index).inc(
+                stats["refine_rows"])
+        if stats.get("fallbacks"):
+            registry.counter("rank_filter_fallbacks",
+                             shard=self.index).inc(stats["fallbacks"])
         if request == "after":  # crash after compute, before reply
             raise WorkerCrash("injected crash after compute")
-        mode = payload["mode"]
-        if mode == "all":
-            return {"distances": distances}
-        from ..core.topk import topk_rows
-        with tracer.span("worker.topk", shard=self.index):
-            local = topk_rows(distances, payload["k"])
-            vals = np.take_along_axis(distances, local, axis=-1)
-        return {"ids": local + self.shard.start, "vals": vals}
+        return reply
 
     def teardown(self, state) -> None:
         table, _ = state
@@ -102,9 +125,12 @@ class ShardedRanker:
 
     Build via :meth:`for_model` (returns None when the model or the
     platform does not support sharding); close with :meth:`close` or use
-    as a context manager.  Thread-safety: calls are serialised by the
-    caller (the serving runtime executes batches on its worker pool one
-    model pass at a time under its model lock).
+    as a context manager.  Thread-safety: :meth:`topk` and
+    :meth:`distances` may be called from several threads (the serving
+    runtime's batch workers hold only a shared *read* lock on the
+    model); the pool's dispatch/gather pair is one-caller-at-a-time —
+    a second caller's collect would discard the first's replies as
+    stale — so the ranker serialises each round trip on its own lock.
     """
 
     #: entity count at which lazy per-shard slabs switch on by default
@@ -141,6 +167,8 @@ class ShardedRanker:
                                     tracer=self.tracer, metrics=metrics)
         if hedge is not None:
             self.pool.hedge = HedgePolicy(self._hedge_compute, hedge)
+        #: one dispatch+gather round trip on the pool at a time
+        self._round_trip = threading.Lock()
         self._closed = False
 
     @property
@@ -222,12 +250,13 @@ class ShardedRanker:
             raise ValueError("model returned no ranking payload")
         request = dict(request, payload=payload)
         payloads = [request] * self.num_shards
-        with tracer.span("shard.dispatch", shards=self.num_shards):
-            seq = self.pool.dispatch(payloads, request_id=request_id)
         outcomes: list | None = [] if shard_info is not None else None
-        with tracer.span("shard.gather", shards=self.num_shards):
-            replies, timings = self.pool.gather(seq, payloads,
-                                                outcomes=outcomes)
+        with self._round_trip:
+            with tracer.span("shard.dispatch", shards=self.num_shards):
+                seq = self.pool.dispatch(payloads, request_id=request_id)
+            with tracer.span("shard.gather", shards=self.num_shards):
+                replies, timings = self.pool.gather(seq, payloads,
+                                                    outcomes=outcomes)
         if shard_info is not None:
             shard_info["shards"] = self.num_shards
             shard_info["hedge_wins"] = outcomes.count("hedge")
@@ -241,22 +270,16 @@ class ShardedRanker:
     def _hedge_compute(self, index: int, payload: dict):
         """Parent-side duplicate of worker ``index``'s computation.
 
-        Scores the *same* shared-memory row block with the *same* scorer
-        the worker uses and applies the same local-top-k + offset math,
-        so the reply is bitwise identical to what the worker would send
-        — hedging can change latency, never results.  Crash-injection
-        keys in the payload are deliberately ignored: the hedge is the
-        healthy duplicate.
+        Hands the *same* shared-memory row block and the *same* scorer
+        the worker uses to the same :func:`rank_block`, so the reply is
+        bitwise identical to what the worker would send — hedging can
+        change latency, never results.  Crash-injection keys in the
+        payload are deliberately ignored: the hedge is the healthy
+        duplicate.
         """
         shard = self.plan.ranges[index]
-        points = self.plan.rows(shard)
-        distances = self._scorer.score(points, payload["payload"])
-        if payload["mode"] == "all":
-            return {"distances": distances}
-        from ..core.topk import topk_rows
-        local = topk_rows(distances, payload["k"])
-        vals = np.take_along_axis(distances, local, axis=-1)
-        return {"ids": local + shard.start, "vals": vals}
+        return rank_block(self._scorer, self.plan.rows(shard),
+                          shard.start, payload)
 
     # ------------------------------------------------------------------
     def refresh(self) -> None:

@@ -3,7 +3,9 @@
 A :class:`ShardScorer` is a small picklable object shipped to every
 worker at spawn.  Its :meth:`~ShardScorer.score` turns a query payload
 (the model's :meth:`~repro.core.model.QueryModel.ranking_payload`) plus a
-contiguous block of entity rows into a ``(B, n)`` distance block.
+contiguous block of entity rows into a ``(B, n)`` distance block, and
+its :meth:`~ShardScorer.topk` returns the block's local top-k — the one
+ranking entry point shared by shard workers and the parent-side hedge.
 
 **Bitwise parity contract.** ``score(points[s:e], payload)`` must equal
 columns ``s:e`` of the model's ``distance_to_all`` exactly (same float
@@ -13,18 +15,31 @@ pass.  :class:`ArcShardScorer` replicates the HaLk chord-distance
 pipeline (``core.distance.entity_to_arc_distance`` + the DNF minimum)
 with raw numpy; the operations are elementwise per entity row, so a row
 block computes the same bits as the same rows inside the full pass.
-``tests/dist/test_scorer.py`` asserts this bit-for-bit.
+``topk`` must in turn equal ``topk_rows(score(...), k)`` plus the
+matching distances, bit for bit.  ``tests/dist/test_scorer.py`` asserts
+both.
 
-The kernel is also the reason sharded ranking is *faster* per core, not
-just parallel: the autograd Tensor path materialises ~14 full ``(B, N,
-d)`` float64 temporaries per distance pass, while the scorer streams
-over cache-sized row blocks with preallocated buffers and in-place ops
-(~3× single-core on the benchmark workload; see DESIGN.md §7).
+**Filter and refine.** The exact kernel is bound by three float64
+``np.sin`` per entity per dimension, which numpy evaluates scalar
+(~19 ns per element here) while float32 ``sin`` is SIMD (~0.6 ns).
+:meth:`ArcShardScorer.topk` therefore ranks in two steps: a float32
+pass over all rows yields an approximate distance whose absolute error
+is at most :attr:`ArcShardScorer.filter_epsilon` (a function of ``d``,
+``radius`` and ``eta`` only), and the exact float64 kernel then scores
+just the rows within ``2ε`` of the k-th smallest approximation —
+provably a superset of the exact top-k, ties included, so the answer is
+bitwise the full exact pass's at a fraction of its cost (≈7× faster per
+50k-row block; lemma and ε derivation in DESIGN.md §7).  ``score``
+itself stays the exact kernel: ``mode="all"`` evaluation needs every
+distance and takes no shortcut.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..core.arc import TWO_PI
+from ..core.topk import topk_rows
 
 __all__ = ["ShardScorer", "ArcShardScorer"]
 
@@ -40,6 +55,20 @@ class ShardScorer:
         """Distance block ``(B, n)`` of ``payload`` against ``points``."""
         raise NotImplementedError
 
+    def topk(self, points: np.ndarray, payload, k: int,
+             stats: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Local ``(ids, vals)`` of the ``k`` nearest rows of ``points``.
+
+        ``ids`` are row positions within ``points``, ordered by
+        ``(distance, position)`` like :func:`repro.core.topk.topk_rows`;
+        ``vals`` are the matching exact distances.  Subclasses may
+        compute this any way that returns the same bits; ``stats``, when
+        a dict, receives whatever they count about how they did.
+        """
+        distances = self.score(points, payload)
+        local = topk_rows(distances, k)
+        return local, np.take_along_axis(distances, local, axis=-1)
+
 
 class ArcShardScorer(ShardScorer):
     """HaLk arc-to-entity chord distance over a block of circle points.
@@ -54,6 +83,15 @@ class ArcShardScorer(ShardScorer):
         Entity rows processed per inner iteration; sized so the working
         buffers stay cache-resident.
     """
+
+    #: the filter's error bound holds for point angles within ±this
+    #: (published tables are wrapped into [0, 2π]) ...
+    POINT_LIMIT = 8.0
+    #: ... and arc endpoints within ±this before their reduction mod 2π
+    ENDPOINT_LIMIT = 2.0 ** 20
+    #: error budget of one dimension's float32 ``outside + η·inside``
+    #: term, per unit of ``1 + |η|`` (DESIGN.md §7 derives < 2^-19.6)
+    FILTER_TERM_ERROR = 2.0 ** -18
 
     def __init__(self, eta: float, radius: float, block: int = 2048):
         if block <= 0:
@@ -71,6 +109,129 @@ class ArcShardScorer(ShardScorer):
         if best is None:
             raise ValueError("empty payload: no DNF branches")
         return best
+
+    def filter_epsilon(self, d: int) -> float:
+        """Bound on ``|approximate − exact|`` distance for ``d`` dims."""
+        return (2.0 * abs(self.radius) * d * (1.0 + abs(self.eta))
+                * self.FILTER_TERM_ERROR)
+
+    def topk(self, points: np.ndarray, payload, k: int,
+             stats: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Filter-and-refine top-k, bitwise equal to the exact pass.
+
+        ``stats`` counts ``refine_rows`` ((query, row) pairs the exact
+        kernel scored) and ``fallbacks`` (the filter could not certify k
+        candidates, so the exact kernel scored every row).
+        """
+        n = points.shape[0]
+        k = min(int(k), n)
+        # k >= n: every row is an answer, there is nothing to filter
+        keep = self._candidates(points, payload, k) if 0 < k < n else None
+        if stats is not None:
+            pairs = len(payload[0][0]) * n if keep is None else keep.sum()
+            stats["refine_rows"] = stats.get("refine_rows", 0) + int(pairs)
+            if keep is None and 0 < k < n:
+                stats["fallbacks"] = stats.get("fallbacks", 0) + 1
+        if keep is None:
+            return super().topk(points, payload, k)
+        ids = np.empty((keep.shape[0], k), dtype=np.int64)
+        vals = np.empty((keep.shape[0], k), dtype=np.float64)
+        for query, mask in enumerate(keep):
+            # rows ascend, so position order among them is id order and
+            # the (distance, position) tie-break carries over unchanged
+            rows = np.flatnonzero(mask)
+            own = [(center[query:query + 1], length[query:query + 1])
+                   for center, length in payload]
+            local, vals[query] = super().topk(points[rows], own, k)
+            ids[query] = rows[local[0]]
+        return ids, vals
+
+    def _candidates(self, points: np.ndarray, payload,
+                    k: int) -> np.ndarray | None:
+        """``(B, n)`` mask holding every query's exact top-k, or None.
+
+        With ``|approx − exact| ≤ ε`` on every row and ``a_k``/``e_k``
+        the k-th smallest approximate/exact distance of a query, a row
+        with ``exact ≤ e_k`` has ``approx ≤ e_k + ε ≤ a_k + 2ε``.  None
+        when the bound does not apply (points outside ``POINT_LIMIT`` or
+        not finite) or a query keeps fewer than k rows (its payload was
+        not finite or beyond ``ENDPOINT_LIMIT``, which the filter maps
+        to NaN).
+        """
+        limit = self.POINT_LIMIT
+        if not (points.min() >= -limit and points.max() <= limit):
+            return None
+        approx = self._approx_distance(points, payload)
+        kth = np.partition(approx, k - 1, axis=-1)[:, k - 1]
+        slack = 2.0 * self.filter_epsilon(points.shape[1])
+        keep = approx <= (kth + slack)[:, None]
+        if (keep.sum(axis=-1) < k).any():
+            return None
+        return keep
+
+    def _half_angle32(self, angle: np.ndarray) -> np.ndarray:
+        """``(angle mod 2π) / 2`` as a ``(B, 1, d)`` float32 array."""
+        reduced = np.where(np.abs(angle) <= self.ENDPOINT_LIMIT,
+                           np.mod(angle, TWO_PI), np.nan)
+        return (0.5 * reduced).astype(np.float32)[:, None, :]
+
+    def _approx_distance(self, points: np.ndarray, payload) -> np.ndarray:
+        """:meth:`score` to within :meth:`filter_epsilon`, in float32.
+
+        The same chords over the same strips, with the half-angles of
+        points and (mod-2π reduced) arc endpoints rounded to float32 so
+        subtract, ``sin``, ``abs`` and ``minimum`` run SIMD, and one
+        float64 row-sum of ``outside + η·inside`` per branch.
+        """
+        n, d = points.shape
+        refs = []
+        with np.errstate(invalid="ignore"):  # inf payloads become NaN
+            for center, length in payload:
+                half = length / (2.0 * self.radius)
+                chord_half_arc = np.abs(np.sin(half / 2.0))
+                refs.append((self._half_angle32(center - half),
+                             self._half_angle32(center + half),
+                             self._half_angle32(center),
+                             chord_half_arc.astype(np.float32)[:, None, :]))
+        if not refs:
+            raise ValueError("empty payload: no DNF branches")
+        b = refs[0][0].shape[0]
+        eta = np.float32(self.eta)
+        scale = 2.0 * self.radius
+        out = np.empty((b, n), dtype=np.float64)
+        block = max(1, min(self.block, n))
+        half_points = np.empty((1, block, d), dtype=np.float32)
+        buf1 = np.empty((b, block, d), dtype=np.float32)
+        buf2 = np.empty((b, block, d), dtype=np.float32)
+        other = np.empty((b, block), dtype=np.float64)
+
+        def chord(half_angles, ref, buf):
+            np.subtract(half_angles, ref, out=buf)
+            np.sin(buf, out=buf)
+            np.abs(buf, out=buf)
+
+        for s in range(0, n, block):
+            e = min(s + block, n)
+            m = e - s
+            strip = half_points[:, :m]
+            np.multiply(points[None, s:e, :], 0.5, out=strip,
+                        casting="same_kind")
+            b1 = buf1[:, :m]
+            b2 = buf2[:, :m]
+            for j, (start, end, mid, chord_half_arc) in enumerate(refs):
+                chord(strip, start, b1)
+                chord(strip, end, b2)
+                np.minimum(b1, b2, out=b1)
+                chord(strip, mid, b2)
+                np.minimum(b2, chord_half_arc, out=b2)
+                b2 *= eta
+                b1 += b2
+                dist = out[:, s:e] if j == 0 else other[:, :m]
+                np.sum(b1, axis=-1, dtype=np.float64, out=dist)
+                dist *= scale
+                if j:
+                    np.minimum(out[:, s:e], dist, out=out[:, s:e])
+        return out
 
     def _branch_distance(self, points: np.ndarray, center: np.ndarray,
                          length: np.ndarray) -> np.ndarray:
@@ -91,7 +252,7 @@ class ArcShardScorer(ShardScorer):
         mid = center[:, None, :]
         chord_half_arc = np.abs(np.sin(half / 2.0))[:, None, :]  # (B, 1, d)
         out = np.empty((b, n), dtype=np.float64)
-        block = min(self.block, n)
+        block = max(1, min(self.block, n))  # n == 0: no strips
         buf1 = np.empty((b, block, d), dtype=np.float64)
         buf2 = np.empty((b, block, d), dtype=np.float64)
         for s in range(0, n, block):

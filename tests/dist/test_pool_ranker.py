@@ -7,6 +7,8 @@ assertions running last against that same pool.
 
 import os
 import signal
+import sys
+import threading
 import time
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 
 from repro.core.topk import topk_rows
 from repro.dist import ShardedRanker, merge_topk
+from repro.queries import Entity, Intersection, Projection, Union
 
 from .conftest import requires_shm
 
@@ -69,6 +72,66 @@ class TestParity:
         finally:
             model.entity_points.weight.data[...] = original
             ranker.refresh()
+
+
+class TestConcurrentCallers:
+    def test_two_threads_share_one_ranker(self, model, kg):
+        """The pool's dispatch/gather pair serves one caller at a time
+        (a second caller's collect drops the first's replies as stale
+        and both wait forever); ``ServeRuntime(num_workers=2)`` calls
+        ``topk`` from two threads under a shared read lock, so the
+        ranker has to serialise its round trips itself."""
+        triples = list(kg)[:8]
+        (h0, r0, _), (h1, r1, _) = triples[0], triples[1]
+        structures = [
+            [Projection(r, Entity(h)) for h, r, _ in triples[:3]],
+            [Projection(r1, Projection(r0, Entity(h0)))],
+            [Intersection((Projection(r0, Entity(h0)),
+                           Projection(r1, Entity(h1))))],
+            [Union((Projection(r0, Entity(h0)),      # two DNF branches
+                    Projection(r1, Entity(h1))))],
+        ]
+        cases = []
+        for index, queries in enumerate(structures):
+            embedding = model.embed_batch(queries)
+            k = 3 + 2 * index
+            _, ids, vals = _expected(model, embedding, k)
+            cases.append((embedding, k, ids, vals))
+
+        calls_per_thread, wrong, errors = 160, [], []
+        ranker = ShardedRanker.for_model(model, 2)
+        assert ranker is not None
+
+        def caller(offset):
+            try:
+                for i in range(calls_per_thread):
+                    embedding, k, ids, vals = \
+                        cases[(i + offset) % len(cases)]
+                    got_ids, got_vals = ranker.topk(embedding, k)
+                    if not (np.array_equal(got_ids, ids)
+                            and np.array_equal(got_vals, vals)):
+                        wrong.append((offset, i))
+            except Exception as exc:  # DistError included
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller, args=(offset,),
+                                    daemon=True) for offset in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        started = time.monotonic()
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            stuck = [t.name for t in threads if t.is_alive()]
+        finally:
+            sys.setswitchinterval(interval)
+            if not any(t.is_alive() for t in threads):
+                ranker.close()  # else: leave the daemon threads be
+        assert not stuck, f"callers hung on each other's replies: {stuck}"
+        assert not errors and not wrong
+        assert time.monotonic() - started < 30.0
 
 
 class TestCrashHealing:

@@ -4,13 +4,23 @@ This parity is the foundation of the whole subsystem: sharded answers
 are provably identical to single-process answers only because a shard
 worker computes the very same float ops, in the same order, as
 ``distance_to_all`` does on those columns.
+
+``ArcShardScorer.topk`` ranks by filter and refine (a float32 pass, then
+the exact kernel on the survivors); the properties at the end pin that
+it returns the exact pass's bits and that the filter's error stays four
+times inside the bound the refine step relies on.
 """
+
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.topk import topk_rows
 from repro.dist import ArcShardScorer, partition_rows
+from repro.dist.scorer import ShardScorer
 
 pytestmark = pytest.mark.dist
 
@@ -59,3 +69,157 @@ def test_topk_on_scorer_output_matches_model(model, embedding):
     got = topk_rows(scorer.score(points, model.ranking_payload(embedding)),
                     7)
     assert np.array_equal(got, expect)
+
+
+def test_score_of_zero_rows_is_an_empty_block(model, embedding):
+    """``score`` is total over n >= 0 (refine may hand it few rows)."""
+    points, scorer = model.sharding_spec()
+    payload = model.ranking_payload(embedding)
+    got = scorer.score(points[:0], payload)
+    assert got.shape == (len(payload[0][0]), 0)
+    ids, vals = scorer.topk(points[:0], payload, 5)
+    assert ids.shape == vals.shape == got.shape
+
+
+def test_topk_matches_model_answers_bitwise(model, embedding):
+    distances = model.distance_to_all(embedding).data
+    expect = topk_rows(distances, 7)
+    points, scorer = model.sharding_spec()
+    stats = {}
+    ids, vals = scorer.topk(points, model.ranking_payload(embedding), 7,
+                            stats)
+    assert np.array_equal(ids, expect)
+    assert np.array_equal(vals,
+                          np.take_along_axis(distances, expect, axis=-1))
+    # the filter did the ranking: no fallback, and the exact kernel saw
+    # a handful of rows per query instead of the whole table
+    assert "fallbacks" not in stats
+    assert stats["refine_rows"] < 2 * 7 * len(ids)
+
+
+# ----------------------------------------------------------------------
+# filter and refine == the exact pass, on inputs the model never makes
+# ----------------------------------------------------------------------
+TWO_PI = 2.0 * np.pi
+
+
+@st.composite
+def ranking_cases(draw, poisoned):
+    """(scorer, points, payload, k): small tables, awkward payloads."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(0, 40))
+    d = draw(st.integers(1, 5))
+    b = draw(st.integers(1, 3))
+    radius = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    scorer = ArcShardScorer(eta=draw(st.sampled_from([0.02, 0.5])),
+                            radius=radius,
+                            block=draw(st.sampled_from([1, 3, 64])))
+    points = rng.uniform(0.0, TWO_PI, (n, d))
+    if n and draw(st.booleans()):
+        # duplicate rows: exact distance ties, decided by the smaller id
+        points = points[rng.integers(n, size=n)]
+    # centres far off the principal range exercise the mod-2π reduction
+    spread = draw(st.sampled_from([TWO_PI, 50.0, 1e3]))
+    payload = []
+    for _ in range(draw(st.integers(1, 3))):
+        center = rng.uniform(-spread, spread, (b, d))
+        length = rng.uniform(0.0, TWO_PI * radius, (b, d))
+        # zero-length (a point) and full-circle arcs, per coordinate
+        shape = rng.integers(4, size=(b, d))
+        length[shape == 0] = 0.0
+        length[shape == 1] = TWO_PI * radius
+        payload.append((center, length))
+    if poisoned:
+        bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        target = draw(st.sampled_from(["center", "length", "points"]))
+        if target == "points" and n:
+            points[rng.integers(n), rng.integers(d)] = bad
+        else:
+            center, length = payload[rng.integers(len(payload))]
+            array = length if target == "length" else center
+            array[rng.integers(b), rng.integers(d)] = bad
+    return scorer, points, payload, draw(st.integers(0, n + 3))
+
+
+def _assert_topk_is_the_exact_pass(scorer, points, payload, k):
+    with warnings.catch_warnings():
+        # inf inputs make the exact kernel take sin(inf) — its business
+        warnings.simplefilter("ignore", RuntimeWarning)
+        stats = {}
+        ids, vals = scorer.topk(points, payload, k, stats)
+        distances = scorer.score(points, payload)
+    expect = topk_rows(distances, k)
+    assert ids.dtype == expect.dtype
+    assert np.array_equal(ids, expect)
+    assert np.array_equal(vals,
+                          np.take_along_axis(distances, expect, axis=-1),
+                          equal_nan=True)
+    # same entry point, base implementation: the reference by definition
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        base_ids, _ = ShardScorer.topk(scorer, points, payload, k)
+    assert np.array_equal(ids, base_ids)
+    return stats
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ranking_cases(poisoned=False))
+def test_filter_and_refine_topk_is_bitwise_the_exact_pass(case):
+    scorer, points, payload, k = case
+    stats = _assert_topk_is_the_exact_pass(scorer, points, payload, k)
+    # finite in-range inputs never take the fallback
+    assert "fallbacks" not in stats
+    assert stats["refine_rows"] <= len(payload[0][0]) * points.shape[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=ranking_cases(poisoned=True))
+def test_non_finite_inputs_take_the_counted_fallback(case):
+    scorer, points, payload, k = case
+    n = points.shape[0]
+    stats = _assert_topk_is_the_exact_pass(scorer, points, payload, k)
+    filtered = 0 < k < n  # otherwise there was nothing to filter
+    assert stats.get("fallbacks", 0) == int(filtered)
+    assert stats["refine_rows"] == len(payload[0][0]) * n
+
+
+def test_out_of_range_inputs_take_the_fallback_too():
+    """The bound's domain is checked, not assumed: unwrapped points or
+    endpoints beyond the reduction's range are ranked exactly."""
+    rng = np.random.default_rng(5)
+    scorer = ArcShardScorer(eta=0.02, radius=1.0)
+    points = rng.uniform(0.0, TWO_PI, (30, 4))
+    payload = [(rng.uniform(0, 6, (2, 4)), rng.uniform(0, 2, (2, 4)))]
+    far = [(payload[0][0] + 2.0 * scorer.ENDPOINT_LIMIT, payload[0][1])]
+    for pts, pay in ((points + 3 * TWO_PI, payload), (points, far)):
+        stats = _assert_topk_is_the_exact_pass(scorer, pts, pay, 5)
+        assert stats == {"fallbacks": 1, "refine_rows": 2 * 30}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 200),
+       d=st.integers(1, 64), b=st.integers(1, 3),
+       branches=st.integers(1, 3),
+       radius=st.sampled_from([0.5, 1.0, 2.0]),
+       eta=st.sampled_from([0.02, 0.5, 1.0]),
+       spread=st.sampled_from([TWO_PI, 1e3, 2.0 ** 20 - 10.0]),
+       wrapped=st.booleans())
+def test_filter_error_stays_inside_a_quarter_of_epsilon(
+        seed, n, d, b, branches, radius, eta, spread, wrapped):
+    """``topk`` is exact as long as ``|approx - exact| <= ε``; pin the
+    margin (4x) rather than assume it, over the whole domain the bound
+    claims: points up to ``POINT_LIMIT``, endpoints up to
+    ``ENDPOINT_LIMIT``."""
+    rng = np.random.default_rng(seed)
+    scorer = ArcShardScorer(eta=eta, radius=radius)
+    if wrapped:
+        points = rng.uniform(0.0, TWO_PI, (n, d))
+    else:
+        points = rng.uniform(-scorer.POINT_LIMIT, scorer.POINT_LIMIT,
+                             (n, d))
+    payload = [(rng.uniform(-spread, spread, (b, d)),
+                rng.uniform(0.0, TWO_PI * radius, (b, d)))
+               for _ in range(branches)]
+    exact = scorer.score(points, payload)
+    approx = scorer._approx_distance(points, payload)
+    assert np.abs(approx - exact).max() <= scorer.filter_epsilon(d) / 4.0

@@ -23,6 +23,7 @@ import time
 from urllib.error import HTTPError
 from urllib.request import urlopen
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,6 +150,37 @@ class TestMetricMerge:
         ranker.topk(embedding, 5)  # tracing off
         assert ranker.metrics.counter("rank_requests", shard=0).value \
             == before + 1
+
+    def test_filter_and_refine_is_counted_per_shard(self, model, ranker,
+                                                    embedding):
+        """How a top-k was ranked is never silent: the rows the exact
+        kernel scored and every filter fallback ride the metric deltas."""
+        def counts():
+            counters = ranker.metrics.snapshot().counters
+            return [(counters.get(f"rank_refine_rows{{shard={i}}}", 0),
+                     counters.get(f"rank_filter_fallbacks{{shard={i}}}", 0))
+                    for i in range(ranker.num_shards)]
+
+        k = 5
+        batch = len(model.ranking_payload(embedding)[0][0])
+        before = counts()
+        ranker.topk(embedding, k)
+        filtered = counts()
+        for shard, (old, new) in zip(ranker.plan.ranges,
+                                     zip(before, filtered)):
+            refined = new[0] - old[0]  # (query, row) pairs
+            assert batch * k <= refined < batch * (shard.stop - shard.start)
+            assert new[1] == old[1]  # no fallback on a healthy payload
+
+        center, length = model.ranking_payload(embedding)[0]
+        request = {"mode": "topk", "k": k,
+                   "payload": [(np.full_like(center, np.nan), length)]}
+        payloads = [request] * ranker.num_shards
+        ranker.pool.gather(ranker.pool.dispatch(payloads), payloads)
+        for shard, (old, new) in zip(ranker.plan.ranges,
+                                     zip(filtered, counts())):
+            assert new[1] == old[1] + 1
+            assert new[0] - old[0] == batch * (shard.stop - shard.start)
 
 
 class TestMergeInvariant:
