@@ -5,7 +5,7 @@ Measures queries/sec on the FB237 quick workload through three paths:
 * **sequential** — the pre-serving baseline, one ``QueryModel.answer``
   call per query (embed + rank-all per query);
 * **batched** — the same queries through :class:`repro.serve.ServeRuntime`,
-  which coalesces them into ``embed_batch``/``distance_to_all`` passes;
+  which coalesces them into compiled-plan/``distance_to_all`` passes;
 * **cached** — a second pass over the same workload, served from the
   answer cache;
 * **traced** — the batched path again with ``repro.obs`` tracing enabled
@@ -121,7 +121,7 @@ def test_bench_serve_throughput(benchmark, bench_record):
 
 
 # ----------------------------------------------------------------------
-# compiled plans vs the interpretive batcher (--plan)
+# compiled plans vs the interpretive oracle
 # ----------------------------------------------------------------------
 
 PLAN_PREFIX_COUNT = 30
@@ -173,67 +173,86 @@ def _plan_workload(num_entities=64, num_relations=8, dim=32, hidden=2048,
     return kg, model, queries
 
 
-def _measure_plan_compile(reps=3):
-    """Batched p50 latency, interpretive vs compiled, interleaved passes.
+def _measure_plan_exec(reps=9):
+    """Whole-batch wall time, interpretive oracle vs compiled, interleaved.
 
-    Both caches are effectively off (size 1, nanosecond TTL) so every
-    pass stays on the model path; a warm-up pass per runtime warms
-    threads and numpy, not results.  Passes alternate between the two
-    runtimes so clock drift and thermal noise hit both sides equally
-    (the diag-overhead bench's protocol), and the p50 aggregates all
-    ``reps`` passes — per-request latencies cluster at batch-completion
-    steps, so a single pass's p50 is too quantised to compare.
+    The oracle is ``model.answer_batch`` — the ``_embed`` tree walk kept
+    as training forward and test reference; the compiled side is
+    ``plan_answer_batch`` with a warm ``PlanCompiler`` (what serving runs
+    per micro-batch, minus the runtime around it).  A warm-up pass per
+    side warms numpy and the template cache, not results.  Passes
+    alternate between the two sides so clock drift and thermal noise hit
+    both equally (the diag-overhead bench's protocol), and each side
+    reports the median of its ``reps`` passes (nine: three left the ratio
+    anywhere between 1.25 and 1.6 on a shared machine).
+
+    This row replaced one that compared two *runtimes* by per-request
+    p50.  That number (1.6–1.9×) was not a batch-time ratio: with
+    ``max_batch_size=128`` the compiled side's p50 was the completion of
+    its first 128-query batch, the interpretive side's fell on its second
+    of two sequential 120-query structure batches.  Whole batch against
+    whole batch, ranking included on both sides, the ratio is ~1.3×.
     """
-    kg, model, queries = _plan_workload()
+    from repro.obs.metrics import MetricsRegistry, get_registry
+    from repro.plan import PlanCompiler, plan_answer_batch
+    from repro.serve import canonicalize
+
+    _, model, queries = _plan_workload()
+    queries = [canonicalize(query) for query in queries]
     top_k = 10
-    base = dict(max_batch_size=128, flush_timeout=0.02, num_workers=1,
-                answer_cache_size=1, answer_ttl=1e-9,
-                embedding_cache_size=1)
-    latencies = {"interpretive": [], "compiled": []}
+    registry = MetricsRegistry()
+    compiler = PlanCompiler(metrics=registry)
+    sides = {
+        "interpretive": lambda: model.answer_batch(queries, top_k=top_k,
+                                                   batch_size=128),
+        "compiled": lambda: plan_answer_batch(queries, model, top_k=top_k,
+                                              compiler=compiler),
+    }
+
+    def stage_seconds():
+        # cumulative plan-op wall seconds (the repro.obs.prof cost
+        # accounter's plan_stage_seconds gauges, process registry)
+        return sum(value for key, value
+                   in get_registry().snapshot().gauges.items()
+                   if key.startswith("plan_stage_seconds"))
+
+    seconds = {label: [] for label in sides}
     answers = {}
-    with ServeRuntime(model, kg=kg,
-                      config=ServeConfig(**base)) as interpretive, \
-            ServeRuntime(model, kg=kg,
-                         config=ServeConfig(plan_compile=True,
-                                            **base)) as compiled:
-        runtimes = {"interpretive": interpretive, "compiled": compiled}
-        for runtime in runtimes.values():
-            runtime.answer_batch(queries, top_k=top_k)  # warm-up
-        for _ in range(reps):
-            for label, runtime in runtimes.items():
-                results = runtime.answer_batch(queries, top_k=top_k)
-                assert all(r.source == "model" for r in results)
-                latencies[label].extend(r.latency * 1000.0
-                                        for r in results)
-                answers[label] = [list(r.entity_ids) for r in results]
-        snapshot = compiled.stats()
-        counters = {name: value for name, value
-                    in snapshot.counters.items()
-                    if name.startswith("plan_")}
-        # cumulative plan-op wall seconds over the whole compiled run
-        # (the repro.obs.prof cost accounter's plan_stage_seconds gauges)
-        stage_seconds = sum(
-            value for key, value in snapshot.gauges.items()
-            if key.startswith("plan_stage_seconds"))
+    stage_start = stage_seconds()
+    for run in sides.values():
+        run()  # warm-up
+    for _ in range(reps):
+        for label, run in sides.items():
+            start = time.perf_counter()
+            answers[label] = run()
+            seconds[label].append(time.perf_counter() - start)
     # the speedup only counts if the rankings are identical
     assert answers["compiled"] == answers["interpretive"]
-    p50 = {label: float(np.percentile(values, 50))
-           for label, values in latencies.items()}
+    p50 = {label: 1000.0 * float(np.median(values))
+           for label, values in seconds.items()}
+    counters = {name: value for name, value
+                in registry.snapshot().counters.items()
+                if name.startswith("plan_")}
     return {"interpretive_p50_ms": p50["interpretive"],
             "compiled_p50_ms": p50["compiled"],
             "speedup": p50["interpretive"] / p50["compiled"],
             "counters": counters, "queries": len(queries),
-            "stage_seconds": stage_seconds}
+            # scaled to 4 executions (warm-up + 3 passes), the count
+            # behind the recorded plan_stage_seconds_total points
+            "stage_seconds": (stage_seconds() - stage_start)
+            * 4.0 / (reps + 1)}
 
 
-def test_bench_plan_compiler_speedup(benchmark, bench_record):
-    """Compiled plans must clear 1.5× the interpretive batched p50 on a
-    shared-prefix 2i/3p mix (the CSE + fusion payoff)."""
-    out = benchmark.pedantic(_measure_plan_compile,
+def test_bench_plan_exec_speedup(benchmark, bench_record):
+    """Compiled plans must clear 1.2× the interpretive oracle's batch
+    time on a shared-prefix 2i/3p mix (the CSE + fusion payoff)."""
+    out = benchmark.pedantic(_measure_plan_exec,
                              rounds=1, iterations=1)
     if bench_record:
+        # a new name, not the retired plan_batch_speedup (runtime vs
+        # runtime request p50): the two are not comparable points
         record.record(BENCH_FILE,
-                      {"plan_batch_speedup": out["speedup"]},
+                      {"plan_exec_speedup": out["speedup"]},
                       higher_is_better=True)
         record.record(BENCH_FILE,
                       {"plan_stage_seconds_total": out["stage_seconds"]},
@@ -254,8 +273,8 @@ def test_bench_plan_compiler_speedup(benchmark, bench_record):
     print(f"  CSE saved {saved}/{total} ops; template cache "
           f"{hits} hits / {misses} misses")
     print(f"  plan-op wall time: {out['stage_seconds']:.3f}s total")
-    assert out["speedup"] >= 1.5, \
-        "compiled plans should beat the interpretive batcher by 1.5x " \
+    assert out["speedup"] >= 1.2, \
+        "compiled plans should beat the interpretive oracle by 1.2x " \
         "on a shared-prefix-heavy mix (CSE + projection fusion)"
 
 

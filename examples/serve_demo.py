@@ -4,7 +4,7 @@ Drives a :class:`repro.serve.ServeClient` against a trained model on the
 FB237 analogue and shows the three serving wins in order:
 
 1. **batching** — a concurrent workload coalesced into a handful of
-   ``embed_batch``/``distance_to_all`` passes beats the sequential
+   compiled-plan/``distance_to_all`` passes beats the sequential
    ``model.answer`` loop;
 2. **caching** — repeating the workload is served from the answer cache
    (isomorphic queries share entries via canonicalisation);

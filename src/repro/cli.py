@@ -296,11 +296,20 @@ def cmd_explain(args) -> int:
     return 0
 
 
+def _serve_runtime(model, **kwargs):
+    """A ServeRuntime, or a one-line exit for a model serving leaves out
+    (no ``plan_backend()``: the ConE / NewLook / MLPMix baselines)."""
+    from .serve import ServeRuntime
+    try:
+        return ServeRuntime(model, **kwargs)
+    except TypeError as exc:
+        raise SystemExit(str(exc)) from exc
+
+
 def cmd_serve(args) -> int:
     from .ann import LshIndex
     from .queries import QuerySampler, get_structure
-    from .serve import (ServeClient, ServeConfig, ServeRuntime,
-                        format_snapshot)
+    from .serve import ServeClient, ServeConfig, format_snapshot
 
     weights, _ = _model_paths(pathlib.Path(args.model_dir), args.dataset,
                               args.method)
@@ -321,14 +330,13 @@ def cmd_serve(args) -> int:
                          answer_ttl=args.answer_ttl,
                          default_deadline=args.deadline,
                          num_shards=getattr(args, "shards", 0),
-                         plan_compile=args.plan,
                          lazy_shard_slabs=getattr(args, "lazy_slabs", None),
                          hedge_shards=args.hedge,
                          http_port=args.http_port,
                          http_host=args.http_host)
     gateway = None
-    with ServeRuntime(model, kg=splits.train, index=index,
-                      config=config) as runtime:
+    with _serve_runtime(model, kg=splits.train, index=index,
+                        config=config) as runtime:
         if args.gateway or args.tenant or args.tenant_file:
             from .gateway import (Gateway, GatewayConfig,
                                   load_tenant_configs, parse_tenant_spec)
@@ -632,7 +640,7 @@ def cmd_mem(args) -> int:
 def cmd_trace(args) -> int:
     from . import obs
     from .queries import QuerySampler, get_structure
-    from .serve import ServeConfig, ServeRuntime, format_snapshot
+    from .serve import ServeConfig
 
     weights, _ = _model_paths(pathlib.Path(args.model_dir), args.dataset,
                               args.method)
@@ -661,8 +669,8 @@ def cmd_trace(args) -> int:
                     get_structure(args.structure)).query
                 config = ServeConfig(num_workers=args.workers,
                                      num_shards=getattr(args, "shards", 0))
-                with ServeRuntime(model, kg=splits.train,
-                                  config=config) as runtime:
+                with _serve_runtime(model, kg=splits.train,
+                                    config=config) as runtime:
                     ids = runtime.answer(query, top_k=args.top_k).entity_ids
         finally:
             if profiler is not None:
@@ -830,10 +838,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hedge", action="store_true",
                    help="hedge straggling shard requests with a "
                         "parent-side duplicate (needs --shards > 0)")
-    p.add_argument("--plan", action="store_true",
-                   help="compile micro-batches through the repro.plan "
-                        "query-plan compiler (cross-query CSE, fused "
-                        "stacked kernels, structure-keyed plan cache)")
     p.add_argument("--hold", action="store_true",
                    help="after the demo workload, keep the runtime (and "
                         "its HTTP endpoints) alive until Ctrl-C")

@@ -192,7 +192,7 @@ class QueryModel(Module):
         return None
 
     # ------------------------------------------------------------------
-    # optional hook used by the plan compiler (repro.plan)
+    # hook used by the plan compiler (repro.plan); required by serving
     # ------------------------------------------------------------------
     def plan_backend(self):
         """Stacked-execution backend for compiled plans, or None.
@@ -201,9 +201,10 @@ class QueryModel(Module):
         ``anchor``/``project``/``intersect``/``difference``/``negate``/
         ``finalize`` primitives the plan executor schedules; embeddings
         it produces must be accepted by :meth:`distance_to_all` and the
-        sharded ranking payload unchanged.  Default: unsupported (None),
-        in which case the serving runtime falls back to the interpretive
-        ``answer_batch`` path.
+        sharded ranking payload unchanged.  Required by serving: compiled
+        plans are the only model path of :class:`repro.serve.ServeRuntime`,
+        which refuses (``TypeError``) a model returning the default None —
+        such a model trains and evaluates through :meth:`embed_batch` only.
         """
         return None
 

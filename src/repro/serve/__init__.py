@@ -1,8 +1,9 @@
 """``repro.serve`` — batched, cached, observable query serving.
 
 The online counterpart of the training stack: a request queue +
-micro-batcher that coalesces concurrent ``answer()`` calls into single
-``embed_batch``/``distance_to_all`` passes, a multi-tier cache keyed on
+micro-batcher that coalesces concurrent ``answer()`` calls into one
+compiled plan (``repro.plan``) and one ``distance_to_all`` pass per
+branch count, a multi-tier cache keyed on
 canonicalised computation graphs, a worker-pool dispatcher with
 deadlines, retries, and graceful degradation to exact or approximate
 fallbacks, and a metrics layer surfacing throughput, latency

@@ -1,12 +1,12 @@
 """Request queue and micro-batcher.
 
 Concurrent ``answer()`` calls land here as :class:`ServeRequest` objects.
-The batcher thread coalesces them into batches that share a ``group_key``
-(the canonical structure signature — ``embed_batch`` requires one
-structure per call) and hands each batch to a dispatch callable.  A batch
-is flushed when it reaches ``max_batch_size`` or when ``flush_timeout``
-elapses after its first request arrived, so a lone request never waits
-longer than the flush window.
+The batcher thread coalesces them, in arrival order and whatever their
+query structures (the plan compiler executes mixed batches and needs
+them for cross-query CSE), into batches it hands to a dispatch callable.
+A batch is flushed when it reaches ``max_batch_size`` or when
+``flush_timeout`` elapses after its first request arrived, so a lone
+request never waits longer than the flush window.
 
 The batcher knows nothing about models or caches; the runtime supplies
 the dispatch function.  This keeps the queueing logic independently
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -81,7 +81,6 @@ class ServeRequest:
     query: Any
     top_k: int
     cache_key: str
-    group_key: str
     future: ServeFuture = field(default_factory=ServeFuture)
     #: absolute deadline on the runtime clock, or None
     deadline: float | None = None
@@ -89,7 +88,7 @@ class ServeRequest:
 
 
 class MicroBatcher:
-    """Coalesces requests into same-structure batches.
+    """Coalesces requests into arrival-ordered batches.
 
     Parameters
     ----------
@@ -97,9 +96,9 @@ class MicroBatcher:
         Called with each flushed batch (``list[ServeRequest]``) from the
         batcher thread; must be quick (e.g. submit to a worker pool).
     max_batch_size:
-        Flush a group as soon as it holds this many requests.
+        Flush as soon as this many requests are queued.
     flush_timeout:
-        Seconds to wait for stragglers after a group's first request.
+        Seconds to wait for stragglers once a batch is open.
     depth_callback:
         Optional ``callable(int)`` observing queue depth on every change.
     """
@@ -119,9 +118,7 @@ class MicroBatcher:
         self._clock = clock
         self._lock = threading.Lock()
         self._nonempty = threading.Condition(self._lock)
-        #: group_key -> FIFO of requests; OrderedDict keeps group arrival order
-        self._groups: OrderedDict[str, deque[ServeRequest]] = OrderedDict()
-        self._depth = 0
+        self._queue: deque[ServeRequest] = deque()
         self._closed = False
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         name="serve-batcher")
@@ -136,9 +133,7 @@ class MicroBatcher:
             if self._closed:
                 raise RuntimeError("batcher is closed")
             request.enqueued_at = self._clock()
-            self._groups.setdefault(request.group_key,
-                                    deque()).append(request)
-            self._depth += 1
+            self._queue.append(request)
             self._observe_depth()
             self._nonempty.notify()
 
@@ -155,12 +150,12 @@ class MicroBatcher:
     @property
     def depth(self) -> int:
         with self._lock:
-            return self._depth
+            return len(self._queue)
 
     # ------------------------------------------------------------------
     def _observe_depth(self) -> None:
         if self._depth_callback is not None:
-            self._depth_callback(self._depth)
+            self._depth_callback(len(self._queue))
 
     def _run(self) -> None:
         while True:
@@ -171,26 +166,20 @@ class MicroBatcher:
 
     def _next_batch(self) -> list[ServeRequest] | None:
         with self._nonempty:
-            while not self._groups and not self._closed:
+            while not self._queue and not self._closed:
                 self._nonempty.wait()
-            if not self._groups:
+            if not self._queue:
                 return None  # closed and drained
-            # Oldest group flushes first; wait out the flush window for
-            # stragglers unless the batch fills up (or we are draining).
-            key = next(iter(self._groups))
+            # Wait out the flush window for stragglers unless the batch
+            # fills up (or we are draining).
             flush_at = self._clock() + self.flush_timeout
             while (not self._closed
-                   and len(self._groups[key]) < self.max_batch_size):
+                   and len(self._queue) < self.max_batch_size):
                 remaining = flush_at - self._clock()
                 if remaining <= 0:
                     break
                 self._nonempty.wait(remaining)
-            pending = self._groups[key]
-            batch = []
-            while pending and len(batch) < self.max_batch_size:
-                batch.append(pending.popleft())
-            if not pending:
-                del self._groups[key]
-            self._depth -= len(batch)
+            batch = [self._queue.popleft() for _ in
+                     range(min(len(self._queue), self.max_batch_size))]
             self._observe_depth()
             return batch

@@ -6,11 +6,15 @@ benchmarks) sits on.  A request travels::
     submit() ── answer-cache hit? ──────────────▶ resolved future
         │ miss
         ▼
-    MicroBatcher (coalesce same-structure requests, flush window)
+    MicroBatcher (one FIFO: mixed structures coalesce, flush window)
         ▼
     worker pool (threads; numpy releases the GIL inside BLAS)
-        ├─ embedding-LRU hits  → distance only
-        ├─ misses              → one embed_batch + one distance_to_all
+        ├─ embedding-LRU hits  → a one-row rank group each
+        ├─ misses              → one compiled plan (``repro.plan``:
+        │                        template cache, cross-query CSE, fused
+        │                        stages) → one rank group per branch count
+        ├─ every rank group    → one distance_to_all + top-k (or one
+        │                        sharded gather)
         └─ on failure/deadline → bounded retries, then graceful
            degradation: exact symbolic executor (``queries.executor``)
            or the approximate ``ann.LshIndex`` path
@@ -69,8 +73,6 @@ class ServeConfig:
     answer_ttl: float = 300.0
     #: sliding-window size of the latency histograms
     histogram_window: int = 4096
-    #: candidate multiple fetched from the LSH index before re-ranking
-    lsh_candidate_factor: int = 4
     #: entity-table shards for ranking; < 2 = in-process (``repro.dist``
     #: worker processes; silently falls back to in-process when the
     #: model or platform does not support sharding)
@@ -84,14 +86,6 @@ class ServeConfig:
     #: first reply wins (bitwise-identical results either way)
     hedge_shards: bool = False
     hedge_delay_factor: float = 1.5
-    #: compile micro-batches through the ``repro.plan`` query-plan
-    #: compiler: requests of *all* structures coalesce into one batch,
-    #: shared sub-plans across queries execute once (CSE) and same-depth
-    #: ops fuse into stacked kernel calls; silently falls back to the
-    #: interpretive path when the model has no ``plan_backend()``
-    plan_compile: bool = False
-    #: compiled-plan template cache entries (keyed by structure)
-    plan_cache_size: int = 256
     #: mount the telemetry HTTP server (``/metrics`` ``/healthz``
     #: ``/statusz``) on this port; None = no HTTP, 0 = ephemeral port
     #: (the bound port is ``runtime.http_server.port``)
@@ -199,7 +193,11 @@ class ServeRuntime:
     Parameters
     ----------
     model:
-        Trained model answering via ``embed_batch``/``distance_to_all``.
+        Trained model answering via ``plan_backend()`` (the stacked
+        primitives compiled plans execute) and ``distance_to_all``.  A
+        model without a plan backend (the ConE / NewLook / MLPMix
+        baselines) is train/evaluate-only: the constructor raises
+        ``TypeError`` before anything is started.
     kg:
         Optional observed graph enabling the exact symbolic fallback.
     index:
@@ -226,7 +224,31 @@ class ServeRuntime:
         self.config = config or ServeConfig()
         self._clock = clock
         self.tracer = tracer if tracer is not None else get_tracer()
+        # Everything that can reject its arguments is built first and
+        # starts nothing, so a bad model or config raises before any
+        # thread, process or shared-memory segment exists.
+        self._plan_backend = model.plan_backend()
+        if self._plan_backend is None:
+            raise TypeError(
+                f"model {model.name!r} has no plan_backend(): serving "
+                "executes compiled plans only (train/evaluate it instead)")
+        self._answers = TtlCache(self.config.answer_cache_size,
+                                 self.config.answer_ttl, clock=clock)
+        self._embeddings = LruCache(self.config.embedding_cache_size)
         self.metrics = MetricsRegistry(self.config.histogram_window)
+        self._latency = self.metrics.histogram("latency_ms")
+        self._batch_sizes = self.metrics.histogram("batch_size")
+        self._queue_depth = self.metrics.gauge("queue_depth")
+        from ..plan import PlanCompiler
+        self._planner = PlanCompiler(metrics=self.metrics,
+                                     tracer=self.tracer)
+        self._pool = ThreadPoolExecutor(
+            max_workers=self.config.num_workers,
+            thread_name_prefix="serve-worker")
+        self._batcher = MicroBatcher(
+            self._dispatch, max_batch_size=self.config.max_batch_size,
+            flush_timeout=self.config.flush_timeout,
+            depth_callback=self._queue_depth.set, clock=clock)
         self._started_at = time.monotonic()  # uptime display only
         #: production diagnostics (repro.obs.diag); None only when the
         #: overhead benchmark turns it off explicitly
@@ -261,33 +283,6 @@ class ServeRuntime:
                 if self.config.profiling else 0.0)
         self.metrics.gauge("shards").set(
             self._ranker.num_shards if self._ranker is not None else 0)
-        # query-plan compiler (repro.plan): active only when asked for
-        # AND the model supplies a stacked-execution backend
-        self._planner = None
-        self._plan_backend = None
-        if self.config.plan_compile:
-            self._plan_backend = model.plan_backend()
-            if self._plan_backend is not None:
-                from ..plan import PlanCompiler
-                self._planner = PlanCompiler(
-                    cache_size=self.config.plan_cache_size,
-                    metrics=self.metrics, tracer=self.tracer)
-        self._latency = self.metrics.histogram("latency_ms")
-        self._batch_sizes = self.metrics.histogram("batch_size")
-        self._queue_depth = self.metrics.gauge("queue_depth")
-        self._answers = TtlCache(self.config.answer_cache_size,
-                                 self.config.answer_ttl, clock=clock)
-        self._embeddings = LruCache(self.config.embedding_cache_size)
-        # Probe once whether the model supports per-query embedding
-        # slicing; unsupported models simply skip the embedding tier.
-        self._embedding_tier = None
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.num_workers,
-            thread_name_prefix="serve-worker")
-        self._batcher = MicroBatcher(
-            self._dispatch, max_batch_size=self.config.max_batch_size,
-            flush_timeout=self.config.flush_timeout,
-            depth_callback=self._queue_depth.set, clock=clock)
         self._batcher.start()
         self._closed = False
         self._close_lock = threading.Lock()
@@ -382,13 +377,8 @@ class ServeRuntime:
         # never enters deadline math anywhere in the serve/dist stack —
         # an NTP step must not expire (or resurrect) in-flight requests.
         structure = batch_key(canonical)
-        # with the plan compiler active, every structure coalesces into
-        # ONE micro-batch group — cross-query CSE needs mixed batches,
-        # and the compiler re-groups by shape where it matters (ranking)
         request = _Pending(
             query=canonical, top_k=top_k, cache_key=key,
-            group_key="__plan__" if self._planner is not None
-            else structure,
             deadline=None if deadline is None else now + deadline,
             retries_left=self.config.max_retries, submitted_at=now,
             request_id=rid, diag=record, diag_owned=owned)
@@ -615,11 +605,9 @@ class ServeRuntime:
             self.metrics.gauge("process_rss_bytes",
                                role=proc["role"]).set(proc["rss_bytes"])
         caches = {}
-        tiers = [("answer_cache", self._answers),
-                 ("embedding_cache", self._embeddings)]
-        if self._planner is not None:
-            tiers.append(("plan_template_cache", self._planner.cache))
-        for name, cache in tiers:
+        for name, cache in (("answer_cache", self._answers),
+                            ("embedding_cache", self._embeddings),
+                            ("plan_template_cache", self._planner.cache)):
             entry = dict(cache.stats())
             entry["bytes"] = cache.nbytes()
             caches[name] = entry
@@ -728,12 +716,36 @@ class ServeRuntime:
                                        request_id=request_id,
                                        shard_info=shard_info)
             return ids, time.perf_counter()
-        distances = self.model.distance_to_all(embedding).data
+        with no_grad():
+            distances = self.model.distance_to_all(embedding).data
         split = time.perf_counter()
         return topk_rows(distances, k), split
 
+    def _embed(self, queries: list[Node]):
+        """Compile + execute canonical queries — the one way serving embeds.
+
+        Returns ``(compiled, groups, stage_cost)``: the compile result
+        (template-cache + cross-query-CSE bookkeeping), one
+        :class:`repro.plan.RankGroup` per branch count, and the per-op-kind
+        milliseconds of this execution (flight-record stamp).
+        """
+        from ..plan import execute_plan
+
+        compiled = self._planner.compile(queries, canonical=True)
+        stage_cost: dict[str, float] = {}
+        groups = execute_plan(compiled.plan, self._plan_backend,
+                              tracer=self.tracer, registry=self.metrics,
+                              cost=stage_cost)
+        return compiled, groups, stage_cost
+
     def _model_answer(self, batch: list[_Pending]) -> None:
-        """The happy path: embedding tier, then one batched ranking.
+        """The happy path: embedding tier, then one ranking per group.
+
+        Embedding-cache misses of the whole (mixed-structure) batch
+        compile into one shared DAG and come back as one stacked
+        embedding per branch count; a cache hit is a one-row group of
+        its own.  Every group takes one pass through :meth:`_rank`, so
+        the sharded/hedged machinery sees hits and misses alike.
 
         Batched stages are timed once and the interval recorded as a
         child span of *every* participating request's root, so each
@@ -741,148 +753,76 @@ class ServeRuntime:
         """
         tracer = self.tracer
         sharded = self._ranker is not None
-        with no_grad():
-            answers: list[tuple[_Pending, list[int]]] = []
-            misses: list[_Pending] = []
-            for request in batch:
-                embedding = self._embeddings.get(request.cache_key)
-                if embedding is None:
-                    misses.append(request)
-                    continue
-                shard_info: dict | None = \
-                    {} if request.diag is not None else None
-                started = time.perf_counter()
-                ids, split = self._rank(embedding, request.top_k,
-                                        request_id=request.request_id,
-                                        shard_info=shard_info)
-                ended = time.perf_counter()
-                if request.diag is not None:
-                    request.diag.embedding_cached = True
-                    request.diag.distance_ms = 1000.0 * (split - started)
-                    request.diag.rank_ms = 1000.0 * (ended - split)
-                    if shard_info:
-                        request.diag.shards = shard_info.get("shards", 0)
-                        request.diag.hedge_wins = \
-                            shard_info.get("hedge_wins", 0)
-                if request.trace_root is not None:
-                    tracer.record("serve.distance", started, split,
-                                  parent=request.trace_root,
-                                  embedding_cached=True, sharded=sharded)
-                    tracer.record("serve.rank", split, ended,
-                                  parent=request.trace_root)
-                answers.append((request, [int(e) for e in ids[0]]))
-            if misses and self._planner is not None:
-                answers.extend(self._plan_answer(misses))
-            elif misses:
-                shard_info = {} if any(r.diag is not None
-                                       for r in misses) else None
-                embed_start = time.perf_counter()
-                embedding = self.model.embed_batch(
-                    [r.query for r in misses])
-                embed_end = time.perf_counter()
-                # the batch shares one gather; its request-id stamp and
-                # shard/hedge outcome are those of the whole batch
-                ids, split = self._rank(embedding,
-                                        max(r.top_k for r in misses),
-                                        request_id=misses[0].request_id,
-                                        shard_info=shard_info)
-                rank_end = time.perf_counter()
-                for i, request in enumerate(misses):
-                    sliced = self.model.slice_embedding(embedding, i)
+        #: (requests, stacked embedding, came out of the embed stage)
+        groups: list[tuple[list[_Pending], object, bool]] = []
+        misses: list[_Pending] = []
+        for request in batch:
+            embedding = self._embeddings.get(request.cache_key)
+            if embedding is None:
+                misses.append(request)
+            else:
+                groups.append(([request], embedding, False))
+        if misses:
+            embed_start = time.perf_counter()
+            compiled, ranked, stage_cost = self._embed(
+                [r.query for r in misses])
+            embed_end = time.perf_counter()
+            plan = compiled.plan
+            for group in ranked:
+                requests = [misses[p] for p in group.positions]
+                for row, request in enumerate(requests):
+                    sliced = self.model.slice_embedding(group.embedding,
+                                                        row)
                     if sliced is not None:
                         self._embeddings.put(request.cache_key, sliced)
-                    if request.diag is not None:
-                        request.diag.embed_ms = \
-                            1000.0 * (embed_end - embed_start)
-                        request.diag.distance_ms = \
-                            1000.0 * (split - embed_end)
-                        request.diag.rank_ms = 1000.0 * (rank_end - split)
-                        if shard_info:
-                            request.diag.shards = \
-                                shard_info.get("shards", 0)
-                            request.diag.hedge_wins = \
-                                shard_info.get("hedge_wins", 0)
-                    if request.trace_root is not None:
-                        tracer.record("serve.embed", embed_start, embed_end,
-                                      parent=request.trace_root,
-                                      batch_size=len(misses))
-                        tracer.record("serve.distance", embed_end, split,
-                                      parent=request.trace_root,
-                                      batch_size=len(misses),
-                                      sharded=sharded)
-                        tracer.record("serve.rank", split, rank_end,
-                                      parent=request.trace_root)
-                    # a request's top_k prefix of the widest selection is
-                    # exactly its own top-k: the order is total
-                    answers.append((request,
-                                    [int(e) for e in ids[i, :request.top_k]]))
-        for request, entity_ids in answers:
-            self._resolve(request, entity_ids, source="model")
-
-    def _plan_answer(self, misses: list[_Pending]):
-        """Compiled path: one shared DAG for the whole (mixed) batch.
-
-        Compile (template cache + cross-query CSE) → stacked execution →
-        one ranking pass per branch-count group through :meth:`_rank`,
-        so the sharded/hedged ranking machinery is reused unchanged.
-        Queries are already canonical (submit canonicalised them).
-        """
-        from ..plan import execute_plan
-
-        tracer = self.tracer
-        sharded = self._ranker is not None
-        compile_start = time.perf_counter()
-        compiled = self._planner.compile([r.query for r in misses],
-                                         canonical=True)
-        plan = compiled.plan
-        stage_cost: dict[str, float] = {}
-        groups = execute_plan(plan, self._plan_backend, tracer=tracer,
-                              registry=self.metrics, cost=stage_cost)
-        embed_end = time.perf_counter()
+                groups.append((requests, group.embedding, True))
         answers: list[tuple[_Pending, list[int]]] = []
-        for group in groups:
-            requests = [misses[p] for p in group.positions]
-            shard_info: dict | None = {} if any(r.diag is not None
-                                                for r in requests) else None
-            group_start = time.perf_counter()
-            ids, split = self._rank(group.embedding,
+        for requests, embedding, embedded in groups:
+            # a group shares one gather; its request-id stamp and
+            # shard/hedge outcome are those of the whole group
+            shard_info: dict | None = \
+                {} if any(r.diag is not None for r in requests) else None
+            started = time.perf_counter()
+            ids, split = self._rank(embedding,
                                     max(r.top_k for r in requests),
                                     request_id=requests[0].request_id,
                                     shard_info=shard_info)
-            rank_end = time.perf_counter()
+            ended = time.perf_counter()
             for row, request in enumerate(requests):
-                sliced = self.model.slice_embedding(group.embedding, row)
-                if sliced is not None:
-                    self._embeddings.put(request.cache_key, sliced)
-                if request.diag is not None:
-                    request.diag.embed_ms = \
-                        1000.0 * (embed_end - compile_start)
-                    request.diag.distance_ms = \
-                        1000.0 * (split - group_start)
-                    request.diag.rank_ms = 1000.0 * (rank_end - split)
-                    request.diag.plan_ops_total = plan.ops_total
-                    request.diag.plan_ops_executed = len(plan.ops)
-                    request.diag.plan_stage_ms = stage_cost
+                record = request.diag
+                if record is not None:
+                    record.embedding_cached = not embedded
+                    record.distance_ms = 1000.0 * (split - started)
+                    record.rank_ms = 1000.0 * (ended - split)
+                    if embedded:
+                        record.embed_ms = 1000.0 * (embed_end - embed_start)
+                        record.plan_ops_total = plan.ops_total
+                        record.plan_ops_executed = len(plan.ops)
+                        record.plan_stage_ms = stage_cost
                     if shard_info:
-                        request.diag.shards = shard_info.get("shards", 0)
-                        request.diag.hedge_wins = \
-                            shard_info.get("hedge_wins", 0)
+                        record.shards = shard_info.get("shards", 0)
+                        record.hedge_wins = shard_info.get("hedge_wins", 0)
                 if request.trace_root is not None:
-                    tracer.record("serve.plan", compile_start, embed_end,
-                                  parent=request.trace_root,
-                                  batch_size=len(misses),
-                                  ops=len(plan.ops),
-                                  ops_saved=plan.ops_saved,
-                                  cache_hits=compiled.cache_hits)
-                    tracer.record("serve.distance", group_start, split,
+                    if embedded:
+                        tracer.record("serve.embed", embed_start, embed_end,
+                                      parent=request.trace_root,
+                                      batch_size=len(misses),
+                                      ops=len(plan.ops),
+                                      ops_saved=plan.ops_saved,
+                                      cache_hits=compiled.cache_hits)
+                    tracer.record("serve.distance", started, split,
                                   parent=request.trace_root,
                                   batch_size=len(requests),
+                                  embedding_cached=not embedded,
                                   sharded=sharded)
-                    tracer.record("serve.rank", split, rank_end,
+                    tracer.record("serve.rank", split, ended,
                                   parent=request.trace_root)
+                # a request's top_k prefix of the widest selection is
+                # exactly its own top-k: the order is total
                 answers.append((request,
                                 [int(e) for e in ids[row, :request.top_k]]))
-        return answers
+        for request, entity_ids in answers:
+            self._resolve(request, entity_ids, source="model")
 
     # ------------------------------------------------------------------
     # graceful degradation
@@ -935,9 +875,8 @@ class ServeRuntime:
             return None
         self._model_lock.acquire_read()
         try:
-            with no_grad():
-                embedding = self.model.embed_batch([request.query])
-                points = self.model.query_points(embedding)
+            _, (group,), _ = self._embed([request.query])
+            points = self.model.query_points(group.embedding)
         finally:
             self._model_lock.release_read()
         if points is None:

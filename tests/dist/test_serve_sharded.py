@@ -1,8 +1,13 @@
 """ServeRuntime with ``num_shards``: identical answers, live reload."""
 
-import numpy as np
+import multiprocessing
+import os
+import threading
+
 import pytest
 
+from repro.config import ModelConfig
+from repro.core import HalkModel
 from repro.core.topk import topk_rows
 from repro.serve import ServeConfig, ServeRuntime
 
@@ -38,9 +43,36 @@ def test_shards_gauge_reports_pool_width(runtime):
 
 
 def test_unsupported_model_falls_back_to_in_process(kg):
-    from repro.baselines.cone import ConEModel  # no sharding_spec
+    class UnshardableHalk(HalkModel):
+        def sharding_spec(self):
+            return None
 
+    model = UnshardableHalk(kg, ModelConfig(embedding_dim=6, hidden_dim=12,
+                                            seed=3))
     config = ServeConfig(num_shards=2, flush_timeout=0.001)
-    with ServeRuntime(ConEModel(kg), kg=kg, config=config) as runtime:
+    with ServeRuntime(model, kg=kg, config=config) as runtime:
         assert runtime._ranker is None
         assert runtime.stats().gauges["shards"] == 0
+
+
+def _shm_segments():
+    # sem.* back multiprocessing's own locks; its resource tracker
+    # unlinks them at interpreter exit, not when a pool closes
+    return {name for name in os.listdir("/dev/shm")
+            if not name.startswith("sem.")}
+
+
+def test_rejected_config_starts_nothing(model, kg):
+    """A config the caches reject must raise before the profiler thread,
+    the shard workers or their shared-memory segment exist."""
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("no /dev/shm to inspect")
+    segments = _shm_segments()
+    children = set(multiprocessing.active_children())
+    threads = set(threading.enumerate())
+    with pytest.raises(ValueError):
+        ServeRuntime(model, kg=kg,
+                     config=ServeConfig(num_shards=2, answer_cache_size=0))
+    assert _shm_segments() <= segments
+    assert set(multiprocessing.active_children()) <= children
+    assert set(threading.enumerate()) <= threads

@@ -1,27 +1,30 @@
-"""The compiled-plan path wired through the serving runtime.
+"""The compiled plan as the serving runtime's only model path.
 
-``ServeConfig(plan_compile=True)`` must be a pure optimisation: identical
-answers to the interpretive runtime, same cache semantics, plus the
-``plan_*`` counters in ``stats()``/Prometheus and compiled-plan shape
-stamps on flight records.
+Served answers must equal the kept oracle (``model.answer_batch``, the
+interpretive ``_embed`` walk) on every structure, with the same cache
+semantics, the ``plan_*`` counters in ``stats()``/Prometheus,
+compiled-plan shape stamps on flight records, and embeddings that do
+not depend on which requests shared the micro-batch.
 """
 
+import numpy as np
 import pytest
 
-from repro.serve import ServeConfig, ServeRuntime
+from repro.serve import ServeConfig, ServeRuntime, canonicalize, serialize
 from repro.serve.http import render_prometheus
 
 from .conftest import sample_queries
 
 pytestmark = pytest.mark.plan
 
-MIX = ["1p", "2p", "3p", "2i", "3i", "ip", "pi", "2u", "up", "2d", "dp"]
+MIX = ["1p", "2p", "3p", "2i", "3i", "ip", "pi", "2u", "up", "2d", "3d",
+       "dp", "2in", "3in", "pin", "pni"]
 
 
 @pytest.fixture(scope="module")
 def workload(sampler_module):
     batch = sample_queries(sampler_module, MIX, per=2)
-    assert len(batch) >= 12
+    assert len(batch) == 2 * len(MIX), "a structure failed to ground"
     return batch
 
 
@@ -37,31 +40,58 @@ def serve_all(runtime, batch, top_k=5):
 
 
 class TestAnswerParity:
-    def test_plan_runtime_matches_interpretive_runtime(self, model, kg,
-                                                       workload):
-        config = ServeConfig(max_batch_size=64, flush_timeout=0.002,
-                             num_workers=1)
-        with ServeRuntime(model, kg=kg, config=config) as interpretive:
-            want = serve_all(interpretive, workload)
-        plan_config = ServeConfig(max_batch_size=64, flush_timeout=0.002,
-                                  num_workers=1, plan_compile=True)
-        with ServeRuntime(model, kg=kg, config=plan_config) as planned:
-            got = serve_all(planned, workload)
-            for theirs, ours in zip(want, got):
-                assert ours.source == "model"
-                assert list(ours.entity_ids) == list(theirs.entity_ids)
-            # answer + embedding caches still work on the plan path
-            again = serve_all(planned, workload)
-            assert all(r.source == "answer_cache" for r in again)
-            assert [list(r.entity_ids) for r in again] \
-                == [list(r.entity_ids) for r in got]
+    def test_runtime_matches_answer_batch_oracle(self, model, kg, workload):
+        want = model.answer_batch([canonicalize(q) for q in workload],
+                                  top_k=5)
+        caches_off = dict(answer_cache_size=1, answer_ttl=1e-9,
+                          embedding_cache_size=1)
+        for caches in ({}, caches_off):
+            config = ServeConfig(max_batch_size=64, flush_timeout=0.002,
+                                 num_workers=1, **caches)
+            with ServeRuntime(model, kg=kg, config=config) as runtime:
+                got = serve_all(runtime, workload)
+                assert all(r.source == "model" for r in got)
+                assert [list(r.entity_ids) for r in got] == want
+                again = serve_all(runtime, workload)
+                assert [list(r.entity_ids) for r in again] == want
+                # the answer cache serves the second pass when it is on
+                assert all(r.source == ("model" if caches
+                                        else "answer_cache") for r in again)
+
+    def test_embedding_is_batch_composition_invariant(self, model, kg,
+                                                      workload):
+        """The same query served alone and inside a 32-query mixed batch
+        leaves bitwise-equal cached embeddings and identical ids."""
+        assert len(workload) == 32
+        together = ServeRuntime(model, kg=kg, config=ServeConfig(
+            max_batch_size=32, flush_timeout=5.0, num_workers=1))
+        alone = ServeRuntime(model, kg=kg, config=ServeConfig(
+            flush_timeout=0.0, num_workers=1))
+        with together, alone:
+            mixed = serve_all(together, workload)
+            assert {together.diag.flight.get(r.request_id).batch_size
+                    for r in mixed} == {32}
+            for query, in_batch in zip(workload, mixed):
+                lone = alone.answer(query, top_k=5)
+                if lone.source == "model":  # not a repeat of an earlier one
+                    assert alone.diag.flight.get(
+                        lone.request_id).batch_size == 1
+                assert list(lone.entity_ids) == list(in_batch.entity_ids)
+                key = serialize(canonicalize(query))
+                ours = alone._embeddings.get(key)
+                theirs = together._embeddings.get(key)
+                assert np.array_equal(ours.signature, theirs.signature)
+                assert len(ours.branches) == len(theirs.branches)
+                for a, b in zip(ours.branches, theirs.branches):
+                    assert np.array_equal(a.center.data, b.center.data)
+                    assert np.array_equal(a.length.data, b.length.data)
 
 
 class TestPlanMetrics:
     @pytest.fixture()
     def runtime(self, model, kg):
         config = ServeConfig(max_batch_size=64, flush_timeout=0.002,
-                             num_workers=1, plan_compile=True)
+                             num_workers=1)
         with ServeRuntime(model, kg=kg, config=config) as runtime:
             yield runtime
 
@@ -88,24 +118,14 @@ class TestPlanMetrics:
             assert record.plan_ops_total >= record.plan_ops_executed > 0
             assert record.structure  # per-query key survives plan batching
 
-    def test_interpretive_records_have_zero_plan_shape(self, model, kg,
-                                                       workload):
-        config = ServeConfig(max_batch_size=64, flush_timeout=0.002,
-                             num_workers=1)
-        with ServeRuntime(model, kg=kg, config=config) as runtime:
-            result = runtime.answer(workload[0], top_k=5)
-            record = runtime.diag.flight.get(result.request_id)
-            assert record.plan_ops_total == 0
-            assert record.plan_ops_executed == 0
-
 
 class TestStructureCoalescing:
     def test_mixed_structures_share_one_micro_batch(self, model, kg,
                                                     workload):
-        # plan mode folds every structure into a single "__plan__" group,
-        # so one flush serves the whole mixed batch
+        # the batcher is one FIFO whatever the structures, so one flush
+        # serves the whole mixed batch
         config = ServeConfig(max_batch_size=64, flush_timeout=0.05,
-                             num_workers=1, plan_compile=True)
+                             num_workers=1)
         with ServeRuntime(model, kg=kg, config=config) as runtime:
             results = serve_all(runtime, workload)
             sizes = {runtime.diag.flight.get(r.request_id).batch_size

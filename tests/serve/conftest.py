@@ -21,3 +21,38 @@ def tiny_kg() -> KnowledgeGraph:
 def model(tiny_kg) -> HalkModel:
     return HalkModel(tiny_kg, ModelConfig(embedding_dim=8, hidden_dim=16,
                                           seed=0))
+
+
+class _HookedBackend:
+    """A plan backend that runs ``hook()`` before each plan's first stage."""
+
+    def __init__(self, backend, hook):
+        self._backend = backend
+        self._hook = hook
+
+    def __getattr__(self, name):
+        return getattr(self._backend, name)
+
+    def anchor(self, entity_ids):
+        # every plan has exactly one anchor stage (all anchors sit at
+        # depth 0 and fuse), so the hook fires once per embed
+        self._hook()
+        return self._backend.anchor(entity_ids)
+
+
+class HookedModel:
+    """Fault injection at the plan-backend seam — the one place serving
+    calls into a model to embed.  Behaves as ``model`` except that
+    ``hook()`` runs (and may raise or sleep) once per compiled-plan
+    execution.
+    """
+
+    def __init__(self, model, hook):
+        self._model = model
+        self._hook = hook
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def plan_backend(self):
+        return _HookedBackend(self._model.plan_backend(), self._hook)

@@ -106,11 +106,11 @@ class TestBatcherPreservesDeadline:
                                flush_timeout=10.0, clock=clock).start()
         try:
             first = ServeRequest(query="a", top_k=1, cache_key="a",
-                                 group_key="g", deadline=500.25)
+                                 deadline=500.25)
             batcher.submit(first)
             clock.advance(0.1)  # queue wait, on the injected clock
             second = ServeRequest(query="b", top_k=1, cache_key="b",
-                                  group_key="g", deadline=500.25)
+                                  deadline=500.25)
             batcher.submit(second)  # batch full → immediate flush
             stop = time.monotonic() + 5.0
             while not batches and time.monotonic() < stop:

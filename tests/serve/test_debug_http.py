@@ -25,6 +25,8 @@ from repro.obs.diag import DiagConfig
 from repro.queries import Entity, Projection
 from repro.serve import ServeConfig, ServeRuntime
 
+from .conftest import HookedModel
+
 pytestmark = [pytest.mark.diag, pytest.mark.http]
 
 
@@ -212,20 +214,12 @@ class TestCliFlightAndSlo:
             main([command, f"127.0.0.1:{port}", "--timeout", "0.5"])
 
 
-class Throttle:
+class Throttle(HookedModel):
     """Model wrapper with a switchable embed delay (latency injection)."""
 
     def __init__(self, model):
-        self._model = model
+        super().__init__(model, lambda: time.sleep(self.delay))
         self.delay = 0.0
-
-    def __getattr__(self, name):
-        return getattr(self._model, name)
-
-    def embed_batch(self, *args, **kwargs):
-        if self.delay:
-            time.sleep(self.delay)
-        return self._model.embed_batch(*args, **kwargs)
 
 
 class TestSyntheticBrownout:

@@ -49,8 +49,7 @@ def get_json(url):
 @pytest.fixture()
 def served(model, tiny_kg):
     config = ServeConfig(max_batch_size=8, flush_timeout=0.002,
-                         num_workers=1, http_port=0, plan_compile=True,
-                         prof_hz=100.0)
+                         num_workers=1, http_port=0, prof_hz=100.0)
     with ServeRuntime(model, kg=tiny_kg, config=config) as runtime:
         for query in distinct_queries(tiny_kg, 4):
             runtime.answer(query, top_k=3)
@@ -66,7 +65,7 @@ class TestDebugProf:
         assert merged["samples"] >= 0
         assert sum(merged["stacks"].values()) == merged["samples"]
         assert payload["effective_hz"] > 0.0
-        # the plan-compiled request path fed the cost accounter
+        # the request path's plan execution fed the cost accounter
         assert "anchor" in payload["plan_ops"]
         assert "finalize" in payload["plan_ops"]
 

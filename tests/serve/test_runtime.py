@@ -9,11 +9,12 @@ import time
 
 import pytest
 
-from repro.core import QueryModel
 from repro.queries import (Entity, Intersection, Projection, QuerySampler,
                            execute, get_structure)
 from repro.serve import (ServeConfig, ServeError, ServeRuntime,
                          canonicalize)
+
+from .conftest import HookedModel
 
 
 def sample_queries(kg, count, structures=("1p", "2p", "2i"), seed=5):
@@ -29,37 +30,29 @@ def make_runtime(model, kg=None, **overrides):
     return ServeRuntime(model, kg=kg, config=ServeConfig(**defaults))
 
 
-class FailingModel(QueryModel):
+class FailingModel(HookedModel):
     """A model whose embedding path always raises (degradation tests)."""
 
-    name = "failing"
+    def __init__(self, inner):
+        super().__init__(inner, self._fail)
 
-    def embed_batch(self, queries):
+    @staticmethod
+    def _fail():
         raise RuntimeError("synthetic model failure")
 
 
-class FlakyModel(QueryModel):
+class FlakyModel(HookedModel):
     """Fails the first ``failures`` embed calls, then delegates."""
 
-    name = "flaky"
-
     def __init__(self, inner, failures=1):
-        super().__init__(inner.num_entities, inner.num_relations)
-        self.inner = inner
+        super().__init__(inner, self._maybe_fail)
         self.failures = failures
         self.calls = 0
 
-    def embed_batch(self, queries):
+    def _maybe_fail(self):
         self.calls += 1
         if self.calls <= self.failures:
             raise RuntimeError("synthetic transient failure")
-        return self.inner.embed_batch(queries)
-
-    def distance_to_all(self, embedding):
-        return self.inner.distance_to_all(embedding)
-
-    def slice_embedding(self, embedding, index):
-        return self.inner.slice_embedding(embedding, index)
 
 
 class TestResultCorrectness:
@@ -140,7 +133,7 @@ class TestCaching:
         with make_runtime(model, kg=tiny_kg) as runtime:
             runtime.answer(query, top_k=3)
             # different top_k misses the answer cache but hits the
-            # embedding tier: embed_batch must not run again
+            # embedding tier: the embed stage must not run again
             result = runtime.answer(query, top_k=7)
             stats = runtime.stats()
         assert result.source == "model"
@@ -156,8 +149,8 @@ class TestCaching:
 
 
 class TestDegradation:
-    def test_fallback_agrees_with_exact_executor(self, tiny_kg):
-        failing = FailingModel(tiny_kg.num_entities, tiny_kg.num_relations)
+    def test_fallback_agrees_with_exact_executor(self, tiny_kg, model):
+        failing = FailingModel(model)
         queries = sample_queries(tiny_kg, 9, seed=13)
         with make_runtime(failing, kg=tiny_kg, max_retries=0) as runtime:
             results = runtime.answer_batch(queries, top_k=50)
@@ -166,8 +159,8 @@ class TestDegradation:
             exact = sorted(execute(canonicalize(query), tiny_kg))[:50]
             assert result.entity_ids == exact
 
-    def test_error_when_no_fallback_available(self, tiny_kg):
-        failing = FailingModel(tiny_kg.num_entities, tiny_kg.num_relations)
+    def test_error_when_no_fallback_available(self, model):
+        failing = FailingModel(model)
         with make_runtime(failing, kg=None, max_retries=0) as runtime:
             future = runtime.submit(Projection(0, Entity(1)), top_k=3)
             with pytest.raises(ServeError):
@@ -220,6 +213,15 @@ class TestLifecycle:
         runtime.close()
         with pytest.raises(RuntimeError):
             runtime.submit(Projection(0, Entity(1)))
+
+    def test_model_without_plan_backend_is_refused(self, tiny_kg):
+        """Baselines are train/evaluate-only: the constructor names the
+        model and leaves nothing running."""
+        from repro.baselines.cone import ConEModel
+        threads = set(threading.enumerate())
+        with pytest.raises(TypeError, match="ConE"):
+            ServeRuntime(ConEModel(tiny_kg), kg=tiny_kg)
+        assert set(threading.enumerate()) <= threads
 
 
 @pytest.mark.serve

@@ -163,6 +163,17 @@ class TestServeCommand:
         assert "gateway: admission control on" in out
         assert "web" in out and "batchers" in out
 
+    def test_serve_plan_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--plan"])
+
+    def test_serve_refuses_baseline_in_one_line(self, tmp_path):
+        common = ["--dataset", "FB237", "--method", "ConE", "--dim", "8",
+                  "--scale", "0.3", "--model-dir", str(tmp_path)]
+        main(["train", *common, "--epochs", "1", "--queries", "5"])
+        with pytest.raises(SystemExit, match="no plan_backend"):
+            main(["serve", *common])
+
     def test_serve_without_model_fails(self, tmp_path):
         with pytest.raises(SystemExit, match="no trained model"):
             main(["serve", "--dataset", "FB237", "--method", "HaLk",
