@@ -1,4 +1,4 @@
-"""Observability end to end: tracing, profiling, training telemetry.
+"""Observability end to end: telemetry, tracing, continuous profiling.
 
 Walks the whole ``repro.obs`` surface on a small FB237 analogue:
 
@@ -11,9 +11,11 @@ Walks the whole ``repro.obs`` surface on a small FB237 analogue:
    every stage (request → canonicalise / cache lookup / queue / embed /
    distance / rank), rendered as ASCII and exported as a Chrome trace
    you can open at ``chrome://tracing`` or https://ui.perfetto.dev;
-3. **autograd profiling** — the same query re-answered under
-   :class:`~repro.obs.Profiler` shows per-op forward/backward time and
-   allocation, and per-module forward cost.
+3. **continuous profiling** — the same query re-answered in a loop under
+   :class:`~repro.obs.SamplingProfiler` (the profiler every serving
+   process runs; ``python -m repro.cli prof host:port`` fetches it from
+   a live server) shows the hottest self-time frames — no method is
+   wrapped, the sampler just reads the stacks.
 
 Run with::
 
@@ -22,6 +24,7 @@ Run with::
 
 import io
 import json
+import time
 
 from repro import obs
 from repro.config import ModelConfig, TrainConfig
@@ -73,11 +76,14 @@ def main() -> None:
     print(format_snapshot(snapshot, title="serve stats"))
     obs.disable()
 
-    # 3. profile the model's answer path: per-op and per-module cost
-    with obs.Profiler() as profiler:
-        model.answer(query, top_k=5)
-    print("--- autograd profile of model.answer")
-    print(profiler.table(limit=8))
+    # 3. sample the model's answer path: hottest self-time frames
+    with obs.SamplingProfiler(hz=200, role="demo") as sampler:
+        deadline = time.monotonic() + 0.5
+        while time.monotonic() < deadline:
+            model.answer(query, top_k=5)
+    print("--- sampled profile of model.answer "
+          f"({sampler.snapshot().samples} samples)")
+    print(obs.format_top(sampler.snapshot(), limit=8))
 
 
 if __name__ == "__main__":

@@ -5,6 +5,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# the one-request-context seams stay closed: the in-progress registry,
+# the request_id/shard_info plumbing and the Tensor-patching profiler
+# hooks must not grow back under another layer
+if grep -rnE '_in_progress|diag_owned|shard_info|set_profiler|warn_dual_profilers' src/repro; then
+    echo "tier1: a deleted diagnostics seam reappeared (see above)" >&2
+    exit 1
+fi
+
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q "$@"
 
 # gate on the recorded benchmark trajectory when one exists; a red gate

@@ -652,29 +652,21 @@ def cmd_trace(args) -> int:
     splits, model = _load_trained(args)
     tracer = obs.get_tracer()
     tracer.reset()
-    profiler = obs.Profiler() if args.profile else None
     obs.enable()
     try:
-        if profiler is not None:
-            profiler.__enter__()
-        try:
-            if args.sparql:
-                engine = SparqlEngine(splits.train, model=model)
-                result = engine.answer(args.sparql, top_k=args.top_k)
-                ids = result.entity_ids
-            else:
-                sampler = QuerySampler(splits.train, splits.test,
-                                       seed=args.seed)
-                query = sampler.sample(
-                    get_structure(args.structure)).query
-                config = ServeConfig(num_workers=args.workers,
-                                     num_shards=getattr(args, "shards", 0))
-                with _serve_runtime(model, kg=splits.train,
-                                    config=config) as runtime:
-                    ids = runtime.answer(query, top_k=args.top_k).entity_ids
-        finally:
-            if profiler is not None:
-                profiler.__exit__(None, None, None)
+        if args.sparql:
+            engine = SparqlEngine(splits.train, model=model)
+            result = engine.answer(args.sparql, top_k=args.top_k)
+            ids = result.entity_ids
+        else:
+            sampler = QuerySampler(splits.train, splits.test,
+                                   seed=args.seed)
+            query = sampler.sample(get_structure(args.structure)).query
+            config = ServeConfig(num_workers=args.workers,
+                                 num_shards=getattr(args, "shards", 0))
+            with _serve_runtime(model, kg=splits.train,
+                                config=config) as runtime:
+                ids = runtime.answer(query, top_k=args.top_k).entity_ids
     finally:
         obs.disable()
     spans = tracer.finished()
@@ -687,9 +679,6 @@ def cmd_trace(args) -> int:
     for name, stage in stages.items():
         print(f"{name:<24} {stage.count:>6d} {stage.mean_ms:>9.3f} "
               f"{stage.total_ms:>9.3f}")
-    if profiler is not None:
-        print()
-        print(profiler.table())
     if args.out:
         count = obs.write_chrome_trace(args.out, spans)
         print(f"\nwrote {count} trace events to {args.out} "
@@ -943,9 +932,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=2)
     p.add_argument("--out", default="trace.json",
                    help="Chrome trace-event output path ('' to skip)")
-    p.add_argument("--profile", action="store_true",
-                   help="also run the repro.nn autograd profiler and "
-                        "print the per-op cost table")
     p.add_argument("--train-if-missing", action="store_true",
                    help="train a quick model first when none is saved")
     p.add_argument("--train-epochs", type=int, default=30)

@@ -352,9 +352,13 @@ class ShardWorkerPool:
         self._hedge_lock = threading.Lock()
         self.respawns = 0
         self._seq = 0
-        #: seq -> (span current at dispatch, tracing-enabled flag,
-        #: request id of the dispatching request)
-        self._trace_ctx: dict[int, tuple[Span | None, bool, str]] = {}
+        # telemetry context of the newest fan-out (replies to an older
+        # one are stale and dropped whole, so it is the only one read):
+        # the dispatching request's context, whether tracing was on, and
+        # the span worker spans re-parent under
+        self._request = None
+        self._traced = False
+        self._adopt_under: Span | None = None
         self._closed = False
         self._workers = [_Worker(self._ctx, role) for role in roles]
         try:
@@ -396,16 +400,18 @@ class ShardWorkerPool:
         seq = self.dispatch(payloads)
         return self.gather(seq, payloads, timeout=timeout)
 
-    def dispatch(self, payloads, request_id: str = "") -> int:
+    def dispatch(self, payloads, ctx=None) -> int:
         """Fan one payload out to each worker; returns the sequence id.
 
         Pair with :meth:`gather` (or use :meth:`broadcast` for both) —
         split so callers can trace the fan-out separately from the wait.
-        ``request_id`` is the diagnostics join key of the dispatching
-        request: it is stamped on every adopted worker span of this
-        fan-out — including replies that arrive *after* a hedge already
-        won, which are discarded by sequence number, so a hedge can
-        never smuggle one request's telemetry into another's.
+        ``ctx`` is the dispatching request's
+        :class:`~repro.obs.diag.RequestContext`: its id is stamped on
+        every adopted worker span of this fan-out — replies that arrive
+        *after* a hedge already won are discarded by sequence number, so
+        a hedge can never smuggle one request's telemetry into
+        another's — and :meth:`gather` notes the fan-out and hedge wins
+        on its flight record.
         """
         if self._closed:
             raise DistError("pool is closed")
@@ -418,40 +424,33 @@ class ShardWorkerPool:
         # re-parent under whatever span is current *here* (e.g. the
         # ranker's shard.dispatch), and the enabled flag rides with every
         # task so workers never trace work nobody will look at
-        traced = obs_trace.is_enabled()
-        self._trace_ctx[seq] = \
-            (self.tracer.current() if traced else None, traced, request_id)
+        self._request = ctx
+        self._traced = obs_trace.is_enabled()
+        self._adopt_under = self.tracer.current() if self._traced else None
         for worker, payload in zip(self._workers, payloads):
             self._send(worker, seq, payload)
         return seq
 
-    def gather(self, seq: int, payloads, timeout: float | None = None,
-               outcomes: list | None = None):
-        """Collect every worker's reply to :meth:`dispatch` call ``seq``.
-
-        ``outcomes`` (when a list is passed) is filled with one
-        ``"worker"`` or ``"hedge"`` per shard — who won each reply.
-        """
+    def gather(self, seq: int, payloads, timeout: float | None = None):
+        """Collect every worker's reply to :meth:`dispatch` call ``seq``."""
         replies = [None] * len(self._workers)
         timings = [None] * len(self._workers)
         deadline = None if timeout is None else time.monotonic() + timeout
-        try:
-            for index in range(len(self._workers)):
-                replies[index], timings[index], outcome = self._collect(
-                    index, seq, payloads[index], deadline)
-                if outcomes is not None:
-                    outcomes.append(outcome)
-        finally:
-            self._trace_ctx.pop(seq, None)
+        hedge_wins = 0
+        for index in range(len(self._workers)):
+            replies[index], timings[index], hedged = self._collect(
+                index, seq, payloads[index], deadline)
+            hedge_wins += hedged
+        if self._request is not None:
+            self._request.note(shards=len(self._workers),
+                               hedge_wins=hedge_wins)
+            self._request = None  # the pool keeps no request alive
         return replies, timings
 
     def _send(self, worker: _Worker, seq: int, payload) -> None:
         if not worker.process.is_alive():
             worker = self._respawn(self._workers.index(worker))
-        worker.task_q.put(("task", seq, payload, self._traced(seq)))
-
-    def _traced(self, seq: int) -> bool:
-        return self._trace_ctx.get(seq, (None, False, ""))[1]
+        worker.task_q.put(("task", seq, payload, self._traced))
 
     def _collect(self, index: int, seq: int, payload, deadline):
         """Wait for worker ``index``'s reply to ``seq``; heal crashes.
@@ -461,7 +460,8 @@ class ShardWorkerPool:
         the first finisher wins.  A worker reply that loses stays in its
         queue and is discarded by the ``got_seq != seq`` check of a
         *later* collect — together with its telemetry, which is how the
-        merged registry counts each shard's work exactly once.
+        merged registry counts each shard's work exactly once.  Returns
+        ``(reply, (start, end), hedge won)``.
         """
         policy = self.hedge
         hedge_delay = policy.delay() if policy is not None else None
@@ -493,21 +493,19 @@ class ShardWorkerPool:
                     # the straggler worker's eventual reply (different
                     # fate: stale seq) is dropped with its telemetry,
                     # so the request is never double-counted
-                    span, traced, request_id = self._trace_ctx.get(
-                        seq, (None, False, ""))
-                    if traced:
+                    if self._traced:
                         self.tracer.record(
-                            "shard.hedge", started, ended, parent=span,
-                            shard=index, request_id=request_id)
-                    return reply, (started, ended), "hedge"
+                            "shard.hedge", started, ended,
+                            parent=self._adopt_under, shard=index,
+                            request_id=self._request_id())
+                    return reply, (started, ended), True
             try:
                 kind, got_seq, detail = worker.result_q.get(timeout=_POLL)
             except queue_mod.Empty:
                 if not worker.process.is_alive():
                     # died mid-request: respawn and re-send the same work
                     worker = self._respawn(index)
-                    worker.task_q.put(("task", seq, payload,
-                                       self._traced(seq)))
+                    worker.task_q.put(("task", seq, payload, self._traced))
                 elif deadline is not None and time.monotonic() > deadline:
                     raise DistError(f"shard worker {index} timed out")
                 continue
@@ -521,13 +519,13 @@ class ShardWorkerPool:
                 raise DistError(f"shard worker {index} failed:\n{detail}")
             reply, started, ended, telemetry = detail
             if telemetry is not None:
-                self._merge_telemetry(seq, telemetry)
+                self._merge_telemetry(telemetry)
             if policy is not None:
                 policy.observe(ended - started)
                 if hedge_future is not None:
                     self.metrics.counter("hedges",
                                          outcome="worker_win").inc()
-            return reply, (started, ended), "worker"
+            return reply, (started, ended), False
 
     @staticmethod
     def _run_hedge(policy: HedgePolicy, index: int, payload):
@@ -545,7 +543,10 @@ class ShardWorkerPool:
                     thread_name_prefix="dist-hedge")
             return self._hedge_executor
 
-    def _merge_telemetry(self, seq: int, telemetry) -> None:
+    def _request_id(self) -> str:
+        return self._request.request_id if self._request is not None else ""
+
+    def _merge_telemetry(self, telemetry) -> None:
         """Fold one reply's piggyback into the parent registry/tracer."""
         spans, delta, prof = telemetry
         if delta:
@@ -553,9 +554,8 @@ class ShardWorkerPool:
         if prof is not None:
             self.profiles.merge_delta(prof)
         if spans:
-            parent, _, request_id = self._trace_ctx.get(
-                seq, (None, False, ""))
-            adopted = self.tracer.adopt(spans, parent=parent)
+            adopted = self.tracer.adopt(spans, parent=self._adopt_under)
+            request_id = self._request_id()
             if request_id:
                 # stamp the dispatching request's id on every adopted
                 # worker span — the cross-process half of the join key

@@ -211,8 +211,7 @@ class ShardedRanker:
         return self.pool.respawns
 
     # ------------------------------------------------------------------
-    def topk(self, embedding, k: int, request_id: str = "",
-             shard_info: dict | None = None
+    def topk(self, embedding, k: int, ctx=None
              ) -> tuple[np.ndarray, np.ndarray]:
         """Global ``(ids, vals)`` top-k of a query-batch embedding.
 
@@ -220,14 +219,14 @@ class ShardedRanker:
         plus the matching distances — both paths order by
         ``(distance, entity id)``.
 
-        ``request_id`` rides to the worker pool (stamped on adopted
-        spans); ``shard_info`` (when a dict is given) is filled with the
-        gather's ``shards`` fan-out and ``hedge_wins`` count for the
-        flight recorder.
+        ``ctx`` (the dispatching request's
+        :class:`~repro.obs.diag.RequestContext`) rides to the worker
+        pool: its id is stamped on adopted spans, and the gather's
+        ``shards`` fan-out and ``hedge_wins`` count are noted on its
+        flight record.
         """
         replies, timings = self._run({"mode": "topk", "k": int(k)},
-                                     embedding, request_id=request_id,
-                                     shard_info=shard_info)
+                                     embedding, ctx)
         with self.tracer.span("shard.merge", shards=self.num_shards):
             return merge_topk([r["ids"] for r in replies],
                               [r["vals"] for r in replies], k)
@@ -242,24 +241,18 @@ class ShardedRanker:
         replies, _ = self._run({"mode": "all"}, embedding)
         return np.concatenate([r["distances"] for r in replies], axis=-1)
 
-    def _run(self, request: dict, embedding, request_id: str = "",
-             shard_info: dict | None = None):
+    def _run(self, request: dict, embedding, ctx=None):
         tracer = self.tracer
         payload = self.model.ranking_payload(embedding)
         if payload is None:
             raise ValueError("model returned no ranking payload")
         request = dict(request, payload=payload)
         payloads = [request] * self.num_shards
-        outcomes: list | None = [] if shard_info is not None else None
         with self._round_trip:
             with tracer.span("shard.dispatch", shards=self.num_shards):
-                seq = self.pool.dispatch(payloads, request_id=request_id)
+                seq = self.pool.dispatch(payloads, ctx)
             with tracer.span("shard.gather", shards=self.num_shards):
-                replies, timings = self.pool.gather(seq, payloads,
-                                                    outcomes=outcomes)
-        if shard_info is not None:
-            shard_info["shards"] = self.num_shards
-            shard_info["hedge_wins"] = outcomes.count("hedge")
+                replies, timings = self.pool.gather(seq, payloads)
         parent = tracer.current()
         for index, interval in enumerate(timings):
             if interval is not None:

@@ -38,15 +38,13 @@ class QueuedRequest:
     deadline: float | None
     future: Any
     admitted_at: float
-    #: tracing: the request's gateway.request root + open queue span
-    trace_root: Any = None
-    trace_queue: Any = None
-    #: diagnostics join key, minted at admission (repro.obs.diag)
-    request_id: str = ""
-    #: the request's in-progress flight record (None with diag off);
-    #: begun by the gateway at admission, committed in its completion
+    #: ``perf_counter`` instant of admission (the start of the
+    #: ``gateway.queue`` stage)
+    queued_at: float = 0.0
+    #: the request's diagnostics (``repro.obs.diag.RequestContext``),
+    #: minted at admission and finished in the gateway's completion
     #: funnel
-    diag: Any = None
+    ctx: Any = None
 
 
 @dataclass

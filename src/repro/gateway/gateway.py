@@ -42,6 +42,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from ..obs.diag import RequestContext
 from ..obs.trace import Tracer, get_tracer
 from ..serve.batcher import ServeFuture
 from ..serve.runtime import ServeError, ServeResult, ServeRuntime
@@ -152,10 +153,10 @@ class Gateway:
         self.runtime = runtime
         self.config = config or GatewayConfig()
         self.metrics = runtime.metrics
-        #: diagnostics are shared with the runtime: the gateway begins
-        #: each flight record at admission (minting the request id), the
-        #: runtime resumes it by id, and the gateway commits it in its
-        #: completion funnel — one record per request, end to end
+        #: diagnostics are shared with the runtime: the gateway mints
+        #: each request's context at admission, hands it to the runtime
+        #: by reference, and finishes it in its completion funnel — one
+        #: record per request, end to end
         self.diag = getattr(runtime, "diag", None)
         self._compile = compile_fn
         self._clock = clock
@@ -220,11 +221,8 @@ class Gateway:
         state = self._tenant_state(tenant)
         now = self._clock()
         if not state.bucket.try_acquire():
-            self._shed(tenant, "ratelimit", record_flight=True,
-                       priority=priority)
-            raise GatewayRejected("ratelimit",
-                                  retry_after=state.bucket.retry_after(),
-                                  tenant=tenant)
+            raise self._door_shed(tenant, "ratelimit", priority,
+                                  state.bucket.retry_after())
         with state.lock:
             if state.pending >= state.config.max_queue:
                 queue_full = True
@@ -232,38 +230,22 @@ class Gateway:
                 queue_full = False
                 state.pending += 1
         if queue_full:
-            self._shed(tenant, "queue_full", record_flight=True,
-                       priority=priority)
-            raise GatewayRejected(
-                "queue_full", retry_after=self._drain_eta(state.pending),
-                tenant=tenant)
+            raise self._door_shed(tenant, "queue_full", priority,
+                                  self._drain_eta(state.pending))
         absolute = None if deadline is None else now + deadline
         if absolute is not None and self._doomed_at_admission(deadline):
             with state.lock:
                 state.pending -= 1
-            self._shed(tenant, "doomed", record_flight=True,
-                       priority=priority)
-            raise GatewayRejected(
-                "doomed", retry_after=self._drain_eta(1), tenant=tenant)
+            raise self._door_shed(tenant, "doomed", priority,
+                                  self._drain_eta(1))
         self.metrics.counter("admitted", tenant=tenant).inc()
+        ctx = RequestContext(self, self.diag, self.tracer, tenant=tenant,
+                             priority=priority, admission="admitted")
+        ctx.enter("gateway.request", tenant=tenant, priority=priority)
         entry = QueuedRequest(query=query, top_k=top_k, tenant=tenant,
                               priority=priority, deadline=absolute,
-                              future=ServeFuture(), admitted_at=now)
-        root = self.tracer.start_span("gateway.request", tenant=tenant,
-                                      priority=priority)
-        if root is not None:
-            entry.trace_root = root
-            entry.trace_queue = self.tracer.start_span("gateway.queue",
-                                                       parent=root)
-        if self.diag is not None:
-            record = self.diag.begin(tenant=tenant)
-            record.admission = "admitted"
-            record.priority = priority
-            record.root_span = root  # the whole tree hangs off this root
-            entry.request_id = record.request_id
-            entry.diag = record
-            if root is not None:
-                root.attrs["request_id"] = record.request_id
+                              future=ServeFuture(), admitted_at=now,
+                              queued_at=time.perf_counter(), ctx=ctx)
         self._loop.call_soon_threadsafe(self._enqueue, entry,
                                         state.config.weight)
         return entry.future
@@ -281,9 +263,7 @@ class Gateway:
             if state is None:
                 template = self.config.default_tenant
                 if template is None:
-                    self._shed(tenant, "unknown_tenant",
-                               record_flight=True)
-                    raise GatewayRejected("unknown_tenant", tenant=tenant)
+                    raise self._door_shed(tenant, "unknown_tenant")
                 config = TenantConfig(
                     tenant, rate=template.rate, burst=template.burst,
                     weight=template.weight, max_queue=template.max_queue)
@@ -305,21 +285,23 @@ class Gateway:
         est = self._est_service if self._est_service > 0 else 0.001
         return backlog * est / self.config.max_inflight
 
-    def _shed(self, tenant: str, reason: str, record_flight: bool = False,
-              priority: str = "") -> None:
+    def _door_shed(self, tenant: str, reason: str, priority: str = "",
+                   retry_after: float = 0.0) -> GatewayRejected:
+        """Count and record one shed at the door; returns the rejection
+        for the caller to raise.
+
+        Door sheds never reach the completion funnel (the caller gets a
+        synchronous exception, no QueuedRequest exists), so their
+        context is minted and finished right here; queued sheds
+        (deadline/shutdown) finish through :meth:`_finish` like every
+        other completion.
+        """
         self.metrics.counter("shed", reason=reason, tenant=tenant).inc()
-        # door sheds never reach the completion funnel (the caller gets
-        # a synchronous exception, no QueuedRequest exists), so their
-        # flight record is begun and committed right here; queued sheds
-        # (deadline/shutdown) commit through _finish like every other
-        # completion
-        if record_flight and self.diag is not None:
-            record = self.diag.begin(tenant=tenant)
-            record.admission = reason
-            record.priority = priority
-            record.source = "shed"
-            record.error = reason
-            self.diag.commit(record)
+        RequestContext(self, self.diag, self.tracer, tenant=tenant,
+                       priority=priority).finish(
+            admission=reason, source="shed", error=reason)
+        return GatewayRejected(reason, retry_after=retry_after,
+                               tenant=tenant)
 
     # ------------------------------------------------------------------
     # scheduling (event-loop thread only)
@@ -340,10 +322,8 @@ class Gateway:
             self._observe_queues(entry.tenant)
             now = self._clock()
             self._wait_ms.observe(1000.0 * (now - entry.admitted_at))
-            self.tracer.end_span(entry.trace_queue)
-            if entry.diag is not None:
-                entry.diag.gateway_wait_ms = \
-                    1000.0 * (now - entry.admitted_at)
+            entry.ctx.stage("gateway.queue", entry.queued_at,
+                            time.perf_counter())
             if not self._dispatchable(entry, now):
                 continue
             self._inflight += 1
@@ -351,14 +331,11 @@ class Gateway:
             remaining = None if entry.deadline is None \
                 else entry.deadline - now
             try:
-                # activate the gateway root so the runtime's serve.request
-                # span nests under it in the trace tree
-                with self.tracer.activate(entry.trace_root):
-                    inner = self.runtime.submit(entry.query, entry.top_k,
-                                                deadline=remaining,
-                                                request_id=entry.request_id
-                                                or None,
-                                                tenant=entry.tenant)
+                # by reference: the runtime's serve.request span nests
+                # under the context's gateway.request root
+                inner = self.runtime.submit(entry.query, entry.top_k,
+                                            deadline=remaining,
+                                            ctx=entry.ctx)
             except BaseException as exc:
                 self._inflight -= 1
                 self._inflight_gauge.set(self._inflight)
@@ -378,7 +355,6 @@ class Gateway:
             self._est_service > 0.0
             and remaining < self.config.doom_factor * self._est_service)
         if doomed:
-            self._shed(entry.tenant, "deadline")
             self._finish(entry, error=GatewayRejected(
                 "deadline", retry_after=0.0, tenant=entry.tenant))
             return False
@@ -413,7 +389,7 @@ class Gateway:
             self._finish(entry, result=ServeResult(
                 result.entity_ids, result.source,
                 latency=self._clock() - entry.admitted_at,
-                request_id=result.request_id or entry.request_id))
+                request_id=entry.ctx.request_id))
 
     def _complete(self, entry: QueuedRequest, inner: ServeFuture) -> None:
         with self._live_lock:
@@ -435,34 +411,31 @@ class Gateway:
             latency = self._clock() - entry.admitted_at
             self.metrics.histogram(
                 "gateway_latency_ms", tenant=entry.tenant).observe(
-                1000.0 * latency, exemplar=entry.request_id or None)
+                1000.0 * latency, exemplar=entry.ctx.request_id)
             self._finish(entry, result=ServeResult(
                 result.entity_ids, result.source, latency=latency,
-                request_id=result.request_id or entry.request_id))
+                request_id=entry.ctx.request_id))
         self._pump()
 
     def _finish(self, entry: QueuedRequest, result=None,
                 error: BaseException | None = None) -> None:
         """The one completion funnel: every admitted request — served,
         errored, deadline-shed, shutdown-shed — resolves here, so this
-        is where the gateway-owned flight record is committed."""
-        if entry.trace_root is not None:
-            if error is not None:
-                entry.trace_root.attrs["error"] = type(error).__name__
-            self.tracer.end_span(entry.trace_root)
-        if entry.diag is not None:
-            record = entry.diag
-            record.total_ms = \
-                1000.0 * (self._clock() - entry.admitted_at)
-            if error is not None:
-                if isinstance(error, GatewayRejected):
-                    record.admission = error.reason
-                    record.source = "shed"
-                    record.error = error.reason
-                elif not record.error:
-                    record.source = record.source or "error"
-                    record.error = type(error).__name__
-            self.diag.commit(record)
+        is where the gateway-minted context is finished."""
+        ctx = entry.ctx
+        outcome = {}
+        if isinstance(error, GatewayRejected):  # shed while queued
+            self.metrics.counter("shed", reason=error.reason,
+                                 tenant=entry.tenant).inc()
+            outcome = dict(admission=error.reason, source="shed",
+                           error=error.reason)
+        elif error is not None and not ctx.record.error:
+            outcome = dict(source=ctx.record.source or "error",
+                           error=type(error).__name__)
+        if error is not None:
+            ctx.tag(error=type(error).__name__)
+        ctx.finish(total_ms=1000.0 * (self._clock() - entry.admitted_at),
+                   **outcome)
         if error is not None:
             entry.future.set_exception(error)
         else:
@@ -578,7 +551,6 @@ class Gateway:
                 state = self._tenant_state(entry.tenant)
                 with state.lock:
                     state.pending -= 1
-                self._shed(entry.tenant, "shutdown")
                 self._finish(entry, error=GatewayRejected(
                     "shutdown", tenant=entry.tenant))
             self._queue_gauge.set(0)

@@ -21,32 +21,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor",
-           "set_profiler", "get_profiler"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor"]
 
 # Grad-mode is tracked per thread so that inference threads (e.g. the
 # ``repro.serve`` worker pool) can disable recording without racing a
 # trainer — a module-global flag restored by one thread would silently
 # re-enable graph capture in another mid-forward.
 _GRAD_STATE = threading.local()
-
-# Optional autograd profiler (repro.obs.profiler.Profiler).  While set,
-# :meth:`Tensor._make` hands each recorded backward closure to
-# ``profiler.wrap_backward`` so backward time is attributed per op; when
-# None (the default) the graph is built exactly as before.
-_PROFILER = None
-
-
-def set_profiler(profiler) -> None:
-    """Install/remove the active autograd profiler (None to remove)."""
-    global _PROFILER
-    _PROFILER = profiler
-
-
-def get_profiler():
-    """The active autograd profiler, or None."""
-    return _PROFILER
-
 
 @contextlib.contextmanager
 def no_grad():
@@ -115,9 +96,7 @@ class Tensor:
         out.requires_grad = requires
         if requires:
             out._parents = tuple(parents)
-            profiler = _PROFILER
-            out._backward = (backward if profiler is None
-                             else profiler.wrap_backward(backward))
+            out._backward = backward
         return out
 
     # ------------------------------------------------------------------

@@ -4,27 +4,30 @@ The observability layer used by every tier of the stack:
 
 * :mod:`repro.obs.trace` — hierarchical, thread-safe span tracing wired
   through the serve runtime, the SPARQL engine, and model inference;
-* :mod:`repro.obs.profiler` — opt-in per-op autograd profiling of
-  ``repro.nn`` (forward/backward time, allocations, per-module cost);
+* :mod:`repro.obs.profiler` — :class:`ModuleTimer`, the per-module
+  forward timing hook behind the trainer's telemetry;
 * :mod:`repro.obs.telemetry` — the trainer's callback/event API;
 * :mod:`repro.obs.metrics` — the canonical metrics registry (counters,
   gauges, histograms; labels, cross-process deltas + merge) shared by
   the serving runtime and the shard workers;
 * :mod:`repro.obs.export` — Chrome trace-event and JSON-Lines writers;
-* :mod:`repro.obs.diag` — always-on production diagnostics: per-request
-  flight recorder, tail-based trace sampling, SLO burn-rate monitoring;
+* :mod:`repro.obs.diag` — always-on production diagnostics: the
+  per-request :class:`RequestContext` (one writer for the flight record,
+  the span tree and the histogram exemplar's id), flight recorder,
+  tail-based trace sampling, SLO burn-rate monitoring;
 * :mod:`repro.obs.prof` — the continuous sampling wall-clock profiler
   (budgeted overhead, cross-process folded stacks, speedscope export)
   and the profile-diff regression attribution tooling.
 
 All tracing instrumentation is compiled down to near-no-ops unless the
 module-level flag is switched on with :func:`enable` (or scoped with
-``with obs.enabled(): ...``); the profiler only costs anything while a
-:class:`Profiler` context is entered.
+``with obs.enabled(): ...``).  Nothing in this package rebinds a method
+or module attribute of ``repro.nn`` at run time.
 """
 
 from .diag import (DiagConfig, Diagnostics, FlightRecord, FlightRecorder,
-                   SloEngine, SloObjective, TailSampler, next_request_id)
+                   RequestContext, SloEngine, SloObjective, TailSampler,
+                   next_request_id)
 from .export import (JsonlWriter, chrome_trace_events, format_span_tree,
                      span_to_dict, write_chrome_trace)
 from .metrics import (Counter, Gauge, Histogram, HistogramStats,
@@ -35,9 +38,9 @@ from .metrics import (Counter, Gauge, Histogram, HistogramStats,
 from .prof import (Profile, ProfileStore, SamplingProfiler, diff_plan_ops,
                    diff_profiles, estimate_nbytes, format_diff, format_top,
                    load_profile_payload, merge_profiles, process_rss_bytes,
-                   sampler_active, self_time_shares, to_folded,
-                   to_speedscope, warn_dual_profilers, window_profiles)
-from .profiler import ModuleStat, ModuleTimer, OpStat, Profiler
+                   self_time_shares, to_folded, to_speedscope,
+                   window_profiles)
+from .profiler import ModuleStat, ModuleTimer
 from .telemetry import (CallbackList, ConsoleLogger, EpochStats,
                         JsonlTelemetry, MetricsCallback, TrainerCallback)
 from .trace import (Span, SpanStats, Tracer, disable, enable, enabled,
@@ -47,7 +50,7 @@ __all__ = [
     "Span", "SpanStats", "Tracer",
     "enable", "disable", "enabled", "is_enabled",
     "get_tracer", "set_tracer",
-    "Profiler", "ModuleTimer", "OpStat", "ModuleStat",
+    "ModuleTimer", "ModuleStat",
     "TrainerCallback", "CallbackList", "ConsoleLogger", "JsonlTelemetry",
     "MetricsCallback", "EpochStats",
     "JsonlWriter", "chrome_trace_events", "write_chrome_trace",
@@ -58,10 +61,11 @@ __all__ = [
     "snapshot_to_json", "snapshot_from_json",
     "get_registry", "set_registry",
     "DiagConfig", "Diagnostics", "FlightRecord", "FlightRecorder",
-    "SloEngine", "SloObjective", "TailSampler", "next_request_id",
+    "RequestContext", "SloEngine", "SloObjective", "TailSampler",
+    "next_request_id",
     "Profile", "ProfileStore", "SamplingProfiler",
     "merge_profiles", "window_profiles", "to_folded", "to_speedscope",
     "self_time_shares", "diff_profiles", "diff_plan_ops", "format_diff",
     "format_top", "load_profile_payload", "process_rss_bytes",
-    "estimate_nbytes", "sampler_active", "warn_dual_profilers",
+    "estimate_nbytes",
 ]

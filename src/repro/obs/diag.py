@@ -4,13 +4,17 @@ The always-on layer that answers "what happened to *that* request?"
 after the fact.  Three pieces, all bounded in memory and cheap enough to
 leave on under full load:
 
-* **Request IDs** — :func:`next_request_id` mints a monotonic,
-  pid-stamped id (``r<pid-hex>-<counter>``) at gateway admission (or at
-  ``ServeRuntime.submit`` when the gateway is off).  The id rides on the
-  request through the batcher, the runtime, and the shard worker pool,
-  is stamped on adopted worker spans and histogram exemplars, and comes
-  back on the :class:`~repro.serve.runtime.ServeResult` — every span,
-  metric exemplar, and flight-recorder entry for one query is joinable.
+* **Request context** — one :class:`RequestContext` per request, minted
+  at the first door it passes (gateway admission, or
+  ``ServeRuntime.submit`` when the gateway is off) and handed down by
+  reference through the batcher, the runtime and the shard worker pool.
+  It carries the monotonic, pid-stamped request id
+  (:func:`next_request_id`, ``r<pid-hex>-<counter>``), the request's
+  :class:`FlightRecord` and its open spans; every stage is timed once
+  and written to both through :meth:`RequestContext.stage`.  The id is
+  stamped on adopted worker spans and histogram exemplars and comes back
+  on the :class:`~repro.serve.runtime.ServeResult` — every span, metric
+  exemplar, and flight-recorder entry for one query is joinable.
 
 * **Flight recorder** — a fixed-size ring of compact
   :class:`FlightRecord` entries, one per request: tenant, query
@@ -41,11 +45,9 @@ leave on under full load:
   p99-bucket histogram *exemplars* (request ids) so an alert links
   straight to flight-recorder entries and retained traces.
 
-:class:`Diagnostics` ties the three together and owns the in-progress
-record registry: the gateway ``begin()`` s a record at admission, the
-runtime ``resume()`` s it by request id (or begins its own when there is
-no gateway), stages fill fields as the request flows, and whoever began
-the record ``commit()`` s it exactly once at completion.
+:class:`Diagnostics` ties the three sinks together; a request reaches
+them once, when whoever minted its context calls
+:meth:`RequestContext.finish` (DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from .trace import Span, Tracer, get_tracer, is_enabled
 __all__ = [
     "next_request_id", "FlightRecord", "FlightRecorder",
     "TailSampler", "SloObjective", "SloEngine", "DiagConfig",
-    "Diagnostics", "collect_request_spans",
+    "Diagnostics", "RequestContext", "collect_request_spans",
 ]
 
 # ----------------------------------------------------------------------
@@ -93,10 +95,11 @@ def next_request_id() -> str:
 class FlightRecord:
     """Compact always-on record of one request's life.
 
-    Mutable by design: stages fill their fields as the request flows
-    (admission → queue → batch → embed → rank → resolve) and the record
-    is committed to the ring exactly once at completion.  Fields default
-    to cheap falsy values so a record costs one small allocation.
+    Mutable by design: its :class:`RequestContext` fills the fields as
+    the request flows (admission → queue → batch → embed → rank →
+    resolve) and commits it to the ring exactly once at completion.
+    Fields default to cheap falsy values so a record costs one small
+    allocation.
     """
 
     request_id: str
@@ -128,12 +131,12 @@ class FlightRecord:
     #: gateway admission→completion latency (0 when the gateway is off)
     total_ms: float = 0.0
     result_count: int = 0
-    #: compiled-plan shape (0/0 on the interpretive path): ops the
-    #: micro-batch would hold without CSE, and ops actually executed
+    #: compiled-plan shape (0/0 unless this request was embedded): ops
+    #: the micro-batch would hold without CSE, and ops actually executed
     plan_ops_total: int = 0
     plan_ops_executed: int = 0
     #: per-plan-op-kind milliseconds of the micro-batch this request rode
-    #: (empty on the interpretive path); shared across batched siblings
+    #: (empty on cache hits and fallbacks); shared across batched siblings
     plan_stage_ms: dict = field(default_factory=dict)
     #: shard fan-out of the ranking pass (0 = in-process)
     shards: int = 0
@@ -145,18 +148,10 @@ class FlightRecord:
     #: deadline arithmetic ever reads this)
     completed_at: float = 0.0
     trace_retained: bool = False
-    #: root span of the request's trace tree (None while tracing is
-    #: disabled); not serialised
-    root_span: Span | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         """JSON-safe dict (the ``/debug/flight`` row)."""
-        out = {}
-        for f in fields(self):
-            if f.name == "root_span":
-                continue
-            out[f.name] = getattr(self, f.name)
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class FlightRecorder:
@@ -541,24 +536,18 @@ class DiagConfig:
 class Diagnostics:
     """Flight recorder + tail sampler + SLO engine behind one handle.
 
-    Owns the in-progress record registry: :meth:`begin` registers a
-    record under its request id, :meth:`resume` fetches it from another
-    layer (the runtime resuming a gateway-admitted request), and
-    :meth:`commit` finalises it exactly once — ring append, SLO
-    observation, and the tail-sampling verdict (collecting the span
-    subtree from the tracer only when the verdict is "keep").
+    :meth:`commit` finalises one record — ring append, SLO observation,
+    and the tail-sampling verdict (collecting the span subtree from the
+    tracer only when the verdict is "keep").  Requests reach it through
+    :meth:`RequestContext.finish`, which is what makes it exactly-once.
     """
 
     def __init__(self, config: DiagConfig | None = None,
                  registry: MetricsRegistry | None = None,
-                 tracer: Tracer | None = None, clock=time.monotonic,
-                 #: in-progress records are bounded as a leak backstop;
-                 #: oldest are dropped (their commit becomes a no-op)
-                 max_in_progress: int = 65536):
+                 tracer: Tracer | None = None, clock=time.monotonic):
         self.config = config or DiagConfig()
         self.registry = registry if registry is not None else get_registry()
         self.tracer = tracer if tracer is not None else get_tracer()
-        self._clock = clock
         self.flight = FlightRecorder(self.config.flight_capacity)
         self.sampler = TailSampler(
             latency_threshold_ms=self.config.trace_latency_ms,
@@ -566,47 +555,19 @@ class Diagnostics:
             max_traces=self.config.max_traces)
         self.slo = SloEngine(self.config.slos, registry=self.registry,
                              clock=clock)
-        self._lock = threading.Lock()
-        self._in_progress: OrderedDict[str, FlightRecord] = OrderedDict()
-        self._max_in_progress = max_in_progress
 
     # ------------------------------------------------------------------
-    def begin(self, request_id: str | None = None, tenant: str = "",
-              structure: str = "") -> FlightRecord:
-        """Register a fresh in-progress record (mints an id if needed)."""
-        record = FlightRecord(
-            request_id=request_id or next_request_id(),
-            tenant=tenant, structure=structure)
-        with self._lock:
-            self._in_progress[record.request_id] = record
-            while len(self._in_progress) > self._max_in_progress:
-                self._in_progress.popitem(last=False)
-        return record
-
-    def resume(self, request_id: str | None) -> FlightRecord | None:
-        """The in-progress record of ``request_id``, if one was begun."""
-        if not request_id:
-            return None
-        with self._lock:
-            return self._in_progress.get(request_id)
-
-    def commit(self, record: FlightRecord) -> None:
-        """Finalise one record: ring, SLO, tail-sampling; exactly once.
-
-        A second commit of the same record (a race between the runtime
-        and a shutting-down gateway) is a no-op — the in-progress
-        registry is the once-guard.
-        """
-        with self._lock:
-            if self._in_progress.pop(record.request_id, None) is None:
-                return
+    def commit(self, record: FlightRecord,
+               root: Span | None = None) -> None:
+        """Finalise one record: ring, SLO, tail-sampling (``root`` is the
+        root span of the request's trace tree, None without tracing)."""
         record.completed_at = time.time()
         self.flight.append(record)
         ok = not record.error
         self.slo.observe(ok, max(record.latency_ms, record.total_ms))
         reason = self.sampler.decide(record)
-        if reason and is_enabled() and record.root_span is not None:
-            spans = collect_request_spans(self.tracer, record.root_span)
+        if reason and is_enabled() and root is not None:
+            spans = collect_request_spans(self.tracer, root)
             if spans:
                 for span in spans:
                     span.attrs.setdefault("request_id",
@@ -652,3 +613,122 @@ class Diagnostics:
     def trace(self, request_id: str) -> list[Span] | None:
         """Retained span tree of one request (tail-sampled), or None."""
         return self.sampler.trace(request_id)
+
+
+# ----------------------------------------------------------------------
+# the per-request context
+# ----------------------------------------------------------------------
+
+#: the FlightRecord field a stage's duration lands in; a stage not listed
+#: (``serve.fallback``) is a span only
+_STAGE_FIELDS = {
+    "gateway.queue": "gateway_wait_ms",
+    "serve.queue": "queue_ms",
+    "serve.embed": "embed_ms",
+    "serve.distance": "distance_ms",
+    "serve.rank": "rank_ms",
+}
+
+
+class RequestContext:
+    """Everything diagnostics knows about one request, behind one object.
+
+    Minted by the first door the request passes and handed down by
+    reference — gateway → ``ServeRuntime.submit(ctx=)`` → the batcher →
+    ``ShardedRanker.topk(ctx)`` → ``ShardWorkerPool.dispatch(ctx)`` — so
+    no layer looks another layer's record up by id.  It holds the
+    request id, the :class:`FlightRecord` and the request's open spans
+    (None while tracing is off), and is the only writer of record and
+    spans alike: :meth:`note` fills record fields, :meth:`stage` turns
+    one pair of instants into a ``*_ms`` field *and* the same-named
+    span, so the two agree by construction.
+
+    A request is inside at most two layers at once — the door that
+    minted the context and, under a gateway, the runtime — so the open
+    spans are two slots, ``root`` and ``span`` (the innermost), not a
+    stack: a context is one allocation beside its record.
+
+    Ownership: ``owner`` is whoever minted the context, and only the
+    owner calls :meth:`finish`, which commits the record to ``diag``
+    (nowhere, with diagnostics off) exactly once.  A context that is
+    never finished is garbage like any other object — nothing else
+    holds it.
+    """
+
+    __slots__ = ("owner", "request_id", "record", "root", "span", "_diag",
+                 "_tracer", "finished")
+
+    #: guards every context's ``finished`` flag; held for one
+    #: test-and-set, so sharing it costs less than a lock per request
+    _finish_lock = threading.Lock()
+
+    def __init__(self, owner, diag: "Diagnostics | None", tracer: Tracer,
+                 request_id: str | None = None, **fields):
+        self.owner = owner
+        self.request_id = request_id or next_request_id()
+        self.record = FlightRecord(self.request_id, **fields)
+        #: root of the request's trace tree (the first span entered) and
+        #: the innermost span still open
+        self.root: Span | None = None
+        self.span: Span | None = None
+        self._diag = diag
+        self._tracer = tracer
+        self.finished = False
+
+    def enter(self, name: str, **attrs) -> Span | None:
+        """Open one layer's span (``gateway.request``, ``serve.request``).
+
+        It nests under the previous layer's span; the first one nests
+        under whatever span is current on the calling thread and becomes
+        the root of the request's trace tree.
+        """
+        self.span = self._tracer.start_span(
+            name, parent=self.span, **attrs, request_id=self.request_id)
+        if self.root is None:
+            self.root = self.span
+        return self.span
+
+    def tag(self, **attrs) -> None:
+        """Attributes on the innermost open span."""
+        if self.span is not None:
+            self.span.attrs.update(attrs)
+
+    def leave(self, **attrs) -> None:
+        """Tag and end the innermost open span; the root is innermost
+        again (or nothing is, when it was the root that ended)."""
+        self.tag(**attrs)
+        self._tracer.end_span(self.span)
+        self.span = None if self.span is self.root else self.root
+
+    def note(self, **fields) -> None:
+        """Fill :class:`FlightRecord` fields."""
+        record = self.record
+        for name, value in fields.items():
+            setattr(record, name, value)
+
+    def stage(self, name: str, start: float, end: float, **attrs) -> None:
+        """One timed stage, ``perf_counter`` instants: the record's
+        ``*_ms`` field and a ``name`` span under the innermost layer."""
+        field_name = _STAGE_FIELDS.get(name)
+        if field_name is not None:
+            setattr(self.record, field_name, 1000.0 * (end - start))
+        if self.span is not None:
+            self._tracer.record(name, start, end, parent=self.span,
+                                **attrs)
+
+    def finish(self, **fields) -> bool:
+        """Fill the last fields, end every open span, commit the record.
+
+        Idempotent and safe under a race: the first call wins (returns
+        True), any later one changes nothing.
+        """
+        with self._finish_lock:
+            if self.finished:
+                return False
+            self.finished = True
+        self.note(**fields)
+        self._tracer.end_span(self.span)
+        self._tracer.end_span(self.root)
+        if self._diag is not None:
+            self._diag.commit(self.record, self.root)
+        return True

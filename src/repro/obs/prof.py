@@ -1,11 +1,9 @@
 """``repro.obs.prof`` — the continuous sampling profiler + cost tools.
 
 The always-on half of the observability stack: a wall-clock sampling
-profiler cheap enough to leave running in production (the PR 2
-:class:`~repro.obs.profiler.Profiler` is the opposite trade — exact
-per-op numbers at Tensor-patching overhead), plus the folded-stack /
-flame-graph exporters and the profile-diff attribution used by the
-benchmark regression gate.
+profiler cheap enough to leave running in production, plus the
+folded-stack / flame-graph exporters and the profile-diff attribution
+used by the benchmark regression gate.
 
 * :class:`SamplingProfiler` — a daemon thread walks
   ``sys._current_frames()`` at a configurable rate and folds every
@@ -30,11 +28,6 @@ benchmark regression gate.
   (DESIGN.md §13).
 * :func:`process_rss_bytes` / :func:`estimate_nbytes` — the memory
   observability helpers behind ``/debug/mem``.
-
-Interplay with the instrumenting profiler: running both at once is
-legal but the instrumented op timings then *include* sampling overhead;
-:func:`warn_dual_profilers` says so once per process (both sides call
-it — satellite of ISSUE 10).
 """
 
 from __future__ import annotations
@@ -44,7 +37,6 @@ import os
 import sys
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 
 from .metrics import MetricsRegistry
@@ -54,7 +46,7 @@ __all__ = [
     "merge_profiles", "window_profiles", "to_folded", "to_speedscope",
     "self_time_shares", "diff_profiles", "diff_plan_ops", "format_diff",
     "format_top", "load_profile_payload", "process_rss_bytes",
-    "estimate_nbytes", "sampler_active", "warn_dual_profilers",
+    "estimate_nbytes",
 ]
 
 #: default sampling rate — 67 Hz keeps sample timestamps incommensurate
@@ -210,37 +202,6 @@ class ProfileStore:
 # the sampler
 # ----------------------------------------------------------------------
 
-#: samplers currently running in this process (any instance)
-_running_lock = threading.Lock()
-_running: set = set()
-
-_dual_warned = False
-
-
-def sampler_active() -> bool:
-    """Is any :class:`SamplingProfiler` running in this process?"""
-    with _running_lock:
-        return bool(_running)
-
-
-def warn_dual_profilers() -> None:
-    """Warn — once per process — that both profilers are active.
-
-    Called from both directions: :meth:`SamplingProfiler.start` when the
-    instrumenting :class:`~repro.obs.profiler.Profiler` is already
-    installed, and ``Profiler.__enter__`` when a sampler is running.
-    """
-    global _dual_warned
-    if _dual_warned:
-        return
-    _dual_warned = True
-    warnings.warn(
-        "the repro.nn instrumenting Profiler and the repro.obs.prof "
-        "sampling profiler are both active; instrumented op timings "
-        "will include sampling overhead (and sampled stacks will show "
-        "profiler wrapper frames)", RuntimeWarning, stacklevel=3)
-
-
 class SamplingProfiler:
     """Continuous wall-clock profiler over ``sys._current_frames()``.
 
@@ -325,9 +286,6 @@ class SamplingProfiler:
         """Begin sampling; idempotent.  Returns self for chaining."""
         if self.running:
             return self
-        from ..nn.tensor import get_profiler
-        if get_profiler() is not None:
-            warn_dual_profilers()
         self._stop.clear()
         now = self._clock()
         self._started_at = now
@@ -337,8 +295,6 @@ class SamplingProfiler:
             target=self._run, daemon=True,
             name=f"prof-sampler-{self.role}")
         self._thread.start()
-        with _running_lock:
-            _running.add(self)
         return self
 
     def stop(self) -> None:
@@ -352,8 +308,6 @@ class SamplingProfiler:
         if self._started_at is not None:
             self._duration += self._clock() - self._started_at
             self._started_at = None
-        with _running_lock:
-            _running.discard(self)
 
     def __enter__(self) -> "SamplingProfiler":
         return self.start()

@@ -1,59 +1,30 @@
-"""Opt-in autograd profiler for ``repro.nn`` (numpy ``torch.profiler``).
+"""Per-module forward timing for ``repro.nn`` (training telemetry).
 
-:class:`Profiler` is a context manager that, while installed,
+:class:`ModuleTimer` is a context manager that, while installed, hooks
+:meth:`Module.__call__` (via :func:`repro.nn.modules.set_call_hook`) and
+accumulates per-module-class forward total/self time — the
+per-operator-network cost of a HaLk forward pass that the trainer's
+telemetry reports per epoch.  The hook is removed on exit, so a process
+that never enters a timer pays one global read per module call; nesting
+timers is rejected.  It rebinds nothing: no ``Tensor`` method and no
+``repro.nn.functional`` attribute is ever replaced, so timed and untimed
+runs execute the same code and produce identical outputs.
 
-* wraps the :class:`~repro.nn.Tensor` arithmetic/shaping/reduction
-  methods and every public ``repro.nn.functional`` op with per-op
-  forward *self*-time and result-array allocation accounting,
-* asks ``tensor._make`` (via :func:`repro.nn.tensor.set_profiler`) to
-  wrap each recorded backward closure so backward time is attributed to
-  the op that created the node, and
-* hooks :meth:`Module.__call__` for per-module forward total/self time
-  (the per-operator-network cost of a HaLk forward pass).
-
-Everything is restored on exit, so a process that never enters a
-profiler pays nothing; nesting profilers is rejected.  Timing wrappers
-do not alter results — profiled and unprofiled runs produce identical
-outputs (covered by the parity tests).
-
-:class:`ModuleTimer` is the lightweight subset used by the trainer's
-telemetry: only the module-call hook, no tensor patching.
+Per-*op* cost (forward and backward) is attributed without
+instrumentation: ``plan_stage_seconds{kind}`` accounts compiled-plan op
+kinds and the always-on :class:`~repro.obs.prof.SamplingProfiler` sees
+every frame, backward closures included.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..nn import functional, modules, tensor
-from ..nn.tensor import Tensor
+from ..nn import modules
 
-__all__ = ["OpStat", "ModuleStat", "Profiler", "ModuleTimer"]
-
-#: Tensor methods wrapped for forward timing.
-_TENSOR_OPS = (
-    "__add__", "__radd__", "__neg__", "__sub__", "__rsub__", "__mul__",
-    "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "__matmul__",
-    "__getitem__", "reshape", "transpose", "sum", "mean", "min", "max",
-)
-#: Reflected variants report under their canonical op name.
-_ALIASES = {"__radd__": "__add__", "__rmul__": "__mul__"}
-
-
-@dataclass
-class OpStat:
-    """Accumulated cost of one op kind."""
-
-    calls: int = 0
-    forward_s: float = 0.0
-    backward_calls: int = 0
-    backward_s: float = 0.0
-    alloc_bytes: int = 0
-
-    @property
-    def total_s(self) -> float:
-        return self.forward_s + self.backward_s
+__all__ = ["ModuleStat", "ModuleTimer"]
 
 
 @dataclass
@@ -73,8 +44,8 @@ class _Frame:
         self.child_s = 0.0
 
 
-class _HookMixin:
-    """Shared module-call hook bookkeeping (install/uninstall/timing)."""
+class ModuleTimer:
+    """Per-module-class forward timing (used by training telemetry)."""
 
     def __init__(self, clock=time.perf_counter):
         self._clock = clock
@@ -109,182 +80,24 @@ class _HookMixin:
                     stat.total_s += elapsed
                     stat.self_s += elapsed - frame.child_s
 
-    def _install_module_hook(self) -> None:
+    def __enter__(self) -> "ModuleTimer":
         if modules.get_call_hook() is not None:
             raise RuntimeError("a Module call hook is already installed; "
-                               "profilers cannot be nested")
+                               "module timers cannot be nested")
         # bind once: ``self._module_hook`` yields a fresh bound-method
         # object per access, which would defeat the identity check below
         self._bound_hook = self._module_hook
         modules.set_call_hook(self._bound_hook)
-
-    def _uninstall_module_hook(self) -> None:
-        if modules.get_call_hook() is getattr(self, "_bound_hook", None):
-            modules.set_call_hook(None)
-
-
-class ModuleTimer(_HookMixin):
-    """Per-module-class forward timing only (used by training telemetry)."""
-
-    def __enter__(self) -> "ModuleTimer":
-        self._install_module_hook()
         self._installed = True
         return self
 
     def __exit__(self, *exc_info) -> None:
         self._installed = False
-        self._uninstall_module_hook()
+        if modules.get_call_hook() is getattr(self, "_bound_hook", None):
+            modules.set_call_hook(None)
 
     def seconds_by_module(self, self_time: bool = True) -> dict[str, float]:
         """Per-class seconds, self time by default (children excluded)."""
         with self._lock:
             return {name: (s.self_s if self_time else s.total_s)
                     for name, s in sorted(self.module_stats.items())}
-
-
-class Profiler(_HookMixin):
-    """Full per-op + per-module autograd profiler (see module docstring).
-
-    Parameters
-    ----------
-    with_modules:
-        Also hook :meth:`Module.__call__` (default True).
-    clock:
-        Injectable time source.
-    """
-
-    def __init__(self, with_modules: bool = True, clock=time.perf_counter):
-        super().__init__(clock)
-        self.with_modules = with_modules
-        self.op_stats: dict[str, OpStat] = {}
-        self._saved_tensor: dict[str, object] = {}
-        self._saved_functional: dict[str, object] = {}
-
-    # ------------------------------------------------------------------
-    # install / uninstall
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "Profiler":
-        if tensor.get_profiler() is not None:
-            raise RuntimeError("another Profiler is already active")
-        from .prof import sampler_active, warn_dual_profilers
-        if sampler_active():
-            warn_dual_profilers()
-        for name in _TENSOR_OPS:
-            original = getattr(Tensor, name)
-            self._saved_tensor[name] = original
-            setattr(Tensor, name,
-                    self._wrap_forward(_ALIASES.get(name, name), original))
-        for name in functional.__all__:
-            original = getattr(functional, name)
-            if callable(original):
-                self._saved_functional[name] = original
-                setattr(functional, name, self._wrap_forward(name, original))
-        tensor.set_profiler(self)
-        if self.with_modules:
-            self._install_module_hook()
-        self._installed = True
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._installed = False
-        if self.with_modules:
-            self._uninstall_module_hook()
-        if tensor.get_profiler() is self:
-            tensor.set_profiler(None)
-        for name, original in self._saved_tensor.items():
-            setattr(Tensor, name, original)
-        for name, original in self._saved_functional.items():
-            setattr(functional, name, original)
-        self._saved_tensor.clear()
-        self._saved_functional.clear()
-
-    # ------------------------------------------------------------------
-    # forward wrapping
-    # ------------------------------------------------------------------
-    def _op_stack(self) -> list[_Frame]:
-        stack = getattr(self._local, "ops", None)
-        if stack is None:
-            stack = self._local.ops = []
-        return stack
-
-    def _wrap_forward(self, name: str, fn):
-        def wrapper(*args, **kwargs):
-            stack = self._op_stack()
-            frame = _Frame(name)
-            stack.append(frame)
-            start = self._clock()
-            try:
-                out = fn(*args, **kwargs)
-            finally:
-                elapsed = self._clock() - start
-                stack.pop()
-                if stack:
-                    stack[-1].child_s += elapsed
-            if self._installed:
-                nbytes = out.data.nbytes if isinstance(out, Tensor) else 0
-                with self._lock:
-                    stat = self.op_stats.setdefault(name, OpStat())
-                    stat.calls += 1
-                    stat.forward_s += elapsed - frame.child_s
-                    stat.alloc_bytes += nbytes
-            return out
-
-        wrapper.__name__ = getattr(fn, "__name__", name)
-        wrapper.__doc__ = getattr(fn, "__doc__", None)
-        wrapper.__wrapped__ = fn
-        return wrapper
-
-    # ------------------------------------------------------------------
-    # backward wrapping (called by tensor._make while installed)
-    # ------------------------------------------------------------------
-    def wrap_backward(self, backward):
-        stack = getattr(self._local, "ops", None)
-        if stack:
-            name = stack[-1].name
-        else:  # op invoked outside any wrapped call: derive from closure
-            parts = backward.__qualname__.split(".")
-            name = parts[-2] if len(parts) >= 2 else backward.__qualname__
-
-        def timed(grad):
-            start = self._clock()
-            try:
-                backward(grad)
-            finally:
-                if self._installed:
-                    elapsed = self._clock() - start
-                    with self._lock:
-                        stat = self.op_stats.setdefault(name, OpStat())
-                        stat.backward_calls += 1
-                        stat.backward_s += elapsed
-
-        return timed
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    def table(self, limit: int | None = 20) -> str:
-        """Per-op cost table, most expensive first."""
-        with self._lock:
-            ops = sorted(self.op_stats.items(),
-                         key=lambda kv: kv[1].total_s, reverse=True)
-            mods = sorted(self.module_stats.items(),
-                          key=lambda kv: kv[1].self_s, reverse=True)
-        if limit is not None:
-            ops = ops[:limit]
-            mods = mods[:limit]
-        lines = [f"{'op':<16} {'calls':>7} {'fwd ms':>9} {'bwd ms':>9} "
-                 f"{'alloc MB':>9}"]
-        for name, stat in ops:
-            lines.append(f"{name:<16} {stat.calls:>7d} "
-                         f"{1000 * stat.forward_s:>9.2f} "
-                         f"{1000 * stat.backward_s:>9.2f} "
-                         f"{stat.alloc_bytes / 1e6:>9.2f}")
-        if mods:
-            lines.append("")
-            lines.append(f"{'module':<22} {'calls':>7} {'self ms':>9} "
-                         f"{'total ms':>9}")
-            for name, stat in mods:
-                lines.append(f"{name:<22} {stat.calls:>7d} "
-                             f"{1000 * stat.self_s:>9.2f} "
-                             f"{1000 * stat.total_s:>9.2f}")
-        return "\n".join(lines)

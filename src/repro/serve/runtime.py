@@ -38,9 +38,8 @@ from ..ckpt import CheckpointError, load_checkpoint
 from ..core.model import QueryModel, topk_rows
 from ..kg.graph import KnowledgeGraph
 from ..nn import no_grad
-from ..obs.diag import DiagConfig, Diagnostics, FlightRecord, \
-    next_request_id
-from ..obs.trace import Span, Tracer, get_tracer
+from ..obs.diag import DiagConfig, Diagnostics, RequestContext
+from ..obs.trace import Tracer, get_tracer
 from ..queries.computation_graph import Node
 from ..queries.executor import execute
 from .batcher import MicroBatcher, ServeFuture, ServeRequest
@@ -74,8 +73,8 @@ class ServeConfig:
     #: sliding-window size of the latency histograms
     histogram_window: int = 4096
     #: entity-table shards for ranking; < 2 = in-process (``repro.dist``
-    #: worker processes; silently falls back to in-process when the
-    #: model or platform does not support sharding)
+    #: worker processes; falls back to in-process when the model or
+    #: platform does not support sharding — ``health()`` says which)
     num_shards: int = 0
     #: publish lazy per-shard embedding slabs instead of one whole-table
     #: segment (None = auto: on at ShardedRanker.LAZY_SLAB_THRESHOLD
@@ -176,15 +175,11 @@ class _Pending(ServeRequest):
 
     retries_left: int = 0
     submitted_at: float = 0.0
-    #: tracing: the request's root span and its open queue-wait child
-    #: (both None when tracing is disabled)
-    trace_root: Span | None = None
-    trace_queue: Span | None = None
-    request_id: str = ""
-    #: in-progress flight record (None with diagnostics off); committed
-    #: by the runtime when diag_owned, else by whoever began it (gateway)
-    diag: FlightRecord | None = None
-    diag_owned: bool = False
+    #: ``perf_counter`` instant the request entered the batcher (the
+    #: start of its ``serve.queue`` stage)
+    queued_at: float = 0.0
+    #: the request's diagnostics; finished by whoever minted it
+    ctx: RequestContext | None = None
 
 
 class ServeRuntime:
@@ -307,91 +302,63 @@ class ServeRuntime:
     # ------------------------------------------------------------------
     def submit(self, query: Node, top_k: int = 10,
                deadline: float | None = None,
-               request_id: str | None = None,
-               tenant: str = "") -> ServeFuture:
+               ctx: RequestContext | None = None) -> ServeFuture:
         """Enqueue one query; returns a future resolving to ServeResult.
 
-        ``request_id`` joins the request to upstream diagnostics: the
-        gateway passes the id it minted at admission (the runtime then
-        *resumes* the gateway's in-progress flight record rather than
-        beginning its own); standalone callers leave it None and the
-        runtime mints one.
+        ``ctx`` joins the request to upstream diagnostics: the gateway
+        passes the context it minted at admission and finishes it
+        itself; standalone callers leave it None and the runtime mints
+        (and finishes) one.
         """
         self.metrics.counter("requests").inc()
         now = self._clock()
         tracer = self.tracer
-        # flight-record ownership: whoever begins the record commits it.
-        # resume() finding one means the gateway began it at admission
-        # and will commit in its completion sweep; the runtime only
-        # fills the serve-side fields in that case.
-        record = None
-        owned = False
-        if self.diag is not None:
-            record = self.diag.resume(request_id)
-            if record is None:
-                record = self.diag.begin(request_id=request_id,
-                                         tenant=tenant)
-                owned = True
-            rid = record.request_id
-        else:
-            rid = request_id or next_request_id()
-        root = tracer.start_span("serve.request", top_k=top_k,
-                                 request_id=rid)
-        if record is not None:
-            record.model_version = self._model_version
-            if record.root_span is None:  # no gateway root upstream
-                record.root_span = root
+        if ctx is None:
+            ctx = RequestContext(self, self.diag, tracer)
+        root = ctx.enter("serve.request", top_k=top_k)
         with tracer.activate(root):
             with tracer.span("serve.canonicalise"):
                 canonical = canonicalize(query)
                 key = serialize(canonical)
             with tracer.span("serve.cache_lookup"):
                 cached = self._answers.get((key, top_k))
+        structure = batch_key(canonical)
         if cached is not None:
             self.metrics.counter("answer_cache_hits").inc()
             latency = self._clock() - now
-            if root is not None:
-                root.attrs["source"] = "answer_cache"
-                tracer.end_span(root)
-            if record is not None:
-                record.structure = batch_key(canonical)
-                record.cache = "hit"
-                record.source = "answer_cache"
-                record.latency_ms = 1000.0 * latency
-                record.result_count = len(cached)
-                if owned:
-                    self.diag.commit(record)
+            ctx.note(structure=structure, cache="hit",
+                     model_version=self._model_version)
+            self._leave(ctx, latency, "answer_cache", len(cached))
             future = ServeFuture()
             future.set_result(ServeResult(list(cached), "answer_cache",
                                           latency=latency,
-                                          request_id=rid))
-            self._latency.observe(1000.0 * latency, exemplar=rid)
+                                          request_id=ctx.request_id))
+            self._latency.observe(1000.0 * latency,
+                                  exemplar=ctx.request_id)
             return future
         self.metrics.counter("answer_cache_misses").inc()
         if deadline is None:
             deadline = self.config.default_deadline
+        ctx.note(structure=structure, cache="miss",
+                 model_version=self._model_version)
+        ctx.tag(structure=structure, model_version=self._model_version)
         # deadline arithmetic invariant: relative deadlines become
         # absolute on self._clock (monotonic) exactly once, HERE, and are
         # only ever compared against the same clock downstream (batcher
         # flush, _execute_batch overrun check).  Wall-clock time.time()
         # never enters deadline math anywhere in the serve/dist stack —
         # an NTP step must not expire (or resurrect) in-flight requests.
-        structure = batch_key(canonical)
         request = _Pending(
             query=canonical, top_k=top_k, cache_key=key,
             deadline=None if deadline is None else now + deadline,
             retries_left=self.config.max_retries, submitted_at=now,
-            request_id=rid, diag=record, diag_owned=owned)
-        if record is not None:
-            record.structure = structure
-            record.cache = "miss"
-        if root is not None:
-            root.attrs["structure"] = structure
-            root.attrs["model_version"] = self._model_version
-            request.trace_root = root
-            request.trace_queue = tracer.start_span("serve.queue",
-                                                    parent=root)
-        self._batcher.submit(request)
+            queued_at=time.perf_counter(), ctx=ctx)
+        try:
+            self._batcher.submit(request)
+        except RuntimeError:  # closed: the request still gets its outcome
+            self.metrics.counter("errors").inc()
+            self._leave(ctx, self._clock() - now, "error", error="closed")
+            raise
         return request.future
 
     def answer(self, query: Node, top_k: int = 10,
@@ -495,6 +462,7 @@ class ServeRuntime:
             "model_loaded": self.model is not None,
             "model_version": self._model_version,
             "shards": 0,
+            "shards_requested": self.config.num_shards,
         }
         ok = not self._closed and self.model is not None
         if self._ranker is not None:
@@ -504,6 +472,12 @@ class ServeRuntime:
             detail["worker_respawns"] = self._ranker.respawns
             if not all(alive):
                 ok = False
+        elif self.config.num_shards >= 2:
+            # why ranking is in-process although shards were asked for
+            from ..dist import dist_available
+            detail["sharding_unavailable"] = \
+                "no_sharding_spec" if dist_available() \
+                else "no_shared_memory"
         return ok, detail
 
     def stats(self) -> StatsSnapshot:
@@ -659,15 +633,12 @@ class ServeRuntime:
     def _execute_batch(self, batch: list[_Pending]) -> None:
         self.metrics.counter("batches").inc()
         self._batch_sizes.observe(len(batch))
-        for request in batch:  # queue wait ends when execution starts
-            self.tracer.end_span(request.trace_queue)
         now = self._clock()
+        dequeued = time.perf_counter()  # queue wait ends for the batch
         live: list[_Pending] = []
         for request in batch:
-            if request.diag is not None:
-                request.diag.queue_ms = \
-                    1000.0 * (now - request.submitted_at)
-                request.diag.batch_size = len(batch)
+            request.ctx.stage("serve.queue", request.queued_at, dequeued)
+            request.ctx.note(batch_size=len(batch))
             if request.deadline is not None and now >= request.deadline:
                 self.metrics.counter("deadline_overruns").inc()
                 self._fallback(request, reason="deadline")
@@ -691,8 +662,8 @@ class ServeRuntime:
         for request in live:
             self._fallback(request, reason="failure")
 
-    def _rank(self, embedding, k: int, request_id: str = "",
-              shard_info: dict | None = None) -> tuple[np.ndarray, float]:
+    def _rank(self, embedding, k: int,
+              ctx: RequestContext) -> tuple[np.ndarray, float]:
         """Top-k entity ids of a batch embedding — the one ranking path.
 
         Returns ``(ids, split)``: ``ids`` is ``(B, k)`` and ``split`` the
@@ -700,10 +671,9 @@ class ServeRuntime:
         top-k selection (the serve.distance / serve.rank span boundary;
         the sharded backend fuses the two, so its split is the end).
 
-        ``request_id`` rides into the shard worker pool so adopted
-        worker spans are joinable; ``shard_info`` (when given) is filled
-        with the gather's fan-out and hedge outcome for the flight
-        recorder.
+        ``ctx`` rides into the shard worker pool, which stamps its id
+        on adopted worker spans and notes the gather's fan-out and hedge
+        outcome on its record.
 
         Every serving tier — cache-hit single queries, batched misses,
         in-process or sharded (``config.num_shards``) — flows through
@@ -712,9 +682,7 @@ class ServeRuntime:
         :func:`repro.core.topk.topk_rows` total order).
         """
         if self._ranker is not None:
-            ids, _ = self._ranker.topk(embedding, k,
-                                       request_id=request_id,
-                                       shard_info=shard_info)
+            ids, _ = self._ranker.topk(embedding, k, ctx)
             return ids, time.perf_counter()
         with no_grad():
             distances = self.model.distance_to_all(embedding).data
@@ -747,11 +715,10 @@ class ServeRuntime:
         its own.  Every group takes one pass through :meth:`_rank`, so
         the sharded/hedged machinery sees hits and misses alike.
 
-        Batched stages are timed once and the interval recorded as a
-        child span of *every* participating request's root, so each
-        request's trace tree stays complete.
+        Batched stages are timed once and the interval staged on *every*
+        participating request's context, so each request's flight record
+        and trace tree stay complete.
         """
-        tracer = self.tracer
         sharded = self._ranker is not None
         #: (requests, stacked embedding, came out of the embed stage)
         groups: list[tuple[list[_Pending], object, bool]] = []
@@ -768,6 +735,12 @@ class ServeRuntime:
                 [r.query for r in misses])
             embed_end = time.perf_counter()
             plan = compiled.plan
+            embed_fields = dict(plan_ops_total=plan.ops_total,
+                                plan_ops_executed=len(plan.ops),
+                                plan_stage_ms=stage_cost)
+            embed_attrs = dict(batch_size=len(misses), ops=len(plan.ops),
+                               ops_saved=plan.ops_saved,
+                               cache_hits=compiled.cache_hits)
             for group in ranked:
                 requests = [misses[p] for p in group.positions]
                 for row, request in enumerate(requests):
@@ -778,45 +751,28 @@ class ServeRuntime:
                 groups.append((requests, group.embedding, True))
         answers: list[tuple[_Pending, list[int]]] = []
         for requests, embedding, embedded in groups:
-            # a group shares one gather; its request-id stamp and
-            # shard/hedge outcome are those of the whole group
-            shard_info: dict | None = \
-                {} if any(r.diag is not None for r in requests) else None
+            # a group shares one gather: the pool stamps the first
+            # request's id and notes the shard/hedge outcome on its
+            # record, which is that of the whole group
+            lead = requests[0].ctx
             started = time.perf_counter()
             ids, split = self._rank(embedding,
-                                    max(r.top_k for r in requests),
-                                    request_id=requests[0].request_id,
-                                    shard_info=shard_info)
+                                    max(r.top_k for r in requests), lead)
             ended = time.perf_counter()
+            fields = dict(embed_fields if embedded else (),
+                          embedding_cached=not embedded,
+                          shards=lead.record.shards,
+                          hedge_wins=lead.record.hedge_wins)
+            attrs = dict(batch_size=len(requests),
+                         embedding_cached=not embedded, sharded=sharded)
             for row, request in enumerate(requests):
-                record = request.diag
-                if record is not None:
-                    record.embedding_cached = not embedded
-                    record.distance_ms = 1000.0 * (split - started)
-                    record.rank_ms = 1000.0 * (ended - split)
-                    if embedded:
-                        record.embed_ms = 1000.0 * (embed_end - embed_start)
-                        record.plan_ops_total = plan.ops_total
-                        record.plan_ops_executed = len(plan.ops)
-                        record.plan_stage_ms = stage_cost
-                    if shard_info:
-                        record.shards = shard_info.get("shards", 0)
-                        record.hedge_wins = shard_info.get("hedge_wins", 0)
-                if request.trace_root is not None:
-                    if embedded:
-                        tracer.record("serve.embed", embed_start, embed_end,
-                                      parent=request.trace_root,
-                                      batch_size=len(misses),
-                                      ops=len(plan.ops),
-                                      ops_saved=plan.ops_saved,
-                                      cache_hits=compiled.cache_hits)
-                    tracer.record("serve.distance", started, split,
-                                  parent=request.trace_root,
-                                  batch_size=len(requests),
-                                  embedding_cached=not embedded,
-                                  sharded=sharded)
-                    tracer.record("serve.rank", split, ended,
-                                  parent=request.trace_root)
+                ctx = request.ctx
+                ctx.note(**fields)
+                if embedded:
+                    ctx.stage("serve.embed", embed_start, embed_end,
+                              **embed_attrs)
+                ctx.stage("serve.distance", started, split, **attrs)
+                ctx.stage("serve.rank", split, ended)
                 # a request's top_k prefix of the widest selection is
                 # exactly its own top-k: the order is total
                 answers.append((request,
@@ -833,8 +789,7 @@ class ServeRuntime:
         # it (it probes the model) and go symbolic directly.
         paths = (self._lsh_answer, self._exact_answer) \
             if reason == "deadline" else (self._exact_answer,)
-        if request.diag is not None:
-            request.diag.fallback = reason
+        request.ctx.note(fallback=reason)
         for path in paths:
             started = time.perf_counter()
             try:
@@ -842,24 +797,14 @@ class ServeRuntime:
             except Exception:
                 result = None
             if result is not None:
-                if request.trace_root is not None:
-                    self.tracer.record("serve.fallback", started,
-                                       time.perf_counter(),
-                                       parent=request.trace_root,
-                                       reason=reason, path=result[1])
+                request.ctx.stage("serve.fallback", started,
+                                  time.perf_counter(), reason=reason,
+                                  path=result[1])
                 self._resolve(request, result[0], source=result[1])
                 return
         self.metrics.counter("errors").inc()
-        if request.trace_root is not None:
-            request.trace_root.attrs.update(source="error", reason=reason)
-            self.tracer.end_span(request.trace_root)
-        if request.diag is not None:
-            request.diag.source = "error"
-            request.diag.error = reason
-            request.diag.latency_ms = \
-                1000.0 * (self._clock() - request.submitted_at)
-            if request.diag_owned:
-                self.diag.commit(request.diag)
+        self._leave(request.ctx, self._clock() - request.submitted_at,
+                    "error", error=reason)
         request.future.set_exception(ServeError(
             f"request failed ({reason}) and no fallback path succeeded"))
 
@@ -896,18 +841,24 @@ class ServeRuntime:
     def _resolve(self, request: _Pending, ids: list[int],
                  source: str) -> None:
         latency = self._clock() - request.submitted_at
-        self._latency.observe(1000.0 * latency,
-                              exemplar=request.request_id or None)
+        rid = request.ctx.request_id
+        self._latency.observe(1000.0 * latency, exemplar=rid)
         if source == "model":
             self._answers.put((request.cache_key, request.top_k), ids)
-        if request.trace_root is not None:
-            request.trace_root.attrs["source"] = source
-            self.tracer.end_span(request.trace_root)
-        if request.diag is not None:
-            request.diag.source = source
-            request.diag.result_count = len(ids)
-            request.diag.latency_ms = 1000.0 * latency
-            if request.diag_owned:
-                self.diag.commit(request.diag)
+        self._leave(request.ctx, latency, source, len(ids))
         request.future.set_result(ServeResult(ids, source, latency,
-                                              request_id=request.request_id))
+                                              request_id=rid))
+
+    def _leave(self, ctx: RequestContext, latency: float, source: str,
+               result_count: int = 0, error: str = "") -> None:
+        """The runtime's one exit: stamp the outcome, close
+        ``serve.request``, and finish the context if this runtime minted
+        it (the gateway finishes the ones it handed in)."""
+        ctx.note(source=source, result_count=result_count,
+                 latency_ms=1000.0 * latency, error=error)
+        if error:
+            ctx.leave(source=source, reason=error)
+        else:
+            ctx.leave(source=source)
+        if ctx.owner is self:
+            ctx.finish()

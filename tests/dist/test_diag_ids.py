@@ -20,6 +20,7 @@ from repro import obs
 from repro.core.topk import topk_rows
 from repro.dist import ShardedRanker
 from repro.dist.pool import HedgeConfig
+from repro.obs.diag import RequestContext
 
 from .conftest import requires_shm
 
@@ -42,22 +43,28 @@ def embedding(model, queries):
     return model.embed_batch(queries)
 
 
+def context(request_id):
+    """A dispatching request's context, as the serving runtime hands it
+    to ``topk`` (no recorder: only the id and the record matter here)."""
+    return RequestContext(None, None, obs.get_tracer(),
+                          request_id=request_id)
+
+
 @requires_shm
 class TestHedgedRequestIds:
     def test_shard_info_partitions_the_fanout(self, traced_ranker,
                                               embedding):
-        shard_info = {}
-        traced_ranker.topk(embedding, 5, request_id="rid-part",
-                           shard_info=shard_info)
-        assert shard_info["shards"] == 2
-        assert 0 <= shard_info["hedge_wins"] <= 2
+        ctx = context("rid-part")
+        traced_ranker.topk(embedding, 5, ctx)
+        assert ctx.record.shards == 2
+        assert 0 <= ctx.record.hedge_wins <= 2
 
     def test_spans_carry_the_dispatching_id_only(self, traced_ranker,
                                                  embedding):
         tracer = obs.get_tracer()
         rids = [f"span-rid-{index}" for index in range(5)]
         for rid in rids:
-            traced_ranker.topk(embedding, 5, request_id=rid)
+            traced_ranker.topk(embedding, 5, context(rid))
         spans = [s for s in tracer.finished()
                  if s.name in ("worker.handle", "shard.hedge")
                  and str(s.attrs.get("request_id", "")).startswith(
@@ -77,15 +84,13 @@ class TestHedgedRequestIds:
         outcome partition accounts for every shard."""
         distances = model.distance_to_all(embedding).data
         expect_ids = topk_rows(distances, k)
-        shard_info = {}
-        ids, vals = traced_ranker.topk(embedding, k,
-                                       request_id=f"rid-k{k}",
-                                       shard_info=shard_info)
+        ctx = context(f"rid-k{k}")
+        ids, vals = traced_ranker.topk(embedding, k, ctx)
         assert np.array_equal(ids, expect_ids)
         assert np.array_equal(
             vals, np.take_along_axis(distances, expect_ids, axis=-1))
-        assert shard_info["shards"] == 2
-        assert 0 <= shard_info["hedge_wins"] <= 2
+        assert ctx.record.shards == 2
+        assert 0 <= ctx.record.hedge_wins <= 2
 
     def test_exactly_once_counters_hold_with_ids(self, traced_ranker,
                                                  embedding):
@@ -103,7 +108,7 @@ class TestHedgedRequestIds:
         before = shard_counts()
         for index in range(4):
             traced_ranker.topk(embedding, 5,
-                               request_id=f"rid-once-{index}")
+                               context(f"rid-once-{index}"))
         after = shard_counts()
         for shard in range(2):
             handled = (after[("rank_requests", shard)]

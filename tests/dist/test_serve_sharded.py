@@ -53,6 +53,13 @@ def test_unsupported_model_falls_back_to_in_process(kg):
     with ServeRuntime(model, kg=kg, config=config) as runtime:
         assert runtime._ranker is None
         assert runtime.stats().gauges["shards"] == 0
+        ok, detail = runtime.health()
+        assert ok  # in-process ranking is healthy, and says why
+        assert detail["shards"] == 0
+        assert detail["shards_requested"] == 2
+        assert detail["sharding_unavailable"] == "no_sharding_spec"
+    with ServeRuntime(model, kg=kg) as runtime:  # nothing asked for
+        assert "sharding_unavailable" not in runtime.health()[1]
 
 
 def _shm_segments():

@@ -8,8 +8,11 @@ admission verdict, and that the id on the result joins back to it.
 
 import pytest
 
+from repro import obs
+from repro.dist import dist_available
 from repro.gateway import Gateway, GatewayConfig, GatewayRejected
 from repro.gateway.tenancy import TenantConfig
+from repro.obs.diag import DiagConfig
 from repro.serve import ServeConfig, ServeRuntime
 
 pytestmark = [pytest.mark.gateway, pytest.mark.diag]
@@ -106,3 +109,48 @@ class TestGatewayWithDiagnosticsOff:
                 assert result.request_id  # ids survive the off switch
             finally:
                 gateway.close()
+
+
+#: flight-record stage field -> the span timed from the same instants
+STAGES = {"gateway_wait_ms": "gateway.queue", "queue_ms": "serve.queue",
+          "embed_ms": "serve.embed", "distance_ms": "serve.distance",
+          "rank_ms": "serve.rank"}
+
+
+class TestStagesAreTimedOnce:
+    @pytest.mark.parametrize("shards", [0, 2])
+    @pytest.mark.parametrize("burst", [1, 8, 64])
+    def test_stage_fields_equal_their_span_durations(self, model, tiny_kg,
+                                                     queries, burst,
+                                                     shards):
+        """The flight record and the span tree are two views of one
+        clock read: every stage field equals, to float equality, the
+        duration of the same-named span under the request's root."""
+        if shards and not dist_available():
+            pytest.skip("multiprocessing.shared_memory unavailable here")
+        assert len(queries) >= burst
+        tracer = obs.Tracer()
+        config = ServeConfig(
+            max_batch_size=64, flush_timeout=0.02, num_workers=1,
+            num_shards=shards,
+            diag=DiagConfig(trace_latency_ms=0.0, trace_top_p=None))
+        with obs.enabled():
+            with ServeRuntime(model, kg=tiny_kg, config=config,
+                              tracer=tracer) as runtime:
+                gateway = Gateway(runtime, GatewayConfig(), tracer=tracer)
+                try:
+                    futures = [gateway.submit(q, top_k=3)
+                               for q in queries[:burst]]
+                    results = [f.result(timeout=30) for f in futures]
+                finally:
+                    gateway.close()
+                assert runtime.diag.flight.total == burst
+                for result in results:
+                    record = runtime.diag.flight.get(result.request_id)
+                    tree = runtime.diag.trace(result.request_id)
+                    assert record.source == "model"
+                    assert record.shards == shards
+                    for field, name in STAGES.items():
+                        (span,) = [s for s in tree if s.name == name]
+                        assert getattr(record, field) == span.duration_ms
+                        assert span.duration_ms > 0.0

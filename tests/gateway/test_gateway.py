@@ -29,13 +29,11 @@ class FakeRuntime:
         self.http_server = None
         self.submitted = []
 
-    def submit(self, query, top_k=10, deadline=None, request_id=None,
-               tenant=""):
+    def submit(self, query, top_k=10, deadline=None, ctx=None):
         future = ServeFuture()
         self.submitted.append(
             {"query": query, "top_k": top_k, "deadline": deadline,
-             "request_id": request_id, "tenant": tenant,
-             "future": future})
+             "ctx": ctx, "future": future})
         return future
 
     def resolve(self, index=-1, latency=0.01):

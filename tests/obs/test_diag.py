@@ -5,15 +5,22 @@ Everything here is pure and socket-free — the HTTP surface is covered in
 ``tests/serve/test_diag_runtime.py`` / ``tests/gateway/test_diag_gateway.py``.
 """
 
+import gc
+import json
 import os
 import re
+import sys
+import threading
+import time
+import weakref
 
 import pytest
 
 from repro import obs
 from repro.obs.diag import (DEFAULT_SLOS, DiagConfig, Diagnostics,
-                            FlightRecord, FlightRecorder, SloEngine,
-                            SloObjective, TailSampler, next_request_id)
+                            FlightRecord, FlightRecorder, RequestContext,
+                            SloEngine, SloObjective, TailSampler,
+                            next_request_id)
 from repro.obs.metrics import MetricsRegistry
 
 pytestmark = [pytest.mark.obs, pytest.mark.diag]
@@ -47,9 +54,9 @@ class TestFlightRecord:
     def test_to_dict_is_json_safe_and_drops_root_span(self):
         record = FlightRecord(request_id="r1", tenant="acme",
                               latency_ms=1.5)
-        record.root_span = object()  # anything non-serialisable
         row = record.to_dict()
-        assert "root_span" not in row
+        json.dumps(row)  # every field is a JSON scalar or a plain dict
+        assert "root_span" not in row  # the span lives on the context
         assert row["request_id"] == "r1"
         assert row["tenant"] == "acme"
         assert row["latency_ms"] == 1.5
@@ -254,62 +261,150 @@ class TestSloEngine:
                        SloObjective("a", 0.999)])
 
 
+class TestRequestContext:
+    @staticmethod
+    def diag(**config):
+        return Diagnostics(DiagConfig(trace_top_p=None, **config),
+                           registry=MetricsRegistry())
+
+    @staticmethod
+    def context(diag, **kwargs):
+        return RequestContext("owner", diag, obs.get_tracer(), **kwargs)
+
+    def test_context_mints_id_and_carries_its_record(self):
+        ctx = self.context(self.diag(), tenant="acme")
+        assert re.fullmatch(r"r[0-9a-f]+-\d{8}", ctx.request_id)
+        assert ctx.record.request_id == ctx.request_id
+        assert ctx.record.tenant == "acme"
+        assert ctx.owner == "owner"
+        # an upstream id (a caller's ticket) is honoured, not re-minted
+        assert self.context(None, request_id="ticket-42").request_id == \
+            "ticket-42"
+
+    def test_finish_is_exactly_once_under_a_race(self):
+        """A gateway shutting down and a runtime resolving may both try
+        to finish one context: exactly one of them commits."""
+        diag = self.diag()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force switches inside finish()
+        try:
+            for _ in range(50):
+                ctx = self.context(diag)
+                barrier = threading.Barrier(4)
+                wins = []
+
+                def racer():
+                    barrier.wait(timeout=10)
+                    wins.append(ctx.finish())
+
+                threads = [threading.Thread(target=racer)
+                           for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                assert sorted(wins) == [False, False, False, True]
+        finally:
+            sys.setswitchinterval(interval)
+        assert diag.flight.total == 50
+
+    def test_context_without_recorder_commits_nowhere(self):
+        """Diagnostics off: the id is still minted, stages still land on
+        the record, and finish simply has no ring to append to."""
+        ctx = self.context(None)
+        ctx.stage("serve.embed", 1.0, 1.5)
+        assert ctx.request_id
+        assert ctx.record.embed_ms == 500.0
+        assert ctx.finish()
+        assert ctx.record.completed_at == 0.0
+
+    def test_unfinished_context_leaks_nothing(self):
+        """Nothing but its creator holds a context, so one that is never
+        finished is plain garbage: no registry to bound, nothing
+        committed, nothing kept alive."""
+        diag = self.diag()
+        ctx = self.context(diag)
+        ref = weakref.ref(ctx.record)  # held by the context alone
+        del ctx
+        gc.collect()
+        assert ref() is None
+        assert diag.flight.total == 0
+
+    def test_stage_writes_field_and_span_from_one_pair_of_instants(self):
+        with obs.enabled():
+            tracer = obs.Tracer()
+            ctx = RequestContext("owner", self.diag(), tracer)
+            root = ctx.enter("serve.request", top_k=3)
+            ctx.stage("serve.rank", 10.0, 10.25, batch_size=1)
+            ctx.stage("serve.fallback", 11.0, 11.5)  # span only
+            ctx.finish()
+            (rank,) = [s for s in tracer.finished()
+                       if s.name == "serve.rank"]
+            assert rank.parent_id == root.span_id
+            assert rank.attrs == {"batch_size": 1}
+            assert ctx.record.rank_ms == rank.duration_ms == 250.0
+            assert root.end is not None  # finish closed the open layer
+            assert root.attrs == {"top_k": 3,
+                                  "request_id": ctx.request_id}
+
+    def test_layers_nest_and_the_first_is_the_root(self):
+        with obs.enabled():
+            tracer = obs.Tracer()
+            ctx = RequestContext("owner", None, tracer)
+            outer = ctx.enter("gateway.request")
+            inner = ctx.enter("serve.request")
+            assert inner.parent_id == outer.span_id
+            assert ctx.root is outer
+            ctx.leave(source="model")
+            assert inner.end is not None and outer.end is None
+            assert inner.attrs["source"] == "model"
+            ctx.stage("gateway.queue", 1.0, 2.0)  # now under the root
+            (queue,) = [s for s in tracer.finished()
+                        if s.name == "gateway.queue"]
+            assert queue.parent_id == outer.span_id
+
+    def test_tracing_off_means_no_spans_but_the_same_record(self):
+        tracer = obs.Tracer()
+        ctx = RequestContext("owner", None, tracer)
+        assert ctx.enter("serve.request") is None
+        ctx.tag(structure="P(E)")
+        ctx.stage("serve.queue", 0.0, 0.002)
+        ctx.leave(source="model")
+        assert ctx.record.queue_ms == 2.0
+        assert tracer.finished() == []
+
+
 class TestDiagnostics:
     @staticmethod
     def diag(**kwargs):
         return Diagnostics(DiagConfig(trace_top_p=None),
                            registry=MetricsRegistry(), **kwargs)
 
-    def test_begin_mints_id_and_resume_finds_it(self):
-        diag = self.diag()
-        record = diag.begin(tenant="acme")
-        assert record.request_id
-        assert diag.resume(record.request_id) is record
-        assert diag.resume("") is None
-        assert diag.resume("nope") is None
-
     def test_commit_is_exactly_once(self):
         diag = self.diag()
-        record = diag.begin()
-        record.latency_ms = 1.0
-        diag.commit(record)
-        diag.commit(record)  # second commit: no-op
+        ctx = RequestContext("owner", diag, diag.tracer)
+        assert ctx.finish(latency_ms=1.0)
+        assert not ctx.finish(latency_ms=99.0)  # second finish: no-op
         assert diag.flight.total == 1
-        assert diag.resume(record.request_id) is None  # no longer open
-
-    def test_commit_of_never_begun_record_is_noop(self):
-        diag = self.diag()
-        diag.commit(FlightRecord(request_id="stranger"))
-        assert diag.flight.total == 0
-
-    def test_in_progress_registry_is_bounded(self):
-        diag = self.diag(max_in_progress=2)
-        first = diag.begin()
-        diag.begin()
-        diag.begin()  # evicts `first` from the in-progress registry
-        diag.commit(first)  # ...so its commit became a no-op
-        assert diag.flight.total == 0
+        assert diag.flight.get(ctx.request_id).latency_ms == 1.0
 
     def test_commit_feeds_the_slo_engine(self):
         diag = self.diag()
-        good = diag.begin()
-        good.latency_ms = 1.0
-        diag.commit(good)
-        bad = diag.begin()
-        bad.error = "ratelimit"
-        diag.commit(bad)
+        diag.commit(FlightRecord(request_id="good", latency_ms=1.0))
+        diag.commit(FlightRecord(request_id="bad", error="ratelimit"))
         availability = diag.slo.objectives[0]
         assert diag.slo.burn_rate(availability, 300.0) == \
             pytest.approx(0.5 / availability.budget)
 
     def test_flight_payload_shape(self):
         diag = self.diag()
-        record = diag.begin(tenant="acme")
-        diag.commit(record)
+        diag.commit(FlightRecord(request_id="r1", tenant="acme"))
         payload = diag.flight_payload(n=10)
         assert payload["count"] == 1
         assert payload["total_recorded"] == 1
         assert payload["records"][0]["tenant"] == "acme"
+        assert payload["records"][0]["completed_at"] > 0
         assert payload["traces_retained"] == 0
 
     def test_slo_payload_lists_p99_exemplars(self):
@@ -328,17 +423,17 @@ class TestDiagnostics:
         assert payload["windows"]["fast"] == [300.0, 3600.0, 14.4]
 
     def test_trace_retention_requires_enabled_tracing(self):
-        """With tracing off there is no span tree to keep: commit still
+        """With tracing off there is no span tree to keep: finish still
         records the flight entry but retains nothing."""
         diag = Diagnostics(DiagConfig(trace_latency_ms=0.0,
                                       trace_top_p=None),
                            registry=MetricsRegistry())
-        record = diag.begin()
-        record.latency_ms = 99.0
-        diag.commit(record)
+        ctx = RequestContext("owner", diag, diag.tracer)
+        ctx.enter("serve.request")
+        ctx.finish(latency_ms=99.0)
         assert diag.flight.total == 1
-        assert not record.trace_retained
-        assert diag.trace(record.request_id) is None
+        assert not ctx.record.trace_retained
+        assert diag.trace(ctx.request_id) is None
 
     def test_trace_retention_keeps_the_span_subtree(self):
         registry = MetricsRegistry()
@@ -347,21 +442,18 @@ class TestDiagnostics:
             diag = Diagnostics(DiagConfig(trace_latency_ms=0.0,
                                           trace_top_p=None),
                                registry=registry, tracer=tracer)
-            record = diag.begin()
-            root = tracer.start_span("serve.request")
-            child = tracer.start_span("serve.embed", parent=root)
-            tracer.end_span(child)
-            tracer.end_span(root)
-            record.root_span = root
-            record.latency_ms = 42.0
-            diag.commit(record)
-            assert record.trace_retained
-            spans = diag.trace(record.request_id)
+            ctx = RequestContext("owner", diag, tracer)
+            ctx.enter("serve.request")
+            ctx.stage("serve.embed", time.perf_counter(),
+                      time.perf_counter())
+            ctx.finish(latency_ms=42.0)
+            assert ctx.record.trace_retained
+            spans = diag.trace(ctx.request_id)
             assert [s.name for s in spans] == \
                 ["serve.request", "serve.embed"]
             # every retained span is stamped with the join key
             assert {s.attrs["request_id"] for s in spans} == \
-                {record.request_id}
+                {ctx.request_id}
 
     def test_fast_request_leaves_no_retained_trace(self):
         with obs.enabled():
@@ -369,12 +461,9 @@ class TestDiagnostics:
             diag = Diagnostics(DiagConfig(trace_latency_ms=1000.0,
                                           trace_top_p=None),
                                registry=MetricsRegistry(), tracer=tracer)
-            record = diag.begin()
-            root = tracer.start_span("serve.request")
-            tracer.end_span(root)
-            record.root_span = root
-            record.latency_ms = 0.5
-            diag.commit(record)
-            assert not record.trace_retained
-            assert diag.trace(record.request_id) is None
+            ctx = RequestContext("owner", diag, tracer)
+            ctx.enter("serve.request")
+            ctx.finish(latency_ms=0.5)
+            assert not ctx.record.trace_retained
+            assert diag.trace(ctx.request_id) is None
             assert diag.sampler.discarded == 1

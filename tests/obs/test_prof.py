@@ -5,8 +5,8 @@ runtime: deterministic sampling passes, the overhead-budget
 down-sampling loop, delta flushing and the parent-side store,
 order-independent count-conserving merges (property-tested), the two
 flame-graph export formats, self-time-share diff attribution — including
-a *real* injected slowdown being attributed to the slowed frame — the
-dual-profiler warning, and the memory observability helpers.
+a *real* injected slowdown being attributed to the slowed frame — and
+the memory observability helpers.
 """
 
 import json
@@ -16,12 +16,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.obs import prof
 from repro.obs.prof import (Profile, ProfileStore, SamplingProfiler,
                             diff_plan_ops, diff_profiles, estimate_nbytes,
                             format_diff, format_top, load_profile_payload,
                             merge_profiles, process_rss_bytes,
-                            sampler_active, self_time_shares, to_folded,
+                            self_time_shares, to_folded,
                             to_speedscope, window_profiles)
 
 pytestmark = [pytest.mark.obs, pytest.mark.prof]
@@ -68,13 +67,10 @@ class TestSampling:
     def test_start_stop_thread_lifecycle(self):
         sampler = SamplingProfiler(hz=200, role="test")
         assert not sampler.running
-        assert not sampler_active()
         with sampler:
             assert sampler.running
-            assert sampler_active()
             time.sleep(0.1)
         assert not sampler.running
-        assert not sampler_active()
         assert sampler.snapshot().samples > 0
         assert sampler.duration_s() > 0.05
 
@@ -370,63 +366,6 @@ class TestAttribution:
         assert "_stage_slowed" in riser["frame"], (
             f"slowdown attributed to {riser['frame']!r}:\n"
             + format_diff(diff_profiles(baseline, latest)))
-
-
-class TestDualProfilerWarning:
-    @pytest.fixture(autouse=True)
-    def _reset_warned(self):
-        was = prof._dual_warned
-        prof._dual_warned = False
-        yield
-        prof._dual_warned = was
-
-    def test_instrumenting_profiler_warns_when_sampler_running(self):
-        from repro.obs.profiler import Profiler
-        sampler = SamplingProfiler(hz=10, role="test").start()
-        try:
-            with pytest.warns(RuntimeWarning, match="both active"):
-                with Profiler():
-                    pass
-        finally:
-            sampler.stop()
-
-    def test_sampler_warns_when_instrumenting_profiler_active(self):
-        from repro.obs.profiler import Profiler
-        with Profiler():
-            sampler = SamplingProfiler(hz=10, role="test")
-            with pytest.warns(RuntimeWarning, match="both active"):
-                sampler.start()
-            sampler.stop()
-
-    def test_warning_fires_once_per_process(self):
-        from repro.obs.profiler import Profiler
-        sampler = SamplingProfiler(hz=10, role="test").start()
-        try:
-            with pytest.warns(RuntimeWarning):
-                with Profiler():
-                    pass
-            with warnings_none():
-                with Profiler():
-                    pass
-        finally:
-            sampler.stop()
-
-
-class warnings_none:
-    """Context asserting no warnings were raised inside it."""
-
-    def __enter__(self):
-        import warnings
-        self._catcher = warnings.catch_warnings(record=True)
-        self._records = self._catcher.__enter__()
-        import warnings as w
-        w.simplefilter("always")
-        return self
-
-    def __exit__(self, *exc_info):
-        self._catcher.__exit__(*exc_info)
-        assert not self._records, (
-            f"unexpected warnings: {[str(r.message) for r in self._records]}")
 
 
 class TestMemoryHelpers:

@@ -1,4 +1,4 @@
-"""Profiler: on/off parity, op attribution, restore-on-exit."""
+"""ModuleTimer: on/off parity, module attribution, restore-on-exit."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ import pytest
 from repro import nn
 from repro.nn import functional as F
 from repro.nn import modules as nn_modules
-from repro.nn import tensor as nn_tensor
-from repro.obs import ModuleTimer, Profiler
+from repro.obs import ModuleTimer
 
 pytestmark = pytest.mark.obs
 
@@ -26,84 +25,42 @@ def _forward_backward(seed: int = 0):
 class TestParity:
     def test_outputs_and_grads_identical_with_profiler(self):
         loss_off, xgrad_off, grads_off = _forward_backward()
-        with Profiler() as prof:
+        with ModuleTimer() as timer:
             loss_on, xgrad_on, grads_on = _forward_backward()
         assert loss_on == loss_off
         np.testing.assert_array_equal(xgrad_on, xgrad_off)
         for on, off in zip(grads_on, grads_off):
             np.testing.assert_array_equal(on, off)
-        assert prof.op_stats  # and it did record something
+        assert timer.module_stats  # and it did record something
 
     def test_patching_restored_on_exit(self):
+        """The timer installs the module-call hook and nothing else: no
+        Tensor method and no functional op is rebound, even while on."""
         before = {name: getattr(nn.Tensor, name)
-                  for name in ("__add__", "__matmul__", "sum")}
-        before_functional = F.relu
-        with Profiler():
-            assert F.relu is not before_functional
-        for name, fn in before.items():
-            assert getattr(nn.Tensor, name) is fn
-        assert F.relu is before_functional
-        assert nn_tensor.get_profiler() is None
+                  for name in ("__add__", "__matmul__", "sum", "backward")}
+        before_functional = {name: getattr(F, name) for name in F.__all__}
+        with ModuleTimer():
+            assert nn_modules.get_call_hook() is not None
+            for name, fn in before.items():
+                assert getattr(nn.Tensor, name) is fn
+            for name, fn in before_functional.items():
+                assert getattr(F, name) is fn
         assert nn_modules.get_call_hook() is None
 
     def test_restored_even_on_exception(self):
-        before = nn.Tensor.__add__
         with pytest.raises(RuntimeError):
-            with Profiler():
+            with ModuleTimer():
                 raise RuntimeError("boom")
-        assert nn.Tensor.__add__ is before
-        assert nn_tensor.get_profiler() is None
-
-
-class TestOpStats:
-    def test_forward_and_backward_attributed(self):
-        with Profiler(with_modules=False) as prof:
-            _forward_backward()
-        stats = prof.op_stats
-        for op in ("__matmul__", "__add__", "relu", "softmax", "sum"):
-            assert stats[op].calls >= 1, op
-            assert stats[op].forward_s >= 0.0
-        # ops on the grad path recorded backward passes
-        assert stats["__matmul__"].backward_calls >= 1
-        assert stats["sum"].backward_calls >= 1
-
-    def test_self_time_excludes_children(self):
-        # softmax is built from exp/sub/div/sum: its self time must not
-        # swallow the children, so the sum of self times stays <= wall.
-        with Profiler(with_modules=False) as prof:
-            _forward_backward()
-        total_forward = sum(s.forward_s for s in prof.op_stats.values())
-        assert total_forward < 10.0  # sane, not double counted to absurdity
-        assert prof.op_stats["softmax"].forward_s >= 0.0
-
-    def test_alloc_bytes_counted(self):
-        with Profiler(with_modules=False) as prof:
-            a = nn.Tensor(np.zeros((100, 50)))
-            b = nn.Tensor(np.ones((100, 50)))
-            _ = a + b
-        assert prof.op_stats["__add__"].alloc_bytes >= 100 * 50 * 8
-
-    def test_reflected_ops_report_canonical_name(self):
-        with Profiler(with_modules=False) as prof:
-            _ = 2.0 * nn.Tensor(np.ones(3))
-        assert "__mul__" in prof.op_stats
-        assert "__rmul__" not in prof.op_stats
-
-    def test_table_renders(self):
-        with Profiler() as prof:
-            _forward_backward()
-        table = prof.table(limit=5)
-        assert "op" in table and "fwd ms" in table
-        assert "module" in table  # module section present
+        assert nn_modules.get_call_hook() is None
 
 
 class TestModuleHook:
     def test_module_stats_collected(self):
-        with Profiler() as prof:
+        with ModuleTimer() as timer:
             _forward_backward()
-        assert prof.module_stats["MLP"].calls == 1
-        assert prof.module_stats["Linear"].calls >= 2  # MLP's layers
-        mlp = prof.module_stats["MLP"]
+        assert timer.module_stats["MLP"].calls == 1
+        assert timer.module_stats["Linear"].calls >= 2  # MLP's layers
+        mlp = timer.module_stats["MLP"]
         assert mlp.self_s <= mlp.total_s
 
     def test_module_timer_standalone(self):
@@ -115,11 +72,8 @@ class TestModuleHook:
         assert nn_modules.get_call_hook() is None
 
     def test_nested_profilers_rejected(self):
-        with Profiler():
-            with pytest.raises(RuntimeError):
-                with Profiler():
-                    pass
         with ModuleTimer():
             with pytest.raises(RuntimeError):
                 with ModuleTimer():
                     pass
+        assert nn_modules.get_call_hook() is None

@@ -8,7 +8,7 @@ exemplars, and the ``diagnostics=False`` off-switch.
 import pytest
 
 from repro import obs
-from repro.obs.diag import DiagConfig
+from repro.obs.diag import DiagConfig, RequestContext
 from repro.queries import Entity, Projection
 from repro.serve import ServeConfig, ServeRuntime
 
@@ -43,14 +43,18 @@ class TestRequestIdsOnResults:
         assert len(set(ids)) == 5
 
     def test_caller_supplied_id_is_honoured(self, runtime, tiny_kg):
+        """An upstream layer joins a request to its own diagnostics by
+        handing its context in; it minted it, so it finishes it."""
         (query,) = distinct_queries(tiny_kg, 1)
-        future = runtime.submit(query, top_k=3,
-                                request_id="ticket-42", tenant="acme")
-        result = future.result(timeout=10)
+        ctx = RequestContext("upstream", runtime.diag, runtime.tracer,
+                             request_id="ticket-42", tenant="acme")
+        result = runtime.submit(query, top_k=3, ctx=ctx).result(timeout=10)
         assert result.request_id == "ticket-42"
+        assert runtime.diag.flight.get("ticket-42") is None  # not ours
+        ctx.finish()
         record = runtime.diag.flight.get("ticket-42")
-        assert record is not None
         assert record.tenant == "acme"
+        assert record.source == "model"  # the serve side was filled in
 
     def test_ids_minted_even_with_diagnostics_off(self, model, tiny_kg):
         config = ServeConfig(max_batch_size=4, num_workers=1,
@@ -111,6 +115,34 @@ class TestFlightRecords:
         assert ids == {r.request_id for r in results}
         for rid in ids:
             assert runtime.diag.flight.get(rid) is not None
+
+
+class TestSubmitAfterClose:
+    def test_every_rejected_submit_gets_its_outcome(self, model, tiny_kg):
+        """A closed runtime refuses the request — but the refusal is the
+        request's terminal outcome: one flight record, one error count,
+        its spans ended, nothing left half-open by the raise."""
+        tracer = obs.Tracer()
+        queries = distinct_queries(tiny_kg, 3)
+        with obs.enabled():
+            runtime = ServeRuntime(model, kg=tiny_kg, tracer=tracer)
+            runtime.close()
+            for query in queries:
+                with pytest.raises(RuntimeError, match="closed"):
+                    runtime.submit(query, top_k=3)
+        records = runtime.diag.flight.dump()
+        assert len(records) == runtime.diag.flight.total == 3
+        assert {(r.source, r.error, r.cache) for r in records} == \
+            {("error", "closed", "miss")}
+        assert len({r.request_id for r in records}) == 3
+        counters = runtime.metrics.snapshot().counters
+        assert counters["requests"] == counters["errors"] == 3
+        roots = [s for s in tracer.finished() if s.name == "serve.request"]
+        assert len(roots) == 3  # finished() holds ended spans only
+        assert {(s.attrs["source"], s.attrs["reason"]) for s in roots} == \
+            {("error", "closed")}
+        assert not [s for s in tracer.finished()
+                    if s.name == "serve.queue"]  # never queued
 
 
 class TestTailSampledTraces:

@@ -186,7 +186,6 @@ class TestTraceCommand:
         args = build_parser().parse_args(["trace"])
         assert args.structure == "3p"
         assert args.out == "trace.json"
-        assert not args.profile
 
     def test_trace_emits_chrome_trace(self, tmp_path, capsys):
         out_path = tmp_path / "trace.json"
@@ -207,6 +206,9 @@ class TestTraceCommand:
         assert not obs.is_enabled()
 
     def test_trace_sparql_with_profile(self, tmp_path, capsys):
+        """``--sparql`` traces the engine path; ``--profile`` (the
+        Tensor-patching profiler's flag) is gone — ``cli prof`` and the
+        ``plan.stage`` spans attribute op cost instead."""
         from repro.kg import load_dataset
         common = ["--dataset", "FB237", "--method", "HaLk", "--dim", "8",
                   "--scale", "0.3", "--model-dir", str(tmp_path)]
@@ -216,11 +218,15 @@ class TestTraceCommand:
         head, rel, _ = sorted(splits.train.triples)[0]
         sparql = (f"SELECT ?x WHERE {{ {splits.train.entity_names[head]} "
                   f"{splits.train.relation_names[rel]} ?x }}")
-        assert main(["trace", *common, "--sparql", sparql, "--profile",
+        assert main(["trace", *common, "--sparql", sparql,
                      "--out", ""]) == 0
         out = capsys.readouterr().out
         assert "sparql.answer" in out
-        assert "fwd ms" in out  # profiler table
+        assert "fwd ms" not in out  # no per-op profiler table any more
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", *common, "--sparql", sparql, "--profile"])
+        assert excinfo.value.code == 2
+        assert "--profile" in capsys.readouterr().err
 
 class TestCheckpointResume:
     def _common(self, model_dir):

@@ -1,5 +1,7 @@
 """Tests for the configuration dataclasses."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import ModelConfig, TrainConfig
@@ -73,3 +75,14 @@ class TestTrainConfig:
     def test_with_replaces_fields(self):
         config = TrainConfig().with_(epochs=5)
         assert config.epochs == 5
+
+
+class TestOptionBudget:
+    def test_serving_option_count_is_a_deliberate_edit(self):
+        """Each independently settable field doubles the configurations
+        the tests and the bench must cover, so a new knob is an edit to
+        this test as well — reviewed, not incidental."""
+        from repro.obs.diag import DiagConfig
+        from repro.serve import ServeConfig
+        assert len(dataclasses.fields(ServeConfig)) <= 20
+        assert len(dataclasses.fields(DiagConfig)) <= 5
