@@ -13,6 +13,17 @@ if grep -rnE '_in_progress|diag_owned|shard_info|set_profiler|warn_dual_profiler
     exit 1
 fi
 
+# the served forward pass stays plain numpy: no autograd import, grad
+# switch, Tensor construction or distance_to_all call in the plan
+# backend, the executor or the runtime (docstrings may name repro.nn;
+# code may not reach for it)
+if grep -nE 'from \.+nn\b|from repro\.nn|import repro\.nn|no_grad|Tensor\(|distance_to_all\(' \
+        src/repro/plan/backend.py src/repro/plan/executor.py \
+        src/repro/serve/runtime.py; then
+    echo "tier1: the autograd wrapper is back on the answer path (see above)" >&2
+    exit 1
+fi
+
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q "$@"
 
 # gate on the recorded benchmark trajectory when one exists; a red gate

@@ -298,7 +298,8 @@ def cmd_explain(args) -> int:
 
 def _serve_runtime(model, **kwargs):
     """A ServeRuntime, or a one-line exit for a model serving leaves out
-    (no ``plan_backend()``: the ConE / NewLook / MLPMix baselines)."""
+    (no ``plan_backend()``: the ConE / NewLook / MLPMix baselines and the
+    HaLk-V1/V2/V3 ablations)."""
     from .serve import ServeRuntime
     try:
         return ServeRuntime(model, **kwargs)

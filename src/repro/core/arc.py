@@ -22,9 +22,20 @@ import numpy as np
 
 from ..nn import F, Tensor
 
-__all__ = ["Arc", "angle_features", "chord_length", "angular_difference"]
+__all__ = ["Arc", "angle_features", "chord_length", "angular_difference",
+           "wrap_angles"]
 
 TWO_PI = 2.0 * np.pi
+
+
+def wrap_angles(angles: np.ndarray) -> np.ndarray:
+    """``F.wrap_angle`` on a plain array: same ops, same bits, no graph.
+
+    For the code that runs off the autograd path on purpose — the
+    published entity table and the serving backend.
+    """
+    data = np.mod(angles, TWO_PI)
+    return np.where(data >= TWO_PI, 0.0, data)
 
 
 @dataclass

@@ -26,7 +26,7 @@ from ..obs.trace import get_tracer
 from ..queries.computation_graph import (Difference, Entity, Intersection,
                                          Negation, Node, Projection, Union,
                                          structure_signature, to_dnf)
-from .arc import TWO_PI, Arc
+from .arc import TWO_PI, Arc, wrap_angles
 from .distance import distance_to_points
 from .operators import (DifferenceOperator, IntersectionOperator,
                         NegationOperator, ProjectionOperator)
@@ -35,7 +35,8 @@ from .operators import (DifferenceOperator, IntersectionOperator,
 # it without importing the model stack.
 from .topk import topk_rows
 
-__all__ = ["QueryModel", "HalkModel", "HalkQueryEmbedding", "topk_rows"]
+__all__ = ["QueryModel", "HalkModel", "HalkQueryEmbedding",
+           "HalkServedEmbedding", "topk_rows"]
 
 
 class QueryModel(Module):
@@ -200,8 +201,10 @@ class QueryModel(Module):
         Models that support :mod:`repro.plan` return an object with the
         ``anchor``/``project``/``intersect``/``difference``/``negate``/
         ``finalize`` primitives the plan executor schedules; embeddings
-        it produces must be accepted by :meth:`distance_to_all` and the
-        sharded ranking payload unchanged.  Required by serving: compiled
+        it produces must be accepted by :meth:`ranking_payload` (the
+        rank stage of every serving tier) and by :meth:`distance_to_all`
+        (the oracle the equivalence suites hold them against).
+        Required by serving, as is :meth:`sharding_spec`: compiled
         plans are the only model path of :class:`repro.serve.ServeRuntime`,
         which refuses (``TypeError``) a model returning the default None —
         such a model trains and evaluates through :meth:`embed_batch` only.
@@ -212,12 +215,13 @@ class QueryModel(Module):
     # optional hooks used by the sharded executor (repro.dist)
     # ------------------------------------------------------------------
     def sharding_spec(self):
-        """Entity table + scorer for sharded ranking, or None.
+        """Entity table + scorer — what serving ranks over — or None.
 
-        Models that support :class:`repro.dist.ShardedRanker` return a
-        ``(points, scorer)`` pair: ``points`` is the ``(N, d)`` float64
-        entity representation published to shard workers via shared
-        memory, and ``scorer`` is a picklable
+        A ``(points, scorer)`` pair: ``points`` is the ``(N, d)`` float64
+        entity representation — scored as one block by in-process
+        serving (:class:`repro.dist.LocalRanker`), published to shard
+        workers via shared memory by :class:`repro.dist.ShardedRanker` —
+        and ``scorer`` is a picklable
         :class:`repro.dist.ShardScorer` that turns a
         :meth:`ranking_payload` plus a contiguous row block of ``points``
         into a ``(B, n)`` distance block — bitwise identical to the
@@ -241,6 +245,29 @@ class HalkQueryEmbedding:
 
     branches: list[Arc]
     signature: np.ndarray  # (B, G) multi-hot over groups
+
+
+@dataclass
+class HalkServedEmbedding:
+    """The same embedding as serving holds it: plain arrays, no autograd.
+
+    What a compiled plan's ``finalize`` hands the rank stage, the
+    embedding LRU and the shard workers.  ``arcs`` *is* the scorer's
+    payload — one ``(center, length)`` pair of ``(B, d)`` float64 arrays
+    per DNF branch — so ranking reads it as it stands.
+    """
+
+    arcs: list[tuple[np.ndarray, np.ndarray]]
+    signature: np.ndarray  # (B, G) multi-hot over groups
+    radius: float
+
+    @property
+    def branches(self) -> list[Arc]:
+        """Tensor-backed view, built on demand: the door through which
+        the oracle (:meth:`HalkModel.distance_to_all`) reads a served
+        embedding.  Serving itself never opens it."""
+        return [Arc(Tensor(center), Tensor(length), self.radius)
+                for center, length in self.arcs]
 
 
 class HalkModel(QueryModel):
@@ -377,22 +404,34 @@ class HalkModel(QueryModel):
     # ------------------------------------------------------------------
     # serving hooks
     # ------------------------------------------------------------------
-    def slice_embedding(self, embedding: HalkQueryEmbedding,
-                        index: int) -> HalkQueryEmbedding:
-        branches = [Arc(arc.center[index:index + 1].detach(),
-                        arc.length[index:index + 1].detach(), arc.radius)
-                    for arc in embedding.branches]
-        return HalkQueryEmbedding(branches,
-                                  embedding.signature[index:index + 1].copy())
+    def slice_embedding(self, embedding, index: int) -> HalkServedEmbedding:
+        rows = slice(index, index + 1)
+        return HalkServedEmbedding(
+            [(center[rows], length[rows])
+             for center, length in self.ranking_payload(embedding)],
+            embedding.signature[rows].copy(), self.config.radius)
 
-    def query_points(self, embedding: HalkQueryEmbedding) -> list[np.ndarray]:
-        return [arc.wrapped_center() for arc in embedding.branches]
+    def query_points(self, embedding) -> list[np.ndarray]:
+        return [np.mod(center, TWO_PI)
+                for center, _ in self.ranking_payload(embedding)]
 
     # ------------------------------------------------------------------
     # plan-compiler hook (repro.plan)
     # ------------------------------------------------------------------
     def plan_backend(self):
+        """The numpy backend — for the paper's four operators only.
+
+        It re-states their arithmetic (see ``repro.plan.backend``), so a
+        variant that swaps an operator class (the Table V ablations) has
+        no backend and, like the baselines, is train/evaluate-only.
+        """
         from ..plan.backend import HalkPlanBackend
+        stock = (ProjectionOperator, IntersectionOperator,
+                 DifferenceOperator, NegationOperator)
+        ours = (self.projection, self.intersection, self.difference,
+                self.negation)
+        if any(type(op) is not kind for op, kind in zip(ours, stock)):
+            return None
         return HalkPlanBackend(self)
 
     # ------------------------------------------------------------------
@@ -407,14 +446,13 @@ class HalkModel(QueryModel):
         columns.
         """
         from ..dist.scorer import ArcShardScorer
-        # plain-numpy replica of F.wrap_angle (same ops → same bits),
-        # kept off the autograd graph on purpose
-        points = np.mod(self.entity_points.weight.data, TWO_PI)
-        points = np.where(points >= TWO_PI, 0.0, points)
-        return points, ArcShardScorer(eta=self.config.eta,
-                                      radius=self.config.radius)
+        return (wrap_angles(self.entity_points.weight.data),
+                ArcShardScorer(eta=self.config.eta,
+                               radius=self.config.radius))
 
-    def ranking_payload(self, embedding: HalkQueryEmbedding):
+    def ranking_payload(self, embedding):
+        if isinstance(embedding, HalkServedEmbedding):
+            return embedding.arcs
         return [(np.ascontiguousarray(arc.center.data),
                  np.ascontiguousarray(arc.length.data))
                 for arc in embedding.branches]

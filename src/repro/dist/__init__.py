@@ -23,7 +23,7 @@ from .plan import (
 )
 from .pool import (DistError, HedgeConfig, HedgePolicy, ShardWorkerPool,
                    WorkerCrash, WorkerRole)
-from .ranker import RankWorkerRole, ShardedRanker
+from .ranker import LocalRanker, RankWorkerRole, ShardedRanker
 from .scorer import ArcShardScorer, ShardScorer
 from .trainer import ShardedTrainer, TrainWorkerRole
 
@@ -33,6 +33,7 @@ __all__ = [
     "EntityShardPlan",
     "HedgeConfig",
     "HedgePolicy",
+    "LocalRanker",
     "RankWorkerRole",
     "ShardRange",
     "ShardScorer",

@@ -9,7 +9,11 @@ contiguous shard.  Per request it ships the model's small
 block (global-id offset applied), and the parent merges the candidates
 exactly (:func:`repro.dist.merge.merge_topk`).
 
-Callers treat it interchangeably with the in-process path:
+Its in-process sibling :class:`LocalRanker` runs the same scorer over the
+whole table as one block — no workers, no shared memory — so every
+serving tier ranks through one kernel (``ShardScorer.topk``).
+
+Callers treat the two interchangeably:
 
 * ``QueryModel.answer_batch(queries, ranker=...)``
 * ``QueryModel.rank_all_entities(queries, ranker=...)``
@@ -49,7 +53,7 @@ from .pool import HedgeConfig, HedgePolicy, ShardWorkerPool, WorkerCrash, \
     WorkerRole
 from .scorer import ShardScorer
 
-__all__ = ["RankWorkerRole", "ShardedRanker"]
+__all__ = ["LocalRanker", "RankWorkerRole", "ShardedRanker"]
 
 
 def rank_block(scorer: ShardScorer, points: np.ndarray, offset: int,
@@ -58,13 +62,54 @@ def rank_block(scorer: ShardScorer, points: np.ndarray, offset: int,
 
     The single ranking path of shard workers and the parent-side hedge:
     both reach the scorer through here with the same rows, so a hedged
-    reply is the worker's reply by construction.
+    reply is the worker's reply by construction.  ``request`` carries
+    the table owner's ``filterable`` verdict (absent = the scorer checks
+    the block itself): workers cannot see a ``refresh``, the parent can.
     """
     if request["mode"] == "all":
         return {"distances": scorer.score(points, request["payload"])}
     local, vals = scorer.topk(points, request["payload"], request["k"],
-                              stats)
+                              stats, request.get("filterable"))
     return {"ids": local + offset, "vals": vals}
+
+
+class LocalRanker:
+    """In-process ``topk`` over the model's whole entity table.
+
+    The one-block case of :class:`ShardedRanker`: the same
+    ``sharding_spec()`` table and scorer, the same ``ranking_payload``,
+    no pool.  The wrapped table is built once and again on
+    :meth:`refresh` (the serving runtime calls it under its model write
+    lock).  A batch the filter had to hand to the exact all-rows pass
+    is counted as ``rank_filter_fallbacks`` on ``metrics`` (the process
+    registry when omitted), like a shard worker's.
+    """
+
+    def __init__(self, model, metrics: MetricsRegistry | None = None):
+        self.model = model
+        self.metrics = metrics if metrics is not None else get_registry()
+        self.refresh()
+
+    def refresh(self) -> None:
+        """Rebuild the table from the model's current weights."""
+        spec = self.model.sharding_spec()
+        if spec is None:
+            raise TypeError(f"model {type(self.model).__name__} has no "
+                            "sharding_spec(): nothing to rank over")
+        self._points, self._scorer = spec
+        self._filterable = self._scorer.filterable(self._points)
+
+    def topk(self, embedding, k: int, ctx=None
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, vals)`` exactly as :meth:`ShardedRanker.topk`."""
+        stats: dict = {}
+        out = self._scorer.topk(self._points,
+                                self.model.ranking_payload(embedding),
+                                k, stats, self._filterable)
+        if stats.get("fallbacks"):
+            self.metrics.counter("rank_filter_fallbacks").inc(
+                stats["fallbacks"])
+        return out
 
 
 class RankWorkerRole(WorkerRole):
@@ -152,6 +197,9 @@ class ShardedRanker:
         points, scorer = spec
         self.model = model
         self._scorer = scorer
+        #: the table is inside the scorer's filter domain; decided here
+        #: and on refresh, shipped with every top-k request
+        self._filterable = scorer.filterable(points)
         self.tracer = tracer if tracer is not None else get_tracer()
         if lazy_slabs is None:
             lazy_slabs = points.shape[0] >= self.LAZY_SLAB_THRESHOLD
@@ -225,8 +273,9 @@ class ShardedRanker:
         ``shards`` fan-out and ``hedge_wins`` count are noted on its
         flight record.
         """
-        replies, timings = self._run({"mode": "topk", "k": int(k)},
-                                     embedding, ctx)
+        replies, timings = self._run(
+            {"mode": "topk", "k": int(k), "filterable": self._filterable},
+            embedding, ctx)
         with self.tracer.span("shard.merge", shards=self.num_shards):
             return merge_topk([r["ids"] for r in replies],
                               [r["vals"] for r in replies], k)
@@ -287,6 +336,7 @@ class ShardedRanker:
         if spec is None:  # pragma: no cover - spec cannot disappear
             raise ValueError("model no longer provides a sharding spec")
         self.plan.update(spec[0])
+        self._filterable = self._scorer.filterable(spec[0])
 
     def close(self) -> None:
         """Stop workers and destroy the shared segment; idempotent."""

@@ -29,9 +29,18 @@ is at most :attr:`ArcShardScorer.filter_epsilon` (a function of ``d``,
 just the rows within ``2ε`` of the k-th smallest approximation —
 provably a superset of the exact top-k, ties included, so the answer is
 bitwise the full exact pass's at a fraction of its cost (≈7× faster per
-50k-row block; lemma and ε derivation in DESIGN.md §7).  ``score``
-itself stays the exact kernel: ``mode="all"`` evaluation needs every
-distance and takes no shortcut.
+50k-row block; lemma and ε derivation in DESIGN.md §7).  The refine is
+one batched pass: every query's surviving rows are gathered into a
+``(B, c)`` candidate matrix padded to the widest query, the exact kernel
+scores the gathered rows, pads are set to ``+inf`` and one
+:func:`~repro.core.topk.topk_rows` picks each row's k.  ``score`` itself
+stays the exact kernel: ``mode="all"`` evaluation needs every distance
+and takes no shortcut.
+
+This is the ranking kernel of *every* serving tier: shard workers, the
+parent-side hedge and in-process serving
+(:class:`repro.dist.ranker.LocalRanker`, the whole table as one block)
+all call :meth:`ShardScorer.topk`.
 """
 
 from __future__ import annotations
@@ -55,8 +64,18 @@ class ShardScorer:
         """Distance block ``(B, n)`` of ``payload`` against ``points``."""
         raise NotImplementedError
 
+    def filterable(self, points: np.ndarray) -> bool:
+        """May :meth:`topk` take its shortcut over this table?
+
+        A property of the table alone, so whoever owns one decides it
+        once per attach/refresh and passes the verdict to every
+        :meth:`topk` call instead of paying a scan per request.
+        """
+        return False
+
     def topk(self, points: np.ndarray, payload, k: int,
-             stats: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+             stats: dict | None = None, filterable: bool | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
         """Local ``(ids, vals)`` of the ``k`` nearest rows of ``points``.
 
         ``ids`` are row positions within ``points``, ordered by
@@ -64,6 +83,9 @@ class ShardScorer:
         ``vals`` are the matching exact distances.  Subclasses may
         compute this any way that returns the same bits; ``stats``, when
         a dict, receives whatever they count about how they did.
+        ``filterable`` is the table owner's :meth:`filterable` verdict
+        for (a superset of) ``points``; None means "not decided, check
+        now".
         """
         distances = self.score(points, payload)
         local = topk_rows(distances, k)
@@ -100,11 +122,18 @@ class ArcShardScorer(ShardScorer):
         self.radius = float(radius)
         self.block = int(block)
 
-    def score(self, points: np.ndarray, payload) -> np.ndarray:
-        """Min-over-branches arc distance (DNF minimum, paper §III-G)."""
+    def score(self, points: np.ndarray, payload,
+              rows: np.ndarray | None = None) -> np.ndarray:
+        """Min-over-branches arc distance (DNF minimum, paper §III-G).
+
+        With ``rows`` — a ``(B, c)`` matrix of row positions — query
+        ``q`` is scored against ``points[rows[q]]`` only and the block
+        is ``(B, c)``: the refine step's form, same bits per
+        (query, row) pair as the all-rows pass.
+        """
         best: np.ndarray | None = None
         for center, length in payload:
-            dist = self._branch_distance(points, center, length)
+            dist = self._branch_distance(points, center, length, rows)
             best = dist if best is None else np.minimum(best, dist)
         if best is None:
             raise ValueError("empty payload: no DNF branches")
@@ -115,18 +144,32 @@ class ArcShardScorer(ShardScorer):
         return (2.0 * abs(self.radius) * d * (1.0 + abs(self.eta))
                 * self.FILTER_TERM_ERROR)
 
+    def filterable(self, points: np.ndarray) -> bool:
+        """Is the table inside the filter bound's domain — finite and
+        within ``±POINT_LIMIT``?  One min/max pass (≈1 ms per 50k×32
+        block), which is why it is paid per table, not per request."""
+        limit = self.POINT_LIMIT
+        return points.size == 0 or bool(points.min() >= -limit
+                                        and points.max() <= limit)
+
     def topk(self, points: np.ndarray, payload, k: int,
-             stats: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+             stats: dict | None = None, filterable: bool | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
         """Filter-and-refine top-k, bitwise equal to the exact pass.
 
         ``stats`` counts ``refine_rows`` ((query, row) pairs the exact
         kernel scored) and ``fallbacks`` (the filter could not certify k
-        candidates, so the exact kernel scored every row).
+        candidates for every query — table outside the bound's domain,
+        or a payload that is not finite or beyond ``ENDPOINT_LIMIT`` —
+        so the exact kernel scored every row of the whole batch).
         """
         n = points.shape[0]
         k = min(int(k), n)
+        keep = None
         # k >= n: every row is an answer, there is nothing to filter
-        keep = self._candidates(points, payload, k) if 0 < k < n else None
+        if 0 < k < n and (self.filterable(points) if filterable is None
+                          else filterable):
+            keep = self._candidates(points, payload, k)
         if stats is not None:
             pairs = len(payload[0][0]) * n if keep is None else keep.sum()
             stats["refine_rows"] = stats.get("refine_rows", 0) + int(pairs)
@@ -134,17 +177,23 @@ class ArcShardScorer(ShardScorer):
                 stats["fallbacks"] = stats.get("fallbacks", 0) + 1
         if keep is None:
             return super().topk(points, payload, k)
-        ids = np.empty((keep.shape[0], k), dtype=np.int64)
-        vals = np.empty((keep.shape[0], k), dtype=np.float64)
-        for query, mask in enumerate(keep):
-            # rows ascend, so position order among them is id order and
-            # the (distance, position) tie-break carries over unchanged
-            rows = np.flatnonzero(mask)
-            own = [(center[query:query + 1], length[query:query + 1])
-                   for center, length in payload]
-            local, vals[query] = super().topk(points[rows], own, k)
-            ids[query] = rows[local[0]]
-        return ids, vals
+        # One batched refine.  np.nonzero walks the mask row-major and a
+        # boolean-mask assignment fills row-major, so a query's
+        # candidates land in its matrix row in ascending row order:
+        # position order among them is id order and topk_rows'
+        # (distance, position) tie-break carries over unchanged.  Pads
+        # (narrower queries) point at row 0 and are overwritten with
+        # +inf; in-domain distances are finite and every query keeps at
+        # least k real candidates, so a pad never makes a top-k.
+        counts = keep.sum(axis=-1)
+        real = np.arange(int(counts.max())) < counts[:, None]  # (B, c)
+        rows = np.zeros(real.shape, dtype=np.int64)
+        rows[real] = np.nonzero(keep)[1]
+        distances = self.score(points, payload, rows)
+        distances[~real] = np.inf
+        local = topk_rows(distances, k)
+        return (np.take_along_axis(rows, local, axis=-1),
+                np.take_along_axis(distances, local, axis=-1))
 
     def _candidates(self, points: np.ndarray, payload,
                     k: int) -> np.ndarray | None:
@@ -152,15 +201,11 @@ class ArcShardScorer(ShardScorer):
 
         With ``|approx − exact| ≤ ε`` on every row and ``a_k``/``e_k``
         the k-th smallest approximate/exact distance of a query, a row
-        with ``exact ≤ e_k`` has ``approx ≤ e_k + ε ≤ a_k + 2ε``.  None
-        when the bound does not apply (points outside ``POINT_LIMIT`` or
-        not finite) or a query keeps fewer than k rows (its payload was
-        not finite or beyond ``ENDPOINT_LIMIT``, which the filter maps
-        to NaN).
+        with ``exact ≤ e_k`` has ``approx ≤ e_k + ε ≤ a_k + 2ε``.  The
+        caller vouches for the table (:meth:`filterable`); None when a
+        query keeps fewer than k rows (its payload was not finite or
+        beyond ``ENDPOINT_LIMIT``, which the filter maps to NaN).
         """
-        limit = self.POINT_LIMIT
-        if not (points.min() >= -limit and points.max() <= limit):
-            return None
         approx = self._approx_distance(points, payload)
         kth = np.partition(approx, k - 1, axis=-1)[:, k - 1]
         slack = 2.0 * self.filter_epsilon(points.shape[1])
@@ -234,7 +279,8 @@ class ArcShardScorer(ShardScorer):
         return out
 
     def _branch_distance(self, points: np.ndarray, center: np.ndarray,
-                         length: np.ndarray) -> np.ndarray:
+                         length: np.ndarray,
+                         rows: np.ndarray | None = None) -> np.ndarray:
         """Eq. 15/16 for one conjunctive branch, blocked over entities.
 
         Same operation sequence as ``entity_to_arc_distance`` — chords to
@@ -242,8 +288,12 @@ class ArcShardScorer(ShardScorer):
         centre capped by the half-arc chord (inside part) — with the
         entity axis tiled into ``block``-row strips and two reused
         scratch buffers instead of fresh ``(B, n, d)`` temporaries.
+        ``rows`` (see :meth:`score`) swaps the shared strip for a
+        per-query gather of the same width; every op is elementwise or a
+        last-axis sum, so a (query, row) pair gets the same bits.
         """
-        n, d = points.shape
+        d = points.shape[1]
+        n = points.shape[0] if rows is None else rows.shape[1]
         b = center.shape[0]
         radius = self.radius
         half = length / (2.0 * radius)             # (B, d)
@@ -258,7 +308,8 @@ class ArcShardScorer(ShardScorer):
         for s in range(0, n, block):
             e = min(s + block, n)
             m = e - s
-            strip = points[None, s:e, :]           # (1, m, d) view
+            strip = points[None, s:e, :] if rows is None \
+                else points[rows[:, s:e]]          # (1 | B, m, d)
             b1 = buf1[:, :m]
             b2 = buf2[:, :m]
             # outside: min(chord(points, start), chord(points, end))

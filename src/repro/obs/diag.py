@@ -56,6 +56,7 @@ import itertools
 import os
 import threading
 import time
+from bisect import bisect_left, insort
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, fields
 
@@ -257,12 +258,17 @@ class TailSampler:
             raise ValueError("top_p must be in (0, 1]")
         if max_traces < 1:
             raise ValueError("max_traces must be >= 1")
+        if quantile_window < 1:
+            raise ValueError("quantile_window must be >= 1")
         self.latency_threshold_ms = latency_threshold_ms
         self.top_p = top_p
         self.max_traces = max_traces
         self._warmup = warmup
         self._lock = threading.Lock()
+        #: the rolling window in arrival order, and the same values kept
+        #: sorted, so a completion pays two bisections instead of a sort
         self._latencies: deque[float] = deque(maxlen=quantile_window)
+        self._ordered: list[float] = []
         self._traces: OrderedDict[str, list[Span]] = OrderedDict()
         self.retained = 0
         self.discarded = 0
@@ -275,9 +281,17 @@ class TailSampler:
         kept or not, so the top-p quantile tracks *all* traffic).
         """
         latency = max(record.latency_ms, record.total_ms)
-        with self._lock:
-            window = sorted(self._latencies)
-            self._latencies.append(latency)
+        cut = None
+        if self.top_p is not None:  # the window exists for this rule only
+            with self._lock:
+                ordered = self._ordered
+                if len(ordered) >= self._warmup:  # cut of the window so far
+                    cut = ordered[int((1.0 - self.top_p)
+                                      * (len(ordered) - 1))]
+                if len(ordered) == self._latencies.maxlen:
+                    del ordered[bisect_left(ordered, self._latencies[0])]
+                self._latencies.append(latency)
+                insort(ordered, latency)
         if record.error:
             return "error"
         if record.hedge_wins:
@@ -285,12 +299,10 @@ class TailSampler:
         if self.latency_threshold_ms is not None \
                 and latency >= self.latency_threshold_ms:
             return "slow"
-        if self.top_p is not None and len(window) >= self._warmup:
-            cut = window[int((1.0 - self.top_p) * (len(window) - 1))]
-            # strictly above the cut: under uniform traffic every sample
-            # ties the quantile, and a tie must not retain 100% of it
-            if latency > cut:
-                return "top_p"
+        # strictly above the cut: under uniform traffic every sample
+        # ties the quantile, and a tie must not retain 100% of it
+        if cut is not None and latency > cut:
+            return "top_p"
         return ""
 
     def retain(self, request_id: str, spans: list[Span]) -> None:

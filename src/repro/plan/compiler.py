@@ -256,15 +256,22 @@ class PlanCompiler:
         self.cache.put(key, template)
         return template, False
 
-    def compile(self, queries, canonical: bool = False) -> CompileResult:
-        """Compile a micro-batch into one shared, CSE'd plan."""
+    def compile(self, queries, canonical: bool = False,
+                keys: list[str] | None = None) -> CompileResult:
+        """Compile a micro-batch into one shared, CSE'd plan.
+
+        ``canonical`` vouches that the queries are already in serving
+        normal form; ``keys`` hands in their :func:`batch_key` (the
+        runtime computed it at submit) instead of walking each tree
+        again.
+        """
         tracer = self.tracer if self.tracer is not None else get_tracer()
         with tracer.span("plan.compile", queries=len(queries)):
             builder = _Builder()
             result = CompileResult(plan=None)  # filled below
-            for query in queries:
+            for position, query in enumerate(queries):
                 node = query if canonical else canonicalize(query)
-                key = batch_key(node)
+                key = batch_key(node) if keys is None else keys[position]
                 template, hit = self.template_for(node, key=key)
                 instantiate(template, anchors(node), relations(node),
                             builder)

@@ -24,9 +24,7 @@ import numpy as np
 
 import time
 
-from ..core.arc import Arc
 from ..kg.graph import KnowledgeGraph
-from ..nn import Tensor, no_grad
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .backend import ArcRows
@@ -84,8 +82,8 @@ def _gather(values: list, ids) -> ArcRows:
 
     Bulk counterpart of per-row slicing: one fancy-index per source
     block and field, so a stage's operand assembly costs O(blocks)
-    kernels instead of O(rows) Tensor slices.  Gathers copy bits
-    verbatim, preserving the backend's bitwise guarantees.
+    kernels instead of O(rows) slices.  Gathers copy bits verbatim,
+    preserving the backend's bitwise guarantees.
     """
     slots = [values[i] for i in ids]
     first = slots[0].block
@@ -100,18 +98,17 @@ def _gather(values: list, ids) -> ArcRows:
         entry[1].append(position)
         entry[2].append(slot.row)
     n = len(slots)
-    center = np.empty((n,) + first.arc.center.data.shape[1:],
-                      dtype=first.arc.center.data.dtype)
-    length = np.empty((n,) + first.arc.length.data.shape[1:],
-                      dtype=first.arc.length.data.dtype)
+    center = np.empty((n,) + first.center.shape[1:],
+                      dtype=first.center.dtype)
+    length = np.empty((n,) + first.length.shape[1:],
+                      dtype=first.length.dtype)
     signature = np.empty((n,) + first.signature.shape[1:],
                          dtype=first.signature.dtype)
     for block, positions, rows in by_block.values():
-        center[positions] = block.arc.center.data[rows]
-        length[positions] = block.arc.length.data[rows]
+        center[positions] = block.center[rows]
+        length[positions] = block.length[rows]
         signature[positions] = block.signature[rows]
-    return ArcRows(Arc(Tensor(center), Tensor(length), first.arc.radius),
-                   signature)
+    return ArcRows(center, length, signature)
 
 
 @dataclass
@@ -129,7 +126,7 @@ class RankGroup:
 
 def _block_nbytes(block: ArcRows) -> int:
     """Bytes materialised by one stage result block."""
-    return int(block.arc.center.data.nbytes + block.arc.length.data.nbytes
+    return int(block.center.nbytes + block.length.nbytes
                + block.signature.nbytes)
 
 
@@ -137,8 +134,9 @@ def execute_plan(plan: Plan, backend, tracer=None, registry=None,
                  cost=None) -> list[RankGroup]:
     """Evaluate a DNF plan with stacked kernels; one RankGroup per shape.
 
-    The returned embeddings feed the normal ranking path
-    (``distance_to_all``/``topk_rows`` or a ``ShardedRanker``) unchanged.
+    The returned embeddings are what the backend's ``finalize`` makes
+    of the stacked branch rows; they feed the ranking path (a
+    ``LocalRanker`` or ``ShardedRanker``) unchanged.
 
     Cost accounting (the plan-op half of ``repro.obs.prof``): every fused
     stage records wall seconds into the ``plan_stage_seconds`` gauge
@@ -151,8 +149,8 @@ def execute_plan(plan: Plan, backend, tracer=None, registry=None,
     tracer = tracer if tracer is not None else get_tracer()
     registry = registry if registry is not None else get_registry()
     values: list[object] = [None] * len(plan.ops)
-    with no_grad(), tracer.span("plan.execute", ops=len(plan.ops),
-                                queries=plan.num_queries):
+    with tracer.span("plan.execute", ops=len(plan.ops),
+                     queries=plan.num_queries):
         for group in schedule(plan):
             with tracer.span("plan.stage", depth=group.depth,
                              kind=group.kind, ops=len(group.ops)):
@@ -265,9 +263,10 @@ def plan_answer_batch(queries, model, top_k: int = 10, compiler=None,
     Compile → execute → rank, returning top-k ids in input order.  With
     ``compiler`` the structure-template cache is consulted; without, the
     batch is lowered directly.  ``ranker`` may be a
-    :class:`repro.dist.ShardedRanker`, exactly as in ``answer_batch``.
+    :class:`repro.dist.ShardedRanker`, exactly as in ``answer_batch``;
+    without one the same scorer ranks in-process
+    (:class:`repro.dist.LocalRanker`, built per call).
     """
-    from ..core.topk import topk_rows
     from .compiler import lower
 
     backend = model.plan_backend()
@@ -277,17 +276,14 @@ def plan_answer_batch(queries, model, top_k: int = 10, compiler=None,
         plan = compiler.compile(queries).plan
     else:
         plan = lower(queries)
+    if ranker is None:
+        from ..dist.ranker import LocalRanker
+        ranker = LocalRanker(model)
     tracer = get_tracer()
     out: list[list[int]] = [[] for _ in range(plan.num_queries)]
     for group in execute_plan(plan, backend):
-        if ranker is not None:
-            with tracer.span("plan.rank", queries=len(group.positions)):
-                top, _ = ranker.topk(group.embedding, top_k)
-        else:
-            with no_grad(), tracer.span("plan.rank",
-                                        queries=len(group.positions)):
-                distances = model.distance_to_all(group.embedding).data
-                top = topk_rows(distances, top_k)
+        with tracer.span("plan.rank", queries=len(group.positions)):
+            top, _ = ranker.topk(group.embedding, top_k)
         for row, position in enumerate(group.positions):
             out[position] = [int(e) for e in top[row]]
     return out

@@ -2,8 +2,8 @@
 
 The online counterpart of the training stack: a request queue +
 micro-batcher that coalesces concurrent ``answer()`` calls into one
-compiled plan (``repro.plan``) and one ``distance_to_all`` pass per
-branch count, a multi-tier cache keyed on
+compiled plan (``repro.plan``, plain numpy) and one filter-and-refine
+top-k (``repro.dist`` scorer) per branch count, a multi-tier cache keyed on
 canonicalised computation graphs, a worker-pool dispatcher with
 deadlines, retries, and graceful degradation to exact or approximate
 fallbacks, and a metrics layer surfacing throughput, latency

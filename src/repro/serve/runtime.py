@@ -13,8 +13,8 @@ benchmarks) sits on.  A request travels::
         ├─ misses              → one compiled plan (``repro.plan``:
         │                        template cache, cross-query CSE, fused
         │                        stages) → one rank group per branch count
-        ├─ every rank group    → one distance_to_all + top-k (or one
-        │                        sharded gather)
+        ├─ every rank group    → one filter-and-refine top-k (in-process
+        │                        over the table, or one sharded gather)
         └─ on failure/deadline → bounded retries, then graceful
            degradation: exact symbolic executor (``queries.executor``)
            or the approximate ``ann.LshIndex`` path
@@ -35,16 +35,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..ckpt import CheckpointError, load_checkpoint
-from ..core.model import QueryModel, topk_rows
+from ..core.model import QueryModel
 from ..kg.graph import KnowledgeGraph
-from ..nn import no_grad
 from ..obs.diag import DiagConfig, Diagnostics, RequestContext
 from ..obs.trace import Tracer, get_tracer
-from ..queries.computation_graph import Node
+from ..queries.computation_graph import Node, structure_signature
 from ..queries.executor import execute
 from .batcher import MicroBatcher, ServeFuture, ServeRequest
 from .cache import LruCache, TtlCache
-from .canonical import batch_key, canonicalize, serialize
+from .canonical import canonicalize, serialize
 from .metrics import MetricsRegistry, StatsSnapshot
 
 __all__ = ["ServeConfig", "ServeResult", "ServeRuntime", "ServeError"]
@@ -73,8 +72,8 @@ class ServeConfig:
     #: sliding-window size of the latency histograms
     histogram_window: int = 4096
     #: entity-table shards for ranking; < 2 = in-process (``repro.dist``
-    #: worker processes; falls back to in-process when the model or
-    #: platform does not support sharding — ``health()`` says which)
+    #: worker processes; falls back to in-process when the platform
+    #: has no working shared memory — ``health()`` says so)
     num_shards: int = 0
     #: publish lazy per-shard embedding slabs instead of one whole-table
     #: segment (None = auto: on at ShardedRanker.LAZY_SLAB_THRESHOLD
@@ -174,6 +173,8 @@ class _Pending(ServeRequest):
     """ServeRequest plus the runtime bookkeeping fields."""
 
     retries_left: int = 0
+    #: ``batch_key`` of the canonical query (the plan-template key)
+    structure: str = ""
     submitted_at: float = 0.0
     #: ``perf_counter`` instant the request entered the batcher (the
     #: start of its ``serve.queue`` stage)
@@ -189,10 +190,10 @@ class ServeRuntime:
     ----------
     model:
         Trained model answering via ``plan_backend()`` (the stacked
-        primitives compiled plans execute) and ``distance_to_all``.  A
-        model without a plan backend (the ConE / NewLook / MLPMix
-        baselines) is train/evaluate-only: the constructor raises
-        ``TypeError`` before anything is started.
+        primitives compiled plans execute) and ``sharding_spec()`` (the
+        table and scorer every tier ranks with).  A model without them
+        (the baselines, the Table V ablations) is train/evaluate-only:
+        the constructor raises ``TypeError`` before anything starts.
     kg:
         Optional observed graph enabling the exact symbolic fallback.
     index:
@@ -234,6 +235,10 @@ class ServeRuntime:
         self._latency = self.metrics.histogram("latency_ms")
         self._batch_sizes = self.metrics.histogram("batch_size")
         self._queue_depth = self.metrics.gauge("queue_depth")
+        from ..dist import LocalRanker, dist_available
+        sharded = self.config.num_shards >= 2 and dist_available()
+        #: in-process ranking (None when shard workers rank instead)
+        self._local = None if sharded else LocalRanker(model, self.metrics)
         from ..plan import PlanCompiler
         self._planner = PlanCompiler(metrics=self.metrics,
                                      tracer=self.tracer)
@@ -263,14 +268,14 @@ class ServeRuntime:
                 overhead_budget=self.config.prof_overhead_budget,
                 registry=self.metrics).start()
         self._ranker = None
-        if self.config.num_shards >= 2:
+        if sharded:
             from ..dist import HedgeConfig, ShardedRanker
             hedge = HedgeConfig(
                 delay_factor=self.config.hedge_delay_factor) \
                 if self.config.hedge_shards else None
             # the runtime's registry doubles as the pool's merge target,
             # so per-shard worker metrics surface in stats()/ /metrics
-            self._ranker = ShardedRanker.for_model(
+            self._ranker = ShardedRanker(
                 model, self.config.num_shards, tracer=self.tracer,
                 metrics=self.metrics, hedge=hedge,
                 lazy_slabs=self.config.lazy_shard_slabs,
@@ -316,48 +321,50 @@ class ServeRuntime:
         if ctx is None:
             ctx = RequestContext(self, self.diag, tracer)
         root = ctx.enter("serve.request", top_k=top_k)
-        with tracer.activate(root):
-            with tracer.span("serve.canonicalise"):
-                canonical = canonicalize(query)
-                key = serialize(canonical)
-            with tracer.span("serve.cache_lookup"):
-                cached = self._answers.get((key, top_k))
-        structure = batch_key(canonical)
-        if cached is not None:
-            self.metrics.counter("answer_cache_hits").inc()
-            latency = self._clock() - now
-            ctx.note(structure=structure, cache="hit",
-                     model_version=self._model_version)
-            self._leave(ctx, latency, "answer_cache", len(cached))
-            future = ServeFuture()
-            future.set_result(ServeResult(list(cached), "answer_cache",
-                                          latency=latency,
-                                          request_id=ctx.request_id))
-            self._latency.observe(1000.0 * latency,
-                                  exemplar=ctx.request_id)
-            return future
-        self.metrics.counter("answer_cache_misses").inc()
-        if deadline is None:
-            deadline = self.config.default_deadline
-        ctx.note(structure=structure, cache="miss",
-                 model_version=self._model_version)
-        ctx.tag(structure=structure, model_version=self._model_version)
-        # deadline arithmetic invariant: relative deadlines become
-        # absolute on self._clock (monotonic) exactly once, HERE, and are
-        # only ever compared against the same clock downstream (batcher
-        # flush, _execute_batch overrun check).  Wall-clock time.time()
-        # never enters deadline math anywhere in the serve/dist stack —
-        # an NTP step must not expire (or resurrect) in-flight requests.
-        request = _Pending(
-            query=canonical, top_k=top_k, cache_key=key,
-            deadline=None if deadline is None else now + deadline,
-            retries_left=self.config.max_retries, submitted_at=now,
-            queued_at=time.perf_counter(), ctx=ctx)
         try:
+            with tracer.activate(root):
+                with tracer.span("serve.canonicalise"):
+                    canonical = canonicalize(query)
+                    key = serialize(canonical)
+                with tracer.span("serve.cache_lookup"):
+                    cached = self._answers.get((key, top_k))
+            structure = structure_signature(canonical)  # its batch_key
+            ctx.note(structure=structure, model_version=self._model_version,
+                     cache="miss" if cached is None else "hit")
+            if cached is not None:
+                self.metrics.counter("answer_cache_hits").inc()
+                latency = self._clock() - now
+                self._leave(ctx, latency, "answer_cache", len(cached))
+                future = ServeFuture()
+                future.set_result(ServeResult(list(cached), "answer_cache",
+                                              latency=latency,
+                                              request_id=ctx.request_id))
+                self._latency.observe(1000.0 * latency,
+                                      exemplar=ctx.request_id)
+                return future
+            self.metrics.counter("answer_cache_misses").inc()
+            if deadline is None:
+                deadline = self.config.default_deadline
+            ctx.tag(structure=structure, model_version=self._model_version)
+            # deadline arithmetic invariant: relative deadlines become
+            # absolute on self._clock (monotonic) exactly once, HERE, and
+            # are only ever compared against the same clock downstream
+            # (batcher flush, _execute_batch overrun check).  Wall-clock
+            # time.time() never enters deadline math anywhere in the
+            # serve/dist stack — an NTP step must not expire (or
+            # resurrect) in-flight requests.
+            request = _Pending(
+                query=canonical, top_k=top_k, cache_key=key,
+                deadline=None if deadline is None else now + deadline,
+                retries_left=self.config.max_retries, structure=structure,
+                submitted_at=now, queued_at=time.perf_counter(), ctx=ctx)
             self._batcher.submit(request)
-        except RuntimeError:  # closed: the request still gets its outcome
+        except Exception as exc:
+            # whatever stopped it, a counted request gets its outcome
             self.metrics.counter("errors").inc()
-            self._leave(ctx, self._clock() - now, "error", error="closed")
+            self._leave(ctx, self._clock() - now, "error",
+                        error="closed" if self._closed
+                        else type(exc).__name__)
             raise
         return request.future
 
@@ -400,10 +407,9 @@ class ServeRuntime:
         try:
             self.model.load_state_dict(state)  # all-or-nothing
             self._embeddings.clear()
-            if self._ranker is not None:
-                # write-through refresh of the shared entity table; no
-                # reader can be mid-ranking while the write lock is held
-                self._ranker.refresh()
+            # rebuild the ranked entity table (write-through when
+            # sharded); nobody ranks while the write lock is held
+            (self._ranker or self._local).refresh()
             self._model_version += 1
             version = self._model_version
         finally:
@@ -474,10 +480,7 @@ class ServeRuntime:
                 ok = False
         elif self.config.num_shards >= 2:
             # why ranking is in-process although shards were asked for
-            from ..dist import dist_available
-            detail["sharding_unavailable"] = \
-                "no_sharding_spec" if dist_available() \
-                else "no_shared_memory"
+            detail["sharding_unavailable"] = "no_shared_memory"
         return ok, detail
 
     def stats(self) -> StatsSnapshot:
@@ -667,30 +670,25 @@ class ServeRuntime:
         """Top-k entity ids of a batch embedding — the one ranking path.
 
         Returns ``(ids, split)``: ``ids`` is ``(B, k)`` and ``split`` the
-        ``perf_counter`` instant between the distance computation and the
-        top-k selection (the serve.distance / serve.rank span boundary;
-        the sharded backend fuses the two, so its split is the end).
+        ``perf_counter`` instant the kernel returned (the serve.distance
+        / serve.rank boundary: filter, refine and selection are one
+        fused call, so serve.rank is only the hand-back).
 
-        ``ctx`` rides into the shard worker pool, which stamps its id
-        on adopted worker spans and notes the gather's fan-out and hedge
-        outcome on its record.
-
-        Every serving tier — cache-hit single queries, batched misses,
-        in-process or sharded (``config.num_shards``) — flows through
-        here, so answers agree bitwise *including on ties*: both backends
-        order by ascending ``(distance, entity id)`` (the
-        :func:`repro.core.topk.topk_rows` total order).
+        Every tier — cache-hit single queries, batched misses,
+        in-process or sharded (``config.num_shards``) — ranks with the
+        model's ``ShardScorer.topk`` (filter-and-refine, no autograd): a
+        :class:`~repro.dist.LocalRanker` over the whole wrapped entity
+        table, or shard workers over row blocks.  Answers therefore
+        agree bitwise *including on ties* — ascending ``(distance,
+        entity id)`` — and equal the ``distance_to_all`` oracle's.
+        ``ctx`` rides into the shard worker pool, which stamps its id on
+        adopted worker spans and notes fan-out and hedge outcome on it.
         """
-        if self._ranker is not None:
-            ids, _ = self._ranker.topk(embedding, k, ctx)
-            return ids, time.perf_counter()
-        with no_grad():
-            distances = self.model.distance_to_all(embedding).data
-        split = time.perf_counter()
-        return topk_rows(distances, k), split
+        ids, _ = (self._ranker or self._local).topk(embedding, k, ctx)
+        return ids, time.perf_counter()
 
-    def _embed(self, queries: list[Node]):
-        """Compile + execute canonical queries — the one way serving embeds.
+    def _embed(self, requests: list[_Pending]):
+        """Compile + execute queued requests — the one way serving embeds.
 
         Returns ``(compiled, groups, stage_cost)``: the compile result
         (template-cache + cross-query-CSE bookkeeping), one
@@ -699,7 +697,9 @@ class ServeRuntime:
         """
         from ..plan import execute_plan
 
-        compiled = self._planner.compile(queries, canonical=True)
+        compiled = self._planner.compile(
+            [r.query for r in requests], canonical=True,
+            keys=[r.structure for r in requests])
         stage_cost: dict[str, float] = {}
         groups = execute_plan(compiled.plan, self._plan_backend,
                               tracer=self.tracer, registry=self.metrics,
@@ -731,8 +731,7 @@ class ServeRuntime:
                 groups.append(([request], embedding, False))
         if misses:
             embed_start = time.perf_counter()
-            compiled, ranked, stage_cost = self._embed(
-                [r.query for r in misses])
+            compiled, ranked, stage_cost = self._embed(misses)
             embed_end = time.perf_counter()
             plan = compiled.plan
             embed_fields = dict(plan_ops_total=plan.ops_total,
@@ -820,7 +819,7 @@ class ServeRuntime:
             return None
         self._model_lock.acquire_read()
         try:
-            _, (group,), _ = self._embed([request.query])
+            _, (group,), _ = self._embed([request])
             points = self.model.query_points(group.embedding)
         finally:
             self._model_lock.release_read()

@@ -223,3 +223,99 @@ def test_filter_error_stays_inside_a_quarter_of_epsilon(
     exact = scorer.score(points, payload)
     approx = scorer._approx_distance(points, payload)
     assert np.abs(approx - exact).max() <= scorer.filter_epsilon(d) / 4.0
+
+
+# ----------------------------------------------------------------------
+# the batched refine and the hoisted table check
+# ----------------------------------------------------------------------
+def test_queries_keeping_different_candidate_counts_share_one_refine():
+    """The refine pads every query's candidates to the widest query's
+    count; a query with a crowd of exact ties at its k-th place and a
+    query with k clean candidates must both come out exact, ties by
+    the smaller id."""
+    rng = np.random.default_rng(9)
+    scorer = ArcShardScorer(eta=0.02, radius=1.0)
+    points = rng.uniform(0.0, TWO_PI, (60, 4))
+    points[20:45] = points[7]          # 26 rows tie for query 0's top
+    center = np.stack([points[7], points[50] + 0.3])
+    payload = [(center, np.full((2, 4), 0.1))]
+    counts = scorer._candidates(points, payload, 5).sum(axis=-1)
+    assert counts[0] >= 26 and counts[1] < counts[0]
+    stats = _assert_topk_is_the_exact_pass(scorer, points, payload, 5)
+    assert stats == {"refine_rows": int(counts.sum())}
+    ids, _ = scorer.topk(points, payload, 5)
+    assert ids[0].tolist() == [7, 20, 21, 22, 23]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf,
+                                 2.0 * ArcShardScorer.ENDPOINT_LIMIT])
+def test_one_poisoned_query_sends_the_whole_batch_to_the_exact_pass(bad):
+    rng = np.random.default_rng(3)
+    scorer = ArcShardScorer(eta=0.5, radius=2.0, block=7)
+    points = rng.uniform(0.0, TWO_PI, (40, 3))
+    center = rng.uniform(0.0, TWO_PI, (4, 3))
+    center[2, 1] = bad
+    payload = [(center, rng.uniform(0.0, 1.0, (4, 3))),
+               (rng.uniform(0.0, TWO_PI, (4, 3)), np.zeros((4, 3)))]
+    stats = _assert_topk_is_the_exact_pass(scorer, points, payload, 6)
+    assert stats == {"fallbacks": 1, "refine_rows": 4 * 40}
+
+
+def test_k_beyond_the_table_returns_every_row_in_order():
+    rng = np.random.default_rng(4)
+    scorer = ArcShardScorer(eta=0.02, radius=1.0)
+    points = rng.uniform(0.0, TWO_PI, (9, 5))
+    payload = [(rng.uniform(0.0, TWO_PI, (3, 5)),
+                rng.uniform(0.0, 1.0, (3, 5)))]
+    for k in (9, 14):
+        stats = _assert_topk_is_the_exact_pass(scorer, points, payload, k)
+        assert stats == {"refine_rows": 3 * 9}
+        assert scorer.topk(points, payload, k)[0].shape == (3, 9)
+
+
+def test_table_verdict_is_decided_once_and_passed_in():
+    """``filterable`` is a property of the table: its owner scans once
+    and hands the verdict to every ``topk``.  An out-of-range table
+    still gets the exact top-k, and the skipped filter is counted."""
+    rng = np.random.default_rng(5)
+    scorer = ArcShardScorer(eta=0.02, radius=1.0)
+    points = rng.uniform(0.0, TWO_PI, (30, 4))
+    payload = [(rng.uniform(0, 6, (2, 4)), rng.uniform(0, 2, (2, 4)))]
+    assert scorer.filterable(points)
+    assert scorer.filterable(points[:0])
+    shifted = points + 3 * TWO_PI
+    poisoned = points.copy()
+    poisoned[11, 2] = np.nan
+    for table in (shifted, poisoned):
+        assert not scorer.filterable(table)
+        stats = {}
+        ids, vals = scorer.topk(table, payload, 5, stats, filterable=False)
+        distances = scorer.score(table, payload)
+        expect = topk_rows(distances, 5)
+        assert np.array_equal(ids, expect)
+        assert np.array_equal(
+            vals, np.take_along_axis(distances, expect, axis=-1),
+            equal_nan=True)
+        assert stats == {"fallbacks": 1, "refine_rows": 2 * 30}
+    # the verdict is trusted, not re-derived: no scan when it is given
+    calls = []
+    scorer.filterable = lambda table: calls.append(1) or True
+    stats = {}
+    scorer.topk(points, payload, 5, stats, filterable=True)
+    assert not calls and "fallbacks" not in stats
+    scorer.topk(points, payload, 5)
+    assert calls == [1]
+
+
+def test_refine_form_of_score_matches_the_full_pass(model, embedding):
+    """``score(points, payload, rows)`` is the all-rows pass read at
+    ``rows``, bit for bit, whatever the block size."""
+    points, scorer = model.sharding_spec()
+    payload = model.ranking_payload(embedding)
+    full = scorer.score(points, payload)
+    rng = np.random.default_rng(0)
+    rows = rng.integers(points.shape[0], size=(len(full), 17))
+    for block in (1, 5, 2048):
+        scorer.block = block
+        got = scorer.score(points, payload, rows)
+        assert np.array_equal(got, np.take_along_axis(full, rows, axis=-1))

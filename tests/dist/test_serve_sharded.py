@@ -42,13 +42,11 @@ def test_shards_gauge_reports_pool_width(runtime):
     assert runtime.stats().gauges["shards"] == 2
 
 
-def test_unsupported_model_falls_back_to_in_process(kg):
-    class UnshardableHalk(HalkModel):
-        def sharding_spec(self):
-            return None
-
-    model = UnshardableHalk(kg, ModelConfig(embedding_dim=6, hidden_dim=12,
-                                            seed=3))
+def test_unsupported_model_falls_back_to_in_process(model, kg, queries,
+                                                     monkeypatch):
+    """No working shared memory: the same kernel ranks in-process, and
+    ``health()`` says why the shards that were asked for are not there."""
+    monkeypatch.setattr("repro.dist.dist_available", lambda: False)
     config = ServeConfig(num_shards=2, flush_timeout=0.001)
     with ServeRuntime(model, kg=kg, config=config) as runtime:
         assert runtime._ranker is None
@@ -57,9 +55,26 @@ def test_unsupported_model_falls_back_to_in_process(kg):
         assert ok  # in-process ranking is healthy, and says why
         assert detail["shards"] == 0
         assert detail["shards_requested"] == 2
-        assert detail["sharding_unavailable"] == "no_sharding_spec"
+        assert detail["sharding_unavailable"] == "no_shared_memory"
+        got = runtime.answer(queries[0], top_k=8, timeout=30.0)
+        assert got.entity_ids == model.answer(queries[0], top_k=8)
     with ServeRuntime(model, kg=kg) as runtime:  # nothing asked for
         assert "sharding_unavailable" not in runtime.health()[1]
+
+
+def test_model_without_a_ranking_table_is_refused(kg):
+    """``sharding_spec()`` is what every tier ranks over; a model that
+    has none cannot be served, and is told so before anything starts."""
+    class TablelessHalk(HalkModel):
+        def sharding_spec(self):
+            return None
+
+    model = TablelessHalk(kg, ModelConfig(embedding_dim=6, hidden_dim=12,
+                                          seed=3))
+    threads = set(threading.enumerate())
+    with pytest.raises(TypeError, match="sharding_spec"):
+        ServeRuntime(model, kg=kg)
+    assert set(threading.enumerate()) <= threads
 
 
 def _shm_segments():

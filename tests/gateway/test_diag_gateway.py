@@ -62,6 +62,27 @@ class TestAdmittedRecords:
         assert record.total_ms >= record.latency_ms
 
 
+class TestRuntimeRefusal:
+    def test_pump_resolves_the_caller_and_the_record(self, served,
+                                                     queries):
+        """``runtime.submit`` raising inside ``_pump`` (a query it cannot
+        canonicalise) reaches the caller's future as that exception, and
+        the gateway-minted context is finished once, as an error."""
+        gateway, runtime = served
+        with pytest.raises(AttributeError):
+            gateway.answer("SELECT ?x", top_k=3, tenant="acme")
+        (record,) = runtime.diag.flight.dump(tenant="acme")
+        assert record.admission == "admitted"
+        assert (record.source, record.error) == ("error", "AttributeError")
+        assert record.total_ms > 0.0
+        counters = runtime.metrics.snapshot().counters
+        assert counters["requests"] == counters["errors"] == 1
+        # the slot was released: the gateway keeps serving
+        assert gateway.answer(queries[0], top_k=3,
+                              tenant="acme").source == "model"
+        assert runtime.diag.flight.total == 2
+
+
 class TestShedRecords:
     def test_door_shed_commits_a_record(self, served, queries):
         gateway, runtime = served

@@ -147,6 +147,92 @@ class TestTailSampler:
         assert sampler.trace("r3") == []
         assert sampler.retained == 4
 
+    @staticmethod
+    def sort_every_time(sampler_args, records):
+        """The verdict rule as first written: sort the window's previous
+        contents on every completion, then decide.  The reference the
+        bisect-maintained window must reproduce."""
+        from collections import deque
+        threshold = sampler_args.get("latency_threshold_ms")
+        top_p = sampler_args.get("top_p", 0.05)
+        warmup = sampler_args.get("warmup", 50)
+        latencies = deque(maxlen=sampler_args.get("quantile_window", 512))
+        for record in records:
+            latency = max(record.latency_ms, record.total_ms)
+            window = sorted(latencies)
+            latencies.append(latency)
+            if record.error:
+                yield "error"
+            elif record.hedge_wins:
+                yield "hedge_win"
+            elif threshold is not None and latency >= threshold:
+                yield "slow"
+            elif top_p is not None and len(window) >= warmup \
+                    and latency > window[int((1.0 - top_p)
+                                             * (len(window) - 1))]:
+                yield "top_p"
+            else:
+                yield ""
+
+    @pytest.mark.parametrize("sampler_args", [
+        {},
+        {"top_p": 0.2, "quantile_window": 64, "warmup": 10},
+        {"top_p": 1.0, "quantile_window": 1, "warmup": 1},
+        {"latency_threshold_ms": 40.0, "quantile_window": 100},
+        {"latency_threshold_ms": 40.0, "top_p": None},
+    ])
+    def test_verdicts_match_the_sort_every_time_rule(self, sampler_args):
+        """2 000 completions — ties, errors, hedge wins, a window that
+        wraps many times over — get the verdicts a full sort per
+        completion gave."""
+        import random
+        rng = random.Random(7)
+        records = []
+        for _ in range(2000):
+            record = self.record(
+                # few distinct values: plenty of exact ties at the cut
+                latency_ms=rng.choice([1.0, 1.0, 2.0, 5.0, 5.0, 30.0,
+                                       rng.uniform(0.5, 80.0)]),
+                error="deadline" if rng.random() < 0.03 else "",
+                hedge_wins=int(rng.random() < 0.02))
+            record.total_ms = rng.choice([0.0, record.latency_ms + 1.0])
+            records.append(record)
+        sampler = TailSampler(**sampler_args)
+        got = [sampler.decide(record) for record in records]
+        want = list(self.sort_every_time(sampler_args, records))
+        assert got == want
+        assert {"error", "hedge_win", ""} <= set(want)
+        assert ("top_p" in want) == (sampler_args.get("top_p", 0.05)
+                                     is not None)
+
+    def test_window_stays_ordered_under_concurrent_completions(self):
+        """The sorted twin of the window is shared state: four threads
+        deciding at once must leave it the sorted window, no sample lost
+        or left behind."""
+        import sys
+        import threading
+        sampler = TailSampler(top_p=0.05, quantile_window=64, warmup=10)
+
+        def complete(seed):
+            for step in range(500):
+                sampler.decide(self.record(
+                    latency_ms=float((seed * 7919 + step * 31) % 97)))
+
+        threads = [threading.Thread(target=complete, args=(seed,))
+                   for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(sampler._latencies) == 64
+        assert sampler._ordered == sorted(sampler._latencies)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TailSampler(top_p=0.0)
@@ -154,6 +240,8 @@ class TestTailSampler:
             TailSampler(top_p=1.5)
         with pytest.raises(ValueError):
             TailSampler(max_traces=0)
+        with pytest.raises(ValueError):
+            TailSampler(quantile_window=0)
 
 
 class TestSloObjective:

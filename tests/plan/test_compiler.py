@@ -155,6 +155,37 @@ class TestPlanCache:
             > snapshot.counters["plan_ops_executed"]
 
 
+class TestHandedInKeys:
+    def test_keys_from_the_caller_change_nothing_but_the_walk(
+            self, monkeypatch):
+        """The runtime computed each query's ``batch_key`` at submit;
+        handing them to ``compile`` must give the plan, the
+        ``structure_keys`` and the template-cache counters of a compile
+        that derives them itself — without deriving them."""
+        from repro.obs.metrics import MetricsRegistry
+        from repro.plan import compiler as compiler_module
+        from repro.serve.canonical import batch_key
+        batch = [canonicalize(q) for q in (
+            p(0, Entity(1)), p(1, p(0, Entity(2))), p(0, Entity(3)),
+            i(p(0, Entity(1)), p(2, Entity(4))), p(2, p(1, Entity(5))))]
+        keys = [batch_key(q) for q in batch]
+        derived, handed = (PlanCompiler(metrics=MetricsRegistry())
+                           for _ in range(2))
+        for _ in range(2):  # cold, then warm template cache
+            want = derived.compile(batch, canonical=True)
+            with monkeypatch.context() as patch:
+                patch.setattr(compiler_module, "batch_key", None)
+                got = handed.compile(batch, canonical=True, keys=keys)
+            assert got.structure_keys == want.structure_keys == keys
+            assert (got.cache_hits, got.cache_misses) == \
+                (want.cache_hits, want.cache_misses)
+            assert got.plan.ops == want.plan.ops
+            assert got.plan.roots == want.plan.roots
+        assert handed.metrics.snapshot().counters == \
+            derived.metrics.snapshot().counters
+        assert handed.cache.stats() == derived.cache.stats()
+
+
 class TestScheduleAndExplain:
     def test_stages_respect_dependencies(self):
         from repro.plan import op_inputs

@@ -145,6 +145,31 @@ class TestSubmitAfterClose:
                     if s.name == "serve.queue"]  # never queued
 
 
+class TestSubmitThatRaises:
+    def test_a_query_that_cannot_be_walked_still_gets_its_outcome(
+            self, model, tiny_kg):
+        """Anything ``submit`` raises after it counted the request — not
+        only "closed" — is that request's terminal outcome."""
+        tracer = obs.Tracer()
+        with obs.enabled():
+            with ServeRuntime(model, kg=tiny_kg, tracer=tracer) as runtime:
+                with pytest.raises(AttributeError):
+                    runtime.submit("SELECT ?x", top_k=3)
+                (good,) = distinct_queries(tiny_kg, 1)
+                assert runtime.answer(good, top_k=3).source == "model"
+                records = runtime.diag.flight.dump()
+                counters = runtime.metrics.snapshot().counters
+        assert len(records) == runtime.diag.flight.total == 2
+        (failed,) = [r for r in records if r.error]
+        assert (failed.source, failed.error) == ("error", "AttributeError")
+        assert failed.latency_ms > 0.0
+        assert counters["requests"] == 2 and counters["errors"] == 1
+        (root,) = [s for s in tracer.finished()
+                   if s.name == "serve.request"
+                   and s.attrs["source"] == "error"]
+        assert root.attrs["reason"] == "AttributeError"
+
+
 class TestTailSampledTraces:
     def test_slow_request_trace_retained_fast_one_dropped(self, model,
                                                           tiny_kg):

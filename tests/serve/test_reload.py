@@ -72,6 +72,26 @@ class TestReload:
             served = runtime.answer(query, top_k=5).entity_ids
         assert served == donor.answer(canonicalize(query), top_k=5)
 
+    def test_reload_rebuilds_the_in_process_table(self, tiny_kg,
+                                                  checkpoint_path):
+        """In-process ranking holds a wrapped copy of the entity table;
+        answers before a reload follow the old copy, answers after it
+        the new one."""
+        path, donor = checkpoint_path
+        model = trained_variant(tiny_kg, seed=0)
+        first, second = sample_queries(tiny_kg, 2)
+        old = trained_variant(tiny_kg, seed=0).answer(
+            canonicalize(first), top_k=5)
+        with ServeRuntime(model, kg=tiny_kg) as runtime:
+            assert runtime.answer(first, top_k=5).entity_ids == old
+            stale = runtime._local._points
+            runtime.reload(path)
+            assert runtime._local._points is not stale
+            np.testing.assert_array_equal(runtime._local._points,
+                                          donor.sharding_spec()[0])
+            served = runtime.answer(second, top_k=5).entity_ids
+        assert served == donor.answer(canonicalize(second), top_k=5)
+
     def test_reload_validates_before_swapping(self, tiny_kg, tmp_path):
         model = trained_variant(tiny_kg, seed=0)
         before = model.entity_points.weight.data.copy()

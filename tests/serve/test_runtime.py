@@ -224,6 +224,45 @@ class TestLifecycle:
         assert set(threading.enumerate()) <= threads
 
 
+class TestAutogradFreeAnswers:
+    """Between ``submit`` and ``set_result`` no ``repro.nn.Tensor`` is
+    built: the plan backend, the embedding LRU and the ranking kernel
+    hold plain arrays.  (Differentiation belongs to the training call.)"""
+
+    @pytest.mark.parametrize("caches", [True, False])
+    def test_a_256_query_batch_builds_no_tensor(self, tiny_kg, model,
+                                                monkeypatch, caches):
+        from repro.nn import Tensor
+        queries = sample_queries(tiny_kg, 256, seed=9,
+                                 structures=("1p", "2p", "2i", "3i",
+                                             "2in", "2d", "2u", "up"))
+        assert len(queries) == 256
+        expected = [model.answer(canonicalize(q), top_k=5) for q in queries]
+        sizes = {} if caches else dict(embedding_cache_size=1,
+                                       answer_ttl=1e-9)
+        built = []
+        init = Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(threading.current_thread().name)
+            init(self, *args, **kwargs)
+
+        with make_runtime(model, tiny_kg, max_batch_size=64,
+                          **sizes) as runtime:
+            monkeypatch.setattr(Tensor, "__init__", counting)
+            for _ in range(2):  # the second pass meets warm caches
+                results = runtime.answer_batch(queries, top_k=5,
+                                               timeout=60.0)
+                assert [r.entity_ids for r in results] == expected
+            monkeypatch.undo()
+            counters = runtime.stats().counters
+        assert built == []
+        assert counters.get("errors", 0) == 0
+        assert counters.get("model_failures", 0) == 0
+        # both passes ranked (no answer-cache shortcut) with caches off
+        assert (counters.get("answer_cache_hits", 0) == 0) == (not caches)
+
+
 @pytest.mark.serve
 class TestStress:
     def test_many_concurrent_clients(self, tiny_kg, model):
