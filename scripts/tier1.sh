@@ -24,6 +24,17 @@ if grep -nE 'from \.+nn\b|from repro\.nn|import repro\.nn|no_grad|Tensor\(|dista
     exit 1
 fi
 
+# the training tape scatters with bincount and assignment: np.add.at
+# survives once in repro.nn (the advanced-index branch of
+# Tensor.__getitem__, where a cell can be selected twice) and nowhere
+# in repro.core
+if [ "$(grep -rn 'np\.add\.at' src/repro/nn | wc -l)" -ne 1 ] \
+        || grep -rn 'np\.add\.at' src/repro/core; then
+    grep -rn 'np\.add\.at' src/repro/nn || true
+    echo "tier1: np.add.at is back on the training tape (see above)" >&2
+    exit 1
+fi
+
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q "$@"
 
 # gate on the recorded benchmark trajectory when one exists; a red gate

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import F, Tensor
+from ..nn import F, Tensor, as_tensor
 
 __all__ = ["Arc", "angle_features", "chord_length", "angular_difference",
            "wrap_angles"]
@@ -124,8 +124,24 @@ def angle_features(angles: Tensor) -> Tensor:
     though the two sides are the same point; the (sin, cos) features are
     smooth and periodic, matching the chord-length treatment the paper
     applies everywhere distances are involved.
+
+    One tape node standing for ``concat([sin(a), cos(a)])``: the VJP
+    reuses the forward's sine and cosine and hands ``angles`` the sine
+    half's contribution and the cosine half's as two receives, in that
+    order — what the three composed nodes did (pre-summing the two
+    rounds differently whenever ``angles`` already holds a gradient).
     """
-    return F.concat([F.sin(angles), F.cos(angles)], axis=-1)
+    angles = as_tensor(angles)
+    width = angles.shape[-1]
+    data = np.empty(angles.shape[:-1] + (2 * width,))
+    sine = np.sin(angles.data, out=data[..., :width])
+    cosine = np.cos(angles.data, out=data[..., width:])
+
+    def backward(grad: np.ndarray) -> None:
+        angles._receive(grad[..., :width] * cosine)
+        angles._receive(grad[..., width:] * -sine)
+
+    return Tensor._make(data, (angles,), backward)
 
 
 def chord_length(a: Tensor, b: Tensor, radius: float = 1.0) -> Tensor:

@@ -287,27 +287,60 @@ class Trainer:
 
     # ------------------------------------------------------------------
     def _sample_positives(self, batch: list[GroundedQuery]) -> np.ndarray:
-        out = np.empty(len(batch), dtype=np.int64)
-        for i, query in enumerate(batch):
-            answers = tuple(query.easy_answers) or tuple(query.hard_answers)
-            out[i] = answers[int(self.rng.integers(len(answers)))]
-        return out
+        """One uniformly drawn answer per query.
+
+        One generator call with a bound per query: it consumes the
+        stream exactly as one ``rng.integers(len(answers))`` per query
+        does (same draws, same final state).
+        """
+        pools = [query.positive_answers for query in batch]
+        picks = self.rng.integers(0, [len(pool) for pool in pools])
+        return np.array([pool[pick] for pool, pick
+                         in zip(pools, picks.tolist())], dtype=np.int64)
 
     def _sample_negatives(self, batch: list[GroundedQuery]) -> np.ndarray:
+        """``m`` non-answer entities per query, by rejection.
+
+        The reference procedure is a loop: per query draw ``m`` ids with
+        one ``rng.integers`` call, then redraw one id at a time, left to
+        right, while it is an answer (a query whose answers cover the
+        vocabulary keeps its first ``m``).  Bounded integers are one
+        output sequence however the calls are chunked, so this draws the
+        sequence once as a block, walks it with a cursor in the loop's
+        order, then rewinds the generator and draws exactly the consumed
+        count again: same negatives, same final generator state (which
+        checkpoints carry — resume stays bit-exact), one or two
+        generator calls per step instead of one per query and redraw.
+        """
         m = self.config.num_negatives
         n = self.model.num_entities
-        out = np.empty((len(batch), m), dtype=np.int64)
-        for i, query in enumerate(batch):
+        rng = self.rng
+        state = rng.bit_generator.state
+        stream = rng.integers(0, n, size=2 * m * len(batch)).tolist()
+
+        def extend() -> None:  # the block ran out: the sequence goes on
+            stream.extend(rng.integers(0, n, size=len(stream)).tolist())
+
+        cursor = 0
+        rows = []
+        for query in batch:
+            while cursor + m > len(stream):
+                extend()
+            row = stream[cursor:cursor + m]
+            cursor += m
             answers = query.all_answers
-            if len(answers) >= n:
-                out[i] = self.rng.integers(0, n, size=m)
-                continue
-            draws = self.rng.integers(0, n, size=m)
-            for j in range(m):
-                while int(draws[j]) in answers:
-                    draws[j] = self.rng.integers(0, n)
-            out[i] = draws
-        return out
+            if len(answers) < n and not answers.isdisjoint(row):
+                for j, draw in enumerate(row):
+                    while draw in answers:
+                        if cursor == len(stream):
+                            extend()
+                        draw = stream[cursor]
+                        cursor += 1
+                    row[j] = draw
+            rows.append(row)
+        rng.bit_generator.state = state
+        rng.integers(0, n, size=cursor)
+        return np.array(rows, dtype=np.int64).reshape(len(batch), m)
 
 
 @dataclass(frozen=True)

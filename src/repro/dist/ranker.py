@@ -211,8 +211,12 @@ class ShardedRanker:
             # profile deltas on replies (pool.profiles); 0 disables
             role.profile_hz = profile_hz
             role.profile_role = f"shard{i}"
-        self.pool = ShardWorkerPool(roles, start_method=start_method,
-                                    tracer=self.tracer, metrics=metrics)
+        try:
+            self.pool = ShardWorkerPool(roles, start_method=start_method,
+                                        tracer=self.tracer, metrics=metrics)
+        except BaseException:
+            self.plan.close()  # the segment exists; no caller can reach it
+            raise
         if hedge is not None:
             self.pool.hedge = HedgePolicy(self._hedge_compute, hedge)
         #: one dispatch+gather round trip on the pool at a time

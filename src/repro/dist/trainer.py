@@ -30,7 +30,10 @@ immediately current, even mid-epoch.
 Numerics: sharded training is deterministic for a fixed K (fixed
 reduction order) and mathematically equal to single-process training,
 but not bit-for-bit equal across different K — float summation order
-differs.  Tests pin the tolerance.
+differs.  Tests pin the tolerance.  Equal includes *which* parameters a
+step moves: a reply names the parameters its sub-batch gave a gradient,
+and the parent leaves every other ``grad`` None, so Adam skips what the
+batch's structure never touched exactly as it does for ``Trainer``.
 
 Observability: with ``repro.obs`` tracing enabled, each worker's
 forward/backward pass appears as a ``worker.handle`` →
@@ -64,6 +67,11 @@ def _param_layout(model) -> list[tuple[str, tuple[int, ...], int, int]]:
     return layout
 
 
+def _param_spans(layout) -> dict[str, tuple[int, int]]:
+    """``name -> (offset, size)`` of a :func:`_param_layout`."""
+    return {name: (offset, size) for name, _, offset, size in layout}
+
+
 def _bind_params(model, slab: np.ndarray, layout) -> None:
     """Rebind every parameter's storage to its slab view (zero-copy)."""
     named = dict(model.named_parameters())
@@ -82,6 +90,7 @@ class TrainWorkerRole(WorkerRole):
         self.grads = grads
         self.row = row
         self.layout = layout
+        self._spans = _param_spans(layout)
         self.loss_kwargs = loss_kwargs
 
     def setup(self):
@@ -97,7 +106,7 @@ class TrainWorkerRole(WorkerRole):
         row[:] = 0.0
         sub = payload["batch"]
         if sub is None:  # more workers than batch rows this step
-            return {"loss": 0.0, "count": 0}
+            return {"loss": 0.0, "count": 0, "touched": []}
         tracer = get_tracer()
         get_registry().counter("train_worker_steps",
                                worker=self.row).inc()
@@ -109,17 +118,18 @@ class TrainWorkerRole(WorkerRole):
                               **self.loss_kwargs)
         with tracer.span("worker.backward", worker=self.row):
             loss.backward()
+        # which parameters this structure reached goes back with the
+        # reply: the rest must stay ``grad is None`` in the parent, as
+        # they do in ``Trainer``, or Adam decays their moments and moves
+        # them on a step that never touched them
+        touched = []
         for name, param in self.model.named_parameters():
             if param.grad is not None:
-                start, size = self._span(name)
+                start, size = self._spans[name]
                 row[start:start + size] = param.grad.reshape(-1)
-        return {"loss": float(loss.data), "count": len(queries)}
-
-    def _span(self, name: str) -> tuple[int, int]:
-        for layout_name, _, offset, size in self.layout:
-            if layout_name == name:
-                return offset, size
-        raise KeyError(name)
+                touched.append(name)
+        return {"loss": float(loss.data), "count": len(queries),
+                "touched": touched}
 
     def teardown(self, state) -> None:
         params, grads = state
@@ -171,9 +181,9 @@ class ShardedTrainer(Trainer):
         self._layout = _param_layout(self.model)
         total = sum(size for *_, size in self._layout)
         flat = np.empty(total, dtype=np.float64)
+        spans = _param_spans(self._layout)
         for name, param in self.model.named_parameters():
-            start, size = next((o, s) for n, _, o, s in self._layout
-                               if n == name)
+            start, size = spans[name]
             flat[start:start + size] = param.data.reshape(-1)
         self._params = SharedArray.create(flat)
         self._grads = SharedArray.create(
@@ -253,10 +263,11 @@ class ShardedTrainer(Trainer):
         total = float(len(batch))
         weights = np.array([c / total for c in counts])
         grad = self._grads.ndarray.T @ weights  # Σ (b_k/B)·g_k
+        touched = set().union(*(reply["touched"] for reply in replies))
         named = dict(self.model.named_parameters())
         for name, shape, offset, size in self._layout:
-            named[name].grad = grad[offset:offset + size].reshape(shape) \
-                .copy()
+            if name in touched:  # a view: the optimizers only read it
+                named[name].grad = grad[offset:offset + size].reshape(shape)
         loss_value = float(sum(w * r["loss"]
                                for w, r in zip(weights, replies)))
         self._record_grad_norm()

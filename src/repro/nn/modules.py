@@ -13,7 +13,8 @@ import numpy as np
 
 from . import functional as F
 from . import init
-from .tensor import Tensor
+from .tensor import (Tensor, _matmul_grad_left, _matmul_grad_right,
+                     _unbroadcast, as_tensor)
 
 __all__ = ["Parameter", "Module", "Linear", "MLP", "Sequential", "Embedding",
            "set_call_hook", "get_call_hook"]
@@ -162,27 +163,14 @@ class Sequential(Module):
         return x
 
 
-# Late-bound so the profiler's patching of ``functional`` attributes is
-# visible to MLPs constructed before the profiler was installed.  Named
-# module-level functions (not lambdas) so modules holding a reference
-# stay picklable — ``repro.dist`` ships model replicas to spawned worker
-# processes.
-def _relu(x: Tensor) -> Tensor:
-    return F.relu(x)
-
-
-def _tanh(x: Tensor) -> Tensor:
-    return F.tanh(x)
-
-
-def _sigmoid(x: Tensor) -> Tensor:
-    return F.sigmoid(x)
-
-
-_ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
-    "relu": _relu,
-    "tanh": _tanh,
-    "sigmoid": _sigmoid,
+# Activation name -> (function on arrays, derivative from input and
+# output).  Each derivative is the expression the matching op in
+# ``functional`` multiplies the incoming gradient by.
+_ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
+    "relu": (lambda x: np.maximum(x, 0.0),
+             lambda x, y: (x > 0).astype(np.float64)),
+    "tanh": (np.tanh, lambda x, y: 1.0 - y ** 2),
+    "sigmoid": (F._sigmoid, lambda x, y: y * (1.0 - y)),
 }
 
 
@@ -191,6 +179,15 @@ class MLP(Module):
 
     Matches the role of ``MLP(.)`` in the paper's Eq. (2), (7), (9), (12)
     and (14): hidden layers with a nonlinearity, linear output layer.
+
+    A forward pass is **one tape node** however deep the stack: the
+    numpy forward keeps each layer's input and pre-activation, and the
+    VJP walks the layers back with the arithmetic and in the order the
+    per-op graph (``matmul``, ``+ bias``, activation, …) used — output
+    bias, output weight, then per hidden layer bias, input, weight — so
+    weights shared by several applications (3p, 3i) accumulate the same
+    bits.  The inner ``Linear`` modules only hold the parameters; they
+    are not called, so a module-call hook sees an ``MLP`` as a leaf.
     """
 
     def __init__(self, in_features: int, hidden_features: int, out_features: int,
@@ -200,7 +197,7 @@ class MLP(Module):
         if activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}; "
                              f"choose from {sorted(_ACTIVATIONS)}")
-        self.activation = _ACTIVATIONS[activation]
+        self.activation = activation
         self.hidden_layers: list[Linear] = []
         width = in_features
         for i in range(num_hidden_layers):
@@ -211,9 +208,42 @@ class MLP(Module):
         self.output = Linear(width, out_features, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
+        x = as_tensor(x)
+        activate, derivative = _ACTIVATIONS[self.activation]
+        layers = self.hidden_layers + [self.output]
+        inputs = []   # what each layer multiplied its weight with
+        pre = []      # hidden pre-activations, bias included
+        current = x.data
         for layer in self.hidden_layers:
-            x = self.activation(layer(x))
-        return self.output(x)
+            inputs.append(current)
+            hidden = current @ layer.weight.data
+            hidden += layer.bias.data
+            pre.append(hidden)
+            current = activate(hidden)
+        inputs.append(current)
+        data = current @ self.output.weight.data
+        data += self.output.bias.data
+
+        def backward(grad: np.ndarray) -> None:
+            for depth in reversed(range(len(layers))):
+                layer, fed = layers[depth], inputs[depth]
+                weight = layer.weight.data
+                if layer.bias.requires_grad:
+                    layer.bias._receive(_unbroadcast(grad, layer.bias.shape))
+                if depth or x.requires_grad:
+                    below = _matmul_grad_left(grad, fed, weight)
+                    if depth == 0:
+                        x._receive(below)
+                if layer.weight.requires_grad:
+                    layer.weight._receive(
+                        _matmul_grad_right(grad, fed, weight))
+                if depth:
+                    grad = below * derivative(pre[depth - 1], fed)
+
+        parents = [x]
+        for layer in layers:
+            parents += [layer.weight, layer.bias]
+        return Tensor._make(data, parents, backward)
 
 
 class Embedding(Module):

@@ -64,6 +64,24 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _matmul_grad_left(grad: np.ndarray, left: np.ndarray,
+                      right: np.ndarray) -> np.ndarray:
+    """Gradient of ``left @ right`` with respect to ``left``."""
+    if right.ndim == 1:
+        return _unbroadcast(np.outer(grad, right) if grad.ndim
+                            else grad * right, left.shape)
+    return _unbroadcast(grad @ np.swapaxes(right, -1, -2), left.shape)
+
+
+def _matmul_grad_right(grad: np.ndarray, left: np.ndarray,
+                       right: np.ndarray) -> np.ndarray:
+    """Gradient of ``left @ right`` with respect to ``right``."""
+    if left.ndim == 1:
+        return _unbroadcast(np.outer(left, grad) if grad.ndim
+                            else grad * left, right.shape)
+    return _unbroadcast(np.swapaxes(left, -1, -2) @ grad, right.shape)
+
+
 class Tensor:
     """A numpy-backed tensor that records operations for autograd.
 
@@ -75,12 +93,14 @@ class Tensor:
         If True, gradients are accumulated into :attr:`grad` on backward.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents")
+    __slots__ = ("data", "requires_grad", "grad", "_grad_owned",
+                 "_backward", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad) and is_grad_enabled()
         self.grad: np.ndarray | None = None
+        self._grad_owned = False
         self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
 
@@ -90,13 +110,36 @@ class Tensor:
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"],
               backward: Callable[[np.ndarray], None]) -> "Tensor":
-        """Create a result tensor wired into the autograd graph."""
-        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=False)
+        """Create a result tensor wired into the autograd graph.
+
+        ``backward`` is the node's VJP: called once with the gradient of
+        the result, it hands each parent its contribution through
+        :meth:`_receive`.  A node may be one arithmetic op or a whole
+        *block* (an MLP, the Eq. 15/16 distance); a block's VJP replays
+        the arithmetic of the ops it stands for, in their order, and
+        lists its parents in the reverse of the order a walk over those
+        ops would first reach them, so every gradient comes out bit for
+        bit what the op-by-op tape gave (DESIGN.md §14).
+        """
+        out = Tensor.__new__(Tensor)
+        if type(data) is not np.ndarray or data.dtype != np.float64:
+            data = np.asarray(data, dtype=np.float64)
+        out.data = data
+        out.grad = None
+        out._grad_owned = False
+        requires = False
+        if getattr(_GRAD_STATE, "enabled", True):
+            for parent in parents:
+                if parent.requires_grad:
+                    requires = True
+                    break
         out.requires_grad = requires
         if requires:
             out._parents = tuple(parents)
             out._backward = backward
+        else:
+            out._parents = ()
+            out._backward = None
         return out
 
     # ------------------------------------------------------------------
@@ -136,9 +179,32 @@ class Tensor:
     # gradient accumulation
     # ------------------------------------------------------------------
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add one incoming gradient to ``.grad`` without a zero buffer.
+
+        The first array is kept **by reference** and marked not ours: it
+        may be a read-only broadcast view, or the very array another
+        tensor was handed too.  The second is added out of place, which
+        makes the sum ours; later ones are added in place.  The values
+        are those of ``zeros + g1 + g2 + …`` in arrival order (``0 + g``
+        is ``g``), without the ``zeros_like`` and the first ``+=`` per
+        node.  What makes this safe is the rule every VJP keeps: an
+        array handed to ``_receive`` is never written again by whoever
+        produced it.  ``.grad`` of a leaf may therefore alias memory the
+        leaf does not own — read it, do not update it in place.
+        """
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = grad
+            self._grad_owned = False
+        elif self._grad_owned:
+            self.grad += grad
+        else:
+            self.grad = self.grad + grad
+            self._grad_owned = True
+
+    # During backward, every node (leaf or interior) accumulates incoming
+    # gradient into ``.grad``; the driver in :meth:`backward` drains the
+    # buffer of interior nodes when their turn comes.
+    _receive = _accumulate
 
     def zero_grad(self) -> None:
         """Clear any accumulated gradient."""
@@ -170,29 +236,37 @@ class Tensor:
         # Walk consumers before producers so each node sees its full
         # upstream gradient exactly once.
         for node in self._topological_order():
-            if node._backward is None:
-                continue  # leaf: gradient stays in .grad
             node_grad = node.grad
             node.grad = None
             if node_grad is not None:
                 node._backward(node_grad)
 
     def _topological_order(self) -> list["Tensor"]:
-        """Return nodes reachable from self, outputs first (reverse topo)."""
+        """Interior nodes reachable from self, outputs first.
+
+        Reverse post-order of a depth-first walk that explores a node's
+        last parent first.  The order decides in which sequence several
+        consumers of one tensor add into its gradient, i.e. the rounding
+        of every sum on the tape, so it is part of the numerics: do not
+        swap it for another valid topological order.  Leaves take no
+        part in the walk (nothing to call, nowhere to go from them).
+        """
+        if self._backward is None:
+            return []
         order: list[Tensor] = []
-        visited: set[int] = set()
+        visited: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
                 order.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
             for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
+                if parent._backward is not None and parent not in visited:
                     stack.append((parent, False))
         order.reverse()
         return order
@@ -224,10 +298,19 @@ class Tensor:
         return Tensor._make(data, (self,), backward)
 
     def __sub__(self, other) -> "Tensor":
-        return self + (-as_tensor(other))
+        other = as_tensor(other)
+        data = self.data - other.data
+
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                self._receive(_unbroadcast(grad, self.shape))
+            if other.requires_grad:
+                other._receive(-_unbroadcast(grad, other.shape))
+
+        return Tensor._make(data, (self, other), backward)
 
     def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) + (-self)
+        return as_tensor(other) - self
 
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
@@ -276,29 +359,12 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                if other.data.ndim == 1:
-                    self._receive(_unbroadcast(np.outer(grad, other.data)
-                                               if grad.ndim else grad * other.data,
-                                               self.shape))
-                else:
-                    self._receive(_unbroadcast(grad @ np.swapaxes(other.data, -1, -2),
-                                               self.shape))
+                self._receive(_matmul_grad_left(grad, self.data, other.data))
             if other.requires_grad:
-                if self.data.ndim == 1:
-                    other._receive(_unbroadcast(np.outer(self.data, grad)
-                                                if grad.ndim else grad * self.data,
-                                                other.shape))
-                else:
-                    other._receive(_unbroadcast(np.swapaxes(self.data, -1, -2) @ grad,
-                                                other.shape))
+                other._receive(_matmul_grad_right(grad, self.data,
+                                                  other.data))
 
         return Tensor._make(data, (self, other), backward)
-
-    # During backward, every node (leaf or interior) accumulates incoming
-    # gradient into ``.grad``; the driver in :meth:`backward` drains the
-    # buffer of interior nodes when their turn comes.
-    def _receive(self, grad: np.ndarray) -> None:
-        self._accumulate(grad)
 
     # ------------------------------------------------------------------
     # indexing / shaping
@@ -309,7 +375,11 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 full = np.zeros_like(self.data)
-                np.add.at(full, index, grad)
+                if _is_basic_index(index):
+                    # no cell is selected twice: scatter = assign
+                    full[index] = grad
+                else:
+                    np.add.at(full, index, grad)
                 self._receive(full)
 
         return Tensor._make(data, (self,), backward)
@@ -355,7 +425,8 @@ class Tensor:
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
-            self._receive(np.broadcast_to(g, self.shape).copy())
+            # a read-only view: receivers never write what they are handed
+            self._receive(np.broadcast_to(g, self.shape))
 
         return Tensor._make(data, (self,), backward)
 
@@ -392,6 +463,14 @@ def _min_max_reduce(x: Tensor, axis, keepdims: bool, fn) -> Tensor:
         x._receive(mask * g / counts)
 
     return Tensor._make(data, (x,), backward)
+
+
+def _is_basic_index(index) -> bool:
+    """True for numpy *basic* indexing (ints, slices, ``None``, ``...``)."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(item is None or item is Ellipsis
+               or isinstance(item, (int, np.integer, slice))
+               for item in items)
 
 
 def as_tensor(value) -> Tensor:

@@ -38,7 +38,9 @@ class EpochStats:
     samples: int              #: queries processed
     steps: int                #: optimisation steps
     #: per-Module-class forward seconds (self time), e.g.
-    #: ``{"ProjectionOperator": 0.12, "IntersectionOperator": 0.05, ...}``
+    #: ``{"ProjectionOperator": 0.12, "MLP": 0.05, ...}``.  ``MLP`` is a
+    #: leaf here: its forward is one fused block, so its ``Linear``
+    #: layers are never called and get no row of their own.
     operator_seconds: dict[str, float] = field(default_factory=dict)
 
     @property

@@ -160,6 +160,9 @@ def rename(node: Node, entity_map=None, relation_map=None) -> Node:
 def to_dnf(node: Node) -> list[Node]:
     """Rewrite a query into a list of union-free conjunctive queries.
 
+    The rewrite is remembered on ``node`` (trees are immutable), so a
+    training query embedded at every epoch is rewritten once.
+
     The answer of the original query is exactly the union of the answers
     of the returned queries, so the union operator becomes non-parametric
     and exact.  Rewrites used:
@@ -171,30 +174,40 @@ def to_dnf(node: Node) -> list[Node]:
     * ``D(U(a, b), y)``    -> ``U(D(a, y), D(b, y))``
     * ``N(U(a, b))``       -> ``I(N(a), N(b))``  (De Morgan)
     """
+    branches = getattr(node, "_dnf", None)
+    if branches is None:
+        branches = tuple(_rewrite(node))
+        # the node classes are frozen dataclasses: equality, hash and
+        # repr read the declared fields only, so this is invisible
+        object.__setattr__(node, "_dnf", branches)
+    return list(branches)
+
+
+def _rewrite(node: Node) -> list[Node]:
     if isinstance(node, Entity):
         return [node]
     if isinstance(node, Projection):
         return [Projection(node.relation, branch)
-                for branch in to_dnf(node.operand)]
+                for branch in _rewrite(node.operand)]
     if isinstance(node, Union):
         out: list[Node] = []
         for operand in node.operands:
-            out.extend(to_dnf(operand))
+            out.extend(_rewrite(operand))
         return out
     if isinstance(node, Intersection):
-        branch_lists = [to_dnf(op) for op in node.operands]
+        branch_lists = [_rewrite(op) for op in node.operands]
         return [_flatten_intersection(combo)
                 for combo in itertools.product(*branch_lists)]
     if isinstance(node, Negation):
-        branches = to_dnf(node.operand)
+        branches = _rewrite(node.operand)
         if len(branches) == 1:
             return [Negation(branches[0])]
         return [Intersection(tuple(Negation(b) for b in branches))]
     if isinstance(node, Difference):
-        positive_branches = to_dnf(node.operands[0])
+        positive_branches = _rewrite(node.operands[0])
         subtracted: list[Node] = []
         for operand in node.operands[1:]:
-            subtracted.extend(to_dnf(operand))
+            subtracted.extend(_rewrite(operand))
         return [Difference((positive,) + tuple(subtracted))
                 for positive in positive_branches]
     raise TypeError(f"unknown node type: {type(node).__name__}")

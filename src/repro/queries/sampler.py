@@ -12,6 +12,7 @@ negation, whose complements are huge).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,8 +47,16 @@ class GroundedQuery:
     easy_answers: frozenset[int]
     hard_answers: frozenset[int]
 
-    @property
+    @cached_property
+    def positive_answers(self) -> tuple[int, ...]:
+        """What training draws a query's positive from: the easy
+        answers, or the hard ones when it has no easy answer."""
+        return tuple(self.easy_answers) or tuple(self.hard_answers)
+
+    @cached_property
     def all_answers(self) -> frozenset[int]:
+        """Easy and hard answers together (computed once per query: the
+        trainer asks at every step)."""
         return self.easy_answers | self.hard_answers
 
 

@@ -257,17 +257,37 @@ class ServeRuntime:
             self.diag = Diagnostics(self.config.diag,
                                     registry=self.metrics,
                                     tracer=self.tracer, clock=clock)
+        self._closed = False
+        self._close_lock = threading.Lock()
+        self._model_lock = _RWLock()
+        self._model_version = 1
+        self.metrics.gauge("model_version").set(self._model_version)
+        self._watcher: threading.Thread | None = None
+        self._watch_stop = threading.Event()
         #: continuous wall-clock profiler of this process (None when
         #: config.profiling is off); worker processes run their own,
         #: shipped back via the pool (see prof_payload)
         self.prof = None
+        self._ranker = None
+        self.http_server = None
+        # The starting half.  A late step can still fail — the port is
+        # taken, a shard worker does not come up — and by then threads,
+        # processes and a shared-memory segment exist that no caller
+        # holds a handle to: stop what runs, then let the error through.
+        try:
+            self._start(sharded)
+        except BaseException:
+            self.close()
+            raise
+
+    def _start(self, sharded: bool) -> None:
+        """Profiler thread, shard workers, batcher thread, HTTP listener."""
         if self.config.profiling:
             from ..obs.prof import SamplingProfiler
             self.prof = SamplingProfiler(
                 hz=self.config.prof_hz, role="serve",
                 overhead_budget=self.config.prof_overhead_budget,
                 registry=self.metrics).start()
-        self._ranker = None
         if sharded:
             from ..dist import HedgeConfig, ShardedRanker
             hedge = HedgeConfig(
@@ -276,7 +296,7 @@ class ServeRuntime:
             # the runtime's registry doubles as the pool's merge target,
             # so per-shard worker metrics surface in stats()/ /metrics
             self._ranker = ShardedRanker(
-                model, self.config.num_shards, tracer=self.tracer,
+                self.model, self.config.num_shards, tracer=self.tracer,
                 metrics=self.metrics, hedge=hedge,
                 lazy_slabs=self.config.lazy_shard_slabs,
                 profile_hz=self.config.prof_hz
@@ -284,14 +304,6 @@ class ServeRuntime:
         self.metrics.gauge("shards").set(
             self._ranker.num_shards if self._ranker is not None else 0)
         self._batcher.start()
-        self._closed = False
-        self._close_lock = threading.Lock()
-        self._model_lock = _RWLock()
-        self._model_version = 1
-        self.metrics.gauge("model_version").set(self._model_version)
-        self._watcher: threading.Thread | None = None
-        self._watch_stop = threading.Event()
-        self.http_server = None
         if self.config.http_port is not None:
             from .http import TelemetryHTTPServer
             self.http_server = TelemetryHTTPServer(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ModelConfig, TrainConfig
 from repro.core import HalkModel, Trainer
@@ -106,3 +108,100 @@ class TestTrainer:
             trainer.train()
         assert not any(np.isnan(loss)
                        for loss in trainer.history.epoch_losses)
+
+
+def reference_negatives(rng, batch, m: int, n: int) -> np.ndarray:
+    """``Trainer._sample_negatives`` as a loop of generator calls: ``m``
+    ids per query, then one redraw at a time, left to right, while an id
+    is an answer.  What the block-drawn sampler must reproduce draw for
+    draw, generator state included."""
+    out = np.empty((len(batch), m), dtype=np.int64)
+    for i, query in enumerate(batch):
+        answers = query.all_answers
+        if len(answers) >= n:
+            out[i] = rng.integers(0, n, size=m)
+            continue
+        draws = rng.integers(0, n, size=m)
+        for j in range(m):
+            while int(draws[j]) in answers:
+                draws[j] = rng.integers(0, n)
+        out[i] = draws
+    return out
+
+
+def reference_positives(rng, batch) -> np.ndarray:
+    """``Trainer._sample_positives`` as one generator call per query."""
+    out = np.empty(len(batch), dtype=np.int64)
+    for i, query in enumerate(batch):
+        answers = tuple(query.easy_answers) or tuple(query.hard_answers)
+        out[i] = answers[int(rng.integers(len(answers)))]
+    return out
+
+
+class _Vocabulary:
+    def __init__(self, num_entities: int):
+        self.num_entities = num_entities
+
+
+@st.composite
+def negative_sampling_case(draw):
+    n = draw(st.sampled_from([1, 2, 7, 88, 5000]))
+    m = draw(st.integers(1, 9))
+    # up to "every entity but one is an answer": the redraws then outrun
+    # any block drawn ahead, so the refill path runs too
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    batch = []
+    for _ in range(draw(st.integers(0, 6))):
+        answers = {int(e) for e in np.flatnonzero(rng.random(n) < density)}
+        kind = draw(st.sampled_from(["as_drawn", "all", "all_but_one",
+                                     "beyond"]))
+        if kind == "all":
+            answers = set(range(n))
+        elif kind == "all_but_one":
+            answers = set(range(n)) - {int(rng.integers(n))}
+        elif kind == "beyond":  # len(answers) >= n without covering it
+            answers = set(range(1, n + 1))
+        easy = {e for e in answers if e % 2}
+        batch.append(GroundedQuery("1p", Projection(0, Entity(0)),
+                                   frozenset(easy),
+                                   frozenset(answers - easy)))
+    return n, m, batch, draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestSamplingMatchesTheLoop:
+    @given(negative_sampling_case())
+    @settings(max_examples=150, deadline=None)
+    def test_same_draws_and_same_generator_state_as_the_loop(self, case):
+        n, m, batch, seed = case
+        trainer = Trainer.__new__(Trainer)  # the sampler reads only these
+        trainer.config = TrainConfig(num_negatives=m)
+        trainer.model = _Vocabulary(n)
+        trainer.rng = np.random.default_rng(seed)
+        trainer.rng.integers(0, 3)  # leave half a 64-bit word buffered
+        reference = np.random.default_rng(seed)
+        reference.integers(0, 3)
+
+        got = trainer._sample_negatives(batch)
+        want = reference_negatives(reference, batch, m, n)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert trainer.rng.bit_generator.state \
+            == reference.bit_generator.state
+
+    @given(negative_sampling_case())
+    @settings(max_examples=100, deadline=None)
+    def test_positives_drawn_with_one_call(self, case):
+        _, _, batch, seed = case
+        batch = [query for query in batch if query.all_answers]
+        trainer = Trainer.__new__(Trainer)
+        trainer.rng = np.random.default_rng(seed)
+        trainer.rng.integers(0, 3)
+        reference = np.random.default_rng(seed)
+        reference.integers(0, 3)
+
+        got = trainer._sample_positives(batch)
+        want = reference_positives(reference, batch)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert trainer.rng.bit_generator.state \
+            == reference.bit_generator.state

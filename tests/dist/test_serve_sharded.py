@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import socket
 import threading
 
 import pytest
@@ -77,6 +78,21 @@ def test_model_without_a_ranking_table_is_refused(kg):
     assert set(threading.enumerate()) <= threads
 
 
+def test_shard_ranker_refusing_the_model_stops_the_profiler(kg):
+    """With shards asked for, the table is first missed by
+    ``ShardedRanker``, after the profiler thread is up."""
+    class TablelessHalk(HalkModel):
+        def sharding_spec(self):
+            return None
+
+    model = TablelessHalk(kg, ModelConfig(embedding_dim=6, hidden_dim=12,
+                                          seed=3))
+    threads = set(threading.enumerate())
+    with pytest.raises(ValueError, match="sharding_spec"):
+        ServeRuntime(model, kg=kg, config=ServeConfig(num_shards=2))
+    assert set(threading.enumerate()) <= threads
+
+
 def _shm_segments():
     # sem.* back multiprocessing's own locks; its resource tracker
     # unlinks them at interpreter exit, not when a pool closes
@@ -98,3 +114,31 @@ def test_rejected_config_starts_nothing(model, kg):
     assert _shm_segments() <= segments
     assert set(multiprocessing.active_children()) <= children
     assert set(threading.enumerate()) <= threads
+
+
+@pytest.mark.parametrize("shards", [0, 2])
+def test_late_failure_tears_down_what_started(model, kg, shards):
+    """The HTTP listener is the last thing ``__init__`` starts; when its
+    port is taken, the batcher and profiler threads — and with shards
+    the workers and their segment — are already up, and must not
+    outlive the constructor's exception."""
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("no /dev/shm to inspect")
+    taken = socket.socket()
+    try:
+        try:
+            taken.bind(("127.0.0.1", 0))
+        except OSError:
+            pytest.skip("no loopback port can be bound")
+        taken.listen(1)
+        segments = _shm_segments()
+        children = set(multiprocessing.active_children())
+        threads = set(threading.enumerate())
+        with pytest.raises(OSError):
+            ServeRuntime(model, kg=kg, config=ServeConfig(
+                num_shards=shards, http_port=taken.getsockname()[1]))
+        assert _shm_segments() <= segments
+        assert set(multiprocessing.active_children()) <= children
+        assert set(threading.enumerate()) <= threads
+    finally:
+        taken.close()

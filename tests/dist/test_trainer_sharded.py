@@ -12,7 +12,8 @@ import pytest
 from repro.config import ModelConfig, TrainConfig
 from repro.core import HalkModel, Trainer
 from repro.dist import ShardedTrainer
-from repro.queries import Entity, GroundedQuery, Projection, QueryWorkload
+from repro.queries import (Entity, GroundedQuery, Intersection, Projection,
+                           QueryWorkload)
 
 from .conftest import requires_shm
 
@@ -46,6 +47,52 @@ def test_two_worker_training_matches_single_process(kg, workload):
     trainer = ShardedTrainer(sharded_model, workload, _config(),
                              num_workers=2)
     sharded_history = trainer.train()
+
+    np.testing.assert_allclose(sharded_history.epoch_losses,
+                               history.epoch_losses, rtol=1e-12)
+    for (name, p1), (_, p2) in zip(single.named_parameters(),
+                                   sharded_model.named_parameters()):
+        np.testing.assert_allclose(p2.data, p1.data, atol=1e-10,
+                                   err_msg=name)
+
+
+@pytest.fixture(scope="module")
+def two_structure_workload(kg, workload) -> QueryWorkload:
+    """1p plus 2i: a 1p step leaves the intersection networks without a
+    gradient and a 2i step touches them, so the trainers must agree on
+    which parameters a step skips, not only on the gradients."""
+    both = QueryWorkload({"1p": list(workload["1p"])})
+    by_tail: dict[int, list[tuple[int, int]]] = {}
+    for head, rel, tail in sorted(kg):
+        by_tail.setdefault(tail, []).append((head, rel))
+    for tail, edges in sorted(by_tail.items()):
+        if len(edges) < 2 or len(both.queries.get("2i", ())) == 16:
+            continue
+        (h1, r1), (h2, r2) = edges[:2]
+        answers = kg.targets(h1, r1) & kg.targets(h2, r2)
+        both.add(GroundedQuery(
+            "2i", Intersection((Projection(r1, Entity(h1)),
+                                Projection(r2, Entity(h2)))),
+            frozenset(answers), frozenset()))
+    assert len(both["2i"]) == 16
+    return both
+
+
+@pytest.mark.parametrize("num_workers", [1, 2])
+def test_untouched_parameters_are_skipped_like_single_process(
+        kg, two_structure_workload, num_workers):
+    """Adam skips a parameter whose ``grad`` is None.  Workers used to
+    zero-fill their slab row and the parent handed *every* parameter a
+    gradient, so the intersection networks' moments decayed (and the
+    weights moved) on 1p steps: by the third epoch the loss was off by
+    1e-3 with a single worker, which computes Trainer's own gradients."""
+    single = _model(kg)
+    history = Trainer(single, two_structure_workload,
+                      _config(epochs=3)).train()
+    sharded_model = _model(kg)
+    sharded_history = ShardedTrainer(
+        sharded_model, two_structure_workload, _config(epochs=3),
+        num_workers=num_workers).train()
 
     np.testing.assert_allclose(sharded_history.epoch_losses,
                                history.epoch_losses, rtol=1e-12)

@@ -59,7 +59,9 @@ class TestModuleHook:
         with ModuleTimer() as timer:
             _forward_backward()
         assert timer.module_stats["MLP"].calls == 1
-        assert timer.module_stats["Linear"].calls >= 2  # MLP's layers
+        # an MLP forward is one fused block: its Linear layers only hold
+        # the parameters and are not called, so the timer sees a leaf
+        assert "Linear" not in timer.module_stats
         mlp = timer.module_stats["MLP"]
         assert mlp.self_s <= mlp.total_s
 
@@ -67,7 +69,7 @@ class TestModuleHook:
         with ModuleTimer() as timer:
             _forward_backward()
         by_module = timer.seconds_by_module()
-        assert set(by_module) >= {"MLP", "Linear"}
+        assert set(by_module) == {"MLP"}  # a leaf: no inner Linear rows
         assert all(v >= 0.0 for v in by_module.values())
         assert nn_modules.get_call_hook() is None
 

@@ -130,3 +130,36 @@ class TestDNF:
             if isinstance(branch, Intersection):
                 assert not any(isinstance(op, Intersection)
                                for op in branch.operands)
+
+
+class TestDNFIsRememberedOnTheNode:
+    """A training query is embedded every epoch; its rewrite runs once."""
+
+    def query(self):
+        return Projection(2, Union((Projection(0, Entity(1)),
+                                    Projection(1, Entity(2)))))
+
+    def test_rewritten_once_and_handed_out_as_fresh_lists(self, monkeypatch):
+        from repro.queries import computation_graph as graph
+        calls = []
+        rewrite = graph._rewrite
+        monkeypatch.setattr(graph, "_rewrite",
+                            lambda node: calls.append(node) or rewrite(node))
+        query = self.query()
+        first = to_dnf(query)
+        first.append("a caller's own business")
+        second = to_dnf(query)
+        assert sum(node is query for node in calls) == 1
+        assert second == to_dnf(self.query()) and len(second) == 2
+
+    def test_invisible_to_equality_hash_repr_and_pickle(self):
+        import pickle
+        plain, used = self.query(), self.query()
+        to_dnf(used)
+        assert used == plain and hash(used) == hash(plain)
+        assert repr(used) == repr(plain)
+        assert pickle.loads(pickle.dumps(used)) == plain
+
+    def test_not_a_node_is_still_a_type_error(self):
+        with pytest.raises(TypeError):
+            to_dnf("2i")
