@@ -35,6 +35,14 @@ if [ "$(grep -rn 'np\.add\.at' src/repro/nn | wc -l)" -ne 1 ] \
     exit 1
 fi
 
+# a request stays on its connection's thread from socket to batcher: no
+# event loop, and so no cross-thread hop onto one, in the door or the
+# runtime behind it
+if grep -rnE 'asyncio|call_soon_threadsafe' src/repro/gateway src/repro/serve; then
+    echo "tier1: an event loop is back on the request path (see above)" >&2
+    exit 1
+fi
+
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q "$@"
 
 # gate on the recorded benchmark trajectory when one exists; a red gate

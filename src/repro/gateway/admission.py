@@ -9,10 +9,10 @@ tenant with the smallest tag, and serving advances the tag by
 ``1 / weight`` — so over any contended interval tenant throughput is
 proportional to configured weights, regardless of arrival pattern.
 
-The scheduler is a plain data structure with no locking: the gateway
-confines it to its event-loop thread (submits cross over via
-``call_soon_threadsafe``).  Only the aggregate depth counters are
-published, through gauges, for other threads to read.
+The scheduler is a plain data structure with no locking of its own: the
+gateway calls every method under its one lock (``Gateway._lock``), from
+whichever thread submits, completes or closes.  The depths are also
+published through gauges, for readers that should not take that lock.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The front door: admission-controlled async dispatch into ServeRuntime.
+"""The front door: admission-controlled dispatch into ServeRuntime.
 
 :class:`Gateway` sits between the socket (or any caller) and the
 micro-batcher.  A request travels::
@@ -8,18 +8,32 @@ micro-batcher.  A request travels::
         ├─ token bucket empty?      → GatewayRejected(ratelimit, 429)
         ├─ tenant queue full?       → GatewayRejected(queue_full, 429)
         ├─ deadline already doomed? → GatewayRejected(doomed, 429)
-        ▼  admitted — crosses into the event loop
+        ▼  admitted — pushed under the gateway lock
     FairScheduler (priority bands + weighted fair queuing per tenant)
         ▼  dispatched while the inflight window has room
     deadline re-check (shed *before* the batcher, never after)
         ▼
     ServeRuntime.submit  →  micro-batcher  →  model
 
-The asyncio event loop (a dedicated daemon thread) owns every piece of
-scheduling state, so the scheduler itself needs no locks; submissions
-and completions hop onto the loop via ``call_soon_threadsafe``.  The
-caller-facing surface stays synchronous (:class:`ServeFuture`), so the
-gateway drops in front of any existing runtime user.
+The gateway owns no thread.  One lock guards the scheduling state (the
+scheduler, the inflight count, the service-time estimate, the queue
+gauges) and is held only to read or change it — never across a call
+into the runtime, a diagnostics commit or a caller's future.  ``submit``
+admits, pushes and pumps on the caller's thread; a completion runs on
+whichever thread resolved the runtime's future — a worker, or the
+pumping thread itself when ``ServeRuntime.submit`` answered from its
+cache.  So a cache hit is admitted, looked up and answered without one
+thread hand-off, and a miss hands off only batcher → worker → waiter.
+
+One thread pumps at a time (``_pumping``, claimed and released under
+the lock together with the decision that nothing is dispatchable): it
+pops an entry and carries it into the runtime before popping the next,
+which is why requests enter the runtime in ``FairScheduler.pop()``
+order, and why a completion that fires *inside* ``runtime.submit``
+returns to the pump's loop instead of recursing into a second pump.  A
+thread that finds the pump taken leaves its push or its freed slot to
+it: the pumping thread re-reads the state under the lock before it
+lets go, so nothing made ready is left behind.  (DESIGN.md §9.)
 
 Why shed *before* the batcher: once a request enters the micro-batcher
 it occupies a batch slot and a worker-pool pass whether or not its
@@ -40,6 +54,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable
 
 from ..obs.diag import RequestContext
@@ -112,16 +127,29 @@ class GatewayConfig:
 
 
 class _TenantState:
-    """Runtime state of one tenant: bucket + shared counters."""
+    """Runtime state of one tenant: its bucket and its metric handles.
 
-    def __init__(self, config: TenantConfig, clock):
+    The handles resolve on first use, not at construction, so a series
+    still appears in ``/metrics`` with its first event.
+    """
+
+    def __init__(self, config: TenantConfig, clock, metrics):
         self.config = config
         self.bucket = TokenBucket(config.rate, config.burst, clock=clock)
-        #: queued-but-not-dispatched count; written by both the submit
-        #: threads (admission) and the loop thread (dispatch/shed), so it
-        #: lives behind a lock rather than in the scheduler
-        self.pending = 0
-        self.lock = threading.Lock()
+        self._metrics = metrics
+
+    @cached_property
+    def admitted(self):
+        return self._metrics.counter("admitted", tenant=self.config.name)
+
+    @cached_property
+    def queue_depth(self):
+        return self._metrics.gauge("tenant_queue", tenant=self.config.name)
+
+    @cached_property
+    def latency_ms(self):
+        return self._metrics.histogram("gateway_latency_ms",
+                                       tenant=self.config.name)
 
 
 class Gateway:
@@ -148,8 +176,6 @@ class Gateway:
                  compile_fn: Callable[[str], Any] | None = None,
                  clock: Callable[[], float] = time.monotonic,
                  tracer: Tracer | None = None):
-        import asyncio
-
         self.runtime = runtime
         self.config = config or GatewayConfig()
         self.metrics = runtime.metrics
@@ -161,41 +187,24 @@ class Gateway:
         self._compile = compile_fn
         self._clock = clock
         self.tracer = tracer if tracer is not None else get_tracer()
-        self._tenants: dict[str, _TenantState] = {}
-        self._tenants_lock = threading.Lock()
-        for tenant in self.config.tenants:
-            self._tenants[tenant.name] = _TenantState(tenant, clock)
+        #: guards every write below it and every read of more than one
+        #: field (tenant states are only ever added, so a thread that
+        #: holds a name reads its state without it); see the module
+        #: docstring for what may not happen while it is held
+        self._lock = threading.Lock()
+        self._tenants: dict[str, _TenantState] = {
+            tenant.name: _TenantState(tenant, clock, self.metrics)
+            for tenant in self.config.tenants}
         self._scheduler = FairScheduler()
-        #: id(entry) -> (entry, inner future) for requests inside the
-        #: runtime; lock-guarded so close() can sweep what the loop
-        #: thread can no longer complete
-        self._live: dict[int, tuple] = {}
-        self._live_lock = threading.Lock()
+        self._pumping = False
         self._inflight = 0
         self._est_service = 0.0  # EWMA seconds; 0 = no estimate yet
         self._closed = False
         self._queue_gauge = self.metrics.gauge("gateway_queue_depth")
         self._inflight_gauge = self.metrics.gauge("gateway_inflight")
         self._wait_ms = self.metrics.histogram("gateway_wait_ms")
-        # the event loop thread owns all scheduling state
-        self._loop = asyncio.new_event_loop()
-        self._started = threading.Event()
-        self._thread = threading.Thread(target=self._run_loop, daemon=True,
-                                        name="gateway-loop")
-        self._thread.start()
-        self._started.wait()
         if runtime.http_server is not None:
             runtime.http_server.set_query_fn(self.handle_http)
-
-    def _run_loop(self) -> None:
-        import asyncio
-
-        asyncio.set_event_loop(self._loop)
-        self._loop.call_soon(self._started.set)
-        try:
-            self._loop.run_forever()
-        finally:
-            self._loop.close()
 
     # ------------------------------------------------------------------
     # admission (caller threads)
@@ -208,46 +217,40 @@ class Gateway:
         Raises :class:`GatewayRejected` synchronously when the request
         is shed at the door (rate limit, full queue, doomed deadline);
         requests shed later (deadline expired while queued) resolve
-        their future with the same exception.
+        their future with the same exception.  An admitted request is
+        dispatched on this thread when the inflight window has room, so
+        the future may come back already resolved.
         """
-        if self._closed:
-            raise GatewayRejected("shutdown", retry_after=0.0)
         priority = priority or self.config.default_priority
         if priority not in PRIORITIES:
             raise ValueError(f"unknown priority {priority!r}; expected "
                              f"one of {PRIORITIES}")
         if deadline is None:
             deadline = self.config.default_deadline
-        state = self._tenant_state(tenant)
         now = self._clock()
-        if not state.bucket.try_acquire():
-            raise self._door_shed(tenant, "ratelimit", priority,
-                                  state.bucket.retry_after())
-        with state.lock:
-            if state.pending >= state.config.max_queue:
-                queue_full = True
-            else:
-                queue_full = False
-                state.pending += 1
-        if queue_full:
-            raise self._door_shed(tenant, "queue_full", priority,
-                                  self._drain_eta(state.pending))
-        absolute = None if deadline is None else now + deadline
-        if absolute is not None and self._doomed_at_admission(deadline):
-            with state.lock:
-                state.pending -= 1
-            raise self._door_shed(tenant, "doomed", priority,
-                                  self._drain_eta(1))
-        self.metrics.counter("admitted", tenant=tenant).inc()
-        ctx = RequestContext(self, self.diag, self.tracer, tenant=tenant,
-                             priority=priority, admission="admitted")
-        ctx.enter("gateway.request", tenant=tenant, priority=priority)
-        entry = QueuedRequest(query=query, top_k=top_k, tenant=tenant,
-                              priority=priority, deadline=absolute,
-                              future=ServeFuture(), admitted_at=now,
-                              queued_at=time.perf_counter(), ctx=ctx)
-        self._loop.call_soon_threadsafe(self._enqueue, entry,
-                                        state.config.weight)
+        with self._lock:
+            if self._closed:
+                raise GatewayRejected("shutdown", retry_after=0.0)
+            state = self._tenant_state(tenant)
+            shed = self._verdict(state, tenant, priority, deadline)
+            if shed is None:
+                state.admitted.inc()
+                ctx = RequestContext(self, self.diag, self.tracer,
+                                     tenant=tenant, priority=priority,
+                                     admission="admitted")
+                ctx.enter("gateway.request", tenant=tenant,
+                          priority=priority)
+                entry = QueuedRequest(
+                    query=query, top_k=top_k, tenant=tenant,
+                    priority=priority, future=ServeFuture(),
+                    deadline=None if deadline is None else now + deadline,
+                    admitted_at=now, queued_at=time.perf_counter(),
+                    ctx=ctx)
+                self._scheduler.push(entry, weight=state.config.weight)
+                self._observe_queues(state)
+        if shed is not None:
+            raise self._door_shed(tenant, *shed)
+        self._pump()
         return entry.future
 
     def answer(self, query: Any, top_k: int = 10, tenant: str = "default",
@@ -257,19 +260,34 @@ class Gateway:
         return self.submit(query, top_k, tenant=tenant, priority=priority,
                            deadline=deadline).result(timeout)
 
-    def _tenant_state(self, tenant: str) -> _TenantState:
-        with self._tenants_lock:
-            state = self._tenants.get(tenant)
-            if state is None:
-                template = self.config.default_tenant
-                if template is None:
-                    raise self._door_shed(tenant, "unknown_tenant")
-                config = TenantConfig(
-                    tenant, rate=template.rate, burst=template.burst,
-                    weight=template.weight, max_queue=template.max_queue)
-                state = self._tenants[tenant] = _TenantState(config,
-                                                             self._clock)
-            return state
+    def _tenant_state(self, tenant: str) -> _TenantState | None:
+        """The tenant's state, minted from the default template on first
+        sight; None when unknown tenants are refused.  Lock held."""
+        state = self._tenants.get(tenant)
+        template = self.config.default_tenant
+        if state is None and template is not None:
+            config = TenantConfig(
+                tenant, rate=template.rate, burst=template.burst,
+                weight=template.weight, max_queue=template.max_queue)
+            state = self._tenants[tenant] = _TenantState(
+                config, self._clock, self.metrics)
+        return state
+
+    def _verdict(self, state: _TenantState | None, tenant: str,
+                 priority: str, deadline: float | None) -> tuple | None:
+        """The ``(reason, priority, retry_after)`` :meth:`_door_shed` is
+        owed, None to admit.  Lock held: the queue and backlog read
+        here are the ones the caller then pushes into."""
+        if state is None:  # refused before its priority counts
+            return ("unknown_tenant",)
+        if not state.bucket.try_acquire():
+            return "ratelimit", priority, state.bucket.retry_after()
+        queued = self._scheduler.depth(tenant)
+        if queued >= state.config.max_queue:
+            return "queue_full", priority, self._drain_eta(queued)
+        if deadline is not None and self._doomed_at_admission(deadline):
+            return "doomed", priority, self._drain_eta(1)
+        return None
 
     def _doomed_at_admission(self, deadline_rel: float) -> bool:
         """Conservative pre-queue doom check from the current backlog."""
@@ -304,113 +322,99 @@ class Gateway:
                                tenant=tenant)
 
     # ------------------------------------------------------------------
-    # scheduling (event-loop thread only)
+    # scheduling (whichever thread pushed an entry or freed a slot)
     # ------------------------------------------------------------------
-    def _enqueue(self, entry: QueuedRequest, weight: float) -> None:
-        self._scheduler.push(entry, weight=weight)
-        self._observe_queues(entry.tenant)
-        self._pump()
-
     def _pump(self) -> None:
-        while self._inflight < self.config.max_inflight:
-            entry = self._scheduler.pop()
-            if entry is None:
-                break
-            state = self._tenant_state(entry.tenant)
-            with state.lock:
-                state.pending -= 1
-            self._observe_queues(entry.tenant)
-            now = self._clock()
-            self._wait_ms.observe(1000.0 * (now - entry.admitted_at))
-            entry.ctx.stage("gateway.queue", entry.queued_at,
-                            time.perf_counter())
-            if not self._dispatchable(entry, now):
-                continue
-            self._inflight += 1
-            self._inflight_gauge.set(self._inflight)
-            remaining = None if entry.deadline is None \
-                else entry.deadline - now
-            try:
-                # by reference: the runtime's serve.request span nests
-                # under the context's gateway.request root
-                inner = self.runtime.submit(entry.query, entry.top_k,
-                                            deadline=remaining,
-                                            ctx=entry.ctx)
-            except BaseException as exc:
-                self._inflight -= 1
-                self._inflight_gauge.set(self._inflight)
-                self._finish(entry, error=exc)
-                continue
-            with self._live_lock:
-                self._live[id(entry)] = (entry, inner)
-            inner.add_done_callback(
-                lambda f, e=entry: self._on_inner_done(e, f))
+        """Dispatch in ``pop()`` order while the inflight window has
+        room; returns at once when another thread is already pumping."""
+        with self._lock:
+            if self._pumping:
+                return
+            self._pumping = True
+        try:
+            while True:
+                with self._lock:
+                    entry = None
+                    if self._inflight < self.config.max_inflight:
+                        entry = self._scheduler.pop()
+                    if entry is None:
+                        # decided under the lock that made it true: a
+                        # later push or completion finds the pump free
+                        self._pumping = False
+                        return
+                    self._observe_queues(self._tenants[entry.tenant])
+                    now = self._clock()
+                    doomed = self._doomed(entry, now)
+                    if not doomed:
+                        self._inflight += 1
+                        self._inflight_gauge.set(self._inflight)
+                self._dispatch(entry, now, doomed)
+        except BaseException:
+            with self._lock:
+                self._pumping = False
+            raise
 
-    def _dispatchable(self, entry: QueuedRequest, now: float) -> bool:
-        """Deadline gate at the batcher door; sheds the doomed."""
+    def _doomed(self, entry: QueuedRequest, now: float) -> bool:
+        """Deadline gate at the batcher door.  Lock held."""
         if entry.deadline is None:
-            return True
+            return False
         remaining = entry.deadline - now
-        doomed = remaining <= 0 or (
+        return remaining <= 0 or (
             self._est_service > 0.0
             and remaining < self.config.doom_factor * self._est_service)
+
+    def _dispatch(self, entry: QueuedRequest, now: float,
+                  doomed: bool) -> None:
+        """Carry one popped entry into the runtime, or shed the doomed."""
+        self._wait_ms.observe(1000.0 * (now - entry.admitted_at))
+        entry.ctx.stage("gateway.queue", entry.queued_at,
+                        time.perf_counter())
         if doomed:
             self._finish(entry, error=GatewayRejected(
                 "deadline", retry_after=0.0, tenant=entry.tenant))
-            return False
-        return True
-
-    def _on_inner_done(self, entry: QueuedRequest,
-                       inner: ServeFuture) -> None:
-        """Runtime completion → loop hop; never raises into the runtime.
-
-        Runs on whichever runtime thread resolved the inner future.  If
-        the loop is already closed (gateway shut down with the request
-        still in the batcher) the caller-facing future is resolved
-        directly instead — a completion must never strand the caller or
-        throw inside the runtime's resolver thread.
-        """
+            return
+        remaining = None if entry.deadline is None \
+            else entry.deadline - now
         try:
-            self._loop.call_soon_threadsafe(self._complete, entry, inner)
-        except RuntimeError:  # loop closed mid-shutdown
-            self._finish_direct(entry, inner)
-
-    def _finish_direct(self, entry: QueuedRequest,
-                       inner: ServeFuture) -> None:
-        """Resolve off-loop (shutdown path); at-most-once per entry."""
-        with self._live_lock:
-            if self._live.pop(id(entry), None) is None:
-                return
-        try:
-            result: ServeResult = inner.result(timeout=0)
+            # by reference: the runtime's serve.request span nests
+            # under the context's gateway.request root
+            inner = self.runtime.submit(entry.query, entry.top_k,
+                                        deadline=remaining, ctx=entry.ctx)
         except BaseException as exc:
+            self._release_slot()
             self._finish(entry, error=exc)
-        else:
-            self._finish(entry, result=ServeResult(
-                result.entity_ids, result.source,
-                latency=self._clock() - entry.admitted_at,
-                request_id=entry.ctx.request_id))
+            return
+        inner.add_done_callback(
+            lambda f, e=entry: self._complete(e, f))
+
+    def _release_slot(self, service_time: float | None = None) -> None:
+        """One request left the runtime; a served one folds its real
+        service time into the doom/Retry-After estimate (cache hits
+        included: they are real service times)."""
+        with self._lock:
+            self._inflight -= 1
+            self._inflight_gauge.set(self._inflight)
+            if service_time is not None:
+                alpha = self.config.service_time_alpha
+                self._est_service = service_time \
+                    if self._est_service == 0 \
+                    else (1 - alpha) * self._est_service \
+                    + alpha * service_time
 
     def _complete(self, entry: QueuedRequest, inner: ServeFuture) -> None:
-        with self._live_lock:
-            if self._live.pop(id(entry), None) is None:
-                return  # already resolved by the shutdown sweep
-        self._inflight -= 1
-        self._inflight_gauge.set(self._inflight)
+        """Done-callback of the runtime's future, on the thread that
+        resolved it — possibly the pumping thread, inside
+        ``runtime.submit``; the closing :meth:`_pump` then returns to
+        that loop instead of nesting."""
         try:
             result: ServeResult = inner.result(timeout=0)
         except BaseException as exc:
+            self._release_slot()
             self._finish(entry, error=exc)
         else:
-            # fold the real service time into the doom/Retry-After
-            # estimate (cache hits included: they are real service times)
-            alpha = self.config.service_time_alpha
-            self._est_service = result.latency if self._est_service == 0 \
-                else (1 - alpha) * self._est_service \
-                + alpha * result.latency
+            self._release_slot(result.latency)
             latency = self._clock() - entry.admitted_at
-            self.metrics.histogram(
-                "gateway_latency_ms", tenant=entry.tenant).observe(
+            self._tenants[entry.tenant].latency_ms.observe(
                 1000.0 * latency, exemplar=entry.ctx.request_id)
             self._finish(entry, result=ServeResult(
                 result.entity_ids, result.source, latency=latency,
@@ -441,10 +445,10 @@ class Gateway:
         else:
             entry.future.set_result(result)
 
-    def _observe_queues(self, tenant: str) -> None:
+    def _observe_queues(self, state: _TenantState) -> None:
+        """Publish the queue depths.  Lock held."""
         self._queue_gauge.set(len(self._scheduler))
-        self.metrics.gauge("tenant_queue", tenant=tenant).set(
-            self._scheduler.depth(tenant))
+        state.queue_depth.set(self._scheduler.depth(state.config.name))
 
     # ------------------------------------------------------------------
     # HTTP surface (mounted on repro.serve.http when present)
@@ -523,51 +527,34 @@ class Gateway:
         overhead budget forced down-sampling, which is the first thing
         to check when gateway latency and profile detail disagree.
         """
-        with self._tenants_lock:
-            tenants = {name: state.pending
-                       for name, state in self._tenants.items()}
-        out = {"queued": sum(tenants.values()), "tenants": tenants,
-               "inflight": self._inflight,
-               "est_service_ms": 1000.0 * self._est_service}
+        with self._lock:
+            tenants = {name: self._scheduler.depth(name)
+                       for name in self._tenants}
+            out = {"queued": len(self._scheduler), "tenants": tenants,
+                   "inflight": self._inflight,
+                   "est_service_ms": 1000.0 * self._est_service}
         prof = getattr(self.runtime, "prof", None)
         if prof is not None:
             out["prof_effective_hz"] = prof.effective_hz
             out["prof_overhead_ratio"] = prof.overhead_ratio
         return out
 
-    def close(self, timeout: float = 5.0) -> None:
-        """Stop admitting, shed the queue, stop the loop; idempotent.
+    def close(self) -> None:
+        """Stop admitting and shed the queue; idempotent.
 
         In-flight requests (already inside the batcher) are left to the
-        runtime to finish; their futures still resolve.
+        runtime to finish; their futures still resolve, on the thread
+        that resolves the runtime's.
         """
-        if self._closed:
-            return
-        self._closed = True
-        drained = threading.Event()
-
-        def shutdown() -> None:
-            for entry in self._scheduler.drain():
-                state = self._tenant_state(entry.tenant)
-                with state.lock:
-                    state.pending -= 1
-                self._finish(entry, error=GatewayRejected(
-                    "shutdown", tenant=entry.tenant))
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            queued = self._scheduler.drain()
             self._queue_gauge.set(0)
-            drained.set()
-
-        self._loop.call_soon_threadsafe(shutdown)
-        drained.wait(timeout)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout)
-        # completions scheduled onto the loop in the stop window would
-        # be dropped with it — resolve whatever is still live directly
-        # once its inner future fires (immediately when already done)
-        with self._live_lock:
-            leftovers = list(self._live.values())
-        for entry, inner in leftovers:
-            inner.add_done_callback(
-                lambda f, e=entry, i=inner: self._finish_direct(e, i))
+        for entry in queued:
+            self._finish(entry, error=GatewayRejected(
+                "shutdown", tenant=entry.tenant))
 
     def __enter__(self) -> "Gateway":
         return self

@@ -339,23 +339,45 @@ class MetricsRegistry:
         self._histograms: dict[str, Histogram] = {}
         # counter baselines at the previous flush_delta
         self._flushed: dict[str, int] = {}
+        self._handles: dict = {}
 
     def counter(self, name: str, **labels) -> Counter:
-        key = metric_key(name, labels)
-        with self._lock:
-            return self._counters.setdefault(key, Counter())
+        return self._metric(self._counters, name, labels, Counter)
 
     def gauge(self, name: str, **labels) -> Gauge:
-        key = metric_key(name, labels)
-        with self._lock:
-            return self._gauges.setdefault(key, Gauge())
+        return self._metric(self._gauges, name, labels, Gauge)
 
     def histogram(self, name: str, **labels) -> Histogram:
+        return self._metric(self._histograms, name, labels,
+                            self._new_histogram)
+
+    def _new_histogram(self) -> Histogram:
+        return Histogram(self._window, track_deltas=self._track_deltas)
+
+    def _metric(self, table: dict, name: str, labels: dict, make):
+        """Look up, and only on a miss construct under the lock.  A
+        labelled lookup still renders its key every time — a caller on a
+        per-request path keeps the handle (see :meth:`handles`)."""
         key = metric_key(name, labels)
-        with self._lock:
-            return self._histograms.setdefault(
-                key, Histogram(self._window,
-                               track_deltas=self._track_deltas))
+        metric = table.get(key)
+        if metric is None:
+            with self._lock:
+                metric = table.setdefault(key, make())
+        return metric
+
+    def handles(self, shape, resolve):
+        """``resolve(self)``, run once per ``shape`` and remembered.
+
+        For a hot path whose label values vary with its input (a plan
+        stage's kind and depth): ``shape`` is any hashable naming the
+        caller and those values, ``resolve`` looks the metrics up, and
+        every later call costs one dict read.  Two threads racing on a
+        first call both resolve — to the same metric objects.
+        """
+        found = self._handles.get(shape)
+        if found is None:
+            found = self._handles.setdefault(shape, resolve(self))
+        return found
 
     def snapshot(self) -> StatsSnapshot:
         with self._lock:

@@ -130,6 +130,18 @@ def _block_nbytes(block: ArcRows) -> int:
                + block.signature.nbytes)
 
 
+def _stage_meters(registry, kind: str, depth: int, fused: bool):
+    """The ``plan_stage_seconds`` gauge and the ``plan_stage_rows`` /
+    ``plan_stage_bytes`` counters of one stage shape, looked up once per
+    registry (every batch builds a new plan, but the shapes recur)."""
+    return registry.handles(
+        ("plan_stage", kind, depth, fused),
+        lambda r: (r.gauge("plan_stage_seconds", kind=kind,
+                           depth=str(depth), fused="1" if fused else "0"),
+                   r.counter("plan_stage_rows", kind=kind),
+                   r.counter("plan_stage_bytes", kind=kind)))
+
+
 def execute_plan(plan: Plan, backend, tracer=None, registry=None,
                  cost=None) -> list[RankGroup]:
     """Evaluate a DNF plan with stacked kernels; one RankGroup per shape.
@@ -157,14 +169,11 @@ def execute_plan(plan: Plan, backend, tracer=None, registry=None,
                 started = time.perf_counter()
                 result = _run_stage(plan, group, values, backend)
                 elapsed = time.perf_counter() - started
-            registry.gauge("plan_stage_seconds", kind=group.kind,
-                           depth=str(group.depth),
-                           fused="1" if len(group.ops) > 1 else "0",
-                           ).add(elapsed)
-            registry.counter("plan_stage_rows",
-                             kind=group.kind).inc(len(group.ops))
-            registry.counter("plan_stage_bytes",
-                             kind=group.kind).inc(_block_nbytes(result))
+            seconds, rows, nbytes = _stage_meters(
+                registry, group.kind, group.depth, len(group.ops) > 1)
+            seconds.add(elapsed)
+            rows.inc(len(group.ops))
+            nbytes.inc(_block_nbytes(result))
             if cost is not None:
                 cost[group.kind] = cost.get(group.kind, 0.0) \
                     + 1000.0 * elapsed
@@ -184,8 +193,9 @@ def execute_plan(plan: Plan, backend, tracer=None, registry=None,
                 out.append(RankGroup(tuple(positions),
                                      backend.finalize(branches)))
             elapsed = time.perf_counter() - started
-        registry.gauge("plan_stage_seconds", kind="finalize", depth="0",
-                       fused="0").add(elapsed)
+        registry.handles("plan_finalize", lambda r: r.gauge(
+            "plan_stage_seconds", kind="finalize", depth="0",
+            fused="0")).add(elapsed)
         if cost is not None:
             cost["finalize"] = cost.get("finalize", 0.0) + 1000.0 * elapsed
     return out

@@ -54,8 +54,10 @@ class ServeFuture:
         """Run ``callback(self)`` once resolved (immediately if done).
 
         Callbacks run on whichever thread resolves the future (or the
-        registering thread when already done) — keep them quick, e.g. a
-        ``call_soon_threadsafe`` hop (the gateway's completion path).
+        registering thread when already done), with none of the
+        future's locks held — the gateway's completion path runs here
+        and submits the next queued request from inside it.  They must
+        not block on work that needs the resolving thread back.
         """
         with self._lock:
             if not self._event.is_set():

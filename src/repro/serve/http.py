@@ -47,21 +47,33 @@ the runtime when ``ServeConfig.profiling`` is on) are independent of
 * ``GET /debug/mem`` — per-process RSS, cache residency bytes, and the
   shared-memory shard-slab inventory (``cli mem host:port``).
 
-Errors are machine-readable: unknown paths, bad methods and malformed
-bodies all return a JSON object (``{"error": ...}``) with correct
-``Content-Type``/``Content-Length`` headers — a load balancer or SDK
-never has to scrape free-text from this server.
+Errors are machine-readable: unknown paths, bad methods (405 with an
+``Allow`` header) and malformed bodies all return a JSON object
+(``{"error": ...}``) with correct ``Content-Type``/``Content-Length``
+headers — a load balancer or SDK never has to scrape free-text from
+this server.
 
-Requests are served by a :class:`ThreadingHTTPServer` on a daemon
-thread, so scrapes never sit on the query path; each scrape takes one
-registry snapshot (a short lock per metric, no stop-the-world).
+The server speaks HTTP/1.1 with persistent connections: a
+:class:`ThreadingHTTPServer` gives every *connection* one daemon handler
+thread, and a request stays on that thread from the socket through the
+gateway to the reply (DESIGN.md §9, "Connection lifetime").  A client
+that sends ``Connection: close`` or an HTTP/1.0 request line gets one
+reply and a closed connection, so ``urllib`` callers work unchanged.  A
+connection that sends nothing for :data:`IDLE_TIMEOUT_S` is closed, a
+declared body above :data:`MAX_BODY_BYTES` is refused with 413, and
+:meth:`TelemetryHTTPServer.close` half-closes every open connection so
+no handler thread outlives it.  Scrapes never sit on the query path;
+each takes one registry snapshot (a short lock per metric, no
+stop-the-world).
 """
 
 from __future__ import annotations
 
 import json
 import re
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 from urllib.parse import parse_qs, urlsplit
@@ -70,6 +82,21 @@ from ..obs.metrics import (StatsSnapshot, parse_metric_key,
                            snapshot_to_json)
 
 __all__ = ["TelemetryHTTPServer", "render_prometheus"]
+
+#: seconds a connection may sit between requests — and the read timeout
+#: of its socket, so a client that declares more body than it sends
+#: cannot pin its handler thread for longer.  A constant, not an option:
+#: the only callers with a preference are keep-alive clients that pause
+#: (a tracing client idles for seconds between rounds), and a
+#: server-side close under them surfaces as a failed request.
+IDLE_TIMEOUT_S = 120.0
+
+#: largest ``POST /v1/query`` body read; a SPARQL query is a few hundred
+#: bytes, so anything near this is not a query
+MAX_BODY_BYTES = 1 << 20
+
+#: longest ``close()`` waits for handler threads to write their replies
+_CLOSE_WAIT_S = 5.0
 
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _NAME_FIX = re.compile(r"[^a-zA-Z0-9_:]")
@@ -212,20 +239,46 @@ class TelemetryHTTPServer:
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            timeout = IDLE_TIMEOUT_S
+            # A reply sent in two pieces (stdlib's send_response /
+            # end_headers, then the body) stalls on a persistent
+            # connection: Nagle holds the second until the client's
+            # delayed ACK, ~40 ms per request.  _reply sends one piece;
+            # this is the guard for whatever does not.
+            disable_nagle_algorithm = True
+
             def log_message(self, *args):  # no stderr chatter per scrape
                 pass
+
+            def setup(self):
+                super().setup()
+                outer._opened(self.connection)
+
+            def finish(self):
+                with outer._connections_lock:
+                    del outer._connections[self.connection]
+                super().finish()
 
             def do_GET(self):  # noqa: N802 (stdlib handler contract)
                 try:
                     outer._route(self)
-                except BrokenPipeError:  # client went away mid-reply
-                    pass
+                except ConnectionError:  # client went away mid-reply
+                    self.close_connection = True
 
             def do_POST(self):  # noqa: N802 (stdlib handler contract)
                 try:
                     outer._route_post(self)
-                except BrokenPipeError:
-                    pass
+                except ConnectionError:
+                    self.close_connection = True
+
+            def __getattr__(self, name):
+                # stdlib dispatches on do_<METHOD> and answers a missing
+                # one with an HTML 501; every other method gets this
+                # server's own error format instead
+                if name.startswith("do_"):
+                    return lambda: outer._method_not_allowed(self)
+                raise AttributeError(name)
 
         self._snapshot_fn = snapshot_fn
         self._health_fn = health_fn
@@ -233,6 +286,10 @@ class TelemetryHTTPServer:
         self._diag = diag
         self._prof_fn = prof_fn
         self._mem_fn = mem_fn
+        #: open connection -> its handler thread, for close()
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._connections_lock = threading.Lock()
+        self._closed = False
         self._server = ThreadingHTTPServer((host, port), Handler)
         self._server.daemon_threads = True
         self.host = self._server.server_address[0]
@@ -241,7 +298,6 @@ class TelemetryHTTPServer:
             target=self._server.serve_forever, daemon=True,
             name="serve-http")
         self._thread.start()
-        self._closed = False
 
     # ------------------------------------------------------------------
     def _route(self, handler: BaseHTTPRequestHandler) -> None:
@@ -368,18 +424,33 @@ class TelemetryHTTPServer:
 
     def _route_post(self, handler: BaseHTTPRequestHandler) -> None:
         path = handler.path.split("?", 1)[0]
-        if path != "/v1/query":
-            self._json_error(handler, 404, f"no such path: {path}")
-            return
-        if self._query_fn is None:
-            self._json_error(handler, 404,
-                            "no gateway mounted (start with --gateway)")
-            return
         try:
             length = int(handler.headers.get("Content-Length", ""))
         except ValueError:
-            self._json_error(handler, 411,
-                            "Content-Length header required")
+            length = None
+        framing = None  # why the body cannot, or will not, be read
+        if length is None:
+            framing = 411, "Content-Length header required"
+        elif length < 0:
+            framing = 400, f"negative Content-Length: {length}"
+        elif length > MAX_BODY_BYTES:
+            framing = 413, (f"body of {length} bytes exceeds the "
+                            f"{MAX_BODY_BYTES}-byte limit")
+        if path != "/v1/query":
+            refusal = 404, f"no such path: {path}"
+        elif self._query_fn is None:
+            refusal = 404, "no gateway mounted (start with --gateway)"
+        else:
+            refusal = framing
+        if refusal is not None:
+            # the next request on this connection is parsed from
+            # whatever follows these headers: skip a body that can be
+            # delimited, end the connection over one that cannot
+            if framing is None:
+                handler.rfile.read(length)
+            else:
+                handler.close_connection = True
+            self._json_error(handler, *refusal)
             return
         raw = handler.rfile.read(length)
         try:
@@ -396,38 +467,85 @@ class TelemetryHTTPServer:
         self._reply(handler, status, json.dumps(body) + "\n",
                     "application/json", headers=headers)
 
+    def _method_not_allowed(self, handler: BaseHTTPRequestHandler) -> None:
+        # whether a body follows these headers is the method's business
+        # (HEAD even forbids one in the reply), so the connection ends
+        handler.close_connection = True
+        self._json_error(handler, 405,
+                         f"method {handler.command} not allowed",
+                         headers={"Allow": "GET, POST"})
+
     def set_query_fn(self, query_fn) -> None:
         """Mount (or unmount with None) the ``POST /v1/query`` handler."""
         self._query_fn = query_fn
 
-    def _json_error(self, handler, status: int, message: str) -> None:
+    def _json_error(self, handler, status: int, message: str,
+                    headers: dict | None = None) -> None:
         self._reply(handler, status, json.dumps({"error": message}) + "\n",
-                    "application/json")
+                    "application/json", headers=headers)
 
-    @staticmethod
-    def _reply(handler, status: int, body: str, content_type: str,
+    def _reply(self, handler, status: int, body: str, content_type: str,
                headers: dict | None = None) -> None:
+        """Status line, headers and body as one write — one ``send``,
+        one segment for anything below the MSS (the Handler's comment
+        has the reason)."""
         encoded = body.encode("utf-8")
-        handler.send_response(status)
-        handler.send_header("Content-Type", content_type)
-        handler.send_header("Content-Length", str(len(encoded)))
-        for name, value in (headers or {}).items():
-            handler.send_header(name, str(value))
-        handler.end_headers()
-        handler.wfile.write(encoded)
+        if self._closed:  # close() ran meanwhile: this reply is the last
+            handler.close_connection = True
+        head = [f"HTTP/1.1 {status} {handler.responses[status][0]}",
+                f"Server: {handler.version_string()}",
+                f"Date: {handler.date_time_string()}",
+                f"Content-Type: {content_type}",
+                f"Content-Length: {len(encoded)}"]
+        if handler.close_connection:  # the client's wish, or a refusal's
+            head.append("Connection: close")
+        head += [f"{name}: {value}"
+                 for name, value in (headers or {}).items()]
+        handler.wfile.write(
+            "\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + encoded)
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
+    def _opened(self, connection: socket.socket) -> None:
+        """Register a handler thread's connection for :meth:`close`."""
+        with self._connections_lock:
+            self._connections[connection] = threading.current_thread()
+            closed = self._closed
+        if closed:  # accepted while close() swept: ends the same way
+            self._half_close(connection)
+
+    @staticmethod
+    def _half_close(connection: socket.socket) -> None:
+        """No more requests from this connection: an idle handler reads
+        EOF and returns, one in the middle of a request still writes its
+        reply first."""
+        try:
+            connection.shutdown(socket.SHUT_RD)
+        except OSError:  # the peer reset it first
+            pass
+
     def close(self) -> None:
-        """Stop serving; idempotent."""
-        if self._closed:
-            return
-        self._closed = True
+        """Stop accepting, end every open connection (see
+        :meth:`_half_close`) and join the threads; idempotent.
+
+        The whole wait is bounded: a reply that takes longer than
+        :data:`_CLOSE_WAIT_S` leaves its daemon thread to finish alone.
+        """
+        with self._connections_lock:
+            if self._closed:
+                return
+            self._closed = True
+        deadline = time.monotonic() + _CLOSE_WAIT_S
         self._server.shutdown()
         self._server.server_close()
-        self._thread.join(timeout=5.0)
+        with self._connections_lock:
+            handlers = list(self._connections.items())
+        for connection, _ in handlers:
+            self._half_close(connection)
+        for thread in (self._thread, *(thread for _, thread in handlers)):
+            thread.join(max(0.0, deadline - time.monotonic()))
 
     def __enter__(self) -> "TelemetryHTTPServer":
         return self

@@ -2,7 +2,8 @@
 
 Most tests drive the gateway against a *fake* runtime whose futures the
 test resolves by hand — admission and scheduling decisions become fully
-deterministic (the event loop pumps only when we complete something).
+deterministic (the gateway pumps only when we submit or complete
+something).
 One integration test runs the real ServeRuntime end to end.
 """
 
@@ -231,6 +232,47 @@ class TestLifecycle:
         assert stats["queued"] == 0
         assert stats["inflight"] == 0
         assert "est_service_ms" in stats and "tenants" in stats
+
+
+class TestMetricHandles:
+    def test_a_known_tenant_renders_no_labelled_key(self, fake,
+                                                    monkeypatch):
+        """``admitted``, ``tenant_queue`` (twice) and
+        ``gateway_latency_ms`` were four labelled lookups — four key
+        renders — per request; the tenant's state now holds them."""
+        from repro.obs import metrics
+
+        with Gateway(fake) as gateway:
+            warm = gateway.submit("warm", tenant="acme")
+            fake.resolve(0)
+            warm.result(timeout=5.0)
+            rendered = []
+            render = metrics.metric_key
+            monkeypatch.setattr(
+                metrics, "metric_key",
+                lambda name, labels=None: (
+                    rendered.append(name) if labels else None,
+                    render(name, labels))[1])
+            future = gateway.submit("q", tenant="acme")
+            fake.resolve(1)
+            future.result(timeout=5.0)
+            monkeypatch.undo()
+        assert rendered == []
+        snapshot = fake.metrics.snapshot()
+        assert snapshot.counters["admitted{tenant=acme}"] == 2
+        assert snapshot.histograms[
+            "gateway_latency_ms{tenant=acme}"].count == 2
+        assert snapshot.gauges["tenant_queue{tenant=acme}"] == 0
+
+    def test_a_tenant_has_no_series_before_its_first_event(self, fake):
+        """Handles resolve on first use: configuring a tenant adds
+        nothing to ``/metrics`` until it is admitted, queued, served."""
+        config = GatewayConfig(tenants=(TenantConfig("quiet"),))
+        with Gateway(fake, config):
+            snapshot = fake.metrics.snapshot()
+        assert not [key for kind in (snapshot.counters, snapshot.gauges,
+                                     snapshot.histograms)
+                    for key in kind if "quiet" in key]
 
 
 class TestIntegration:

@@ -90,6 +90,64 @@ class TestLabelledMetrics:
         assert counter.value == 2  # the failed inc left no trace
 
 
+class TestLookupCost:
+    """What a per-request caller pays for a metric it already has."""
+
+    def test_a_hit_constructs_nothing(self, monkeypatch):
+        """``setdefault(key, Histogram(...))`` built — and threw away —
+        a deque-backed histogram on every lookup."""
+        from repro.obs import metrics
+
+        built = []
+        init = metrics.Histogram.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(metrics.Histogram, "__init__", counting_init)
+        registry = MetricsRegistry(histogram_window=16, track_deltas=True)
+        first = registry.histogram("latency_ms", tenant="a")
+        assert all(registry.histogram("latency_ms", tenant="a") is first
+                   for _ in range(100))
+        assert built == [first]
+        first.observe(1.0)  # the one built is configured as before
+        assert registry.flush_delta().samples == \
+            {"latency_ms{tenant=a}": [1.0]}
+        assert first.stats().window == 16
+
+    def test_handles_resolve_once_per_shape(self):
+        registry = MetricsRegistry()
+        resolved = []
+
+        def resolve(shape):
+            def run(r):
+                resolved.append(shape)
+                return r.counter("stage_rows", kind=shape[1])
+            return registry.handles(shape, run)
+
+        project = resolve(("stage", "project"))
+        assert resolve(("stage", "project")) is project
+        assert resolve(("stage", "anchor")) is not project
+        assert resolved == [("stage", "project"), ("stage", "anchor")]
+        assert project is registry.counter("stage_rows", kind="project")
+
+    def test_concurrent_first_lookups_agree(self):
+        registry = MetricsRegistry()
+        seen, barrier = [], threading.Barrier(8)
+
+        def lookup():
+            barrier.wait(5.0)
+            seen.append(registry.counter("c", shard=1))
+
+        threads = [threading.Thread(target=lookup) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(5.0)
+        assert len(seen) == 8 and all(c is seen[0] for c in seen)
+
+
 class TestDeltaFlush:
     def test_flush_returns_increments_since_last_flush(self):
         registry = MetricsRegistry(track_deltas=True)

@@ -61,6 +61,33 @@ def test_stage_metrics_cover_every_fused_stage(model, sampler, batch):
             assert isinstance(value, int) and value > 0
 
 
+def test_a_recurring_stage_shape_renders_no_metric_key(model, batch,
+                                                        monkeypatch):
+    """Every batch is a new plan, but its ``(kind, depth, fused)``
+    shapes recur: from the second execution on, the accounting looks no
+    labelled metric up (it was three key renders per stage) — and still
+    lands in the same series."""
+    from repro.obs import metrics
+
+    registry = MetricsRegistry()
+    execute_plan(lower(batch), model.plan_backend(), registry=registry)
+    first = registry.snapshot()
+    rendered = []
+    render = metrics.metric_key
+    monkeypatch.setattr(
+        metrics, "metric_key",
+        lambda name, labels=None: (rendered.append(name),
+                                   render(name, labels))[1])
+    execute_plan(lower(batch), model.plan_backend(), registry=registry)
+    monkeypatch.undo()
+    assert rendered == []
+    second = registry.snapshot()
+    assert set(second.counters) == set(first.counters)
+    assert set(second.gauges) == set(first.gauges)
+    assert all(second.counters[key] == 2 * value
+               for key, value in first.counters.items())
+
+
 def test_cost_dict_accumulates_per_kind_milliseconds(model, batch):
     plan = lower(batch)
     cost = {}
