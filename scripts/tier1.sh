@@ -43,6 +43,15 @@ if grep -rnE 'asyncio|call_soon_threadsafe' src/repro/gateway src/repro/serve; t
     exit 1
 fi
 
+# the ranking filter reads a float32 table somebody prepared once: the
+# float64 -> float32 cast lives in ArcShardScorer.prepare and nowhere
+# else in the kernel (a second one is a per-request cast growing back)
+if [ "$(grep -c 'casting=' src/repro/dist/scorer.py)" -ne 1 ]; then
+    grep -n 'casting=' src/repro/dist/scorer.py || true
+    echo "tier1: the entity table is cast to float32 in more than one place (see above)" >&2
+    exit 1
+fi
+
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q "$@"
 
 # gate on the recorded benchmark trajectory when one exists; a red gate

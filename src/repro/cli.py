@@ -631,10 +631,19 @@ def cmd_mem(args) -> int:
         print(f"shard plan: {plan.get('layout')} layout, "
               f"{plan.get('num_entities', 0):,} x {plan.get('dim', 0)} "
               f"entities, {_human_bytes(plan.get('total_bytes', 0))} "
-              f"published")
+              f"published "
+              f"({_human_bytes(plan.get('prepared_bytes', 0))} of it the "
+              f"filter's float32 table)")
         for row in plan.get("shards", []):
             print(f"  shard {row.get('shard')}: {row.get('rows', 0):,} "
                   f"rows  {_human_bytes(row.get('bytes', 0))}")
+    local = payload.get("local_ranker")
+    if local:
+        print(f"in-process ranker: {local.get('num_entities', 0):,} x "
+              f"{local.get('dim', 0)} entities, "
+              f"{_human_bytes(local.get('total_bytes', 0))} private "
+              f"({_human_bytes(local.get('prepared_bytes', 0))} of it the "
+              f"filter's float32 table)")
     return 0
 
 

@@ -8,9 +8,15 @@ view of its ``[start, stop)`` row block.  Contiguity is what keeps the
 top-k merge exact: shard-local positions translate to global entity ids
 by a constant offset (see DESIGN.md §7).
 
+Beside every table segment the plan can publish a **companion** segment
+of the same rows: the scorer's ``prepare``-d table (for the arc scorer,
+the float32 half-angles its ranking filter reads), so that no worker
+derives it per request.
+
 Publishing is write-through: :meth:`EntityShardPlan.update` rewrites the
-segment in place, so after a hot model reload every attached worker sees
-the new weights on its next score call without any message or copy.
+segments in place — table rows, then the companion rows derived from
+them — so after a hot model reload every attached worker sees the new
+weights on its next score call without any message or copy.
 
 Cleanup is refcounted.  The creating process owns the segment and
 unlinks it when the last :class:`SharedArray` handle closes; attaching
@@ -265,6 +271,14 @@ class EntityShardPlan:
       mapping its 1/K share.  ``points`` may be an ``np.memmap``: its
       pages are read on demand during the fill and never all resident.
 
+    With ``prepare`` every segment gets a **companion** segment of the
+    same rows holding ``prepare(rows)`` — the scorer's filter table (see
+    :meth:`repro.dist.scorer.ShardScorer.prepare`), published so that no
+    worker derives it per request.  The plan is its only writer:
+    construction and :meth:`update` fill a segment and then its
+    companion from it, so the two never describe different weights to a
+    reader the caller has quiesced.
+
     Parameters
     ----------
     points:
@@ -275,10 +289,13 @@ class EntityShardPlan:
         :func:`partition_rows`).
     lazy:
         Publish per-shard slabs instead of one whole-table segment.
+    prepare:
+        A scorer's row-wise ``prepare(rows, out=None)``; None, or a None
+        result, publishes no companion.
     """
 
     def __init__(self, points, num_shards: int, lazy: bool = False,
-                 chunk_rows: int | None = None):
+                 chunk_rows: int | None = None, prepare=None):
         if getattr(points, "ndim", None) != 2:
             points = np.asarray(points)
         if points.ndim != 2:
@@ -286,48 +303,84 @@ class EntityShardPlan:
         self.num_entities = int(points.shape[0])
         self.dim = int(points.shape[1])
         self.lazy = bool(lazy)
-        self._chunk_rows = chunk_rows
+        self._chunk_rows = chunk_rows or SharedArray.FILL_CHUNK_ROWS
+        self._prepare = prepare
         self.ranges = partition_rows(self.num_entities, num_shards)
-        if self.lazy:
-            self.table = None
-            self.slabs = []
-            for rng in self.ranges:
-                slab = SharedArray.create_empty(
-                    (len(rng), self.dim), points.dtype, row_offset=rng.start)
-                slab.fill(points[rng.start:rng.stop], chunk_rows=chunk_rows)
-                self.slabs.append(slab)
-        else:
-            self.table = SharedArray.create(points)
-            self.slabs = None
+        blocks = self.ranges if self.lazy \
+            else [ShardRange(0, 0, self.num_entities)]
+        # zero rows are enough to learn the companion's dtype and width
+        probe = prepare(np.asarray(points[:0])) if prepare else None
+        self._segments: list[SharedArray] = []
+        self._companions: list[SharedArray] = []
+        try:
+            for block in blocks:
+                self._segments.append(SharedArray.create_empty(
+                    (len(block), self.dim), points.dtype,
+                    row_offset=block.start))
+                if probe is not None:
+                    self._companions.append(SharedArray.create_empty(
+                        (len(block),) + probe.shape[1:], probe.dtype,
+                        row_offset=block.start))
+            self._fill(points)
+        except BaseException:
+            self.close()  # a half-built plan must not leak segments
+            raise
+
+    @property
+    def table(self) -> SharedArray | None:
+        """The whole-table segment (None under the lazy layout)."""
+        return None if self.lazy else self._segments[0]
 
     @property
     def num_shards(self) -> int:
         return len(self.ranges)
 
-    def shard_spec(self, index: int) -> tuple[SharedArraySpec, ShardRange]:
+    def _fill(self, points) -> None:
+        """Write ``points`` through every segment, then its companion
+        from the rows just written — one bounded chunk in flight."""
+        chunk = self._chunk_rows
+        for i, segment in enumerate(self._segments):
+            start = segment.spec.row_offset
+            segment.fill(points[start:start + len(segment.ndarray)],
+                         chunk_rows=chunk)
+            if self._companions:
+                source, target = segment.ndarray, self._companions[i].ndarray
+                for s in range(0, len(source), chunk):
+                    self._prepare(source[s:s + chunk],
+                                  out=target[s:s + chunk])
+
+    def shard_spec(self, index: int, prepared: bool = False
+                   ) -> tuple[SharedArraySpec | None, ShardRange]:
         """What a worker needs to map its block: (segment, row range).
 
         The segment is the whole table (``row_offset == 0``) or the
         shard's own slab (``row_offset == range.start``); the worker
         slices ``[start - row_offset, stop - row_offset)`` either way.
+        ``prepared=True`` names the companion segment instead (None when
+        the plan publishes none).
         """
-        if self.lazy:
-            return self.slabs[index].spec, self.ranges[index]
-        return self.table.spec, self.ranges[index]
+        segments = self._companions if prepared else self._segments
+        spec = segments[index if self.lazy else 0].spec if segments else None
+        return spec, self.ranges[index]
 
-    def rows(self, shard: ShardRange) -> np.ndarray:
-        """Zero-copy view of a shard's rows in the parent process."""
+    def rows(self, shard: ShardRange, prepared: bool = False
+             ) -> np.ndarray | None:
+        """Zero-copy view of a shard's rows in the parent process
+        (``prepared=True``: of its companion rows, or None)."""
+        segments = self._companions if prepared else self._segments
+        if not segments:
+            return None
         if self.lazy:
-            return self.slabs[shard.index].ndarray
-        return self.table.ndarray[shard.start:shard.stop]
+            return segments[shard.index].ndarray
+        return segments[0].ndarray[shard.start:shard.stop]
 
     def update(self, points) -> None:
         """Write-through refresh after the model's weights changed.
 
-        Attached workers observe the new values immediately; callers
-        must quiesce in-flight scoring first (the serving runtime does
-        this under its model write lock).  Chunked either way, so a
-        refresh never re-materialises the table.
+        Attached workers observe the new values — table and companion —
+        immediately; callers must quiesce in-flight scoring first (the
+        serving runtime does this under its model write lock).  Chunked
+        either way, so a refresh never re-materialises the table.
         """
         if getattr(points, "ndim", None) != 2:
             points = np.asarray(points)
@@ -335,46 +388,36 @@ class EntityShardPlan:
             raise ValueError(f"shape changed: published "
                              f"{(self.num_entities, self.dim)}, "
                              f"got {tuple(points.shape)}")
-        if self.lazy:
-            for rng, slab in zip(self.ranges, self.slabs):
-                slab.fill(points[rng.start:rng.stop],
-                          chunk_rows=self._chunk_rows)
-        else:
-            self.table.fill(points, chunk_rows=self._chunk_rows)
+        self._fill(points)
 
     def memory_inventory(self) -> dict:
         """Shared-memory accounting for ``/debug/mem``.
 
-        Per-shard published bytes plus the plan total.  Under the table
-        layout every shard *maps* the whole segment, but the bytes are
-        attributed to the shard's own row block (and the total is the
-        single segment) so the inventory sums to real memory either way.
+        Per-shard published bytes — the shard's rows of the table *and*
+        of the companion, the latter also on its own as
+        ``prepared_bytes`` — plus the plan totals.  Under the table
+        layout every shard *maps* the whole segments, but the bytes are
+        attributed to the shard's own row block, so the inventory sums
+        to what ``/dev/shm`` holds either way.
         """
-        shards = []
-        if self.lazy:
-            total = 0
-            for rng, slab in zip(self.ranges, self.slabs):
-                nbytes = int(slab.ndarray.nbytes)
-                total += nbytes
-                shards.append({"shard": rng.index, "rows": len(rng),
-                               "bytes": nbytes})
-        else:
-            itemsize = int(self.table.ndarray.dtype.itemsize)
-            total = int(self.table.ndarray.nbytes)
-            for rng in self.ranges:
-                shards.append({"shard": rng.index, "rows": len(rng),
-                               "bytes": len(rng) * self.dim * itemsize})
+        # every segment holds at least one row (partition_rows)
+        table = int(self._segments[0].ndarray[0].nbytes)
+        prepared = int(self._companions[0].ndarray[0].nbytes) \
+            if self._companions else 0
+        shards = [{"shard": rng.index, "rows": len(rng),
+                   "bytes": len(rng) * (table + prepared),
+                   "prepared_bytes": len(rng) * prepared}
+                  for rng in self.ranges]
         return {"layout": "lazy" if self.lazy else "table",
                 "num_entities": self.num_entities, "dim": self.dim,
-                "total_bytes": total, "shards": shards}
+                "total_bytes": self.num_entities * (table + prepared),
+                "prepared_bytes": self.num_entities * prepared,
+                "shards": shards}
 
     def close(self) -> None:
         """Destroy the published segments (workers must detach first)."""
-        if self.lazy:
-            for slab in self.slabs:
-                slab.close()
-        else:
-            self.table.close()
+        for segment in self._segments + self._companions:
+            segment.close()
 
     def __enter__(self) -> "EntityShardPlan":
         return self

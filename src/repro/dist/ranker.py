@@ -1,7 +1,8 @@
 """The sharded ranking facade: drop-in for the single-process pass.
 
 :class:`ShardedRanker` owns an :class:`~repro.dist.plan.EntityShardPlan`
-(the entity table in shared memory) and a
+(the entity table in shared memory, and beside it the scorer's prepared
+filter table) and a
 :class:`~repro.dist.pool.ShardWorkerPool` of persistent workers, one per
 contiguous shard.  Per request it ships the model's small
 ``ranking_payload`` to every worker, each worker asks the model's
@@ -11,7 +12,10 @@ exactly (:func:`repro.dist.merge.merge_topk`).
 
 Its in-process sibling :class:`LocalRanker` runs the same scorer over the
 whole table as one block — no workers, no shared memory — so every
-serving tier ranks through one kernel (``ShardScorer.topk``).
+serving tier ranks through one kernel (``ShardScorer.topk``).  Whoever
+owns a table also owns what the scorer derives from it once per
+publish/refresh — the ``filterable`` verdict and the ``prepare``-d
+table — and hands both to every ``topk``.
 
 Callers treat the two interchangeably:
 
@@ -57,11 +61,13 @@ __all__ = ["LocalRanker", "RankWorkerRole", "ShardedRanker"]
 
 
 def rank_block(scorer: ShardScorer, points: np.ndarray, offset: int,
-               request: dict, stats: dict | None = None) -> dict:
+               request: dict, stats: dict | None = None,
+               prepared: np.ndarray | None = None) -> dict:
     """One shard's reply to ``request`` over its row block ``points``.
 
     The single ranking path of shard workers and the parent-side hedge:
-    both reach the scorer through here with the same rows, so a hedged
+    both reach the scorer through here with the same rows — and the same
+    ``prepared`` rows of the plan's companion segment — so a hedged
     reply is the worker's reply by construction.  ``request`` carries
     the table owner's ``filterable`` verdict (absent = the scorer checks
     the block itself): workers cannot see a ``refresh``, the parent can.
@@ -69,7 +75,7 @@ def rank_block(scorer: ShardScorer, points: np.ndarray, offset: int,
     if request["mode"] == "all":
         return {"distances": scorer.score(points, request["payload"])}
     local, vals = scorer.topk(points, request["payload"], request["k"],
-                              stats, request.get("filterable"))
+                              stats, request.get("filterable"), prepared)
     return {"ids": local + offset, "vals": vals}
 
 
@@ -78,11 +84,13 @@ class LocalRanker:
 
     The one-block case of :class:`ShardedRanker`: the same
     ``sharding_spec()`` table and scorer, the same ``ranking_payload``,
-    no pool.  The wrapped table is built once and again on
-    :meth:`refresh` (the serving runtime calls it under its model write
-    lock).  A batch the filter had to hand to the exact all-rows pass
-    is counted as ``rank_filter_fallbacks`` on ``metrics`` (the process
-    registry when omitted), like a shard worker's.
+    no pool.  The wrapped table and the scorer's prepared (filter)
+    table — private here, published beside the slab there — are built
+    once and again on :meth:`refresh` (the serving runtime calls it
+    under its model write lock).  A batch the filter had to hand to the
+    exact all-rows pass is counted as ``rank_filter_fallbacks`` on
+    ``metrics`` (the process registry when omitted), like a shard
+    worker's.
     """
 
     def __init__(self, model, metrics: MetricsRegistry | None = None):
@@ -98,6 +106,15 @@ class LocalRanker:
                             "sharding_spec(): nothing to rank over")
         self._points, self._scorer = spec
         self._filterable = self._scorer.filterable(self._points)
+        self._prepared = self._scorer.prepare(self._points)
+
+    def memory_inventory(self) -> dict:
+        """Bytes of the private tables, for ``/debug/mem``."""
+        prepared = 0 if self._prepared is None else self._prepared.nbytes
+        return {"num_entities": int(self._points.shape[0]),
+                "dim": int(self._points.shape[1]),
+                "total_bytes": int(self._points.nbytes + prepared),
+                "prepared_bytes": int(prepared)}
 
     def topk(self, embedding, k: int, ctx=None
              ) -> tuple[np.ndarray, np.ndarray]:
@@ -105,7 +122,7 @@ class LocalRanker:
         stats: dict = {}
         out = self._scorer.topk(self._points,
                                 self.model.ranking_payload(embedding),
-                                k, stats, self._filterable)
+                                k, stats, self._filterable, self._prepared)
         if stats.get("fallbacks"):
             self.metrics.counter("rank_filter_fallbacks").inc(
                 stats["fallbacks"])
@@ -116,23 +133,33 @@ class RankWorkerRole(WorkerRole):
     """Worker role: score one contiguous shard and return local top-k."""
 
     def __init__(self, spec: SharedArraySpec, shard: ShardRange,
-                 scorer: ShardScorer, index: int = 0):
+                 scorer: ShardScorer, index: int = 0,
+                 prepared: SharedArraySpec | None = None):
         self.spec = spec
         self.shard = shard
         self.scorer = scorer
         self.index = index
+        self.prepared = prepared
+
+    def _attach(self, spec: SharedArraySpec):
+        """``(segment, zero-copy view of this worker's row block)``.
+
+        ``row_offset`` is 0 for a whole-table segment and ``shard.start``
+        for a lazy per-shard slab, so the same slice arithmetic serves
+        both layouts.
+        """
+        segment = spec.attach()
+        return segment, segment.ndarray[self.shard.start - spec.row_offset:
+                                        self.shard.stop - spec.row_offset]
 
     def setup(self):
-        table = self.spec.attach()
-        # zero-copy view of this worker's row block; row_offset is 0 for
-        # a whole-table segment and shard.start for a lazy per-shard
-        # slab, so the same slice arithmetic serves both layouts
-        start = self.shard.start - self.spec.row_offset
-        stop = self.shard.stop - self.spec.row_offset
-        return table, table.ndarray[start:stop]
+        table, points = self._attach(self.spec)
+        companion, prepared = (None, None) if self.prepared is None \
+            else self._attach(self.prepared)
+        return (table, companion), (points, prepared)
 
     def handle(self, state, payload):
-        _, points = state
+        _, (points, prepared) = state
         tracer = get_tracer()
         registry = get_registry()
         request = payload.get("crash")
@@ -145,7 +172,7 @@ class RankWorkerRole(WorkerRole):
                          rows=self.shard.stop - self.shard.start,
                          mode=payload["mode"]):
             reply = rank_block(self.scorer, points, self.shard.start,
-                               payload, stats)
+                               payload, stats, prepared)
         registry.histogram("rank_block_ms", shard=self.index).observe(
             1000.0 * (time.perf_counter() - started))
         # what scorer.topk counted (nothing in mode "all"); zero
@@ -161,8 +188,9 @@ class RankWorkerRole(WorkerRole):
         return reply
 
     def teardown(self, state) -> None:
-        table, _ = state
-        table.close()
+        for segment in state[0]:
+            if segment is not None:
+                segment.close()
 
 
 class ShardedRanker:
@@ -203,8 +231,11 @@ class ShardedRanker:
         self.tracer = tracer if tracer is not None else get_tracer()
         if lazy_slabs is None:
             lazy_slabs = points.shape[0] >= self.LAZY_SLAB_THRESHOLD
-        self.plan = EntityShardPlan(points, num_shards, lazy=lazy_slabs)
-        roles = [RankWorkerRole(*self.plan.shard_spec(i), scorer, index=i)
+        self.plan = EntityShardPlan(points, num_shards, lazy=lazy_slabs,
+                                    prepare=scorer.prepare)
+        roles = [RankWorkerRole(
+                     *self.plan.shard_spec(i), scorer, index=i,
+                     prepared=self.plan.shard_spec(i, prepared=True)[0])
                  for i in range(self.plan.num_shards)]
         for i, role in enumerate(roles):
             # each worker samples itself continuously and piggybacks
@@ -316,25 +347,27 @@ class ShardedRanker:
     def _hedge_compute(self, index: int, payload: dict):
         """Parent-side duplicate of worker ``index``'s computation.
 
-        Hands the *same* shared-memory row block and the *same* scorer
-        the worker uses to the same :func:`rank_block`, so the reply is
-        bitwise identical to what the worker would send — hedging can
-        change latency, never results.  Crash-injection keys in the
-        payload are deliberately ignored: the hedge is the healthy
-        duplicate.
+        Hands the *same* shared-memory row blocks (table and companion)
+        and the *same* scorer the worker uses to the same
+        :func:`rank_block`, so the reply is bitwise identical to what
+        the worker would send — hedging can change latency, never
+        results.  Crash-injection keys in the payload are deliberately
+        ignored: the hedge is the healthy duplicate.
         """
         shard = self.plan.ranges[index]
         return rank_block(self._scorer, self.plan.rows(shard),
-                          shard.start, payload)
+                          shard.start, payload,
+                          prepared=self.plan.rows(shard, prepared=True))
 
     # ------------------------------------------------------------------
     def refresh(self) -> None:
         """Republish the entity table after the model's weights changed.
 
-        Write-through into the existing shared segment: attached workers
-        see the new values on their next score call.  The caller must
-        quiesce in-flight requests (the serving runtime holds its model
-        write lock across ``load_state_dict`` + ``refresh``).
+        Write-through into the existing shared segments — the table and
+        its prepared companion: attached workers see the new values on
+        their next score call.  The caller must quiesce in-flight
+        requests (the serving runtime holds its model write lock across
+        ``load_state_dict`` + ``refresh``).
         """
         spec = self.model.sharding_spec()
         if spec is None:  # pragma: no cover - spec cannot disappear

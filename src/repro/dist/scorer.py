@@ -28,8 +28,14 @@ is at most :attr:`ArcShardScorer.filter_epsilon` (a function of ``d``,
 ``radius`` and ``eta`` only), and the exact float64 kernel then scores
 just the rows within ``2ε`` of the k-th smallest approximation —
 provably a superset of the exact top-k, ties included, so the answer is
-bitwise the full exact pass's at a fraction of its cost (≈7× faster per
-50k-row block; lemma and ε derivation in DESIGN.md §7).  The refine is
+bitwise the full exact pass's at a fraction of its cost (≈10× faster
+per 50k-row block; lemma and ε derivation in DESIGN.md §7).  The filter
+reads float32 only: the table's half-angles are rounded once by
+:meth:`ShardScorer.prepare` — by whoever owns the table, who passes the
+result to every ``topk(..., prepared=)`` — and a request walks it in
+contiguous cache-sized strips, summing each row with one ``sgemv``.  The
+float64 table stays what ``score``, the refine and ``mode="all"`` read.
+The refine is
 one batched pass: every query's surviving rows are gathered into a
 ``(B, c)`` candidate matrix padded to the widest query, the exact kernel
 scores the gathered rows, pads are set to ``+inf`` and one
@@ -56,6 +62,12 @@ __all__ = ["ShardScorer", "ArcShardScorer"]
 #: ``(B, d)`` float64 arrays per DNF branch
 ArcPayload = "list[tuple[np.ndarray, np.ndarray]]"
 
+#: float32 cells per filter scratch buffer (256 KiB): a strip's working
+#: set — the table strip, two buffers and a branch's four references —
+#: stays inside a core's L2, and each row-sum ``sgemv`` stays below the
+#: size at which OpenBLAS wakes helper threads (DESIGN.md §7)
+STRIP_CELLS = 1 << 16
+
 
 class ShardScorer:
     """Interface of a per-shard distance kernel (picklable)."""
@@ -73,8 +85,21 @@ class ShardScorer:
         """
         return False
 
+    def prepare(self, points: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray | None:
+        """Companion array :meth:`topk`'s shortcut reads, or None.
+
+        Row ``i`` depends on ``points[i]`` alone, so a row block of the
+        companion is the companion of the row block.  Like
+        :meth:`filterable` it belongs to whoever owns the table: built
+        once per publish/refresh — into ``out`` when the owner already
+        holds the memory — and passed to every :meth:`topk`.
+        """
+        return None
+
     def topk(self, points: np.ndarray, payload, k: int,
-             stats: dict | None = None, filterable: bool | None = None
+             stats: dict | None = None, filterable: bool | None = None,
+             prepared: np.ndarray | None = None
              ) -> tuple[np.ndarray, np.ndarray]:
         """Local ``(ids, vals)`` of the ``k`` nearest rows of ``points``.
 
@@ -85,7 +110,8 @@ class ShardScorer:
         a dict, receives whatever they count about how they did.
         ``filterable`` is the table owner's :meth:`filterable` verdict
         for (a superset of) ``points``; None means "not decided, check
-        now".
+        now".  ``prepared`` is the owner's :meth:`prepare` of exactly
+        these rows; None means "compute it now".
         """
         distances = self.score(points, payload)
         local = topk_rows(distances, k)
@@ -140,9 +166,11 @@ class ArcShardScorer(ShardScorer):
         return best
 
     def filter_epsilon(self, d: int) -> float:
-        """Bound on ``|approximate − exact|`` distance for ``d`` dims."""
+        """Bound on ``|approximate − exact|`` distance for ``d`` dims:
+        ``d`` terms each off by the per-term budget, then summed in
+        float32 (at most ``(d − 1)·2⁻²⁴`` of the sum, in any order)."""
         return (2.0 * abs(self.radius) * d * (1.0 + abs(self.eta))
-                * self.FILTER_TERM_ERROR)
+                * (self.FILTER_TERM_ERROR + (d - 1) * 2.0 ** -24))
 
     def filterable(self, points: np.ndarray) -> bool:
         """Is the table inside the filter bound's domain — finite and
@@ -152,8 +180,21 @@ class ArcShardScorer(ShardScorer):
         return points.size == 0 or bool(points.min() >= -limit
                                         and points.max() <= limit)
 
+    def prepare(self, points: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """The filter's table: ``points / 2`` rounded once to float32.
+
+        The only float64 → float32 pass over a table; a request reads
+        strips of the result as they stand.
+        """
+        if out is None:
+            out = np.empty(points.shape, dtype=np.float32)
+        np.multiply(points, 0.5, out=out, casting="same_kind")
+        return out
+
     def topk(self, points: np.ndarray, payload, k: int,
-             stats: dict | None = None, filterable: bool | None = None
+             stats: dict | None = None, filterable: bool | None = None,
+             prepared: np.ndarray | None = None
              ) -> tuple[np.ndarray, np.ndarray]:
         """Filter-and-refine top-k, bitwise equal to the exact pass.
 
@@ -169,7 +210,7 @@ class ArcShardScorer(ShardScorer):
         # k >= n: every row is an answer, there is nothing to filter
         if 0 < k < n and (self.filterable(points) if filterable is None
                           else filterable):
-            keep = self._candidates(points, payload, k)
+            keep = self._candidates(points, payload, k, prepared)
         if stats is not None:
             pairs = len(payload[0][0]) * n if keep is None else keep.sum()
             stats["refine_rows"] = stats.get("refine_rows", 0) + int(pairs)
@@ -195,8 +236,9 @@ class ArcShardScorer(ShardScorer):
         return (np.take_along_axis(rows, local, axis=-1),
                 np.take_along_axis(distances, local, axis=-1))
 
-    def _candidates(self, points: np.ndarray, payload,
-                    k: int) -> np.ndarray | None:
+    def _candidates(self, points: np.ndarray, payload, k: int,
+                    prepared: np.ndarray | None = None
+                    ) -> np.ndarray | None:
         """``(B, n)`` mask holding every query's exact top-k, or None.
 
         With ``|approx − exact| ≤ ε`` on every row and ``a_k``/``e_k``
@@ -206,7 +248,7 @@ class ArcShardScorer(ShardScorer):
         query keeps fewer than k rows (its payload was not finite or
         beyond ``ENDPOINT_LIMIT``, which the filter maps to NaN).
         """
-        approx = self._approx_distance(points, payload)
+        approx = self._approx_distance(points, payload, prepared)
         kth = np.partition(approx, k - 1, axis=-1)[:, k - 1]
         slack = 2.0 * self.filter_epsilon(points.shape[1])
         keep = approx <= (kth + slack)[:, None]
@@ -220,15 +262,25 @@ class ArcShardScorer(ShardScorer):
                            np.mod(angle, TWO_PI), np.nan)
         return (0.5 * reduced).astype(np.float32)[:, None, :]
 
-    def _approx_distance(self, points: np.ndarray, payload) -> np.ndarray:
+    def _strip_rows(self, n: int, b: int, d: int) -> int:
+        """Entity rows per filter strip for a ``b``-query batch."""
+        return max(1, min(n, self.block,
+                          max(256, STRIP_CELLS // max(1, b * d))))
+
+    def _approx_distance(self, points: np.ndarray, payload,
+                         prepared: np.ndarray | None = None) -> np.ndarray:
         """:meth:`score` to within :meth:`filter_epsilon`, in float32.
 
-        The same chords over the same strips, with the half-angles of
-        points and (mod-2π reduced) arc endpoints rounded to float32 so
-        subtract, ``sin``, ``abs`` and ``minimum`` run SIMD, and one
-        float64 row-sum of ``outside + η·inside`` per branch.
+        The same chords over strips of the :meth:`prepare`-d table, with
+        the half-angles of the (mod-2π reduced) arc endpoints rounded to
+        float32 too, so subtract, ``sin``, ``abs`` and ``minimum`` run
+        SIMD, and one float32 ``sgemv`` row-sum of ``outside + η·inside``
+        per branch.  Every array a request touches is float32 and at
+        most one strip long.
         """
         n, d = points.shape
+        if prepared is None:
+            prepared = self.prepare(points)
         refs = []
         with np.errstate(invalid="ignore"):  # inf payloads become NaN
             for center, length in payload:
@@ -241,29 +293,37 @@ class ArcShardScorer(ShardScorer):
         if not refs:
             raise ValueError("empty payload: no DNF branches")
         b = refs[0][0].shape[0]
+        rows = self._strip_rows(n, b, d)
+        if n >= 4 * rows:
+            # enough strips to pay for writing each reference out over
+            # one: every ufunc below is then a single contiguous loop
+            # instead of one d-wide inner loop per (query, row)
+            refs = [tuple(np.ascontiguousarray(
+                        np.broadcast_to(ref, (b, rows, d)))
+                          for ref in branch) for branch in refs]
         eta = np.float32(self.eta)
         scale = 2.0 * self.radius
+        ones = np.ones(d, dtype=np.float32)
         out = np.empty((b, n), dtype=np.float64)
-        block = max(1, min(self.block, n))
-        half_points = np.empty((1, block, d), dtype=np.float32)
-        buf1 = np.empty((b, block, d), dtype=np.float32)
-        buf2 = np.empty((b, block, d), dtype=np.float32)
-        other = np.empty((b, block), dtype=np.float64)
+        buf1 = np.empty((b, rows, d), dtype=np.float32)
+        buf2 = np.empty((b, rows, d), dtype=np.float32)
+        other = np.empty((b, rows), dtype=np.float64)
 
         def chord(half_angles, ref, buf):
             np.subtract(half_angles, ref, out=buf)
             np.sin(buf, out=buf)
             np.abs(buf, out=buf)
 
-        for s in range(0, n, block):
-            e = min(s + block, n)
+        for s in range(0, n, rows):
+            e = min(s + rows, n)
             m = e - s
-            strip = half_points[:, :m]
-            np.multiply(points[None, s:e, :], 0.5, out=strip,
-                        casting="same_kind")
+            strip = prepared[None, s:e]
             b1 = buf1[:, :m]
             b2 = buf2[:, :m]
-            for j, (start, end, mid, chord_half_arc) in enumerate(refs):
+            for j, branch in enumerate(refs):
+                # a (B, 1, d) broadcast reference is its own [:, :m]
+                start, end, mid, chord_half_arc = (
+                    ref[:, :m] for ref in branch)
                 chord(strip, start, b1)
                 chord(strip, end, b2)
                 np.minimum(b1, b2, out=b1)
@@ -272,8 +332,7 @@ class ArcShardScorer(ShardScorer):
                 b2 *= eta
                 b1 += b2
                 dist = out[:, s:e] if j == 0 else other[:, :m]
-                np.sum(b1, axis=-1, dtype=np.float64, out=dist)
-                dist *= scale
+                np.multiply(b1 @ ones, scale, out=dist, dtype=np.float64)
                 if j:
                     np.minimum(out[:, s:e], dist, out=out[:, s:e])
         return out

@@ -552,6 +552,8 @@ class Gateway:
             self._closed = True
             queued = self._scheduler.drain()
             self._queue_gauge.set(0)
+            for tenant in {entry.tenant for entry in queued}:
+                self._tenants[tenant].queue_depth.set(0)
         for entry in queued:
             self._finish(entry, error=GatewayRejected(
                 "shutdown", tenant=entry.tenant))

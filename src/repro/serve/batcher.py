@@ -15,6 +15,7 @@ testable.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from collections import deque
@@ -22,6 +23,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 __all__ = ["ServeFuture", "ServeRequest", "MicroBatcher"]
+
+_LOGGER = logging.getLogger("repro.serve")
 
 
 class ServeFuture:
@@ -47,7 +50,17 @@ class ServeFuture:
             self._event.set()
             callbacks, self._callbacks = self._callbacks, []
         for callback in callbacks:
+            self._call(callback)
+
+    def _call(self, callback: Callable[["ServeFuture"], None]) -> None:
+        # A callback's failure is the callback's: logged, as
+        # concurrent.futures does.  Let it unwind and it lands in
+        # whoever resolved the future — the runtime's batch executor,
+        # which would count a model failure and run the batch again.
+        try:
             callback(self)
+        except Exception:
+            _LOGGER.exception("exception calling callback for %r", self)
 
     def add_done_callback(self,
                           callback: Callable[["ServeFuture"], None]) -> None:
@@ -57,13 +70,15 @@ class ServeFuture:
         registering thread when already done), with none of the
         future's locks held — the gateway's completion path runs here
         and submits the next queued request from inside it.  They must
-        not block on work that needs the resolving thread back.
+        not block on work that needs the resolving thread back.  An
+        exception a callback raises is logged (``repro.serve``) and
+        goes no further; the callbacks after it still run.
         """
         with self._lock:
             if not self._event.is_set():
                 self._callbacks.append(callback)
                 return
-        callback(self)
+        self._call(callback)
 
     def done(self) -> bool:
         return self._event.is_set()

@@ -577,7 +577,11 @@ class ServeRuntime:
         }
 
     def mem_payload(self) -> dict:
-        """The ``GET /debug/mem`` payload: RSS, caches, shard slabs.
+        """The ``GET /debug/mem`` payload: RSS, caches, ranked tables.
+
+        ``shard_plan`` is the published segments (entity table plus the
+        filter's prepared companion) when shard workers rank,
+        ``local_ranker`` the in-process ranker's private pair otherwise.
 
         Also refreshes the ``process_rss_bytes{role=}`` /
         ``cache_bytes{cache=}`` / ``shard_slab_bytes{shard=}`` gauges so
@@ -610,7 +614,9 @@ class ServeRuntime:
                     "shard_slab_bytes",
                     shard=str(row["shard"])).set(row["bytes"])
         return {"processes": processes, "caches": caches,
-                "shard_plan": shards}
+                "shard_plan": shards,
+                "local_ranker": None if self._local is None
+                else self._local.memory_inventory()}
 
     def close(self) -> None:
         with self._close_lock:

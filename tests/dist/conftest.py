@@ -5,6 +5,8 @@ numpy import per worker), so the model/ranker fixtures are module-scoped
 and the tests that need live workers are kept few and small.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,14 @@ from repro.queries import Entity, Projection
 requires_shm = pytest.mark.skipif(
     not dist_available(),
     reason="multiprocessing.shared_memory unavailable on this platform")
+
+
+def shm_segments() -> set[str]:
+    """Names under ``/dev/shm`` that a pool or plan could have left."""
+    # sem.* back multiprocessing's own locks; its resource tracker
+    # unlinks them at interpreter exit, not when a pool closes
+    return {name for name in os.listdir("/dev/shm")
+            if not name.startswith("sem.")}
 
 
 @pytest.fixture(scope="module")

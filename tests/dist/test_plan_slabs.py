@@ -8,15 +8,19 @@ through every consumer-visible surface: ``shard_spec`` attach + slice,
 shard count surfaces in the serving ``shards`` gauge.
 """
 
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.config import ModelConfig
+from repro.core import HalkModel
 from repro.core.topk import topk_rows
-from repro.dist import EntityShardPlan, SharedArray, ShardedRanker
+from repro.dist import ArcShardScorer, EntityShardPlan, LocalRanker, \
+    SharedArray, ShardedRanker
 
-from .conftest import requires_shm
+from .conftest import requires_shm, shm_segments
 
 pytestmark = [pytest.mark.dist, pytest.mark.scaling]
 
@@ -204,3 +208,135 @@ def test_serve_runtime_surfaces_clamped_shard_gauge():
             assert gauge == n  # clamped, not the requested 8
             result = runtime.answer(Projection(0, Entity(0)), top_k=3)
             assert len(result.entity_ids) == 3
+
+
+# ----------------------------------------------------------------------
+# the prepared companion: published beside every segment, written
+# through by the same update, counted, unlinked — and never stale
+# ----------------------------------------------------------------------
+
+@requires_shm
+@pytest.mark.parametrize("lazy", [False, True])
+def test_companion_is_published_and_written_through(lazy):
+    scorer = ArcShardScorer(eta=0.02, radius=1.0)
+    rng = np.random.default_rng(7)
+    points = rng.uniform(0.0, 6.0, (101, 4))
+    with EntityShardPlan(points, 3, lazy=lazy, chunk_rows=7,
+                         prepare=scorer.prepare) as plan:
+        for table in (points, rng.uniform(0.0, 6.0, (101, 4))):
+            plan.update(table)
+            for shard in plan.ranges:
+                expect = scorer.prepare(table[shard.start:shard.stop])
+                assert np.array_equal(plan.rows(shard),
+                                      table[shard.start:shard.stop])
+                got = plan.rows(shard, prepared=True)
+                assert got.dtype == np.float32
+                assert np.array_equal(got, expect)
+                # what a worker maps: same rows through the spec
+                spec, same = plan.shard_spec(shard.index, prepared=True)
+                assert same == shard
+                assert spec.row_offset == (shard.start if lazy else 0)
+                attached = spec.attach()
+                try:
+                    view = attached.ndarray[shard.start - spec.row_offset:
+                                            shard.stop - spec.row_offset]
+                    assert np.array_equal(view, expect)
+                finally:
+                    attached.close()
+    # no scorer table asked for: no companion, one view of each shard
+    with EntityShardPlan(points, 3, lazy=lazy) as plain:
+        assert plain.rows(plain.ranges[0], prepared=True) is None
+        assert plain.shard_spec(0, prepared=True) == (None, plain.ranges[0])
+        assert plain.memory_inventory()["prepared_bytes"] == 0
+
+
+@requires_shm
+@pytest.mark.parametrize("lazy", [False, True])
+def test_inventory_is_what_dev_shm_holds_and_close_unlinks_it(lazy):
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("no /dev/shm to inspect")
+    scorer = ArcShardScorer(eta=0.02, radius=1.0)
+    points = np.random.default_rng(8).uniform(0.0, 6.0, (101, 4))
+    before = shm_segments()
+    plan = EntityShardPlan(points, 3, lazy=lazy, prepare=scorer.prepare)
+    try:
+        created = shm_segments() - before
+        assert len(created) == (6 if lazy else 2)
+        on_disk = sum(os.stat(f"/dev/shm/{name}").st_size
+                      for name in created)
+        inventory = plan.memory_inventory()
+        assert inventory["total_bytes"] == on_disk == 101 * 4 * (8 + 4)
+        assert inventory["prepared_bytes"] == 101 * 4 * 4
+        assert sum(s["bytes"] for s in inventory["shards"]) == on_disk
+        for shard, row in zip(plan.ranges, inventory["shards"]):
+            assert row["prepared_bytes"] == len(shard) * 4 * 4
+            assert row["bytes"] == 3 * row["prepared_bytes"]
+    finally:
+        plan.close()
+    assert shm_segments() <= before
+
+
+@requires_shm
+def test_a_plan_that_fails_half_built_unlinks_what_it_created():
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("no /dev/shm to inspect")
+    scorer = ArcShardScorer(eta=0.02, radius=1.0)
+
+    def prepare(rows, out=None):
+        if len(rows):
+            raise MemoryError("no room for the companion")
+        return scorer.prepare(rows, out)
+
+    before = shm_segments()
+    with pytest.raises(MemoryError):
+        EntityShardPlan(np.zeros((64, 3)), 4, lazy=True, prepare=prepare)
+    assert shm_segments() <= before
+
+
+def _reweighted(kg, seed):
+    """A private model (the shared fixture must not move) and the
+    random table a later refresh publishes — drawn from another stream
+    than the model's own initialisation, or old and new would rank
+    alike."""
+    model = HalkModel(kg, ModelConfig(embedding_dim=6, hidden_dim=12,
+                                      seed=seed))
+    table = np.random.default_rng(seed + 1000).uniform(
+        0.0, 6.0, model.entity_points.weight.data.shape)
+    return model, table
+
+
+@requires_shm
+@pytest.mark.parametrize("lazy", [False, True])
+def test_refresh_with_new_weights_reaches_the_filter_and_the_hedge(
+        kg, queries, lazy):
+    """After ``refresh`` the filter must read the *new* half-angles: a
+    stale companion would pick its candidates from the old table and
+    the refine could only rank those.  The hedge reads the parent's
+    views of the same two segments, so its reply is the worker's."""
+    model, table = _reweighted(kg, seed=21)
+    with ShardedRanker(model, 3, lazy_slabs=lazy) as ranker:
+        before, _ = ranker.topk(model.embed_batch(queries), 10)
+        model.entity_points.weight.data[...] = table
+        ranker.refresh()
+        embedding, ids, vals = _reference(model, queries, 10)
+        assert not np.array_equal(ids, before)
+        got_ids, got_vals = ranker.topk(embedding, 10)
+        assert np.array_equal(got_ids, ids)
+        assert np.array_equal(got_vals, vals)
+        request = {"mode": "topk", "k": 10, "filterable": True,
+                   "payload": model.ranking_payload(embedding)}
+        payloads = [request] * ranker.num_shards
+        replies, _ = ranker.pool.gather(ranker.pool.dispatch(payloads),
+                                        payloads)
+        for index, reply in enumerate(replies):
+            hedged = ranker._hedge_compute(index, request)
+            assert np.array_equal(hedged["ids"], reply["ids"])
+            assert np.array_equal(hedged["vals"], reply["vals"])
+        # in-process serving keeps a private prepared table: same rule
+        local = LocalRanker(model)
+        model.entity_points.weight.data[...] = table[::-1]
+        local.refresh()
+        embedding, ids, vals = _reference(model, queries, 10)
+        got_ids, got_vals = local.topk(embedding, 10)
+        assert np.array_equal(got_ids, ids)
+        assert np.array_equal(got_vals, vals)

@@ -188,6 +188,7 @@ class TestTeardown:
         ranker = ShardedRanker.for_model(model, 2)
         assert ranker is not None
         shm_name = ranker.plan.table.spec.name
+        companion = ranker.plan.shard_spec(0, prepared=True)[0].name
         pids = ranker.pool.pids()
         ranker.close()
         ranker.close()  # idempotent
@@ -204,6 +205,8 @@ class TestTeardown:
         from multiprocessing import shared_memory
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=shm_name)
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=companion)
 
     def test_unsupported_model_returns_none(self):
         class NoShards:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.topk import topk_rows
 from repro.dist import ArcShardScorer, partition_rows
-from repro.dist.scorer import ShardScorer
+from repro.dist.scorer import STRIP_CELLS, ShardScorer
 
 pytestmark = pytest.mark.dist
 
@@ -319,3 +319,129 @@ def test_refine_form_of_score_matches_the_full_pass(model, embedding):
         scorer.block = block
         got = scorer.score(points, payload, rows)
         assert np.array_equal(got, np.take_along_axis(full, rows, axis=-1))
+
+
+# ----------------------------------------------------------------------
+# the filter's strips, its published table and its float32 row-sum
+# ----------------------------------------------------------------------
+def _strip_case(rng, n, d, b, branches):
+    points = rng.uniform(0.0, TWO_PI, (n, d))
+    if n > 4:
+        # exact ties across what will be a strip boundary: first and
+        # last rows repeat, and a run of equal rows sits mid-table
+        points[-1] = points[0]
+        points[n // 2:n // 2 + 3] = points[1]
+    payload = [(rng.uniform(-50.0, 50.0, (b, d)),
+                rng.uniform(0.0, TWO_PI, (b, d))) for _ in range(branches)]
+    return points, payload
+
+
+@pytest.mark.parametrize("block", [1, 3, 64, 2048])
+@pytest.mark.parametrize("b", [1, 2, 64])
+def test_topk_is_exact_on_both_sides_of_every_strip_boundary(block, b):
+    """Strips are ``rows`` long and the references are written out once
+    the table holds four of them: tables one row short of, exactly at
+    and one row past a strip, and the same around four strips, rank as
+    the exact pass does — ties by id, ``k`` past the table included —
+    whether the prepared table is handed in or derived per call."""
+    d = 4
+    rng = np.random.default_rng(block * 100 + b)
+    scorer = ArcShardScorer(eta=0.5, radius=2.0, block=block)
+    rows = scorer._strip_rows(10 ** 6, b, d)
+    # the cap the tests set, or the cache rule when the cap is generous
+    assert rows == min(block, max(256, STRIP_CELLS // (b * d)))
+    for branches, n in zip((1, 2, 3, 1, 2, 3),
+                           (rows - 1, rows, rows + 1,
+                            4 * rows - 1, 4 * rows, 4 * rows + 1)):
+        points, payload = _strip_case(rng, n, d, b, branches)
+        prepared = scorer.prepare(points)
+        for k in {1, min(7, max(n - 1, 1)), n + 2}:
+            _assert_topk_is_the_exact_pass(scorer, points, payload, k)
+            ids, vals = scorer.topk(points, payload, k, prepared=prepared)
+            distances = scorer.score(points, payload)
+            expect = topk_rows(distances, k)
+            assert np.array_equal(ids, expect)
+            assert np.array_equal(
+                vals, np.take_along_axis(distances, expect, axis=-1))
+
+
+def test_prepared_table_handed_in_or_derived_keeps_the_same_rows():
+    """``prepare`` is row-wise (a block of it is the block's) and what
+    the filter would otherwise derive per call, bit for bit: the
+    candidate masks agree, with materialised references and without."""
+    rng = np.random.default_rng(12)
+    scorer = ArcShardScorer(eta=0.02, radius=1.0, block=16)
+    points, payload = _strip_case(rng, 200, 6, 3, 2)
+    prepared = scorer.prepare(points)
+    assert prepared.dtype == np.float32 and prepared.shape == points.shape
+    assert np.array_equal(prepared[40:90], scorer.prepare(points[40:90]))
+    target = np.zeros((50, 6), dtype=np.float32)
+    assert scorer.prepare(points[40:90], out=target) is target
+    assert np.array_equal(target, prepared[40:90])
+    assert ShardScorer().prepare(points) is None
+    for table, given in ((points, prepared), (points[:40], prepared[:40])):
+        assert np.array_equal(
+            scorer._approx_distance(table, payload, given),
+            scorer._approx_distance(table, payload))
+        assert np.array_equal(scorer._candidates(table, payload, 5, given),
+                              scorer._candidates(table, payload, 5))
+    # the filter reads the prepared rows, not the float64 ones
+    assert not np.array_equal(
+        scorer._approx_distance(points, payload, prepared + 0.25),
+        scorer._approx_distance(points, payload, prepared))
+
+
+@pytest.mark.parametrize("d", [1, 32, 128, 512])
+@pytest.mark.parametrize("eta", [0.02, 1.0])
+def test_filter_error_stays_inside_a_quarter_of_epsilon_at_every_width(
+        d, eta):
+    """The row-sum accumulates in float32, so ε carries a term that
+    grows with ``d``; the 4x margin must hold where it is largest."""
+    for seed, (spread, wrapped) in enumerate(
+            [(TWO_PI, True), (1e3, False), (2.0 ** 20 - 10.0, False)]):
+        rng = np.random.default_rng(1000 * d + seed)
+        scorer = ArcShardScorer(eta=eta, radius=2.0, block=97)
+        low, high = (0.0, TWO_PI) if wrapped \
+            else (-scorer.POINT_LIMIT, scorer.POINT_LIMIT)
+        points = rng.uniform(low, high, (500, d))
+        payload = [(rng.uniform(-spread, spread, (2, d)),
+                    rng.uniform(0.0, TWO_PI * 2.0, (2, d)))
+                   for _ in range(2)]
+        exact = scorer.score(points, payload)
+        approx = scorer._approx_distance(points, payload)
+        assert np.abs(approx - exact).max() <= scorer.filter_epsilon(d) / 4.0
+
+
+def test_filter_epsilon_is_a_function_of_d_radius_and_eta_only():
+    scorer = ArcShardScorer(eta=0.02, radius=1.0)
+    term, u = scorer.FILTER_TERM_ERROR, 2.0 ** -24
+    for d in (1, 32, 512):
+        assert scorer.filter_epsilon(d) == \
+            2.0 * d * 1.02 * (term + (d - 1) * u)
+    other = ArcShardScorer(eta=0.02, radius=1.0, block=7)
+    assert other.filter_epsilon(32) == scorer.filter_epsilon(32)
+
+
+def test_topk_over_a_prepared_table_allocates_nothing_table_sized():
+    """With the half-angle table handed in, a request's temporaries are
+    strips: a 20k x 32 table ranks under a peak smaller than its own
+    float32 copy (the per-request cast this pins the end of made one)."""
+    import tracemalloc
+
+    rng = np.random.default_rng(2)
+    n, d = 20_000, 32
+    scorer = ArcShardScorer(eta=0.02, radius=1.0)
+    points = rng.uniform(0.0, TWO_PI, (n, d))
+    payload = [(rng.uniform(0.0, TWO_PI, (1, d)),
+                rng.uniform(0.0, 1.0, (1, d)))]
+    prepared = scorer.prepare(points)
+    scorer.topk(points, payload, 10, None, True, prepared)  # warm
+    tracemalloc.start()
+    try:
+        stats = {}
+        scorer.topk(points, payload, 10, stats, True, prepared)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "fallbacks" not in stats
+    assert peak < 4 * n * d

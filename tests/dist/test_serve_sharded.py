@@ -12,7 +12,7 @@ from repro.core import HalkModel
 from repro.core.topk import topk_rows
 from repro.serve import ServeConfig, ServeRuntime
 
-from .conftest import requires_shm
+from .conftest import requires_shm, shm_segments as _shm_segments
 
 pytestmark = [pytest.mark.dist, requires_shm]
 
@@ -41,6 +41,25 @@ def test_cache_hit_path_agrees_with_batched_path(runtime, queries):
 
 def test_shards_gauge_reports_pool_width(runtime):
     assert runtime.stats().gauges["shards"] == 2
+
+
+def test_debug_mem_sums_to_what_dev_shm_holds(model, runtime):
+    """``/debug/mem`` and the ``shard_slab_bytes`` gauges count the
+    table *and* its prepared companion: together, the real segments."""
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("no /dev/shm to inspect")
+    payload = runtime.mem_payload()
+    plan = runtime._ranker.plan
+    names = {plan.shard_spec(i, prepared=prepared)[0].name
+             for i in range(plan.num_shards) for prepared in (False, True)}
+    on_disk = sum(os.stat(f"/dev/shm/{name}").st_size for name in names)
+    n, d = model.sharding_spec()[0].shape
+    assert payload["shard_plan"]["total_bytes"] == on_disk == n * d * 12
+    assert payload["shard_plan"]["prepared_bytes"] == n * d * 4
+    assert payload["local_ranker"] is None  # the workers rank
+    gauges = runtime.metrics.snapshot().gauges
+    assert sum(gauges[f"shard_slab_bytes{{shard={i}}}"]
+               for i in range(plan.num_shards)) == on_disk
 
 
 def test_unsupported_model_falls_back_to_in_process(model, kg, queries,
@@ -93,13 +112,6 @@ def test_shard_ranker_refusing_the_model_stops_the_profiler(kg):
     assert set(threading.enumerate()) <= threads
 
 
-def _shm_segments():
-    # sem.* back multiprocessing's own locks; its resource tracker
-    # unlinks them at interpreter exit, not when a pool closes
-    return {name for name in os.listdir("/dev/shm")
-            if not name.startswith("sem.")}
-
-
 def test_rejected_config_starts_nothing(model, kg):
     """A config the caches reject must raise before the profiler thread,
     the shard workers or their shared-memory segment exist."""
@@ -142,3 +154,32 @@ def test_late_failure_tears_down_what_started(model, kg, shards):
         assert set(threading.enumerate()) <= threads
     finally:
         taken.close()
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_reload_republishes_the_filter_table(kg, queries, tmp_path, lazy):
+    """A hot reload writes the new weights through the slab *and* its
+    prepared companion: served answers are the new model's, which a
+    filter still reading the old half-angles could not produce."""
+    from repro.ckpt import save_checkpoint
+
+    def variant(seed):
+        return HalkModel(kg, ModelConfig(embedding_dim=6, hidden_dim=12,
+                                         seed=seed))
+
+    served, donor = variant(31), variant(32)
+    path = tmp_path / "donor.npz"
+    save_checkpoint(path, {"model": donor.state_dict()})
+    config = ServeConfig(num_shards=2, lazy_shard_slabs=lazy,
+                         flush_timeout=0.001, answer_ttl=1e-9)
+    with ServeRuntime(served, kg=kg, config=config) as runtime:
+        assert runtime._ranker.plan.lazy == lazy
+        old = [r.entity_ids for r in
+               runtime.answer_batch(queries, top_k=8, timeout=30.0)]
+        runtime.reload(path)
+        new = [r.entity_ids for r in
+               runtime.answer_batch(queries, top_k=8, timeout=30.0)]
+    embedding = donor.embed_batch(queries)
+    expect = topk_rows(donor.distance_to_all(embedding).data, 8)
+    assert new == expect.tolist()
+    assert new != old

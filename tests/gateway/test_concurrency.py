@@ -295,5 +295,15 @@ class TestRaces:
         assert outcomes.count("model") == len(runtime.entered)
         stats = gateway.stats()
         assert (stats["queued"], stats["inflight"]) == (0, 0)
-        assert runtime.metrics.snapshot().gauges[
-            "gateway_queue_depth"] == 0
+        gauges = runtime.metrics.snapshot().gauges
+        assert gauges["gateway_queue_depth"] == 0
+        # the drained tenants' own gauges go to zero with it
+        shed = set()
+        for future in futures:
+            try:
+                future.result(0.0)
+            except GatewayRejected as exc:
+                shed.add(exc.tenant)
+        assert shed, "close() found nothing queued: the race was not run"
+        for tenant in shed:
+            assert gauges[f"tenant_queue{{tenant={tenant}}}"] == 0

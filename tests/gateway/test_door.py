@@ -9,7 +9,6 @@ queue behind them.  On fb237_mini with the SPARQL compiler mounted, as
 
 import http.client
 import json
-import socket
 import threading
 
 import pytest
@@ -22,20 +21,10 @@ from repro.queries import QuerySampler, get_structure
 from repro.serve import ServeConfig, ServeRuntime
 from repro.sparql import SparqlEngine
 
-pytestmark = [pytest.mark.gateway, pytest.mark.http]
+pytestmark = [pytest.mark.gateway, pytest.mark.http,
+              pytest.mark.usefixtures("require_loopback_bind")]
 
 CLIENTS, PER_CLIENT, TOP_K = 4, 200, 5
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _require_loopback_bind():
-    """Skip the module when no loopback port can be bound at all."""
-    try:
-        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        probe.bind(("127.0.0.1", 0))
-        probe.close()
-    except OSError as exc:
-        pytest.skip(f"cannot bind a loopback port here: {exc}")
 
 
 def sparql_of(query, kg) -> str:

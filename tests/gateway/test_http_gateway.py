@@ -8,7 +8,6 @@ exercise routing, admission, and error bodies, not SPARQL parsing.
 
 import contextlib
 import json
-import socket
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
@@ -17,18 +16,8 @@ import pytest
 from repro.gateway import Gateway, GatewayConfig, TenantConfig
 from repro.serve import ServeConfig, ServeRuntime
 
-pytestmark = [pytest.mark.gateway, pytest.mark.http]
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _require_loopback_bind():
-    """Skip the module when no loopback port can be bound at all."""
-    try:
-        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        probe.bind(("127.0.0.1", 0))
-        probe.close()
-    except OSError as exc:
-        pytest.skip(f"cannot bind a loopback port here: {exc}")
+pytestmark = [pytest.mark.gateway, pytest.mark.http,
+              pytest.mark.usefixtures("require_loopback_bind")]
 
 
 def post(url: str, body, raw: bytes | None = None):

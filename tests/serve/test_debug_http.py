@@ -27,18 +27,8 @@ from repro.serve import ServeConfig, ServeRuntime
 
 from .conftest import HookedModel
 
-pytestmark = [pytest.mark.diag, pytest.mark.http]
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _require_loopback_bind():
-    """Skip the module when no loopback port can be bound at all."""
-    try:
-        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        probe.bind(("127.0.0.1", 0))
-        probe.close()
-    except OSError as exc:
-        pytest.skip(f"cannot bind a loopback port here: {exc}")
+pytestmark = [pytest.mark.diag, pytest.mark.http,
+              pytest.mark.usefixtures("require_loopback_bind")]
 
 
 def distinct_queries(kg, n):

@@ -17,18 +17,8 @@ from repro.serve import (ServeConfig, ServeRuntime, TelemetryHTTPServer,
                          render_prometheus, snapshot_from_json)
 from repro.serve.metrics import MetricsRegistry
 
-pytestmark = pytest.mark.http
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _require_loopback_bind():
-    """Skip the module when no loopback port can be bound at all."""
-    try:
-        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        probe.bind(("127.0.0.1", 0))
-        probe.close()
-    except OSError as exc:
-        pytest.skip(f"cannot bind a loopback port here: {exc}")
+pytestmark = [pytest.mark.http,
+              pytest.mark.usefixtures("require_loopback_bind")]
 
 
 @pytest.fixture()

@@ -26,21 +26,11 @@ from repro.serve import TelemetryHTTPServer
 from repro.serve.http import MAX_BODY_BYTES
 from repro.serve.metrics import MetricsRegistry
 
-pytestmark = pytest.mark.http
+pytestmark = [pytest.mark.http,
+              pytest.mark.usefixtures("require_loopback_bind")]
 
 TIMEOUT_S = 5.0
 GOOD_BODY = b'{"sparql": "x"}'
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _require_loopback_bind():
-    """Skip the module when no loopback port can be bound at all."""
-    try:
-        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        probe.bind(("127.0.0.1", 0))
-        probe.close()
-    except OSError as exc:
-        pytest.skip(f"cannot bind a loopback port here: {exc}")
 
 
 @pytest.fixture()

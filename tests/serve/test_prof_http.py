@@ -7,7 +7,6 @@ these endpoints do not need diagnostics enabled — a server with
 """
 
 import json
-import socket
 from urllib.error import HTTPError
 from urllib.request import urlopen
 
@@ -16,18 +15,8 @@ import pytest
 from repro.queries import Entity, Projection
 from repro.serve import ServeConfig, ServeRuntime
 
-pytestmark = [pytest.mark.prof, pytest.mark.http]
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _require_loopback_bind():
-    """Skip the module when no loopback port can be bound at all."""
-    try:
-        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        probe.bind(("127.0.0.1", 0))
-        probe.close()
-    except OSError as exc:
-        pytest.skip(f"cannot bind a loopback port here: {exc}")
+pytestmark = [pytest.mark.prof, pytest.mark.http,
+              pytest.mark.usefixtures("require_loopback_bind")]
 
 
 def distinct_queries(kg, n):
@@ -152,6 +141,15 @@ class TestDebugMem:
         _, url = served
         payload = get_json(f"{url}/debug/mem")
         assert payload["shard_plan"] is None
+
+    def test_unsharded_server_reports_its_private_tables(self, served):
+        """In-process ranking holds the wrapped float64 table and the
+        filter's float32 half-angle table; both are accounted."""
+        runtime, url = served
+        n, d = runtime.model.sharding_spec()[0].shape
+        assert get_json(f"{url}/debug/mem")["local_ranker"] == {
+            "num_entities": n, "dim": d,
+            "total_bytes": n * d * (8 + 4), "prepared_bytes": n * d * 4}
 
 
 class TestGatewayProfStats:

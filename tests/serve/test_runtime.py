@@ -201,6 +201,55 @@ class TestDegradation:
         assert len(result) == 4
 
 
+class TestDoneCallbacks:
+    def test_a_raising_callback_does_not_rerun_the_batch(
+            self, tiny_kg, model, monkeypatch, caplog):
+        """A done-callback's exception used to unwind through the
+        resolving ``set_result`` into the batch's model-failure handler,
+        which counted a failure and embedded + ranked the whole batch
+        again.  It is the callback's bug: logged, and nothing else."""
+        from repro.serve.batcher import ServeFuture
+
+        gate = threading.Event()
+        gated = HookedModel(model, lambda: gate.wait(10.0))
+        resolutions = []
+        set_result = ServeFuture.set_result
+        monkeypatch.setattr(
+            ServeFuture, "set_result",
+            lambda self, result: (resolutions.append(self),
+                                  set_result(self, result)))
+        ran = []
+
+        def boom(future):
+            raise RuntimeError("synthetic callback bug")
+
+        queries = sample_queries(tiny_kg, 4, structures=("1p", "2p"))
+        with caplog.at_level("ERROR", logger="repro.serve"), \
+                make_runtime(gated, kg=tiny_kg, max_batch_size=4,
+                             flush_timeout=0.05, num_workers=1) as runtime:
+            futures = [runtime.submit(q, top_k=3) for q in queries]
+            futures[1].add_done_callback(lambda f: ran.append("first"))
+            futures[1].add_done_callback(boom)
+            futures[1].add_done_callback(lambda f: ran.append("third"))
+            for index in (0, 2, 3):
+                futures[index].add_done_callback(
+                    lambda f, index=index: ran.append(index))
+            gate.set()  # the four were queued behind it: one batch
+            results = [f.result(timeout=10.0) for f in futures]
+            stats = runtime.stats()
+        assert [r.source for r in results] == ["model"] * 4
+        assert stats.counters.get("model_failures", 0) == 0
+        assert stats.counters.get("retries", 0) == 0
+        assert stats.histograms["latency_ms"].count == 4
+        assert sorted(map(id, resolutions)) == sorted(map(id, futures))
+        assert sorted(map(str, ran)) == ["0", "2", "3", "first", "third"]
+        assert "synthetic callback bug" in caplog.text
+        # registered after the fact it runs at once, under the same rule
+        futures[0].add_done_callback(boom)
+        futures[0].add_done_callback(lambda f: ran.append("late"))
+        assert ran[-1] == "late"
+
+
 class TestLifecycle:
     def test_close_is_idempotent(self, tiny_kg, model):
         runtime = make_runtime(model, kg=tiny_kg)
