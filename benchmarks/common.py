@@ -25,11 +25,11 @@ import numpy as np
 
 from repro import ckpt
 from repro.baselines import (ConEModel, MLPMixModel, NewLookModel, HalkV1,
-                             HalkV2, HalkV3, UnsupportedOperatorError)
+                             HalkV2, HalkV3, supported_workload)
 from repro.config import ModelConfig, TrainConfig
 from repro.core import HalkModel, QueryModel, Trainer, evaluate
 from repro.kg import DatasetSplits, load_dataset
-from repro.queries import QueryWorkload, WorkloadBundle, build_workloads
+from repro.queries import WorkloadBundle, build_workloads
 
 CACHE_DIR = pathlib.Path(__file__).resolve().parent / "_cache"
 
@@ -213,8 +213,8 @@ class ExperimentContext:
             model.load_state_dict(state)
             self._train_seconds[key] = meta["train_seconds"]
         else:
-            workload = self.supported_workload(model,
-                                               self.workloads(dataset).train)
+            workload = supported_workload(model,
+                                          self.workloads(dataset).train)
             history = Trainer(model, workload, self.profile.train).train()
             self._train_seconds[key] = history.seconds
             self._save_cached(weights_path, meta_path, model, history)
@@ -229,25 +229,10 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     # evaluation helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def supported_workload(model: QueryModel,
-                           workload: QueryWorkload) -> QueryWorkload:
-        """Drop structures whose operators the model does not support."""
-        out = QueryWorkload()
-        for structure in workload.structures():
-            queries = workload[structure]
-            try:
-                model.embed_batch([queries[0].query])
-            except UnsupportedOperatorError:
-                continue
-            for query in queries:
-                out.add(query)
-        return out
-
     def evaluate_method(self, dataset: str, method: str):
         """Filtered metrics of one method on one dataset's test workload."""
         model = self.model(dataset, method)
-        workload = self.supported_workload(model, self.workloads(dataset).test)
+        workload = supported_workload(model, self.workloads(dataset).test)
         return evaluate(model, workload)
 
 

@@ -29,12 +29,11 @@ if str(REPO / "src") not in sys.path:
     sys.path.insert(0, str(REPO / "src"))
 
 from repro.baselines import (ConEModel, HalkV1, HalkV2, HalkV3,  # noqa: E402
-                             MLPMixModel, NewLookModel,
-                             UnsupportedOperatorError)
+                             MLPMixModel, NewLookModel, supported_workload)
 from repro.config import ModelConfig, TrainConfig  # noqa: E402
 from repro.core import HalkModel, Trainer  # noqa: E402
 from repro.kg import load_dataset  # noqa: E402
-from repro.queries import QueryWorkload, build_workloads  # noqa: E402
+from repro.queries import build_workloads  # noqa: E402
 
 GOLDEN = REPO / "tests" / "core" / "golden_losses.json"
 
@@ -53,20 +52,6 @@ METHODS = {
 }
 
 
-def _supported(model, workload: QueryWorkload) -> QueryWorkload:
-    """The structures whose operators ``model`` has (Tables I–IV's blanks)."""
-    out = QueryWorkload()
-    for structure in workload.structures():
-        queries = workload[structure]
-        try:
-            model.embed_batch([queries[0].query])
-        except UnsupportedOperatorError:
-            continue
-        for query in queries:
-            out.add(query)
-    return out
-
-
 def compute() -> dict[str, dict]:
     """Train every method; ``{method: {"losses": [hex…], "rng_state": …}}``."""
     splits = load_dataset("FB237", scale=0.4, seed=0)
@@ -75,7 +60,7 @@ def compute() -> dict[str, dict]:
     out = {}
     for method, (cls, overrides) in METHODS.items():
         model = cls(splits.train, MODEL)
-        trainer = Trainer(model, _supported(model, bundle.train),
+        trainer = Trainer(model, supported_workload(model, bundle.train),
                           TRAIN.with_(**overrides))
         history = trainer.train()
         out[method] = {

@@ -13,14 +13,30 @@ if grep -rnE '_in_progress|diag_owned|shard_info|set_profiler|warn_dual_profiler
     exit 1
 fi
 
-# the served forward pass stays plain numpy: no autograd import, grad
-# switch, Tensor construction or distance_to_all call in the plan
-# backend, the executor or the runtime (docstrings may name repro.nn;
-# code may not reach for it)
-if grep -nE 'from \.+nn\b|from repro\.nn|import repro\.nn|no_grad|Tensor\(|distance_to_all\(' \
+# the served forward pass builds no autograd wrapper: no grad switch,
+# Tensor construction or distance_to_all call in the plan backend, the
+# executor or the runtime (they reach repro.nn only for the array
+# namespace, repro.nn.arrays)
+if grep -nE 'no_grad|Tensor\(|distance_to_all\(' \
         src/repro/plan/backend.py src/repro/plan/executor.py \
         src/repro/serve/runtime.py; then
     echo "tier1: the autograd wrapper is back on the answer path (see above)" >&2
+    exit 1
+fi
+
+# the HaLk arithmetic is written once, over a namespace: the plan
+# backend holds none of it, and the semantic average (the one arctan2)
+# is called from one place under core/ and plan/ — a second operator
+# body growing back fails here, before pytest starts
+if grep -nE 'np\.(sin|cos|tanh|exp|arctan2|clip)\(|np\.pi| @ ' \
+        src/repro/plan/backend.py; then
+    echo "tier1: arithmetic is back in the plan backend (see above)" >&2
+    exit 1
+fi
+if [ "$(grep -rl 'arctan2' src/repro/core src/repro/plan)" != src/repro/core/operators.py ] \
+        || [ "$(grep -c 'arctan2(' src/repro/core/operators.py)" -ne 1 ]; then
+    grep -rn 'arctan2' src/repro/core src/repro/plan || true
+    echo "tier1: the semantic average is written more than once (see above)" >&2
     exit 1
 fi
 

@@ -7,6 +7,10 @@
   Eq. (13) (the assumption ConE/BetaE/MLPMix share).
 * **HaLk-V3** — projection that learns centre and arclength independently
   (NewLook-style), dropping the coordinated start/end information pair.
+
+Each variant is one operator class over the namespace ``xp`` (like the
+stock ones in ``core/operators.py``) plus a :class:`HalkModel` subclass
+installing it — all it takes to train, evaluate *and* serve it.
 """
 
 from __future__ import annotations
@@ -14,12 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import ModelConfig
-from ..core.arc import TWO_PI, Arc, angle_features
+from ..core.arc import TWO_PI, Arc
 from ..core.model import HalkModel
-from ..core.operators import NegationOperator, ProjectionOperator
+from ..core.operators import (NegationOperator, ProjectionOperator,
+                              corrected_arc)
 from ..kg.graph import KnowledgeGraph
 from ..kg.groups import GroupAssignment
-from ..nn import F, MLP, Module, Tensor
+from ..nn import F, MLP, Module
 
 __all__ = [
     "NewLookStyleDifference", "LinearNegation", "IndependentProjection",
@@ -42,34 +47,36 @@ class NewLookStyleDifference(Module):
         self.attention_mlp = MLP(2 * d, config.hidden_dim, d, rng=rng)
         self.length_mlp = MLP(2 * d, config.hidden_dim, d, rng=rng)
 
-    def forward(self, arcs: list[Arc]) -> Arc:
+    def forward(self, arcs: list[Arc], xp=F) -> Arc:
         if len(arcs) < 2:
             raise ValueError("difference needs at least two inputs")
         head, rest = arcs[0], arcs[1:]
         radius = head.radius
-        scores = [self.attention_mlp(F.concat([arc.center, arc.length], axis=-1))
+        scores = [xp.mlp(self.attention_mlp,
+                         xp.concat([arc.center, arc.length], axis=-1))
                   for arc in arcs]
-        weights = F.softmax(F.stack(scores, axis=0), axis=0)
-        center: Tensor | None = None
+        weights = xp.softmax(xp.stack(scores, axis=0), axis=0)
+        center = None
         for index, arc in enumerate(arcs):
             # raw weighted average of angles: periodicity-unsafe on purpose
             term = weights[index] * arc.center
             center = term if center is None else center + term
-        overlap: Tensor | None = None
+        overlap = None
         for arc in rest:
-            term = F.concat([head.center - arc.center,
-                             head.length - arc.length], axis=-1)
+            term = xp.concat([head.center - arc.center,
+                              head.length - arc.length], axis=-1)
             overlap = term if overlap is None else overlap + term
         # free arclength: can exceed the head input's span (lossy)
-        angle = TWO_PI * F.sigmoid(self.length_mlp(overlap / float(len(rest))))
-        return Arc(F.wrap_angle(center), radius * angle, radius)
+        angle = TWO_PI * xp.sigmoid(
+            xp.mlp(self.length_mlp, overlap / float(len(rest))))
+        return Arc(xp.wrap_angle(center), radius * angle, radius)
 
 
 class LinearNegation(NegationOperator):
     """Negation without the non-linear correction network (HaLk-V2)."""
 
-    def forward(self, arc: Arc) -> Arc:
-        return self.linear_negation(arc)
+    def forward(self, arc: Arc, xp=F) -> Arc:
+        return self.linear_negation(arc, xp)
 
 
 class IndependentProjection(ProjectionOperator):
@@ -85,22 +92,12 @@ class IndependentProjection(ProjectionOperator):
         self.center_only_mlp = MLP(2 * d, config.hidden_dim, d, rng=rng)
         self.length_only_mlp = MLP(d, config.hidden_dim, d, rng=rng)
 
-    def forward(self, head: Arc, relation: Arc) -> Arc:
-        radius = head.radius
-        approx_center = head.center + relation.center
-        approx_length = F.clip(head.length + relation.length,
-                               0.0, TWO_PI * radius)
-        approx = Arc(approx_center, approx_length, radius)
-        center = F.wrap_angle(
-            approx.center + np.pi * F.tanh(self.config.lambda_scale
-                                           * self.center_only_mlp(
-                                               angle_features(approx.center))))
-        angle = F.clip(
-            approx.angle + np.pi * F.tanh(self.config.lambda_scale
-                                          * self.length_only_mlp(
-                                              approx.angle / np.pi - 1.0)),
-            0.0, TWO_PI)
-        return Arc(center, radius * angle, radius)
+    def forward(self, head: Arc, relation: Arc, xp=F) -> Arc:
+        approx = self.rotate(head, relation, xp)
+        return corrected_arc(
+            approx, self.center_only_mlp, xp.angle_features(approx.center),
+            self.length_only_mlp, approx.angle / np.pi - 1.0,
+            self.config.lambda_scale, xp)
 
 
 class HalkV1(HalkModel):

@@ -18,13 +18,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.model import QueryModel
-from ..nn import F, Tensor
+from ..nn import F, Tensor, no_grad
 from ..queries.computation_graph import (Difference, Entity, Intersection,
                                          Negation, Node, Projection, Union,
                                          to_dnf)
+from ..queries.dataset import QueryWorkload
 
-__all__ = ["UnsupportedOperatorError", "BranchEmbeddingModel",
-           "BranchQueryEmbedding"]
+__all__ = ["UnsupportedOperatorError", "supported_workload",
+           "BranchEmbeddingModel", "BranchQueryEmbedding"]
 
 
 class UnsupportedOperatorError(NotImplementedError):
@@ -34,6 +35,24 @@ class UnsupportedOperatorError(NotImplementedError):
         super().__init__(f"{model_name} does not support the {operator} operator")
         self.model_name = model_name
         self.operator = operator
+
+
+def supported_workload(model: QueryModel,
+                       workload: QueryWorkload) -> QueryWorkload:
+    """The structures of ``workload`` whose operators ``model`` has (the
+    filled cells of Tables I–IV), in workload order.  A structure's
+    queries share their operators, so one per structure is probed."""
+    out = QueryWorkload()
+    with no_grad():
+        for structure in workload.structures():
+            queries = workload[structure]
+            try:
+                model.embed_batch([queries[0].query])
+            except UnsupportedOperatorError:
+                continue
+            for query in queries:
+                out.add(query)
+    return out
 
 
 class BranchQueryEmbedding:
@@ -137,7 +156,6 @@ class BranchEmbeddingModel(QueryModel):
     def supports(self, query: Node) -> bool:
         """True when every operator in ``query`` is supported."""
         try:
-            from ..nn import no_grad
             with no_grad():
                 self.embed_batch([query])
             return True

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import ckpt
 from .baselines import (ConEModel, MLPMixModel, NewLookModel, HalkV1, HalkV2,
-                        HalkV3)
+                        HalkV3, supported_workload)
 from .config import ModelConfig, TrainConfig
 from .core import HalkModel, Trainer, evaluate
 from .kg import DATASET_BUILDERS, load_dataset
@@ -97,15 +97,7 @@ def _train_and_save(args, epochs: int, queries: int, lr: float = 2e-3,
     bundle = build_workloads(splits, queries_per_structure=queries,
                              eval_queries_per_structure=10, seed=args.seed)
     model = _build_model(args, splits.train)
-    from .baselines import UnsupportedOperatorError
-    from .queries import QueryWorkload
-    workload = QueryWorkload()
-    for query in bundle.train:
-        try:
-            model.embed_batch([query.query])
-            workload.add(query)
-        except UnsupportedOperatorError:
-            continue
+    workload = supported_workload(model, bundle.train)
     callbacks = []
     telemetry = None
     if getattr(args, "telemetry", None):
@@ -213,15 +205,7 @@ def cmd_evaluate(args) -> int:
     bundle = build_workloads(splits, queries_per_structure=10,
                              eval_queries_per_structure=args.queries,
                              seed=args.seed)
-    from .baselines import UnsupportedOperatorError
-    from .queries import QueryWorkload
-    workload = QueryWorkload()
-    for query in bundle.test:
-        try:
-            model.embed_batch([query.query])
-            workload.add(query)
-        except UnsupportedOperatorError:
-            continue
+    workload = supported_workload(model, bundle.test)
     ranker = None
     if getattr(args, "shards", 0) >= 2:
         from .dist import ShardedRanker
@@ -298,8 +282,8 @@ def cmd_explain(args) -> int:
 
 def _serve_runtime(model, **kwargs):
     """A ServeRuntime, or a one-line exit for a model serving leaves out
-    (no ``plan_backend()``: the ConE / NewLook / MLPMix baselines and the
-    HaLk-V1/V2/V3 ablations)."""
+    (no ``plan_backend()``: the ConE / NewLook / MLPMix baselines, which
+    train and evaluate only; HaLk and its ablations all have one)."""
     from .serve import ServeRuntime
     try:
         return ServeRuntime(model, **kwargs)

@@ -8,10 +8,13 @@ semantic gap between centre and cardinality — are derived here, as are the
 angle-feature maps fed into the operator MLPs.
 
 A note on periodicity: raw angles are discontinuous at the 0/2π seam, so
-every MLP input goes through :func:`angle_features` (the (sin, cos) chart
-of the circle).  This is the same periodicity-aware treatment the paper
-applies to distances (chord lengths, Eq. 9 and Eq. 16) carried through to
-the network inputs.
+every MLP input goes through ``angle_features`` (the (sin, cos) chart of
+the circle; the Tensor op is re-exported here).  This is the same
+periodicity-aware treatment the paper applies to distances (chord
+lengths, Eq. 9 and Eq. 16) carried through to the network inputs.
+
+An :class:`Arc` holds what the forward pass's namespace computes with:
+Tensors on the training tape, plain arrays when serving.
 """
 
 from __future__ import annotations
@@ -20,22 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import F, Tensor, as_tensor
+from ..nn import F, Tensor
+from ..nn.functional import angle_features
 
-__all__ = ["Arc", "angle_features", "chord_length", "angular_difference",
-           "wrap_angles"]
+__all__ = ["Arc", "ArcRows", "stack_rows", "angle_features", "chord_length",
+           "angular_difference"]
 
 TWO_PI = 2.0 * np.pi
-
-
-def wrap_angles(angles: np.ndarray) -> np.ndarray:
-    """``F.wrap_angle`` on a plain array: same ops, same bits, no graph.
-
-    For the code that runs off the autograd path on purpose — the
-    published entity table and the serving backend.
-    """
-    data = np.mod(angles, TWO_PI)
-    return np.where(data >= TWO_PI, 0.0, data)
 
 
 @dataclass
@@ -45,9 +39,10 @@ class Arc:
     Attributes
     ----------
     center:
-        ``(B, d)`` tensor of centre angles (any real; wrapped on use).
+        ``(B, d)`` tensor or array of centre angles (any real; wrapped
+        on use).
     length:
-        ``(B, d)`` tensor of arclengths in ``[0, 2πρ]``.
+        ``(B, d)`` tensor or array of arclengths in ``[0, 2πρ]``.
     radius:
         Circle radius ``ρ`` (scalar, fixed — paper §II-A).
     """
@@ -91,11 +86,14 @@ class Arc:
         """End point ``A_E = A_c + A_l/(2ρ)`` (Definition 2)."""
         return self.center + self.half_angle
 
+    def with_signature(self, signature: np.ndarray) -> "ArcRows":
+        """This batch as query-node values with group ``signature``."""
+        return ArcRows(self.center, self.length, self.radius, signature)
+
     @staticmethod
-    def from_points(points: Tensor, radius: float = 1.0) -> "Arc":
+    def from_points(points, radius: float = 1.0, xp=F) -> "Arc":
         """Embed entity points as zero-length arcs (singleton sets)."""
-        zeros = Tensor(np.zeros(points.shape))
-        return Arc(points, zeros, radius)
+        return Arc(points, xp.zeros_like(points), radius)
 
     def detach(self) -> "Arc":
         """Arc with the same values, cut from the autograd graph."""
@@ -117,31 +115,39 @@ class Arc:
         return np.abs(delta) <= self.half_angle.data + 1e-12
 
 
-def angle_features(angles: Tensor) -> Tensor:
-    """Map angles to the continuous (sin, cos) chart of the circle.
-
-    MLP inputs built from raw angles see a jump at the 0/2π seam even
-    though the two sides are the same point; the (sin, cos) features are
-    smooth and periodic, matching the chord-length treatment the paper
-    applies everywhere distances are involved.
-
-    One tape node standing for ``concat([sin(a), cos(a)])``: the VJP
-    reuses the forward's sine and cosine and hands ``angles`` the sine
-    half's contribution and the cosine half's as two receives, in that
-    order — what the three composed nodes did (pre-summing the two
-    rounds differently whenever ``angles`` already holds a gradient).
+@dataclass
+class ArcRows(Arc):
+    """The value of a batch of query nodes — what ``HalkModel``'s five
+    primitives take and return: arcs plus the per-row multi-hot group
+    signature ``(B, G)`` projection propagates and intersection attends
+    with (§II-A).  ``first``/``take``/:func:`stack_rows` are the row
+    surgery stacked plan execution adds on array-backed rows.
     """
-    angles = as_tensor(angles)
-    width = angles.shape[-1]
-    data = np.empty(angles.shape[:-1] + (2 * width,))
-    sine = np.sin(angles.data, out=data[..., :width])
-    cosine = np.cos(angles.data, out=data[..., width:])
 
-    def backward(grad: np.ndarray) -> None:
-        angles._receive(grad[..., :width] * cosine)
-        angles._receive(grad[..., width:] * -sine)
+    signature: np.ndarray | None = None
 
-    return Tensor._make(data, (angles,), backward)
+    def first(self, m: int) -> "ArcRows":
+        """Drop padding rows, keeping the first ``m``."""
+        return self if self.batch_size == m else self._index(slice(m))
+
+    def take(self, rows) -> "ArcRows":
+        """Gather ``rows`` into a new stacked batch (one fancy index per
+        field — the executor's bulk operand assembly)."""
+        return self._index(np.asarray(rows, dtype=np.int64))
+
+    def _index(self, rows) -> "ArcRows":
+        return ArcRows(self.center[rows], self.length[rows], self.radius,
+                       self.signature[rows])
+
+
+def stack_rows(states: list[ArcRows]) -> ArcRows:
+    """Concatenate per-op rows into one stacked batch."""
+    if len(states) == 1:
+        return states[0]
+    return ArcRows(np.concatenate([s.center for s in states]),
+                   np.concatenate([s.length for s in states]),
+                   states[0].radius,
+                   np.concatenate([s.signature for s in states]))
 
 
 def chord_length(a: Tensor, b: Tensor, radius: float = 1.0) -> Tensor:

@@ -21,12 +21,12 @@ import numpy as np
 from ..config import ModelConfig
 from ..kg.graph import KnowledgeGraph
 from ..kg.groups import GroupAssignment
-from ..nn import Embedding, F, Module, Tensor, no_grad
+from ..nn import Embedding, F, Module, Tensor, arrays, no_grad
 from ..obs.trace import get_tracer
 from ..queries.computation_graph import (Difference, Entity, Intersection,
                                          Negation, Node, Projection, Union,
                                          structure_signature, to_dnf)
-from .arc import TWO_PI, Arc, wrap_angles
+from .arc import TWO_PI, Arc, ArcRows
 from .distance import distance_to_points
 from .operators import (DifferenceOperator, IntersectionOperator,
                         NegationOperator, ProjectionOperator)
@@ -198,16 +198,17 @@ class QueryModel(Module):
     def plan_backend(self):
         """Stacked-execution backend for compiled plans, or None.
 
-        Models that support :mod:`repro.plan` return an object with the
-        ``anchor``/``project``/``intersect``/``difference``/``negate``/
-        ``finalize`` primitives the plan executor schedules; embeddings
-        it produces must be accepted by :meth:`ranking_payload` (the
-        rank stage of every serving tier) and by :meth:`distance_to_all`
-        (the oracle the equivalence suites hold them against).
-        Required by serving, as is :meth:`sharding_spec`: compiled
-        plans are the only model path of :class:`repro.serve.ServeRuntime`,
-        which refuses (``TypeError``) a model returning the default None —
-        such a model trains and evaluates through :meth:`embed_batch` only.
+        An object with the ``anchor``/``project``/``intersect``/
+        ``difference``/``negate``/``finalize`` primitives the plan
+        executor schedules; embeddings it produces must be accepted by
+        :meth:`ranking_payload` (the rank stage of every serving tier)
+        and by :meth:`distance_to_all` (the oracle the equivalence suites
+        hold them against).  Required by serving, as is
+        :meth:`sharding_spec`: :class:`repro.serve.ServeRuntime` refuses
+        (``TypeError``) a model returning the default None.  HaLk and its
+        ablations return their own forward pass under the array
+        namespace; the baselines (own distances, no scorer) keep the
+        default and train and evaluate through :meth:`embed_batch` only.
         """
         return None
 
@@ -323,55 +324,74 @@ class HalkModel(QueryModel):
         signature: np.ndarray | None = None
         for index in range(branch_count):
             trees = [branches_i[index] for branches_i in dnf_lists]
-            arc, sig = self._embed(trees)
+            arc = self._embed(trees)
             branches.append(arc)
-            signature = sig if signature is None else np.maximum(signature, sig)
+            signature = arc.signature if signature is None \
+                else np.maximum(signature, arc.signature)
         return HalkQueryEmbedding(branches, signature)
 
-    def _embed(self, trees: list[Node]) -> tuple[Arc, np.ndarray]:
-        """Recursively embed a batch of isomorphic (union-free) trees."""
+    def _embed(self, trees: list[Node]) -> ArcRows:
+        """Recursively embed a batch of isomorphic (union-free) trees:
+        only the walk, each node one ``embed_*`` primitive on the tape —
+        the training forward, and the oracle plan execution is held to."""
         head = trees[0]
         if isinstance(head, Entity):
-            ids = np.array([t.entity for t in trees], dtype=np.int64)
-            points = F.wrap_angle(self.entity_points(ids))
-            return Arc.from_points(points, self.config.radius), \
-                self.groups.one_hot[ids].copy()
+            return self.embed_anchor(F, [t.entity for t in trees])
         if isinstance(head, Projection):
-            child_arc, child_sig = self._embed([t.operand for t in trees])
-            rel_ids = np.array([t.relation for t in trees], dtype=np.int64)
-            relation = Arc(self.relation_center(rel_ids),
-                           self.relation_length(rel_ids), self.config.radius)
-            out = self.projection(child_arc, relation)
-            reached = np.einsum("bg,bgh->bh", child_sig,
-                                self.groups.adjacency[rel_ids])
-            return out, (reached > 0).astype(np.float64)
-        if isinstance(head, Intersection):
-            arity = len(head.operands)
-            parts = [self._embed([t.operands[i] for t in trees])
-                     for i in range(arity)]
-            arcs = [arc for arc, _ in parts]
-            sigs = [sig for _, sig in parts]
-            target_sig = sigs[0]
-            for sig in sigs[1:]:
-                target_sig = target_sig * sig
-            # z_i = 1 / (‖h_Ui − h_Ut‖ + 1), Eq. (10)
-            z = np.stack([1.0 / (np.abs(sig - target_sig).sum(axis=-1) + 1.0)
-                          for sig in sigs], axis=0)
-            return self.intersection(arcs, z), target_sig
-        if isinstance(head, Difference):
-            arity = len(head.operands)
-            parts = [self._embed([t.operands[i] for t in trees])
-                     for i in range(arity)]
-            arcs = [arc for arc, _ in parts]
-            return self.difference(arcs), parts[0][1]
+            return self.embed_project(F, [t.relation for t in trees],
+                                      self._embed([t.operand for t in trees]))
+        if isinstance(head, (Intersection, Difference)):
+            operands = [self._embed([t.operands[i] for t in trees])
+                        for i in range(len(head.operands))]
+            if isinstance(head, Intersection):
+                return self.embed_intersect(F, operands)
+            return self.embed_difference(F, operands)
         if isinstance(head, Negation):
-            child_arc, child_sig = self._embed([t.operand for t in trees])
-            out = self.negation(child_arc)
-            full = np.ones_like(child_sig)
-            return out, full
+            return self.embed_negate(
+                F, self._embed([t.operand for t in trees]))
         if isinstance(head, Union):
             raise ValueError("unions must be removed by DNF before embedding")
         raise TypeError(f"unknown node type: {type(head).__name__}")
+
+    # ------------------------------------------------------------------
+    # the five per-node primitives — table lookup, operator network,
+    # group-signature propagation — written once over the namespace
+    # ``xp``: ``F`` records the tape, ``repro.nn.arrays`` serves
+    # ------------------------------------------------------------------
+    def embed_anchor(self, xp, entity_ids) -> ArcRows:
+        ids = np.asarray(entity_ids, dtype=np.int64)
+        points = xp.wrap_angle(self.entity_points(ids, xp=xp))
+        arc = Arc.from_points(points, self.config.radius, xp)
+        return arc.with_signature(self.groups.one_hot[ids].copy())
+
+    def embed_project(self, xp, relation_ids, operand: ArcRows) -> ArcRows:
+        ids = np.asarray(relation_ids, dtype=np.int64)
+        radius = self.config.radius
+        relation = Arc(self.relation_center(ids, xp=xp),
+                       self.relation_length(ids, xp=xp), radius)
+        reached = np.einsum("bg,bgh->bh", operand.signature,
+                            self.groups.adjacency[ids])
+        return self.projection(operand, relation, xp=xp).with_signature(
+            (reached > 0).astype(np.float64))
+
+    def embed_intersect(self, xp, operands: list[ArcRows]) -> ArcRows:
+        sigs = [operand.signature for operand in operands]
+        target_sig = sigs[0]
+        for sig in sigs[1:]:
+            target_sig = target_sig * sig
+        # z_i = 1 / (‖h_Ui − h_Ut‖ + 1), Eq. (10)
+        z = [1.0 / (np.abs(sig - target_sig).sum(axis=-1) + 1.0)
+             for sig in sigs]
+        return self.intersection(operands, z,
+                                 xp=xp).with_signature(target_sig)
+
+    def embed_difference(self, xp, operands: list[ArcRows]) -> ArcRows:
+        return self.difference(operands, xp=xp).with_signature(
+            operands[0].signature)
+
+    def embed_negate(self, xp, operand: ArcRows) -> ArcRows:
+        return self.negation(operand, xp=xp).with_signature(
+            np.ones_like(operand.signature))
 
     # ------------------------------------------------------------------
     # distances
@@ -431,19 +451,10 @@ class HalkModel(QueryModel):
     # plan-compiler hook (repro.plan)
     # ------------------------------------------------------------------
     def plan_backend(self):
-        """The numpy backend — for the paper's four operators only.
-
-        It re-states their arithmetic (see ``repro.plan.backend``), so a
-        variant that swaps an operator class (the Table V ablations) has
-        no backend and, like the baselines, is train/evaluate-only.
-        """
+        """This model's own ``embed_*`` primitives under the array
+        namespace: the operator modules it holds (the Table V ablations
+        swap one) are the ones served."""
         from ..plan.backend import HalkPlanBackend
-        stock = (ProjectionOperator, IntersectionOperator,
-                 DifferenceOperator, NegationOperator)
-        ours = (self.projection, self.intersection, self.difference,
-                self.negation)
-        if any(type(op) is not kind for op, kind in zip(ours, stock)):
-            return None
         return HalkPlanBackend(self)
 
     # ------------------------------------------------------------------
@@ -458,7 +469,7 @@ class HalkModel(QueryModel):
         columns.
         """
         from ..dist.scorer import ArcShardScorer
-        return (wrap_angles(self.entity_points.weight.data),
+        return (arrays.wrap_angle(self.entity_points.weight.data),
                 ArcShardScorer(eta=self.config.eta,
                                radius=self.config.radius))
 

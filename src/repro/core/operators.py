@@ -23,6 +23,12 @@ in DESIGN.md):
   class as Eq. (2)/(14) (``g`` squashes into a 2π-wide interval) but
   centred on the rotation instead of on π, which conditions training far
   better at small scale.
+
+The arithmetic is written here and nowhere else.  Every ``forward`` takes
+the namespace ``xp`` its ops come from — :mod:`repro.nn.functional` (the
+default) records the training tape, :mod:`repro.nn.arrays` computes the
+same bits on plain arrays for serving — picked once by whoever starts the
+forward pass; nothing in here tests what it was handed.
 """
 
 from __future__ import annotations
@@ -31,12 +37,12 @@ import numpy as np
 
 from ..config import ModelConfig
 from ..nn import F, MLP, Module, Parameter, Tensor
-from .arc import TWO_PI, Arc, angle_features
+from .arc import TWO_PI, Arc
 
 __all__ = [
     "ProjectionOperator", "DifferenceOperator", "IntersectionOperator",
     "NegationOperator", "squash_angle", "semantic_average_center",
-    "zero_init_output",
+    "corrected_arc", "zero_init_output",
 ]
 
 
@@ -60,13 +66,27 @@ def squash_angle(x: Tensor, lambda_scale: float = 1.0) -> Tensor:
     return np.pi * F.tanh(lambda_scale * x) + np.pi
 
 
-def _pair_features(arc: Arc) -> Tensor:
-    """Feature map of the (start, end) coordinated information pair."""
-    return F.concat([angle_features(arc.start), angle_features(arc.end)],
-                    axis=-1)
+def _pair_features(arc: Arc, xp):
+    """Feature map of the (start, end) coordinated information pair.
+    Intersection asks twice per operand (attention, DeepSets): arrays
+    share the result, the tape records each (see ``F.memo``)."""
+    return xp.memo(arc, "_pair_features", lambda: xp.concat(
+        [xp.angle_features(arc.start), xp.angle_features(arc.end)], axis=-1))
 
 
-def semantic_average_center(arcs: list[Arc], weights: list[Tensor]) -> Tensor:
+def corrected_arc(approx: Arc, center_mlp: MLP, center_input,
+                  angle_mlp: MLP, angle_input, lambda_scale: float,
+                  xp) -> Arc:
+    """The geometric initialisation ``approx`` plus the bounded learned
+    correction ``π·tanh(λ·mlp(input))`` on centre and span."""
+    center = xp.wrap_angle(approx.center + np.pi * xp.tanh(
+        lambda_scale * xp.mlp(center_mlp, center_input)))
+    angle = xp.clip(approx.angle + np.pi * xp.tanh(
+        lambda_scale * xp.mlp(angle_mlp, angle_input)), 0.0, TWO_PI)
+    return Arc(center, approx.radius * angle, approx.radius)
+
+
+def semantic_average_center(arcs: list[Arc], weights: list, xp=F):
     """Attention-weighted centre in rectangular coordinates (Eq. 4–6).
 
     Converting to (x, y), averaging, and mapping back through ``arctan2``
@@ -75,18 +95,18 @@ def semantic_average_center(arcs: list[Arc], weights: list[Tensor]) -> Tensor:
     inverse tangent).
     """
     radius = arcs[0].radius
-    x_avg: Tensor | None = None
-    y_avg: Tensor | None = None
+    x_avg = y_avg = None
     for arc, weight in zip(arcs, weights):
-        x_i = weight * (radius * F.cos(arc.center))
-        y_i = weight * (radius * F.sin(arc.center))
+        x_i = weight * (radius * xp.cos(arc.center))
+        y_i = weight * (radius * xp.sin(arc.center))
         x_avg = x_i if x_avg is None else x_avg + x_i
         y_avg = y_i if y_avg is None else y_avg + y_i
     # Guard the degenerate all-cancelling case the paper handles by
     # nudging x away from zero.
     eps = 1e-9
-    x_safe = x_avg + F.sign(x_avg) * eps + eps * (1.0 - F.abs_(F.sign(x_avg)))
-    return F.wrap_angle(F.arctan2(y_avg, x_safe))
+    x_safe = x_avg + xp.sign(x_avg) * eps \
+        + eps * (1.0 - xp.abs_(xp.sign(x_avg)))
+    return xp.wrap_angle(xp.arctan2(y_avg, x_safe))
 
 
 class ProjectionOperator(Module):
@@ -102,21 +122,19 @@ class ProjectionOperator(Module):
         self.length_mlp = zero_init_output(MLP(4 * d, config.hidden_dim, d,
                                                 rng=rng))
 
-    def forward(self, head: Arc, relation: Arc) -> Arc:
+    def rotate(self, head: Arc, relation: Arc, xp) -> Arc:
+        """Rotation initialisation: ~A_c = A_{h,c} + A_{r,c}, ~A_l likewise."""
         radius = head.radius
-        # rotation initialisation: ~A_c = A_{h,c} + A_{r,c}, ~A_l likewise
-        approx = Arc(head.center + relation.center,
-                     F.clip(head.length + relation.length, 0.0, TWO_PI * radius),
-                     radius)
-        features = _pair_features(approx)
-        center = F.wrap_angle(
-            approx.center + np.pi * F.tanh(self.config.lambda_scale
-                                           * self.center_mlp(features)))
-        angle = F.clip(
-            approx.angle + np.pi * F.tanh(self.config.lambda_scale
-                                          * self.length_mlp(features)),
-            0.0, TWO_PI)
-        return Arc(center, radius * angle, radius)
+        return Arc(head.center + relation.center,
+                   xp.clip(head.length + relation.length, 0.0,
+                           TWO_PI * radius), radius)
+
+    def forward(self, head: Arc, relation: Arc, xp=F) -> Arc:
+        approx = self.rotate(head, relation, xp)
+        features = _pair_features(approx, xp)
+        return corrected_arc(approx, self.center_mlp, features,
+                             self.length_mlp, features,
+                             self.config.lambda_scale, xp)
 
 
 class _OverlapDeepSets(Module):
@@ -128,16 +146,16 @@ class _OverlapDeepSets(Module):
         self.inner = MLP(2 * d, config.hidden_dim, config.hidden_dim, rng=rng)
         self.outer = MLP(config.hidden_dim, config.hidden_dim, d, rng=rng)
 
-    def forward(self, head: Arc, rest: list[Arc]) -> Tensor:
+    def forward(self, head: Arc, rest: list[Arc], xp=F):
         radius = head.radius
-        encoded: Tensor | None = None
+        encoded = None
         for other in rest:
             # signed chord between centres + arclength gap (Eq. 9)
-            delta_c = 2.0 * radius * F.sin((head.center - other.center) / 2.0)
+            delta_c = 2.0 * radius * xp.sin((head.center - other.center) / 2.0)
             delta_l = head.length - other.length
-            item = self.inner(F.concat([delta_c, delta_l], axis=-1))
+            item = xp.mlp(self.inner, xp.concat([delta_c, delta_l], axis=-1))
             encoded = item if encoded is None else encoded + item
-        return self.outer(encoded / float(len(rest)))
+        return xp.mlp(self.outer, encoded / float(len(rest)))
 
 
 class DifferenceOperator(Module):
@@ -160,7 +178,7 @@ class DifferenceOperator(Module):
         self.kappa_rest = Parameter(np.zeros(d))
         self.overlap = _OverlapDeepSets(config, rng)
 
-    def forward(self, arcs: list[Arc]) -> Arc:
+    def forward(self, arcs: list[Arc], xp=F) -> Arc:
         if len(arcs) < 2:
             raise ValueError("difference needs at least two inputs")
         head, rest = arcs[0], list(arcs[1:])
@@ -168,11 +186,12 @@ class DifferenceOperator(Module):
         scores = []
         for index, arc in enumerate(arcs):
             kappa = self.kappa_head if index == 0 else self.kappa_rest
-            scores.append(kappa * self.attention_mlp(_pair_features(arc)))
-        weights = F.softmax(F.stack(scores, axis=0), axis=0)
+            scores.append(xp.parameter(kappa) * xp.mlp(
+                self.attention_mlp, _pair_features(arc, xp)))
+        weights = xp.softmax(xp.stack(scores, axis=0), axis=0)
         weight_list = [weights[i] for i in range(len(arcs))]
-        center = semantic_average_center(arcs, weight_list)
-        shrink = F.sigmoid(self.overlap(head, rest))
+        center = semantic_average_center(arcs, weight_list, xp)
+        shrink = xp.sigmoid(self.overlap(head, rest, xp=xp))
         length = head.length * shrink  # cardinality constraint: ⊆ head
         return Arc(center, length, radius)
 
@@ -186,12 +205,12 @@ class _SetDeepSets(Module):
         self.inner = MLP(4 * d, config.hidden_dim, config.hidden_dim, rng=rng)
         self.outer = MLP(config.hidden_dim, config.hidden_dim, d, rng=rng)
 
-    def forward(self, arcs: list[Arc]) -> Tensor:
-        encoded: Tensor | None = None
+    def forward(self, arcs: list[Arc], xp=F):
+        encoded = None
         for arc in arcs:
-            item = self.inner(_pair_features(arc))
+            item = xp.mlp(self.inner, _pair_features(arc, xp))
             encoded = item if encoded is None else encoded + item
-        return self.outer(encoded / float(len(arcs)))
+        return xp.mlp(self.outer, encoded / float(len(arcs)))
 
 
 class IntersectionOperator(Module):
@@ -210,8 +229,8 @@ class IntersectionOperator(Module):
         self.attention_mlp = MLP(4 * d, config.hidden_dim, d, rng=rng)
         self.deepsets = _SetDeepSets(config, rng)
 
-    def forward(self, arcs: list[Arc],
-                group_similarities: np.ndarray | None = None) -> Arc:
+    def forward(self, arcs: list[Arc], group_similarities=None,
+                xp=F) -> Arc:
         if len(arcs) < 2:
             raise ValueError("intersection needs at least two inputs")
         radius = arcs[0].radius
@@ -219,17 +238,19 @@ class IntersectionOperator(Module):
             group_similarities = np.ones((len(arcs), arcs[0].batch_size))
         scores = []
         for index, arc in enumerate(arcs):
-            z = Tensor(group_similarities[index][:, None])  # (B, 1)
-            scores.append(z * self.attention_mlp(_pair_features(arc)))
-        weights = F.softmax(F.stack(scores, axis=0), axis=0)
+            # z_i: one (B,) block per operand, a constant of the tape
+            z = group_similarities[index][:, None]
+            scores.append(xp.mlp(self.attention_mlp,
+                                 _pair_features(arc, xp)) * z)
+        weights = xp.softmax(xp.stack(scores, axis=0), axis=0)
         weight_list = [weights[i] for i in range(len(arcs))]
-        center = semantic_average_center(arcs, weight_list)
+        center = semantic_average_center(arcs, weight_list, xp)
 
-        min_angle: Tensor | None = None
+        min_angle = None
         for arc in arcs:
-            min_angle = arc.angle if min_angle is None else F.minimum(min_angle,
-                                                                      arc.angle)
-        angle = min_angle * F.sigmoid(self.deepsets(arcs))
+            min_angle = arc.angle if min_angle is None \
+                else xp.minimum(min_angle, arc.angle)
+        angle = min_angle * xp.sigmoid(self.deepsets(arcs, xp=xp))
         return Arc(center, radius * angle, radius)
 
 
@@ -256,23 +277,18 @@ class NegationOperator(Module):
         self.angle_mlp = zero_init_output(
             MLP(2 * config.hidden_dim, config.hidden_dim, d, rng=rng))
 
-    def linear_negation(self, arc: Arc) -> Arc:
+    def linear_negation(self, arc: Arc, xp=F) -> Arc:
         """The linear part alone (Eq. 13) — also the HaLk-V2 ablation."""
-        center = F.wrap_angle(arc.center + np.pi)
+        center = xp.wrap_angle(arc.center + np.pi)
         length = TWO_PI * arc.radius - arc.length
         return Arc(center, length, arc.radius)
 
-    def forward(self, arc: Arc) -> Arc:
-        radius = arc.radius
-        approx = self.linear_negation(arc)
-        t1 = self.center_encoder(angle_features(approx.center))
-        t2 = self.angle_encoder(approx.angle / np.pi - 1.0)  # scaled to [-1, 1]
-        joint = F.concat([t1, t2], axis=-1)
-        center = F.wrap_angle(
-            approx.center + np.pi * F.tanh(self.config.lambda_scale
-                                           * self.center_mlp(joint)))
-        angle = F.clip(
-            approx.angle + np.pi * F.tanh(self.config.lambda_scale
-                                          * self.angle_mlp(joint)),
-            0.0, TWO_PI)
-        return Arc(center, radius * angle, radius)
+    def forward(self, arc: Arc, xp=F) -> Arc:
+        approx = self.linear_negation(arc, xp)
+        t1 = xp.mlp(self.center_encoder, xp.angle_features(approx.center))
+        # span scaled to [-1, 1]
+        t2 = xp.mlp(self.angle_encoder, approx.angle / np.pi - 1.0)
+        joint = xp.concat([t1, t2], axis=-1)
+        return corrected_arc(approx, self.center_mlp, joint,
+                             self.angle_mlp, joint,
+                             self.config.lambda_scale, xp)

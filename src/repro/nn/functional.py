@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import arrays
 from .tensor import Tensor, _unbroadcast, as_tensor
 
 __all__ = [
@@ -19,6 +20,7 @@ __all__ = [
     "sin", "cos", "arctan2", "maximum", "minimum", "clip",
     "concat", "stack", "softmax", "gather_rows", "mod", "wrap_angle",
     "l1_norm", "logsumexp", "where", "softplus", "log_sigmoid",
+    "angle_features", "mlp", "parameter", "zeros_like", "memo",
 ]
 
 
@@ -67,17 +69,10 @@ def tanh(x) -> Tensor:
     return _unary(x, data, lambda: 1.0 - data ** 2)
 
 
-def _sigmoid(values: np.ndarray) -> np.ndarray:
-    """The logistic sigmoid on an array, computed stably."""
-    return np.where(values >= 0,
-                    1.0 / (1.0 + np.exp(-np.abs(values))),
-                    np.exp(-np.abs(values)) / (1.0 + np.exp(-np.abs(values))))
-
-
 def sigmoid(x) -> Tensor:
     """Element-wise logistic sigmoid, computed stably."""
     x = as_tensor(x)
-    data = _sigmoid(x.data)
+    data = arrays.sigmoid(x.data)
     return _unary(x, data, lambda: data * (1.0 - data))
 
 
@@ -187,15 +182,35 @@ def mod(x, modulus: float) -> Tensor:
 
 
 def wrap_angle(x) -> Tensor:
-    """Normalise angles into [0, 2*pi) with pass-through gradient.
-
-    ``np.mod`` can round tiny negative inputs up to exactly 2π; those are
-    folded back to 0 so the output interval is genuinely half-open.
-    """
+    """Normalise angles into [0, 2*pi) with pass-through gradient."""
     x = as_tensor(x)
-    two_pi = 2.0 * np.pi
-    data = np.mod(x.data, two_pi)
-    return _pass_through(x, np.where(data >= two_pi, 0.0, data))
+    return _pass_through(x, arrays.wrap_angle(x.data))
+
+
+def angle_features(angles) -> Tensor:
+    """Map angles to the continuous (sin, cos) chart of the circle.
+
+    MLP inputs built from raw angles see a jump at the 0/2π seam even
+    though the two sides are the same point; the (sin, cos) features are
+    smooth and periodic, matching the chord-length treatment the paper
+    applies everywhere distances are involved.
+
+    One tape node standing for ``concat([sin(a), cos(a)])``: the VJP
+    reuses the forward's sine and cosine and hands ``angles`` the sine
+    half's contribution and the cosine half's as two receives, in that
+    order — what the three composed nodes did (pre-summing the two
+    rounds differently whenever ``angles`` already holds a gradient).
+    """
+    angles = as_tensor(angles)
+    width = angles.shape[-1]
+    data = arrays.angle_features(angles.data)
+    sine, cosine = data[..., :width], data[..., width:]
+
+    def backward(grad: np.ndarray) -> None:
+        angles._receive(grad[..., :width] * cosine)
+        angles._receive(grad[..., width:] * -sine)
+
+    return Tensor._make(data, (angles,), backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -332,3 +347,27 @@ def log_sigmoid(x) -> Tensor:
         x._receive(-(through_peak + through_log))
 
     return Tensor._make(data, (x,), backward)
+
+
+def mlp(module, x) -> Tensor:
+    """Apply an :class:`~repro.nn.modules.MLP` through its module call
+    (one tape node; a module-call hook sees it)."""
+    return module(x)
+
+
+def parameter(param: Tensor) -> Tensor:
+    """A bare parameter as an operand: itself, a leaf of the tape."""
+    return param
+
+
+def zeros_like(x: Tensor) -> Tensor:
+    """A constant zero tensor of ``x``'s shape."""
+    return Tensor(np.zeros(x.shape))
+
+
+def memo(owner, key: str, compute) -> Tensor:
+    """``compute()``, every time.  A node shared by two consumers would
+    add their gradients before passing them down, regrouping the sums two
+    separate nodes hand on one by one — so each consumer records its own.
+    """
+    return compute()

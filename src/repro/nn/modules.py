@@ -7,10 +7,11 @@ operator networks are assembled from: ``Linear``, multi-layer perceptrons
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
+from . import arrays
 from . import functional as F
 from . import init
 from .tensor import (Tensor, _matmul_grad_left, _matmul_grad_right,
@@ -163,17 +164,6 @@ class Sequential(Module):
         return x
 
 
-# Activation name -> (function on arrays, derivative from input and
-# output).  Each derivative is the expression the matching op in
-# ``functional`` multiplies the incoming gradient by.
-_ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "relu": (lambda x: np.maximum(x, 0.0),
-             lambda x, y: (x > 0).astype(np.float64)),
-    "tanh": (np.tanh, lambda x, y: 1.0 - y ** 2),
-    "sigmoid": (F._sigmoid, lambda x, y: y * (1.0 - y)),
-}
-
-
 class MLP(Module):
     """Multi-layer perceptron with a configurable hidden stack.
 
@@ -181,22 +171,23 @@ class MLP(Module):
     and (14): hidden layers with a nonlinearity, linear output layer.
 
     A forward pass is **one tape node** however deep the stack: the
-    numpy forward keeps each layer's input and pre-activation, and the
-    VJP walks the layers back with the arithmetic and in the order the
-    per-op graph (``matmul``, ``+ bias``, activation, …) used — output
-    bias, output weight, then per hidden layer bias, input, weight — so
-    weights shared by several applications (3p, 3i) accumulate the same
-    bits.  The inner ``Linear`` modules only hold the parameters; they
-    are not called, so a module-call hook sees an ``MLP`` as a leaf.
+    forward loop is ``arrays.mlp`` (what serving calls directly), and
+    the VJP walks the layers back with the arithmetic and in the order
+    the per-op graph (``matmul``, ``+ bias``, activation, …) used —
+    output bias, output weight, then per hidden layer bias, input,
+    weight — so weights shared by several applications (3p, 3i)
+    accumulate the same bits.  The inner ``Linear`` modules only hold
+    the parameters; they are not called, so a module-call hook sees an
+    ``MLP`` as a leaf.
     """
 
     def __init__(self, in_features: int, hidden_features: int, out_features: int,
                  num_hidden_layers: int = 1, activation: str = "relu",
                  rng: np.random.Generator | None = None):
         super().__init__()
-        if activation not in _ACTIVATIONS:
+        if activation not in arrays.ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}; "
-                             f"choose from {sorted(_ACTIVATIONS)}")
+                             f"choose from {sorted(arrays.ACTIVATIONS)}")
         self.activation = activation
         self.hidden_layers: list[Linear] = []
         width = in_features
@@ -209,24 +200,14 @@ class MLP(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         x = as_tensor(x)
-        activate, derivative = _ACTIVATIONS[self.activation]
+        _, derivative = arrays.ACTIVATIONS[self.activation]
         layers = self.hidden_layers + [self.output]
-        inputs = []   # what each layer multiplied its weight with
-        pre = []      # hidden pre-activations, bias included
-        current = x.data
-        for layer in self.hidden_layers:
-            inputs.append(current)
-            hidden = current @ layer.weight.data
-            hidden += layer.bias.data
-            pre.append(hidden)
-            current = activate(hidden)
-        inputs.append(current)
-        data = current @ self.output.weight.data
-        data += self.output.bias.data
+        trace: list = []  # per layer: (its input, its pre-activation)
+        data = arrays.mlp(self, x.data, trace)
 
         def backward(grad: np.ndarray) -> None:
             for depth in reversed(range(len(layers))):
-                layer, fed = layers[depth], inputs[depth]
+                layer, fed = layers[depth], trace[depth][0]
                 weight = layer.weight.data
                 if layer.bias.requires_grad:
                     layer.bias._receive(_unbroadcast(grad, layer.bias.shape))
@@ -238,7 +219,7 @@ class MLP(Module):
                     layer.weight._receive(
                         _matmul_grad_right(grad, fed, weight))
                 if depth:
-                    grad = below * derivative(pre[depth - 1], fed)
+                    grad = below * derivative(trace[depth - 1][1], fed)
 
         parents = [x]
         for layer in layers:
@@ -262,5 +243,5 @@ class Embedding(Module):
         self.weight = Parameter(init.uniform((num_embeddings, embedding_dim),
                                              low=low, high=high, rng=rng))
 
-    def forward(self, index) -> Tensor:
-        return F.gather_rows(self.weight, index)
+    def forward(self, index, xp=F):
+        return xp.gather_rows(self.weight, index)

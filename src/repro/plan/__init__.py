@@ -8,7 +8,8 @@ DAG either against a model backend (serving) or as exact set semantics
 (the correctness oracle).  See DESIGN.md §12.
 """
 
-from .backend import ArcRows, HalkPlanBackend, stack_rows
+from ..core.arc import ArcRows, stack_rows
+from .backend import HalkPlanBackend
 from .compiler import (CompileResult, PlanCompiler, PlanTemplate,
                        instantiate, lower, lower_template)
 from .executor import (RankGroup, StageGroup, execute_plan, execute_symbolic,

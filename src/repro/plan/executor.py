@@ -24,10 +24,10 @@ import numpy as np
 
 import time
 
+from ..core.arc import ArcRows
 from ..kg.graph import KnowledgeGraph
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from .backend import ArcRows
 from .ir import (AnchorOp, DifferenceOp, IntersectOp, NegateOp, Plan,
                  ProjectOp, RankOp, UnionOp, op_inputs, op_kind)
 
@@ -108,7 +108,7 @@ def _gather(values: list, ids) -> ArcRows:
         center[positions] = block.center[rows]
         length[positions] = block.length[rows]
         signature[positions] = block.signature[rows]
-    return ArcRows(center, length, signature)
+    return ArcRows(center, length, first.radius, signature)
 
 
 @dataclass

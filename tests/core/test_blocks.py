@@ -252,3 +252,28 @@ class TestTapeSize:
                           adversarial_temperature=0.0)
         assert model.config.xi > 0
         assert len(loss._topological_order()) <= limit
+
+    #: nodes per structure as recorded at PR 19, before the forward pass
+    #: was written once over a namespace — same ops, so the same tape
+    PR19_TAPE = {"1p": 54, "2p": 80, "3p": 106, "2i": 156, "3i": 213,
+                 "2d": 142, "3d": 196, "2in": 180, "3in": 237, "pin": 206,
+                 "pni": 206}
+
+    def test_the_namespace_forward_records_the_same_tape(self, mini):
+        """Equality, not a ceiling: a primitive that reached the tape
+        through one op more or fewer (a wrapper node, a shared chart)
+        would also change the order gradients are summed in."""
+        model, workload = mini
+        assert workload.structures() == sorted(self.PR19_TAPE)
+        recorded = {}
+        for structure in workload.structures():
+            batch = workload[structure][:64]
+            positives = np.array([min(q.easy_answers) for q in batch])
+            negatives = np.random.default_rng(0).integers(
+                0, model.num_entities, size=(64, 16))
+            loss = batch_loss(model, [q.query for q in batch], positives,
+                              negatives, gamma=model.config.gamma,
+                              xi=model.config.xi, size_regularization=0.05,
+                              adversarial_temperature=0.0)
+            recorded[structure] = len(loss._topological_order())
+        assert recorded == self.PR19_TAPE

@@ -1,11 +1,13 @@
 """The serving backend is numpy, and says the same thing as training.
 
-``HalkPlanBackend`` re-states ``HalkModel._embed`` and the four
-operators on plain arrays.  These tests pin the copy to the original at
-the embedding itself (centres and arclengths, not just the distances
-``test_equivalence`` compares), and pin *that it is a copy*: no autograd
-wrapper on the way, and no backend for a model whose operators are not
-the ones it re-states.
+``HalkPlanBackend`` runs the model's own five primitives under the array
+namespace (``repro.nn.arrays``) where ``HalkModel._embed`` runs them
+under ``repro.nn.functional``.  These tests hold the two at the
+embedding itself (centres and arclengths, not just the distances
+``test_equivalence`` compares), pin that serving builds no autograd
+wrapper on the way, and pin what one definition buys: the operators a
+model *holds* are the ones served — an MLP's own activation, and the
+Table V ablations' swapped operators.
 """
 
 import numpy as np
@@ -13,10 +15,11 @@ import pytest
 
 from repro.baselines.ablations import ABLATION_VARIANTS
 from repro.config import ModelConfig
+from repro.core import HalkModel
 from repro.core.model import HalkServedEmbedding
 from repro.nn import Tensor
 from repro.plan import execute_plan, lower
-from repro.serve import ServeRuntime
+from repro.serve import ServeConfig, ServeRuntime
 from repro.serve.canonical import canonicalize
 
 from .conftest import sample_queries
@@ -84,13 +87,75 @@ def test_backend_reads_live_weights(kg, sampler):
                           live.embed_batch(batch).branches[0].center.data)
 
 
+CONFIG = ModelConfig(embedding_dim=12, hidden_dim=24, seed=3)
+
+
+def _as_if_trained(model):
+    """Move every parameter off its initial value: the correction
+    branches start at exactly zero, which would hide their networks."""
+    rng = np.random.default_rng(5)
+    for param in model.parameters():
+        param.data += rng.normal(scale=0.05, size=param.data.shape)
+    return model
+
+
+def _assert_served_rows_equal_embed_batch(model, batch):
+    want = model.embed_batch(batch)
+    (group,) = execute_plan(lower(batch), model.plan_backend())
+    assert len(group.embedding.arcs) == len(want.branches)
+    for (center, length), arc in zip(group.embedding.arcs, want.branches):
+        assert np.array_equal(center, arc.center.data)
+        assert np.array_equal(length, arc.length.data)
+    return group.embedding.arcs
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+def test_served_mlp_uses_the_modules_activation(kg, sampler, activation):
+    """One forward loop, so the served MLP applies the nonlinearity the
+    module names (the array copy of the operators hard-coded ReLU)."""
+    model = _as_if_trained(HalkModel(kg, CONFIG))
+    model.projection.center_mlp.activation = activation
+    batch = [canonicalize(q) for q in sample_queries(sampler, ["2p"], per=3)]
+    assert len(batch) == 3
+    _assert_served_rows_equal_embed_batch(model, batch)
+
+
+#: the structures Table V scores each variant on (its swapped operator)
+TABLE_V = {"HaLk-V1": ["2d", "3d", "dp"],
+           "HaLk-V2": ["2in", "3in", "pin"],
+           "HaLk-V3": ["1p", "2p", "3p"]}
+
+
 @pytest.mark.parametrize("variant", sorted(ABLATION_VARIANTS))
-def test_ablations_have_no_backend_and_are_not_served(kg, variant):
-    """The backend re-states the paper's operators; a variant that swaps
-    one would be served with the wrong arithmetic, so it is refused like
-    any model without a backend."""
-    model = ABLATION_VARIANTS[variant](
-        kg, ModelConfig(embedding_dim=12, hidden_dim=24, seed=3))
-    assert model.plan_backend() is None
-    with pytest.raises(TypeError, match="plan_backend"):
-        ServeRuntime(model, kg=kg)
+def test_ablations_are_served_with_their_own_operators(kg, sampler, variant):
+    """A variant is a HaLk model holding one different operator module;
+    the backend runs the model's primitives, so what is served is the
+    variant's arithmetic — bit for bit its ``embed_batch``, and not the
+    stock model's."""
+    model = _as_if_trained(ABLATION_VARIANTS[variant](kg, CONFIG))
+    stock = _as_if_trained(HalkModel(kg, CONFIG))
+    structures = TABLE_V[variant] + ["2i"]
+    workload = []
+    for name in structures:
+        batch = [canonicalize(q)
+                 for q in sample_queries(sampler, [name], per=3)]
+        assert len(batch) == 3, f"could not ground structure {name}"
+        served = _assert_served_rows_equal_embed_batch(model, batch)
+        if name in TABLE_V[variant]:
+            (group,) = execute_plan(lower(batch), stock.plan_backend())
+            assert any(not np.array_equal(center, other)
+                       for (center, _), (other, _)
+                       in zip(served, group.embedding.arcs)), name
+        workload += batch
+
+    want = model.answer_batch(workload, top_k=5)
+    caches_off = dict(answer_cache_size=1, answer_ttl=1e-9,
+                      embedding_cache_size=1)
+    for caches in ({}, caches_off):
+        config = ServeConfig(max_batch_size=64, flush_timeout=0.002,
+                             num_workers=1, **caches)
+        with ServeRuntime(model, kg=kg, config=config) as runtime:
+            for _ in range(2):  # the second pass meets warm caches
+                futures = [runtime.submit(q, top_k=5) for q in workload]
+                got = [f.result(timeout=30) for f in futures]
+                assert [list(r.entity_ids) for r in got] == want

@@ -174,6 +174,16 @@ class TestServeCommand:
         with pytest.raises(SystemExit, match="no plan_backend"):
             main(["serve", *common])
 
+    def test_serve_accepts_an_ablation(self, tmp_path, capsys):
+        """A Table V variant is a HaLk model holding one other operator:
+        it has a plan backend like any HaLk model, so it serves."""
+        common = ["--dataset", "FB237", "--method", "HaLk-V2", "--dim", "8",
+                  "--scale", "0.3", "--model-dir", str(tmp_path)]
+        assert main(["serve", *common, "--train-if-missing",
+                     "--train-epochs", "1", "--train-queries", "5",
+                     "--queries", "6", "--repeat", "1", "--top-k", "3"]) == 0
+        assert "pass 1: 6 queries" in capsys.readouterr().out
+
     def test_serve_without_model_fails(self, tmp_path):
         with pytest.raises(SystemExit, match="no trained model"):
             main(["serve", "--dataset", "FB237", "--method", "HaLk",
