@@ -171,9 +171,8 @@ def _p99(latencies):
 
 def _measure():
     model, queries = _synthetic_model()
-    config = ServeConfig(max_batch_size=4, flush_timeout=0.002,
-                         num_workers=2, answer_cache_size=1,
-                         embedding_cache_size=1)
+    config = ServeConfig(max_batch_size=4, num_workers=2,
+                         answer_cache_size=1, embedding_cache_size=1)
     out = {}
     with ServeRuntime(model, config=config) as runtime:
         # 1) closed-loop capacity of the bare runtime

@@ -61,8 +61,7 @@ def _measure(context):
         model.answer(query, top_k=top_k)
     sequential = len(queries) / (time.perf_counter() - start)
 
-    config = ServeConfig(max_batch_size=64, flush_timeout=0.002,
-                         num_workers=2)
+    config = ServeConfig(max_batch_size=64, num_workers=2)
     with ServeRuntime(model, kg=context.splits("FB237").train,
                       config=config) as runtime:
         start = time.perf_counter()

@@ -49,8 +49,7 @@ def main() -> None:
     engine = SparqlEngine(kg, model=model)
     runtime = ServeRuntime(
         model, kg=kg, index=index,
-        config=ServeConfig(max_batch_size=32, flush_timeout=0.002,
-                           num_workers=2))
+        config=ServeConfig(max_batch_size=32, num_workers=2))
     client = ServeClient(runtime, engine=engine)
 
     # a mixed workload of the multi-hop structures HaLk targets

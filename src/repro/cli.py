@@ -310,7 +310,6 @@ def cmd_serve(args) -> int:
         points = np.mod(model.entity_points.weight.data, 2.0 * np.pi)
         index = LshIndex(points, seed=args.seed)
     config = ServeConfig(max_batch_size=args.batch_size,
-                         flush_timeout=args.flush_timeout,
                          num_workers=args.workers,
                          answer_ttl=args.answer_ttl,
                          default_deadline=args.deadline,
@@ -782,9 +781,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="passes over the workload; later passes exercise "
                         "the answer cache")
     p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--flush-timeout", type=float, default=0.002,
-                   help="micro-batcher flush window in seconds")
-    p.add_argument("--workers", type=int, default=2)
+    p.add_argument("--workers", type=int, default=1,
+                   help="batches in execution at once (more than one "
+                        "pays only with --shards)")
     p.add_argument("--answer-ttl", type=float, default=300.0)
     p.add_argument("--deadline", type=float, default=None,
                    help="per-request deadline in seconds (overruns fall "
@@ -923,7 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace this SPARQL query through the engine "
                         "instead of the serving runtime")
     p.add_argument("--top-k", type=int, default=10)
-    p.add_argument("--workers", type=int, default=2)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="trace.json",
                    help="Chrome trace-event output path ('' to skip)")
     p.add_argument("--train-if-missing", action="store_true",

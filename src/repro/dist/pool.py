@@ -298,9 +298,18 @@ class _Worker:
             if self.process.is_alive():
                 self.process.kill()
                 self.process.join(timeout=1.0)
+        # A worker that exited by itself read "stop", the last thing put:
+        # the task queue's feeder thread has nothing left to write, so
+        # waiting for it is short and close() leaves no thread behind.
+        # After a kill the pipe may be full with nobody reading — then
+        # the feeder is abandoned rather than waited for.
         for q in (self.task_q, self.result_q):
-            q.cancel_join_thread()
-            q.close()
+            if self.process.exitcode == 0:
+                q.close()
+                q.join_thread()
+            else:
+                q.cancel_join_thread()
+                q.close()
 
 
 class ShardWorkerPool:

@@ -23,7 +23,7 @@ admits, pushes and pumps on the caller's thread; a completion runs on
 whichever thread resolved the runtime's future — a worker, or the
 pumping thread itself when ``ServeRuntime.submit`` answered from its
 cache.  So a cache hit is admitted, looked up and answered without one
-thread hand-off, and a miss hands off only batcher → worker → waiter.
+thread hand-off, and a miss hands off only queue → worker → waiter.
 
 One thread pumps at a time (``_pumping``, claimed and released under
 the lock together with the decision that nothing is dispatchable): it
@@ -36,7 +36,7 @@ it: the pumping thread re-reads the state under the lock before it
 lets go, so nothing made ready is left behind.  (DESIGN.md §9.)
 
 Why shed *before* the batcher: once a request enters the micro-batcher
-it occupies a batch slot and a worker-pool pass whether or not its
+it occupies a batch slot and a worker's pass whether or not its
 deadline can still be met — a doomed request in the batcher steals
 capacity from requests that could still succeed.  The gateway keeps the
 batcher's queue short (``max_inflight``) and makes every drop an
@@ -97,7 +97,7 @@ class GatewayConfig:
     #: substituted); None = reject unknown tenants
     default_tenant: TenantConfig | None = \
         field(default_factory=lambda: TenantConfig("default"))
-    #: max requests concurrently inside the batcher/worker pool; this is
+    #: max requests concurrently inside the batcher and its workers; this is
     #: the *only* queueing the runtime ever sees, so batcher queue depth
     #: is bounded by construction
     max_inflight: int = 64
@@ -220,6 +220,12 @@ class Gateway:
         their future with the same exception.  An admitted request is
         dispatched on this thread when the inflight window has room, so
         the future may come back already resolved.
+
+        Done-callbacks added to the returned :class:`ServeFuture` follow
+        ``concurrent.futures``: they run on whichever thread resolves the
+        future (this one, when it is already done), and one that raises
+        is logged on the ``repro.serve`` logger and goes no further — the
+        callbacks after it still run and the resolving thread carries on.
         """
         priority = priority or self.config.default_priority
         if priority not in PRIORITIES:

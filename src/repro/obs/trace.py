@@ -8,7 +8,7 @@ one thread, spans nest automatically through a thread-local stack::
             ...
 
 Work that crosses threads (the serve runtime hands requests from the
-submitting thread to a batcher thread to a worker pool) attaches
+submitting thread to the worker thread that pulls them) attaches
 explicitly: the submitter creates a root with :meth:`Tracer.start_span`,
 carries it on the request object, and the worker either *activates* it
 (``with tracer.activate(root): ...``) so new spans nest under it, or

@@ -18,7 +18,6 @@ Two executors share the same compiled :class:`repro.plan.ir.Plan`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -70,33 +69,28 @@ def schedule(plan: Plan) -> list[StageGroup]:
     return stages
 
 
-class _Slot(NamedTuple):
-    """Where a computed value lives: one row of a stage's result block."""
-
-    block: ArcRows
-    row: int
-
-
 def _gather(values: list, ids) -> ArcRows:
     """Stack the rows behind value ids ``ids`` into one batch.
 
     Bulk counterpart of per-row slicing: one fancy-index per source
     block and field, so a stage's operand assembly costs O(blocks)
     kernels instead of O(rows) slices.  Gathers copy bits verbatim,
-    preserving the backend's bitwise guarantees.
+    preserving the backend's bitwise guarantees.  A value lives where
+    its stage left it: a ``(block, row)`` pair — one row of that stage's
+    result block.
     """
     slots = [values[i] for i in ids]
-    first = slots[0].block
-    if all(slot.block is first for slot in slots):
-        return first.take([slot.row for slot in slots])
+    first = slots[0][0]
+    if all(block is first for block, _ in slots):
+        return first.take([row for _, row in slots])
     by_block: dict[int, tuple[ArcRows, list[int], list[int]]] = {}
-    for position, slot in enumerate(slots):
-        entry = by_block.get(id(slot.block))
+    for position, (block, row) in enumerate(slots):
+        entry = by_block.get(id(block))
         if entry is None:
-            entry = (slot.block, [], [])
-            by_block[id(slot.block)] = entry
+            entry = (block, [], [])
+            by_block[id(block)] = entry
         entry[1].append(position)
-        entry[2].append(slot.row)
+        entry[2].append(row)
     n = len(slots)
     center = np.empty((n,) + first.center.shape[1:],
                       dtype=first.center.dtype)
@@ -225,7 +219,7 @@ def _run_stage(plan: Plan, group: StageGroup, values, backend) -> ArcRows:
     else:  # pragma: no cover - exhaustive over the IR
         raise TypeError(f"unknown op kind: {group.kind}")
     for row, index in enumerate(group.ops):
-        values[index] = _Slot(result, row)
+        values[index] = (result, row)
     return result
 
 

@@ -1,11 +1,12 @@
 """``repro.serve`` — batched, cached, observable query serving.
 
-The online counterpart of the training stack: a request queue +
-micro-batcher that coalesces concurrent ``answer()`` calls into one
+The online counterpart of the training stack: a request queue whose
+worker threads pull micro-batches — concurrent ``answer()`` calls that
+arrive while the workers are busy coalesce into one
 compiled plan (``repro.plan``, plain numpy) and one filter-and-refine
-top-k (``repro.dist`` scorer) per branch count, a multi-tier cache keyed on
-canonicalised computation graphs, a worker-pool dispatcher with
-deadlines, retries, and graceful degradation to exact or approximate
+top-k (``repro.dist`` scorer) per branch count — a multi-tier cache keyed on
+canonicalised computation graphs, deadlines checked at dequeue, bounded
+retries, and graceful degradation to exact or approximate
 fallbacks, and a metrics layer surfacing throughput, latency
 percentiles, and cache hit rates.
 """

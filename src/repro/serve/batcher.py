@@ -1,23 +1,23 @@
-"""Request queue and micro-batcher.
+"""Request queue and micro-batcher: workers pull, nothing waits for a clock.
 
-Concurrent ``answer()`` calls land here as :class:`ServeRequest` objects.
-The batcher thread coalesces them, in arrival order and whatever their
-query structures (the plan compiler executes mixed batches and needs
-them for cross-query CSE), into batches it hands to a dispatch callable.
-A batch is flushed when it reaches ``max_batch_size`` or when
-``flush_timeout`` elapses after its first request arrived, so a lone
-request never waits longer than the flush window.
+Concurrent ``answer()`` calls land here as :class:`ServeRequest` objects
+on one FIFO, whatever their query structures (the plan compiler executes
+mixed batches and needs them for cross-query CSE).  The batcher's worker
+threads pull from it: a free worker takes whatever is queued — up to
+``max_batch_size``, in arrival order — the moment anything is queued, so
+a lone request on an idle runtime is a batch of one at once.  Requests
+coalesce only while every worker is busy, which is exactly when batching
+pays.  There is no flush window, no timer and no hand-off thread.
 
 The batcher knows nothing about models or caches; the runtime supplies
-the dispatch function.  This keeps the queueing logic independently
-testable.
+the function a worker runs on each batch.  This keeps the queueing logic
+independently testable.
 """
 
 from __future__ import annotations
 
 import logging
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -101,68 +101,74 @@ class ServeRequest:
     future: ServeFuture = field(default_factory=ServeFuture)
     #: absolute deadline on the runtime clock, or None
     deadline: float | None = None
-    enqueued_at: float = 0.0
 
 
 class MicroBatcher:
-    """Coalesces requests into arrival-ordered batches.
+    """One FIFO and the worker threads that pull arrival-ordered batches.
 
     Parameters
     ----------
-    dispatch:
-        Called with each flushed batch (``list[ServeRequest]``) from the
-        batcher thread; must be quick (e.g. submit to a worker pool).
+    execute:
+        Called with each batch (``list[ServeRequest]``) on the worker
+        thread that pulled it; it resolves the batch's futures.  Should
+        it raise, the error is logged and set on every future of the
+        batch it left unresolved — a request always gets an outcome and
+        the worker lives on.
     max_batch_size:
-        Flush as soon as this many requests are queued.
-    flush_timeout:
-        Seconds to wait for stragglers once a batch is open.
+        The most requests one pull takes.
+    num_workers:
+        Worker threads, i.e. batches in execution at once.
     depth_callback:
         Optional ``callable(int)`` observing queue depth on every change.
     """
 
-    def __init__(self, dispatch: Callable[[list[ServeRequest]], None],
-                 max_batch_size: int = 64, flush_timeout: float = 0.005,
-                 depth_callback: Optional[Callable[[int], None]] = None,
-                 clock: Callable[[], float] = time.monotonic):
+    def __init__(self, execute: Callable[[list[ServeRequest]], None],
+                 max_batch_size: int = 64, num_workers: int = 1,
+                 depth_callback: Optional[Callable[[int], None]] = None):
         if max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
-        if flush_timeout < 0:
-            raise ValueError("flush_timeout must be non-negative")
-        self._dispatch = dispatch
+        if num_workers <= 0:
+            raise ValueError("num_workers must be positive")
+        self._execute = execute
         self.max_batch_size = max_batch_size
-        self.flush_timeout = flush_timeout
         self._depth_callback = depth_callback
-        self._clock = clock
         self._lock = threading.Lock()
         self._nonempty = threading.Condition(self._lock)
         self._queue: deque[ServeRequest] = deque()
         self._closed = False
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="serve-batcher")
+        self._workers = [
+            threading.Thread(target=self._run, daemon=True,
+                             name=f"serve-worker_{index}")
+            for index in range(num_workers)]
 
     # ------------------------------------------------------------------
     def start(self) -> "MicroBatcher":
-        self._thread.start()
+        for worker in self._workers:
+            worker.start()
         return self
 
-    def submit(self, request: ServeRequest) -> None:
+    def submit(self, *requests: ServeRequest) -> None:
+        """Enqueue ``requests`` as one arrival: no worker can pull
+        between two of them, so a bulk pass is cut into batches at
+        ``max_batch_size`` by construction."""
         with self._nonempty:
             if self._closed:
                 raise RuntimeError("batcher is closed")
-            request.enqueued_at = self._clock()
-            self._queue.append(request)
+            self._queue.extend(requests)
             self._observe_depth()
-            self._nonempty.notify()
+            # one waiter per batch the queue now holds is enough
+            self._nonempty.notify(
+                -(-len(self._queue) // self.max_batch_size))
 
     def close(self) -> None:
-        """Stop accepting requests; drain what is queued, then join."""
+        """Stop accepting requests; the workers drain the queue, exit,
+        and are joined."""
         with self._nonempty:
-            if self._closed:
-                return
             self._closed = True
             self._nonempty.notify_all()
-        if self._thread.is_alive():
-            self._thread.join()
+        for worker in self._workers:
+            if worker.is_alive():
+                worker.join()
 
     @property
     def depth(self) -> int:
@@ -176,27 +182,19 @@ class MicroBatcher:
 
     def _run(self) -> None:
         while True:
-            batch = self._next_batch()
-            if batch is None:
-                return
-            self._dispatch(batch)
-
-    def _next_batch(self) -> list[ServeRequest] | None:
-        with self._nonempty:
-            while not self._queue and not self._closed:
-                self._nonempty.wait()
-            if not self._queue:
-                return None  # closed and drained
-            # Wait out the flush window for stragglers unless the batch
-            # fills up (or we are draining).
-            flush_at = self._clock() + self.flush_timeout
-            while (not self._closed
-                   and len(self._queue) < self.max_batch_size):
-                remaining = flush_at - self._clock()
-                if remaining <= 0:
-                    break
-                self._nonempty.wait(remaining)
-            batch = [self._queue.popleft() for _ in
-                     range(min(len(self._queue), self.max_batch_size))]
-            self._observe_depth()
-            return batch
+            with self._nonempty:
+                while not self._queue and not self._closed:
+                    self._nonempty.wait()
+                if not self._queue:
+                    return  # closed and drained
+                batch = [self._queue.popleft() for _ in
+                         range(min(len(self._queue), self.max_batch_size))]
+                self._observe_depth()
+            try:
+                self._execute(batch)
+            except Exception as exc:
+                _LOGGER.exception("batch of %d failed outside the model "
+                                  "path", len(batch))
+                for request in batch:
+                    if not request.future.done():
+                        request.future.set_exception(exc)

@@ -6,9 +6,8 @@ benchmarks) sits on.  A request travels::
     submit() ── answer-cache hit? ──────────────▶ resolved future
         │ miss
         ▼
-    MicroBatcher (one FIFO: mixed structures coalesce, flush window)
-        ▼
-    worker pool (threads; numpy releases the GIL inside BLAS)
+    MicroBatcher (one FIFO; requests coalesce while every worker is busy)
+        ▼  pulled by a free worker thread, ≤ max_batch_size at a time
         ├─ embedding-LRU hits  → a one-row rank group each
         ├─ misses              → one compiled plan (``repro.plan``:
         │                        template cache, cross-query CSE, fused
@@ -28,7 +27,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -57,10 +55,12 @@ class ServeError(RuntimeError):
 class ServeConfig:
     """Knobs of the serving runtime."""
 
+    #: the most requests a free worker pulls off the queue at once
     max_batch_size: int = 64
-    #: seconds the batcher waits for stragglers after a batch opens
-    flush_timeout: float = 0.002
-    num_workers: int = 2
+    #: worker threads, i.e. batches in execution at once: in-process a
+    #: second one only time-slices the first under the interpreter lock;
+    #: it pays with sharded ranking, whose gather waits release it
+    num_workers: int = 1
     #: per-request deadline in seconds (None = no deadline)
     default_deadline: float | None = None
     #: model-path attempts per batch beyond the first
@@ -242,13 +242,10 @@ class ServeRuntime:
         from ..plan import PlanCompiler
         self._planner = PlanCompiler(metrics=self.metrics,
                                      tracer=self.tracer)
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.num_workers,
-            thread_name_prefix="serve-worker")
         self._batcher = MicroBatcher(
-            self._dispatch, max_batch_size=self.config.max_batch_size,
-            flush_timeout=self.config.flush_timeout,
-            depth_callback=self._queue_depth.set, clock=clock)
+            self._execute_batch, max_batch_size=self.config.max_batch_size,
+            num_workers=self.config.num_workers,
+            depth_callback=self._queue_depth.set)
         self._started_at = time.monotonic()  # uptime display only
         #: production diagnostics (repro.obs.diag); None only when the
         #: overhead benchmark turns it off explicitly
@@ -281,7 +278,7 @@ class ServeRuntime:
             raise
 
     def _start(self, sharded: bool) -> None:
-        """Profiler thread, shard workers, batcher thread, HTTP listener."""
+        """Profiler thread, shard workers, worker threads, HTTP listener."""
         if self.config.profiling:
             from ..obs.prof import SamplingProfiler
             self.prof = SamplingProfiler(
@@ -327,6 +324,42 @@ class ServeRuntime:
         itself; standalone callers leave it None and the runtime mints
         (and finishes) one.
         """
+        pending: list[_Pending] = []
+        future = self._admit(query, top_k, deadline, ctx, pending)
+        self._enqueue(pending)
+        return future
+
+    def answer(self, query: Node, top_k: int = 10,
+               deadline: float | None = None,
+               timeout: float | None = None) -> ServeResult:
+        """Synchronous single-query answer."""
+        return self.submit(query, top_k, deadline).result(timeout)
+
+    def answer_batch(self, queries: list[Node], top_k: int = 10,
+                     deadline: float | None = None,
+                     timeout: float | None = None) -> list[ServeResult]:
+        """Submit many queries at once; results come back in input order.
+
+        The cache misses among them enter the queue as one arrival, so
+        they execute as ⌈misses / max_batch_size⌉ batches in input order
+        whatever the workers were doing meanwhile.
+        """
+        pending: list[_Pending] = []
+        try:
+            futures = [self._admit(query, top_k, deadline, None, pending)
+                       for query in queries]
+        finally:
+            # also when a query did not canonicalise: the ones admitted
+            # before it are counted requests and get their outcome
+            self._enqueue(pending)
+        return [future.result(timeout) for future in futures]
+
+    def _admit(self, query: Node, top_k: int, deadline: float | None,
+               ctx: RequestContext | None,
+               pending: list[_Pending]) -> ServeFuture:
+        """Count, canonicalise and look up one query: its future comes
+        back resolved on an answer-cache hit; else its request joins
+        ``pending``, for the caller to enqueue."""
         self.metrics.counter("requests").inc()
         now = self._clock()
         tracer = self.tracer
@@ -343,55 +376,56 @@ class ServeRuntime:
             structure = structure_signature(canonical)  # its batch_key
             ctx.note(structure=structure, model_version=self._model_version,
                      cache="miss" if cached is None else "hit")
-            if cached is not None:
-                self.metrics.counter("answer_cache_hits").inc()
-                latency = self._clock() - now
-                self._leave(ctx, latency, "answer_cache", len(cached))
-                future = ServeFuture()
-                future.set_result(ServeResult(list(cached), "answer_cache",
-                                              latency=latency,
-                                              request_id=ctx.request_id))
-                self._latency.observe(1000.0 * latency,
-                                      exemplar=ctx.request_id)
-                return future
-            self.metrics.counter("answer_cache_misses").inc()
-            if deadline is None:
-                deadline = self.config.default_deadline
-            ctx.tag(structure=structure, model_version=self._model_version)
-            # deadline arithmetic invariant: relative deadlines become
-            # absolute on self._clock (monotonic) exactly once, HERE, and
-            # are only ever compared against the same clock downstream
-            # (batcher flush, _execute_batch overrun check).  Wall-clock
-            # time.time() never enters deadline math anywhere in the
-            # serve/dist stack — an NTP step must not expire (or
-            # resurrect) in-flight requests.
-            request = _Pending(
-                query=canonical, top_k=top_k, cache_key=key,
-                deadline=None if deadline is None else now + deadline,
-                retries_left=self.config.max_retries, structure=structure,
-                submitted_at=now, queued_at=time.perf_counter(), ctx=ctx)
-            self._batcher.submit(request)
         except Exception as exc:
             # whatever stopped it, a counted request gets its outcome
-            self.metrics.counter("errors").inc()
-            self._leave(ctx, self._clock() - now, "error",
-                        error="closed" if self._closed
-                        else type(exc).__name__)
+            self._refuse(ctx, now, type(exc).__name__)
             raise
+        if cached is not None:
+            self.metrics.counter("answer_cache_hits").inc()
+            latency = self._clock() - now
+            self._leave(ctx, latency, "answer_cache", len(cached))
+            future = ServeFuture()
+            future.set_result(ServeResult(list(cached), "answer_cache",
+                                          latency=latency,
+                                          request_id=ctx.request_id))
+            self._latency.observe(1000.0 * latency,
+                                  exemplar=ctx.request_id)
+            return future
+        self.metrics.counter("answer_cache_misses").inc()
+        if deadline is None:
+            deadline = self.config.default_deadline
+        ctx.tag(structure=structure, model_version=self._model_version)
+        # deadline arithmetic invariant: relative deadlines become
+        # absolute on self._clock (monotonic) exactly once, HERE, and
+        # are only ever compared against the same clock downstream
+        # (the _execute_batch overrun check at dequeue).  Wall-clock
+        # time.time() never enters deadline math anywhere in the
+        # serve/dist stack — an NTP step must not expire (or
+        # resurrect) in-flight requests.
+        request = _Pending(
+            query=canonical, top_k=top_k, cache_key=key,
+            deadline=None if deadline is None else now + deadline,
+            retries_left=self.config.max_retries, structure=structure,
+            submitted_at=now, queued_at=time.perf_counter(), ctx=ctx)
+        pending.append(request)
         return request.future
 
-    def answer(self, query: Node, top_k: int = 10,
-               deadline: float | None = None,
-               timeout: float | None = None) -> ServeResult:
-        """Synchronous single-query answer."""
-        return self.submit(query, top_k, deadline).result(timeout)
+    def _enqueue(self, requests: list[_Pending]) -> None:
+        """Put admitted requests on the queue under one lock acquisition."""
+        if not requests:
+            return
+        try:
+            self._batcher.submit(*requests)
+        except RuntimeError:  # closed: nothing of the arrival got in
+            for request in requests:
+                self._refuse(request.ctx, request.submitted_at, "closed")
+            raise
 
-    def answer_batch(self, queries: list[Node], top_k: int = 10,
-                     deadline: float | None = None,
-                     timeout: float | None = None) -> list[ServeResult]:
-        """Submit many queries at once; results come back in input order."""
-        futures = [self.submit(q, top_k, deadline) for q in queries]
-        return [f.result(timeout) for f in futures]
+    def _refuse(self, ctx: RequestContext, since: float,
+                error: str) -> None:
+        """A counted request that never reached the queue: its outcome."""
+        self.metrics.counter("errors").inc()
+        self._leave(ctx, self._clock() - since, "error", error=error)
 
     @property
     def model_version(self) -> int:
@@ -479,6 +513,7 @@ class ServeRuntime:
             "closed": self._closed,
             "model_loaded": self.model is not None,
             "model_version": self._model_version,
+            "workers": self.config.num_workers,
             "shards": 0,
             "shards_requested": self.config.num_shards,
         }
@@ -619,6 +654,10 @@ class ServeRuntime:
                 else self._local.memory_inventory()}
 
     def close(self) -> None:
+        """Stop in one order: the queue refuses new work and the workers
+        drain it and exit (every accepted request resolves, so no HTTP
+        reply is cut), then the listener, then the shard workers the
+        drained batches were still ranking on, then the profiler."""
         with self._close_lock:
             if self._closed:
                 return
@@ -627,14 +666,13 @@ class ServeRuntime:
         if self._watcher is not None:
             self._watcher.join()
             self._watcher = None
-        if self.prof is not None:
-            self.prof.stop()
+        self._batcher.close()
         if self.http_server is not None:
             self.http_server.close()
-        self._batcher.close()
-        self._pool.shutdown(wait=True)
         if self._ranker is not None:
             self._ranker.close()
+        if self.prof is not None:
+            self.prof.stop()
 
     def __enter__(self) -> "ServeRuntime":
         return self
@@ -643,14 +681,8 @@ class ServeRuntime:
         self.close()
 
     # ------------------------------------------------------------------
-    # batch execution (worker pool)
+    # batch execution (the batcher's worker threads)
     # ------------------------------------------------------------------
-    def _dispatch(self, batch: list[_Pending]) -> None:
-        try:
-            self._pool.submit(self._execute_batch, batch)
-        except RuntimeError:  # pool shut down while draining
-            self._execute_batch(batch)
-
     def _execute_batch(self, batch: list[_Pending]) -> None:
         self.metrics.counter("batches").inc()
         self._batch_sizes.observe(len(batch))

@@ -19,7 +19,7 @@ pytestmark = [pytest.mark.dist, requires_shm]
 
 @pytest.fixture(scope="module")
 def runtime(model, kg):
-    config = ServeConfig(num_shards=2, flush_timeout=0.001)
+    config = ServeConfig(num_shards=2)
     with ServeRuntime(model, kg=kg, config=config) as runtime:
         yield runtime
 
@@ -67,7 +67,7 @@ def test_unsupported_model_falls_back_to_in_process(model, kg, queries,
     """No working shared memory: the same kernel ranks in-process, and
     ``health()`` says why the shards that were asked for are not there."""
     monkeypatch.setattr("repro.dist.dist_available", lambda: False)
-    config = ServeConfig(num_shards=2, flush_timeout=0.001)
+    config = ServeConfig(num_shards=2)
     with ServeRuntime(model, kg=kg, config=config) as runtime:
         assert runtime._ranker is None
         assert runtime.stats().gauges["shards"] == 0
@@ -171,7 +171,7 @@ def test_reload_republishes_the_filter_table(kg, queries, tmp_path, lazy):
     path = tmp_path / "donor.npz"
     save_checkpoint(path, {"model": donor.state_dict()})
     config = ServeConfig(num_shards=2, lazy_shard_slabs=lazy,
-                         flush_timeout=0.001, answer_ttl=1e-9)
+                         answer_ttl=1e-9)
     with ServeRuntime(served, kg=kg, config=config) as runtime:
         assert runtime._ranker.plan.lazy == lazy
         old = [r.entity_ids for r in

@@ -20,8 +20,7 @@ pytestmark = [pytest.mark.gateway, pytest.mark.diag]
 
 @pytest.fixture()
 def served(model, tiny_kg):
-    config = ServeConfig(max_batch_size=8, flush_timeout=0.002,
-                         num_workers=1)
+    config = ServeConfig(max_batch_size=8, num_workers=1)
     gateway_config = GatewayConfig(
         tenants=(TenantConfig("starved", rate=0.001, burst=1),))
     with ServeRuntime(model, kg=tiny_kg, config=config) as runtime:
@@ -152,7 +151,7 @@ class TestStagesAreTimedOnce:
         assert len(queries) >= burst
         tracer = obs.Tracer()
         config = ServeConfig(
-            max_batch_size=64, flush_timeout=0.02, num_workers=1,
+            max_batch_size=64, num_workers=1,
             num_shards=shards,
             diag=DiagConfig(trace_latency_ms=0.0, trace_top_p=None))
         with obs.enabled():

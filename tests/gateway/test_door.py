@@ -57,8 +57,7 @@ def test_four_keep_alive_clients_get_one_outcome_per_request():
 
     gateway_config = GatewayConfig(
         tenants=(TenantConfig("trickle", rate=20.0, burst=2),))
-    serve_config = ServeConfig(max_batch_size=8, flush_timeout=0.002,
-                               num_workers=2, http_port=0)
+    serve_config = ServeConfig(max_batch_size=8, num_workers=2, http_port=0)
     replies, lock = [], threading.Lock()
 
     def client(offset: int, port: int) -> None:

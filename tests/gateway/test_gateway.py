@@ -277,8 +277,7 @@ class TestMetricHandles:
 
 class TestIntegration:
     def test_gateway_over_real_runtime(self, model, tiny_kg, queries):
-        config = ServeConfig(max_batch_size=8, flush_timeout=0.002,
-                             num_workers=1)
+        config = ServeConfig(max_batch_size=8, num_workers=1)
         gw_config = GatewayConfig(tenants=(
             TenantConfig("web", weight=3.0),
             TenantConfig("batchers", weight=1.0)))

@@ -36,8 +36,7 @@ def post(url: str, body, raw: bytes | None = None):
 
 @contextlib.contextmanager
 def serving(model, kg, queries, gw_config=None, compile_fn="index"):
-    config = ServeConfig(max_batch_size=4, flush_timeout=0.002,
-                         num_workers=1, http_port=0)
+    config = ServeConfig(max_batch_size=4, num_workers=1, http_port=0)
     if compile_fn == "index":
         compile_fn = lambda text: queries[int(text)]  # noqa: E731
     with ServeRuntime(model, kg=kg, config=config) as runtime:

@@ -331,41 +331,64 @@ class TestAttribution:
 
     def test_injected_slowdown_attributed_to_slowed_frame(self):
         """Acceptance: slow one stage of a two-stage workload down and
-        the top positive share-delta riser must name that stage."""
+        the top positive share-delta riser must name that stage.
 
-        def _stage_fast(deadline):
-            while time.perf_counter() < deadline:
+        Nothing here reads a clock to decide anything: a stage is a
+        fixed count of loop iterations (so a loaded machine stretches
+        both stages alike and the shares stand), and a run lasts until
+        the sampler holds enough samples, however long that takes.
+        """
+        unit = 20_000  # iterations; about a millisecond
+
+        def _stage_fast(units):
+            for _ in range(units * unit):
                 pass
 
-        def _stage_slowed(deadline):
-            while time.perf_counter() < deadline:
+        def _stage_slowed(units):
+            for _ in range(units * unit):
                 pass
 
-        def _profiled_run(fast_ms, slow_ms, duration=0.35):
+        def _profiled_run(fast_units, slow_units, samples=300):
             stop = threading.Event()
 
             def work():
                 while not stop.is_set():
-                    _stage_fast(time.perf_counter() + fast_ms / 1000.0)
-                    _stage_slowed(time.perf_counter() + slow_ms / 1000.0)
+                    _stage_fast(fast_units)
+                    _stage_slowed(slow_units)
 
             worker = threading.Thread(target=work, name="workload")
             sampler = SamplingProfiler(hz=400, role="bench")
+            give_up = time.monotonic() + 60.0
             with sampler:
                 worker.start()
-                time.sleep(duration)
+                while sampler.snapshot().samples < samples \
+                        and time.monotonic() < give_up:
+                    time.sleep(0.02)
                 stop.set()
                 worker.join()
             return sampler.snapshot()
 
-        baseline = _profiled_run(2.0, 2.0)
-        latest = _profiled_run(2.0, 8.0)  # inject a 4x slowdown
-        assert baseline.samples > 20 and latest.samples > 20
+        def share(profile, frame):
+            return sum(count for stack, count in profile.stacks.items()
+                       if stack.startswith("workload;")
+                       and stack.endswith(frame)) / sum(
+                count for stack, count in profile.stacks.items()
+                if stack.startswith("workload;"))
+
+        baseline = _profiled_run(2, 2)
+        latest = _profiled_run(2, 8)  # inject a 4x slowdown
+        assert baseline.samples >= 300 and latest.samples >= 300
         riser = max(diff_profiles(baseline, latest, limit=50),
                     key=lambda row: row["delta_share"])
         assert "_stage_slowed" in riser["frame"], (
             f"slowdown attributed to {riser['frame']!r}:\n"
             + format_diff(diff_profiles(baseline, latest)))
+        # of the workload thread's own samples the slowed stage held
+        # about 1/2 and now holds about 4/5
+        slowed = "_stage_slowed"
+        before = share(baseline, slowed)
+        after = share(latest, slowed)
+        assert 0.3 < before < 0.7 < after, (before, after)
 
 
 class TestMemoryHelpers:

@@ -152,8 +152,7 @@ def test_ablations_are_served_with_their_own_operators(kg, sampler, variant):
     caches_off = dict(answer_cache_size=1, answer_ttl=1e-9,
                       embedding_cache_size=1)
     for caches in ({}, caches_off):
-        config = ServeConfig(max_batch_size=64, flush_timeout=0.002,
-                             num_workers=1, **caches)
+        config = ServeConfig(max_batch_size=64, num_workers=1, **caches)
         with ServeRuntime(model, kg=kg, config=config) as runtime:
             for _ in range(2):  # the second pass meets warm caches
                 futures = [runtime.submit(q, top_k=5) for q in workload]

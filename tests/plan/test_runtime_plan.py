@@ -46,8 +46,7 @@ class TestAnswerParity:
         caches_off = dict(answer_cache_size=1, answer_ttl=1e-9,
                           embedding_cache_size=1)
         for caches in ({}, caches_off):
-            config = ServeConfig(max_batch_size=64, flush_timeout=0.002,
-                                 num_workers=1, **caches)
+            config = ServeConfig(max_batch_size=64, num_workers=1, **caches)
             with ServeRuntime(model, kg=kg, config=config) as runtime:
                 got = serve_all(runtime, workload)
                 assert all(r.source == "model" for r in got)
@@ -64,11 +63,12 @@ class TestAnswerParity:
         leaves bitwise-equal cached embeddings and identical ids."""
         assert len(workload) == 32
         together = ServeRuntime(model, kg=kg, config=ServeConfig(
-            max_batch_size=32, flush_timeout=5.0, num_workers=1))
+            max_batch_size=32, num_workers=1))
         alone = ServeRuntime(model, kg=kg, config=ServeConfig(
-            flush_timeout=0.0, num_workers=1))
+            num_workers=1))
         with together, alone:
-            mixed = serve_all(together, workload)
+            # one arrival of 32: one batch; a lone answer(): a batch of 1
+            mixed = together.answer_batch(workload, top_k=5, timeout=30)
             assert {together.diag.flight.get(r.request_id).batch_size
                     for r in mixed} == {32}
             for query, in_batch in zip(workload, mixed):
@@ -90,8 +90,7 @@ class TestAnswerParity:
 class TestPlanMetrics:
     @pytest.fixture()
     def runtime(self, model, kg):
-        config = ServeConfig(max_batch_size=64, flush_timeout=0.002,
-                             num_workers=1)
+        config = ServeConfig(max_batch_size=64, num_workers=1)
         with ServeRuntime(model, kg=kg, config=config) as runtime:
             yield runtime
 
@@ -122,12 +121,11 @@ class TestPlanMetrics:
 class TestStructureCoalescing:
     def test_mixed_structures_share_one_micro_batch(self, model, kg,
                                                     workload):
-        # the batcher is one FIFO whatever the structures, so one flush
-        # serves the whole mixed batch
-        config = ServeConfig(max_batch_size=64, flush_timeout=0.05,
-                             num_workers=1)
+        # the batcher is one FIFO whatever the structures, so one pull
+        # serves the whole mixed arrival
+        config = ServeConfig(max_batch_size=64, num_workers=1)
         with ServeRuntime(model, kg=kg, config=config) as runtime:
-            results = serve_all(runtime, workload)
+            results = runtime.answer_batch(workload, top_k=5, timeout=30)
             sizes = {runtime.diag.flight.get(r.request_id).batch_size
                      for r in results}
-            assert max(sizes) > 1
+            assert sizes == {len(workload)}

@@ -1,5 +1,7 @@
 """Shared fixtures for the serving-runtime tests."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -56,3 +58,24 @@ class HookedModel:
 
     def plan_backend(self):
         return _HookedBackend(self._model.plan_backend(), self._hook)
+
+
+class Gate:
+    """A :class:`HookedModel` hook that parks the worker inside its first
+    embed until :meth:`open` — how a test makes "every worker is busy"
+    last as long as it needs: what is submitted meanwhile queues.
+
+    ``entered`` is set once the worker is parked; after ``open()`` the
+    hook passes straight through.
+    """
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self._opened = threading.Event()
+
+    def __call__(self):
+        self.entered.set()
+        self._opened.wait(30.0)
+
+    def open(self):
+        self._opened.set()

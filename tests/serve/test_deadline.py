@@ -8,13 +8,13 @@ consults a real clock sees time pass; code on the injected clock sees
 none.
 """
 
-import time
-
 import pytest
 
 from repro.queries import Entity, Projection
 from repro.serve import ServeConfig, ServeRuntime
 from repro.serve.batcher import MicroBatcher, ServeRequest
+
+from .conftest import Gate, HookedModel
 
 
 class ManualClock:
@@ -30,14 +30,10 @@ class ManualClock:
 
 @pytest.fixture()
 def frozen_runtime(model, tiny_kg):
-    """Real runtime on a frozen clock.
-
-    ``max_batch_size=1`` matters: the batcher's flush window runs on the
-    injected clock too, so a frozen clock never flushes an *unfilled*
-    batch — size-1 batches dispatch immediately instead.
-    """
+    """Real runtime on a frozen clock (the queue consults no clock: an
+    idle worker takes an unfilled batch at once)."""
     clock = ManualClock()
-    config = ServeConfig(max_batch_size=1, num_workers=1,
+    config = ServeConfig(max_batch_size=8, num_workers=1,
                          answer_cache_size=1, embedding_cache_size=1)
     with ServeRuntime(model, kg=tiny_kg, config=config,
                       clock=clock) as runtime:
@@ -73,24 +69,25 @@ class TestSingleClockBase:
     def test_queue_wait_burns_budget(self, model, tiny_kg):
         """Time spent *queued* counts against the budget.
 
-        An unfilled batch cannot flush while the clock is frozen, so the
-        request waits exactly as long as we say; every nudge exceeds the
-        whole 50 ms budget, so whenever the flush window finally expires
-        the request is past deadline — deterministically shed.
+        The one worker is held, so the request waits for it exactly as
+        long as we say — 60 ms on the injected clock against a 50 ms
+        budget — and is past its deadline when the worker dequeues it:
+        deterministically shed.
         """
         clock = ManualClock()
-        config = ServeConfig(max_batch_size=2, flush_timeout=0.002,
-                             num_workers=1, answer_cache_size=1,
-                             embedding_cache_size=1)
-        with ServeRuntime(model, kg=tiny_kg, config=config,
-                          clock=clock) as runtime:
+        gate = Gate()
+        config = ServeConfig(max_batch_size=2, num_workers=1,
+                             answer_cache_size=1, embedding_cache_size=1)
+        with ServeRuntime(HookedModel(model, gate), kg=tiny_kg,
+                          config=config, clock=clock) as runtime:
+            blocker = runtime.submit(Projection(0, Entity(1)), top_k=3)
+            assert gate.entered.wait(10.0)
             future = runtime.submit(Projection(1, Entity(2)), top_k=3,
                                     deadline=0.05)
-            stop = time.monotonic() + 10.0
-            while not future.done() and time.monotonic() < stop:
-                clock.advance(0.06)
-                time.sleep(0.01)
-            result = future.result(timeout=1.0)
+            clock.advance(0.06)
+            gate.open()
+            result = future.result(timeout=10.0)
+            assert blocker.result(timeout=10.0).source == "model"
             counters = runtime.metrics.snapshot().counters
         assert result.source == "exact"
         assert counters["deadline_overruns"] == 1
@@ -102,25 +99,18 @@ class TestBatcherPreservesDeadline:
         bit-for-bit; remaining budget is derivable exactly."""
         clock = ManualClock(now=500.0)
         batches = []
-        batcher = MicroBatcher(batches.append, max_batch_size=2,
-                               flush_timeout=10.0, clock=clock).start()
-        try:
-            first = ServeRequest(query="a", top_k=1, cache_key="a",
-                                 deadline=500.25)
-            batcher.submit(first)
-            clock.advance(0.1)  # queue wait, on the injected clock
-            second = ServeRequest(query="b", top_k=1, cache_key="b",
-                                  deadline=500.25)
-            batcher.submit(second)  # batch full → immediate flush
-            stop = time.monotonic() + 5.0
-            while not batches and time.monotonic() < stop:
-                time.sleep(0.002)
-        finally:
-            batcher.close()
+        batcher = MicroBatcher(batches.append, max_batch_size=2)
+        first = ServeRequest(query="a", top_k=1, cache_key="a",
+                             deadline=500.25)
+        batcher.submit(first)
+        clock.advance(0.1)  # queue wait, on the caller's clock
+        second = ServeRequest(query="b", top_k=1, cache_key="b",
+                              deadline=500.25)
+        batcher.submit(second)
+        # the worker starts after both are queued: one batch of two
+        batcher.start().close()
         (batch,) = batches
+        assert batch == [first, second]
         assert [r.deadline for r in batch] == [500.25, 500.25]
-        # enqueued_at is stamped from the same clock: wait is exact
-        assert batch[0].enqueued_at == 500.0
-        assert batch[1].enqueued_at == pytest.approx(500.1)
         remaining = batch[0].deadline - clock()
         assert remaining == pytest.approx(0.25 - 0.1)

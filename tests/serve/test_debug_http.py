@@ -49,8 +49,8 @@ def get_json(url):
 
 @pytest.fixture()
 def served(model, tiny_kg):
-    config = ServeConfig(max_batch_size=8, flush_timeout=0.002,
-                         num_workers=1, http_port=0, histogram_window=128)
+    config = ServeConfig(max_batch_size=8, num_workers=1, http_port=0,
+                         histogram_window=128)
     with ServeRuntime(model, kg=tiny_kg, config=config) as runtime:
         yield runtime, runtime.http_server.url
 
@@ -222,7 +222,7 @@ class TestSyntheticBrownout:
         with no retained trace."""
         throttle = Throttle(model)
         config = ServeConfig(
-            max_batch_size=4, flush_timeout=0.002, num_workers=1,
+            max_batch_size=4, num_workers=1,
             http_port=0,
             diag=DiagConfig(trace_latency_ms=25.0, trace_top_p=None))
         gateway_config = GatewayConfig(

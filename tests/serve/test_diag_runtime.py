@@ -17,8 +17,7 @@ pytestmark = pytest.mark.diag
 
 @pytest.fixture()
 def runtime(model, tiny_kg):
-    config = ServeConfig(max_batch_size=8, flush_timeout=0.002,
-                         num_workers=1)
+    config = ServeConfig(max_batch_size=8, num_workers=1)
     with ServeRuntime(model, kg=tiny_kg, config=config) as runtime:
         yield runtime
 

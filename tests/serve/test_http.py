@@ -187,8 +187,7 @@ class TestPostRoute:
 
 class TestRuntimeMount:
     def test_runtime_mounts_and_serves(self, model, tiny_kg):
-        config = ServeConfig(max_batch_size=8, flush_timeout=0.002,
-                             num_workers=1, http_port=0)
+        config = ServeConfig(max_batch_size=8, num_workers=1, http_port=0)
         sampler = QuerySampler(tiny_kg, seed=3)
         queries = [sampler.sample(get_structure("1p")).query
                    for _ in range(4)]
@@ -205,6 +204,7 @@ class TestRuntimeMount:
                 urlopen(f"{url}/statusz", timeout=5).read().decode())
             assert payload["health"]["ok"] is True
             assert payload["health"]["model_loaded"] is True
+            assert payload["health"]["workers"] == 1
         # after close the socket is released and healthz would be down
         with pytest.raises(OSError):
             urlopen(f"{url}/healthz", timeout=1)

@@ -37,8 +37,8 @@ def get_json(url):
 
 @pytest.fixture()
 def served(model, tiny_kg):
-    config = ServeConfig(max_batch_size=8, flush_timeout=0.002,
-                         num_workers=1, http_port=0, prof_hz=100.0)
+    config = ServeConfig(max_batch_size=8, num_workers=1, http_port=0,
+                         prof_hz=100.0)
     with ServeRuntime(model, kg=tiny_kg, config=config) as runtime:
         for query in distinct_queries(tiny_kg, 4):
             runtime.answer(query, top_k=3)

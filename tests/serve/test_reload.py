@@ -173,8 +173,7 @@ class TestReloadUnderLoad:
             paths[key] = path
             expected[key] = [donor.answer(canonicalize(q), top_k=5)
                              for q in queries]
-        config = ServeConfig(answer_ttl=1e-9, num_workers=3,
-                             flush_timeout=0.0005)
+        config = ServeConfig(answer_ttl=1e-9, num_workers=3)
         torn = []
         with ServeRuntime(serving, kg=tiny_kg, config=config) as runtime:
             stop = threading.Event()

@@ -14,7 +14,7 @@ from repro.queries import (Entity, Intersection, Projection, QuerySampler,
 from repro.serve import (ServeConfig, ServeError, ServeRuntime,
                          canonicalize)
 
-from .conftest import HookedModel
+from .conftest import Gate, HookedModel
 
 
 def sample_queries(kg, count, structures=("1p", "2p", "2i"), seed=5):
@@ -25,7 +25,7 @@ def sample_queries(kg, count, structures=("1p", "2p", "2i"), seed=5):
 
 
 def make_runtime(model, kg=None, **overrides):
-    defaults = dict(max_batch_size=16, flush_timeout=0.002, num_workers=2)
+    defaults = dict(max_batch_size=16, num_workers=2)
     defaults.update(overrides)
     return ServeRuntime(model, kg=kg, config=ServeConfig(**defaults))
 
@@ -89,12 +89,12 @@ class TestResultCorrectness:
 
     def test_batches_actually_coalesce(self, tiny_kg, model):
         queries = sample_queries(tiny_kg, 16, structures=("2p",))
-        with make_runtime(model, kg=tiny_kg,
-                          flush_timeout=0.05) as runtime:
+        with make_runtime(model, kg=tiny_kg) as runtime:
             runtime.answer_batch(queries, top_k=3)
             stats = runtime.stats()
-        assert stats.counters["batches"] < len(queries)
-        assert stats.histograms["batch_size"].max > 1
+        # one arrival of 16 at max_batch_size=16: one batch
+        assert stats.counters["batches"] == 1
+        assert stats.histograms["batch_size"].max == 16
 
 
 class TestCaching:
@@ -113,8 +113,7 @@ class TestCaching:
         query = Projection(0, Entity(3))
         runtime = ServeRuntime(
             model, kg=tiny_kg,
-            config=ServeConfig(max_batch_size=4, flush_timeout=0.0,
-                               answer_ttl=30.0),
+            config=ServeConfig(max_batch_size=4, answer_ttl=30.0),
             clock=lambda: clock_now[0])
         try:
             assert runtime.answer(query, top_k=3).source == "model"
@@ -190,8 +189,7 @@ class TestDegradation:
         points = np.mod(model.entity_points.weight.data, 2 * np.pi)
         index = LshIndex(points, num_tables=8, bits_per_table=4, seed=1)
         runtime = ServeRuntime(model, kg=tiny_kg, index=index,
-                               config=ServeConfig(max_batch_size=4,
-                                                  flush_timeout=0.0))
+                               config=ServeConfig(max_batch_size=4))
         try:
             result = runtime.answer(Projection(0, Entity(7)), top_k=4,
                                     deadline=0.0)
@@ -210,8 +208,8 @@ class TestDoneCallbacks:
         again.  It is the callback's bug: logged, and nothing else."""
         from repro.serve.batcher import ServeFuture
 
-        gate = threading.Event()
-        gated = HookedModel(model, lambda: gate.wait(10.0))
+        gate = Gate()
+        gated = HookedModel(model, gate)
         resolutions = []
         set_result = ServeFuture.set_result
         monkeypatch.setattr(
@@ -226,7 +224,9 @@ class TestDoneCallbacks:
         queries = sample_queries(tiny_kg, 4, structures=("1p", "2p"))
         with caplog.at_level("ERROR", logger="repro.serve"), \
                 make_runtime(gated, kg=tiny_kg, max_batch_size=4,
-                             flush_timeout=0.05, num_workers=1) as runtime:
+                             num_workers=1) as runtime:
+            blocker = runtime.submit(Projection(0, Entity(29)), top_k=3)
+            assert gate.entered.wait(10.0)  # the one worker is held
             futures = [runtime.submit(q, top_k=3) for q in queries]
             futures[1].add_done_callback(lambda f: ran.append("first"))
             futures[1].add_done_callback(boom)
@@ -234,14 +234,16 @@ class TestDoneCallbacks:
             for index in (0, 2, 3):
                 futures[index].add_done_callback(
                     lambda f, index=index: ran.append(index))
-            gate.set()  # the four were queued behind it: one batch
+            gate.open()  # the four were queued behind it: one batch
             results = [f.result(timeout=10.0) for f in futures]
             stats = runtime.stats()
+        assert stats.counters["batches"] == 2
         assert [r.source for r in results] == ["model"] * 4
         assert stats.counters.get("model_failures", 0) == 0
         assert stats.counters.get("retries", 0) == 0
-        assert stats.histograms["latency_ms"].count == 4
-        assert sorted(map(id, resolutions)) == sorted(map(id, futures))
+        assert stats.histograms["latency_ms"].count == 5
+        assert sorted(map(id, resolutions)) == \
+            sorted(map(id, [blocker] + futures))
         assert sorted(map(str, ran)) == ["0", "2", "3", "first", "third"]
         assert "synthetic callback bug" in caplog.text
         # registered after the fact it runs at once, under the same rule

@@ -20,8 +20,7 @@ def tracer():
 
 @pytest.fixture
 def runtime(model, tiny_kg, tracer):
-    config = ServeConfig(max_batch_size=4, flush_timeout=0.001,
-                         num_workers=2)
+    config = ServeConfig(max_batch_size=4, num_workers=2)
     with ServeRuntime(model, kg=tiny_kg, config=config,
                       tracer=tracer) as rt:
         yield rt

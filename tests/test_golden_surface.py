@@ -7,8 +7,9 @@ armed, tracing enabled — with one request of each outcome:
 * ``hit``       — the same query again: answer-cache hit
 * ``emb_hit``   — the same query at another ``top_k``: answer-cache miss,
                   embedding-cache hit
-* ``fallback``  — a deadline that expires inside the batcher's flush
-                  window: degraded to the exact symbolic executor
+* ``fallback``  — a deadline that expires while the request waits for
+                  the one worker (held inside ``miss``'s embed): degraded
+                  to the exact symbolic executor
 * ``door_shed`` — an unknown tenant, shed synchronously at the door
 
 and freezes what an operator's tooling reads: the ``FlightRecord`` key
@@ -26,6 +27,7 @@ samples and the run makes 6, so the span multiset is deterministic.
 import json
 import re
 import socket
+import time
 from collections import Counter
 from urllib.request import urlopen
 
@@ -42,6 +44,8 @@ from repro.kg import KnowledgeGraph
 from repro.obs.diag import DiagConfig, FlightRecord
 from repro.queries import Entity, Projection
 from repro.serve import ServeConfig, ServeRuntime
+
+from .serve.conftest import Gate, HookedModel
 
 pytestmark = [pytest.mark.diag, pytest.mark.gateway, pytest.mark.dist,
               pytest.mark.http]
@@ -178,32 +182,41 @@ def run():
                  if (h, r) != (head, rel))
     tracer = obs.Tracer()
     config = ServeConfig(
-        # the flush window is what the fallback's deadline expires in
-        max_batch_size=8, flush_timeout=0.1, num_workers=1,
+        max_batch_size=8, num_workers=1,
         num_shards=2, hedge_shards=True, http_port=0,
         diag=DiagConfig(trace_latency_ms=0.0, trace_top_p=None))
     # doom_factor=0: the gateway sheds only deadlines already expired,
-    # so the short one below reaches the batcher and expires there
+    # so the short one below reaches the batcher and expires there,
+    # queued behind the worker that the gate holds in ``miss``'s embed
+    gate = Gate()
     gateway_config = GatewayConfig(default_tenant=None, doom_factor=0.0,
                                    tenants=(TenantConfig("acme"),))
     out = {"ids": {}, "trees": {}}
     with obs.enabled():
-        with ServeRuntime(model, kg=kg, config=config,
+        with ServeRuntime(HookedModel(model, gate), kg=kg, config=config,
                           tracer=tracer) as runtime:
             gateway = Gateway(runtime, gateway_config, tracer=tracer)
             try:
-                def ask(name, node, top_k, deadline=None):
-                    result = gateway.answer(node, top_k=top_k,
-                                            tenant="acme",
-                                            deadline=deadline, timeout=30)
+                def submit(node, top_k, deadline=None):
+                    return gateway.submit(node, top_k=top_k, tenant="acme",
+                                          deadline=deadline)
+
+                def collect(name, future):
+                    result = future.result(timeout=30)
                     out["ids"][name] = result.request_id
                     return result
 
-                assert ask("miss", query, 3).source == "model"
-                assert ask("hit", query, 3).source == "answer_cache"
-                assert ask("emb_hit", query, 5).source == "model"
-                assert ask("fallback", other, 3,
-                           deadline=0.03).source == "exact"
+                miss = submit(query, 3)
+                assert gate.entered.wait(10.0)
+                fallback = submit(other, 3, deadline=0.03)
+                time.sleep(0.05)  # its budget runs out in the queue
+                gate.open()
+                assert collect("miss", miss).source == "model"
+                assert collect("fallback", fallback).source == "exact"
+                assert collect("hit", submit(query, 3)).source \
+                    == "answer_cache"
+                assert collect("emb_hit", submit(query, 5)).source \
+                    == "model"
                 with pytest.raises(GatewayRejected):
                     gateway.answer(query, top_k=3, tenant="ghost")
                 (shed,) = runtime.diag.flight.dump(tenant="ghost")

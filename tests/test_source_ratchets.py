@@ -1,0 +1,91 @@
+"""Source ratchets: seams that were deleted stay deleted.
+
+Each test greps ``src/repro`` for something a past PR removed on purpose
+(a second copy of the arithmetic, a wrapper on the answer path, a thread
+or a timer on the request path) and names the line where it grew back.
+"""
+
+import pathlib
+import re
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def hits(pattern: str, *paths: str) -> list[str]:
+    """``file:line: text`` of every line under ``paths`` (files or
+    directories below ``src/repro``) that matches ``pattern``."""
+    regex = re.compile(pattern)
+    found = []
+    for path in paths:
+        root = SRC / path
+        files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
+        for file in files:
+            for number, line in enumerate(
+                    file.read_text(encoding="utf-8").splitlines(), 1):
+                if regex.search(line):
+                    found.append(f"{file.relative_to(SRC)}:{number}: "
+                                 f"{line.strip()}")
+    return found
+
+
+def test_one_request_context_seams_stay_closed():
+    """The in-progress registry, the request_id/shard_info plumbing and
+    the Tensor-patching profiler hooks must not grow back under another
+    layer."""
+    assert hits(r"_in_progress|diag_owned|shard_info|set_profiler"
+                r"|warn_dual_profilers", "") == []
+
+
+def test_no_autograd_wrapper_on_the_answer_path():
+    """No grad switch, Tensor construction or ``distance_to_all`` call in
+    the plan backend, the executor or the runtime (they reach repro.nn
+    only for the array namespace, ``repro.nn.arrays``)."""
+    assert hits(r"no_grad|Tensor\(|distance_to_all\(", "plan/backend.py",
+                "plan/executor.py", "serve/runtime.py") == []
+
+
+def test_no_arithmetic_in_the_plan_backend():
+    """The HaLk arithmetic is written once, over a namespace: the plan
+    backend holds none of it."""
+    assert hits(r"np\.(sin|cos|tanh|exp|arctan2|clip)\(|np\.pi| @ ",
+                "plan/backend.py") == []
+
+
+def test_the_semantic_average_is_written_once():
+    """The one ``arctan2`` is called from one place under core/ and
+    plan/: a second operator body growing back fails here."""
+    mentions = hits(r"arctan2", "core", "plan")
+    assert {m.split(":")[0] for m in mentions} == {"core/operators.py"}
+    assert len(hits(r"arctan2\(", "core/operators.py")) == 1
+
+
+def test_the_training_tape_scatters_without_add_at():
+    """``np.add.at`` survives once in repro.nn (the advanced-index branch
+    of ``Tensor.__getitem__``, where a cell can be selected twice) and
+    nowhere in repro.core."""
+    assert len(hits(r"np\.add\.at", "nn")) == 1
+    assert hits(r"np\.add\.at", "core") == []
+
+
+def test_no_event_loop_on_the_request_path():
+    """A request stays on its connection's thread from socket to queue:
+    no event loop, and so no cross-thread hop onto one, in the door or
+    the runtime behind it."""
+    assert hits(r"asyncio|call_soon_threadsafe", "gateway", "serve") == []
+
+
+def test_the_entity_table_is_cast_to_float32_in_one_place():
+    """The ranking filter reads a float32 table somebody prepared once:
+    the float64 → float32 cast lives in ``ArcShardScorer.prepare`` and
+    nowhere else in the kernel (a second one is a per-request cast
+    growing back)."""
+    assert len(hits(r"casting=", "dist/scorer.py")) == 1
+
+
+def test_requests_wait_for_a_worker_never_for_a_clock():
+    """The serving queue is pulled by its workers: no flush window, no
+    batcher thread and no executor pool between a request and the worker
+    that runs it."""
+    assert hits(r"flush_timeout|ThreadPoolExecutor|serve-batcher",
+                "serve") == []
+    assert hits(r"flush_timeout", "") == []
