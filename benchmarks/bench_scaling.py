@@ -6,8 +6,8 @@ sweep grows the entity table (the xl streaming generator's latent recipe
 at serving dimension) and measures, at each size, the single-process
 serving pass (autograd ``distance_to_all`` + ``topk_rows``, the path
 ``ServeRuntime`` uses without ``--shards``) against the sharded ranker
-(blocked per-shard kernels in worker processes, exact merge, lazy
-per-shard slabs above 100k entities).
+(blocked per-shard kernels in worker processes over per-shard slabs,
+exact merge).
 
 Two numbers land in BENCH_serve.json under the regression gate:
 
@@ -91,9 +91,8 @@ def _measure_point(num_entities, num_shards, min_seconds=0.5):
             f"sharded ids diverge at {num_entities} entities"
         assert np.array_equal(sharded_vals, single_vals), \
             f"sharded vals diverge at {num_entities} entities"
-        lazy = ranker.plan.lazy
         sharded = timed(lambda: ranker.topk(embedding, TOP_K))
-    return {"single": single, "sharded": sharded, "lazy": lazy}
+    return {"single": single, "sharded": sharded}
 
 
 def _sweep(num_shards):
@@ -129,16 +128,13 @@ def test_bench_scaling_crossover(benchmark, num_shards, bench_record):
     print(f"entity-scaling sweep, {num_shards} shards, "
           f"{NUM_QUERIES}-query batch, dim {DIM}:")
     print(f"  {'entities':>10} {'single q/s':>12} {'sharded q/s':>12} "
-          f"{'speedup':>8}  {'slabs':>5}")
+          f"{'speedup':>8}")
     for num_entities in SWEEP:
         point = points[num_entities]
         ratio = point["sharded"] / point["single"]
         marker = " <- crossover" if num_entities == crossover else ""
         print(f"  {num_entities:>10,} {point['single']:>12,.1f} "
-              f"{point['sharded']:>12,.1f} {ratio:>7.2f}x  "
-              f"{'lazy' if point['lazy'] else 'table':>5}{marker}")
+              f"{point['sharded']:>12,.1f} {ratio:>7.2f}x{marker}")
     assert crossover is not None and crossover <= 100_000, \
         "sharded ranking should overtake the single-process pass at or " \
         "before 100k entities (blocked kernels amortise the IPC)"
-    assert points[100_000]["lazy"], \
-        "the 100k point should publish lazy per-shard slabs (auto mode)"

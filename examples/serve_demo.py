@@ -8,8 +8,9 @@ FB237 analogue and shows the three serving wins in order:
    ``model.answer`` loop;
 2. **caching** — repeating the workload is served from the answer cache
    (isomorphic queries share entries via canonicalisation);
-3. **degradation** — an impossible deadline falls back to the LSH
-   index, and the runtime keeps answering.
+3. **degradation** — an impossible deadline falls back to the exact
+   symbolic executor over the observed graph, and the runtime keeps
+   answering.
 
 Run with::
 
@@ -18,9 +19,6 @@ Run with::
 
 import time
 
-import numpy as np
-
-from repro.ann import LshIndex
 from repro.config import ModelConfig, TrainConfig
 from repro.core import HalkModel, Trainer
 from repro.kg import fb237_mini
@@ -42,13 +40,10 @@ def main() -> None:
                         learning_rate=2e-3,
                         embedding_learning_rate=2e-2)).train()
 
-    # LSH index over the entity points enables the approximate fallback
-    points = np.mod(model.entity_points.weight.data, 2.0 * np.pi)
-    index = LshIndex(points, num_tables=8, bits_per_table=6, seed=0)
-
     engine = SparqlEngine(kg, model=model)
+    # the observed graph enables the exact symbolic fallback
     runtime = ServeRuntime(
-        model, kg=kg, index=index,
+        model, kg=kg,
         config=ServeConfig(max_batch_size=32, num_workers=2))
     client = ServeClient(runtime, engine=engine)
 
@@ -92,7 +87,7 @@ def main() -> None:
 
         # 4. graceful degradation under an impossible deadline
         # (a fresh query — anything already served would hit the cache)
-        fresh = sampler.sample(get_structure("3ippd")).query
+        fresh = sampler.sample(get_structure("2ippu")).query
         degraded = client.answer(fresh, top_k=5, deadline=0.0)
         print(f"--- degradation")
         print(f"    deadline=0 answered via '{degraded.source}' "

@@ -292,7 +292,6 @@ def _serve_runtime(model, **kwargs):
 
 
 def cmd_serve(args) -> int:
-    from .ann import LshIndex
     from .queries import QuerySampler, get_structure
     from .serve import ServeClient, ServeConfig, format_snapshot
 
@@ -305,22 +304,16 @@ def cmd_serve(args) -> int:
                         queries=args.train_queries)
     splits, model = _load_trained(args)
     engine = SparqlEngine(splits.train, model=model)
-    index = None
-    if getattr(model, "entity_points", None) is not None:
-        points = np.mod(model.entity_points.weight.data, 2.0 * np.pi)
-        index = LshIndex(points, seed=args.seed)
     config = ServeConfig(max_batch_size=args.batch_size,
                          num_workers=args.workers,
                          answer_ttl=args.answer_ttl,
                          default_deadline=args.deadline,
                          num_shards=getattr(args, "shards", 0),
-                         lazy_shard_slabs=getattr(args, "lazy_slabs", None),
                          hedge_shards=args.hedge,
                          http_port=args.http_port,
                          http_host=args.http_host)
     gateway = None
-    with _serve_runtime(model, kg=splits.train, index=index,
-                        config=config) as runtime:
+    with _serve_runtime(model, kg=splits.train, config=config) as runtime:
         if args.gateway or args.tenant or args.tenant_file:
             from .gateway import (Gateway, GatewayConfig,
                                   load_tenant_configs, parse_tenant_spec)
@@ -611,10 +604,9 @@ def cmd_mem(args) -> int:
                   f"misses={stats.get('misses', 0)}")
     plan = payload.get("shard_plan")
     if plan:
-        print(f"shard plan: {plan.get('layout')} layout, "
-              f"{plan.get('num_entities', 0):,} x {plan.get('dim', 0)} "
-              f"entities, {_human_bytes(plan.get('total_bytes', 0))} "
-              f"published "
+        print(f"shard plan: {plan.get('num_entities', 0):,} x "
+              f"{plan.get('dim', 0)} entities, "
+              f"{_human_bytes(plan.get('total_bytes', 0))} published "
               f"({_human_bytes(plan.get('prepared_bytes', 0))} of it the "
               f"filter's float32 table)")
         for row in plan.get("shards", []):
@@ -823,11 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hold", action="store_true",
                    help="after the demo workload, keep the runtime (and "
                         "its HTTP endpoints) alive until Ctrl-C")
-    p.add_argument("--lazy-slabs", action="store_true", default=None,
-                   dest="lazy_slabs",
-                   help="publish one shared-memory slab per shard instead "
-                        "of the whole entity table (default: automatic "
-                        "above 100k entities; needs --shards >= 2)")
     shards(p)
     p.set_defaults(func=cmd_serve)
 

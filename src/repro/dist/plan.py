@@ -2,11 +2,11 @@
 
 The entity embedding table is the one large array every shard worker
 needs.  :class:`EntityShardPlan` partitions its rows into K *contiguous*
-shards and publishes the whole table once as a named shared-memory
-segment; each worker attaches the segment and takes a zero-copy numpy
-view of its ``[start, stop)`` row block.  Contiguity is what keeps the
-top-k merge exact: shard-local positions translate to global entity ids
-by a constant offset (see DESIGN.md §7).
+shards and publishes each shard's ``[start, stop)`` row block as its own
+named shared-memory segment; a worker attaches its shard's segment and
+gets a zero-copy numpy view of exactly its rows.  Contiguity is what
+keeps the top-k merge exact: shard-local positions translate to global
+entity ids by a constant offset (see DESIGN.md §7).
 
 Beside every table segment the plan can publish a **companion** segment
 of the same rows: the scorer's ``prepare``-d table (for the arc scorer,
@@ -88,24 +88,16 @@ def _attach_untracked(name: str):
 
 @dataclass(frozen=True)
 class SharedArraySpec:
-    """Picklable handle to a published array (ships to workers).
-
-    ``row_offset`` is the global row id of the segment's first row: 0
-    for a whole-table segment, ``shard.start`` for a lazy per-shard
-    slab.  Workers subtract it to translate their global ``ShardRange``
-    into local slab rows, so the same worker code serves both layouts.
-    """
+    """Picklable handle to a published array (ships to workers)."""
 
     name: str
     shape: tuple[int, ...]
     dtype: str
-    row_offset: int = 0
 
     def attach(self) -> "SharedArray":
         """Map the segment in this process (read/write view, no copy)."""
         shm = _attach_untracked(self.name)
-        return SharedArray(shm, self.shape, self.dtype, owner=False,
-                           row_offset=self.row_offset)
+        return SharedArray(shm, self.shape, self.dtype, owner=False)
 
 
 class SharedArray:
@@ -113,26 +105,25 @@ class SharedArray:
 
     The creating side (``owner=True``) unlinks the segment on
     :meth:`close`; attached sides only unmap.  ``ndarray`` is a zero-copy
-    view — slicing it hands out views too, which is how shard workers see
-    their row block without duplicating the table.
+    view of the segment (slicing it hands out views too).
     """
 
     #: rows copied per :meth:`fill` step — bounds the transient working
     #: set to one chunk regardless of table size
     FILL_CHUNK_ROWS = 65_536
 
-    def __init__(self, shm, shape, dtype, owner: bool, row_offset: int = 0):
+    def __init__(self, shm, shape, dtype, owner: bool):
         self._shm = shm
         self._owner = owner
         self._closed = False
         self.spec = SharedArraySpec(shm.name, tuple(int(s) for s in shape),
-                                    str(dtype), int(row_offset))
+                                    str(dtype))
         self.ndarray = np.ndarray(self.spec.shape, dtype=np.dtype(dtype),
                                   buffer=shm.buf)
 
     @classmethod
-    def create_empty(cls, shape, dtype, name: str | None = None,
-                     row_offset: int = 0) -> "SharedArray":
+    def create_empty(cls, shape, dtype, name: str | None = None
+                     ) -> "SharedArray":
         """Allocate a zero-filled segment without any source copy.
 
         This is the xl-scale entry point: allocate first, then
@@ -146,7 +137,7 @@ class SharedArray:
         name = name or f"repro-{secrets.token_hex(6)}"
         shm = shared_memory.SharedMemory(create=True, name=name,
                                          size=max(nbytes, 1))
-        return cls(shm, shape, dtype, owner=True, row_offset=row_offset)
+        return cls(shm, shape, dtype, owner=True)
 
     @classmethod
     def create(cls, array: np.ndarray, name: str | None = None
@@ -163,16 +154,14 @@ class SharedArray:
         out.fill(array)
         return out
 
-    def fill(self, source, rows: slice | None = None,
-             chunk_rows: int | None = None) -> None:
+    def fill(self, source, chunk_rows: int | None = None) -> None:
         """Copy ``source`` into the segment in bounded chunks.
 
         ``source`` is any ndarray-like sliceable along axis 0 (including
-        ``np.memmap``); ``rows`` narrows the copy to a first-axis slice
-        of the *segment* (``source`` must then match its length).  Only
+        ``np.memmap``) with the segment's row count.  Only
         ``chunk_rows`` rows are in flight at a time.
         """
-        target = self.ndarray if rows is None else self.ndarray[rows]
+        target = self.ndarray
         if len(target) != len(source):
             raise ValueError(f"source has {len(source)} rows, "
                              f"target expects {len(target)}")
@@ -257,19 +246,12 @@ def partition_rows(num_rows: int, num_shards: int) -> list[ShardRange]:
 class EntityShardPlan:
     """K contiguous shards of an entity table, published once.
 
-    Two layouts behind one interface:
-
-    * **table** (``lazy=False``, the default) — the whole ``(N, d)``
-      array in one segment; every worker attaches it and slices its row
-      block.  Simple, and write-through updates touch one segment.
-    * **lazy slabs** (``lazy=True``) — one segment *per shard*, each
-      allocated empty and filled chunk-by-chunk from ``points``.  The
-      parent never holds source + published copy simultaneously beyond
-      one fill chunk, and a worker maps only its own ``len(range) × d``
-      rows instead of the full table — at a million entities that is
-      the difference between every process mapping 16 MB × d/2 and each
-      mapping its 1/K share.  ``points`` may be an ``np.memmap``: its
-      pages are read on demand during the fill and never all resident.
+    One segment *per shard*, each allocated empty and filled
+    chunk-by-chunk from ``points``: the parent never holds source +
+    published copy simultaneously beyond one fill chunk, and a worker
+    maps only its own ``len(range) × d`` rows, so it cannot touch
+    another shard's.  ``points`` may be an ``np.memmap``: its pages are
+    read on demand during the fill and never all resident.
 
     With ``prepare`` every segment gets a **companion** segment of the
     same rows holding ``prepare(rows)`` — the scorer's filter table (see
@@ -287,14 +269,12 @@ class EntityShardPlan:
     num_shards:
         Number of contiguous row blocks (clamped to N, see
         :func:`partition_rows`).
-    lazy:
-        Publish per-shard slabs instead of one whole-table segment.
     prepare:
         A scorer's row-wise ``prepare(rows, out=None)``; None, or a None
         result, publishes no companion.
     """
 
-    def __init__(self, points, num_shards: int, lazy: bool = False,
+    def __init__(self, points, num_shards: int,
                  chunk_rows: int | None = None, prepare=None):
         if getattr(points, "ndim", None) != 2:
             points = np.asarray(points)
@@ -302,34 +282,24 @@ class EntityShardPlan:
             raise ValueError("points must be (N, d)")
         self.num_entities = int(points.shape[0])
         self.dim = int(points.shape[1])
-        self.lazy = bool(lazy)
         self._chunk_rows = chunk_rows or SharedArray.FILL_CHUNK_ROWS
         self._prepare = prepare
         self.ranges = partition_rows(self.num_entities, num_shards)
-        blocks = self.ranges if self.lazy \
-            else [ShardRange(0, 0, self.num_entities)]
         # zero rows are enough to learn the companion's dtype and width
         probe = prepare(np.asarray(points[:0])) if prepare else None
         self._segments: list[SharedArray] = []
         self._companions: list[SharedArray] = []
         try:
-            for block in blocks:
+            for shard in self.ranges:
                 self._segments.append(SharedArray.create_empty(
-                    (len(block), self.dim), points.dtype,
-                    row_offset=block.start))
+                    (len(shard), self.dim), points.dtype))
                 if probe is not None:
                     self._companions.append(SharedArray.create_empty(
-                        (len(block),) + probe.shape[1:], probe.dtype,
-                        row_offset=block.start))
+                        (len(shard),) + probe.shape[1:], probe.dtype))
             self._fill(points)
         except BaseException:
             self.close()  # a half-built plan must not leak segments
             raise
-
-    @property
-    def table(self) -> SharedArray | None:
-        """The whole-table segment (None under the lazy layout)."""
-        return None if self.lazy else self._segments[0]
 
     @property
     def num_shards(self) -> int:
@@ -339,12 +309,11 @@ class EntityShardPlan:
         """Write ``points`` through every segment, then its companion
         from the rows just written — one bounded chunk in flight."""
         chunk = self._chunk_rows
-        for i, segment in enumerate(self._segments):
-            start = segment.spec.row_offset
-            segment.fill(points[start:start + len(segment.ndarray)],
-                         chunk_rows=chunk)
+        for shard, segment in zip(self.ranges, self._segments):
+            segment.fill(points[shard.start:shard.stop], chunk_rows=chunk)
             if self._companions:
-                source, target = segment.ndarray, self._companions[i].ndarray
+                source = segment.ndarray
+                target = self._companions[shard.index].ndarray
                 for s in range(0, len(source), chunk):
                     self._prepare(source[s:s + chunk],
                                   out=target[s:s + chunk])
@@ -353,14 +322,12 @@ class EntityShardPlan:
                    ) -> tuple[SharedArraySpec | None, ShardRange]:
         """What a worker needs to map its block: (segment, row range).
 
-        The segment is the whole table (``row_offset == 0``) or the
-        shard's own slab (``row_offset == range.start``); the worker
-        slices ``[start - row_offset, stop - row_offset)`` either way.
-        ``prepared=True`` names the companion segment instead (None when
-        the plan publishes none).
+        The segment holds exactly the range's rows.  ``prepared=True``
+        names the companion segment instead (None when the plan
+        publishes none).
         """
         segments = self._companions if prepared else self._segments
-        spec = segments[index if self.lazy else 0].spec if segments else None
+        spec = segments[index].spec if segments else None
         return spec, self.ranges[index]
 
     def rows(self, shard: ShardRange, prepared: bool = False
@@ -368,11 +335,7 @@ class EntityShardPlan:
         """Zero-copy view of a shard's rows in the parent process
         (``prepared=True``: of its companion rows, or None)."""
         segments = self._companions if prepared else self._segments
-        if not segments:
-            return None
-        if self.lazy:
-            return segments[shard.index].ndarray
-        return segments[0].ndarray[shard.start:shard.stop]
+        return segments[shard.index].ndarray if segments else None
 
     def update(self, points) -> None:
         """Write-through refresh after the model's weights changed.
@@ -395,10 +358,8 @@ class EntityShardPlan:
 
         Per-shard published bytes — the shard's rows of the table *and*
         of the companion, the latter also on its own as
-        ``prepared_bytes`` — plus the plan totals.  Under the table
-        layout every shard *maps* the whole segments, but the bytes are
-        attributed to the shard's own row block, so the inventory sums
-        to what ``/dev/shm`` holds either way.
+        ``prepared_bytes`` — plus the plan totals, which sum to what
+        ``/dev/shm`` holds.
         """
         # every segment holds at least one row (partition_rows)
         table = int(self._segments[0].ndarray[0].nbytes)
@@ -408,8 +369,7 @@ class EntityShardPlan:
                    "bytes": len(rng) * (table + prepared),
                    "prepared_bytes": len(rng) * prepared}
                   for rng in self.ranges]
-        return {"layout": "lazy" if self.lazy else "table",
-                "num_entities": self.num_entities, "dim": self.dim,
+        return {"num_entities": self.num_entities, "dim": self.dim,
                 "total_bytes": self.num_entities * (table + prepared),
                 "prepared_bytes": self.num_entities * prepared,
                 "shards": shards}

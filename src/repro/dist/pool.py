@@ -8,9 +8,8 @@ the per-query path.
 Spawn-safety: the worker entry point is the module-level
 :func:`_worker_main`, and everything a worker needs arrives as picklable
 ``Process`` args — a :class:`WorkerRole` describing what to do and how to
-attach its shared-memory views.  The default start method is ``spawn``
-(safe with the serving runtime's threads; ``fork`` would duplicate lock
-state); ``fork``/``forkserver`` can be opted into where available.
+attach its shared-memory views.  Workers start by ``spawn`` (safe with
+the serving runtime's threads; ``fork`` would duplicate lock state).
 
 Supervision: every request carries a sequence number.  While waiting for
 a reply the parent polls worker liveness; a worker that died (OOM-killed,
@@ -176,7 +175,7 @@ def _worker_main(role: WorkerRole, task_q, result_q) -> None:
     """Worker process body: setup, serve requests, teardown.
 
     Installs a fresh process-default tracer and delta-tracking metrics
-    registry (correct pid/baselines whether spawned or forked); role
+    registry (this process's pid and baselines); role
     ``handle()`` implementations record into them via ``get_tracer()`` /
     ``get_registry()`` and the results ride back on each reply.
     """
@@ -319,8 +318,6 @@ class ShardWorkerPool:
     ----------
     roles:
         One role per worker (e.g. a rank role per entity shard).
-    start_method:
-        ``spawn`` (default, thread-safe), ``fork`` or ``forkserver``.
     start_timeout:
         Seconds allowed for a worker to import + setup.
     respawn:
@@ -342,14 +339,13 @@ class ShardWorkerPool:
     """
 
     def __init__(self, roles: list[WorkerRole],
-                 start_method: str | None = None,
                  start_timeout: float = 60.0, respawn: bool = True,
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None,
                  hedge: HedgePolicy | None = None):
         if not roles:
             raise ValueError("need at least one worker role")
-        self._ctx = mp.get_context(start_method or "spawn")
+        self._ctx = mp.get_context("spawn")
         self._start_timeout = start_timeout
         self._respawn_enabled = respawn
         self._tracer = tracer

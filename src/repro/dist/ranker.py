@@ -141,22 +141,12 @@ class RankWorkerRole(WorkerRole):
         self.index = index
         self.prepared = prepared
 
-    def _attach(self, spec: SharedArraySpec):
-        """``(segment, zero-copy view of this worker's row block)``.
-
-        ``row_offset`` is 0 for a whole-table segment and ``shard.start``
-        for a lazy per-shard slab, so the same slice arithmetic serves
-        both layouts.
-        """
-        segment = spec.attach()
-        return segment, segment.ndarray[self.shard.start - spec.row_offset:
-                                        self.shard.stop - spec.row_offset]
-
     def setup(self):
-        table, points = self._attach(self.spec)
-        companion, prepared = (None, None) if self.prepared is None \
-            else self._attach(self.prepared)
-        return (table, companion), (points, prepared)
+        # a segment is this worker's row block, nothing to slice
+        table = self.spec.attach()
+        companion = None if self.prepared is None else self.prepared.attach()
+        return (table, companion), (
+            table.ndarray, None if companion is None else companion.ndarray)
 
     def handle(self, state, payload):
         _, (points, prepared) = state
@@ -206,15 +196,10 @@ class ShardedRanker:
     stale — so the ranker serialises each round trip on its own lock.
     """
 
-    #: entity count at which lazy per-shard slabs switch on by default
-    LAZY_SLAB_THRESHOLD = 100_000
-
     def __init__(self, model, num_shards: int,
-                 start_method: str | None = None,
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None,
                  hedge: HedgeConfig | None = None,
-                 lazy_slabs: bool | None = None,
                  profile_hz: float = 0.0):
         if num_shards < 2:
             raise ValueError("sharded execution needs >= 2 shards")
@@ -229,9 +214,7 @@ class ShardedRanker:
         #: and on refresh, shipped with every top-k request
         self._filterable = scorer.filterable(points)
         self.tracer = tracer if tracer is not None else get_tracer()
-        if lazy_slabs is None:
-            lazy_slabs = points.shape[0] >= self.LAZY_SLAB_THRESHOLD
-        self.plan = EntityShardPlan(points, num_shards, lazy=lazy_slabs,
+        self.plan = EntityShardPlan(points, num_shards,
                                     prepare=scorer.prepare)
         roles = [RankWorkerRole(
                      *self.plan.shard_spec(i), scorer, index=i,
@@ -243,10 +226,10 @@ class ShardedRanker:
             role.profile_hz = profile_hz
             role.profile_role = f"shard{i}"
         try:
-            self.pool = ShardWorkerPool(roles, start_method=start_method,
-                                        tracer=self.tracer, metrics=metrics)
+            self.pool = ShardWorkerPool(roles, tracer=self.tracer,
+                                        metrics=metrics)
         except BaseException:
-            self.plan.close()  # the segment exists; no caller can reach it
+            self.plan.close()  # the segments exist; no caller can reach them
             raise
         if hedge is not None:
             self.pool.hedge = HedgePolicy(self._hedge_compute, hedge)
@@ -262,11 +245,9 @@ class ShardedRanker:
     # ------------------------------------------------------------------
     @classmethod
     def for_model(cls, model, num_shards: int,
-                  start_method: str | None = None,
                   tracer: Tracer | None = None,
                   metrics: MetricsRegistry | None = None,
                   hedge: HedgeConfig | None = None,
-                  lazy_slabs: bool | None = None,
                   profile_hz: float = 0.0
                   ) -> "ShardedRanker | None":
         """Ranker, or None when sharding is unsupported here.
@@ -280,9 +261,8 @@ class ShardedRanker:
             return None
         if model.sharding_spec() is None:
             return None
-        return cls(model, num_shards, start_method=start_method,
-                   tracer=tracer, metrics=metrics, hedge=hedge,
-                   lazy_slabs=lazy_slabs, profile_hz=profile_hz)
+        return cls(model, num_shards, tracer=tracer, metrics=metrics,
+                   hedge=hedge, profile_hz=profile_hz)
 
     @property
     def num_shards(self) -> int:
@@ -376,7 +356,7 @@ class ShardedRanker:
         self._filterable = self._scorer.filterable(spec[0])
 
     def close(self) -> None:
-        """Stop workers and destroy the shared segment; idempotent."""
+        """Stop workers and destroy the shared segments; idempotent."""
         if self._closed:
             return
         self._closed = True

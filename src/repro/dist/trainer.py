@@ -144,20 +144,19 @@ class ShardedTrainer(Trainer):
     """Trainer whose gradient pass fans out over worker processes.
 
     Parameters are those of :class:`~repro.core.Trainer` plus
-    ``num_workers`` (data-parallel width) and ``start_method``.  The
-    worker pool starts lazily on the first :meth:`step` and stops when
-    :meth:`train` returns (or via :meth:`close` when stepping manually).
+    ``num_workers`` (data-parallel width).  The worker pool starts
+    lazily on the first :meth:`step` and stops when :meth:`train`
+    returns (or via :meth:`close` when stepping manually).
     """
 
     def __init__(self, model, workload, config=None, *,
-                 num_workers: int = 2, start_method: str | None = None,
-                 gamma=None, xi=None, callbacks=None):
+                 num_workers: int = 2, gamma=None, xi=None,
+                 callbacks=None):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         super().__init__(model, workload, config, gamma=gamma, xi=xi,
                          callbacks=callbacks)
         self.num_workers = num_workers
-        self._start_method = start_method
         self._pool: ShardWorkerPool | None = None
         self._params: SharedArray | None = None
         self._grads: SharedArray | None = None
@@ -195,8 +194,7 @@ class ShardedTrainer(Trainer):
                                  self._grads.spec, row, self._layout,
                                  kwargs)
                  for row in range(self.num_workers)]
-        self._pool = ShardWorkerPool(roles,
-                                     start_method=self._start_method)
+        self._pool = ShardWorkerPool(roles)
 
     def close(self) -> None:
         """Stop workers, detach the master from shared storage."""

@@ -19,7 +19,7 @@ __all__ = [
     "exp", "log", "sqrt", "tanh", "sigmoid", "relu", "abs_", "sign",
     "sin", "cos", "arctan2", "maximum", "minimum", "clip",
     "concat", "stack", "softmax", "gather_rows", "mod", "wrap_angle",
-    "l1_norm", "logsumexp", "where", "softplus", "log_sigmoid",
+    "where", "log_sigmoid",
     "angle_features", "mlp", "parameter", "zeros_like", "memo",
 ]
 
@@ -252,16 +252,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return exps / exps.sum(axis=axis, keepdims=True)
 
 
-def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Numerically stable log-sum-exp along ``axis``."""
-    x = as_tensor(x)
-    peak = Tensor(np.max(x.data, axis=axis, keepdims=True))
-    out = log(exp(x - peak).sum(axis=axis, keepdims=True)) + peak
-    if not keepdims:
-        out = out.reshape(np.sum(np.exp(x.data - peak.data), axis=axis).shape)
-    return out
-
-
 def gather_rows(table: Tensor, index) -> Tensor:
     """Embedding lookup: select rows of ``table`` by integer ``index``.
 
@@ -308,18 +298,6 @@ def where(condition: np.ndarray, a, b) -> Tensor:
             b._receive(_match(grad * (~cond), b))
 
     return Tensor._make(data, (a, b), backward)
-
-
-def l1_norm(x: Tensor, axis: int = -1) -> Tensor:
-    """L1 norm along ``axis`` (sum of absolute values)."""
-    return abs_(x).sum(axis=axis)
-
-
-def softplus(x) -> Tensor:
-    """Numerically stable ``log(1 + exp(x))``."""
-    x = as_tensor(x)
-    # softplus(x) = max(x, 0) + log1p(exp(-|x|))
-    return maximum(x, 0.0) + log(exp(-abs_(x)) + 1.0)
 
 
 def log_sigmoid(x) -> Tensor:

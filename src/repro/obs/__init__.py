@@ -31,7 +31,7 @@ from .diag import (DiagConfig, Diagnostics, FlightRecord, FlightRecorder,
 from .export import (JsonlWriter, chrome_trace_events, format_span_tree,
                      span_to_dict, write_chrome_trace)
 from .metrics import (Counter, Gauge, Histogram, HistogramStats,
-                      MetricsDelta, MetricsRegistry, PeriodicReporter,
+                      MetricsDelta, MetricsRegistry,
                       StatsSnapshot, format_snapshot, get_registry,
                       metric_key, parse_metric_key, set_registry,
                       snapshot_from_json, snapshot_to_json)
@@ -42,7 +42,7 @@ from .prof import (Profile, ProfileStore, SamplingProfiler, diff_plan_ops,
                    window_profiles)
 from .profiler import ModuleStat, ModuleTimer
 from .telemetry import (CallbackList, ConsoleLogger, EpochStats,
-                        JsonlTelemetry, MetricsCallback, TrainerCallback)
+                        JsonlTelemetry, TrainerCallback)
 from .trace import (Span, SpanStats, Tracer, disable, enable, enabled,
                     get_tracer, is_enabled, set_tracer)
 
@@ -52,11 +52,11 @@ __all__ = [
     "get_tracer", "set_tracer",
     "ModuleTimer", "ModuleStat",
     "TrainerCallback", "CallbackList", "ConsoleLogger", "JsonlTelemetry",
-    "MetricsCallback", "EpochStats",
+    "EpochStats",
     "JsonlWriter", "chrome_trace_events", "write_chrome_trace",
     "span_to_dict", "format_span_tree",
     "Counter", "Gauge", "Histogram", "HistogramStats", "MetricsDelta",
-    "MetricsRegistry", "PeriodicReporter", "StatsSnapshot",
+    "MetricsRegistry", "StatsSnapshot",
     "format_snapshot", "metric_key", "parse_metric_key",
     "snapshot_to_json", "snapshot_from_json",
     "get_registry", "set_registry",

@@ -111,7 +111,7 @@ class FlightRecord:
     #: queue_full | doomed | deadline | unknown_tenant | shutdown
     admission: str = ""
     priority: str = ""
-    #: which path answered: model | answer_cache | exact | lsh | shed | error
+    #: which path answered: model | answer_cache | exact | shed | error
     source: str = ""
     #: shed/error reason; empty on success
     error: str = ""

@@ -39,7 +39,7 @@ from .trace import SpanStats
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "HistogramStats", "StatsSnapshot",
-    "MetricsRegistry", "MetricsDelta", "PeriodicReporter",
+    "MetricsRegistry", "MetricsDelta",
     "format_snapshot", "metric_key", "parse_metric_key",
     "snapshot_to_json", "snapshot_from_json",
     "get_registry", "set_registry",
@@ -438,42 +438,6 @@ class MetricsRegistry:
             histogram = self.histogram(name, **labels)
             for sample in samples:
                 histogram.observe(sample)
-
-
-class PeriodicReporter:
-    """Background thread that emits registry snapshots on an interval.
-
-    A callback that raises does not kill the thread: the exception is
-    swallowed, counted in the registry's ``reporter_errors`` counter,
-    and reporting continues on the next tick.
-    """
-
-    def __init__(self, registry: MetricsRegistry, callback,
-                 interval: float = 10.0):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self._registry = registry
-        self._callback = callback
-        self._interval = interval
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="serve-metrics-reporter")
-
-    def start(self) -> "PeriodicReporter":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread.is_alive():
-            self._thread.join()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval):
-            try:
-                self._callback(self._registry.snapshot())
-            except Exception:
-                self._registry.counter("reporter_errors").inc()
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,7 @@ throughput, and per-operator-network forward time (measured with
 
 * :class:`ConsoleLogger` — the classic ``epoch k/N loss x`` line;
 * :class:`JsonlTelemetry` — JSON-Lines event stream
-  (``cli train --telemetry out.jsonl``);
-* :class:`MetricsCallback` — folds epoch stats into a serve-style
-  :class:`~repro.serve.metrics.MetricsRegistry`.
+  (``cli train --telemetry out.jsonl``).
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from .export import JsonlWriter
 
 __all__ = [
     "EpochStats", "TrainerCallback", "CallbackList", "ConsoleLogger",
-    "JsonlTelemetry", "MetricsCallback",
+    "JsonlTelemetry",
 ]
 
 
@@ -149,20 +147,3 @@ class JsonlTelemetry(TrainerCallback):
     def close(self) -> None:
         self._writer.close()
 
-
-class MetricsCallback(TrainerCallback):
-    """Mirrors epoch stats into a :class:`MetricsRegistry` so training
-    and serving share one snapshot/reporting surface."""
-
-    def __init__(self, registry):
-        self.registry = registry
-
-    def on_epoch_end(self, trainer, stats: EpochStats) -> None:
-        self.registry.counter("train_epochs").inc()
-        self.registry.counter("train_steps").inc(stats.steps)
-        self.registry.counter("train_samples").inc(stats.samples)
-        self.registry.gauge("train_loss").set(stats.loss)
-        self.registry.gauge("train_grad_norm").set(stats.grad_norm)
-        self.registry.gauge("train_samples_per_sec").set(
-            stats.samples_per_sec)
-        self.registry.histogram("train_epoch_seconds").observe(stats.seconds)

@@ -17,7 +17,7 @@ from .canonical import batch_key, cache_key, canonicalize, serialize
 from .client import ServeClient
 from .http import TelemetryHTTPServer, render_prometheus
 from .metrics import (Counter, Gauge, Histogram, HistogramStats,
-                      MetricsDelta, MetricsRegistry, PeriodicReporter,
+                      MetricsDelta, MetricsRegistry,
                       StatsSnapshot, format_snapshot, metric_key,
                       parse_metric_key, snapshot_from_json,
                       snapshot_to_json)
@@ -30,7 +30,7 @@ __all__ = [
     "LruCache", "TtlCache",
     "canonicalize", "serialize", "cache_key", "batch_key",
     "Counter", "Gauge", "Histogram", "HistogramStats", "MetricsDelta",
-    "MetricsRegistry", "PeriodicReporter", "StatsSnapshot",
+    "MetricsRegistry", "StatsSnapshot",
     "format_snapshot", "metric_key", "parse_metric_key",
     "snapshot_from_json", "snapshot_to_json",
     "TelemetryHTTPServer", "render_prometheus",

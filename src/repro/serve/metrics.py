@@ -7,14 +7,14 @@ used to be importable from here still is.
 """
 
 from ..obs.metrics import (Counter, Gauge, Histogram, HistogramStats,
-                           MetricsDelta, MetricsRegistry, PeriodicReporter,
+                           MetricsDelta, MetricsRegistry,
                            StatsSnapshot, format_snapshot, metric_key,
                            parse_metric_key, snapshot_from_json,
                            snapshot_to_json)
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "HistogramStats", "StatsSnapshot",
-    "MetricsRegistry", "MetricsDelta", "PeriodicReporter",
+    "MetricsRegistry", "MetricsDelta",
     "format_snapshot", "metric_key", "parse_metric_key",
     "snapshot_to_json", "snapshot_from_json",
 ]

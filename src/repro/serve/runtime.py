@@ -14,9 +14,8 @@ benchmarks) sits on.  A request travels::
         │                        stages) → one rank group per branch count
         ├─ every rank group    → one filter-and-refine top-k (in-process
         │                        over the table, or one sharded gather)
-        └─ on failure/deadline → bounded retries, then graceful
-           degradation: exact symbolic executor (``queries.executor``)
-           or the approximate ``ann.LshIndex`` path
+        └─ on failure/deadline → bounded retries, then the one fallback
+           rung: the exact symbolic executor (``queries.executor``)
 
 Every stage feeds the metrics registry (counters, latency histograms,
 queue-depth gauge), exposed via :meth:`ServeRuntime.stats`.
@@ -27,8 +26,8 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -75,15 +74,10 @@ class ServeConfig:
     #: worker processes; falls back to in-process when the platform
     #: has no working shared memory — ``health()`` says so)
     num_shards: int = 0
-    #: publish lazy per-shard embedding slabs instead of one whole-table
-    #: segment (None = auto: on at ShardedRanker.LAZY_SLAB_THRESHOLD
-    #: entities, where worker-side mapping cost starts to matter)
-    lazy_shard_slabs: bool | None = None
     #: hedge straggling shard requests: duplicate a reply overdue past
-    #: ``hedge_delay_factor`` × the p95 reply latency in the parent,
-    #: first reply wins (bitwise-identical results either way)
+    #: ``HedgeConfig.delay_factor`` × the p95 reply latency in the
+    #: parent, first reply wins (bitwise-identical results either way)
     hedge_shards: bool = False
-    hedge_delay_factor: float = 1.5
     #: mount the telemetry HTTP server (``/metrics`` ``/healthz``
     #: ``/statusz``) on this port; None = no HTTP, 0 = ephemeral port
     #: (the bound port is ``runtime.http_server.port``)
@@ -101,9 +95,8 @@ class ServeConfig:
     #: exists for the overhead benchmark, not for production
     profiling: bool = True
     #: target sampling rate; the sampler down-samples itself whenever a
-    #: pass costs more than ``prof_overhead_budget`` of the interval
+    #: pass costs more than its overhead budget (2% of the interval)
     prof_hz: float = 67.0
-    prof_overhead_budget: float = 0.02
 
 
 @dataclass(frozen=True)
@@ -111,7 +104,7 @@ class ServeResult:
     """Answer of one served query."""
 
     entity_ids: list[int]
-    #: which path produced it: model | answer_cache | exact | lsh
+    #: which path produced it: model | answer_cache | exact
     source: str
     #: submit-to-resolve latency in seconds
     latency: float = 0.0
@@ -172,7 +165,6 @@ class _RWLock:
 class _Pending(ServeRequest):
     """ServeRequest plus the runtime bookkeeping fields."""
 
-    retries_left: int = 0
     #: ``batch_key`` of the canonical query (the plan-template key)
     structure: str = ""
     submitted_at: float = 0.0
@@ -195,11 +187,9 @@ class ServeRuntime:
         (the baselines, the Table V ablations) is train/evaluate-only:
         the constructor raises ``TypeError`` before anything starts.
     kg:
-        Optional observed graph enabling the exact symbolic fallback.
-    index:
-        Optional :class:`repro.ann.LshIndex` over the model's entity
-        points enabling the approximate fallback (used on deadline
-        overruns, where skipping the full ranking is the point).
+        Optional observed graph enabling the exact symbolic fallback
+        (deadline overruns and failures past the retries); without it
+        those requests raise :class:`ServeError`.
     config, clock:
         Runtime knobs and an injectable monotonic clock (tests).
     tracer:
@@ -211,12 +201,11 @@ class ServeRuntime:
     """
 
     def __init__(self, model: QueryModel, kg: KnowledgeGraph | None = None,
-                 index=None, config: ServeConfig | None = None,
+                 config: ServeConfig | None = None,
                  clock: Callable[[], float] = time.monotonic,
                  tracer: Tracer | None = None):
         self.model = model
         self.kg = kg
-        self.index = index
         self.config = config or ServeConfig()
         self._clock = clock
         self.tracer = tracer if tracer is not None else get_tracer()
@@ -283,19 +272,15 @@ class ServeRuntime:
             from ..obs.prof import SamplingProfiler
             self.prof = SamplingProfiler(
                 hz=self.config.prof_hz, role="serve",
-                overhead_budget=self.config.prof_overhead_budget,
                 registry=self.metrics).start()
         if sharded:
             from ..dist import HedgeConfig, ShardedRanker
-            hedge = HedgeConfig(
-                delay_factor=self.config.hedge_delay_factor) \
-                if self.config.hedge_shards else None
+            hedge = HedgeConfig() if self.config.hedge_shards else None
             # the runtime's registry doubles as the pool's merge target,
             # so per-shard worker metrics surface in stats()/ /metrics
             self._ranker = ShardedRanker(
                 self.model, self.config.num_shards, tracer=self.tracer,
                 metrics=self.metrics, hedge=hedge,
-                lazy_slabs=self.config.lazy_shard_slabs,
                 profile_hz=self.config.prof_hz
                 if self.config.profiling else 0.0)
         self.metrics.gauge("shards").set(
@@ -405,8 +390,8 @@ class ServeRuntime:
         request = _Pending(
             query=canonical, top_k=top_k, cache_key=key,
             deadline=None if deadline is None else now + deadline,
-            retries_left=self.config.max_retries, structure=structure,
-            submitted_at=now, queued_at=time.perf_counter(), ctx=ctx)
+            structure=structure, submitted_at=now,
+            queued_at=time.perf_counter(), ctx=ctx)
         pending.append(request)
         return request.future
 
@@ -699,7 +684,7 @@ class ServeRuntime:
                 live.append(request)
         if not live:
             return
-        attempts = 1 + max(r.retries_left for r in live)
+        attempts = 1 + self.config.max_retries
         for attempt in range(attempts):
             try:
                 self._model_lock.acquire_read()
@@ -833,58 +818,33 @@ class ServeRuntime:
     # graceful degradation
     # ------------------------------------------------------------------
     def _fallback(self, request: _Pending, reason: str) -> None:
-        # Deadline overruns prefer the cheap approximate path (the whole
-        # point is skipping the full ranking); model failures cannot use
-        # it (it probes the model) and go symbolic directly.
-        paths = (self._lsh_answer, self._exact_answer) \
-            if reason == "deadline" else (self._exact_answer,)
+        """The one rung below the model path (deadline overrun at
+        dequeue, or failure after the retries): the exact symbolic
+        answer when a ``kg`` was given, else an error."""
         request.ctx.note(fallback=reason)
-        for path in paths:
-            started = time.perf_counter()
-            try:
-                result = path(request)
-            except Exception:
-                result = None
-            if result is not None:
-                request.ctx.stage("serve.fallback", started,
-                                  time.perf_counter(), reason=reason,
-                                  path=result[1])
-                self._resolve(request, result[0], source=result[1])
-                return
+        started = time.perf_counter()
+        try:
+            ids = self._exact_answer(request)
+        except Exception:
+            ids = None
+        if ids is not None:
+            request.ctx.stage("serve.fallback", started,
+                              time.perf_counter(), reason=reason,
+                              path="exact")
+            self._resolve(request, ids, source="exact")
+            return
         self.metrics.counter("errors").inc()
         self._leave(request.ctx, self._clock() - request.submitted_at,
                     "error", error=reason)
         request.future.set_exception(ServeError(
             f"request failed ({reason}) and no fallback path succeeded"))
 
-    def _exact_answer(self, request: _Pending):
+    def _exact_answer(self, request: _Pending) -> list[int] | None:
         if self.kg is None:
             return None
         answers = sorted(execute(request.query, self.kg))
         self.metrics.counter("fallback_exact").inc()
-        return answers[:request.top_k], "exact"
-
-    def _lsh_answer(self, request: _Pending):
-        if self.index is None:
-            return None
-        self._model_lock.acquire_read()
-        try:
-            _, (group,), _ = self._embed([request])
-            points = self.model.query_points(group.embedding)
-        finally:
-            self._model_lock.release_read()
-        if points is None:
-            return None
-        ids: list[int] = []
-        seen: set[int] = set()
-        for branch in points:
-            for entity in self.index.query(branch[0],
-                                           top_k=request.top_k):
-                if entity not in seen:
-                    seen.add(entity)
-                    ids.append(entity)
-        self.metrics.counter("fallback_lsh").inc()
-        return ids[:request.top_k], "lsh"
+        return answers[:request.top_k]
 
     # ------------------------------------------------------------------
     def _resolve(self, request: _Pending, ids: list[int],

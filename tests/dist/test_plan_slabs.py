@@ -1,7 +1,7 @@
-"""Lazy per-shard slabs, chunked fills, and the oversubscription clamp.
+"""Per-shard slabs, chunked fills, and the oversubscription clamp.
 
-The lazy layout must be indistinguishable from the whole-table layout
-through every consumer-visible surface: ``shard_spec`` attach + slice,
+Every shard's segment must hold exactly its rows of the source table
+through every consumer-visible surface: ``shard_spec`` attach,
 ``rows()``, write-through ``update``, and the live ``ShardedRanker``
 (bitwise-equal rankings).  The clamp must turn the former
 ``partition_rows`` crash into a working (smaller) plan whose effective
@@ -19,6 +19,7 @@ from repro.core import HalkModel
 from repro.core.topk import topk_rows
 from repro.dist import ArcShardScorer, EntityShardPlan, LocalRanker, \
     SharedArray, ShardedRanker
+from repro.dist.plan import partition_rows
 
 from .conftest import requires_shm, shm_segments
 
@@ -63,34 +64,31 @@ def test_fill_accepts_memmap_sources(tmp_path):
     with SharedArray.create_empty(source.shape, source.dtype) as shared:
         shared.fill(mapped, chunk_rows=50)
         assert np.array_equal(shared.ndarray, source)
-    with EntityShardPlan(np.load(path, mmap_mode="r"), 3,
-                         lazy=True) as plan:
+    with EntityShardPlan(np.load(path, mmap_mode="r"), 3) as plan:
         for rng in plan.ranges:
             assert np.array_equal(plan.rows(rng),
                                   source[rng.start:rng.stop])
 
 
 # ----------------------------------------------------------------------
-# EntityShardPlan: lazy slabs == whole-table plan
+# EntityShardPlan: per-shard slabs == the source table's row blocks
 # ----------------------------------------------------------------------
 
 @requires_shm
 @pytest.mark.parametrize("num_shards", [2, 3, 5])
 def test_lazy_plan_matches_table_plan(num_shards):
     points = np.random.default_rng(2).uniform(size=(101, 4))
-    with EntityShardPlan(points, num_shards) as table, \
-            EntityShardPlan(points, num_shards, lazy=True) as lazy:
-        assert table.ranges == lazy.ranges
-        for rng in table.ranges:
-            assert np.array_equal(table.rows(rng), lazy.rows(rng))
-            spec, shard = lazy.shard_spec(rng.index)
-            assert spec.row_offset == shard.start
+    with EntityShardPlan(points, num_shards) as plan:
+        assert plan.ranges == partition_rows(101, num_shards)
+        for rng in plan.ranges:
+            assert np.array_equal(plan.rows(rng),
+                                  points[rng.start:rng.stop])
+            spec, shard = plan.shard_spec(rng.index)
+            assert shard == rng
             assert spec.shape == (len(shard), 4)
-            attached = spec.attach()
+            attached = spec.attach()  # what a worker maps: its rows only
             try:
-                view = attached.ndarray[shard.start - spec.row_offset:
-                                        shard.stop - spec.row_offset]
-                assert np.array_equal(view,
+                assert np.array_equal(attached.ndarray,
                                       points[shard.start:shard.stop])
             finally:
                 attached.close()
@@ -99,7 +97,7 @@ def test_lazy_plan_matches_table_plan(num_shards):
 @requires_shm
 def test_lazy_plan_write_through_update():
     points = np.random.default_rng(3).uniform(size=(64, 3))
-    with EntityShardPlan(points, 4, lazy=True, chunk_rows=7) as plan:
+    with EntityShardPlan(points, 4, chunk_rows=7) as plan:
         attached = [plan.shard_spec(i)[0].attach() for i in range(4)]
         try:
             plan.update(points + 1.0)
@@ -124,7 +122,7 @@ def test_plan_clamps_shards_to_entity_count():
 
 
 # ----------------------------------------------------------------------
-# ShardedRanker over both layouts + the clamped tiny-graph path
+# ShardedRanker over the slabs + the clamped tiny-graph path
 # ----------------------------------------------------------------------
 
 def _reference(model, queries, k):
@@ -137,21 +135,13 @@ def _reference(model, queries, k):
 @requires_shm
 def test_lazy_ranker_bitwise_equal(model, queries):
     embedding, ids, vals = _reference(model, queries, 10)
-    with ShardedRanker.for_model(model, 3, lazy_slabs=True) as ranker:
-        assert ranker.plan.lazy
+    with ShardedRanker.for_model(model, 3) as ranker:
         got_ids, got_vals = ranker.topk(embedding, 10)
         assert np.array_equal(got_ids, ids)
         assert np.array_equal(got_vals, vals)
-        ranker.refresh()  # lazy write-through refresh keeps parity
+        ranker.refresh()  # write-through refresh keeps parity
         got_ids, got_vals = ranker.topk(embedding, 10)
         assert np.array_equal(got_ids, ids)
-
-
-@requires_shm
-def test_auto_lazy_threshold(model):
-    """Small models stay on the whole-table layout by default."""
-    with ShardedRanker.for_model(model, 2) as ranker:
-        assert not ranker.plan.lazy
 
 
 @requires_shm
@@ -216,12 +206,11 @@ def test_serve_runtime_surfaces_clamped_shard_gauge():
 # ----------------------------------------------------------------------
 
 @requires_shm
-@pytest.mark.parametrize("lazy", [False, True])
-def test_companion_is_published_and_written_through(lazy):
+def test_companion_is_published_and_written_through():
     scorer = ArcShardScorer(eta=0.02, radius=1.0)
     rng = np.random.default_rng(7)
     points = rng.uniform(0.0, 6.0, (101, 4))
-    with EntityShardPlan(points, 3, lazy=lazy, chunk_rows=7,
+    with EntityShardPlan(points, 3, chunk_rows=7,
                          prepare=scorer.prepare) as plan:
         for table in (points, rng.uniform(0.0, 6.0, (101, 4))):
             plan.update(table)
@@ -235,33 +224,29 @@ def test_companion_is_published_and_written_through(lazy):
                 # what a worker maps: same rows through the spec
                 spec, same = plan.shard_spec(shard.index, prepared=True)
                 assert same == shard
-                assert spec.row_offset == (shard.start if lazy else 0)
                 attached = spec.attach()
                 try:
-                    view = attached.ndarray[shard.start - spec.row_offset:
-                                            shard.stop - spec.row_offset]
-                    assert np.array_equal(view, expect)
+                    assert np.array_equal(attached.ndarray, expect)
                 finally:
                     attached.close()
     # no scorer table asked for: no companion, one view of each shard
-    with EntityShardPlan(points, 3, lazy=lazy) as plain:
+    with EntityShardPlan(points, 3) as plain:
         assert plain.rows(plain.ranges[0], prepared=True) is None
         assert plain.shard_spec(0, prepared=True) == (None, plain.ranges[0])
         assert plain.memory_inventory()["prepared_bytes"] == 0
 
 
 @requires_shm
-@pytest.mark.parametrize("lazy", [False, True])
-def test_inventory_is_what_dev_shm_holds_and_close_unlinks_it(lazy):
+def test_inventory_is_what_dev_shm_holds_and_close_unlinks_it():
     if not os.path.isdir("/dev/shm"):
         pytest.skip("no /dev/shm to inspect")
     scorer = ArcShardScorer(eta=0.02, radius=1.0)
     points = np.random.default_rng(8).uniform(0.0, 6.0, (101, 4))
     before = shm_segments()
-    plan = EntityShardPlan(points, 3, lazy=lazy, prepare=scorer.prepare)
+    plan = EntityShardPlan(points, 3, prepare=scorer.prepare)
     try:
         created = shm_segments() - before
-        assert len(created) == (6 if lazy else 2)
+        assert len(created) == 6  # a (slab, companion) pair per shard
         on_disk = sum(os.stat(f"/dev/shm/{name}").st_size
                       for name in created)
         inventory = plan.memory_inventory()
@@ -289,7 +274,7 @@ def test_a_plan_that_fails_half_built_unlinks_what_it_created():
 
     before = shm_segments()
     with pytest.raises(MemoryError):
-        EntityShardPlan(np.zeros((64, 3)), 4, lazy=True, prepare=prepare)
+        EntityShardPlan(np.zeros((64, 3)), 4, prepare=prepare)
     assert shm_segments() <= before
 
 
@@ -306,15 +291,14 @@ def _reweighted(kg, seed):
 
 
 @requires_shm
-@pytest.mark.parametrize("lazy", [False, True])
 def test_refresh_with_new_weights_reaches_the_filter_and_the_hedge(
-        kg, queries, lazy):
+        kg, queries):
     """After ``refresh`` the filter must read the *new* half-angles: a
     stale companion would pick its candidates from the old table and
     the refine could only rank those.  The hedge reads the parent's
     views of the same two segments, so its reply is the worker's."""
     model, table = _reweighted(kg, seed=21)
-    with ShardedRanker(model, 3, lazy_slabs=lazy) as ranker:
+    with ShardedRanker(model, 3) as ranker:
         before, _ = ranker.topk(model.embed_batch(queries), 10)
         model.entity_points.weight.data[...] = table
         ranker.refresh()

@@ -187,7 +187,7 @@ class TestTeardown:
     def test_close_leaves_no_workers_or_segments(self, model):
         ranker = ShardedRanker.for_model(model, 2)
         assert ranker is not None
-        shm_name = ranker.plan.table.spec.name
+        shm_name = ranker.plan.shard_spec(0)[0].name
         companion = ranker.plan.shard_spec(0, prepared=True)[0].name
         pids = ranker.pool.pids()
         ranker.close()

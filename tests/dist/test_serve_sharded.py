@@ -156,8 +156,7 @@ def test_late_failure_tears_down_what_started(model, kg, shards):
         taken.close()
 
 
-@pytest.mark.parametrize("lazy", [False, True])
-def test_reload_republishes_the_filter_table(kg, queries, tmp_path, lazy):
+def test_reload_republishes_the_filter_table(kg, queries, tmp_path):
     """A hot reload writes the new weights through the slab *and* its
     prepared companion: served answers are the new model's, which a
     filter still reading the old half-angles could not produce."""
@@ -170,10 +169,8 @@ def test_reload_republishes_the_filter_table(kg, queries, tmp_path, lazy):
     served, donor = variant(31), variant(32)
     path = tmp_path / "donor.npz"
     save_checkpoint(path, {"model": donor.state_dict()})
-    config = ServeConfig(num_shards=2, lazy_shard_slabs=lazy,
-                         answer_ttl=1e-9)
+    config = ServeConfig(num_shards=2, answer_ttl=1e-9)
     with ServeRuntime(served, kg=kg, config=config) as runtime:
-        assert runtime._ranker.plan.lazy == lazy
         old = [r.entity_ids for r in
                runtime.answer_batch(queries, top_k=8, timeout=30.0)]
         runtime.reload(path)

@@ -148,15 +148,6 @@ class TestStructural:
         check_gradient(lambda t: F.softmax(t, axis=-1) * Tensor(w),
                        rng.normal(size=(3, 4)))
 
-    def test_logsumexp_matches_naive(self):
-        x = np.random.default_rng(3).normal(size=(5, 7))
-        out = F.logsumexp(Tensor(x), axis=1)
-        np.testing.assert_allclose(out.data, np.log(np.exp(x).sum(axis=1)))
-
-    def test_l1_norm(self):
-        out = F.l1_norm(Tensor([[-1.0, 2.0], [3.0, -4.0]]), axis=1)
-        np.testing.assert_allclose(out.data, [3.0, 7.0])
-
 
 class TestGatherRows:
     def test_gather_forward(self):

@@ -14,8 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.obs.metrics import (MetricsDelta, MetricsRegistry,
-                               PeriodicReporter, format_snapshot,
-                               metric_key, parse_metric_key,
+                               format_snapshot, metric_key, parse_metric_key,
                                snapshot_from_json, snapshot_to_json)
 
 pytestmark = pytest.mark.obs
@@ -230,26 +229,3 @@ class TestFormatGolden:
             "max=   4.000"
         )
         assert format_snapshot(registry.snapshot()) == golden
-
-
-class TestPeriodicReporterResilience:
-    def test_raising_callback_keeps_thread_alive(self):
-        registry = MetricsRegistry()
-        second_tick = threading.Event()
-        calls = []
-
-        def flaky(snapshot):
-            calls.append(snapshot)
-            if len(calls) == 1:
-                raise RuntimeError("boom")
-            second_tick.set()
-
-        reporter = PeriodicReporter(registry, flaky, interval=0.02)
-        reporter.start()
-        try:
-            assert second_tick.wait(timeout=5.0), \
-                "reporter thread died after the first callback raised"
-        finally:
-            reporter.stop()
-        assert len(calls) >= 2
-        assert registry.counter("reporter_errors").value == 1

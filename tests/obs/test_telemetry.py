@@ -10,9 +10,8 @@ from repro.config import ModelConfig, TrainConfig
 from repro.core import HalkModel, Trainer
 from repro.kg import KnowledgeGraph
 from repro.obs import (ConsoleLogger, EpochStats, JsonlTelemetry,
-                       MetricsCallback, TrainerCallback)
+                       TrainerCallback)
 from repro.queries import Entity, GroundedQuery, Projection, QueryWorkload
-from repro.serve.metrics import MetricsRegistry
 
 pytestmark = pytest.mark.obs
 
@@ -150,15 +149,3 @@ class TestJsonlTelemetry:
         trainer.callbacks.close()
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 3
-
-
-class TestMetricsCallback:
-    def test_folds_into_registry(self, model, workload):
-        registry = MetricsRegistry()
-        Trainer(model, workload, _config(2),
-                callbacks=[MetricsCallback(registry)]).train()
-        assert registry.counter("train_epochs").value == 2
-        assert registry.counter("train_samples").value == 2 * len(
-            workload["1p"])
-        assert registry.gauge("train_loss").value is not None
-        assert registry.histogram("train_epoch_seconds").stats().count == 2

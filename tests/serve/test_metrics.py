@@ -1,11 +1,8 @@
-"""Counters, gauges, histograms, snapshots, periodic reporting."""
-
-import threading
+"""Counters, gauges, histograms, snapshots."""
 
 import pytest
 
-from repro.serve import (Histogram, MetricsRegistry, PeriodicReporter,
-                         format_snapshot)
+from repro.serve import Histogram, MetricsRegistry, format_snapshot
 
 
 class TestPrimitives:
@@ -65,30 +62,6 @@ class TestSnapshot:
         for needle in ("p50", "p95", "p99", "answer_cache_hit_rate",
                        "queue_depth", "latency_ms"):
             assert needle in text
-
-
-class TestPeriodicReporter:
-    def test_emits_snapshots(self):
-        registry = MetricsRegistry()
-        registry.counter("requests").inc(7)
-        seen = threading.Event()
-        snapshots = []
-
-        def collect(snapshot):
-            snapshots.append(snapshot)
-            seen.set()
-
-        reporter = PeriodicReporter(registry, collect, interval=0.02)
-        reporter.start()
-        try:
-            assert seen.wait(timeout=5.0)
-        finally:
-            reporter.stop()
-        assert snapshots[0].counters["requests"] == 7
-
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            PeriodicReporter(MetricsRegistry(), lambda s: None, interval=0)
 
 
 class TestReset:

@@ -180,23 +180,23 @@ class TestDegradation:
             result = runtime.answer(Projection(0, Entity(6)), top_k=4,
                                     deadline=0.0)
             stats = runtime.stats()
-        assert result.source in ("exact", "lsh")
+        assert result.source == "exact"
         assert stats.counters["deadline_overruns"] == 1
+        assert stats.counters["fallback_exact"] == 1
 
-    def test_deadline_prefers_lsh_when_index_present(self, tiny_kg, model):
-        import numpy as np
-        from repro.ann import LshIndex
-        points = np.mod(model.entity_points.weight.data, 2 * np.pi)
-        index = LshIndex(points, num_tables=8, bits_per_table=4, seed=1)
-        runtime = ServeRuntime(model, kg=tiny_kg, index=index,
-                               config=ServeConfig(max_batch_size=4))
-        try:
-            result = runtime.answer(Projection(0, Entity(7)), top_k=4,
-                                    deadline=0.0)
-        finally:
-            runtime.close()
-        assert result.source == "lsh"
-        assert len(result) == 4
+    def test_expired_deadline_without_a_kg_is_an_error(self, model):
+        with make_runtime(model, kg=None) as runtime:
+            with pytest.raises(ServeError):
+                runtime.answer(Projection(0, Entity(6)), top_k=4,
+                               deadline=0.0)
+            stats = runtime.stats()
+        assert stats.counters["deadline_overruns"] == 1
+        assert stats.counters["errors"] == 1
+
+    def test_there_is_no_index_to_pass(self, tiny_kg, model):
+        """The LSH deadline rung is gone, and its parameter with it."""
+        with pytest.raises(TypeError):
+            ServeRuntime(model, kg=tiny_kg, index=object())
 
 
 class TestDoneCallbacks:

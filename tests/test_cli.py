@@ -167,6 +167,11 @@ class TestServeCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--plan"])
 
+    def test_serve_lazy_slabs_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "--lazy-slabs"])
+        assert exit_info.value.code == 2
+
     def test_serve_refuses_baseline_in_one_line(self, tmp_path):
         common = ["--dataset", "FB237", "--method", "ConE", "--dim", "8",
                   "--scale", "0.3", "--model-dir", str(tmp_path)]

@@ -84,5 +84,5 @@ class TestOptionBudget:
         this test as well — reviewed, not incidental."""
         from repro.obs.diag import DiagConfig
         from repro.serve import ServeConfig
-        assert len(dataclasses.fields(ServeConfig)) <= 19
+        assert len(dataclasses.fields(ServeConfig)) <= 16
         assert len(dataclasses.fields(DiagConfig)) <= 5

@@ -11,7 +11,7 @@ import pytest
 
 from repro.ann import BruteForceIndex, LshIndex
 from repro.baselines import (ConEModel, MLPMixModel, NewLookModel,
-                             UnsupportedOperatorError)
+                             supported_workload)
 from repro.config import ModelConfig, TrainConfig
 from repro.core import (HalkModel, Trainer, answer_set_from_ranking, evaluate,
                         set_accuracy)
@@ -42,17 +42,6 @@ def trained_halk(splits, bundle):
                         learning_rate=2e-3,
                         embedding_learning_rate=2e-2)).train()
     return model
-
-
-def supported_workload(model, workload):
-    out = QueryWorkload()
-    for query in workload:
-        try:
-            model.embed_batch([query.query])
-            out.add(query)
-        except UnsupportedOperatorError:
-            continue
-    return out
 
 
 class TestTrainingPipeline:

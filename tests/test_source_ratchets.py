@@ -89,3 +89,15 @@ def test_requests_wait_for_a_worker_never_for_a_clock():
     assert hits(r"flush_timeout|ThreadPoolExecutor|serve-batcher",
                 "serve") == []
     assert hits(r"flush_timeout", "") == []
+
+
+def test_one_fallback_rung_one_slab_layout_one_start_method():
+    """A shard's segment is its row block and workers start by spawn:
+    no layout switch, row offset or start-method plumbing; and serving
+    has no LSH rung (``repro.ann`` stays the paper's retrieval path,
+    reached through ``SparqlEngine.answer``, not the runtime or the
+    CLI)."""
+    assert hits(r"lazy_slabs|lazy=|\.lazy\b|LAZY_SLAB|row_offset"
+                r"|start_method", "") == []
+    assert hits(r"_lsh_answer|fallback_lsh|LshIndex", "serve",
+                "cli.py") == []
