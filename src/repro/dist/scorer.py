@@ -33,7 +33,10 @@ per 50k-row block; lemma and ε derivation in DESIGN.md §7).  The filter
 reads float32 only: the table's half-angles are rounded once by
 :meth:`ShardScorer.prepare` — by whoever owns the table, who passes the
 result to every ``topk(..., prepared=)`` — and a request walks it in
-contiguous cache-sized strips, summing each row with one ``sgemv``.  The
+contiguous cache-sized strips.  All three chords of a cell are
+functions of one angle (the point's half-angle minus the arc centre's),
+so a cell costs one float32 ``sin`` and one ``cos``; each row's outside
+and inside parts are summed with one ``sgemv`` apiece.  The
 float64 table stays what ``score``, the refine and ``mode="all"`` read.
 The refine is
 one batched pass: every query's surviving rows are gathered into a
@@ -63,7 +66,7 @@ __all__ = ["ShardScorer", "ArcShardScorer"]
 ArcPayload = "list[tuple[np.ndarray, np.ndarray]]"
 
 #: float32 cells per filter scratch buffer (256 KiB): a strip's working
-#: set — the table strip, two buffers and a branch's four references —
+#: set — the table strip, three buffers and a branch's three references —
 #: stays inside a core's L2, and each row-sum ``sgemv`` stays below the
 #: size at which OpenBLAS wakes helper threads (DESIGN.md §7)
 STRIP_CELLS = 1 << 16
@@ -138,7 +141,7 @@ class ArcShardScorer(ShardScorer):
     #: ... and arc endpoints within ±this before their reduction mod 2π
     ENDPOINT_LIMIT = 2.0 ** 20
     #: error budget of one dimension's float32 ``outside + η·inside``
-    #: term, per unit of ``1 + |η|`` (DESIGN.md §7 derives < 2^-19.6)
+    #: term, per unit of ``1 + |η|`` (DESIGN.md §7 derives < 2^-18.6)
     FILTER_TERM_ERROR = 2.0 ** -18
 
     def __init__(self, eta: float, radius: float, block: int = 2048):
@@ -211,8 +214,11 @@ class ArcShardScorer(ShardScorer):
         if 0 < k < n and (self.filterable(points) if filterable is None
                           else filterable):
             keep = self._candidates(points, payload, k, prepared)
+            counts = keep.sum(axis=-1)  # the one pass over the mask
+            if (counts < k).any():
+                keep = None
         if stats is not None:
-            pairs = len(payload[0][0]) * n if keep is None else keep.sum()
+            pairs = len(payload[0][0]) * n if keep is None else counts.sum()
             stats["refine_rows"] = stats.get("refine_rows", 0) + int(pairs)
             if keep is None and 0 < k < n:
                 stats["fallbacks"] = stats.get("fallbacks", 0) + 1
@@ -226,7 +232,6 @@ class ArcShardScorer(ShardScorer):
         # (narrower queries) point at row 0 and are overwritten with
         # +inf; in-domain distances are finite and every query keeps at
         # least k real candidates, so a pad never makes a top-k.
-        counts = keep.sum(axis=-1)
         real = np.arange(int(counts.max())) < counts[:, None]  # (B, c)
         rows = np.zeros(real.shape, dtype=np.int64)
         rows[real] = np.nonzero(keep)[1]
@@ -237,30 +242,40 @@ class ArcShardScorer(ShardScorer):
                 np.take_along_axis(distances, local, axis=-1))
 
     def _candidates(self, points: np.ndarray, payload, k: int,
-                    prepared: np.ndarray | None = None
-                    ) -> np.ndarray | None:
-        """``(B, n)`` mask holding every query's exact top-k, or None.
+                    prepared: np.ndarray | None = None) -> np.ndarray:
+        """``(B, n)`` mask holding every query's exact top-k.
 
         With ``|approx − exact| ≤ ε`` on every row and ``a_k``/``e_k``
         the k-th smallest approximate/exact distance of a query, a row
         with ``exact ≤ e_k`` has ``approx ≤ e_k + ε ≤ a_k + 2ε``.  The
-        caller vouches for the table (:meth:`filterable`); None when a
-        query keeps fewer than k rows (its payload was not finite or
-        beyond ``ENDPOINT_LIMIT``, which the filter maps to NaN).
+        caller vouches for the table (:meth:`filterable`) and checks
+        that every query kept k rows: one whose payload was not finite
+        or beyond ``ENDPOINT_LIMIT`` keeps none (the filter maps it to
+        NaN).
         """
         approx = self._approx_distance(points, payload, prepared)
         kth = np.partition(approx, k - 1, axis=-1)[:, k - 1]
         slack = 2.0 * self.filter_epsilon(points.shape[1])
-        keep = approx <= (kth + slack)[:, None]
-        if (keep.sum(axis=-1) < k).any():
-            return None
-        return keep
+        return approx <= (kth + slack)[:, None]
 
-    def _half_angle32(self, angle: np.ndarray) -> np.ndarray:
-        """``(angle mod 2π) / 2`` as a ``(B, 1, d)`` float32 array."""
-        reduced = np.where(np.abs(angle) <= self.ENDPOINT_LIMIT,
-                           np.mod(angle, TWO_PI), np.nan)
-        return (0.5 * reduced).astype(np.float32)[:, None, :]
+    def _references(self, center: np.ndarray,
+                    length: np.ndarray) -> tuple[np.ndarray, ...]:
+        """One branch's per-query filter inputs, ``(B, 1, d)`` float32:
+        the centre's half-angle ``C = (c mod 2π)/2`` and ``|cos δ|``,
+        ``|sin δ|`` of the half-arc's half-angle ``δ = half/2``.
+
+        A query whose endpoints ``c ± half`` are not finite or beyond
+        ``ENDPOINT_LIMIT`` gets a NaN centre, which makes every one of
+        its filter distances NaN.
+        """
+        half = length / (2.0 * self.radius)
+        limit = self.ENDPOINT_LIMIT
+        in_domain = ((np.abs(center - half) <= limit)
+                     & (np.abs(center + half) <= limit))
+        centre = 0.5 * np.where(in_domain, np.mod(center, TWO_PI), np.nan)
+        delta = half / 2.0
+        return tuple(ref.astype(np.float32)[:, None, :] for ref in
+                     (centre, np.abs(np.cos(delta)), np.abs(np.sin(delta))))
 
     def _strip_rows(self, n: int, b: int, d: int) -> int:
         """Entity rows per filter strip for a ``b``-query batch."""
@@ -271,25 +286,26 @@ class ArcShardScorer(ShardScorer):
                          prepared: np.ndarray | None = None) -> np.ndarray:
         """:meth:`score` to within :meth:`filter_epsilon`, in float32.
 
-        The same chords over strips of the :meth:`prepare`-d table, with
-        the half-angles of the (mod-2π reduced) arc endpoints rounded to
-        float32 too, so subtract, ``sin``, ``abs`` and ``minimum`` run
-        SIMD, and one float32 ``sgemv`` row-sum of ``outside + η·inside``
-        per branch.  Every array a request touches is float32 and at
-        most one strip long.
+        All three chords of a cell come from one angle, ``u = P − C``
+        (the :meth:`prepare`-d point half-angle minus the centre's, see
+        :meth:`_references`): the endpoints sit at ``u ± δ``, so by
+        angle addition and ``min(|a+b|, |a−b|) = ||a| − |b||``
+
+            outside = ||sin u|·|cos δ| − |cos u|·|sin δ||
+            inside  = min(|sin u|, |sin δ|)
+
+        — one ``sin`` and one ``cos`` per cell, ten SIMD passes over
+        contiguous strips.  Each part is row-summed by its own float32
+        ``sgemv`` and the branch distance is ``2ρ·(Σo + η·Σi)`` in
+        float64.  Every array a request touches is float32 and at most
+        one strip long.
         """
         n, d = points.shape
         if prepared is None:
             prepared = self.prepare(points)
-        refs = []
         with np.errstate(invalid="ignore"):  # inf payloads become NaN
-            for center, length in payload:
-                half = length / (2.0 * self.radius)
-                chord_half_arc = np.abs(np.sin(half / 2.0))
-                refs.append((self._half_angle32(center - half),
-                             self._half_angle32(center + half),
-                             self._half_angle32(center),
-                             chord_half_arc.astype(np.float32)[:, None, :]))
+            refs = [self._references(center, length)
+                    for center, length in payload]
         if not refs:
             raise ValueError("empty payload: no DNF branches")
         b = refs[0][0].shape[0]
@@ -301,38 +317,37 @@ class ArcShardScorer(ShardScorer):
             refs = [tuple(np.ascontiguousarray(
                         np.broadcast_to(ref, (b, rows, d)))
                           for ref in branch) for branch in refs]
-        eta = np.float32(self.eta)
         scale = 2.0 * self.radius
         ones = np.ones(d, dtype=np.float32)
         out = np.empty((b, n), dtype=np.float64)
         buf1 = np.empty((b, rows, d), dtype=np.float32)
         buf2 = np.empty((b, rows, d), dtype=np.float32)
+        buf3 = np.empty((b, rows, d), dtype=np.float32)
         other = np.empty((b, rows), dtype=np.float64)
-
-        def chord(half_angles, ref, buf):
-            np.subtract(half_angles, ref, out=buf)
-            np.sin(buf, out=buf)
-            np.abs(buf, out=buf)
-
         for s in range(0, n, rows):
             e = min(s + rows, n)
             m = e - s
             strip = prepared[None, s:e]
-            b1 = buf1[:, :m]
-            b2 = buf2[:, :m]
+            sin_u, cos_u, outside = buf1[:, :m], buf2[:, :m], buf3[:, :m]
             for j, branch in enumerate(refs):
                 # a (B, 1, d) broadcast reference is its own [:, :m]
-                start, end, mid, chord_half_arc = (
-                    ref[:, :m] for ref in branch)
-                chord(strip, start, b1)
-                chord(strip, end, b2)
-                np.minimum(b1, b2, out=b1)
-                chord(strip, mid, b2)
-                np.minimum(b2, chord_half_arc, out=b2)
-                b2 *= eta
-                b1 += b2
+                centre, cos_delta, sin_delta = (ref[:, :m] for ref in branch)
+                np.subtract(strip, centre, out=cos_u)  # u, until its cos
+                np.sin(cos_u, out=sin_u)
+                np.cos(cos_u, out=cos_u)
+                np.abs(sin_u, out=sin_u)
+                np.abs(cos_u, out=cos_u)
+                # outside: ||sin u|·|cos δ| − |cos u|·|sin δ||
+                np.multiply(sin_u, cos_delta, out=outside)
+                cos_u *= sin_delta
+                outside -= cos_u
+                np.abs(outside, out=outside)
+                # inside: min(|sin u|, |sin δ|)
+                np.minimum(sin_u, sin_delta, out=sin_u)
                 dist = out[:, s:e] if j == 0 else other[:, :m]
-                np.multiply(b1 @ ones, scale, out=dist, dtype=np.float64)
+                np.multiply(sin_u @ ones, self.eta, out=dist, dtype=np.float64)
+                dist += outside @ ones
+                dist *= scale
                 if j:
                     np.minimum(out[:, s:e], dist, out=out[:, s:e])
         return out

@@ -412,6 +412,67 @@ def test_filter_error_stays_inside_a_quarter_of_epsilon_at_every_width(
         assert np.abs(approx - exact).max() <= scorer.filter_epsilon(d) / 4.0
 
 
+def _rows_where_the_filter_is_weakest(scorer, center, length, at_limit):
+    """Table rows on each query's arc endpoints ``c ± half``, centre
+    ``c`` and antipode ``c + π``.  On an endpoint the filter's outside
+    chord is the difference of two nearly equal products; on the centre
+    and the antipode its two products are ``0`` and ``|sin δ|`` or
+    ``|cos δ|``.  Wrapped tables hold them in [0, 2π); ``at_limit``
+    moves each by whole turns as far out as ``±POINT_LIMIT`` allows,
+    where the float32 half-angles round most coarsely."""
+    half = length / (2.0 * scorer.radius)
+    rows = np.concatenate([center - half, center + half, center,
+                           center + np.pi])          # (4B, d)
+    if not at_limit:
+        return np.mod(rows, TWO_PI)
+    limit = scorer.POINT_LIMIT
+    up = limit - np.mod(limit - rows, TWO_PI)        # in (limit − 2π, limit]
+    down = np.mod(rows + limit, TWO_PI) - limit      # in [−limit, 2π − limit)
+    return np.where(np.arange(rows.shape[1]) % 2 == 0, up, down)
+
+
+@pytest.mark.parametrize("at_limit", [False, True])
+@pytest.mark.parametrize("radius", [0.5, 2.0])
+@pytest.mark.parametrize("eta", [0.02, 0.5, 1.0])
+@pytest.mark.parametrize("d", [1, 32, 128])
+def test_filter_holds_its_bound_on_endpoints_centres_and_antipodes(
+        d, eta, radius, at_limit):
+    """The filter builds all three chords of a cell from one angle, so
+    its outside part is ``||sin u|·|cos δ| − |cos u|·|sin δ||``: nearly
+    equal products on the arc's endpoints, a zero product on its centre
+    and antipode.  Random tables rarely land there; this one is made of
+    nothing else (plus a few random rows), and the ε/4 margin and the
+    exact top-k must hold on it."""
+    rng = np.random.default_rng(d * 100 + int(eta * 10) + int(radius * 4)
+                                + 7 * at_limit)
+    scorer = ArcShardScorer(eta=eta, radius=radius)
+    b = 3
+    center = rng.uniform(0.0, TWO_PI, (b, d))
+    length = rng.uniform(0.0, TWO_PI * radius, (b, d))
+    length[0, ::3] = 0.0                    # a point: both endpoints at c
+    length[1, ::4] = TWO_PI * radius        # the full circle
+    if at_limit:
+        # one query's arcs end exactly on the domain's edge
+        limit = scorer.POINT_LIMIT
+        center[2] = limit - length[2] / (2.0 * radius)
+    special = _rows_where_the_filter_is_weakest(scorer, center, length,
+                                                at_limit)
+    low, high = (0.0, TWO_PI) if not at_limit \
+        else (-scorer.POINT_LIMIT, scorer.POINT_LIMIT)
+    points = np.concatenate([special, rng.uniform(low, high, (8, d))])
+    assert scorer.filterable(points)
+    payload = [(center, length),
+               (np.mod(center + 1.0, TWO_PI), length[::-1].copy())]
+    for branches in (payload[:1], payload):
+        exact = scorer.score(points, branches)
+        approx = scorer._approx_distance(points, branches)
+        assert np.abs(approx - exact).max() <= scorer.filter_epsilon(d) / 4.0
+        for k in (1, 4, 9):
+            stats = _assert_topk_is_the_exact_pass(scorer, points,
+                                                   branches, k)
+            assert "fallbacks" not in stats
+
+
 def test_filter_epsilon_is_a_function_of_d_radius_and_eta_only():
     scorer = ArcShardScorer(eta=0.02, radius=1.0)
     term, u = scorer.FILTER_TERM_ERROR, 2.0 ** -24

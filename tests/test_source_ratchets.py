@@ -5,6 +5,7 @@ Each test greps ``src/repro`` for something a past PR removed on purpose
 or a timer on the request path) and names the line where it grew back.
 """
 
+import ast
 import pathlib
 import re
 
@@ -101,3 +102,16 @@ def test_one_fallback_rung_one_slab_layout_one_start_method():
                 r"|start_method", "") == []
     assert hits(r"_lsh_answer|fallback_lsh|LshIndex", "serve",
                 "cli.py") == []
+
+
+def test_the_ranking_filter_takes_one_sin_and_one_cos_a_cell():
+    """All three chords of a filter cell come from one angle: its body
+    calls ``np.sin`` once and ``np.cos`` once, not a ``sin`` per
+    chord."""
+    source = (SRC / "dist" / "scorer.py").read_text(encoding="utf-8")
+    body, = (ast.get_source_segment(source, node)
+             for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.FunctionDef)
+             and node.name == "_approx_distance")
+    assert body.count("np.sin(") == 1
+    assert body.count("np.cos(") == 1
