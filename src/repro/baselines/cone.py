@@ -20,10 +20,10 @@ import numpy as np
 
 from ..config import ModelConfig
 from ..core.arc import TWO_PI, Arc, angle_features
+from ..core.model import QueryModel
 from ..core.operators import zero_init_output
 from ..kg.graph import KnowledgeGraph
 from ..nn import Embedding, F, MLP, Tensor
-from .base import BranchEmbeddingModel, UnsupportedOperatorError
 
 __all__ = ["ConEModel"]
 
@@ -34,7 +34,7 @@ def _fold(delta):
     return np.pi - wrapped
 
 
-class ConEModel(BranchEmbeddingModel):
+class ConEModel(QueryModel):
     """Cone-embedding query answering with linear negation."""
 
     name = "ConE"
@@ -64,16 +64,16 @@ class ConEModel(BranchEmbeddingModel):
                                   rng=rng)
 
     # ------------------------------------------------------------------
-    # operator hooks
+    # operator primitives
     # ------------------------------------------------------------------
-    def _embed_entity(self, ids: np.ndarray) -> Arc:
-        points = F.wrap_angle(self.entity_points(ids))
+    def embed_anchor(self, entity_ids: np.ndarray) -> Arc:
+        points = F.wrap_angle(self.entity_points(entity_ids))
         return Arc.from_points(points, self.config.radius)
 
-    def _embed_projection(self, child: Arc, rel_ids: np.ndarray) -> Arc:
+    def embed_project(self, relation_ids: np.ndarray, operand: Arc) -> Arc:
         radius = self.config.radius
-        axis = child.center + self.relation_axis(rel_ids)
-        aperture = F.clip(child.angle + self.relation_aperture(rel_ids),
+        axis = operand.center + self.relation_axis(relation_ids)
+        aperture = F.clip(operand.angle + self.relation_aperture(relation_ids),
                           0.0, TWO_PI)
         # independent refinement of axis and aperture
         axis = F.wrap_angle(axis + np.pi * F.tanh(
@@ -82,15 +82,15 @@ class ConEModel(BranchEmbeddingModel):
             self.aperture_mlp(aperture / np.pi - 1.0)), 0.0, TWO_PI)
         return Arc(axis, radius * aperture, radius)
 
-    def _embed_intersection(self, parts: list[Arc]) -> Arc:
-        radius = parts[0].radius
+    def embed_intersect(self, operands: list[Arc]) -> Arc:
+        radius = operands[0].radius
         # SemanticAverage on axes (attention over axis features only)
         scores = [self.attention_mlp(angle_features(arc.center))
-                  for arc in parts]
+                  for arc in operands]
         weights = F.softmax(F.stack(scores, axis=0), axis=0)
         x_avg: Tensor | None = None
         y_avg: Tensor | None = None
-        for index, arc in enumerate(parts):
+        for index, arc in enumerate(operands):
             w = weights[index]
             x_i = w * F.cos(arc.center)
             y_i = w * F.sin(arc.center)
@@ -100,22 +100,19 @@ class ConEModel(BranchEmbeddingModel):
         # CardMin on apertures
         encoded: Tensor | None = None
         min_aperture: Tensor | None = None
-        for arc in parts:
+        for arc in operands:
             item = self.aperture_inner(arc.angle / np.pi - 1.0)
             encoded = item if encoded is None else encoded + item
             min_aperture = arc.angle if min_aperture is None \
                 else F.minimum(min_aperture, arc.angle)
-        shrink = F.sigmoid(self.aperture_outer(encoded / float(len(parts))))
+        shrink = F.sigmoid(self.aperture_outer(encoded / float(len(operands))))
         return Arc(axis, radius * min_aperture * shrink, radius)
 
-    def _embed_negation(self, child: Arc) -> Arc:
+    def embed_negate(self, operand: Arc) -> Arc:
         # purely linear: antipodal axis, complementary aperture
-        axis = F.wrap_angle(child.center + np.pi)
-        length = TWO_PI * child.radius - child.length
-        return Arc(axis, length, child.radius)
-
-    def _embed_difference(self, parts: list[Arc]) -> Arc:
-        raise UnsupportedOperatorError(self.name, "difference")
+        axis = F.wrap_angle(operand.center + np.pi)
+        length = TWO_PI * operand.radius - operand.length
+        return Arc(axis, length, operand.radius)
 
     # ------------------------------------------------------------------
     # distance: raw folded angles (keeps ConE's periodicity seam)

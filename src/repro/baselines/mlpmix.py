@@ -16,14 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import ModelConfig
+from ..core.model import QueryModel
 from ..kg.graph import KnowledgeGraph
 from ..nn import Embedding, F, MLP, Tensor
-from .base import BranchEmbeddingModel, UnsupportedOperatorError
 
 __all__ = ["MLPMixModel"]
 
 
-class MLPMixModel(BranchEmbeddingModel):
+class MLPMixModel(QueryModel):
     """Pure-MLP query answering over vector embeddings."""
 
     name = "MLPMix"
@@ -49,29 +49,27 @@ class MLPMixModel(BranchEmbeddingModel):
         self.negation_mlp = MLP(d, wide, d, num_hidden_layers=2, rng=rng)
 
     # ------------------------------------------------------------------
-    # operator hooks
+    # operator primitives
     # ------------------------------------------------------------------
-    def _embed_entity(self, ids: np.ndarray) -> Tensor:
-        return self.entity_vectors(ids)
+    def embed_anchor(self, entity_ids: np.ndarray) -> Tensor:
+        return self.entity_vectors(entity_ids)
 
-    def _embed_projection(self, child: Tensor, rel_ids: np.ndarray) -> Tensor:
+    def embed_project(self, relation_ids: np.ndarray,
+                      operand: Tensor) -> Tensor:
         # plain MLP (no residual) — the original design, and the source of
         # the cascading error the paper's §III-B analyses
-        relation = self.relation_vectors(rel_ids)
-        return self.projection_mlp(F.concat([child, relation], axis=-1))
+        relation = self.relation_vectors(relation_ids)
+        return self.projection_mlp(F.concat([operand, relation], axis=-1))
 
-    def _embed_intersection(self, parts: list[Tensor]) -> Tensor:
+    def embed_intersect(self, operands: list[Tensor]) -> Tensor:
         encoded: Tensor | None = None
-        for part in parts:
-            item = self.mix_inner(part)
+        for operand in operands:
+            item = self.mix_inner(operand)
             encoded = item if encoded is None else encoded + item
-        return self.mix_outer(encoded / float(len(parts)))
+        return self.mix_outer(encoded / float(len(operands)))
 
-    def _embed_negation(self, child: Tensor) -> Tensor:
-        return self.negation_mlp(child)
-
-    def _embed_difference(self, parts: list[Tensor]) -> Tensor:
-        raise UnsupportedOperatorError(self.name, "difference")
+    def embed_negate(self, operand: Tensor) -> Tensor:
+        return self.negation_mlp(operand)
 
     # ------------------------------------------------------------------
     # L1 distance in vector space

@@ -18,9 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import ModelConfig
+from ..core.model import QueryModel
 from ..kg.graph import KnowledgeGraph
 from ..nn import Embedding, F, MLP, Tensor
-from .base import BranchEmbeddingModel, UnsupportedOperatorError
 
 __all__ = ["Box", "NewLookModel"]
 
@@ -47,7 +47,7 @@ class Box:
         return Box(points, Tensor(np.zeros(points.shape)))
 
 
-class NewLookModel(BranchEmbeddingModel):
+class NewLookModel(QueryModel):
     """Box-embedding query answering with a (lossy) difference operator."""
 
     name = "NewLook"
@@ -75,51 +75,51 @@ class NewLookModel(BranchEmbeddingModel):
         self.diff_shrink = MLP(2 * d, config.hidden_dim, d, rng=rng)
 
     # ------------------------------------------------------------------
-    # operator hooks
+    # operator primitives
     # ------------------------------------------------------------------
-    def _embed_entity(self, ids: np.ndarray) -> Box:
-        return Box.from_points(self.entity_points(ids))
+    def embed_anchor(self, entity_ids: np.ndarray) -> Box:
+        return Box.from_points(self.entity_points(entity_ids))
 
-    def _embed_projection(self, child: Box, rel_ids: np.ndarray) -> Box:
-        center = child.center + self.relation_center(rel_ids)
-        offset = child.offset + self.relation_offset(rel_ids)
+    def embed_project(self, relation_ids: np.ndarray, operand: Box) -> Box:
+        center = operand.center + self.relation_center(relation_ids)
+        offset = operand.offset + self.relation_offset(relation_ids)
         features = F.concat([center, offset], axis=-1)
         center = center + F.tanh(self.center_mlp(features))
         offset = F.relu(offset + F.tanh(self.offset_mlp(features)))
         return Box(center, offset)
 
-    def _embed_intersection(self, parts: list[Box]) -> Box:
+    def embed_intersect(self, operands: list[Box]) -> Box:
         # raw-value attention over centres (Query2Box / NewLook style)
         scores = [self.attention_mlp(F.concat([box.center, box.offset], axis=-1))
-                  for box in parts]
+                  for box in operands]
         weights = F.softmax(F.stack(scores, axis=0), axis=0)
         center: Tensor | None = None
-        for index, box in enumerate(parts):
+        for index, box in enumerate(operands):
             term = weights[index] * box.center
             center = term if center is None else center + term
         encoded: Tensor | None = None
         min_offset: Tensor | None = None
-        for box in parts:
+        for box in operands:
             item = self.shrink_inner(F.concat([box.center, box.offset], axis=-1))
             encoded = item if encoded is None else encoded + item
             min_offset = box.offset if min_offset is None \
                 else F.minimum(min_offset, box.offset)
-        shrink = F.sigmoid(self.shrink_outer(encoded / float(len(parts))))
+        shrink = F.sigmoid(self.shrink_outer(encoded / float(len(operands))))
         return Box(center, min_offset * shrink)
 
-    def _embed_difference(self, parts: list[Box]) -> Box:
+    def embed_difference(self, operands: list[Box]) -> Box:
         """NewLook's lossy difference: attention-shifted centre, shrunk box.
 
         The output is forced to be a *single* box even though the true
         difference region is not one — the fixed-lossy behaviour of
         Fig. 5(a) in the paper.
         """
-        head, rest = parts[0], parts[1:]
+        head, rest = operands[0], operands[1:]
         scores = [self.diff_attention(F.concat([box.center, box.offset], axis=-1))
-                  for box in parts]
+                  for box in operands]
         weights = F.softmax(F.stack(scores, axis=0), axis=0)
         center: Tensor | None = None
-        for index, box in enumerate(parts):
+        for index, box in enumerate(operands):
             term = weights[index] * box.center
             center = term if center is None else center + term
         overlap: Tensor | None = None
@@ -129,9 +129,6 @@ class NewLookModel(BranchEmbeddingModel):
             overlap = term if overlap is None else overlap + term
         shrink = F.sigmoid(self.diff_shrink(overlap / float(len(rest))))
         return Box(center, head.offset * shrink)
-
-    def _embed_negation(self, child: Box) -> Box:
-        raise UnsupportedOperatorError(self.name, "negation")
 
     # ------------------------------------------------------------------
     # Query2Box distance

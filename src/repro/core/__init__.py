@@ -5,8 +5,8 @@ from .distance import distance_to_points, entity_to_arc_distance
 from .evaluation import (StructureMetrics, answer_set_from_ranking, evaluate,
                          rank_hard_answers, set_accuracy)
 from .loss import group_penalty, halk_loss
-from .model import (HalkModel, HalkQueryEmbedding, HalkServedEmbedding,
-                    QueryModel, topk_rows)
+from .model import (HalkModel, HalkServedEmbedding, QueryEmbedding,
+                    QueryModel, UnsupportedOperatorError, topk_rows)
 from .operators import (DifferenceOperator, IntersectionOperator,
                         NegationOperator, ProjectionOperator,
                         semantic_average_center, squash_angle)
@@ -17,8 +17,8 @@ __all__ = [
     "Arc", "angle_features", "chord_length", "angular_difference",
     "entity_to_arc_distance", "distance_to_points",
     "halk_loss", "group_penalty",
-    "QueryModel", "HalkModel", "HalkQueryEmbedding",
-    "HalkServedEmbedding", "topk_rows",
+    "QueryModel", "QueryEmbedding", "UnsupportedOperatorError",
+    "HalkModel", "HalkServedEmbedding", "topk_rows",
     "ProjectionOperator", "DifferenceOperator", "IntersectionOperator",
     "NegationOperator", "squash_angle", "semantic_average_center",
     "Trainer", "TrainingHistory", "CurriculumPhase", "train_curriculum",

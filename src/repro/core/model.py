@@ -1,15 +1,25 @@
-"""The HaLk query-embedding model and the shared model interface.
+"""The model protocol every method implements, and the HaLk model.
 
-:class:`QueryModel` is the contract every method in the evaluation
-implements (HaLk, ConE, NewLook, MLPMix, the ablations): embed a batch of
-same-structure queries, then measure distances from entities to the query
-embedding.  The generic trainer and evaluation protocol in
-``trainer.py``/``evaluation.py`` only talk to this interface, which is what
-makes the paper's comparisons apples-to-apples.
+:class:`QueryModel` is the recipe the paper compares HaLk with ConE,
+NewLook and MLPMix under, written once: rewrite a query into DNF
+(§III-F), embed each conjunctive branch bottom-up over its computation
+graph — one neural model per logical operator — and score an entity by
+its distance to the nearest branch.  A method supplies the five per-node
+primitives (``embed_anchor``/``embed_project``/``embed_intersect``/
+``embed_difference``/``embed_negate``), its entity representation
+(``_candidate_points``) and its per-branch distance
+(``_branch_distance``); an operator it lacks keeps the default, which
+raises :class:`UnsupportedOperatorError` — the blank cells of Tables
+I–IV.  The generic trainer and evaluation protocol in
+``trainer.py``/``evaluation.py`` only talk to this interface, which is
+what makes the paper's comparisons apples-to-apples.
 
 :class:`HalkModel` is the paper's model: entities are points on a circle,
 queries are arcs, each logical operator has its own neural model, and
-union is answered exactly through DNF rewriting (§III-F).
+each node carries a group signature (the ξ term of Eq. 17).  Its
+primitives take the array namespace ``xp`` as a trailing keyword: the
+tree walk here records the tape with ``F``, the plan backend
+(``repro.plan``) serves with ``repro.nn.arrays``.
 """
 
 from __future__ import annotations
@@ -35,12 +45,33 @@ from .operators import (DifferenceOperator, IntersectionOperator,
 # it without importing the model stack.
 from .topk import topk_rows
 
-__all__ = ["QueryModel", "HalkModel", "HalkQueryEmbedding",
-           "HalkServedEmbedding", "topk_rows"]
+__all__ = ["QueryModel", "QueryEmbedding", "UnsupportedOperatorError",
+           "HalkModel", "HalkServedEmbedding", "topk_rows"]
+
+
+class UnsupportedOperatorError(NotImplementedError):
+    """Raised when a model cannot embed one of the query's operators."""
+
+    def __init__(self, model_name: str, operator: str):
+        super().__init__(f"{model_name} does not support the "
+                         f"{operator} operator")
+        self.model_name = model_name
+        self.operator = operator
+
+
+@dataclass
+class QueryEmbedding:
+    """DNF embedding of a query batch: one value per conjunctive branch —
+    whatever the method's primitives build (arcs, boxes, vectors) — and
+    the union's group signature when the method has one (HaLk)."""
+
+    branches: list
+    signature: np.ndarray | None = None  # (B, G) multi-hot over groups
 
 
 class QueryModel(Module):
-    """Interface shared by HaLk and all baselines."""
+    """The protocol every method implements, and the recipe they share:
+    DNF split, bottom-up tree walk, branch-min distance."""
 
     #: short method name used in result tables
     name: str = "abstract"
@@ -50,21 +81,113 @@ class QueryModel(Module):
         self.num_entities = num_entities
         self.num_relations = num_relations
 
-    def embed_batch(self, queries: list[Node]):
-        """Embed a batch of same-structure query trees."""
+    # ------------------------------------------------------------------
+    # embedding: the DNF split and the one tree walk
+    # ------------------------------------------------------------------
+    def embed_batch(self, queries: list[Node]) -> QueryEmbedding:
+        """Embed same-structure queries; union handled via DNF (§III-F)."""
+        if not queries:
+            raise ValueError("empty query batch")
+        dnf_lists = [to_dnf(query) for query in queries]
+        branch_count = len(dnf_lists[0])
+        if any(len(branches) != branch_count for branches in dnf_lists):
+            raise ValueError("queries in a batch must share one structure")
+        branches = [self._embed([dnf[index] for dnf in dnf_lists])
+                    for index in range(branch_count)]
+        return QueryEmbedding(branches, self.union_signature(branches))
+
+    def _embed(self, trees: list[Node]):
+        """Recursively embed a batch of isomorphic (union-free) trees:
+        only the walk, each node one ``embed_*`` primitive — the training
+        forward, and the oracle plan execution is held to."""
+        head = trees[0]
+        if isinstance(head, Entity):
+            return self.embed_anchor(
+                np.array([t.entity for t in trees], dtype=np.int64))
+        if isinstance(head, Projection):
+            return self.embed_project(
+                np.array([t.relation for t in trees], dtype=np.int64),
+                self._embed([t.operand for t in trees]))
+        if isinstance(head, (Intersection, Difference)):
+            operands = [self._embed([t.operands[i] for t in trees])
+                        for i in range(len(head.operands))]
+            if isinstance(head, Intersection):
+                return self.embed_intersect(operands)
+            return self.embed_difference(operands)
+        if isinstance(head, Negation):
+            return self.embed_negate(self._embed([t.operand for t in trees]))
+        if isinstance(head, Union):
+            raise ValueError("unions must be removed by DNF before embedding")
+        raise TypeError(f"unknown node type: {type(head).__name__}")
+
+    def union_signature(self, branches: list) -> np.ndarray | None:
+        """Group signature of a DNF embedding's branches, or None."""
+        return None
+
+    def supports(self, query: Node) -> bool:
+        """True when every operator in ``query`` is supported."""
+        try:
+            with no_grad():
+                self.embed_batch([query])
+            return True
+        except UnsupportedOperatorError:
+            return False
+
+    # ------------------------------------------------------------------
+    # the five per-node primitives; an operator a method lacks keeps
+    # the default (a blank cell of Tables I–IV)
+    # ------------------------------------------------------------------
+    def embed_anchor(self, entity_ids):
+        raise UnsupportedOperatorError(self.name, "anchor")
+
+    def embed_project(self, relation_ids, operand):
+        raise UnsupportedOperatorError(self.name, "projection")
+
+    def embed_intersect(self, operands: list):
+        raise UnsupportedOperatorError(self.name, "intersection")
+
+    def embed_difference(self, operands: list):
+        raise UnsupportedOperatorError(self.name, "difference")
+
+    def embed_negate(self, operand):
+        raise UnsupportedOperatorError(self.name, "negation")
+
+    # ------------------------------------------------------------------
+    # distances: the minimum over DNF branches (§III-G)
+    # ------------------------------------------------------------------
+    def _candidate_points(self, entity_ids: np.ndarray) -> Tensor:
+        """Entity representations for an id array."""
         raise NotImplementedError
 
-    def distance_to_entities(self, embedding, entity_ids: np.ndarray) -> Tensor:
-        """Distances ``(B, M)`` from per-query candidate entities."""
+    def _branch_distance(self, branch, points: Tensor) -> Tensor:
+        """Distance from candidate points to one conjunctive branch."""
         raise NotImplementedError
+
+    def distance_to_entities(self, embedding,
+                             entity_ids: np.ndarray) -> Tensor:
+        """Distances ``(B, M)`` from per-query candidate entities."""
+        entity_ids = np.asarray(entity_ids, dtype=np.int64)
+        if entity_ids.ndim != 2:
+            raise ValueError("entity_ids must be (B, M)")
+        return self._min_over_branches(embedding,
+                                       self._candidate_points(entity_ids))
 
     def distance_to_all(self, embedding) -> Tensor:
         """Distances ``(B, N)`` from every entity in the vocabulary."""
-        raise NotImplementedError
+        all_ids = np.arange(self.num_entities, dtype=np.int64)
+        return self._min_over_branches(embedding,
+                                       self._candidate_points(all_ids))
+
+    def _min_over_branches(self, embedding, points: Tensor) -> Tensor:
+        best: Tensor | None = None
+        for branch in embedding.branches:
+            dist = self._branch_distance(branch, points)
+            best = dist if best is None else F.minimum(best, dist)
+        return best
 
     def query_signature(self, embedding) -> np.ndarray | None:
         """Multi-hot group signature ``(B, G)`` or None if unsupported."""
-        return None
+        return embedding.signature
 
     def entity_signatures(self, entity_ids: np.ndarray) -> np.ndarray | None:
         """Group one-hots for entity ids, or None if unsupported."""
@@ -131,18 +254,13 @@ class QueryModel(Module):
         return self.answer_batch([query], top_k=top_k)[0]
 
     def answer_batch(self, queries: list[Node], top_k: int = 10,
-                     batch_size: int = 64, ranker=None) -> list[list[int]]:
+                     batch_size: int = 64) -> list[list[int]]:
         """Top-k answers for many queries, in input order.
 
         Unlike :meth:`rank_all_entities`, the queries may mix structures:
         they are grouped by :func:`structure_signature` so every
         ``embed_batch`` call still sees one structure, and each group pays
         the embedding + distance matmuls once instead of per query.
-
-        ``ranker`` may be a :class:`repro.dist.ShardedRanker`; the
-        distance + rank stages then run on the sharded worker pool and
-        return exactly the same answers as the in-process path (both
-        order by ``(distance, entity id)`` — see ``core.topk``).
         """
         tracer = get_tracer()
         with tracer.span("model.answer_batch", queries=len(queries)):
@@ -158,15 +276,10 @@ class QueryModel(Module):
                         with tracer.span("model.embed", batch=len(chunk)):
                             embedding = self.embed_batch(
                                 [queries[i] for i in chunk])
-                        if ranker is not None:
-                            with tracer.span("model.rank"):
-                                top, _ = ranker.topk(embedding, top_k)
-                        else:
-                            with tracer.span("model.distance"):
-                                distances = \
-                                    self.distance_to_all(embedding).data
-                            with tracer.span("model.rank"):
-                                top = topk_rows(distances, top_k)
+                        with tracer.span("model.distance"):
+                            distances = self.distance_to_all(embedding).data
+                        with tracer.span("model.rank"):
+                            top = topk_rows(distances, top_k)
                         for row, position in enumerate(chunk):
                             out[position] = [int(e) for e in top[row]]
             return out
@@ -241,14 +354,6 @@ class QueryModel(Module):
 
 
 @dataclass
-class HalkQueryEmbedding:
-    """DNF embedding of a query batch: one arc batch per conjunctive branch."""
-
-    branches: list[Arc]
-    signature: np.ndarray  # (B, G) multi-hot over groups
-
-
-@dataclass
 class HalkServedEmbedding:
     """The same embedding as serving holds it: plain arrays, no autograd.
 
@@ -310,61 +415,18 @@ class HalkModel(QueryModel):
         self.negation = NegationOperator(config, rng)
 
     # ------------------------------------------------------------------
-    # embedding
-    # ------------------------------------------------------------------
-    def embed_batch(self, queries: list[Node]) -> HalkQueryEmbedding:
-        """Embed same-structure queries; union handled via DNF (§III-F)."""
-        if not queries:
-            raise ValueError("empty query batch")
-        dnf_lists = [to_dnf(query) for query in queries]
-        branch_count = len(dnf_lists[0])
-        if any(len(branches) != branch_count for branches in dnf_lists):
-            raise ValueError("queries in a batch must share one structure")
-        branches: list[Arc] = []
-        signature: np.ndarray | None = None
-        for index in range(branch_count):
-            trees = [branches_i[index] for branches_i in dnf_lists]
-            arc = self._embed(trees)
-            branches.append(arc)
-            signature = arc.signature if signature is None \
-                else np.maximum(signature, arc.signature)
-        return HalkQueryEmbedding(branches, signature)
-
-    def _embed(self, trees: list[Node]) -> ArcRows:
-        """Recursively embed a batch of isomorphic (union-free) trees:
-        only the walk, each node one ``embed_*`` primitive on the tape —
-        the training forward, and the oracle plan execution is held to."""
-        head = trees[0]
-        if isinstance(head, Entity):
-            return self.embed_anchor(F, [t.entity for t in trees])
-        if isinstance(head, Projection):
-            return self.embed_project(F, [t.relation for t in trees],
-                                      self._embed([t.operand for t in trees]))
-        if isinstance(head, (Intersection, Difference)):
-            operands = [self._embed([t.operands[i] for t in trees])
-                        for i in range(len(head.operands))]
-            if isinstance(head, Intersection):
-                return self.embed_intersect(F, operands)
-            return self.embed_difference(F, operands)
-        if isinstance(head, Negation):
-            return self.embed_negate(
-                F, self._embed([t.operand for t in trees]))
-        if isinstance(head, Union):
-            raise ValueError("unions must be removed by DNF before embedding")
-        raise TypeError(f"unknown node type: {type(head).__name__}")
-
-    # ------------------------------------------------------------------
     # the five per-node primitives — table lookup, operator network,
     # group-signature propagation — written once over the namespace
     # ``xp``: ``F`` records the tape, ``repro.nn.arrays`` serves
     # ------------------------------------------------------------------
-    def embed_anchor(self, xp, entity_ids) -> ArcRows:
+    def embed_anchor(self, entity_ids, xp=F) -> ArcRows:
         ids = np.asarray(entity_ids, dtype=np.int64)
         points = xp.wrap_angle(self.entity_points(ids, xp=xp))
         arc = Arc.from_points(points, self.config.radius, xp)
         return arc.with_signature(self.groups.one_hot[ids].copy())
 
-    def embed_project(self, xp, relation_ids, operand: ArcRows) -> ArcRows:
+    def embed_project(self, relation_ids, operand: ArcRows,
+                      xp=F) -> ArcRows:
         ids = np.asarray(relation_ids, dtype=np.int64)
         radius = self.config.radius
         relation = Arc(self.relation_center(ids, xp=xp),
@@ -374,7 +436,7 @@ class HalkModel(QueryModel):
         return self.projection(operand, relation, xp=xp).with_signature(
             (reached > 0).astype(np.float64))
 
-    def embed_intersect(self, xp, operands: list[ArcRows]) -> ArcRows:
+    def embed_intersect(self, operands: list[ArcRows], xp=F) -> ArcRows:
         sigs = [operand.signature for operand in operands]
         target_sig = sigs[0]
         for sig in sigs[1:]:
@@ -385,18 +447,18 @@ class HalkModel(QueryModel):
         return self.intersection(operands, z,
                                  xp=xp).with_signature(target_sig)
 
-    def embed_difference(self, xp, operands: list[ArcRows]) -> ArcRows:
+    def embed_difference(self, operands: list[ArcRows], xp=F) -> ArcRows:
         return self.difference(operands, xp=xp).with_signature(
             operands[0].signature)
 
-    def embed_negate(self, xp, operand: ArcRows) -> ArcRows:
+    def embed_negate(self, operand: ArcRows, xp=F) -> ArcRows:
         return self.negation(operand, xp=xp).with_signature(
             np.ones_like(operand.signature))
 
     # ------------------------------------------------------------------
     # distances
     # ------------------------------------------------------------------
-    def _points_for(self, entity_ids: np.ndarray) -> Tensor:
+    def _candidate_points(self, entity_ids: np.ndarray) -> Tensor:
         """Wrapped point angles of ``entity_ids``.
 
         Wrapping is element-wise with a pass-through gradient, so it
@@ -411,27 +473,8 @@ class HalkModel(QueryModel):
             return F.gather_rows(F.wrap_angle(table), entity_ids)
         return F.wrap_angle(F.gather_rows(table, entity_ids))
 
-    def distance_to_entities(self, embedding: HalkQueryEmbedding,
-                             entity_ids: np.ndarray) -> Tensor:
-        entity_ids = np.asarray(entity_ids, dtype=np.int64)
-        if entity_ids.ndim != 2:
-            raise ValueError("entity_ids must be (B, M)")
-        points = self._points_for(entity_ids)  # (B, M, d)
-        return self._min_branch_distance(embedding, points)
-
-    def distance_to_all(self, embedding: HalkQueryEmbedding) -> Tensor:
-        all_ids = np.arange(self.num_entities, dtype=np.int64)
-        points = self._points_for(all_ids)  # (N, d)
-        return self._min_branch_distance(embedding, points)
-
-    def _min_branch_distance(self, embedding: HalkQueryEmbedding,
-                             points: Tensor) -> Tensor:
-        """DNF distance: minimum over conjunctive branches (§III-G)."""
-        best: Tensor | None = None
-        for arc in embedding.branches:
-            dist = distance_to_points(arc, points, self.config.eta)
-            best = dist if best is None else F.minimum(best, dist)
-        return best
+    def _branch_distance(self, arc: Arc, points: Tensor) -> Tensor:
+        return distance_to_points(arc, points, self.config.eta)
 
     # ------------------------------------------------------------------
     # serving hooks
@@ -464,7 +507,7 @@ class HalkModel(QueryModel):
         """Wrapped entity angles + the arc-distance scorer.
 
         The published table applies the same ``wrap_angle`` the model's
-        own ``_points_for`` applies, so a shard worker scoring a row
+        own ``_candidate_points`` applies, so a shard worker scoring a row
         block reproduces :meth:`distance_to_all` bit-for-bit on those
         columns.
         """
@@ -483,10 +526,14 @@ class HalkModel(QueryModel):
     # ------------------------------------------------------------------
     # group signatures (for the ξ term of Eq. 17)
     # ------------------------------------------------------------------
-    def query_signature(self, embedding: HalkQueryEmbedding) -> np.ndarray:
-        return embedding.signature
+    def union_signature(self, branches: list[ArcRows]) -> np.ndarray:
+        """Every group some branch reaches: the union's signature."""
+        signature = branches[0].signature
+        for arc in branches[1:]:
+            signature = np.maximum(signature, arc.signature)
+        return signature
 
-    def size_penalty(self, embedding: HalkQueryEmbedding) -> Tensor:
+    def size_penalty(self, embedding: QueryEmbedding) -> Tensor:
         total = None
         for arc in embedding.branches:
             term = arc.angle.mean()

@@ -19,7 +19,6 @@ table — and hands both to every ``topk``.
 
 Callers treat the two interchangeably:
 
-* ``QueryModel.answer_batch(queries, ranker=...)``
 * ``QueryModel.rank_all_entities(queries, ranker=...)``
 * ``ServeRuntime`` via ``ServeConfig(num_shards=K)``
 * the benchmark harness (``--shards``)

@@ -66,6 +66,13 @@ from .tenancy import PRIORITIES, TenantConfig, TokenBucket
 
 __all__ = ["Gateway", "GatewayConfig", "GatewayRejected"]
 
+#: priority assumed when submit() does not name one
+DEFAULT_PRIORITY = "interactive"
+#: EWMA smoothing of the per-request service-time estimate
+SERVICE_TIME_ALPHA = 0.1
+#: seconds an HTTP caller without a deadline waits for a result before 504
+HTTP_TIMEOUT = 30.0
+
 
 class GatewayRejected(ServeError):
     """A request the gateway shed instead of queueing (HTTP 429).
@@ -101,26 +108,16 @@ class GatewayConfig:
     #: the *only* queueing the runtime ever sees, so batcher queue depth
     #: is bounded by construction
     max_inflight: int = 64
-    #: priority assumed when submit() does not name one
-    default_priority: str = "interactive"
     #: relative deadline (seconds) applied when submit() passes none;
     #: None = requests without deadlines are never deadline-shed
     default_deadline: float | None = None
-    #: EWMA smoothing of the per-request service-time estimate
-    service_time_alpha: float = 0.1
     #: shed a dispatched request whose remaining deadline budget is
     #: below ``doom_factor * estimated_service_time`` — it cannot finish
     doom_factor: float = 1.0
-    #: seconds an HTTP caller waits for a result before 504
-    http_timeout: float = 30.0
 
     def __post_init__(self):
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
-        if self.default_priority not in PRIORITIES:
-            raise ValueError(f"default_priority must be one of {PRIORITIES}")
-        if not 0.0 < self.service_time_alpha <= 1.0:
-            raise ValueError("service_time_alpha must be in (0, 1]")
         names = [t.name for t in self.tenants]
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate tenant names in {names}")
@@ -227,7 +224,7 @@ class Gateway:
         is logged on the ``repro.serve`` logger and goes no further — the
         callbacks after it still run and the resolving thread carries on.
         """
-        priority = priority or self.config.default_priority
+        priority = priority or DEFAULT_PRIORITY
         if priority not in PRIORITIES:
             raise ValueError(f"unknown priority {priority!r}; expected "
                              f"one of {PRIORITIES}")
@@ -401,11 +398,10 @@ class Gateway:
             self._inflight -= 1
             self._inflight_gauge.set(self._inflight)
             if service_time is not None:
-                alpha = self.config.service_time_alpha
                 self._est_service = service_time \
                     if self._est_service == 0 \
-                    else (1 - alpha) * self._est_service \
-                    + alpha * service_time
+                    else (1 - SERVICE_TIME_ALPHA) * self._est_service \
+                    + SERVICE_TIME_ALPHA * service_time
 
     def _complete(self, entry: QueuedRequest, inner: ServeFuture) -> None:
         """Done-callback of the runtime's future, on the thread that
@@ -480,14 +476,18 @@ class Gateway:
         priority = payload.get("priority", None)
         top_k = payload.get("top_k", 10)
         deadline_ms = payload.get("deadline_ms", None)
+        if not isinstance(tenant, str):
+            return 400, {}, {"error": "'tenant' must be a string"}
         if priority is not None and priority not in PRIORITIES:
             return 400, {}, {"error": f"unknown priority {priority!r}; "
                                       f"expected one of {list(PRIORITIES)}"}
-        if not isinstance(top_k, int) or top_k < 1:
+        # JSON true/false decode to bool, a subclass of int: not numbers
+        if not isinstance(top_k, int) or isinstance(top_k, bool) \
+                or top_k < 1:
             return 400, {}, {"error": "'top_k' must be a positive integer"}
         if deadline_ms is not None and (
                 not isinstance(deadline_ms, (int, float))
-                or deadline_ms <= 0):
+                or isinstance(deadline_ms, bool) or deadline_ms <= 0):
             return 400, {}, {"error": "'deadline_ms' must be a positive "
                                       "number of milliseconds"}
         try:
@@ -500,7 +500,7 @@ class Gateway:
                                  priority=priority, deadline=deadline)
         except GatewayRejected as exc:
             return self._rejected_reply(exc)
-        timeout = self.config.http_timeout if deadline is None \
+        timeout = HTTP_TIMEOUT if deadline is None \
             else deadline + 1.0
         try:
             result = future.result(timeout=timeout)

@@ -16,9 +16,9 @@ from . import arrays
 from .tensor import Tensor, _unbroadcast, as_tensor
 
 __all__ = [
-    "exp", "log", "sqrt", "tanh", "sigmoid", "relu", "abs_", "sign",
+    "exp", "log", "tanh", "sigmoid", "relu", "abs_", "sign",
     "sin", "cos", "arctan2", "maximum", "minimum", "clip",
-    "concat", "stack", "softmax", "gather_rows", "mod", "wrap_angle",
+    "concat", "stack", "softmax", "gather_rows", "wrap_angle",
     "where", "log_sigmoid",
     "angle_features", "mlp", "parameter", "zeros_like", "memo",
 ]
@@ -53,13 +53,6 @@ def log(x) -> Tensor:
     x = as_tensor(x)
     data = np.log(x.data)
     return _unary(x, data, lambda: 1.0 / x.data)
-
-
-def sqrt(x) -> Tensor:
-    """Element-wise square root."""
-    x = as_tensor(x)
-    data = np.sqrt(x.data)
-    return _unary(x, data, lambda: 0.5 / np.maximum(data, 1e-12))
 
 
 def tanh(x) -> Tensor:
@@ -171,18 +164,12 @@ def clip(x, low: float, high: float) -> Tensor:
     return _unary(x, data, lambda: ((x.data > low) & (x.data < high)).astype(np.float64))
 
 
-def mod(x, modulus: float) -> Tensor:
-    """``x mod modulus`` with a pass-through gradient.
+def wrap_angle(x) -> Tensor:
+    """Normalise angles into [0, 2*pi) with a pass-through gradient.
 
     The wrap is piecewise translation, so its derivative is 1 almost
     everywhere; this makes angle normalisation differentiable.
     """
-    x = as_tensor(x)
-    return _pass_through(x, np.mod(x.data, modulus))
-
-
-def wrap_angle(x) -> Tensor:
-    """Normalise angles into [0, 2*pi) with pass-through gradient."""
     x = as_tensor(x)
     return _pass_through(x, arrays.wrap_angle(x.data))
 

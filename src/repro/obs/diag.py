@@ -187,10 +187,13 @@ class FlightRecorder:
     def dump(self, n: int = 100, tenant: str | None = None,
              min_ms: float | None = None,
              request_id: str | None = None) -> list[FlightRecord]:
-        """Newest-first records matching the filters, at most ``n``."""
+        """Newest-first records matching the filters, at most ``n``
+        (none for ``n <= 0``)."""
         with self._lock:
             records = list(self._ring)
         out: list[FlightRecord] = []
+        if n <= 0:
+            return out
         for record in reversed(records):
             if tenant is not None and record.tenant != tenant:
                 continue

@@ -1,8 +1,8 @@
 """The canonical metrics layer: counters, gauges, histograms, snapshots.
 
-Promoted from ``repro.serve.metrics`` (which re-exports everything here
-for back-compat) so that *every* process in the system — the serving
-runtime, shard workers, the trainer — shares one metric vocabulary.
+It lives with the observability layer, not under ``repro.serve``, so
+that *every* process in the system — the serving runtime, shard
+workers, the trainer — shares one metric vocabulary.
 
 Three capabilities beyond the original serve-local registry:
 
@@ -29,7 +29,6 @@ handle through every call.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -358,7 +357,9 @@ class MetricsRegistry:
         """Look up, and only on a miss construct under the lock.  A
         labelled lookup still renders its key every time — a caller on a
         per-request path keeps the handle (see :meth:`handles`)."""
-        key = metric_key(name, labels)
+        return self._keyed(table, metric_key(name, labels), make)
+
+    def _keyed(self, table: dict, key: str, make):
         metric = table.get(key)
         if metric is None:
             with self._lock:
@@ -426,16 +427,16 @@ class MetricsRegistry:
 
     def merge(self, delta: MetricsDelta) -> None:
         """Fold one worker delta into this registry (order-independent
-        for counters and histogram contents; gauges last-write-win)."""
+        for counters and histogram contents; gauges last-write-win).
+        The delta's keys were rendered by :func:`metric_key`, so they
+        are looked up as they stand, not parsed and rendered again."""
         for key, increment in delta.counters.items():
-            name, labels = parse_metric_key(key)
-            self.counter(name, **labels).inc(increment)
+            self._keyed(self._counters, key, Counter).inc(increment)
         for key, value in delta.gauges.items():
-            name, labels = parse_metric_key(key)
-            self.gauge(name, **labels).set(value)
+            self._keyed(self._gauges, key, Gauge).set(value)
         for key, samples in delta.samples.items():
-            name, labels = parse_metric_key(key)
-            histogram = self.histogram(name, **labels)
+            histogram = self._keyed(self._histograms, key,
+                                    self._new_histogram)
             for sample in samples:
                 histogram.observe(sample)
 
@@ -555,7 +556,3 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     previous = _DEFAULT
     _DEFAULT = registry
     return previous
-
-
-# re-exported for back-compat with the original serve-local module
-_ = time  # noqa: F841  (kept: injectable clocks may arrive via kwargs)

@@ -6,7 +6,7 @@ runs as a single batched kernel invocation, regardless of which query
 each row belongs to.  A backend supplies those primitives.
 
 :class:`HalkPlanBackend` holds no arithmetic: it calls the model's own
-``embed_*`` primitives — the ones ``HalkModel._embed`` walks a tree
+``embed_*`` primitives — the ones ``QueryModel._embed`` walks a tree
 through on the training tape — with :mod:`repro.nn.arrays`, so a served
 answer builds no autograd wrapper, computes the bits ``embed_batch``
 computes, and runs whatever operator modules the model holds (the
@@ -25,8 +25,6 @@ DESIGN.md §12 and tests/plan/).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..core.arc import ArcRows, stack_rows
 from ..core.model import HalkModel, HalkServedEmbedding
@@ -50,14 +48,14 @@ class HalkPlanBackend:
 
     def anchor(self, entity_ids) -> ArcRows:
         # a table lookup: no matmul, nothing to pad
-        return self.model.embed_anchor(arrays, entity_ids)
+        return self.model.embed_anchor(entity_ids, xp=arrays)
 
     def project(self, relation_ids, operand: ArcRows) -> ArcRows:
         m = operand.batch_size
         if m == 1:
             operand, relation_ids = _pad(operand), list(relation_ids) * 2
-        return self.model.embed_project(arrays, relation_ids,
-                                        operand).first(m)
+        return self.model.embed_project(relation_ids, operand,
+                                        xp=arrays).first(m)
 
     def intersect(self, operands: list[ArcRows]) -> ArcRows:
         return self._nary(self.model.embed_intersect, operands)
@@ -70,20 +68,16 @@ class HalkPlanBackend:
         m = operands[0].batch_size
         if m == 1:
             operands = [_pad(state) for state in operands]
-        return primitive(arrays, operands).first(m)
+        return primitive(operands, xp=arrays).first(m)
 
     def negate(self, operand: ArcRows) -> ArcRows:
         m = operand.batch_size
         if m == 1:
             operand = _pad(operand)
-        return self.model.embed_negate(arrays, operand).first(m)
+        return self.model.embed_negate(operand, xp=arrays).first(m)
 
     def finalize(self, branches: list[ArcRows]) -> HalkServedEmbedding:
         """Assemble stacked branch values into a rankable embedding."""
-        signature: np.ndarray | None = None
-        for state in branches:
-            signature = state.signature if signature is None else \
-                np.maximum(signature, state.signature)
         return HalkServedEmbedding(
             [(state.center, state.length) for state in branches],
-            signature, self.model.config.radius)
+            self.model.union_signature(branches), self.model.config.radius)

@@ -11,16 +11,16 @@ fallbacks, and a metrics layer surfacing throughput, latency
 percentiles, and cache hit rates.
 """
 
+from ..obs.metrics import (Counter, Gauge, Histogram, HistogramStats,
+                           MetricsDelta, MetricsRegistry,
+                           StatsSnapshot, format_snapshot, metric_key,
+                           parse_metric_key, snapshot_from_json,
+                           snapshot_to_json)
 from .batcher import MicroBatcher, ServeFuture, ServeRequest
 from .cache import LruCache, TtlCache
 from .canonical import batch_key, cache_key, canonicalize, serialize
 from .client import ServeClient
 from .http import TelemetryHTTPServer, render_prometheus
-from .metrics import (Counter, Gauge, Histogram, HistogramStats,
-                      MetricsDelta, MetricsRegistry,
-                      StatsSnapshot, format_snapshot, metric_key,
-                      parse_metric_key, snapshot_from_json,
-                      snapshot_to_json)
 from .runtime import ServeConfig, ServeError, ServeResult, ServeRuntime
 
 __all__ = [

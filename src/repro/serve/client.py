@@ -9,9 +9,9 @@ measured path is exactly the served path.
 
 from __future__ import annotations
 
+from ..obs.metrics import StatsSnapshot
 from ..queries.computation_graph import Node
 from .runtime import ServeResult, ServeRuntime
-from .metrics import StatsSnapshot
 
 __all__ = ["ServeClient"]
 

@@ -348,6 +348,12 @@ class TelemetryHTTPServer:
                 raise ValueError(f"bad query parameter {name}="
                                  f"{values[-1]!r}")
 
+        def count(text: str) -> int:
+            value = int(text)
+            if value < 1:
+                raise ValueError(text)
+            return value
+
         # the profiling endpoints do not depend on the diag handle —
         # route them before the diagnostics gate below
         if path == "/debug/prof":
@@ -393,7 +399,7 @@ class TelemetryHTTPServer:
         if path == "/debug/flight":
             try:
                 payload = self._diag.flight_payload(
-                    n=param("n", int, 100),
+                    n=param("n", count, 100),
                     tenant=param("tenant", str),
                     min_ms=param("min_ms", float),
                     request_id=param("request_id", str))

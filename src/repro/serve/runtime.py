@@ -35,13 +35,13 @@ from ..ckpt import CheckpointError, load_checkpoint
 from ..core.model import QueryModel
 from ..kg.graph import KnowledgeGraph
 from ..obs.diag import DiagConfig, Diagnostics, RequestContext
+from ..obs.metrics import MetricsRegistry, StatsSnapshot
 from ..obs.trace import Tracer, get_tracer
 from ..queries.computation_graph import Node, structure_signature
 from ..queries.executor import execute
 from .batcher import MicroBatcher, ServeFuture, ServeRequest
 from .cache import LruCache, TtlCache
 from .canonical import canonicalize, serialize
-from .metrics import MetricsRegistry, StatsSnapshot
 
 __all__ = ["ServeConfig", "ServeResult", "ServeRuntime", "ServeError"]
 
@@ -722,7 +722,7 @@ class ServeRuntime:
         ids, _ = (self._ranker or self._local).topk(embedding, k, ctx)
         return ids, time.perf_counter()
 
-    def _embed(self, requests: list[_Pending]):
+    def _embed_plan(self, requests: list[_Pending]):
         """Compile + execute queued requests — the one way serving embeds.
 
         Returns ``(compiled, groups, stage_cost)``: the compile result
@@ -766,7 +766,7 @@ class ServeRuntime:
                 groups.append(([request], embedding, False))
         if misses:
             embed_start = time.perf_counter()
-            compiled, ranked, stage_cost = self._embed(misses)
+            compiled, ranked, stage_cost = self._embed_plan(misses)
             embed_end = time.perf_counter()
             plan = compiled.plan
             embed_fields = dict(plan_ops_total=plan.ops_total,

@@ -121,7 +121,7 @@ class TestConESpecifics:
     def test_linear_negation_is_antipodal(self, kg):
         model = ConEModel(kg, CONFIG)
         child = model.embed_batch([Projection(0, Entity(0))]).branches[0]
-        negated = model._embed_negation(child)
+        negated = model.embed_negate(child)
         delta = np.mod(negated.center.data - child.center.data, 2 * np.pi)
         np.testing.assert_allclose(delta, np.pi)
         np.testing.assert_allclose(negated.length.data + child.length.data,

@@ -79,7 +79,7 @@ def distance_graph(distance, branches: int, combine=F.minimum,
     """Distance over ``branches`` arcs sharing one ``points`` tensor,
     from flat leaves ``points, center_0, length_0, center_1, …``.
 
-    ``F.minimum`` is the DNF distance (``_min_branch_distance``); it
+    ``F.minimum`` is the DNF distance (``_min_over_branches``); it
     routes each cell's gradient to one branch, so the branches'
     contributions to ``points`` never meet in a sum.  Adding the branch
     distances makes them meet, which is what shows whether the block
@@ -225,7 +225,7 @@ class TestPointsFor:
         ids = rng.integers(0, model.num_entities, size=(count, 1))
         upstream = rng.normal(size=(count, 1, table.shape[1]))
         results = []
-        for lookup in (model._points_for,
+        for lookup in (model._candidate_points,
                        lambda i: F.wrap_angle(composed.gather_rows(table, i))):
             table.zero_grad()
             out = lookup(ids)

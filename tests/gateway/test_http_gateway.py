@@ -71,6 +71,12 @@ class TestQueryEndpoint:
             assert status == 400 and "priority" in body["error"]
             status, _, body = post(url, {"sparql": "0", "top_k": 0})
             assert status == 400 and "top_k" in body["error"]
+            # JSON booleans are not numbers, tenants are strings
+            for field, value in (("top_k", True), ("deadline_ms", True),
+                                 ("tenant", []), ("tenant", 7)):
+                status, _, body = post(url, {"sparql": "0", field: value})
+                assert status == 400 and field in body["error"], \
+                    (field, value, status, body)
 
     def test_compile_failure_is_400(self, model, tiny_kg, queries):
         with serving(model, tiny_kg, queries) as (_, _, url):

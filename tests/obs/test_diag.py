@@ -80,6 +80,7 @@ class TestFlightRecorder:
                 tenant="acme" if index % 2 else "bits",
                 latency_ms=float(index)))
         assert len(recorder.dump(n=2)) == 2
+        assert recorder.dump(n=0) == recorder.dump(n=-1) == []
         acme = recorder.dump(tenant="acme")
         assert {r.tenant for r in acme} == {"acme"}
         slow = recorder.dump(min_ms=4.0)

@@ -85,10 +85,11 @@ class TestDebugFlight:
 
     def test_bad_query_param_is_400(self, served):
         _, url = served
-        with pytest.raises(HTTPError) as excinfo:
-            urlopen(f"{url}/debug/flight?n=banana", timeout=5)
-        assert excinfo.value.code == 400
-        assert "n" in json.loads(excinfo.value.read())["error"]
+        for n in ("banana", "0", "-1"):
+            with pytest.raises(HTTPError) as excinfo:
+                urlopen(f"{url}/debug/flight?n={n}", timeout=5)
+            assert excinfo.value.code == 400
+            assert "n" in json.loads(excinfo.value.read())["error"]
 
     def test_debug_404_when_diagnostics_disabled(self, model, tiny_kg):
         config = ServeConfig(max_batch_size=4, num_workers=1,

@@ -15,7 +15,7 @@ import pytest
 from repro.queries import QuerySampler, get_structure
 from repro.serve import (ServeConfig, ServeRuntime, TelemetryHTTPServer,
                          render_prometheus, snapshot_from_json)
-from repro.serve.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 pytestmark = [pytest.mark.http,
               pytest.mark.usefixtures("require_loopback_bind")]

@@ -24,7 +24,7 @@ import pytest
 
 from repro.serve import TelemetryHTTPServer
 from repro.serve.http import MAX_BODY_BYTES
-from repro.serve.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 pytestmark = [pytest.mark.http,
               pytest.mark.usefixtures("require_loopback_bind")]

@@ -82,7 +82,9 @@ class TestOptionBudget:
         """Each independently settable field doubles the configurations
         the tests and the bench must cover, so a new knob is an edit to
         this test as well — reviewed, not incidental."""
+        from repro.gateway import GatewayConfig
         from repro.obs.diag import DiagConfig
         from repro.serve import ServeConfig
         assert len(dataclasses.fields(ServeConfig)) <= 16
         assert len(dataclasses.fields(DiagConfig)) <= 5
+        assert len(dataclasses.fields(GatewayConfig)) <= 5

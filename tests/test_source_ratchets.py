@@ -115,3 +115,18 @@ def test_the_ranking_filter_takes_one_sin_and_one_cos_a_cell():
              and node.name == "_approx_distance")
     assert body.count("np.sin(") == 1
     assert body.count("np.cos(") == 1
+
+
+
+def test_one_model_protocol_one_tree_walk():
+    """Every method embeds through ``QueryModel``: one ``_embed`` walk,
+    defined there, and no second base class for the baselines."""
+    walks = hits(r"def _embed\(", "")
+    assert len(walks) == 1 and walks[0].startswith("core/model.py:"), walks
+    source = (SRC / "core" / "model.py").read_text(encoding="utf-8")
+    owner, = (node.name for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.ClassDef)
+              and any(isinstance(item, ast.FunctionDef)
+                      and item.name == "_embed" for item in node.body))
+    assert owner == "QueryModel"
+    assert hits(r"BranchEmbeddingModel", "") == []
