@@ -13,9 +13,10 @@ every other subsystem needs:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Triple", "KnowledgeGraph"]
 
@@ -170,7 +171,13 @@ class KnowledgeGraph:
         return self._triples <= other._triples
 
     def to_networkx(self) -> nx.MultiDiGraph:
-        """Export as a networkx multi-digraph (edge key = relation id)."""
+        """Export as a networkx multi-digraph (edge key = relation id).
+
+        networkx is imported here, not at module level, so that processes
+        that never export (shard workers included) do not pay its ~0.3 s
+        import."""
+        import networkx as nx
+
         graph = nx.MultiDiGraph()
         graph.add_nodes_from(range(self.num_entities))
         for head, rel, tail in self._triples:

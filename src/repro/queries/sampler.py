@@ -91,11 +91,19 @@ class QuerySampler:
         self.rng = np.random.default_rng(seed)
         self.config = config or SamplerConfig()
         # Grounding walks the *full* graph so that evaluation queries can
-        # use unseen edges (that is what creates hard answers).
-        self._active_entities = [e for e in range(self.full.num_entities)
-                                 if self.full.degree(e) > 0]
+        # use unseen edges (that is what creates hard answers).  An entity
+        # is active (degree > 0) when it has an in- or an out-relation.
+        self._active_entities = tuple(
+            e for e in range(self.full.num_entities)
+            if self.full.in_relations(e) or self.full.out_relations(e))
         if not self._active_entities:
             raise ValueError("graph has no connected entities")
+        # The full graph's adjacency as tuples, built on first use: the
+        # graph does not change after construction, so each tuple has the
+        # order of a fresh ``list(...)`` of the same index, and the draws
+        # from it are the ones the golden digests in the tests pin.
+        self._in_relations: dict[int, tuple[int, ...]] = {}
+        self._sources: dict[tuple[int, int], tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # public API
@@ -105,7 +113,7 @@ class QuerySampler:
         cap = max(1, int(self.config.max_answer_fraction
                          * self.observed.num_entities))
         for _ in range(self.config.max_attempts):
-            target = int(self.rng.choice(self._active_entities))
+            target = self._draw(self._active_entities)
             grounded = self._ground(structure.template, target)
             if grounded is None:
                 continue
@@ -124,7 +132,12 @@ class QuerySampler:
 
     def sample_many(self, structure: QueryStructure, count: int,
                     dedupe: bool = True) -> list[GroundedQuery]:
-        """Sample up to ``count`` queries (deduplicated by grounded tree)."""
+        """Sample up to ``count`` queries (deduplicated by grounded tree).
+
+        A count of 0 draws nothing and returns ``[]``; a positive count
+        that yields no query at all raises ``RuntimeError``."""
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
         out: list[GroundedQuery] = []
         seen: set[Node] = set()
         failures = 0
@@ -139,7 +152,7 @@ class QuerySampler:
                 continue
             seen.add(grounded.query)
             out.append(grounded)
-        if not out:
+        if count and not out:
             raise RuntimeError(f"failed to sample any {structure.name!r} query")
         return out
 
@@ -160,12 +173,18 @@ class QuerySampler:
         if isinstance(template, Entity):
             return Entity(target)
         if isinstance(template, Projection):
-            incoming = list(self.full.in_relations(target))
+            incoming = self._in_relations.get(target)
+            if incoming is None:
+                incoming = self._in_relations[target] = tuple(
+                    self.full.in_relations(target))
             if not incoming:
                 return None
-            relation = int(self.rng.choice(incoming))
-            sources = list(self.full.sources(target, relation))
-            source = int(self.rng.choice(sources))
+            relation = self._draw(incoming)
+            sources = self._sources.get((target, relation))
+            if sources is None:
+                sources = self._sources[target, relation] = tuple(
+                    self.full.sources(target, relation))
+            source = self._draw(sources)
             operand = self._ground(template.operand, source)
             if operand is None:
                 return None
@@ -222,9 +241,15 @@ class QuerySampler:
             return Negation(operand)
         return self._ground(template, target)
 
+    def _draw(self, seq: tuple[int, ...]) -> int:
+        """A uniform draw from ``seq``: the value and the generator state
+        that ``Generator.choice`` gives on ``seq``, without converting
+        ``seq`` to an array on every call."""
+        return seq[int(self.rng.integers(len(seq)))]
+
     def _random_entity(self, exclude: int | None = None) -> int:
-        entity = int(self.rng.choice(self._active_entities))
+        entity = self._draw(self._active_entities)
         if exclude is not None and entity == exclude and len(self._active_entities) > 1:
             while entity == exclude:
-                entity = int(self.rng.choice(self._active_entities))
+                entity = self._draw(self._active_entities)
         return entity

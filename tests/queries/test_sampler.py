@@ -1,9 +1,11 @@
 """Tests for backward grounding and the query workload builder."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.kg import fb237_mini
+from repro.kg import fb237_mini, load_dataset
 from repro.queries import (STRUCTURES, GroundedQuery, QuerySampler,
                            SamplerConfig, batches, build_workloads, execute,
                            get_structure)
@@ -66,6 +68,16 @@ class TestSampleMany:
         queries = train_sampler.sample_many(get_structure("2i"), 10)
         assert 1 <= len(queries) <= 10
 
+    def test_zero_count_draws_nothing(self, splits):
+        sampler = QuerySampler(splits.train, seed=3)
+        state = sampler.rng.bit_generator.state
+        assert sampler.sample_many(get_structure("2p"), 0) == []
+        assert sampler.rng.bit_generator.state == state
+
+    def test_negative_count_rejected(self, train_sampler):
+        with pytest.raises(ValueError):
+            train_sampler.sample_many(get_structure("2p"), -1)
+
 
 class TestWorkloads:
     def test_build_workloads_protocol(self, splits):
@@ -83,6 +95,21 @@ class TestWorkloads:
         bundle = build_workloads(splits, queries_per_structure=4,
                                  eval_queries_per_structure=2, seed=1)
         assert bundle.train.total() == sum(1 for _ in bundle.train)
+
+    def test_zero_train_count_leaves_structure_out(self, splits):
+        bundle = build_workloads(splits, queries_per_structure={"2p": 0},
+                                 eval_queries_per_structure=2, seed=0)
+        assert "2p" not in bundle.train
+        assert "3p" in bundle.train
+        assert "2p" in bundle.test
+
+    def test_zero_eval_count_gives_empty_eval_workloads(self, splits):
+        bundle = build_workloads(splits, queries_per_structure=2,
+                                 eval_queries_per_structure=0, seed=0)
+        assert bundle.valid.total() == bundle.test.total() == 0
+        with_eval = build_workloads(splits, queries_per_structure=2,
+                                    eval_queries_per_structure=2, seed=0)
+        assert list(bundle.train) == list(with_eval.train)
 
     def test_batches_partition(self):
         queries = [GroundedQuery("1p", None, frozenset({i}), frozenset())
@@ -103,3 +130,56 @@ class TestWorkloads:
     def test_batches_rejects_bad_size(self):
         with pytest.raises(ValueError):
             list(batches([], 0))
+
+
+class TestGoldenDigest:
+    """The sampler's output, draw for draw, pinned by a sha256.
+
+    Every workload, trained model and benchmark query pool is grounded by
+    ``QuerySampler``; a change to how it draws (or to the order of the
+    adjacency it draws from) would silently re-roll all of them.  These
+    digests were taken before the per-draw list conversion was replaced
+    by indexing memoized tuples, and must not move."""
+
+    WORKLOADS = ("d98b54b29b329a1e53a5e733bae6182c"
+                 "b9101e20d4091a09399b30eb2852294a")
+    STREAM = ("d68f7d3fc963d008e6c3d720c495ee80"
+              "274b616466aea6aae50c00647e67742b")
+
+    @staticmethod
+    def _record(digest, query):
+        digest.update(repr((query.structure, query.query,
+                            sorted(query.easy_answers),
+                            sorted(query.hard_answers))).encode())
+
+    @pytest.fixture(scope="class")
+    def fb237(self):
+        return load_dataset("FB237", scale=0.4, seed=0)
+
+    def test_workload_digest(self, fb237):
+        bundle = build_workloads(fb237, queries_per_structure=80,
+                                 eval_queries_per_structure=15, seed=0)
+        digest = hashlib.sha256()
+        for workload in (bundle.train, bundle.valid, bundle.test):
+            for query in workload:
+                self._record(digest, query)
+        assert digest.hexdigest() == self.WORKLOADS
+
+    def test_hard_answer_stream_digest(self, fb237):
+        """16 rounds over every structure (the 16 basic ones and the
+        large ones) with the default attempt budget (every draw succeeds), then with one attempt per draw (most
+        raise ``RuntimeError``, which is part of the stream)."""
+        digest = hashlib.sha256()
+        for attempts in (200, 1):
+            sampler = QuerySampler(fb237.valid, fb237.test, seed=7,
+                                   config=SamplerConfig(
+                                       max_attempts=attempts,
+                                       require_hard_answer=True))
+            for _ in range(16):
+                for name in sorted(STRUCTURES):
+                    try:
+                        self._record(digest,
+                                     sampler.sample(get_structure(name)))
+                    except RuntimeError:
+                        digest.update(repr(("RuntimeError", name)).encode())
+        assert digest.hexdigest() == self.STREAM

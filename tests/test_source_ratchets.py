@@ -6,8 +6,11 @@ or a timer on the request path) and names the line where it grew back.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -130,3 +133,22 @@ def test_one_model_protocol_one_tree_walk():
                       and item.name == "_embed" for item in node.body))
     assert owner == "QueryModel"
     assert hits(r"BranchEmbeddingModel", "") == []
+
+
+def test_the_sampler_draws_by_index():
+    """A grounding draw indexes a tuple built once: no ``.choice(`` in
+    the sampler, which converts its whole list to an array per draw."""
+    assert hits(r"\.choice\(", "queries/sampler.py") == []
+
+
+def test_shard_workers_start_without_networkx():
+    """networkx is imported only by ``KnowledgeGraph.to_networkx``; the
+    ranker a shard worker imports must not pull it in at start."""
+    code = ("import sys, repro.dist.ranker; "
+            "print('networkx' in sys.modules)")
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "False"
