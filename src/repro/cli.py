@@ -387,13 +387,13 @@ def cmd_serve(args) -> int:
 
 def cmd_genkg(args) -> int:
     """Stream an xl-scale synthetic KG to disk."""
-    from .kg.xl import DEFAULT_CHUNK, fb15k_xl_config, stream_splits
+    from .kg.datasets import DEFAULT_CHUNK
+    from .kg.xl import fb15k_xl_config, stream_splits
 
     config = fb15k_xl_config(num_entities=args.entities, seed=args.seed)
     start = time.perf_counter()
     summary = stream_splits(config, args.out, seed=args.seed,
-                            chunk=args.chunk or DEFAULT_CHUNK,
-                            exact=args.exact)
+                            chunk=args.chunk or DEFAULT_CHUNK)
     elapsed = time.perf_counter() - start
     print(f"{summary.name}: {summary.num_entities:,} entities, "
           f"{summary.num_relations} relations -> {args.out} "
@@ -778,8 +778,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "pays only with --shards)")
     p.add_argument("--answer-ttl", type=float, default=300.0)
     p.add_argument("--deadline", type=float, default=None,
-                   help="per-request deadline in seconds (overruns fall "
-                        "back to the LSH/exact paths)")
+                   help="per-request deadline in seconds (an overrun "
+                        "gets the exact symbolic answer over the loaded "
+                        "graph, or an error when none is loaded)")
     p.add_argument("--stats", action="store_true",
                    help="print cache hit-rate and latency-percentile "
                         "stats after serving")
@@ -828,11 +829,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="entity count (default 100000)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--chunk", type=int, default=None,
-                   help="entity rows per generation chunk")
-    p.add_argument("--exact", action="store_true", default=None,
-                   help="force the exact O(n^2) tail search (bitwise "
-                        "equal to the in-memory generator; default "
-                        "automatic below 20k entities)")
+                   help="entity rows per generation chunk (tails are "
+                        "found by exact search up to 20k entities, "
+                        "binned above)")
     p.set_defaults(func=cmd_genkg)
 
     def endpoint(p, target_optional=False):

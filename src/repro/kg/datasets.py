@@ -19,6 +19,14 @@ non-functional structure real KGs have.  Because relations compose as
 rotations, multi-hop queries have coherent, learnable answer sets — which
 is precisely the property the paper's evaluation exploits.
 
+The generator is one stream, :func:`stream_triples`: ``(m, 3)`` blocks,
+one relation at a time, from one RNG stream, so peak memory is the
+latent table plus one chunk.  :func:`generate_kg` concatenates it into a
+:class:`KnowledgeGraph`; :mod:`repro.kg.xl` writes it to disk as nested
+splits.  Rotation tails are the latent-nearest entities, found by an
+exact O(n^2) search up to :data:`EXACT_ENTITY_LIMIT` entities and by a
+binned near-linear search above it.
+
 The split protocol follows the paper (§IV-A): three graphs with
 ``G_train ⊆ G_valid ⊆ G_test``, the supersets adding unseen (missing)
 edges.  Every entity is anchored in the training graph so embeddings exist
@@ -28,6 +36,7 @@ for the full vocabulary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -35,7 +44,8 @@ from .graph import KnowledgeGraph, Triple
 
 __all__ = [
     "RelationSpec", "GeneratorConfig", "DatasetSplits",
-    "generate_kg", "make_splits", "fb15k_mini", "fb237_mini", "nell_mini",
+    "EXACT_ENTITY_LIMIT", "stream_triples", "generate_kg", "make_splits",
+    "fb15k_mini", "fb237_mini", "nell_mini",
     "DATASET_BUILDERS", "load_dataset",
 ]
 
@@ -81,6 +91,11 @@ class GeneratorConfig:
     num_communities: int = 8
     seed: int = 0
 
+    @property
+    def relation_names(self) -> list[str]:
+        """``{kind}_{id}`` for every relation, in id order."""
+        return [f"{spec.kind}_{i}" for i, spec in enumerate(self.relations)]
+
 
 @dataclass
 class DatasetSplits:
@@ -99,91 +114,246 @@ class DatasetSplits:
             raise ValueError("valid graph must be a subgraph of test graph")
 
 
-def _angular_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-dimension angular distance, max-aggregated over dimensions."""
+# ----------------------------------------------------------------------
+# the generator: one stream of (m, 3) blocks, relation by relation
+# ----------------------------------------------------------------------
+#: largest graph whose rotation tails are found by the exact O(n^2)
+#: search; above it the binned near-linear search is used
+EXACT_ENTITY_LIMIT = 20_000
+
+#: head rows processed per chunk of the rotation/community streams
+DEFAULT_CHUNK = 4096
+
+#: binned search: target entities per angle bucket and the cap on how
+#: many nearest candidates are ranked per head (also clamps the fan-out)
+_BUCKET_TARGET = 64
+_MAX_FAN = 64
+
+TWO_PI = 2.0 * np.pi
+
+
+def _chunks(n: int, chunk: int) -> Iterator[tuple[int, int]]:
+    for start in range(0, n, chunk):
+        yield start, min(start + chunk, n)
+
+
+def _angular_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Max-over-dims angular distance, one row per entry of ``a``."""
     diff = np.abs(a[:, None, :] - b[None, :, :])
-    diff = np.minimum(diff, 2 * np.pi - diff)
+    diff = np.minimum(diff, TWO_PI - diff)
     return diff.max(axis=-1)
 
 
-def _rotation_triples(rel_id: int, spec: RelationSpec, latents: np.ndarray,
-                      rng: np.random.Generator) -> list[Triple]:
+def _rotation_stream_exact(rel_id: int, rotated: np.ndarray,
+                           latents: np.ndarray, fans: np.ndarray,
+                           heads: np.ndarray, chunk: int):
+    """Each head's ``fan`` latent-nearest tails among all entities.
+
+    Per chunk of heads the full distance row against every entity is
+    computed — O(n·chunk) memory, O(n^2) total work — and each head's
+    tails are the ``argpartition`` of its row, in that order.
+    """
+    n = latents.shape[0]
+    for s, e in _chunks(n, chunk):
+        head_ids = s + np.flatnonzero(heads[s:e])
+        if head_ids.size == 0:
+            continue
+        distance = _angular_rows(rotated[head_ids], latents)
+        distance[np.arange(head_ids.size), head_ids] = np.inf  # no loops
+        rows: list[np.ndarray] = []
+        for local, head in enumerate(head_ids):
+            fan = int(fans[head])
+            tails = np.argpartition(distance[local], fan)[:fan]
+            block = np.empty((fan, 3), dtype=np.int64)
+            block[:, 0] = head
+            block[:, 1] = rel_id
+            block[:, 2] = tails
+            rows.append(block)
+        if rows:
+            yield np.concatenate(rows, axis=0)
+
+
+def _bucket_table(latents: np.ndarray) -> np.ndarray:
+    """Bucket entities by first latent angle into a padded table.
+
+    The table has one row per bucket, entity ids ascending, -1 padding —
+    fixed width so candidate gathering stays vectorised.
+    """
+    n = latents.shape[0]
+    num_buckets = max(4, n // _BUCKET_TARGET)
+    buckets = np.minimum((latents[:, 0] / TWO_PI * num_buckets).astype(np.int64),
+                         num_buckets - 1)
+    order = np.argsort(buckets, kind="stable")
+    counts = np.bincount(buckets, minlength=num_buckets)
+    width = int(counts.max())
+    table = np.full((num_buckets, width), -1, dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    for b in range(num_buckets):
+        members = order[starts[b]:starts[b] + counts[b]]
+        table[b, :members.size] = members
+    return table
+
+
+def _rotation_stream_binned(rel_id: int, rotated: np.ndarray,
+                            latents: np.ndarray, fans: np.ndarray,
+                            heads: np.ndarray, chunk: int):
+    """Near-linear tail search: rank only the 3 buckets around the
+    rotated position.  Fan-outs are clamped to :data:`_MAX_FAN` (the
+    heavy geometric tail would defeat the candidate cap anyway)."""
+    n = latents.shape[0]
+    table = _bucket_table(latents)
+    num_buckets, width = table.shape
+    fans = np.minimum(fans, _MAX_FAN)
+    for s, e in _chunks(n, chunk):
+        head_ids = s + np.flatnonzero(heads[s:e])
+        if head_ids.size == 0:
+            continue
+        rot = rotated[head_ids]
+        centre = np.minimum((rot[:, 0] / TWO_PI * num_buckets).astype(np.int64),
+                            num_buckets - 1)
+        neighbours = np.stack([(centre - 1) % num_buckets, centre,
+                               (centre + 1) % num_buckets], axis=1)
+        cand = table[neighbours].reshape(head_ids.size, 3 * width)
+        distance = np.abs(rot[:, None, :] - latents[cand])
+        distance = np.minimum(distance, TWO_PI - distance).max(axis=-1)
+        distance[cand < 0] = np.inf                 # padding
+        distance[cand == head_ids[:, None]] = np.inf  # no self loops
+        take = min(_MAX_FAN, cand.shape[1])
+        part = np.argpartition(distance, take - 1, axis=-1)[:, :take]
+        vals = np.take_along_axis(distance, part, axis=-1)
+        order = np.argsort(vals, axis=-1, kind="stable")
+        nearest = np.take_along_axis(part, order, axis=-1)
+        finite = np.take_along_axis(vals, order, axis=-1) < np.inf
+        want = np.arange(take)[None, :] < fans[head_ids][:, None]
+        rows, cols = np.nonzero(want & finite)
+        if rows.size == 0:
+            continue
+        block = np.empty((rows.size, 3), dtype=np.int64)
+        block[:, 0] = head_ids[rows]
+        block[:, 1] = rel_id
+        block[:, 2] = cand[rows, nearest[rows, cols]]
+        yield block
+
+
+def _rotation_stream(rel_id: int, spec: RelationSpec, latents: np.ndarray,
+                     rng: np.random.Generator, chunk: int, exact: bool):
     """Connect each head to its nearest tails under a latent rotation."""
     n = latents.shape[0]
-    offset = rng.uniform(0, 2 * np.pi, size=latents.shape[1])
+    offset = rng.uniform(0, TWO_PI, size=latents.shape[1])
     rotated = np.mod(latents + offset
-                     + rng.normal(0, spec.noise, size=latents.shape), 2 * np.pi)
-    distance = _angular_distance(rotated, latents)
-    np.fill_diagonal(distance, np.inf)  # no self loops from rotations
+                     + rng.normal(0, spec.noise, size=latents.shape), TWO_PI)
     # Heavy-tailed fan-out: most heads have ~fan_out tails, a few are hubs.
     fans = np.minimum(rng.geometric(1.0 / spec.fan_out, size=n), n - 1)
     # Only a subset of entities participates as heads of any one relation,
     # mirroring the typed domains of real KGs.
     heads = rng.random(n) < 0.7
-    triples: list[Triple] = []
-    for head in np.flatnonzero(heads):
-        fan = int(fans[head])
-        tails = np.argpartition(distance[head], fan)[:fan]
-        triples.extend((int(head), rel_id, int(tail)) for tail in tails)
-    return triples
+    stream = _rotation_stream_exact if exact else _rotation_stream_binned
+    yield from stream(rel_id, rotated, latents, fans, heads, chunk)
 
 
-def _community_triples(rel_id: int, latents: np.ndarray, num_communities: int,
-                       rng: np.random.Generator) -> list[Triple]:
+def _community_stream(rel_id: int, latents: np.ndarray, num_communities: int,
+                      rng: np.random.Generator, chunk: int):
     """Members point at their community's hub entities (one-to-few)."""
     n = latents.shape[0]
-    communities = (latents[:, 0] / (2 * np.pi) * num_communities).astype(int)
+    communities = (latents[:, 0] / TWO_PI * num_communities).astype(int)
     communities = np.clip(communities, 0, num_communities - 1)
-    triples: list[Triple] = []
-    hubs = {}
+    hub_table = np.full((num_communities, 2), -1, dtype=np.int64)
     for c in range(num_communities):
         members = np.flatnonzero(communities == c)
         if members.size == 0:
             continue
-        hubs[c] = rng.choice(members, size=min(2, members.size), replace=False)
-    for entity in range(n):
-        for hub in hubs.get(int(communities[entity]), ()):
-            if hub != entity:
-                triples.append((entity, rel_id, int(hub)))
-    return triples
+        hubs = rng.choice(members, size=min(2, members.size), replace=False)
+        hub_table[c, :hubs.size] = hubs
+    for s, e in _chunks(n, chunk):
+        hubs = hub_table[communities[s:e]]            # (m, 2)
+        entities = np.arange(s, e, dtype=np.int64)
+        keep = (hubs >= 0) & (hubs != entities[:, None])
+        rows, cols = np.nonzero(keep)                 # entity-major order
+        if rows.size == 0:
+            continue
+        block = np.empty((rows.size, 3), dtype=np.int64)
+        block[:, 0] = entities[rows]
+        block[:, 1] = rel_id
+        block[:, 2] = hubs[rows, cols]
+        yield block
 
 
-def _hierarchy_triples(rel_id: int, n: int,
-                       rng: np.random.Generator) -> list[Triple]:
-    """A random forest of parent links over a shuffled entity order."""
+def _hierarchy_stream(rel_id: int, n: int, rng: np.random.Generator,
+                      chunk: int):
+    """A random forest of parent links over a shuffled entity order.
+
+    The draw sequence is inherently sequential (each parent index is
+    bounded by the position), so this is a plain loop with chunked
+    emission — O(n) scalar draws, a few seconds at a million entities.
+    """
     order = rng.permutation(n)
-    triples: list[Triple] = []
+    pending: list[tuple[int, int, int]] = []
     for position in range(1, n):
         if rng.random() < 0.6:  # forest, not a single tree
             parent_pos = rng.integers(0, position)
-            triples.append((int(order[position]), rel_id, int(order[parent_pos])))
-    return triples
+            pending.append((int(order[position]), rel_id,
+                            int(order[parent_pos])))
+            if len(pending) >= chunk:
+                yield np.asarray(pending, dtype=np.int64)
+                pending = []
+    if pending:
+        yield np.asarray(pending, dtype=np.int64)
+
+
+def stream_triples(config: GeneratorConfig, chunk: int = DEFAULT_CHUNK,
+                   exact: bool | None = None) -> Iterator[np.ndarray]:
+    """Yield the complete graph of ``config`` as ``(m, 3)`` int64 blocks.
+
+    Relations are emitted in ``config.relations`` order from one RNG
+    stream.  ``exact`` picks the rotation tail search; by default it is
+    exact at or below :data:`EXACT_ENTITY_LIMIT` entities and binned
+    above.  ``chunk`` changes memory, never results.  Only triples of
+    relations some later relation mirrors are buffered; everything else
+    is emitted and dropped.
+    """
+    if exact is None:
+        exact = config.num_entities <= EXACT_ENTITY_LIMIT
+    rng = np.random.default_rng(config.seed)
+    latents = rng.uniform(0, TWO_PI,
+                          size=(config.num_entities, config.latent_dim))
+    mirrored_ids = {spec.inverse_of for spec in config.relations
+                    if spec.kind == "inverse"}
+    buffers: dict[int, list[np.ndarray]] = {i: [] for i in mirrored_ids}
+
+    def emit(rel_id, blocks):
+        for block in blocks:
+            if rel_id in buffers:
+                buffers[rel_id].append(block)
+            yield block
+
+    for rel_id, spec in enumerate(config.relations):
+        if spec.kind == "rotation":
+            blocks = _rotation_stream(rel_id, spec, latents, rng, chunk,
+                                      exact)
+        elif spec.kind == "community":
+            blocks = _community_stream(rel_id, latents,
+                                       config.num_communities, rng, chunk)
+        elif spec.kind == "hierarchy":
+            blocks = _hierarchy_stream(rel_id, config.num_entities, rng,
+                                       chunk)
+        else:  # "inverse" — RelationSpec validates kinds
+            def mirror(rel_id=rel_id, source=spec.inverse_of):
+                for block in buffers[source]:
+                    out = np.empty_like(block)
+                    out[:, 0] = block[:, 2]
+                    out[:, 1] = rel_id
+                    out[:, 2] = block[:, 0]
+                    yield out
+            blocks = mirror()
+        yield from emit(rel_id, blocks)
 
 
 def generate_kg(config: GeneratorConfig) -> KnowledgeGraph:
     """Generate the *complete* (test) graph for ``config``."""
-    rng = np.random.default_rng(config.seed)
-    latents = rng.uniform(0, 2 * np.pi, size=(config.num_entities, config.latent_dim))
-    triples: list[Triple] = []
-    # per-relation slices of `triples`, so inverse relations mirror their
-    # source in O(source) instead of rescanning the full list per inverse
-    by_relation: dict[int, slice] = {}
-    for rel_id, spec in enumerate(config.relations):
-        start = len(triples)
-        if spec.kind == "rotation":
-            triples.extend(_rotation_triples(rel_id, spec, latents, rng))
-        elif spec.kind == "community":
-            triples.extend(_community_triples(rel_id, latents,
-                                              config.num_communities, rng))
-        elif spec.kind == "hierarchy":
-            triples.extend(_hierarchy_triples(rel_id, config.num_entities, rng))
-        elif spec.kind == "inverse":
-            mirrored = triples[by_relation[spec.inverse_of]]
-            triples.extend((tail, rel_id, head) for head, _, tail in mirrored)
-        by_relation[rel_id] = slice(start, len(triples))
-    relation_names = [f"{spec.kind}_{i}" for i, spec in enumerate(config.relations)]
+    triples = (row for block in stream_triples(config, exact=True)
+               for row in block.tolist())
     return KnowledgeGraph(config.num_entities, len(config.relations), triples,
-                          relation_names=relation_names)
+                          relation_names=config.relation_names)
 
 
 def make_splits(full: KnowledgeGraph, name: str = "synthetic",

@@ -1,27 +1,14 @@
-"""Streaming synthetic KG generation at 10^5-10^6 entity scale.
+"""Synthetic KGs at 10^5-10^6 entity scale, written to disk as a stream.
 
-:func:`generate_kg` (``datasets.py``) builds the *complete* triple list in
-RAM, sorts it, and shuffles it — fine for the mini benchmarks, impossible
-for the million-entity graphs the sharded data plane needs to be worth
-its IPC.  This module re-implements the same latent-rotation generative
-model as a **stream**: triples are produced in bounded chunks, one
-relation block at a time, and the split protocol writes them to disk
-incrementally.  Peak RSS is the latent table (``n × d`` float64, 16 MB at
-one million entities) plus one chunk — never the triple set.
-
-Two tail-selection modes share one RNG stream:
-
-* **exact** (small graphs) — per chunk of heads, the full distance row
-  against every entity is computed and ``argpartition``-ed exactly as
-  :func:`generate_kg` does.  Same draws, same float ops, same
-  ``argpartition`` input → the emitted triples are *identical*, in the
-  same order, to the in-memory generator (property-tested).
-* **binned** (above :data:`EXACT_ENTITY_LIMIT`) — entities are bucketed
-  by their first latent angle; a head's tails are the nearest entities
-  among the three buckets around its rotated position.  Work per head is
-  O(bucket) instead of O(n), so generation stays near-linear while the
-  rotation-compositionality the query sampler relies on is preserved
-  (tails are still the latent-nearest candidates).
+:func:`~repro.kg.datasets.generate_kg` builds a :class:`KnowledgeGraph`
+in RAM and :func:`~repro.kg.datasets.make_splits` sorts and shuffles its
+triple set — fine for the mini benchmarks, impossible for the
+million-entity graphs the sharded data plane needs to be worth its IPC.
+This module consumes the same generator,
+:func:`~repro.kg.datasets.stream_triples`, block by block and writes
+the nested splits to disk incrementally.  Peak RSS is the latent table
+(``n × d`` float64, 16 MB at one million entities) plus one chunk —
+never the triple set.
 
 The split protocol mirrors :func:`make_splits` semantics without
 materialising anything: a triple touching a not-yet-covered entity joins
@@ -37,258 +24,15 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
-from .datasets import GeneratorConfig, RelationSpec
+from .datasets import (DEFAULT_CHUNK, GeneratorConfig, RelationSpec,
+                       stream_triples)
 from .io import _ENTITY_FILE, _RELATION_FILE
 
-__all__ = ["EXACT_ENTITY_LIMIT", "stream_triples", "stream_splits",
-           "XlSplitSummary", "load_summary", "fb15k_xl_config", "fb15k_xl"]
-
-#: largest graph for which the exact O(n^2) tail search is used by
-#: default; above it the binned near-linear search kicks in
-EXACT_ENTITY_LIMIT = 20_000
-
-#: entity rows processed per chunk of the rotation/community streams
-DEFAULT_CHUNK = 4096
-
-#: binned mode: target entities per angle bucket and the cap on how many
-#: nearest candidates are ranked per head (also clamps the fan-out)
-_BUCKET_TARGET = 64
-_MAX_FAN = 64
-
-TWO_PI = 2.0 * np.pi
-
-
-def _chunks(n: int, chunk: int) -> Iterator[tuple[int, int]]:
-    for start in range(0, n, chunk):
-        yield start, min(start + chunk, n)
-
-
-def _angular_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Max-over-dims angular distance, one row per entry of ``a``.
-
-    Identical float ops to ``datasets._angular_distance`` so the exact
-    mode reproduces :func:`generate_kg` bit for bit.
-    """
-    diff = np.abs(a[:, None, :] - b[None, :, :])
-    diff = np.minimum(diff, TWO_PI - diff)
-    return diff.max(axis=-1)
-
-
-# ----------------------------------------------------------------------
-# rotation relations
-# ----------------------------------------------------------------------
-def _rotation_stream_exact(rel_id: int, rotated: np.ndarray,
-                           latents: np.ndarray, fans: np.ndarray,
-                           heads: np.ndarray, chunk: int):
-    """Chunked replica of ``datasets._rotation_triples``.
-
-    The full distance matrix row for each head chunk is computed against
-    every entity — O(n·chunk) memory, O(n^2) total work — and each
-    head's ``argpartition`` sees the same values the in-memory generator
-    feeds it, so the selected tails (and their order) are identical.
-    """
-    n = latents.shape[0]
-    for s, e in _chunks(n, chunk):
-        head_ids = s + np.flatnonzero(heads[s:e])
-        if head_ids.size == 0:
-            continue
-        distance = _angular_rows(rotated[head_ids], latents)
-        distance[np.arange(head_ids.size), head_ids] = np.inf  # no loops
-        rows: list[np.ndarray] = []
-        for local, head in enumerate(head_ids):
-            fan = int(fans[head])
-            tails = np.argpartition(distance[local], fan)[:fan]
-            block = np.empty((fan, 3), dtype=np.int64)
-            block[:, 0] = head
-            block[:, 1] = rel_id
-            block[:, 2] = tails
-            rows.append(block)
-        if rows:
-            yield np.concatenate(rows, axis=0)
-
-
-def _bucket_table(latents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bucket entities by first latent angle: (bucket ids, padded table).
-
-    The padded table has one row per bucket, entity ids ascending, -1
-    padding — fixed width so candidate gathering stays vectorised.
-    """
-    n = latents.shape[0]
-    num_buckets = max(4, n // _BUCKET_TARGET)
-    buckets = np.minimum((latents[:, 0] / TWO_PI * num_buckets).astype(np.int64),
-                         num_buckets - 1)
-    order = np.argsort(buckets, kind="stable")
-    counts = np.bincount(buckets, minlength=num_buckets)
-    width = int(counts.max())
-    table = np.full((num_buckets, width), -1, dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    for b in range(num_buckets):
-        members = order[starts[b]:starts[b] + counts[b]]
-        table[b, :members.size] = members
-    return buckets, table
-
-
-def _rotation_stream_binned(rel_id: int, rotated: np.ndarray,
-                            latents: np.ndarray, fans: np.ndarray,
-                            heads: np.ndarray, chunk: int):
-    """Near-linear tail search: rank only the 3 buckets around the
-    rotated position.  Fan-outs are clamped to :data:`_MAX_FAN` (the
-    heavy geometric tail would defeat the candidate cap anyway)."""
-    n = latents.shape[0]
-    _, table = _bucket_table(latents)
-    num_buckets, width = table.shape
-    fans = np.minimum(fans, _MAX_FAN)
-    for s, e in _chunks(n, chunk):
-        head_ids = s + np.flatnonzero(heads[s:e])
-        if head_ids.size == 0:
-            continue
-        rot = rotated[head_ids]
-        centre = np.minimum((rot[:, 0] / TWO_PI * num_buckets).astype(np.int64),
-                            num_buckets - 1)
-        neighbours = np.stack([(centre - 1) % num_buckets, centre,
-                               (centre + 1) % num_buckets], axis=1)
-        cand = table[neighbours].reshape(head_ids.size, 3 * width)
-        distance = np.abs(rot[:, None, :] - latents[cand])
-        distance = np.minimum(distance, TWO_PI - distance).max(axis=-1)
-        distance[cand < 0] = np.inf                 # padding
-        distance[cand == head_ids[:, None]] = np.inf  # no self loops
-        take = min(_MAX_FAN, cand.shape[1])
-        part = np.argpartition(distance, take - 1, axis=-1)[:, :take]
-        vals = np.take_along_axis(distance, part, axis=-1)
-        order = np.argsort(vals, axis=-1, kind="stable")
-        nearest = np.take_along_axis(part, order, axis=-1)
-        finite = np.take_along_axis(vals, order, axis=-1) < np.inf
-        want = np.arange(take)[None, :] < fans[head_ids][:, None]
-        rows, cols = np.nonzero(want & finite)
-        if rows.size == 0:
-            continue
-        block = np.empty((rows.size, 3), dtype=np.int64)
-        block[:, 0] = head_ids[rows]
-        block[:, 1] = rel_id
-        block[:, 2] = cand[rows, nearest[rows, cols]]
-        yield block
-
-
-def _rotation_stream(rel_id: int, spec: RelationSpec, latents: np.ndarray,
-                     rng: np.random.Generator, chunk: int, exact: bool):
-    n = latents.shape[0]
-    # identical draw order to datasets._rotation_triples in both modes
-    offset = rng.uniform(0, TWO_PI, size=latents.shape[1])
-    rotated = np.mod(latents + offset
-                     + rng.normal(0, spec.noise, size=latents.shape), TWO_PI)
-    fans = np.minimum(rng.geometric(1.0 / spec.fan_out, size=n), n - 1)
-    heads = rng.random(n) < 0.7
-    stream = _rotation_stream_exact if exact else _rotation_stream_binned
-    yield from stream(rel_id, rotated, latents, fans, heads, chunk)
-
-
-# ----------------------------------------------------------------------
-# community / hierarchy / inverse relations
-# ----------------------------------------------------------------------
-def _community_stream(rel_id: int, latents: np.ndarray, num_communities: int,
-                      rng: np.random.Generator, chunk: int):
-    """Chunked replica of ``datasets._community_triples``."""
-    n = latents.shape[0]
-    communities = (latents[:, 0] / TWO_PI * num_communities).astype(int)
-    communities = np.clip(communities, 0, num_communities - 1)
-    hub_table = np.full((num_communities, 2), -1, dtype=np.int64)
-    for c in range(num_communities):
-        members = np.flatnonzero(communities == c)
-        if members.size == 0:
-            continue
-        hubs = rng.choice(members, size=min(2, members.size), replace=False)
-        hub_table[c, :hubs.size] = hubs
-    for s, e in _chunks(n, chunk):
-        hubs = hub_table[communities[s:e]]            # (m, 2)
-        entities = np.arange(s, e, dtype=np.int64)
-        keep = (hubs >= 0) & (hubs != entities[:, None])
-        rows, cols = np.nonzero(keep)                 # entity-major order
-        if rows.size == 0:
-            continue
-        block = np.empty((rows.size, 3), dtype=np.int64)
-        block[:, 0] = entities[rows]
-        block[:, 1] = rel_id
-        block[:, 2] = hubs[rows, cols]
-        yield block
-
-
-def _hierarchy_stream(rel_id: int, n: int, rng: np.random.Generator,
-                      chunk: int):
-    """Chunked replica of ``datasets._hierarchy_triples``.
-
-    The draw sequence is inherently sequential (each parent index is
-    bounded by the position), so this is a plain loop with chunked
-    emission — O(n) scalar draws, a few seconds at a million entities.
-    """
-    order = rng.permutation(n)
-    pending: list[tuple[int, int, int]] = []
-    for position in range(1, n):
-        if rng.random() < 0.6:
-            parent_pos = rng.integers(0, position)
-            pending.append((int(order[position]), rel_id,
-                            int(order[parent_pos])))
-            if len(pending) >= chunk:
-                yield np.asarray(pending, dtype=np.int64)
-                pending = []
-    if pending:
-        yield np.asarray(pending, dtype=np.int64)
-
-
-# ----------------------------------------------------------------------
-# the full stream
-# ----------------------------------------------------------------------
-def stream_triples(config: GeneratorConfig, chunk: int = DEFAULT_CHUNK,
-                   exact: bool | None = None) -> Iterator[np.ndarray]:
-    """Yield the complete graph of ``config`` as ``(m, 3)`` int64 blocks.
-
-    With ``exact=True`` (the default at or below
-    :data:`EXACT_ENTITY_LIMIT` entities) the concatenated blocks are
-    *identical*, element for element, to ``generate_kg(config)`` — the
-    chunking changes memory, not results.  Only triples of relations
-    some later relation mirrors are buffered; everything else is emitted
-    and dropped.
-    """
-    if exact is None:
-        exact = config.num_entities <= EXACT_ENTITY_LIMIT
-    rng = np.random.default_rng(config.seed)
-    latents = rng.uniform(0, TWO_PI,
-                          size=(config.num_entities, config.latent_dim))
-    mirrored_ids = {spec.inverse_of for spec in config.relations
-                    if spec.kind == "inverse"}
-    buffers: dict[int, list[np.ndarray]] = {i: [] for i in mirrored_ids}
-
-    def emit(rel_id, blocks):
-        for block in blocks:
-            if rel_id in buffers:
-                buffers[rel_id].append(block)
-            yield block
-
-    for rel_id, spec in enumerate(config.relations):
-        if spec.kind == "rotation":
-            blocks = _rotation_stream(rel_id, spec, latents, rng, chunk,
-                                      exact)
-        elif spec.kind == "community":
-            blocks = _community_stream(rel_id, latents,
-                                       config.num_communities, rng, chunk)
-        elif spec.kind == "hierarchy":
-            blocks = _hierarchy_stream(rel_id, config.num_entities, rng,
-                                       chunk)
-        elif spec.kind == "inverse":
-            def mirror(rel_id=rel_id, source=spec.inverse_of):
-                for block in buffers[source]:
-                    out = np.empty_like(block)
-                    out[:, 0] = block[:, 2]
-                    out[:, 1] = rel_id
-                    out[:, 2] = block[:, 0]
-                    yield out
-            blocks = mirror()
-        else:  # pragma: no cover - RelationSpec validates kinds
-            raise ValueError(f"unknown relation kind {spec.kind!r}")
-        yield from emit(rel_id, blocks)
+__all__ = ["stream_splits", "XlSplitSummary", "load_summary",
+           "fb15k_xl_config", "fb15k_xl"]
 
 
 # ----------------------------------------------------------------------
@@ -326,8 +70,8 @@ def load_summary(out_dir) -> XlSplitSummary:
 
 def stream_splits(config: GeneratorConfig, out_dir,
                   train_fraction: float = 0.8, valid_fraction: float = 0.9,
-                  seed: int = 0, chunk: int = DEFAULT_CHUNK,
-                  exact: bool | None = None) -> XlSplitSummary:
+                  seed: int = 0,
+                  chunk: int = DEFAULT_CHUNK) -> XlSplitSummary:
     """Generate ``config`` and write nested splits without materialising.
 
     Produces the same on-disk layout as :func:`repro.kg.io.save_splits`
@@ -351,12 +95,10 @@ def stream_splits(config: GeneratorConfig, out_dir,
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     n = config.num_entities
-    relation_names = [f"{spec.kind}_{i}"
-                      for i, spec in enumerate(config.relations)]
+    relation_names = config.relation_names
 
     with open(out_dir / _ENTITY_FILE, "w") as handle:
-        for s, e in _chunks(n, max(chunk, 65536)):
-            handle.write("".join(f"e{i}\n" for i in range(s, e)))
+        handle.writelines(f"e{i}\n" for i in range(n))
     (out_dir / _RELATION_FILE).write_text(
         "".join(f"{name}\n" for name in relation_names))
 
@@ -366,7 +108,7 @@ def stream_splits(config: GeneratorConfig, out_dir,
     with open(out_dir / "train.tsv", "w") as train_f, \
             open(out_dir / "valid.tsv", "w") as valid_f, \
             open(out_dir / "test.tsv", "w") as test_f:
-        for block in stream_triples(config, chunk=chunk, exact=exact):
+        for block in stream_triples(config, chunk=chunk):
             draws = split_rng.random(block.shape[0])
             # 0 = train, 1 = valid-only, 2 = test-only
             assign = np.where(draws < train_fraction, 0,

@@ -2,9 +2,10 @@
 
 ``ServeClient`` is what callers hold: it accepts either computation
 graphs or SPARQL strings (compiled through a :class:`SparqlEngine`), and
-can decorate results with human-readable entity names.  The benchmark
-harness and ``python -m repro.cli serve`` both drive this class, so the
-measured path is exactly the served path.
+can decorate results with human-readable entity names.  ``python -m
+repro.cli serve`` and ``examples/serve_demo.py`` drive this class; the
+end-to-end benchmark workloads (``benchmarks/e2e``) drive
+:class:`ServeRuntime` and the gateway directly.
 """
 
 from __future__ import annotations

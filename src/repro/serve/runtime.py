@@ -45,6 +45,11 @@ from .canonical import canonicalize, serialize
 
 __all__ = ["ServeConfig", "ServeResult", "ServeRuntime", "ServeError"]
 
+#: model-path attempts per batch beyond the first
+MAX_RETRIES = 1
+#: sliding-window size of the latency histograms
+HISTOGRAM_WINDOW = 4096
+
 
 class ServeError(RuntimeError):
     """Raised to the caller when a request exhausts every path."""
@@ -62,14 +67,10 @@ class ServeConfig:
     num_workers: int = 1
     #: per-request deadline in seconds (None = no deadline)
     default_deadline: float | None = None
-    #: model-path attempts per batch beyond the first
-    max_retries: int = 1
     embedding_cache_size: int = 1024
     answer_cache_size: int = 4096
     #: seconds an answer-cache entry stays valid
     answer_ttl: float = 300.0
-    #: sliding-window size of the latency histograms
-    histogram_window: int = 4096
     #: entity-table shards for ranking; < 2 = in-process (``repro.dist``
     #: worker processes; falls back to in-process when the platform
     #: has no working shared memory — ``health()`` says so)
@@ -90,13 +91,11 @@ class ServeConfig:
     diagnostics: bool = True
     #: diagnostics knobs; None = DiagConfig() defaults
     diag: DiagConfig | None = None
-    #: continuous sampling profiler (``repro.obs.prof``) in this process
-    #: and — at the same rate — in every shard worker; the off switch
-    #: exists for the overhead benchmark, not for production
+    #: continuous sampling profiler (``repro.obs.prof``, at its
+    #: ``DEFAULT_HZ``) in this process and — at the same rate — in every
+    #: shard worker; the off switch exists for the overhead benchmark,
+    #: not for production
     profiling: bool = True
-    #: target sampling rate; the sampler down-samples itself whenever a
-    #: pass costs more than its overhead budget (2% of the interval)
-    prof_hz: float = 67.0
 
 
 @dataclass(frozen=True)
@@ -220,7 +219,7 @@ class ServeRuntime:
         self._answers = TtlCache(self.config.answer_cache_size,
                                  self.config.answer_ttl, clock=clock)
         self._embeddings = LruCache(self.config.embedding_cache_size)
-        self.metrics = MetricsRegistry(self.config.histogram_window)
+        self.metrics = MetricsRegistry(HISTOGRAM_WINDOW)
         self._latency = self.metrics.histogram("latency_ms")
         self._batch_sizes = self.metrics.histogram("batch_size")
         self._queue_depth = self.metrics.gauge("queue_depth")
@@ -268,11 +267,10 @@ class ServeRuntime:
 
     def _start(self, sharded: bool) -> None:
         """Profiler thread, shard workers, worker threads, HTTP listener."""
+        from ..obs.prof import DEFAULT_HZ, SamplingProfiler
         if self.config.profiling:
-            from ..obs.prof import SamplingProfiler
             self.prof = SamplingProfiler(
-                hz=self.config.prof_hz, role="serve",
-                registry=self.metrics).start()
+                hz=DEFAULT_HZ, role="serve", registry=self.metrics).start()
         if sharded:
             from ..dist import HedgeConfig, ShardedRanker
             hedge = HedgeConfig() if self.config.hedge_shards else None
@@ -281,8 +279,7 @@ class ServeRuntime:
             self._ranker = ShardedRanker(
                 self.model, self.config.num_shards, tracer=self.tracer,
                 metrics=self.metrics, hedge=hedge,
-                profile_hz=self.config.prof_hz
-                if self.config.profiling else 0.0)
+                profile_hz=DEFAULT_HZ if self.config.profiling else 0.0)
         self.metrics.gauge("shards").set(
             self._ranker.num_shards if self._ranker is not None else 0)
         self._batcher.start()
@@ -684,7 +681,7 @@ class ServeRuntime:
                 live.append(request)
         if not live:
             return
-        attempts = 1 + self.config.max_retries
+        attempts = 1 + MAX_RETRIES
         for attempt in range(attempts):
             try:
                 self._model_lock.acquire_read()

@@ -1,5 +1,7 @@
 """Tests for the synthetic dataset generators and the split protocol."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,48 @@ class TestPresets:
     def test_load_dataset_unknown(self):
         with pytest.raises(KeyError):
             load_dataset("WordNet")
+
+
+class TestPresetDigest:
+    """Every preset graph, triple for triple and adjacency order for
+    adjacency order, pinned by a sha256.
+
+    The query sampler draws from the iteration order of the adjacency
+    indexes, so a generator change that kept the triple set but moved
+    that order would still re-roll every workload.  The digest covers
+    ``sorted(kg.triples)`` and then, in entity/relation id order, the
+    tuple order of ``in_relations``, ``out_relations``, ``sources`` and
+    ``targets``."""
+
+    DIGESTS = {
+        ("FB15k", 0.4): ("adb8b42c3e6ded8ab42196a5d49cac76"
+                         "3d473f8c4f4e7b2c70ff629944931b8e"),
+        ("FB237", 0.4): ("20ff31f9cce9a64faa3fa0b682f9454e"
+                         "cefb3fabd1d59858cb994f69f8a0a697"),
+        ("NELL", 0.4): ("2445c1ff5cc7d02bcfa97dce709c4f73"
+                        "ecd3c61ca74d5f6beceafc693a1e7137"),
+        ("FB15k", 1.0): ("b605692fb660e3dd103c2e39e90b85a0"
+                         "c7e8607494d7daf7e34acf1adfa35b65"),
+        ("FB237", 1.0): ("77b001b5031f5f1deb8c8ab67a0c7898"
+                         "f4254d8b6c1785e42996a026c8b33cc8"),
+        ("NELL", 1.0): ("4c2ed10447768539bc03f65d95ea3201"
+                        "47e43af301cf6594e4fdd935856efdf0"),
+    }
+
+    @staticmethod
+    def _digest(kg: KnowledgeGraph) -> str:
+        digest = hashlib.sha256(repr(sorted(kg.triples)).encode())
+        for entity in range(kg.num_entities):
+            digest.update(repr((tuple(kg.in_relations(entity)),
+                                tuple(kg.out_relations(entity)))).encode())
+            for rel in range(kg.num_relations):
+                digest.update(repr((tuple(kg.sources(entity, rel)),
+                                    tuple(kg.targets(entity, rel)))).encode())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("name", ["FB15k", "FB237", "NELL"])
+    @pytest.mark.parametrize("scale", [0.4, 1.0])
+    def test_preset_graph_digest(self, name, scale):
+        config = load_dataset(name, scale=scale, seed=0).config
+        assert self._digest(generate_kg(config)) == \
+            self.DIGESTS[(name, scale)]

@@ -51,7 +51,7 @@ def test_sampler_overhead_under_2_percent_p50():
                       config=ServeConfig(profiling=False,
                                          **config)) as off_runtime, \
             ServeRuntime(model, kg=kg,
-                         config=ServeConfig(profiling=True, prof_hz=67.0,
+                         config=ServeConfig(profiling=True,
                                             **config)) as on_runtime:
         assert on_runtime.prof is not None and on_runtime.prof.running
         assert off_runtime.prof is None

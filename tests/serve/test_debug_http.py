@@ -24,6 +24,7 @@ from repro.gateway.tenancy import TenantConfig
 from repro.obs.diag import DiagConfig
 from repro.queries import Entity, Projection
 from repro.serve import ServeConfig, ServeRuntime
+from repro.serve import runtime as runtime_module
 
 from .conftest import HookedModel
 
@@ -48,9 +49,9 @@ def get_json(url):
 
 
 @pytest.fixture()
-def served(model, tiny_kg):
-    config = ServeConfig(max_batch_size=8, num_workers=1, http_port=0,
-                         histogram_window=128)
+def served(model, tiny_kg, monkeypatch):
+    monkeypatch.setattr(runtime_module, "HISTOGRAM_WINDOW", 128)
+    config = ServeConfig(max_batch_size=8, num_workers=1, http_port=0)
     with ServeRuntime(model, kg=tiny_kg, config=config) as runtime:
         yield runtime, runtime.http_server.url
 

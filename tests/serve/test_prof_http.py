@@ -12,6 +12,7 @@ from urllib.request import urlopen
 
 import pytest
 
+from repro.obs import prof
 from repro.queries import Entity, Projection
 from repro.serve import ServeConfig, ServeRuntime
 
@@ -36,9 +37,9 @@ def get_json(url):
 
 
 @pytest.fixture()
-def served(model, tiny_kg):
-    config = ServeConfig(max_batch_size=8, num_workers=1, http_port=0,
-                         prof_hz=100.0)
+def served(model, tiny_kg, monkeypatch):
+    monkeypatch.setattr(prof, "DEFAULT_HZ", 100.0)
+    config = ServeConfig(max_batch_size=8, num_workers=1, http_port=0)
     with ServeRuntime(model, kg=tiny_kg, config=config) as runtime:
         for query in distinct_queries(tiny_kg, 4):
             runtime.answer(query, top_k=3)

@@ -13,6 +13,7 @@ from repro.queries import (Entity, Intersection, Projection, QuerySampler,
                            execute, get_structure)
 from repro.serve import (ServeConfig, ServeError, ServeRuntime,
                          canonicalize)
+from repro.serve import runtime as runtime_module
 
 from .conftest import Gate, HookedModel
 
@@ -148,27 +149,31 @@ class TestCaching:
 
 
 class TestDegradation:
-    def test_fallback_agrees_with_exact_executor(self, tiny_kg, model):
+    def test_fallback_agrees_with_exact_executor(self, tiny_kg, model,
+                                                 monkeypatch):
+        monkeypatch.setattr(runtime_module, "MAX_RETRIES", 0)
         failing = FailingModel(model)
         queries = sample_queries(tiny_kg, 9, seed=13)
-        with make_runtime(failing, kg=tiny_kg, max_retries=0) as runtime:
+        with make_runtime(failing, kg=tiny_kg) as runtime:
             results = runtime.answer_batch(queries, top_k=50)
         for query, result in zip(queries, results):
             assert result.source == "exact"
             exact = sorted(execute(canonicalize(query), tiny_kg))[:50]
             assert result.entity_ids == exact
 
-    def test_error_when_no_fallback_available(self, model):
+    def test_error_when_no_fallback_available(self, model, monkeypatch):
+        monkeypatch.setattr(runtime_module, "MAX_RETRIES", 0)
         failing = FailingModel(model)
-        with make_runtime(failing, kg=None, max_retries=0) as runtime:
+        with make_runtime(failing, kg=None) as runtime:
             future = runtime.submit(Projection(0, Entity(1)), top_k=3)
             with pytest.raises(ServeError):
                 future.result(timeout=10.0)
             assert runtime.stats().counters["errors"] == 1
 
-    def test_retry_then_success(self, tiny_kg, model):
+    def test_retry_then_success(self, tiny_kg, model, monkeypatch):
+        monkeypatch.setattr(runtime_module, "MAX_RETRIES", 2)
         flaky = FlakyModel(model, failures=1)
-        with make_runtime(flaky, kg=tiny_kg, max_retries=2) as runtime:
+        with make_runtime(flaky, kg=tiny_kg) as runtime:
             result = runtime.answer(Projection(0, Entity(2)), top_k=3)
             stats = runtime.stats()
         assert result.source == "model"

@@ -371,3 +371,41 @@ class TestExplainCommand:
         out = capsys.readouterr().out
         assert "shared" in out
         assert "saved" in out
+
+
+class TestGenkgCommand:
+    FILES = ("entities.txt", "relations.txt", "train.tsv", "valid.tsv",
+             "test.tsv", "meta.json")
+
+    def test_exact_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["genkg", "out", "--exact"])
+        assert exit_info.value.code == 2
+
+    def test_same_seed_writes_identical_loadable_splits(self, tmp_path,
+                                                        capsys):
+        import re
+
+        from repro.kg import load_splits
+        runs = []
+        for name in ("one", "two"):
+            assert main(["genkg", str(tmp_path / name), "--entities", "300",
+                         "--seed", "5"]) == 0
+            runs.append(capsys.readouterr().out)
+        for file in self.FILES:
+            assert ((tmp_path / "one" / file).read_bytes()
+                    == (tmp_path / "two" / file).read_bytes()), file
+
+        meta = json.loads((tmp_path / "one" / "meta.json").read_text())
+        printed = {split: int(count.replace(",", "")) for split, count
+                   in re.findall(r"^\s+(\w+):\s+([\d,]+) triples$",
+                                 runs[0], flags=re.M)}
+        assert printed == meta["counts"]
+        assert meta["num_entities"] == 300
+
+        splits = load_splits(tmp_path / "one", name="genkg")
+        assert splits.test.num_entities == 300
+        for split in ("train", "valid", "test"):
+            assert getattr(splits, split).num_triples == meta["counts"][split]
+        assert splits.train.is_subgraph_of(splits.valid)
+        assert splits.valid.is_subgraph_of(splits.test)

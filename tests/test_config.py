@@ -85,6 +85,16 @@ class TestOptionBudget:
         from repro.gateway import GatewayConfig
         from repro.obs.diag import DiagConfig
         from repro.serve import ServeConfig
-        assert len(dataclasses.fields(ServeConfig)) <= 16
+        assert len(dataclasses.fields(ServeConfig)) <= 13
         assert len(dataclasses.fields(DiagConfig)) <= 5
         assert len(dataclasses.fields(GatewayConfig)) <= 5
+
+    @pytest.mark.parametrize("knob", ["max_retries", "histogram_window",
+                                      "prof_hz"])
+    def test_knobs_only_tests_set_are_constants(self, knob):
+        """The retry budget, histogram window and profiler rate are module
+        constants (``MAX_RETRIES``, ``HISTOGRAM_WINDOW``,
+        ``repro.obs.prof.DEFAULT_HZ``) that tests patch, not fields."""
+        from repro.serve import ServeConfig
+        with pytest.raises(TypeError):
+            ServeConfig(**{knob: 1})

@@ -152,3 +152,11 @@ def test_shard_workers_start_without_networkx():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "False"
+
+
+def test_one_module_selects_rotation_tails():
+    """The KG generator is one stream: tail selection (``argpartition``)
+    lives in one module under ``repro.kg`` — a second is a second copy
+    of the recipe growing back."""
+    selecting = {m.split(":")[0] for m in hits(r"argpartition", "kg")}
+    assert len(selecting) == 1, selecting
