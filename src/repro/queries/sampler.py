@@ -7,10 +7,17 @@ the template so that the target is reachable.  The grounded query is then
 executed exactly (``executor.execute``) and rejected when degenerate
 (empty answers, or an answer set larger than a cap — relevant for
 negation, whose complements are huge).
+
+Every draw is one bounded integer, and the sampler replays numpy's own
+method for it over a block of pre-drawn 32-bit words instead of calling
+the generator once per draw (DESIGN.md §16): the values, and the generator
+state anyone reads through :attr:`QuerySampler.rng`, are those of one
+``Generator.integers(n)`` call per draw.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,6 +30,11 @@ from .executor import execute
 from .structures import QueryStructure
 
 __all__ = ["GroundedQuery", "QuerySampler", "SamplerConfig"]
+
+#: Words drawn from the generator per refill of the sampler's block.
+BLOCK_WORDS = 4096
+_SPAN = 1 << 32  # one word's range; a bound up to it needs one word
+_MASK = _SPAN - 1
 
 
 @dataclass(frozen=True)
@@ -68,6 +80,14 @@ class SamplerConfig:
     max_answer_fraction: float = 0.5
     require_hard_answer: bool = False
 
+    def __post_init__(self):
+        if self.max_attempts < 1:
+            raise ValueError(
+                f"max_attempts must be at least 1, got {self.max_attempts}")
+        if not 0 < self.max_answer_fraction <= 1:
+            raise ValueError("max_answer_fraction must be in (0, 1], got "
+                             f"{self.max_answer_fraction}")
+
 
 class QuerySampler:
     """Samples grounded queries of given structures from graph splits.
@@ -79,7 +99,12 @@ class QuerySampler:
     full:
         The evaluation graph defining the complete answer sets (a superset
         of ``observed``); pass the same graph twice to sample training
-        queries.
+        queries.  ``require_hard_answer`` needs a full graph with edges
+        the observed one lacks.
+
+    The sampler owns its generator (``default_rng(seed)``) and draws from
+    it in blocks of words; :attr:`rng` syncs the generator to the draws
+    made so far before handing it out.
     """
 
     def __init__(self, observed: KnowledgeGraph, full: KnowledgeGraph | None = None,
@@ -88,8 +113,18 @@ class QuerySampler:
         self.full = full if full is not None else observed
         if not observed.is_subgraph_of(self.full):
             raise ValueError("observed graph must be a subgraph of the full graph")
-        self.rng = np.random.default_rng(seed)
         self.config = config or SamplerConfig()
+        if (self.config.require_hard_answer
+                and self.full.num_triples == observed.num_triples):
+            raise ValueError("require_hard_answer needs a full graph with "
+                             "edges the observed graph lacks")
+        # The word block: BLOCK_WORDS words drawn from the generator in
+        # state ``_block_start``, of which ``_words`` are still unused,
+        # last word first (a draw pops it); the generator itself sits
+        # after the whole block until ``_sync``.
+        self._rng = np.random.default_rng(seed)
+        self._block_start: dict = {}
+        self._words: list[int] = []
         # Grounding walks the *full* graph so that evaluation queries can
         # use unseen edges (that is what creates hard answers).  An entity
         # is active (degree > 0) when it has an in- or an out-relation.
@@ -108,6 +143,12 @@ class QuerySampler:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
+    @property
+    def rng(self) -> np.random.Generator:
+        """The sampler's generator, in the state one
+        ``Generator.integers(n)`` call per draw would have left."""
+        return self._sync()
+
     def sample(self, structure: QueryStructure) -> GroundedQuery:
         """Sample one non-degenerate grounded query of ``structure``."""
         cap = max(1, int(self.config.max_answer_fraction
@@ -200,7 +241,7 @@ class QuerySampler:
         if isinstance(template, Union):
             # One branch must contain the target; others are free.
             operands = []
-            hit = int(self.rng.integers(len(template.operands)))
+            hit = self._draw(range(len(template.operands)))
             for i, op_template in enumerate(template.operands):
                 branch_target = target if i == hit else self._random_entity()
                 operand = self._ground(op_template, branch_target)
@@ -241,11 +282,37 @@ class QuerySampler:
             return Negation(operand)
         return self._ground(template, target)
 
-    def _draw(self, seq: tuple[int, ...]) -> int:
+    def _draw(self, seq: Sequence[int]) -> int:
         """A uniform draw from ``seq``: the value and the generator state
-        that ``Generator.choice`` gives on ``seq``, without converting
-        ``seq`` to an array on every call."""
-        return seq[int(self.rng.integers(len(seq)))]
+        that ``Generator.choice`` gives on ``seq`` — it takes
+        ``int(Generator.integers(len(seq)))`` and indexes — replayed over
+        the word block instead of calling the generator.
+
+        For 1 < n <= 2**32 numpy takes Lemire's nearly-divisionless
+        method over ``next_uint32``: ``m = word * n``, a fresh word while
+        the low half of ``m`` is below ``(2**32 - n) % n``, then the high
+        half.  ``n == 1`` takes no word; ``n == 0`` is numpy's
+        ``ValueError``; a wider bound goes to the generator itself."""
+        n = len(seq)
+        if n == 1:
+            return seq[0]
+        if not n:
+            raise ValueError("high <= 0: cannot draw from an empty sequence")
+        if n > _SPAN:
+            return seq[self._refill(wide=n)]
+        words = self._words
+        if not words:
+            self._refill()
+            words = self._words
+        m = words.pop() * n
+        if m & _MASK < n:  # only then can it fall below the threshold
+            threshold = (_SPAN - n) % n
+            while m & _MASK < threshold:
+                if not words:
+                    self._refill()
+                    words = self._words
+                m = words.pop() * n
+        return seq[m >> 32]
 
     def _random_entity(self, exclude: int | None = None) -> int:
         entity = self._draw(self._active_entities)
@@ -253,3 +320,31 @@ class QuerySampler:
             while entity == exclude:
                 entity = self._draw(self._active_entities)
         return entity
+
+    # ------------------------------------------------------------------
+    # the word block
+    # ------------------------------------------------------------------
+    def _sync(self) -> np.random.Generator:
+        """Put the generator where the draws so far would have left it —
+        rewind to the block's start and redraw the words consumed — and
+        empty the block, so the next draw starts from whatever state the
+        generator has then."""
+        rng = self._rng
+        if self._words:  # (with no word left, the generator is in place)
+            rng.bit_generator.state = self._block_start
+            rng.integers(0, _SPAN, size=BLOCK_WORDS - len(self._words),
+                         dtype=np.uint32)
+            self._words = []
+        return rng
+
+    def _refill(self, wide: int = 0) -> int:
+        """Sync, then draw a fresh block of words; or, for a ``wide``
+        bound above 2**32 (beyond one word), hand that draw to the
+        generator and return it (the block stays empty)."""
+        rng = self._sync()
+        if wide:
+            return int(rng.integers(wide))
+        self._block_start = rng.bit_generator.state
+        self._words = rng.integers(0, _SPAN, size=BLOCK_WORDS,
+                                   dtype=np.uint32)[::-1].tolist()
+        return 0

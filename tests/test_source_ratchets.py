@@ -136,9 +136,29 @@ def test_one_model_protocol_one_tree_walk():
 
 
 def test_the_sampler_draws_by_index():
-    """A grounding draw indexes a tuple built once: no ``.choice(`` in
-    the sampler, which converts its whole list to an array per draw."""
+    """A grounding draw indexes a tuple built once, at an index replayed
+    from the word block: no ``.choice(`` in the sampler, which converts
+    its whole list to an array per draw."""
     assert hits(r"\.choice\(", "queries/sampler.py") == []
+
+
+def test_the_sampler_calls_its_generator_per_block():
+    """Grounding draws replay numpy's bounded-integer method over a block
+    of words: only the block's refill and sync call ``.integers(`` — a
+    per-draw generator call is ~2 µs of call overhead each."""
+    tree = ast.parse((SRC / "queries" / "sampler.py").read_text(
+        encoding="utf-8"))
+    allowed = [range(node.lineno, node.end_lineno + 1)
+               for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("_refill", "_sync")]
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "integers"]
+    assert calls, "the word block draws through .integers("
+    assert [f"queries/sampler.py:{line}" for line in calls
+            if not any(line in span for span in allowed)] == []
 
 
 def test_shard_workers_start_without_networkx():
