@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import signal
 import sys
 import time
 
@@ -291,6 +292,10 @@ def _serve_runtime(model, **kwargs):
         raise SystemExit(str(exc)) from exc
 
 
+def _interrupt(_signum, _frame):
+    raise KeyboardInterrupt
+
+
 def cmd_serve(args) -> int:
     from .queries import QuerySampler, get_structure
     from .serve import ServeClient, ServeConfig, format_snapshot
@@ -374,12 +379,18 @@ def cmd_serve(args) -> int:
         if args.stats:
             print(format_snapshot(client.stats()))
         if args.hold and runtime.http_server is not None:
-            print("holding for scrapes; Ctrl-C to exit")
+            # SIGTERM's default action would skip the runtime's close()
+            # and orphan the shard workers and their segments: it ends
+            # the hold the way Ctrl-C does
+            previous = signal.signal(signal.SIGTERM, _interrupt)
             try:
+                print("holding for scrapes; Ctrl-C to exit", flush=True)
                 while True:
                     time.sleep(1.0)
             except KeyboardInterrupt:
                 print()
+            finally:
+                signal.signal(signal.SIGTERM, previous)
         if gateway is not None:
             gateway.close()
     return 0
@@ -592,7 +603,7 @@ def cmd_mem(args) -> int:
     payload = _fetch_json(args.target, "/debug/mem", args.timeout)
     print("process RSS:")
     for proc in payload.get("processes", []):
-        print(f"  {proc.get('role', '?'):<8} pid {proc.get('pid', 0):<8} "
+        print(f"  {proc.get('role', '?'):<10} pid {proc.get('pid', 0):<8} "
               f"{_human_bytes(proc.get('rss_bytes', 0))}")
     caches = payload.get("caches", {})
     if caches:

@@ -596,6 +596,9 @@ class ServeRuntime:
     def mem_payload(self) -> dict:
         """The ``GET /debug/mem`` payload: RSS, caches, ranked tables.
 
+        ``processes`` is this process, each shard worker and — when
+        sharded — the fork server the workers were forked from.
+
         ``shard_plan`` is the published segments (entity table plus the
         filter's prepared companion) when shard workers rank,
         ``local_ranker`` the in-process ranker's private pair otherwise.
@@ -608,9 +611,14 @@ class ServeRuntime:
         processes = [{"role": "serve", "pid": os.getpid(),
                       "rss_bytes": process_rss_bytes()}]
         if self._ranker is not None:
-            for i, pid in enumerate(self._ranker.pool.pids()):
+            pool = self._ranker.pool
+            for i, pid in enumerate(pool.pids()):
                 processes.append({"role": f"shard{i}", "pid": pid,
                                   "rss_bytes": process_rss_bytes(pid)})
+            # the workers' parent: the imports they share live there
+            server = pool.server_pid()
+            processes.append({"role": "forkserver", "pid": server,
+                              "rss_bytes": process_rss_bytes(server)})
         for proc in processes:
             self.metrics.gauge("process_rss_bytes",
                                role=proc["role"]).set(proc["rss_bytes"])

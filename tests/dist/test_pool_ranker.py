@@ -1,7 +1,7 @@
 """Live worker-pool tests: parity, crash healing, clean teardown.
 
-Everything that spawns processes lives here, against ONE module-scoped
-ranker (spawn start-up is the expensive part), with the teardown/no-leak
+Everything that starts processes lives here, against ONE module-scoped
+ranker (worker start-up is the expensive part), with the teardown/no-leak
 assertions running last against that same pool.
 """
 
@@ -18,7 +18,7 @@ from repro.core.topk import topk_rows
 from repro.dist import ShardedRanker, merge_topk
 from repro.queries import Entity, Intersection, Projection, Union
 
-from .conftest import requires_shm
+from .conftest import parent_pid, requires_shm
 
 pytestmark = [pytest.mark.dist, requires_shm]
 
@@ -181,6 +181,24 @@ class TestCrashHealing:
         ids, _ = ranker.topk(embedding, 10)
         assert np.array_equal(ids, expect_ids)
         assert all(ranker.pool.alive())
+
+    def test_respawned_worker_is_a_fork_of_the_server(self, ranker,
+                                                      embedding):
+        """A respawn forks the fork server, not this process: the fresh
+        worker's parent is the server its siblings came from, and its
+        answers are bit for bit the ones before the kill."""
+        ids_before, vals_before = ranker.topk(embedding, 10)
+        victim = ranker.pool.pids()[0]
+        server = parent_pid(ranker.pool.pids()[1])
+        before = ranker.respawns
+        os.kill(victim, signal.SIGKILL)
+        ids, vals = ranker.topk(embedding, 10)
+        assert ranker.respawns == before + 1
+        fresh = ranker.pool.pids()[0]
+        assert fresh != victim
+        assert parent_pid(fresh) == server != os.getpid()
+        assert np.array_equal(ids, ids_before)
+        assert np.array_equal(vals, vals_before)
 
 
 class TestTeardown:

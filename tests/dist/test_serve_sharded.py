@@ -12,7 +12,8 @@ from repro.core import HalkModel
 from repro.core.topk import topk_rows
 from repro.serve import ServeConfig, ServeRuntime
 
-from .conftest import requires_shm, shm_segments as _shm_segments
+from .conftest import parent_pid, requires_shm
+from .conftest import shm_segments as _shm_segments
 
 pytestmark = [pytest.mark.dist, requires_shm]
 
@@ -60,6 +61,23 @@ def test_debug_mem_sums_to_what_dev_shm_holds(model, runtime):
     gauges = runtime.metrics.snapshot().gauges
     assert sum(gauges[f"shard_slab_bytes{{shard={i}}}"]
                for i in range(plan.num_shards)) == on_disk
+
+
+def test_debug_mem_names_the_fork_server(runtime):
+    """The workers' parent — the fork server holding the imports no
+    worker pays for any more — is a process row and an RSS gauge."""
+    payload = runtime.mem_payload()
+    roles = [proc["role"] for proc in payload["processes"]]
+    assert roles == ["serve", "shard0", "shard1", "forkserver"]
+    rows = {proc["role"]: proc for proc in payload["processes"]}
+    server = rows["forkserver"]
+    assert server["pid"] not in (os.getpid(), None)
+    assert {parent_pid(rows[f"shard{i}"]["pid"]) for i in (0, 1)} \
+        == {server["pid"]}
+    assert server["rss_bytes"] > 1024 * 1024
+    gauges = runtime.metrics.snapshot().gauges
+    assert gauges["process_rss_bytes{role=forkserver}"] \
+        == server["rss_bytes"]
 
 
 def test_unsupported_model_falls_back_to_in_process(model, kg, queries,

@@ -96,15 +96,26 @@ def test_requests_wait_for_a_worker_never_for_a_clock():
 
 
 def test_one_fallback_rung_one_slab_layout_one_start_method():
-    """A shard's segment is its row block and workers start by spawn:
-    no layout switch, row offset or start-method plumbing; and serving
-    has no LSH rung (``repro.ann`` stays the paper's retrieval path,
-    reached through ``SparqlEngine.answer``, not the runtime or the
-    CLI)."""
+    """A shard's segment is its row block and workers are forked by the
+    one fork server: no layout switch, row offset or start-method
+    plumbing; and serving has no LSH rung (``repro.ann`` stays the
+    paper's retrieval path, reached through ``SparqlEngine.answer``, not
+    the runtime or the CLI)."""
     assert hits(r"lazy_slabs|lazy=|\.lazy\b|LAZY_SLAB|row_offset"
                 r"|start_method", "") == []
     assert hits(r"_lsh_answer|fallback_lsh|LshIndex", "serve",
                 "cli.py") == []
+
+
+def test_workers_start_from_the_fork_server_only():
+    """One multiprocessing context in the package, the fork server's:
+    ``spawn`` (an interpreter and every import per worker) is gone, and
+    ``fork`` from a process with serving threads would copy their locks
+    mid-hold."""
+    contexts = hits(r"get_context\(", "")
+    assert len(contexts) == 1, contexts
+    assert contexts[0].startswith("dist/pool.py:")
+    assert 'get_context("forkserver")' in contexts[0]
 
 
 def test_the_ranking_filter_takes_one_sin_and_one_cos_a_cell():
