@@ -682,6 +682,14 @@ def cmd_trace(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count the runtime needs at least one of."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="HaLk reproduction command line")
@@ -745,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("answer", help="answer a SPARQL query")
     common(p)
     p.add_argument("--sparql", required=True)
-    p.add_argument("--top-k", type=int, default=10)
+    p.add_argument("--top-k", type=_positive_int, default=10)
     p.set_defaults(func=cmd_answer)
 
     p = sub.add_parser("explain",
@@ -779,12 +787,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparql", action="append",
                    help="serve this SPARQL query (repeatable) instead of "
                         "the sampled demo workload")
-    p.add_argument("--top-k", type=int, default=10)
-    p.add_argument("--repeat", type=int, default=3,
+    p.add_argument("--top-k", type=_positive_int, default=10)
+    p.add_argument("--repeat", type=_positive_int, default=3,
                    help="passes over the workload; later passes exercise "
                         "the answer cache")
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--batch-size", type=_positive_int, default=64)
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="batches in execution at once (more than one "
                         "pays only with --shards)")
     p.add_argument("--answer-ttl", type=float, default=300.0)
@@ -918,8 +926,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparql",
                    help="trace this SPARQL query through the engine "
                         "instead of the serving runtime")
-    p.add_argument("--top-k", type=int, default=10)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--top-k", type=_positive_int, default=10)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out", default="trace.json",
                    help="Chrome trace-event output path ('' to skip)")
     p.add_argument("--train-if-missing", action="store_true",

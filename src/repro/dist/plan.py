@@ -170,13 +170,6 @@ class SharedArray:
             stop = min(start + chunk, len(target))
             target[start:stop] = source[start:stop]
 
-    def write(self, array: np.ndarray) -> None:
-        """Overwrite the published values in place (same shape/dtype)."""
-        if array.shape != self.ndarray.shape:
-            raise ValueError(f"shape changed: published "
-                             f"{self.ndarray.shape}, got {array.shape}")
-        self.fill(array)
-
     def close(self) -> None:
         """Unmap; the owner additionally destroys the segment."""
         if self._closed:

@@ -28,32 +28,33 @@ the caller sees a slower answer, never a wrong or missing one.  Replies
 with stale sequence numbers (from a worker that died *after* computing)
 are discarded.
 
-Telemetry crosses the process boundary by piggybacking on replies: every
-worker installs its own :class:`repro.obs.Tracer` and a delta-tracking
-:class:`repro.obs.MetricsRegistry` as its process defaults, wraps each
-``handle()`` in a ``worker.handle`` span (when tracing was enabled in
-the parent at dispatch time), and ships the finished spans plus the
-metric increments since its previous reply alongside the result — no
-side channel, and the request sequence numbers give ordering for free.
-A role with ``profile_hz > 0`` additionally runs a continuous sampling
-profiler (:mod:`repro.obs.prof`) and ships its folded-stack deltas the
-same way, accumulated per worker in :attr:`ShardWorkerPool.profiles`.
-The parent merges the deltas into :attr:`ShardWorkerPool.metrics` and
-re-parents the spans (:meth:`repro.obs.Tracer.adopt`) under the span
-that was current at ``dispatch()``, so a Chrome trace shows per-worker
-swimlanes nested inside the dispatching request.  Telemetry riding on a
-*stale* reply is discarded with the reply — a respawned worker's
-re-computation is merged exactly once, never double-counted.
+Telemetry has one writer, the owner.  A worker holds no tracer and no
+registry: a reply is the role's result, the worker-measured
+``(started, ended)`` interval of its ``handle()``, what the role
+measured on the way (phase intervals, counts) and — for a role with
+``profile_hz > 0`` — the folded-stack delta of the worker's continuous
+sampling profiler (:mod:`repro.obs.prof`), the one thing only the
+worker can measure.  For each accepted reply the pool records a
+``worker.handle`` span with the worker's pid under the span that was
+current at ``dispatch()`` (when tracing was on then), and
+:meth:`WorkerRole.record` turns the role's measurements into its phase
+spans below that one and its metric series in
+:attr:`ShardWorkerPool.metrics`; profile deltas accumulate per worker
+in :attr:`ShardWorkerPool.profiles` and set the ``prof_*{role=...}``
+series.  A Chrome trace thus shows per-worker swimlanes nested inside
+the dispatching request, with no side channel.  A *stale* reply is
+discarded before any of this is read — a respawned worker's
+re-computation is recorded exactly once, never double-counted.
 
 Hedged dispatch: a straggling shard reply (a worker stalled by the OS
 scheduler, a cold page, or a SIGKILL) can stall the whole gather.  When
 a :class:`HedgePolicy` is installed the parent *duplicates* the
 straggler's work after a p95-derived delay — computing the same shard
 block in-process from the shared-memory table — and the first reply
-wins.  The loser is never merged: a late worker reply is discarded by
-the existing stale-sequence-number machinery (together with its
-piggybacked telemetry, so each shard's work is counted exactly once),
-and a losing hedge result is simply dropped.  Outcomes are counted as
+wins.  The loser is never recorded: a late worker reply is discarded by
+the existing stale-sequence-number machinery before its measurements
+are read (so each shard's work is counted exactly once), and a hedge's
+result never reaches :meth:`WorkerRole.record`.  Outcomes are counted as
 ``hedges{outcome=launched|worker_win|hedge_win|hedge_error}`` plus
 per-shard ``hedge_wins{shard=}``.
 
@@ -73,10 +74,9 @@ import time
 import traceback
 from dataclasses import dataclass
 
-from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsRegistry
-from ..obs.prof import ProfileStore, SamplingProfiler
+from ..obs.prof import Profile, ProfileStore, SamplingProfiler
 from ..obs.trace import Span, Tracer
 
 __all__ = ["WorkerRole", "ShardWorkerPool", "WorkerCrash", "DistError",
@@ -84,6 +84,12 @@ __all__ = ["WorkerRole", "ShardWorkerPool", "WorkerCrash", "DistError",
 
 #: how long a worker gets to finish cleanly at close() before terminate()
 _STOP_GRACE = 5.0
+#: seconds a worker gets to start and run its role's setup (on a
+#: process's first pool, including the fork server's launch and imports)
+START_TIMEOUT = 60.0
+#: whether a dead worker is transparently restarted (crash-injection
+#: tests rely on it)
+RESPAWN = True
 #: poll interval while waiting for a reply (liveness check cadence)
 _POLL = 0.05
 #: what the fork server imports before its first fork: every module a
@@ -192,12 +198,13 @@ class WorkerRole:
     """What one worker process does (picklable; shipped at start).
 
     Subclasses implement :meth:`setup` (runs once in the worker: attach
-    shared memory, build state) and :meth:`handle` (runs per request).
-    ``teardown`` releases what setup acquired.
+    shared memory, build state), :meth:`handle` (runs per request, in
+    the worker) and :meth:`record` (runs per accepted reply, in the
+    owner).  ``teardown`` releases what setup acquired.
 
     ``profile_hz`` > 0 runs a :class:`repro.obs.prof.SamplingProfiler`
     in the worker for the process's lifetime, tagged ``profile_role``;
-    its folded-stack deltas ride back on replies with the metric deltas.
+    its folded-stack deltas ride back on replies.
     """
 
     #: continuous-profiler sampling rate in this worker (0 = off)
@@ -210,8 +217,18 @@ class WorkerRole:
         return None
 
     def handle(self, state, payload):
-        """Compute one reply; must be picklable."""
+        """Compute one reply: ``(result, measured)``, both picklable.
+
+        ``measured`` is what :meth:`record` makes telemetry of in the
+        owner; the worker itself records nothing."""
         raise NotImplementedError
+
+    def record(self, metrics: MetricsRegistry, payload, measured) -> list:
+        """Owner side of one accepted reply to ``payload``: write the
+        role's metric series into ``metrics`` and return its phase
+        spans, ``(name, start, end, attrs)`` each, which the pool
+        records under that reply's ``worker.handle`` when traced."""
+        return []
 
     def teardown(self, state) -> None:
         """Release worker-local resources (close shm views, ...)."""
@@ -220,23 +237,17 @@ class WorkerRole:
 def _worker_main(role: WorkerRole, task_q, result_q) -> None:
     """Worker process body: setup, serve requests, teardown.
 
-    Installs a fresh process-default tracer and delta-tracking metrics
-    registry (this process's pid and baselines); role
-    ``handle()`` implementations record into them via ``get_tracer()`` /
-    ``get_registry()`` and the results ride back on each reply.
+    The worker writes no telemetry.  An ``ok`` reply carries the role's
+    result, the ``(started, ended)`` interval of its ``handle()``, what
+    the role measured, and the profiler's delta since the previous
+    reply (None when profiling is off or took no sample since).
     """
     threading.Thread(target=_exit_with_owner, daemon=True,
                      name="repro-dist-owner-watch").start()
-    tracer = Tracer()
-    registry = MetricsRegistry(track_deltas=True)
-    obs_trace.set_tracer(tracer)
-    obs_metrics.set_registry(registry)
     sampler = None
-    if getattr(role, "profile_hz", 0.0) > 0:
+    if role.profile_hz > 0:
         sampler = SamplingProfiler(hz=role.profile_hz,
-                                   role=getattr(role, "profile_role",
-                                                "worker"),
-                                   registry=registry).start()
+                                   role=role.profile_role).start()
     try:
         state = role.setup()
     except BaseException:
@@ -250,25 +261,19 @@ def _worker_main(role: WorkerRole, task_q, result_q) -> None:
             if kind == "stop":
                 break
             if kind == "task":
-                _, seq, payload, traced = message
+                _, seq, payload = message
                 started = time.perf_counter()
                 try:
-                    if traced:
-                        with obs_trace.enabled():
-                            with tracer.span("worker.handle", seq=seq):
-                                reply = role.handle(state, payload)
-                    else:
-                        reply = role.handle(state, payload)
+                    result, measured = role.handle(state, payload)
                 except WorkerCrash:  # crash injection: die like SIGKILL
                     os._exit(1)
                 except BaseException:
                     result_q.put(("error", seq, traceback.format_exc()))
                 else:
                     ended = time.perf_counter()
-                    telemetry = _collect_telemetry(tracer, registry,
-                                                   traced, sampler)
-                    result_q.put(("ok", seq,
-                                  (reply, started, ended, telemetry)))
+                    prof = None if sampler is None else sampler.drain()
+                    result_q.put(("ok", seq, (result, started, ended,
+                                              measured, prof)))
     finally:
         if sampler is not None:
             sampler.stop()
@@ -288,26 +293,6 @@ def _exit_with_owner() -> None:
     if owner is not None:
         owner.join()
         os._exit(1)
-
-
-def _collect_telemetry(tracer: Tracer, registry: MetricsRegistry,
-                       traced: bool, sampler=None):
-    """The piggyback: finished spans (if traced) + metric deltas +
-    profile deltas.
-
-    Returns None when there is nothing to ship, so the untraced,
-    metric-free fast path pickles one extra None per reply and nothing
-    else.
-    """
-    spans: list[Span] = []
-    if traced:
-        spans = tracer.finished()
-        tracer.reset()
-    delta = registry.flush_delta()
-    prof = sampler.flush_delta() if sampler is not None else None
-    if not spans and not delta and prof is None:
-        return None
-    return spans, delta, prof
 
 
 class _Worker:
@@ -385,19 +370,12 @@ class ShardWorkerPool:
     ----------
     roles:
         One role per worker (e.g. a rank role per entity shard).
-    start_timeout:
-        Seconds allowed for a worker to start and run its role's setup
-        (on a process's first pool, including the fork server's launch
-        and its imports).
-    respawn:
-        Whether a dead worker is transparently restarted (on by
-        default; crash-injection tests rely on it).
     tracer:
-        Where worker-side spans are adopted (default: the process-wide
-        tracer).
+        Where the workers' spans are recorded (default: the
+        process-wide tracer).
     metrics:
-        Registry worker metric deltas merge into.  Pass the owner's
-        registry (the serving runtime does) to surface per-shard
+        Registry the workers' series are recorded into.  Pass the
+        owner's registry (the serving runtime does) to surface per-shard
         counters next to the serving metrics; defaults to a pool-local
         registry exposed as :attr:`metrics`.
     hedge:
@@ -408,14 +386,11 @@ class ShardWorkerPool:
     """
 
     def __init__(self, roles: list[WorkerRole],
-                 start_timeout: float = 60.0, respawn: bool = True,
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None,
                  hedge: HedgePolicy | None = None):
         if not roles:
             raise ValueError("need at least one worker role")
-        self._start_timeout = start_timeout
-        self._respawn_enabled = respawn
         self._tracer = tracer
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: per-(role, pid) worker profiles accumulated from reply deltas
@@ -428,15 +403,15 @@ class ShardWorkerPool:
         # telemetry context of the newest fan-out (replies to an older
         # one are stale and dropped whole, so it is the only one read):
         # the dispatching request's context, whether tracing was on, and
-        # the span worker spans re-parent under
+        # the span each worker.handle hangs under
         self._request = None
         self._traced = False
-        self._adopt_under: Span | None = None
+        self._handle_parent: Span | None = None
         self._closed = False
         self._workers = [_Worker(role) for role in roles]
         try:
             for worker in self._workers:
-                worker.wait_ready(start_timeout)
+                worker.wait_ready(START_TIMEOUT)
         except BaseException:
             self.close()
             raise
@@ -484,7 +459,7 @@ class ShardWorkerPool:
         split so callers can trace the fan-out separately from the wait.
         ``ctx`` is the dispatching request's
         :class:`~repro.obs.diag.RequestContext`: its id is stamped on
-        every adopted worker span of this fan-out — replies that arrive
+        every worker span recorded for this fan-out — replies that arrive
         *after* a hedge already won are discarded by sequence number, so
         a hedge can never smuggle one request's telemetry into
         another's — and :meth:`gather` notes the fan-out and hedge wins
@@ -498,12 +473,13 @@ class ShardWorkerPool:
         self._seq += 1
         seq = self._seq
         # capture the telemetry context once per fan-out: worker spans
-        # re-parent under whatever span is current *here* (e.g. the
-        # ranker's shard.dispatch), and the enabled flag rides with every
-        # task so workers never trace work nobody will look at
+        # hang under whatever span is current *here* (e.g. the ranker's
+        # shard.dispatch), and only a fan-out dispatched with tracing on
+        # gets any
         self._request = ctx
         self._traced = obs_trace.is_enabled()
-        self._adopt_under = self.tracer.current() if self._traced else None
+        self._handle_parent = self.tracer.current() if self._traced \
+            else None
         for worker, payload in zip(self._workers, payloads):
             self._send(worker, seq, payload)
         return seq
@@ -527,7 +503,7 @@ class ShardWorkerPool:
     def _send(self, worker: _Worker, seq: int, payload) -> None:
         if not worker.process.is_alive():
             worker = self._respawn(self._workers.index(worker))
-        worker.task_q.put(("task", seq, payload, self._traced))
+        worker.task_q.put(("task", seq, payload))
 
     def _collect(self, index: int, seq: int, payload, deadline):
         """Wait for worker ``index``'s reply to ``seq``; heal crashes.
@@ -536,9 +512,9 @@ class ShardWorkerPool:
         policy's delay triggers a parent-side duplicate computation and
         the first finisher wins.  A worker reply that loses stays in its
         queue and is discarded by the ``got_seq != seq`` check of a
-        *later* collect — together with its telemetry, which is how the
-        merged registry counts each shard's work exactly once.  Returns
-        ``(reply, (start, end), hedge won)``.
+        *later* collect, unread — which is how the registry counts each
+        shard's work exactly once.  Returns ``(reply, (start, end),
+        hedge won)``.
         """
         policy = self.hedge
         hedge_delay = policy.delay() if policy is not None else None
@@ -568,12 +544,12 @@ class ShardWorkerPool:
                     # the winning hedge reply is attributed to the
                     # *original* request: same seq, same request id —
                     # the straggler worker's eventual reply (different
-                    # fate: stale seq) is dropped with its telemetry,
-                    # so the request is never double-counted
+                    # fate: stale seq) is dropped unread, so the
+                    # request is never double-counted
                     if self._traced:
                         self.tracer.record(
                             "shard.hedge", started, ended,
-                            parent=self._adopt_under, shard=index,
+                            parent=self._handle_parent, shard=index,
                             request_id=self._request_id())
                     return reply, (started, ended), True
             try:
@@ -582,21 +558,22 @@ class ShardWorkerPool:
                 if not worker.process.is_alive():
                     # died mid-request: respawn and re-send the same work
                     worker = self._respawn(index)
-                    worker.task_q.put(("task", seq, payload, self._traced))
+                    worker.task_q.put(("task", seq, payload))
                 elif deadline is not None and time.monotonic() > deadline:
                     raise DistError(f"shard worker {index} timed out")
                 continue
             if got_seq != seq:
                 # stale reply from before a respawn or a lost hedge race:
-                # the result AND its piggybacked telemetry are dropped
-                # together, so a superseded computation is never merged
-                # (no double-counted deltas, no phantom spans)
+                # dropped before anything in it is read, so a superseded
+                # computation is never recorded (no double counts, no
+                # phantom spans)
                 continue
             if kind == "error":
                 raise DistError(f"shard worker {index} failed:\n{detail}")
-            reply, started, ended, telemetry = detail
-            if telemetry is not None:
-                self._merge_telemetry(telemetry)
+            reply, started, ended, measured, prof = detail
+            self._record(worker, seq, payload, started, ended, measured)
+            if prof is not None:
+                self._record_profile(prof)
             if policy is not None:
                 policy.observe(ended - started)
                 if hedge_future is not None:
@@ -623,30 +600,50 @@ class ShardWorkerPool:
     def _request_id(self) -> str:
         return self._request.request_id if self._request is not None else ""
 
-    def _merge_telemetry(self, telemetry) -> None:
-        """Fold one reply's piggyback into the parent registry/tracer."""
-        spans, delta, prof = telemetry
-        if delta:
-            self.metrics.merge(delta)
-        if prof is not None:
-            self.profiles.merge_delta(prof)
-        if spans:
-            adopted = self.tracer.adopt(spans, parent=self._adopt_under)
-            request_id = self._request_id()
-            if request_id:
-                # stamp the dispatching request's id on every adopted
-                # worker span — the cross-process half of the join key
-                for span in adopted:
-                    span.attrs.setdefault("request_id", request_id)
+    def _record(self, worker: _Worker, seq: int, payload, started: float,
+                ended: float, measured) -> None:
+        """Write the spans and series of one accepted reply: the only
+        place a worker's telemetry is written."""
+        phases = worker.role.record(self.metrics, payload, measured)
+        if not self._traced:
+            return
+        pid = worker.process.pid
+        request_id = self._request_id()
+        stamp = {"request_id": request_id} if request_id else {}
+        handle = self.tracer.record("worker.handle", started, ended,
+                                    parent=self._handle_parent, pid=pid,
+                                    seq=seq, **stamp)
+        if handle is None:  # tracing switched off since the dispatch
+            return
+        for name, start, end, attrs in phases:
+            self.tracer.record(name, start, end, parent=handle, pid=pid,
+                               **attrs, **stamp)
+
+    def _record_profile(self, prof: Profile) -> None:
+        """Fold one reply's profile delta into :attr:`profiles` and the
+        worker's ``prof_*{role=...}`` series."""
+        self.profiles.merge_delta(prof)
+        role = prof.role
+        samples, hz, ratio = self.metrics.handles(
+            ("prof", role),
+            lambda m: (m.counter("prof_samples", role=role),
+                       m.gauge("prof_effective_hz", role=role),
+                       m.gauge("prof_overhead_ratio", role=role)))
+        samples.inc(prof.samples)
+        hz.set(prof.hz)
+        ratio.set(prof.overhead_ratio)
+        if prof.downsamples:
+            self.metrics.counter("prof_downsamples", role=role).inc(
+                prof.downsamples)
 
     def _respawn(self, index: int) -> _Worker:
-        if not self._respawn_enabled:
+        if not RESPAWN:
             raise DistError(f"shard worker {index} died "
                             f"(respawn disabled)")
         old = self._workers[index]
         old.stop()
         fresh = _Worker(old.role)
-        fresh.wait_ready(self._start_timeout)
+        fresh.wait_ready(START_TIMEOUT)
         self._workers[index] = fresh
         self.respawns += 1
         self.metrics.counter("worker_respawns", worker=index).inc()

@@ -29,15 +29,16 @@ Observability: with ``repro.obs`` tracing enabled each request records
 ``shard.dispatch`` (payload fan-out), ``shard.gather`` (the wait for
 replies), one ``shard.compute`` span per shard (the worker-measured
 interval, so per-shard latency skew is visible in traces), and
-``shard.merge``.  Worker processes additionally trace their own
-``worker.handle`` → ``worker.score`` trees; the pool piggybacks those
-spans on the replies and re-parents them under ``shard.dispatch``, so
-``export_chrome_trace`` renders one swimlane per worker process.
-Worker-side metrics (``rank_requests{shard=k}``,
-``rank_block_ms{shard=k}``, and for top-k requests
-``rank_refine_rows{shard=k}`` — rows the exact kernel scored after the
-float32 filter — and ``rank_filter_fallbacks{shard=k}``) merge into
-:attr:`ShardedRanker.metrics`.
+``shard.merge``.  Each worker's reply carries the interval it spent
+scoring and the scorer's counts; from them the pool records a
+``worker.handle`` → ``worker.score`` tree per worker under
+``shard.dispatch``, stamped with the worker's pid, so
+``export_chrome_trace`` renders one swimlane per worker process, and
+:meth:`RankWorkerRole.record` writes the per-shard series
+(``rank_requests{shard=k}``, ``rank_block_ms{shard=k}``, and for top-k
+requests ``rank_refine_rows{shard=k}`` — rows the exact kernel scored
+after the float32 filter — and ``rank_filter_fallbacks{shard=k}``) into
+:attr:`ShardedRanker.metrics`.  Workers write no telemetry themselves.
 """
 
 from __future__ import annotations
@@ -149,32 +150,38 @@ class RankWorkerRole(WorkerRole):
 
     def handle(self, state, payload):
         _, (points, prepared) = state
-        tracer = get_tracer()
-        registry = get_registry()
         request = payload.get("crash")
         if request == "before":  # crash injection (tests)
             raise WorkerCrash("injected crash before compute")
-        registry.counter("rank_requests", shard=self.index).inc()
         started = time.perf_counter()
         stats: dict = {}
-        with tracer.span("worker.score", shard=self.index,
-                         rows=self.shard.stop - self.shard.start,
-                         mode=payload["mode"]):
-            reply = rank_block(self.scorer, points, self.shard.start,
-                               payload, stats, prepared)
-        registry.histogram("rank_block_ms", shard=self.index).observe(
-            1000.0 * (time.perf_counter() - started))
-        # what scorer.topk counted (nothing in mode "all"); zero
-        # increments would not ride the metric delta anyway
-        if stats.get("refine_rows"):
-            registry.counter("rank_refine_rows", shard=self.index).inc(
-                stats["refine_rows"])
-        if stats.get("fallbacks"):
-            registry.counter("rank_filter_fallbacks",
-                             shard=self.index).inc(stats["fallbacks"])
+        reply = rank_block(self.scorer, points, self.shard.start,
+                           payload, stats, prepared)
+        ended = time.perf_counter()
         if request == "after":  # crash after compute, before reply
             raise WorkerCrash("injected crash after compute")
-        return reply
+        return reply, (started, ended, stats)
+
+    def record(self, metrics, payload, measured) -> list:
+        started, ended, stats = measured
+        index = self.index
+        requests, block_ms = metrics.handles(
+            ("rank_shard", index),
+            lambda m: (m.counter("rank_requests", shard=index),
+                       m.histogram("rank_block_ms", shard=index)))
+        requests.inc()
+        block_ms.observe(1000.0 * (ended - started))
+        # what scorer.topk counted (nothing in mode "all"); a series
+        # appears with its first nonzero count, never as a zero
+        for key, name in (("refine_rows", "rank_refine_rows"),
+                          ("fallbacks", "rank_filter_fallbacks")):
+            if stats.get(key):
+                metrics.handles(
+                    (name, index),
+                    lambda m: m.counter(name, shard=index)).inc(stats[key])
+        return [("worker.score", started, ended,
+                 {"shard": index, "rows": self.shard.stop - self.shard.start,
+                  "mode": payload["mode"]})]
 
     def teardown(self, state) -> None:
         for segment in state[0]:
@@ -238,7 +245,7 @@ class ShardedRanker:
 
     @property
     def metrics(self) -> MetricsRegistry:
-        """Registry holding per-shard worker metrics (pool-merged)."""
+        """Registry holding the per-shard worker series."""
         return self.pool.metrics
 
     # ------------------------------------------------------------------
@@ -283,7 +290,7 @@ class ShardedRanker:
 
         ``ctx`` (the dispatching request's
         :class:`~repro.obs.diag.RequestContext`) rides to the worker
-        pool: its id is stamped on adopted spans, and the gather's
+        pool: its id is stamped on the worker spans, and the gather's
         ``shards`` fan-out and ``hedge_wins`` count are noted on its
         flight record.
         """

@@ -35,20 +35,21 @@ step moves: a reply names the parameters its sub-batch gave a gradient,
 and the parent leaves every other ``grad`` None, so Adam skips what the
 batch's structure never touched exactly as it does for ``Trainer``.
 
-Observability: with ``repro.obs`` tracing enabled, each worker's
-forward/backward pass appears as a ``worker.handle`` →
+Observability: a worker's reply carries the intervals of its forward
+and backward passes, from which the pool records a ``worker.handle`` →
 ``worker.forward`` / ``worker.backward`` span tree in the parent trace
-(piggybacked on replies and re-parented by the pool — see
-:mod:`repro.dist.pool`), and per-worker counters
-(``train_worker_steps{worker=k}``) merge into the pool registry.
+when ``repro.obs`` tracing is enabled (see :mod:`repro.dist.pool`), and
+:meth:`TrainWorkerRole.record` counts ``train_worker_steps{worker=k}``
+in the pool registry.
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from ..core.trainer import Trainer, batch_loss
-from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .plan import SharedArray, SharedArraySpec, partition_rows
 from .pool import ShardWorkerPool, WorkerRole
@@ -106,18 +107,15 @@ class TrainWorkerRole(WorkerRole):
         row[:] = 0.0
         sub = payload["batch"]
         if sub is None:  # more workers than batch rows this step
-            return {"loss": 0.0, "count": 0, "touched": []}
-        tracer = get_tracer()
-        get_registry().counter("train_worker_steps",
-                               worker=self.row).inc()
+            return {"loss": 0.0, "count": 0, "touched": []}, None
         queries, positives, negatives = sub
         self.model.zero_grad()
-        with tracer.span("worker.forward", worker=self.row,
-                         rows=len(queries)):
-            loss = batch_loss(self.model, queries, positives, negatives,
-                              **self.loss_kwargs)
-        with tracer.span("worker.backward", worker=self.row):
-            loss.backward()
+        started = time.perf_counter()
+        loss = batch_loss(self.model, queries, positives, negatives,
+                          **self.loss_kwargs)
+        forwarded = time.perf_counter()
+        loss.backward()
+        ended = time.perf_counter()
         # which parameters this structure reached goes back with the
         # reply: the rest must stay ``grad is None`` in the parent, as
         # they do in ``Trainer``, or Adam decays their moments and moves
@@ -129,7 +127,19 @@ class TrainWorkerRole(WorkerRole):
                 row[start:start + size] = param.grad.reshape(-1)
                 touched.append(name)
         return {"loss": float(loss.data), "count": len(queries),
-                "touched": touched}
+                "touched": touched}, (started, forwarded, ended)
+
+    def record(self, metrics, payload, measured) -> list:
+        if measured is None:  # an idle worker stepped nothing
+            return []
+        started, forwarded, ended = measured
+        row = self.row
+        metrics.handles(("train_worker_steps", row),
+                        lambda m: m.counter("train_worker_steps",
+                                            worker=row)).inc()
+        return [("worker.forward", started, forwarded,
+                 {"worker": row, "rows": len(payload["batch"][0])}),
+                ("worker.backward", forwarded, ended, {"worker": row})]
 
     def teardown(self, state) -> None:
         params, grads = state

@@ -13,10 +13,7 @@ every other subsystem needs:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
-
-if TYPE_CHECKING:
-    import networkx as nx
+from typing import Iterable, Iterator, Sequence
 
 __all__ = ["Triple", "KnowledgeGraph"]
 
@@ -169,20 +166,6 @@ class KnowledgeGraph:
     def is_subgraph_of(self, other: "KnowledgeGraph") -> bool:
         """True when every triple of self appears in ``other``."""
         return self._triples <= other._triples
-
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Export as a networkx multi-digraph (edge key = relation id).
-
-        networkx is imported here, not at module level, so that processes
-        that never export (shard workers included) do not pay its ~0.3 s
-        import."""
-        import networkx as nx
-
-        graph = nx.MultiDiGraph()
-        graph.add_nodes_from(range(self.num_entities))
-        for head, rel, tail in self._triples:
-            graph.add_edge(head, tail, key=rel, relation=rel)
-        return graph
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"KnowledgeGraph(entities={self.num_entities}, "

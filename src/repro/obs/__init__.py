@@ -8,8 +8,9 @@ The observability layer used by every tier of the stack:
   forward timing hook behind the trainer's telemetry;
 * :mod:`repro.obs.telemetry` — the trainer's callback/event API;
 * :mod:`repro.obs.metrics` — the canonical metrics registry (counters,
-  gauges, histograms; labels, cross-process deltas + merge) shared by
-  the serving runtime and the shard workers;
+  gauges, histograms; labels, resolved handles), written only by the
+  process that owns it — the shard pool's owner records its workers'
+  series from their replies;
 * :mod:`repro.obs.export` — Chrome trace-event and JSON-Lines writers;
 * :mod:`repro.obs.diag` — always-on production diagnostics: the
   per-request :class:`RequestContext` (one writer for the flight record,
@@ -31,10 +32,9 @@ from .diag import (DiagConfig, Diagnostics, FlightRecord, FlightRecorder,
 from .export import (JsonlWriter, chrome_trace_events, format_span_tree,
                      span_to_dict, write_chrome_trace)
 from .metrics import (Counter, Gauge, Histogram, HistogramStats,
-                      MetricsDelta, MetricsRegistry,
-                      StatsSnapshot, format_snapshot, get_registry,
-                      metric_key, parse_metric_key, set_registry,
-                      snapshot_from_json, snapshot_to_json)
+                      MetricsRegistry, StatsSnapshot, format_snapshot,
+                      get_registry, metric_key, parse_metric_key,
+                      set_registry, snapshot_from_json, snapshot_to_json)
 from .prof import (Profile, ProfileStore, SamplingProfiler, diff_plan_ops,
                    diff_profiles, estimate_nbytes, format_diff, format_top,
                    load_profile_payload, merge_profiles, process_rss_bytes,
@@ -55,7 +55,7 @@ __all__ = [
     "EpochStats",
     "JsonlWriter", "chrome_trace_events", "write_chrome_trace",
     "span_to_dict", "format_span_tree",
-    "Counter", "Gauge", "Histogram", "HistogramStats", "MetricsDelta",
+    "Counter", "Gauge", "Histogram", "HistogramStats",
     "MetricsRegistry", "StatsSnapshot",
     "format_snapshot", "metric_key", "parse_metric_key",
     "snapshot_to_json", "snapshot_from_json",

@@ -12,8 +12,9 @@ leave on under full load:
   (:func:`next_request_id`, ``r<pid-hex>-<counter>``), the request's
   :class:`FlightRecord` and its open spans; every stage is timed once
   and written to both through :meth:`RequestContext.stage`.  The id is
-  stamped on adopted worker spans and histogram exemplars and comes back
-  on the :class:`~repro.serve.runtime.ServeResult` — every span, metric
+  stamped on the shard worker spans the pool records and on histogram
+  exemplars, and comes back on the
+  :class:`~repro.serve.runtime.ServeResult` — every span, metric
   exemplar, and flight-recorder entry for one query is joinable.
 
 * **Flight recorder** — a fixed-size ring of compact
@@ -82,8 +83,8 @@ def next_request_id() -> str:
     Monotonic within a process (an :func:`itertools.count`, which is
     atomic under the GIL) and globally unambiguous across the processes
     of one serving stack thanks to the pid stamp — shard worker spans
-    adopted into the parent keep their own pid, so the id's pid always
-    names the process that *admitted* the request.
+    carry their worker's pid, so the id's pid always names the process
+    that *admitted* the request.
     """
     return f"r{os.getpid():x}-{next(_REQUEST_COUNTER):08d}"
 

@@ -47,8 +47,8 @@ def chrome_trace_events(spans: Iterable[Span], pid: int = 1) -> list[dict]:
 
     Timestamps are microseconds relative to the earliest span so the
     viewer's timeline starts at zero.  Each recording *process* becomes
-    a pid group (spans adopted from shard workers keep their worker pid,
-    so every worker renders as its own swimlane) and each thread within
+    a pid group (the spans recorded for a shard worker's replies carry
+    its pid, so every worker renders as its own swimlane) and each thread within
     it a separate track, labelled via metadata events.  Spans without a
     pid stamp fall back to the ``pid`` argument.
     """

@@ -4,26 +4,24 @@ It lives with the observability layer, not under ``repro.serve``, so
 that *every* process in the system — the serving runtime, shard
 workers, the trainer — shares one metric vocabulary.
 
-Three capabilities beyond the original serve-local registry:
+Two capabilities beyond the original serve-local registry:
 
 * **Labels** — ``registry.counter("rank_requests", shard=3)`` keys the
   metric by ``(name, labels)``; snapshots and renderings show it as
   ``rank_requests{shard=3}``.  Labelled and plain metrics with the same
   base name coexist (they are distinct time series, as in Prometheus).
-* **Deltas** — a registry created with ``track_deltas=True`` (the shard
-  workers) can :meth:`~MetricsRegistry.flush_delta` the increments since
-  the previous flush into a picklable :class:`MetricsDelta` that rides
-  on the worker's reply.
-* **Merge** — :meth:`MetricsRegistry.merge` folds such a delta into the
-  parent registry: counter increments add, histogram samples append,
-  gauges last-write-win.  Merging the per-reply deltas in any order
-  yields counters equal to the sum of what every worker observed
-  (``tests/dist/test_telemetry.py`` asserts this property).
+* **Handles** — :meth:`MetricsRegistry.handles` resolves a hot path's
+  labelled metrics once, so a per-request update costs one dict read
+  instead of rendering a key.
+
+A registry lives in the process that owns it.  Shard workers hold none:
+the pool's owner records their series (``rank_requests{shard=k}``, ...)
+from what each accepted reply says it measured (``repro.dist.pool``), so
+every series has one writer and nothing crosses a process boundary but
+the reply itself.
 
 A process-wide default registry (:func:`get_registry` /
-:func:`set_registry`) mirrors the tracer's pattern: worker roles record
-into whatever registry their process installed, without threading a
-handle through every call.
+:func:`set_registry`) mirrors the tracer's pattern.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from .trace import SpanStats
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "HistogramStats", "StatsSnapshot",
-    "MetricsRegistry", "MetricsDelta",
+    "MetricsRegistry",
     "format_snapshot", "metric_key", "parse_metric_key",
     "snapshot_to_json", "snapshot_from_json",
     "get_registry", "set_registry",
@@ -194,7 +192,7 @@ class Histogram:
     #: exemplar pairs kept per histogram (bounded like the window)
     EXEMPLAR_CAPACITY = 256
 
-    def __init__(self, window: int = 2048, track_deltas: bool = False):
+    def __init__(self, window: int = 2048):
         self._lock = threading.Lock()
         self._samples: deque[float] = deque(maxlen=window)
         self._count = 0
@@ -202,8 +200,6 @@ class Histogram:
         # (value, exemplar) pairs — request ids attached at observe time
         self._exemplars: deque[tuple[float, str]] = deque(
             maxlen=self.EXEMPLAR_CAPACITY)
-        # new samples since the last flush_delta (cross-process piggyback)
-        self._pending: list[float] | None = [] if track_deltas else None
 
     def observe(self, value: float, exemplar: str | None = None) -> None:
         value = float(value)
@@ -216,8 +212,6 @@ class Histogram:
             self._count += 1
             if exemplar is not None:
                 self._exemplars.append((value, exemplar))
-            if self._pending is not None:
-                self._pending.append(value)
 
     def exemplars(self, min_value: float | None = None
                   ) -> list[tuple[float, str]]:
@@ -252,16 +246,6 @@ class Histogram:
             self._count = 0
             self._dropped = 0
             self._exemplars.clear()
-            if self._pending is not None:
-                self._pending.clear()
-
-    def drain_pending(self) -> list[float]:
-        """Samples observed since the previous drain (delta tracking)."""
-        with self._lock:
-            if not self._pending:
-                return []
-            pending, self._pending = self._pending, []
-            return pending
 
     def stats(self) -> HistogramStats:
         with self._lock:
@@ -308,36 +292,15 @@ class StatsSnapshot:
         return hits / total if total else 0.0
 
 
-@dataclass
-class MetricsDelta:
-    """Picklable increment set: what one worker observed since last flush.
-
-    Counter values are *increments* (not absolutes), so merging a delta
-    twice would double-count — the shard pool therefore discards the
-    telemetry of stale replies together with the replies themselves.
-    """
-
-    counters: dict[str, int] = field(default_factory=dict)
-    gauges: dict[str, float] = field(default_factory=dict)
-    samples: dict[str, list[float]] = field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return bool(self.counters or self.gauges or self.samples)
-
-
 class MetricsRegistry:
     """Named metric factory; the single source of truth for snapshots."""
 
-    def __init__(self, histogram_window: int = 2048,
-                 track_deltas: bool = False):
+    def __init__(self, histogram_window: int = 2048):
         self._lock = threading.Lock()
         self._window = histogram_window
-        self._track_deltas = track_deltas
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        # counter baselines at the previous flush_delta
-        self._flushed: dict[str, int] = {}
         self._handles: dict = {}
 
     def counter(self, name: str, **labels) -> Counter:
@@ -351,15 +314,13 @@ class MetricsRegistry:
                             self._new_histogram)
 
     def _new_histogram(self) -> Histogram:
-        return Histogram(self._window, track_deltas=self._track_deltas)
+        return Histogram(self._window)
 
     def _metric(self, table: dict, name: str, labels: dict, make):
         """Look up, and only on a miss construct under the lock.  A
         labelled lookup still renders its key every time — a caller on a
         per-request path keeps the handle (see :meth:`handles`)."""
-        return self._keyed(table, metric_key(name, labels), make)
-
-    def _keyed(self, table: dict, key: str, make):
+        key = metric_key(name, labels)
         metric = table.get(key)
         if metric is None:
             with self._lock:
@@ -400,45 +361,6 @@ class MetricsRegistry:
             gauges={key: g.value for key, g in gauges.items()},
             histograms=histogram_stats,
         )
-
-    # ------------------------------------------------------------------
-    # cross-process delta / merge
-    # ------------------------------------------------------------------
-    def flush_delta(self) -> MetricsDelta:
-        """Increments since the previous flush (worker-side piggyback)."""
-        with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
-        delta = MetricsDelta()
-        for key, counter in counters.items():
-            value = counter.value
-            increment = value - self._flushed.get(key, 0)
-            if increment:
-                delta.counters[key] = increment
-            self._flushed[key] = value
-        for key, gauge in gauges.items():
-            delta.gauges[key] = gauge.value
-        for key, histogram in histograms.items():
-            pending = histogram.drain_pending()
-            if pending:
-                delta.samples[key] = pending
-        return delta
-
-    def merge(self, delta: MetricsDelta) -> None:
-        """Fold one worker delta into this registry (order-independent
-        for counters and histogram contents; gauges last-write-win).
-        The delta's keys were rendered by :func:`metric_key`, so they
-        are looked up as they stand, not parsed and rendered again."""
-        for key, increment in delta.counters.items():
-            self._keyed(self._counters, key, Counter).inc(increment)
-        for key, value in delta.gauges.items():
-            self._keyed(self._gauges, key, Gauge).set(value)
-        for key, samples in delta.samples.items():
-            histogram = self._keyed(self._histograms, key,
-                                    self._new_histogram)
-            for sample in samples:
-                histogram.observe(sample)
 
 
 # ----------------------------------------------------------------------
@@ -544,9 +466,7 @@ _DEFAULT = MetricsRegistry()
 
 
 def get_registry() -> MetricsRegistry:
-    """The process-wide default registry (shard worker roles record
-    here; :func:`repro.dist.pool._worker_main` installs a fresh
-    delta-tracking registry per worker process)."""
+    """The process-wide default registry."""
     return _DEFAULT
 
 

@@ -13,10 +13,11 @@ used by the benchmark regression gate.
   ``overhead_budget`` of the sampling interval — the rate adapts to the
   machine instead of the budget being a hope.
 * :class:`Profile` — one process's folded samples, picklable, so worker
-  processes ship deltas piggybacked on :class:`repro.dist` replies
-  exactly like metric deltas; :class:`ProfileStore` accumulates them
-  per ``(role, pid)`` in the parent and :func:`merge_profiles` joins
-  parent + workers into one pid/role-tagged flame graph.
+  processes ship deltas piggybacked on :class:`repro.dist` replies (the
+  one thing a worker measures that its owner cannot: its own stacks);
+  :class:`ProfileStore` accumulates them per ``(role, pid)`` in the
+  parent and :func:`merge_profiles` joins parent + workers into one
+  pid/role-tagged flame graph.
 * :func:`to_folded` / :func:`to_speedscope` — the two standard flame
   graph interchange formats (``flamegraph.pl`` input and
   https://speedscope.app JSON).
@@ -81,7 +82,9 @@ class Profile:
     """One process's folded wall-clock samples (picklable, mergeable).
 
     ``stacks`` maps a folded stack (``root;...;leaf``, frames joined by
-    ``;``, thread name as the root frame) to its sample count.
+    ``;``, thread name as the root frame) to its sample count;
+    ``downsamples`` counts the budget-driven rate halvings in the
+    profile's window.
     """
 
     stacks: dict[str, int] = field(default_factory=dict)
@@ -91,10 +94,12 @@ class Profile:
     pid: int = 0
     role: str = ""
     overhead_ratio: float = 0.0
+    downsamples: int = 0
 
     def copy(self) -> "Profile":
         return Profile(dict(self.stacks), self.samples, self.duration_s,
-                       self.hz, self.pid, self.role, self.overhead_ratio)
+                       self.hz, self.pid, self.role, self.overhead_ratio,
+                       self.downsamples)
 
     def subtract(self, earlier: "Profile") -> "Profile":
         """Samples taken since ``earlier`` (the ``seconds=N`` window)."""
@@ -105,7 +110,8 @@ class Profile:
                 stacks[stack] = delta
         return Profile(stacks, max(self.samples - earlier.samples, 0),
                        max(self.duration_s - earlier.duration_s, 0.0),
-                       self.hz, self.pid, self.role, self.overhead_ratio)
+                       self.hz, self.pid, self.role, self.overhead_ratio,
+                       max(self.downsamples - earlier.downsamples, 0))
 
     def to_dict(self) -> dict:
         return {"stacks": dict(self.stacks), "samples": self.samples,
@@ -186,6 +192,7 @@ class ProfileStore:
                 current.stacks[stack] = current.stacks.get(stack, 0) + count
             current.samples += delta.samples
             current.duration_s += delta.duration_s
+            current.downsamples += delta.downsamples
             current.hz = delta.hz
             current.overhead_ratio = delta.overhead_ratio
 
@@ -252,6 +259,7 @@ class SamplingProfiler:
         self._samples = 0
         self._pending_samples = 0
         self._pending_since: float | None = None
+        self._pending_downsamples = 0
         self._started_at: float | None = None
         self._duration = 0.0
         self._cost_ewma = 0.0
@@ -368,6 +376,8 @@ class SamplingProfiler:
                 and 0.5 / self._interval >= self.min_hz:
             self._interval *= 2.0
             self.downsamples += 1
+            with self._lock:  # drain() swaps it out under the lock
+                self._pending_downsamples += 1
             if self._c_down is not None:
                 self._c_down.inc()
         if self._g_hz is not None:
@@ -387,14 +397,14 @@ class SamplingProfiler:
             samples = self._samples
         return Profile(stacks, samples, self.duration_s(),
                        self.effective_hz, self.pid, self.role,
-                       self.overhead_ratio)
+                       self.overhead_ratio, self.downsamples)
 
-    def flush_delta(self) -> Profile | None:
-        """Samples since the previous flush; None when there are none.
+    def drain(self) -> Profile | None:
+        """Samples since the previous drain; None when there are none.
 
         The piggyback primitive: shard workers call this per reply and
-        ship the (usually tiny, often None) delta alongside the result,
-        mirroring ``MetricsRegistry.flush_delta``.
+        ship the (usually tiny, often None) delta alongside the result;
+        the pool's owner turns it into the ``prof_*{role=...}`` series.
         """
         now = self._clock()
         with self._lock:
@@ -403,9 +413,12 @@ class SamplingProfiler:
             stacks, self._pending = self._pending, {}
             samples, self._pending_samples = self._pending_samples, 0
             since, self._pending_since = self._pending_since, now
+            downsamples, self._pending_downsamples = \
+                self._pending_downsamples, 0
         duration = max(now - since, 0.0) if since is not None else 0.0
         return Profile(stacks, samples, duration, self.effective_hz,
-                       self.pid, self.role, self.overhead_ratio)
+                       self.pid, self.role, self.overhead_ratio,
+                       downsamples)
 
 
 # ----------------------------------------------------------------------

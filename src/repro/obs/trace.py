@@ -75,11 +75,12 @@ def enabled(flag: bool = True):
 class Span:
     """One timed interval in a trace tree.
 
-    ``pid`` identifies the recording process: spans adopted from shard
-    workers keep their worker pid, which is what gives each worker its
-    own swimlane in the Chrome trace export.  Timestamps come from
-    ``time.perf_counter`` (CLOCK_MONOTONIC on Linux, shared across
-    processes), so worker and parent spans share one timeline.
+    ``pid`` identifies the process whose work the span times: a span
+    recorded for a shard worker's reply carries that worker's pid, which
+    is what gives each worker its own swimlane in the Chrome trace
+    export.  Timestamps come from ``time.perf_counter`` (CLOCK_MONOTONIC
+    on Linux, shared across processes), so an interval a worker measured
+    sits on the owner's timeline as it stands.
     """
 
     name: str
@@ -193,8 +194,6 @@ class Tracer:
         self._ids = itertools.count(1)
         self._local = threading.local()
         self._totals: dict[str, list[float]] = {}  # name -> [count, total, max]
-        # cached at construction: worker processes build a fresh Tracer
-        # after spawn/fork, so the stamp is correct in every process
         self._pid = os.getpid()
 
     # ------------------------------------------------------------------
@@ -230,58 +229,21 @@ class Tracer:
         self._store(span)
 
     def record(self, name: str, start: float, end: float,
-               parent: Span | None = None, **attrs) -> Span | None:
+               parent: Span | None = None, pid: int | None = None,
+               **attrs) -> Span | None:
         """Record a pre-timed interval (e.g. one batched stage shared by
-        several request roots)."""
+        several request roots).  ``pid`` names the process that did the
+        work when it is not this one (a shard worker whose reply carried
+        the interval)."""
         if not _ENABLED:
             return None
         span = Span(name=name, start=start, end=end,
                     span_id=next(self._ids),
                     parent_id=None if parent is None else parent.span_id,
                     thread=threading.current_thread().name, attrs=dict(attrs),
-                    pid=self._pid)
+                    pid=self._pid if pid is None else pid)
         self._store(span)
         return span
-
-    def adopt(self, spans, parent: Span | None = None) -> list[Span]:
-        """Fold spans recorded by *another* tracer (typically a shard
-        worker process) into this one, re-parented under ``parent``.
-
-        Every adopted span gets a fresh ``span_id`` from this tracer's
-        counter (worker-local ids would collide across workers); ids are
-        remapped consistently, so the worker's internal tree survives,
-        and worker-side roots hang off ``parent`` — the span that was
-        current when the work was dispatched.  The ``pid``/``thread``
-        stamps are preserved, which is what renders each worker as its
-        own swimlane in :func:`repro.obs.chrome_trace_events`.
-
-        Copies rather than mutates: the incoming spans may be shared
-        (e.g. still referenced by a reply tuple).  Returns the adopted
-        copies, oldest first.
-        """
-        incoming = sorted((s for s in spans if s.end is not None),
-                          key=lambda s: (s.start, s.span_id))
-        known = {s.span_id for s in incoming}
-        mapping: dict[int, int] = {}
-        adopted: list[Span] = []
-        for span in incoming:
-            if span.parent_id in known:
-                # worker-internal edge; the parent sorts earlier only if
-                # it started earlier — map lazily below via two passes
-                parent_id = None  # fixed up after mapping is complete
-            else:
-                parent_id = None if parent is None else parent.span_id
-            copy = Span(name=span.name, start=span.start, end=span.end,
-                        span_id=next(self._ids), parent_id=parent_id,
-                        thread=span.thread, attrs=dict(span.attrs),
-                        pid=span.pid)
-            mapping[span.span_id] = copy.span_id
-            adopted.append(copy)
-        for original, copy in zip(incoming, adopted):
-            if original.parent_id in known:
-                copy.parent_id = mapping[original.parent_id]
-            self._store(copy)
-        return adopted
 
     def activate(self, span: Span | None) -> "_Activation":
         """Make ``span`` the current parent for this thread's new spans.

@@ -6,15 +6,15 @@ arrive while the workers are busy coalesce into one
 compiled plan (``repro.plan``, plain numpy) and one filter-and-refine
 top-k (``repro.dist`` scorer) per branch count — a multi-tier cache keyed on
 canonicalised computation graphs, deadlines checked at dequeue, bounded
-retries, and graceful degradation to exact or approximate
-fallbacks, and a metrics layer surfacing throughput, latency
+retries, graceful degradation to the exact symbolic answer over the
+loaded graph when a request overruns its deadline or exhausts its
+retries, and a metrics layer surfacing throughput, latency
 percentiles, and cache hit rates.
 """
 
 from ..obs.metrics import (Counter, Gauge, Histogram, HistogramStats,
-                           MetricsDelta, MetricsRegistry,
-                           StatsSnapshot, format_snapshot, metric_key,
-                           parse_metric_key, snapshot_from_json,
+                           MetricsRegistry, StatsSnapshot, format_snapshot,
+                           metric_key, parse_metric_key, snapshot_from_json,
                            snapshot_to_json)
 from .batcher import MicroBatcher, ServeFuture, ServeRequest
 from .cache import LruCache, TtlCache
@@ -29,7 +29,7 @@ __all__ = [
     "MicroBatcher", "ServeFuture", "ServeRequest",
     "LruCache", "TtlCache",
     "canonicalize", "serialize", "cache_key", "batch_key",
-    "Counter", "Gauge", "Histogram", "HistogramStats", "MetricsDelta",
+    "Counter", "Gauge", "Histogram", "HistogramStats",
     "MetricsRegistry", "StatsSnapshot",
     "format_snapshot", "metric_key", "parse_metric_key",
     "snapshot_from_json", "snapshot_to_json",

@@ -1,16 +1,20 @@
-"""Cross-process telemetry: span adoption, metric merge, staleness.
+"""Cross-process telemetry: worker spans, per-shard series, staleness.
 
-The pool piggybacks each worker's finished spans and metric deltas on
-its replies (see ``repro.dist.pool``); these tests pin the guarantees
-that makes:
+A shard worker writes no telemetry: its reply carries the intervals and
+counts it measured, and the owner records the spans and metric series
+from an accepted reply (see ``repro.dist.pool``); these tests pin the
+guarantees that makes:
 
-* worker span trees land in the *parent* tracer, re-parented under the
-  dispatching span, with the worker's own pid (→ per-process swimlanes
-  in the Chrome export) and on the shared ``perf_counter`` timeline;
-* parent-merged counters equal the sum of what the workers observed,
-  independent of reply interleaving (hypothesis property, in-process);
-* telemetry riding on a stale reply is dropped with the reply, and a
-  respawned worker's recomputation is counted exactly once;
+* each worker's ``worker.handle`` → ``worker.score`` tree lands in the
+  *parent* tracer under the dispatching span, with the worker's own pid
+  (→ per-process swimlanes in the Chrome export) and on the shared
+  ``perf_counter`` timeline;
+* per-shard counters and histograms count every reply, with tracing on
+  or off;
+* a stale reply adds no series and no span, however large the counts
+  it carries, and a respawned worker's recomputation is counted exactly
+  once (exactly-once under hedging is ``test_hedging.py`` and
+  ``test_diag_ids.py``);
 * the serving runtime's ``/healthz`` flips 503 on a SIGKILLed shard
   worker and back to 200 once supervision respawns it.
 """
@@ -25,13 +29,10 @@ from urllib.request import urlopen
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import obs
 from repro.dist import ShardedRanker
 from repro.obs import chrome_trace_events
-from repro.obs.metrics import MetricsDelta, MetricsRegistry
 
 from .conftest import requires_shm
 
@@ -183,81 +184,39 @@ class TestMetricMerge:
             assert new[0] - old[0] == batch * (shard.stop - shard.start)
 
 
-class TestMergeInvariant:
-    """Order-independence + exactly-once, as a hypothesis property.
-
-    Models the parent/worker delta protocol in-process: each simulated
-    worker owns a delta-tracking registry, increments its labelled
-    counter, and flushes after every "request"; the parent merges the
-    flushed deltas in an arbitrary interleaving.  Stale deltas (the
-    pool's discarded replies) are dropped before merging.
-    """
-
-    @settings(deadline=None, max_examples=50)
-    @given(per_worker=st.lists(
-               st.lists(st.integers(min_value=1, max_value=5),
-                        min_size=0, max_size=5),
-               min_size=1, max_size=4),
-           data=st.data())
-    def test_any_interleaving_sums_exactly(self, per_worker, data):
-        deltas = []
-        for worker, increments in enumerate(per_worker):
-            registry = MetricsRegistry(track_deltas=True)
-            for amount in increments:
-                registry.counter("rank_requests", shard=worker).inc(amount)
-                registry.histogram("rank_block_ms",
-                                   shard=worker).observe(float(amount))
-                deltas.append(registry.flush_delta())
-        order = data.draw(st.permutations(range(len(deltas))))
-        parent = MetricsRegistry()
-        for index in order:
-            parent.merge(deltas[index])
-        snapshot = parent.snapshot()
-        for worker, increments in enumerate(per_worker):
-            key = f"rank_requests{{shard={worker}}}"
-            assert snapshot.counters.get(key, 0) == sum(increments)
-            if increments:
-                hist = snapshot.histograms[f"rank_block_ms{{shard={worker}}}"]
-                assert hist.count == len(increments)
-
-    @settings(deadline=None, max_examples=50)
-    @given(increments=st.lists(st.integers(min_value=1, max_value=5),
-                               min_size=1, max_size=8),
-           stale_mask=st.lists(st.booleans(), min_size=1, max_size=8),
-           data=st.data())
-    def test_stale_deltas_never_count(self, increments, stale_mask, data):
-        registry = MetricsRegistry(track_deltas=True)
-        tagged = []
-        for position, amount in enumerate(increments):
-            registry.counter("rank_requests", shard=0).inc(amount)
-            stale = stale_mask[position % len(stale_mask)]
-            tagged.append((registry.flush_delta(), stale, amount))
-        order = data.draw(st.permutations(range(len(tagged))))
-        parent = MetricsRegistry()
-        expected = 0
-        for index in order:
-            delta, stale, amount = tagged[index]
-            if stale:  # the pool drops the reply AND its telemetry
-                continue
-            parent.merge(delta)
-            expected += amount
-        key = "rank_requests{shard=0}"
-        assert parent.snapshot().counters.get(key, 0) == expected
-
-
 class TestStaleness:
-    def test_injected_stale_reply_telemetry_is_dropped(self, ranker,
-                                                       embedding):
+    def test_injected_stale_reply_telemetry_is_dropped(self, tracer,
+                                                       ranker, embedding):
         """A reply with an old sequence number (what a worker that died
-        after computing leaves behind) must not leak its piggybacked
-        delta into the parent registry."""
-        poison = MetricsDelta(counters={"poison_counter": 1000})
-        stale = ("ok", 0, ({"ids": None, "vals": None}, 0.0, 0.0,
-                           ([], poison, None)))
+        after computing leaves behind) must not reach the owner's
+        registry or tracer: its huge counts and its interval add no
+        series and no span."""
+        ranker.topk(embedding, 5)  # every healthy series exists
+        poison = (1.0, 2.0, {"refine_rows": 10 ** 9, "fallbacks": 10 ** 9})
+        stale = ("ok", 0, ({"ids": None, "vals": None}, 1.0, 2.0, poison,
+                           None))
         ranker.pool._workers[0].result_q.put(stale)
         time.sleep(0.1)  # let the queue feeder make it visible
-        ranker.topk(embedding, 5)  # consumes + discards the stale reply
-        assert "poison_counter" not in ranker.metrics.snapshot().counters
+        before = ranker.metrics.snapshot()
+        tracer.reset()
+        with obs.enabled():
+            ranker.topk(embedding, 5)  # consumes + discards the stale reply
+        after = ranker.metrics.snapshot()
+        assert set(after.counters) == set(before.counters)
+        assert set(after.histograms) == set(before.histograms)
+        for index in range(ranker.num_shards):
+            key = f"rank_requests{{shard={index}}}"
+            assert after.counters[key] == before.counters[key] + 1
+            block = f"rank_block_ms{{shard={index}}}"
+            assert after.histograms[block].count == \
+                before.histograms[block].count + 1
+            refined = f"rank_refine_rows{{shard={index}}}"
+            assert after.counters[refined] - before.counters[refined] \
+                < 10 ** 9
+        spans = tracer.finished()
+        assert [s.name for s in spans].count("worker.handle") == \
+            ranker.num_shards
+        assert not [s for s in spans if (s.start, s.end) == (1.0, 2.0)]
 
     def test_respawned_recomputation_counts_once(self, model, ranker,
                                                  embedding):

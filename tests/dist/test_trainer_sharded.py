@@ -9,6 +9,7 @@ tight tolerance rather than bitwise.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.config import ModelConfig, TrainConfig
 from repro.core import HalkModel, Trainer
 from repro.dist import ShardedTrainer
@@ -114,3 +115,41 @@ def test_train_releases_workers_and_segments(kg, workload):
 def test_rejects_silly_worker_counts(kg, workload):
     with pytest.raises(ValueError):
         ShardedTrainer(_model(kg), workload, _config(), num_workers=0)
+
+
+def test_traced_steps_record_each_workers_tree_once(kg, workload):
+    """Workers write no telemetry: from each reply the owner records
+    ``worker.handle`` → ``worker.forward`` / ``worker.backward`` under
+    ``train.broadcast``, on the worker's pid, and counts
+    ``train_worker_steps{worker=k}`` once per step."""
+    tracer = obs.Tracer()
+    previous = obs.set_tracer(tracer)
+    try:
+        trainer = ShardedTrainer(_model(kg), workload, _config(),
+                                 num_workers=2)
+        trainer._ensure_pool()
+        pool = trainer._pool
+        pids = pool.pids()
+        with obs.enabled():
+            trainer.train()
+    finally:
+        obs.set_tracer(previous)
+    spans = tracer.finished()
+    by_id = {s.span_id: s for s in spans}
+    steps = sum(s.name == "train.broadcast" for s in spans)
+    handles = [s for s in spans if s.name == "worker.handle"]
+    assert steps == 2 and len(handles) == 2 * steps
+    assert {s.pid for s in handles} == set(pids)
+    assert {by_id[s.parent_id].name for s in handles} == {"train.broadcast"}
+    for name in ("worker.forward", "worker.backward"):
+        phases = [s for s in spans if s.name == name]
+        assert len(phases) == 2 * steps
+        for span in phases:
+            parent = by_id[span.parent_id]
+            assert (parent.name, parent.pid) == ("worker.handle", span.pid)
+            assert parent.start <= span.start <= span.end <= parent.end
+    assert {s.attrs["rows"] for s in spans
+            if s.name == "worker.forward"} == {4}
+    counters = pool.metrics.snapshot().counters
+    assert [counters[f"train_worker_steps{{worker={k}}}"]
+            for k in range(2)] == [steps, steps]

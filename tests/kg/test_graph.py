@@ -104,9 +104,3 @@ class TestDerivedGraphs:
         sub = KnowledgeGraph(4, 2, [(0, 0, 1)])
         assert sub.is_subgraph_of(small_kg)
         assert not small_kg.is_subgraph_of(sub)
-
-    def test_to_networkx(self, small_kg):
-        g = small_kg.to_networkx()
-        assert g.number_of_nodes() == 4
-        assert g.number_of_edges() == 4
-        assert g.has_edge(0, 1, key=0)

@@ -1,10 +1,9 @@
-"""The canonical metrics layer: labels, deltas, merge, rendering.
+"""The canonical metrics layer: labels, handles, rendering.
 
-The label/delta/merge surface is what the shard worker pool relies on
-(``repro.dist.pool`` piggybacks :class:`MetricsDelta` objects on worker
-replies); these tests pin its semantics single-process, and
-``tests/dist/test_telemetry.py`` re-checks the merge invariant across
-real worker processes.
+The label and handle surface is what the shard worker pool's owner
+records per-shard series through (``tests/dist/test_telemetry.py``
+checks them across real worker processes); these tests pin its
+semantics single-process.
 """
 
 import threading
@@ -13,8 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.obs.metrics import (MetricsDelta, MetricsRegistry,
-                               format_snapshot, metric_key, parse_metric_key,
+from repro.obs.metrics import (MetricsRegistry, format_snapshot,
+                               metric_key, parse_metric_key,
                                snapshot_from_json, snapshot_to_json)
 
 pytestmark = pytest.mark.obs
@@ -105,14 +104,14 @@ class TestLookupCost:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(metrics.Histogram, "__init__", counting_init)
-        registry = MetricsRegistry(histogram_window=16, track_deltas=True)
+        registry = MetricsRegistry(histogram_window=16)
         first = registry.histogram("latency_ms", tenant="a")
         assert all(registry.histogram("latency_ms", tenant="a") is first
                    for _ in range(100))
         assert built == [first]
         first.observe(1.0)  # the one built is configured as before
-        assert registry.flush_delta().samples == \
-            {"latency_ms{tenant=a}": [1.0]}
+        assert registry.snapshot().histograms["latency_ms{tenant=a}"] \
+            .count == 1
         assert first.stats().window == 16
 
     def test_handles_resolve_once_per_shape(self):
@@ -145,52 +144,6 @@ class TestLookupCost:
         for thread in threads:
             thread.join(5.0)
         assert len(seen) == 8 and all(c is seen[0] for c in seen)
-
-
-class TestDeltaFlush:
-    def test_flush_returns_increments_since_last_flush(self):
-        registry = MetricsRegistry(track_deltas=True)
-        registry.counter("requests").inc(3)
-        first = registry.flush_delta()
-        assert first.counters == {"requests": 3}
-        registry.counter("requests").inc(2)
-        second = registry.flush_delta()
-        assert second.counters == {"requests": 2}  # not 5: increments
-        assert not registry.flush_delta()  # nothing new -> falsy delta
-
-    def test_histogram_samples_drain_once(self):
-        registry = MetricsRegistry(track_deltas=True)
-        registry.histogram("latency_ms").observe(1.0)
-        registry.histogram("latency_ms").observe(2.0)
-        delta = registry.flush_delta()
-        assert delta.samples == {"latency_ms": [1.0, 2.0]}
-        assert registry.flush_delta().samples == {}
-        # ... but the local window still has them
-        assert registry.snapshot().histograms["latency_ms"].count == 2
-
-    def test_merge_accumulates_counters_and_samples(self):
-        parent = MetricsRegistry()
-        parent.counter("rank_requests", shard=0).inc(10)
-        delta = MetricsDelta(counters={"rank_requests{shard=0}": 4},
-                             gauges={"occupancy": 0.5},
-                             samples={"rank_block_ms{shard=0}": [3.0]})
-        parent.merge(delta)
-        parent.merge(MetricsDelta(
-            counters={"rank_requests{shard=0}": 1}))
-        snapshot = parent.snapshot()
-        assert snapshot.counters["rank_requests{shard=0}"] == 15
-        assert snapshot.gauges["occupancy"] == 0.5
-        assert snapshot.histograms["rank_block_ms{shard=0}"].count == 1
-
-    def test_merge_order_independent_for_counters(self):
-        deltas = [MetricsDelta(counters={"c": i}) for i in (1, 2, 3)]
-        forward = MetricsRegistry()
-        backward = MetricsRegistry()
-        for delta in deltas:
-            forward.merge(delta)
-        for delta in reversed(deltas):
-            backward.merge(delta)
-        assert forward.snapshot().counters == backward.snapshot().counters
 
 
 class TestJsonRoundTrip:

@@ -22,9 +22,8 @@ from repro import obs
 from repro.config import ModelConfig
 from repro.core import HalkModel
 from repro.kg import KnowledgeGraph
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                               get_registry, set_registry)
-from repro.obs.trace import Tracer, set_tracer
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.queries import Entity, Projection
 
 pytestmark = pytest.mark.obs
@@ -88,14 +87,14 @@ class TestDisabledOverhead:
 class _Touches:
     """Counts the top-level calls into the telemetry API while its patches
     are installed: every tracer call (a flag check while disabled) is a
-    span touch; every registry lookup, metric update, delta flush and
-    merge is a metric touch.  A call made inside a counted one (``merge``
-    looking up the counters it folds into) is part of it, not a touch of
-    its own."""
+    span touch; every registry lookup (a resolved ``handles`` read
+    included) and metric update is a metric touch.  A call made inside a
+    counted one (``handles`` looking its metrics up on a first call) is
+    part of it, not a touch of its own."""
 
-    API = (("spans", Tracer, ("span", "record", "current", "adopt")),
+    API = (("spans", Tracer, ("span", "record", "current")),
            ("metrics", MetricsRegistry,
-            ("counter", "gauge", "histogram", "flush_delta", "merge")),
+            ("counter", "gauge", "histogram", "handles")),
            ("metrics", Counter, ("inc",)),
            ("metrics", Gauge, ("set",)),
            ("metrics", Histogram, ("observe",)))
@@ -120,30 +119,29 @@ class _Touches:
         return touch
 
 
-def _shard_metrics(worker, parent) -> None:
-    """The metric calls of one shard's ranking request: the worker's
-    updates and delta flush, the parent's merge."""
-    worker.counter("rank_requests", shard=0).inc()
-    worker.histogram("rank_block_ms", shard=0).observe(1.0)
-    worker.counter("rank_refine_rows", shard=0).inc(20)
-    parent.merge(worker.flush_delta())
+def _shard_metrics(role, registry) -> None:
+    """The metric calls of one shard's ranking request: the owner's
+    record of the worker's reply."""
+    role.record(registry, {"mode": "topk"}, (0.0, 0.001, {"refine_rows": 20}))
 
 
 def _metric_touch_cost(calls: int = 100, repeats: int = 25) -> float:
     """Best-of seconds per metric touch, over the sharded path's own mix
-    of lookups, updates, flushes and merges (:func:`_shard_metrics`).
-    Many short windows: one of them is likely to miss a noisy
-    neighbour's burst."""
-    worker = MetricsRegistry(track_deltas=True)
-    parent = MetricsRegistry()
+    of handle reads and updates (:func:`_shard_metrics`).  Many short
+    windows: one of them is likely to miss a noisy neighbour's burst."""
+    from repro.dist import RankWorkerRole
+    from repro.dist.plan import ShardRange
+
+    role = RankWorkerRole(None, ShardRange(0, 0, 50), None)
+    registry = MetricsRegistry()
     with pytest.MonkeyPatch.context() as patch:
         touches = _Touches(patch)
-        _shard_metrics(worker, parent)
+        _shard_metrics(role, registry)
 
     def once() -> float:
         start = time.perf_counter()
         for _ in range(calls):
-            _shard_metrics(worker, parent)
+            _shard_metrics(role, registry)
         return (time.perf_counter() - start) / (calls * touches.metrics)
 
     return _best_of(once, repeats)
@@ -152,28 +150,22 @@ def _metric_touch_cost(calls: int = 100, repeats: int = 25) -> float:
 def _worker_touches(ranker, payloads, patch) -> None:
     """Run each shard worker's loop in this process on the payload the
     parent sent it — one task, then stop — so ``patch``'s counters see
-    the worker side of the request.  The loop installs its own process
-    tracer and registry, as a spawned worker does; they are put back."""
+    any telemetry call the worker side of the request makes."""
     from repro.dist.pool import _worker_main
 
-    tracer, registry = obs.get_tracer(), get_registry()
-    try:
-        for worker, payload in zip(ranker.pool._workers, payloads):
-            tasks, results = queue.SimpleQueue(), queue.SimpleQueue()
-            tasks.put(("task", 1, payload, False))
-            tasks.put(("stop",))
-            _worker_main(worker.role, tasks, results)
-            assert [results.get()[0], results.get()[0]] == ["ready", "ok"]
-    finally:
-        set_tracer(tracer)
-        set_registry(registry)
+    for worker, payload in zip(ranker.pool._workers, payloads):
+        tasks, results = queue.SimpleQueue(), queue.SimpleQueue()
+        tasks.put(("task", 1, payload))
+        tasks.put(("stop",))
+        _worker_main(worker.role, tasks, results)
+        assert [results.get()[0], results.get()[0]] == ["ready", "ok"]
 
 
 class TestDisabledOverheadSharded:
     def test_sharded_ranking_overhead_under_5_percent(self):
-        """The dist-path telemetry (piggybacked deltas, span checks)
-        must stay under 5% of a sharded ranking request with tracing
-        disabled.  The touches one ``topk`` makes are counted — in the
+        """The dist-path telemetry (the owner's record of each reply,
+        span checks) must stay under 5% of a sharded ranking request
+        with tracing disabled.  The touches one ``topk`` makes are counted — in the
         parent, and in each worker's loop replayed in-process on the
         payload it was sent — and priced at their measured best-of
         per-touch cost; the best of three rounds is held to the bound."""
@@ -208,8 +200,9 @@ class TestDisabledOverheadSharded:
                 ranker.topk(embedding, 5)
                 _worker_touches(ranker, sent[0], patch)
             # dispatch/gather/merge spans and two shard.compute records;
-            # per shard at least the worker's updates, flush and a merge
-            assert touches.spans >= 5 and touches.metrics >= 2 * 4, (
+            # per shard at least the owner's handle read and its
+            # rank_requests and rank_block_ms updates
+            assert touches.spans >= 5 and touches.metrics >= 2 * 3, (
                 touches.spans, touches.metrics)
 
             def one_request() -> float:

@@ -2,7 +2,7 @@
 
 Covers the ISSUE 10 acceptance surface that does not need a serving
 runtime: deterministic sampling passes, the overhead-budget
-down-sampling loop, delta flushing and the parent-side store,
+down-sampling loop, delta draining and the parent-side store,
 order-independent count-conserving merges (property-tested), the two
 flame-graph export formats, self-time-share diff attribution — including
 a *real* injected slowdown being attributed to the slowed frame — and
@@ -126,17 +126,30 @@ class TestOverheadBudget:
 class TestDeltaFlush:
     def test_flush_drains_pending_not_cumulative(self, parked_thread):
         sampler = SamplingProfiler(hz=50, role="w")
-        assert sampler.flush_delta() is None  # nothing yet
+        assert sampler.drain() is None  # nothing yet
         sampler.sample_once()
-        delta = sampler.flush_delta()
+        delta = sampler.drain()
         assert delta is not None
         assert delta.samples == sampler.snapshot().samples
-        assert sampler.flush_delta() is None  # drained
+        assert sampler.drain() is None  # drained
         sampler.sample_once()
-        second = sampler.flush_delta()
+        second = sampler.drain()
         assert second is not None
         # cumulative snapshot keeps both passes
         assert sampler.snapshot().samples == delta.samples + second.samples
+
+    def test_drain_carries_the_downsamples_of_its_window(
+            self, parked_thread):
+        """The owner counts ``prof_downsamples`` from the delta alone:
+        each halving rides exactly one drain."""
+        sampler = SamplingProfiler(hz=100, role="w")
+        sampler.sample_once()
+        sampler._account(1.0)
+        first = sampler.drain()
+        assert (first.downsamples, first.hz) == (1, pytest.approx(50.0))
+        sampler.sample_once()
+        assert sampler.drain().downsamples == 0
+        assert sampler.snapshot().downsamples == 1
 
     def test_store_accumulates_by_role_and_pid(self):
         store = ProfileStore()

@@ -26,6 +26,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--method", "TransE"])
 
+    @pytest.mark.parametrize("command, flag", [
+        ("serve", "--repeat"), ("serve", "--batch-size"),
+        ("serve", "--workers"), ("serve", "--top-k"),
+        ("trace", "--workers"), ("trace", "--top-k"),
+        ("answer", "--top-k")])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_counts_below_one_exit_before_starting(self, command, flag,
+                                                   value, tmp_path,
+                                                   capsys):
+        """A count the runtime cannot serve is a usage error (exit 2),
+        not a traceback after the runtime started."""
+        extra = ["--sparql", "SELECT ?x WHERE { e0 rotation_0 ?x . }"] \
+            if command == "answer" else []
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--model-dir", str(tmp_path), *extra,
+                  f"{flag}={value}"])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_datasets_lists_all(self, capsys):

@@ -173,8 +173,8 @@ def test_the_sampler_calls_its_generator_per_block():
 
 
 def test_shard_workers_start_without_networkx():
-    """networkx is imported only by ``KnowledgeGraph.to_networkx``; the
-    ranker a shard worker imports must not pull it in at start."""
+    """Nothing in the package imports networkx: the ranker a shard worker
+    imports must not pull it in at start, through any dependency."""
     code = ("import sys, repro.dist.ranker; "
             "print('networkx' in sys.modules)")
     path = os.pathsep.join(filter(None, [str(SRC.parent),
@@ -191,3 +191,20 @@ def test_one_module_selects_rotation_tails():
     of the recipe growing back."""
     selecting = {m.split(":")[0] for m in hits(r"argpartition", "kg")}
     assert len(selecting) == 1, selecting
+
+
+def test_telemetry_has_one_writer():
+    """The owner process writes every span and metric from what a shard
+    worker's reply says: no process installs a second tracer or
+    registry, no worker span is re-numbered into the owner's tree, and
+    no metric increment is flushed or merged across processes."""
+    assert hits(r"(?<!def )\b(set_tracer|set_registry)\(|\.adopt\(", "") \
+        == []
+    assert hits(r"flush_delta|MetricsDelta|track_deltas|drain_pending",
+                "") == []
+
+
+def test_the_package_needs_numpy_only():
+    """No module imports scipy or networkx: numpy is the one runtime
+    dependency ``pyproject.toml`` declares."""
+    assert hits(r"^\s*(import|from)\s+(scipy|networkx)\b", "") == []
