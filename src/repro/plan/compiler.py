@@ -10,8 +10,9 @@ Three layers, cheapest first on the steady-state path:
    pays the slot-substitution loop.
 
 2. **Grounding** — a template instantiates against one query's anchor
-   and relation ids (extracted in canonical pre-order, the same order
-   slots were assigned).
+   and relation ids (read off in canonical pre-order — the order slots
+   were assigned — by the :func:`~repro.serve.canonical.walk` that
+   canonicalised it).
 
 3. **Cross-query CSE** — grounded ops are hash-consed into the batch's
    shared DAG: two queries that reach the same grounded sub-expression
@@ -19,7 +20,8 @@ Three layers, cheapest first on the steady-state path:
    share one op, so the executor computes it once.  Correctness rests on
    canonicalisation: structurally equal canonical sub-trees serialize
    identically, and by the PR 1 normal form, equal serialization implies
-   equal answers (DESIGN.md §12).
+   equal answers (DESIGN.md §12).  The builder records each new op's
+   fused stage as it appends it: plans leave with their schedule.
 
 :class:`PlanCompiler` is the stateful front door the serving runtime
 holds: it owns the template cache and the ``plan_cache_hits`` /
@@ -28,81 +30,107 @@ holds: it owns the template cache and the ``plan_cache_hits`` /
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import get_tracer
 from ..queries.computation_graph import (Difference, Entity, Intersection,
                                          Negation, Node, Projection, Union,
-                                         anchors, relations, to_dnf)
+                                         rename, to_dnf)
 from ..serve.cache import LruCache
-from ..serve.canonical import batch_key, canonicalize
+from ..serve.canonical import Walk, walk
 from .ir import (AnchorOp, DifferenceOp, IntersectOp, NegateOp, Plan, PlanOp,
-                 ProjectOp, RankOp, UnionOp)
+                 ProjectOp, RankOp, UnionOp, group_stages, op_inputs,
+                 op_kind)
 
 __all__ = ["PlanTemplate", "PlanCompiler", "lower", "lower_template",
            "instantiate"]
 
 
+#: the op of a kind tag, from its entity/relation id and input value ids
+_MAKE = {
+    "anchor": lambda ident, inputs: AnchorOp(ident),
+    "project": lambda ident, inputs: ProjectOp(ident, inputs[0]),
+    "negate": lambda ident, inputs: NegateOp(inputs[0]),
+    "intersect": lambda ident, inputs: IntersectOp(inputs),
+    "union": lambda ident, inputs: UnionOp(inputs),
+    "difference": lambda ident, inputs: DifferenceOp(inputs),
+}
+
+
 class _Builder:
-    """Hash-consing op emitter: one shared SSA list per micro-batch."""
+    """Hash-consing op emitter: one shared SSA list per micro-batch.
+
+    An op is emitted as a plain-tuple CSE key ``(kind, entity or
+    relation id or None, input value ids)`` plus its depth: the op object
+    is built only when new, and its ``(depth, kind, arity)`` stage is
+    recorded as it is appended, so the plan leaves with its stages.
+    """
 
     def __init__(self):
         self.ops: list[PlanOp] = []
         self.roots: list[int] = []
         self.ops_total = 0
-        self._index: dict[PlanOp, int] = {}
+        self._index: dict[tuple, int] = {}
+        self._stages: dict[tuple[int, str, int], list[int]] = {}
 
-    def emit(self, op: PlanOp) -> int:
+    def emit(self, key: tuple, depth: int) -> int:
         """Add one op, deduplicating structurally identical ones (CSE)."""
         self.ops_total += 1
-        found = self._index.get(op)
+        found = self._index.get(key)
         if found is not None:
             return found
         value = len(self.ops)
-        self.ops.append(op)
-        self._index[op] = value
+        self._index[key] = value
+        kind, ident, inputs = key
+        self.ops.append(_MAKE[kind](ident, inputs))
+        self._stages.setdefault((depth, kind, len(inputs)), []).append(value)
         return value
 
-    def emit_root(self, op: RankOp) -> int:
+    def emit_root(self, branches: tuple[int, ...]) -> int:
         """Add a query root; roots are never CSE'd (one answer per query)."""
         self.ops_total += 1
         value = len(self.ops)
-        self.ops.append(op)
+        self.ops.append(RankOp(branches))
         self.roots.append(value)
         return value
 
     def plan(self) -> Plan:
-        return Plan(self.ops, self.roots, ops_total=self.ops_total)
+        return Plan(self.ops, self.roots, ops_total=self.ops_total,
+                    stages=group_stages(self._stages))
 
 
-def _lower_tree(node: Node, builder: _Builder) -> int:
-    """Lower one union-free (or non-DNF) tree, returning its value id."""
+_CONNECTIVES = {Intersection: "intersect", Union: "union",
+                Difference: "difference"}
+
+
+def _lower_tree(node: Node, builder: _Builder) -> tuple[int, int]:
+    """Lower one union-free (or non-DNF) tree: its (value id, depth)."""
     if isinstance(node, Entity):
-        return builder.emit(AnchorOp(node.entity))
-    if isinstance(node, Projection):
-        return builder.emit(ProjectOp(node.relation,
-                                      _lower_tree(node.operand, builder)))
-    if isinstance(node, Negation):
-        return builder.emit(NegateOp(_lower_tree(node.operand, builder)))
-    values = tuple(_lower_tree(op, builder) for op in node.operands)
-    if isinstance(node, Intersection):
-        return builder.emit(IntersectOp(values))
-    if isinstance(node, Union):
-        return builder.emit(UnionOp(values))
-    if isinstance(node, Difference):
-        return builder.emit(DifferenceOp(values))
-    raise TypeError(f"unknown node type: {type(node).__name__}")
+        return builder.emit(("anchor", node.entity, ()), 0), 0
+    if isinstance(node, (Projection, Negation)):
+        value, depth = _lower_tree(node.operand, builder)
+        key = ("project", node.relation, (value,)) \
+            if isinstance(node, Projection) else ("negate", None, (value,))
+        return builder.emit(key, depth + 1), depth + 1
+    kind = _CONNECTIVES.get(type(node))
+    if kind is None:
+        raise TypeError(f"unknown node type: {type(node).__name__}")
+    lowered = [_lower_tree(op, builder) for op in node.operands]
+    depth = 1 + max(depth for _, depth in lowered)
+    key = (kind, None, tuple(value for value, _ in lowered))
+    return builder.emit(key, depth), depth
 
 
 def _lower_query(node: Node, builder: _Builder, dnf: bool) -> int:
     """Lower one canonical query to its RankOp root."""
     if dnf:
-        branches = tuple(_lower_tree(branch, builder)
+        branches = tuple(_lower_tree(branch, builder)[0]
                          for branch in to_dnf(node))
     else:
-        branches = (_lower_tree(node, builder),)
-    return builder.emit_root(RankOp(branches))
+        branches = (_lower_tree(node, builder)[0],)
+    return builder.emit_root(branches)
 
 
 def lower(queries, dnf: bool = True, canonical: bool = False) -> Plan:
@@ -116,8 +144,8 @@ def lower(queries, dnf: bool = True, canonical: bool = False) -> Plan:
     """
     builder = _Builder()
     for query in queries:
-        node = query if canonical else canonicalize(query)
-        _lower_query(node, builder, dnf)
+        _lower_query(query if canonical else walk(query).canonical,
+                     builder, dnf)
     return builder.plan()
 
 
@@ -129,14 +157,14 @@ def lower(queries, dnf: bool = True, canonical: bool = False) -> Plan:
 class PlanTemplate:
     """A lowered plan whose ids are slot indexes, reusable across queries.
 
-    ``ops`` reference anchor/relation *slots* (pre-order occurrence
-    indexes in the canonical tree); two queries with the same canonical
-    structure signature have isomorphic canonical trees, so their
-    pre-order id vectors (:func:`repro.queries.anchors` /
-    :func:`repro.queries.relations`) line up with the slots one-to-one.
+    ``steps`` are ``(kind, slot, inputs, depth)``: an anchor or relation
+    *slot* (pre-order occurrence index in the canonical tree), local input
+    ids, and the depth its grounded op keeps.  Queries sharing a canonical
+    structure signature have isomorphic canonical trees, so their walks'
+    pre-order ids line up with the slots one-to-one.
     """
 
-    ops: tuple[PlanOp, ...]
+    steps: tuple[tuple[str, int | None, tuple[int, ...], int], ...]
     root: int
     #: ops before intra-template CSE (for honest ops_total accounting)
     ops_total: int
@@ -144,37 +172,23 @@ class PlanTemplate:
     num_relation_slots: int
 
 
-class _SlotTree:
-    """Rebuild a tree with ids replaced by pre-order occurrence slots."""
-
-    def __init__(self):
-        self.next_anchor = 0
-        self.next_relation = 0
-
-    def rewrite(self, node: Node) -> Node:
-        if isinstance(node, Entity):
-            slot = self.next_anchor
-            self.next_anchor += 1
-            return Entity(slot)
-        if isinstance(node, Projection):
-            slot = self.next_relation
-            self.next_relation += 1
-            return Projection(slot, self.rewrite(node.operand))
-        if isinstance(node, Negation):
-            return Negation(self.rewrite(node.operand))
-        return type(node)(tuple(self.rewrite(op) for op in node.operands))
-
-
 def lower_template(canonical_node: Node, dnf: bool = True) -> PlanTemplate:
     """Lower the anonymous shape of one canonical query into a template."""
-    slots = _SlotTree()
-    slot_tree = slots.rewrite(canonical_node)
+    # ``rename`` visits ids in pre-order: each gets its occurrence slot
+    anchor_slots, relation_slots = itertools.count(), itertools.count()
+    slot_tree = rename(canonical_node, lambda _: next(anchor_slots),
+                       lambda _: next(relation_slots))
     builder = _Builder()
     root = _lower_query(slot_tree, builder, dnf)
-    return PlanTemplate(ops=tuple(builder.ops), root=root,
+    steps = []
+    for op, depth in zip(builder.ops, builder.plan().depths()):
+        slot = op.entity if isinstance(op, AnchorOp) else \
+            op.relation if isinstance(op, ProjectOp) else None
+        steps.append((op_kind(op), slot, op_inputs(op), depth))
+    return PlanTemplate(steps=tuple(steps), root=root,
                         ops_total=builder.ops_total,
-                        num_anchor_slots=slots.next_anchor,
-                        num_relation_slots=slots.next_relation)
+                        num_anchor_slots=next(anchor_slots),
+                        num_relation_slots=next(relation_slots))
 
 
 def instantiate(template: PlanTemplate, entity_ids, relation_ids,
@@ -186,36 +200,24 @@ def instantiate(template: PlanTemplate, entity_ids, relation_ids,
             f"template expects {template.num_anchor_slots} anchors / "
             f"{template.num_relation_slots} relations; got "
             f"{len(entity_ids)}/{len(relation_ids)}")
+    emit = builder.emit
     remap: list[int] = []
-    root = -1
-    for op in template.ops:
-        if isinstance(op, AnchorOp):
-            value = builder.emit(AnchorOp(entity_ids[op.entity]))
-        elif isinstance(op, ProjectOp):
-            value = builder.emit(ProjectOp(relation_ids[op.relation],
-                                           remap[op.operand]))
-        elif isinstance(op, NegateOp):
-            value = builder.emit(NegateOp(remap[op.operand]))
-        elif isinstance(op, IntersectOp):
-            value = builder.emit(IntersectOp(
-                tuple(remap[v] for v in op.operands)))
-        elif isinstance(op, UnionOp):
-            value = builder.emit(UnionOp(
-                tuple(remap[v] for v in op.operands)))
-        elif isinstance(op, DifferenceOp):
-            value = builder.emit(DifferenceOp(
-                tuple(remap[v] for v in op.operands)))
-        elif isinstance(op, RankOp):
-            value = builder.emit_root(RankOp(
-                tuple(remap[v] for v in op.branches)))
-            root = value
-        else:  # pragma: no cover - exhaustive over the IR
-            raise TypeError(f"unknown op type: {type(op).__name__}")
-        remap.append(value)
+    for kind, slot, inputs, depth in template.steps:
+        if kind == "anchor":
+            remap.append(emit((kind, entity_ids[slot], ()), depth))
+        elif kind == "project":
+            remap.append(emit((kind, relation_ids[slot],
+                               (remap[inputs[0]],)), depth))
+        elif kind == "rank":
+            remap.append(builder.emit_root(
+                tuple([remap[v] for v in inputs])))
+        else:
+            remap.append(emit((kind, None, tuple([remap[v] for v in inputs])),
+                              depth))
     # honest accounting: the template's pre-CSE node count, not the
     # post-CSE op count, is what an interpretive walk would have paid
-    builder.ops_total += template.ops_total - len(template.ops)
-    return root
+    builder.ops_total += template.ops_total - len(template.steps)
+    return remap[template.root]
 
 
 @dataclass
@@ -245,42 +247,30 @@ class PlanCompiler:
         self.tracer = tracer
         self.dnf = dnf
 
-    def template_for(self, canonical_node: Node,
-                     key: str | None = None) -> tuple[PlanTemplate, bool]:
-        """Cached template of one canonical query; returns (template, hit)."""
-        key = key if key is not None else batch_key(canonical_node)
-        template = self.cache.get(key)
-        if template is not None:
-            return template, True
-        template = lower_template(canonical_node, dnf=self.dnf)
-        self.cache.put(key, template)
-        return template, False
+    def compile(self, queries) -> CompileResult:
+        """Compile a micro-batch into one shared, CSE'd plan, walking
+        each query once (:func:`repro.serve.canonical.walk`)."""
+        return self.compile_walks([walk(query) for query in queries])
 
-    def compile(self, queries, canonical: bool = False,
-                keys: list[str] | None = None) -> CompileResult:
-        """Compile a micro-batch into one shared, CSE'd plan.
-
-        ``canonical`` vouches that the queries are already in serving
-        normal form; ``keys`` hands in their :func:`batch_key` (the
-        runtime computed it at submit) instead of walking each tree
-        again.
-        """
+    def compile_walks(self, walks: list[Walk]) -> CompileResult:
+        """:meth:`compile` for queries walked already — the runtime walks
+        each one at admission and hands the walks in."""
         tracer = self.tracer if self.tracer is not None else get_tracer()
-        with tracer.span("plan.compile", queries=len(queries)):
+        with tracer.span("plan.compile", queries=len(walks)):
             builder = _Builder()
-            result = CompileResult(plan=None)  # filled below
-            for position, query in enumerate(queries):
-                node = query if canonical else canonicalize(query)
-                key = batch_key(node) if keys is None else keys[position]
-                template, hit = self.template_for(node, key=key)
-                instantiate(template, anchors(node), relations(node),
-                            builder)
-                result.structure_keys.append(key)
-                if hit:
-                    result.cache_hits += 1
+            hits = 0
+            for walked in walks:
+                template = self.cache.get(walked.structure)
+                if template is None:
+                    template = lower_template(walked.canonical, self.dnf)
+                    self.cache.put(walked.structure, template)
                 else:
-                    result.cache_misses += 1
-            result.plan = builder.plan()
+                    hits += 1
+                instantiate(template, walked.anchors, walked.relations,
+                            builder)
+            result = CompileResult(
+                builder.plan(), [walked.structure for walked in walks],
+                cache_hits=hits, cache_misses=len(walks) - hits)
         if self.metrics is not None:
             self.metrics.counter("plan_cache_hits").inc(result.cache_hits)
             self.metrics.counter("plan_cache_misses").inc(

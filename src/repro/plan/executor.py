@@ -17,56 +17,32 @@ Two executors share the same compiled :class:`repro.plan.ir.Plan`:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
-
-import time
 
 from ..core.arc import ArcRows
 from ..kg.graph import KnowledgeGraph
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .ir import (AnchorOp, DifferenceOp, IntersectOp, NegateOp, Plan,
-                 ProjectOp, RankOp, UnionOp, op_inputs, op_kind)
+                 ProjectOp, RankOp, StageGroup, UnionOp, op_inputs)
 
 __all__ = ["StageGroup", "RankGroup", "schedule", "execute_plan",
            "execute_symbolic", "plan_answer_batch"]
 
 
-@dataclass(frozen=True)
-class StageGroup:
-    """One fused execution stage: same-depth, same-kind ops stacked."""
-
-    depth: int
-    kind: str
-    arity: int
-    ops: tuple[int, ...]
-
-
 def schedule(plan: Plan) -> list[StageGroup]:
-    """Group non-rank ops into fused stages, shallowest first.
+    """Non-rank ops grouped into fused stages, shallowest first.
 
     Grouping by ``(depth, kind, arity)`` is the fusion rule: ops in one
     group have no data dependencies on each other (same depth), take the
     same kernel (same kind/arity), and therefore run as one stacked call.
     Deterministic: groups sort by key, ops within a group keep SSA order.
-    Memoised per plan (plans are immutable after construction).
+    The compiler records them as it emits the ops (:class:`Plan`).
     """
-    cached = getattr(plan, "_stages", None)
-    if cached is not None:
-        return cached
-    depths = plan.depths()
-    groups: dict[tuple[int, str, int], list[int]] = {}
-    for index, op in enumerate(plan.ops):
-        if isinstance(op, RankOp):
-            continue
-        key = (depths[index], op_kind(op), len(op_inputs(op)))
-        groups.setdefault(key, []).append(index)
-    stages = [StageGroup(depth, kind, arity, tuple(ops))
-              for (depth, kind, arity), ops in sorted(groups.items())]
-    plan._stages = stages
-    return stages
+    return plan.stages
 
 
 def _gather(values: list, ids) -> ArcRows:
@@ -157,7 +133,7 @@ def execute_plan(plan: Plan, backend, tracer=None, registry=None,
     values: list[object] = [None] * len(plan.ops)
     with tracer.span("plan.execute", ops=len(plan.ops),
                      queries=plan.num_queries):
-        for group in schedule(plan):
+        for group in plan.stages:
             with tracer.span("plan.stage", depth=group.depth,
                              kind=group.kind, ops=len(group.ops)):
                 started = time.perf_counter()
@@ -288,6 +264,6 @@ def plan_answer_batch(queries, model, top_k: int = 10, compiler=None,
     for group in execute_plan(plan, backend):
         with tracer.span("plan.rank", queries=len(group.positions)):
             top, _ = ranker.topk(group.embedding, top_k)
-        for row, position in enumerate(group.positions):
-            out[position] = [int(e) for e in top[row]]
+        for ids, position in zip(top.tolist(), group.positions):
+            out[position] = ids
     return out

@@ -50,11 +50,8 @@ def render_plan(plan: Plan, structure_keys: list[str] | None = None,
     """ASCII rendering of a compiled plan with CSE/fusion annotations."""
     stages = schedule(plan)
     uses = plan.use_counts()
-    depths = plan.depths()
-    stage_of: dict[int, int] = {}
-    for number, group in enumerate(stages):
-        for index in group.ops:
-            stage_of[index] = number
+    stage_of = {index: number for number, group in enumerate(stages)
+                for index in group.ops}
 
     lines = [f"plan: {plan.num_queries} "
              f"quer{'y' if plan.num_queries == 1 else 'ies'}, "
@@ -92,7 +89,6 @@ def render_plan(plan: Plan, structure_keys: list[str] | None = None,
         lines.append(f"  rank stage: {len(rank_ops)} "
                      f"quer{'y' if len(rank_ops) == 1 else 'ies'} "
                      "(grouped by branch count, one distance pass each)")
-    _ = depths  # depths feed stage grouping; kept for parity with JSON
     return "\n".join(lines)
 
 
@@ -102,10 +98,8 @@ def plan_to_json(plan: Plan, structure_keys: list[str] | None = None,
     stages = schedule(plan)
     uses = plan.use_counts()
     depths = plan.depths()
-    stage_of: dict[int, int] = {}
-    for number, group in enumerate(stages):
-        for index in group.ops:
-            stage_of[index] = number
+    stage_of = {index: number for number, group in enumerate(stages)
+                for index in group.ops}
     ops = []
     for index, op in enumerate(plan.ops):
         entry: dict = {"id": index, "kind": op_kind(op),

@@ -17,20 +17,20 @@ topological order of the DAG by construction.  Seven op kinds:
   distance (equivalently, set union) is the query's answer.
 
 Ops are frozen dataclasses, so structural equality and hashability come
-for free — the compiler's cross-query CSE is a dict keyed on the ops
-themselves.  Unlike a computation-graph *tree*, two queries that share a
+for free.  Unlike a computation-graph *tree*, two queries that share a
 grounded sub-expression share the op (one value id), which is the whole
 point of compiling a batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union as TypingUnion
 
 __all__ = [
     "AnchorOp", "ProjectOp", "IntersectOp", "UnionOp", "DifferenceOp",
-    "NegateOp", "RankOp", "PlanOp", "Plan", "op_inputs", "op_kind",
+    "NegateOp", "RankOp", "PlanOp", "Plan", "StageGroup", "op_inputs",
+    "op_kind",
 ]
 
 
@@ -118,6 +118,21 @@ def op_inputs(op: PlanOp) -> tuple[int, ...]:
     return op.operands
 
 
+@dataclass(frozen=True)
+class StageGroup:
+    """One fused execution stage: same-depth, same-kind ops stacked."""
+
+    depth: int
+    kind: str
+    arity: int
+    ops: tuple[int, ...]
+
+
+def group_stages(groups: dict[tuple, list[int]]) -> list[StageGroup]:
+    """Stages from ``{(depth, kind, arity): op ids in SSA order}``."""
+    return [StageGroup(*key, tuple(ops)) for key, ops in sorted(groups.items())]
+
+
 @dataclass
 class Plan:
     """A compiled micro-batch: SSA ops plus per-query roots.
@@ -132,22 +147,38 @@ class Plan:
     ops_total:
         Ops the batch would hold without CSE (every query lowered in
         isolation); ``ops_total - len(ops)`` is the work CSE removed.
+    stages:
+        The fused stages (:func:`repro.plan.schedule`), as the compiler
+        recorded them; a plan built without them is SSA-checked and
+        grouped here.
     """
 
     ops: list[PlanOp]
     roots: list[int]
     ops_total: int = 0
+    stages: list[StageGroup] | None = field(default=None, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
+        if self.stages is not None:
+            return
+        depths: list[int] = []
+        groups: dict[tuple, list[int]] = {}
         for index, op in enumerate(self.ops):
-            for value in op_inputs(op):
+            inputs = op_inputs(op)
+            for value in inputs:
                 if not 0 <= value < index:
                     raise ValueError(
                         f"op {index} ({op_kind(op)}) references value "
                         f"{value}; SSA requires 0 <= input < {index}")
+            depths.append(1 + max((depths[i] for i in inputs), default=-1))
+            if not isinstance(op, RankOp):
+                groups.setdefault((depths[index], op_kind(op), len(inputs)),
+                                  []).append(index)
         for root in self.roots:
             if not isinstance(self.ops[root], RankOp):
                 raise ValueError(f"root {root} is not a RankOp")
+        self.stages = group_stages(groups)
 
     @property
     def num_queries(self) -> int:

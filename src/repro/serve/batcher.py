@@ -28,13 +28,20 @@ _LOGGER = logging.getLogger("repro.serve")
 
 
 class ServeFuture:
-    """Write-once result slot handed back to the caller at submit time."""
+    """Write-once result slot handed back to the caller at submit time.
+
+    Waiters take turns on ``_latch``, a lock held until the future
+    resolves: one lock per request, not an ``Event``'s two and a list."""
+
+    #: every future's flag and callback list; held for a test or a swap
+    _state_lock = threading.Lock()
 
     def __init__(self):
-        self._event = threading.Event()
+        self._latch = threading.Lock()
+        self._latch.acquire()
+        self._done = False
         self._result: Any = None
         self._error: BaseException | None = None
-        self._lock = threading.Lock()
         self._callbacks: list[Callable[["ServeFuture"], None]] = []
 
     def set_result(self, result: Any) -> None:
@@ -46,9 +53,12 @@ class ServeFuture:
         self._fire()
 
     def _fire(self) -> None:
-        with self._lock:
-            self._event.set()
+        with self._state_lock:
+            if self._done:
+                return
+            self._done = True
             callbacks, self._callbacks = self._callbacks, []
+        self._latch.release()
         for callback in callbacks:
             self._call(callback)
 
@@ -74,18 +84,28 @@ class ServeFuture:
         exception a callback raises is logged (``repro.serve``) and
         goes no further; the callbacks after it still run.
         """
-        with self._lock:
-            if not self._event.is_set():
+        with self._state_lock:
+            if not self._done:
                 self._callbacks.append(callback)
                 return
         self._call(callback)
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._done
 
     def result(self, timeout: float | None = None) -> Any:
-        if not self._event.wait(timeout):
-            raise TimeoutError("serve request did not complete in time")
+        if not self._done:
+            latch = self._latch
+            if timeout is None:
+                acquired = latch.acquire()
+            elif timeout > 0:
+                acquired = latch.acquire(True, timeout)
+            else:
+                acquired = latch.acquire(False)
+            if acquired:
+                latch.release()  # hand it on to the next waiter
+            elif not self._done:  # else a waiter held it to hand it on
+                raise TimeoutError("serve request did not complete in time")
         if self._error is not None:
             raise self._error
         return self._result

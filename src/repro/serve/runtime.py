@@ -37,11 +37,11 @@ from ..kg.graph import KnowledgeGraph
 from ..obs.diag import DiagConfig, Diagnostics, RequestContext
 from ..obs.metrics import MetricsRegistry, StatsSnapshot
 from ..obs.trace import Tracer, get_tracer
-from ..queries.computation_graph import Node, structure_signature
+from ..queries.computation_graph import Node
 from ..queries.executor import execute
 from .batcher import MicroBatcher, ServeFuture, ServeRequest
 from .cache import LruCache, TtlCache
-from .canonical import canonicalize, serialize
+from .canonical import Walk, walk
 
 __all__ = ["ServeConfig", "ServeResult", "ServeRuntime", "ServeError"]
 
@@ -164,8 +164,7 @@ class _RWLock:
 class _Pending(ServeRequest):
     """ServeRequest plus the runtime bookkeeping fields."""
 
-    #: ``batch_key`` of the canonical query (the plan-template key)
-    structure: str = ""
+    walk: Walk | None = None  # the query's one walk (admission)
     submitted_at: float = 0.0
     #: ``perf_counter`` instant the request entered the batcher (the
     #: start of its ``serve.queue`` stage)
@@ -221,6 +220,9 @@ class ServeRuntime:
         self._embeddings = LruCache(self.config.embedding_cache_size)
         self.metrics = MetricsRegistry(HISTOGRAM_WINDOW)
         self._latency = self.metrics.histogram("latency_ms")
+        self._requests = self.metrics.counter("requests")
+        self._answer_hits = self.metrics.counter("answer_cache_hits")
+        self._answer_misses = self.metrics.counter("answer_cache_misses")
         self._batch_sizes = self.metrics.histogram("batch_size")
         self._queue_depth = self.metrics.gauge("queue_depth")
         from ..dist import LocalRanker, dist_available
@@ -334,7 +336,11 @@ class ServeRuntime:
             # also when a query did not canonicalise: the ones admitted
             # before it are counted requests and get their outcome
             self._enqueue(pending)
-        return [future.result(timeout) for future in futures]
+        # ``timeout`` bounds the whole call, not each future's wait
+        ends = None if timeout is None else time.monotonic() + timeout
+        return [future.result(None if ends is None
+                              else max(0.0, ends - time.monotonic()))
+                for future in futures]
 
     def _admit(self, query: Node, top_k: int, deadline: float | None,
                ctx: RequestContext | None,
@@ -342,7 +348,7 @@ class ServeRuntime:
         """Count, canonicalise and look up one query: its future comes
         back resolved on an answer-cache hit; else its request joins
         ``pending``, for the caller to enqueue."""
-        self.metrics.counter("requests").inc()
+        self._requests.inc()
         now = self._clock()
         tracer = self.tracer
         if ctx is None:
@@ -351,19 +357,18 @@ class ServeRuntime:
         try:
             with tracer.activate(root):
                 with tracer.span("serve.canonicalise"):
-                    canonical = canonicalize(query)
-                    key = serialize(canonical)
+                    walked = walk(query)
                 with tracer.span("serve.cache_lookup"):
-                    cached = self._answers.get((key, top_k))
-            structure = structure_signature(canonical)  # its batch_key
-            ctx.note(structure=structure, model_version=self._model_version,
+                    cached = self._answers.get((walked.key, top_k))
+            ctx.note(structure=walked.structure,
+                     model_version=self._model_version,
                      cache="miss" if cached is None else "hit")
         except Exception as exc:
             # whatever stopped it, a counted request gets its outcome
             self._refuse(ctx, now, type(exc).__name__)
             raise
         if cached is not None:
-            self.metrics.counter("answer_cache_hits").inc()
+            self._answer_hits.inc()
             latency = self._clock() - now
             self._leave(ctx, latency, "answer_cache", len(cached))
             future = ServeFuture()
@@ -373,10 +378,11 @@ class ServeRuntime:
             self._latency.observe(1000.0 * latency,
                                   exemplar=ctx.request_id)
             return future
-        self.metrics.counter("answer_cache_misses").inc()
+        self._answer_misses.inc()
         if deadline is None:
             deadline = self.config.default_deadline
-        ctx.tag(structure=structure, model_version=self._model_version)
+        ctx.tag(structure=walked.structure,
+                model_version=self._model_version)
         # deadline arithmetic invariant: relative deadlines become
         # absolute on self._clock (monotonic) exactly once, HERE, and
         # are only ever compared against the same clock downstream
@@ -385,9 +391,9 @@ class ServeRuntime:
         # serve/dist stack — an NTP step must not expire (or
         # resurrect) in-flight requests.
         request = _Pending(
-            query=canonical, top_k=top_k, cache_key=key,
+            query=walked.canonical, top_k=top_k, cache_key=walked.key,
             deadline=None if deadline is None else now + deadline,
-            structure=structure, submitted_at=now,
+            walk=walked, submitted_at=now,
             queued_at=time.perf_counter(), ctx=ctx)
         pending.append(request)
         return request.future
@@ -720,31 +726,11 @@ class ServeRuntime:
         :class:`~repro.dist.LocalRanker` over the whole wrapped entity
         table, or shard workers over row blocks.  Answers therefore
         agree bitwise *including on ties* — ascending ``(distance,
-        entity id)`` — and equal the ``distance_to_all`` oracle's.
-        ``ctx`` rides into the shard worker pool, which stamps its id on
-        adopted worker spans and notes fan-out and hedge outcome on it.
+        entity id)`` — and equal the ``distance_to_all`` oracle's.  The
+        shard pool notes fan-out and hedge outcome on ``ctx``.
         """
         ids, _ = (self._ranker or self._local).topk(embedding, k, ctx)
         return ids, time.perf_counter()
-
-    def _embed_plan(self, requests: list[_Pending]):
-        """Compile + execute queued requests — the one way serving embeds.
-
-        Returns ``(compiled, groups, stage_cost)``: the compile result
-        (template-cache + cross-query-CSE bookkeeping), one
-        :class:`repro.plan.RankGroup` per branch count, and the per-op-kind
-        milliseconds of this execution (flight-record stamp).
-        """
-        from ..plan import execute_plan
-
-        compiled = self._planner.compile(
-            [r.query for r in requests], canonical=True,
-            keys=[r.structure for r in requests])
-        stage_cost: dict[str, float] = {}
-        groups = execute_plan(compiled.plan, self._plan_backend,
-                              tracer=self.tracer, registry=self.metrics,
-                              cost=stage_cost)
-        return compiled, groups, stage_cost
 
     def _model_answer(self, batch: list[_Pending]) -> None:
         """The happy path: embedding tier, then one ranking per group.
@@ -770,8 +756,13 @@ class ServeRuntime:
             else:
                 groups.append(([request], embedding, False))
         if misses:
+            from ..plan import execute_plan
             embed_start = time.perf_counter()
-            compiled, ranked, stage_cost = self._embed_plan(misses)
+            compiled = self._planner.compile_walks([r.walk for r in misses])
+            stage_cost: dict[str, float] = {}  # per op kind, this batch
+            ranked = execute_plan(compiled.plan, self._plan_backend,
+                                  tracer=self.tracer, registry=self.metrics,
+                                  cost=stage_cost)
             embed_end = time.perf_counter()
             plan = compiled.plan
             embed_fields = dict(plan_ops_total=plan.ops_total,
@@ -804,7 +795,7 @@ class ServeRuntime:
                           hedge_wins=lead.record.hedge_wins)
             attrs = dict(batch_size=len(requests),
                          embedding_cached=not embedded, sharded=sharded)
-            for row, request in enumerate(requests):
+            for request, top in zip(requests, ids.tolist()):
                 ctx = request.ctx
                 ctx.note(**fields)
                 if embedded:
@@ -814,8 +805,7 @@ class ServeRuntime:
                 ctx.stage("serve.rank", split, ended)
                 # a request's top_k prefix of the widest selection is
                 # exactly its own top-k: the order is total
-                answers.append((request,
-                                [int(e) for e in ids[row, :request.top_k]]))
+                answers.append((request, top[:request.top_k]))
         for request, entity_ids in answers:
             self._resolve(request, entity_ids, source="model")
 

@@ -155,35 +155,62 @@ class TestPlanCache:
             > snapshot.counters["plan_ops_executed"]
 
 
-class TestHandedInKeys:
-    def test_keys_from_the_caller_change_nothing_but_the_walk(
-            self, monkeypatch):
-        """The runtime computed each query's ``batch_key`` at submit;
-        handing them to ``compile`` must give the plan, the
-        ``structure_keys`` and the template-cache counters of a compile
-        that derives them itself — without deriving them."""
+def _size(node) -> int:
+    operands = getattr(node, "operands", None)
+    if operands is None:
+        operand = getattr(node, "operand", None)
+        operands = () if operand is None else (operand,)
+    return 1 + sum(_size(op) for op in operands)
+
+
+class TestOneWalk:
+    BATCH = (p(0, Entity(1)), p(1, p(0, Entity(2))), p(0, Entity(3)),
+             i(p(2, Entity(4)), p(0, Entity(1))), p(2, p(1, Entity(5))),
+             Difference((p(1, Entity(6)), p(0, Entity(2)), Entity(4))))
+
+    def test_handed_in_walks_change_nothing(self):
+        """The runtime walks each query at admission; compiling those
+        walks must give the plan, stages, ``structure_keys`` and
+        template-cache counters of ``compile`` on the raw queries."""
         from repro.obs.metrics import MetricsRegistry
-        from repro.plan import compiler as compiler_module
-        from repro.serve.canonical import batch_key
-        batch = [canonicalize(q) for q in (
-            p(0, Entity(1)), p(1, p(0, Entity(2))), p(0, Entity(3)),
-            i(p(0, Entity(1)), p(2, Entity(4))), p(2, p(1, Entity(5))))]
-        keys = [batch_key(q) for q in batch]
+        from repro.serve.canonical import batch_key, walk
+        batch = list(self.BATCH)
         derived, handed = (PlanCompiler(metrics=MetricsRegistry())
                            for _ in range(2))
         for _ in range(2):  # cold, then warm template cache
-            want = derived.compile(batch, canonical=True)
-            with monkeypatch.context() as patch:
-                patch.setattr(compiler_module, "batch_key", None)
-                got = handed.compile(batch, canonical=True, keys=keys)
-            assert got.structure_keys == want.structure_keys == keys
+            want = derived.compile(batch)
+            got = handed.compile_walks([walk(q) for q in batch])
+            assert got.structure_keys == want.structure_keys \
+                == [batch_key(q) for q in batch]
             assert (got.cache_hits, got.cache_misses) == \
                 (want.cache_hits, want.cache_misses)
             assert got.plan.ops == want.plan.ops
             assert got.plan.roots == want.plan.roots
+            assert got.plan.ops_total == want.plan.ops_total
+            assert got.plan.stages == want.plan.stages
         assert handed.metrics.snapshot().counters == \
             derived.metrics.snapshot().counters
         assert handed.cache.stats() == derived.cache.stats()
+
+    @pytest.mark.parametrize("canonical", [False, True])
+    def test_compile_walks_each_query_once(self, monkeypatch, canonical):
+        """``compile`` visits every node of every query exactly once,
+        whether or not the trees arrive canonical already."""
+        from repro.serve import canonical as canonical_module
+        batch = [canonicalize(q) if canonical else q for q in self.BATCH]
+        visits = []
+        real = canonical_module._walk
+
+        def counting(node):
+            visits.append(node)
+            return real(node)
+
+        monkeypatch.setattr(canonical_module, "_walk", counting)
+        compiled = PlanCompiler().compile(batch)
+        roots = [v for v in visits if any(v is q for q in batch)]
+        assert len(roots) == len(batch)
+        assert len(visits) == sum(_size(q) for q in batch)
+        assert compiled.plan.num_queries == len(batch)
 
 
 class TestScheduleAndExplain:

@@ -228,3 +228,34 @@ class TestInterleavings:
         with pytest.raises(RuntimeError):
             batcher.submit(request("after close"))
         assert not any(worker.is_alive() for worker in batcher._workers)
+
+
+class TestServeFuture:
+    """The future waits on one lock that waiters hand on; the waits an
+    ``Event`` gave must hold: every waiter wakes, a lapsed or spent
+    timeout raises, and a resolved future answers at once."""
+
+    def test_every_waiter_wakes_with_the_result(self):
+        from repro.serve import ServeFuture
+        future = ServeFuture()
+        got = []
+        waiters = [threading.Thread(target=lambda: got.append(
+            future.result(timeout=10.0))) for _ in range(4)]
+        for waiter in waiters:
+            waiter.start()
+        future.set_result("answer")
+        for waiter in waiters:
+            waiter.join(10.0)
+        assert got == ["answer"] * 4
+        assert future.done() and future.result(0) == "answer"
+
+    @pytest.mark.parametrize("timeout", [0.05, 0, -1])
+    def test_an_unresolved_future_times_out(self, timeout):
+        from repro.serve import ServeFuture
+        future = ServeFuture()
+        with pytest.raises(TimeoutError):
+            future.result(timeout)
+        future.set_exception(ValueError("late"))
+        with pytest.raises(ValueError):
+            future.result(timeout)
+        future.set_result("again")  # resolving twice is not an error

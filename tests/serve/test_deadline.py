@@ -8,6 +8,8 @@ consults a real clock sees time pass; code on the injected clock sees
 none.
 """
 
+import time
+
 import pytest
 
 from repro.queries import Entity, Projection
@@ -114,3 +116,26 @@ class TestBatcherPreservesDeadline:
         assert [r.deadline for r in batch] == [500.25, 500.25]
         remaining = batch[0].deadline - clock()
         assert remaining == pytest.approx(0.25 - 0.1)
+
+
+class TestAnswerBatchTimeout:
+    def test_one_timeout_bounds_the_whole_call(self, model, tiny_kg):
+        """``answer_batch(timeout=T)`` gives up near T, not after T per
+        future: three one-request batches that take 0.6 T each resolve
+        at 0.6, 1.2 and 1.8 T, so the call must raise at T — and every
+        request still gets its answer and its flight record."""
+        T = 0.5
+        config = ServeConfig(max_batch_size=1, num_workers=1,
+                             answer_cache_size=1, embedding_cache_size=1)
+        queries = [Projection(index, Entity(index)) for index in range(3)]
+        with ServeRuntime(HookedModel(model, lambda: time.sleep(0.6 * T)),
+                          kg=tiny_kg, config=config) as runtime:
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                runtime.answer_batch(queries, top_k=3, timeout=T)
+            elapsed = time.monotonic() - started
+        # close() drained the queue: the abandoned requests completed
+        assert T <= elapsed < 1.4 * T
+        records = runtime.diag.flight.dump()
+        assert len(records) == 3
+        assert {record.source for record in records} == {"model"}

@@ -208,3 +208,33 @@ def test_the_package_needs_numpy_only():
     """No module imports scipy or networkx: numpy is the one runtime
     dependency ``pyproject.toml`` declares."""
     assert hits(r"^\s*(import|from)\s+(scipy|networkx)\b", "") == []
+
+
+def calls(path: str) -> list[str]:
+    """``name:line`` of every call in the module at ``path`` (below
+    ``src/repro``), named by the function or attribute it calls."""
+    tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name is not None:
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_the_serve_path_walks_a_query_once():
+    """A served query is walked once, by ``repro.serve.canonical.walk``,
+    which yields its canonical tree, keys and ids together: the runtime
+    and the compiler call none of the single-purpose walks, and the
+    executor reads the stages the compiler recorded instead of taking
+    the plan's depths again."""
+    walks = {"canonicalize", "serialize", "structure_signature",
+             "batch_key", "anchors", "relations"}
+    for path in ("serve/runtime.py", "plan/compiler.py"):
+        assert [c for c in calls(path)
+                if c.split(":")[0] in walks] == [], path
+    assert [c for c in calls("plan/executor.py")
+            if c.startswith("depths:")] == []
