@@ -328,12 +328,11 @@ def cmd_serve(args) -> int:
                 tenants.extend(load_tenant_configs(args.tenant_file))
             # explicit tenants => strict (unknown names are rejected);
             # bare --gateway => one open default tenant, the gateway is
-            # a pure inflight-bounding, deadline-shedding layer
+            # a deadline-shedding door (--deadline reaches it through
+            # the runtime's default_deadline)
             gw_config = GatewayConfig(tenants=tuple(tenants),
-                                      default_tenant=None,
-                                      default_deadline=args.deadline) \
-                if tenants else GatewayConfig(
-                    default_deadline=args.deadline)
+                                      default_tenant=None) \
+                if tenants else GatewayConfig()
             gateway = Gateway(runtime, gw_config,
                               compile_fn=engine.compile)
             described = ", ".join(

@@ -1,17 +1,16 @@
 """Multi-tenancy primitives: tenant configs and token buckets.
 
 A *tenant* is a traffic class sharing one rate-limit bucket, one weight
-in the fair scheduler, and one bounded admission queue — a customer, a
-product surface, or just "interactive" vs "offline-batch" callers of the
-same deployment.  :class:`TenantConfig` is the declarative knob set (CLI
+among the fair lanes of the runtime's queue, and one bound on what it
+may have waiting there — a customer, a product surface, or just
+"interactive" vs "offline-batch" callers of the same deployment.
+:class:`TenantConfig` is the declarative knob set (CLI
 ``--tenant name:rate:burst:weight`` specs and JSON tenant files parse
 into it), :class:`TokenBucket` the classic leaky-bucket limiter the
 admission layer consults per submit.
 
-Everything is clock-injectable (``time.monotonic`` by default) so rate
-behaviour is testable without sleeping — and so the gateway shares one
-time base with the serving runtime's deadline arithmetic (deadlines are
-*only* ever compared against the same monotonic clock that minted them).
+Buckets are clock-injectable (``time.monotonic`` by default) so rate
+behaviour is testable without sleeping.
 """
 
 from __future__ import annotations
@@ -25,11 +24,6 @@ from typing import Callable
 
 __all__ = ["TenantConfig", "TokenBucket", "parse_tenant_spec",
            "load_tenant_configs"]
-
-#: priority bands, strongest first; the scheduler drains ``interactive``
-#: entries before any ``batch`` entry regardless of tenant weights
-PRIORITIES = ("interactive", "batch")
-
 
 @dataclass(frozen=True)
 class TenantConfig:

@@ -19,8 +19,8 @@ leave on under full load:
 
 * **Flight recorder** — a fixed-size ring of compact
   :class:`FlightRecord` entries, one per request: tenant, query
-  structure, admission decision, per-stage timings (gateway wait /
-  queue / embed / distance / rank), cache hit/miss, shard fan-out and
+  structure, admission decision, per-stage timings (queue / embed /
+  distance / rank), cache hit/miss, shard fan-out and
   hedge outcome, result count, error or shed reason.  Always on; one
   record allocation and one lock-guarded deque append per request.
   Dumpable via ``GET /debug/flight?n=100&tenant=...&min_ms=...`` and
@@ -123,7 +123,6 @@ class FlightRecord:
     embedding_cached: bool = False
     batch_size: int = 0
     #: stage timings, milliseconds
-    gateway_wait_ms: float = 0.0
     queue_ms: float = 0.0
     embed_ms: float = 0.0
     distance_ms: float = 0.0
@@ -638,7 +637,6 @@ class Diagnostics:
 #: the FlightRecord field a stage's duration lands in; a stage not listed
 #: (``serve.fallback``) is a span only
 _STAGE_FIELDS = {
-    "gateway.queue": "gateway_wait_ms",
     "serve.queue": "queue_ms",
     "serve.embed": "embed_ms",
     "serve.distance": "distance_ms",
@@ -664,11 +662,12 @@ class RequestContext:
     spans are two slots, ``root`` and ``span`` (the innermost), not a
     stack: a context is one allocation beside its record.
 
-    Ownership: ``owner`` is whoever minted the context, and only the
-    owner calls :meth:`finish`, which commits the record to ``diag``
-    (nowhere, with diagnostics off) exactly once.  A context that is
-    never finished is garbage like any other object — nothing else
-    holds it.
+    Ownership: ``owner`` is whoever minted the context.  Whoever ends
+    the request — the door for a shed there, else the runtime, before
+    it resolves the future — calls :meth:`finish`, which commits the
+    record to ``diag`` (nowhere, with diagnostics off) exactly once.  A
+    context that is never finished is garbage like any other object —
+    nothing else holds it.
     """
 
     __slots__ = ("owner", "request_id", "record", "root", "span", "_diag",

@@ -16,7 +16,8 @@ from ..obs.metrics import (Counter, Gauge, Histogram, HistogramStats,
                            MetricsRegistry, StatsSnapshot, format_snapshot,
                            metric_key, parse_metric_key, snapshot_from_json,
                            snapshot_to_json)
-from .batcher import MicroBatcher, ServeFuture, ServeRequest
+from .batcher import (PRIORITIES, FairScheduler, Lane, MicroBatcher,
+                      ServeFuture, ServeRequest, ShedError)
 from .cache import LruCache, TtlCache
 from .canonical import batch_key, cache_key, canonicalize, serialize
 from .client import ServeClient
@@ -26,7 +27,8 @@ from .runtime import ServeConfig, ServeError, ServeResult, ServeRuntime
 __all__ = [
     "ServeRuntime", "ServeConfig", "ServeResult", "ServeError",
     "ServeClient",
-    "MicroBatcher", "ServeFuture", "ServeRequest",
+    "MicroBatcher", "ServeFuture", "ServeRequest", "ShedError",
+    "FairScheduler", "Lane", "PRIORITIES",
     "LruCache", "TtlCache",
     "canonicalize", "serialize", "cache_key", "batch_key",
     "Counter", "Gauge", "Histogram", "HistogramStats",

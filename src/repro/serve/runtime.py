@@ -6,8 +6,9 @@ benchmarks) sits on.  A request travels::
     submit() ── answer-cache hit? ──────────────▶ resolved future
         │ miss
         ▼
-    MicroBatcher (one FIFO; requests coalesce while every worker is busy)
+    MicroBatcher (fair lanes; requests coalesce while every worker is busy)
         ▼  pulled by a free worker thread, ≤ max_batch_size at a time
+        ├─ a door's request that cannot make its deadline → shed (429)
         ├─ embedding-LRU hits  → a one-row rank group each
         ├─ misses              → one compiled plan (``repro.plan``:
         │                        template cache, cross-query CSE, fused
@@ -39,7 +40,8 @@ from ..obs.metrics import MetricsRegistry, StatsSnapshot
 from ..obs.trace import Tracer, get_tracer
 from ..queries.computation_graph import Node
 from ..queries.executor import execute
-from .batcher import MicroBatcher, ServeFuture, ServeRequest
+from .batcher import (DEFAULT_LANE, Lane, MicroBatcher, ServeError,
+                      ServeFuture, ServeRequest, ShedError)
 from .cache import LruCache, TtlCache
 from .canonical import Walk, walk
 
@@ -49,10 +51,6 @@ __all__ = ["ServeConfig", "ServeResult", "ServeRuntime", "ServeError"]
 MAX_RETRIES = 1
 #: sliding-window size of the latency histograms
 HISTOGRAM_WINDOW = 4096
-
-
-class ServeError(RuntimeError):
-    """Raised to the caller when a request exhausts every path."""
 
 
 @dataclass(frozen=True)
@@ -166,10 +164,9 @@ class _Pending(ServeRequest):
 
     walk: Walk | None = None  # the query's one walk (admission)
     submitted_at: float = 0.0
-    #: ``perf_counter`` instant the request entered the batcher (the
-    #: start of its ``serve.queue`` stage)
+    #: ``perf_counter`` instant its ``serve.queue`` stage starts
     queued_at: float = 0.0
-    #: the request's diagnostics; finished by whoever minted it
+    #: the request's diagnostics; the runtime finishes it
     ctx: RequestContext | None = None
 
 
@@ -232,7 +229,8 @@ class ServeRuntime:
         from ..plan import PlanCompiler
         self._planner = PlanCompiler(metrics=self.metrics,
                                      tracer=self.tracer)
-        self._batcher = MicroBatcher(
+        #: the one queue; a door reads its depths and service estimate
+        self.batcher = MicroBatcher(
             self._execute_batch, max_batch_size=self.config.max_batch_size,
             num_workers=self.config.num_workers,
             depth_callback=self._queue_depth.set)
@@ -284,7 +282,7 @@ class ServeRuntime:
                 profile_hz=DEFAULT_HZ if self.config.profiling else 0.0)
         self.metrics.gauge("shards").set(
             self._ranker.num_shards if self._ranker is not None else 0)
-        self._batcher.start()
+        self.batcher.start()
         if self.config.http_port is not None:
             from .http import TelemetryHTTPServer
             self.http_server = TelemetryHTTPServer(
@@ -300,16 +298,16 @@ class ServeRuntime:
     # ------------------------------------------------------------------
     def submit(self, query: Node, top_k: int = 10,
                deadline: float | None = None,
-               ctx: RequestContext | None = None) -> ServeFuture:
+               ctx: RequestContext | None = None,
+               lane: Lane = DEFAULT_LANE) -> ServeFuture:
         """Enqueue one query; returns a future resolving to ServeResult.
 
-        ``ctx`` joins the request to upstream diagnostics: the gateway
-        passes the context it minted at admission and finishes it
-        itself; standalone callers leave it None and the runtime mints
-        (and finishes) one.
+        ``ctx`` joins the request to upstream diagnostics (the gateway
+        mints one at admission; else the runtime does) and ``lane`` is
+        where it queues; the runtime finishes the context either way.
         """
         pending: list[_Pending] = []
-        future = self._admit(query, top_k, deadline, ctx, pending)
+        future = self._admit(query, top_k, deadline, ctx, pending, lane)
         self._enqueue(pending)
         return future
 
@@ -343,8 +341,8 @@ class ServeRuntime:
                 for future in futures]
 
     def _admit(self, query: Node, top_k: int, deadline: float | None,
-               ctx: RequestContext | None,
-               pending: list[_Pending]) -> ServeFuture:
+               ctx: RequestContext | None, pending: list[_Pending],
+               lane: Lane = DEFAULT_LANE) -> ServeFuture:
         """Count, canonicalise and look up one query: its future comes
         back resolved on an answer-cache hit; else its request joins
         ``pending``, for the caller to enqueue."""
@@ -375,25 +373,21 @@ class ServeRuntime:
             future.set_result(ServeResult(list(cached), "answer_cache",
                                           latency=latency,
                                           request_id=ctx.request_id))
-            self._latency.observe(1000.0 * latency,
-                                  exemplar=ctx.request_id)
+            self._latency.observe(1000.0 * latency, exemplar=ctx.request_id)
             return future
         self._answer_misses.inc()
         if deadline is None:
             deadline = self.config.default_deadline
         ctx.tag(structure=walked.structure,
                 model_version=self._model_version)
-        # deadline arithmetic invariant: relative deadlines become
-        # absolute on self._clock (monotonic) exactly once, HERE, and
-        # are only ever compared against the same clock downstream
-        # (the _execute_batch overrun check at dequeue).  Wall-clock
-        # time.time() never enters deadline math anywhere in the
-        # serve/dist stack — an NTP step must not expire (or
-        # resurrect) in-flight requests.
+        # deadlines become absolute on self._clock (monotonic) exactly
+        # once, HERE, and are only compared against that clock (at
+        # dequeue); wall-clock time never enters deadline math — an NTP
+        # step must not expire (or resurrect) in-flight requests.
         request = _Pending(
             query=walked.canonical, top_k=top_k, cache_key=walked.key,
             deadline=None if deadline is None else now + deadline,
-            walk=walked, submitted_at=now,
+            lane=lane, walk=walked, submitted_at=now,
             queued_at=time.perf_counter(), ctx=ctx)
         pending.append(request)
         return request.future
@@ -403,7 +397,7 @@ class ServeRuntime:
         if not requests:
             return
         try:
-            self._batcher.submit(*requests)
+            self.batcher.submit(*requests)
         except RuntimeError:  # closed: nothing of the arrival got in
             for request in requests:
                 self._refuse(request.ctx, request.submitted_at, "closed")
@@ -411,7 +405,7 @@ class ServeRuntime:
 
     def _refuse(self, ctx: RequestContext, since: float,
                 error: str) -> None:
-        """A counted request that never reached the queue: its outcome."""
+        """A counted request that ends in an error: its outcome."""
         self.metrics.counter("errors").inc()
         self._leave(ctx, self._clock() - since, "error", error=error)
 
@@ -522,8 +516,7 @@ class ServeRuntime:
         """Current metrics, with cache tiers and span stages folded in."""
         for name, cache in (("answer_cache", self._answers),
                             ("embedding_cache", self._embeddings)):
-            stats = cache.stats()
-            self.metrics.gauge(f"{name}_size").set(stats["size"])
+            self.metrics.gauge(f"{name}_size").set(cache.stats()["size"])
         self.metrics.gauge("uptime_seconds").set(
             time.monotonic() - self._started_at)
         if self.diag is not None:
@@ -662,7 +655,7 @@ class ServeRuntime:
         if self._watcher is not None:
             self._watcher.join()
             self._watcher = None
-        self._batcher.close()
+        self.batcher.close()
         if self.http_server is not None:
             self.http_server.close()
         if self._ranker is not None:
@@ -679,7 +672,7 @@ class ServeRuntime:
     # ------------------------------------------------------------------
     # batch execution (the batcher's worker threads)
     # ------------------------------------------------------------------
-    def _execute_batch(self, batch: list[_Pending]) -> None:
+    def _execute_batch(self, batch: list[_Pending]) -> bool:
         self.metrics.counter("batches").inc()
         self._batch_sizes.observe(len(batch))
         now = self._clock()
@@ -688,13 +681,16 @@ class ServeRuntime:
         for request in batch:
             request.ctx.stage("serve.queue", request.queued_at, dequeued)
             request.ctx.note(batch_size=len(batch))
-            if request.deadline is not None and now >= request.deadline:
+            if request.deadline is not None and request.lane.tenant \
+                    and self.batcher.doomed(request.deadline - now):
+                self._shed(request, now)  # a door's: before any work
+            elif request.deadline is not None and now >= request.deadline:
                 self.metrics.counter("deadline_overruns").inc()
                 self._fallback(request, reason="deadline")
             else:
                 live.append(request)
         if not live:
-            return
+            return False  # no work spent: not a service time
         attempts = 1 + MAX_RETRIES
         for attempt in range(attempts):
             try:
@@ -703,13 +699,14 @@ class ServeRuntime:
                     self._model_answer(live)
                 finally:
                     self._model_lock.release_read()
-                return
+                return True
             except Exception:
                 self.metrics.counter("model_failures").inc()
                 if attempt < attempts - 1:
                     self.metrics.counter("retries").inc()
         for request in live:
             self._fallback(request, reason="failure")
+        return True
 
     def _rank(self, embedding, k: int,
               ctx: RequestContext) -> tuple[np.ndarray, float]:
@@ -828,9 +825,7 @@ class ServeRuntime:
                               path="exact")
             self._resolve(request, ids, source="exact")
             return
-        self.metrics.counter("errors").inc()
-        self._leave(request.ctx, self._clock() - request.submitted_at,
-                    "error", error=reason)
+        self._refuse(request.ctx, request.submitted_at, reason)
         request.future.set_exception(ServeError(
             f"request failed ({reason}) and no fallback path succeeded"))
 
@@ -840,6 +835,15 @@ class ServeRuntime:
         answers = sorted(execute(request.query, self.kg))
         self.metrics.counter("fallback_exact").inc()
         return answers[:request.top_k]
+
+    def _shed(self, request: _Pending, now: float) -> None:
+        """A door's request whose budget cannot cover one more batch."""
+        tenant = request.lane.tenant
+        self.metrics.counter("shed", reason="deadline", tenant=tenant).inc()
+        request.ctx.note(admission="deadline")
+        self._leave(request.ctx, now - request.submitted_at, "shed",
+                    error="deadline")
+        request.future.set_exception(ShedError("deadline", tenant=tenant))
 
     # ------------------------------------------------------------------
     def _resolve(self, request: _Pending, ids: list[int],
@@ -855,14 +859,10 @@ class ServeRuntime:
 
     def _leave(self, ctx: RequestContext, latency: float, source: str,
                result_count: int = 0, error: str = "") -> None:
-        """The runtime's one exit: stamp the outcome, close
-        ``serve.request``, and finish the context if this runtime minted
-        it (the gateway finishes the ones it handed in)."""
+        """The runtime's one exit, taken before the future resolves:
+        stamp the outcome, close ``serve.request`` and finish the
+        context (a door's context also gets its ``total_ms``)."""
         ctx.note(source=source, result_count=result_count,
                  latency_ms=1000.0 * latency, error=error)
-        if error:
-            ctx.leave(source=source, reason=error)
-        else:
-            ctx.leave(source=source)
-        if ctx.owner is self:
-            ctx.finish()
+        ctx.leave(source=source, **({"reason": error} if error else {}))
+        ctx.finish(total_ms=0.0 if ctx.owner is self else 1000.0 * latency)

@@ -1,46 +1,28 @@
 """Gateway admission, scheduling, shedding, and completion.
 
-Most tests drive the gateway against a *fake* runtime whose futures the
-test resolves by hand — admission and scheduling decisions become fully
-deterministic (the gateway pumps only when we submit or complete
-something).
-One integration test runs the real ServeRuntime end to end.
+The gateway keeps only the door; behind it is the runtime's one queue.
+Scheduling tests hold the runtime's one worker with
+:class:`~tests.serve.conftest.Gate`, so whatever is submitted meanwhile
+queues, then open it and read the order the worker served requests in
+from the flight recorder — with ``max_batch_size=1`` every batch is one
+request, so that order is the queue's pop order.
 """
 
+import contextlib
+import math
+import threading
 import time
 
 import pytest
 
 from repro.gateway import (Gateway, GatewayConfig, GatewayRejected,
                            TenantConfig)
-from repro.obs.metrics import MetricsRegistry
-from repro.serve import ServeConfig, ServeResult, ServeRuntime
-from repro.serve.batcher import ServeFuture
+from repro.serve import ServeConfig, ServeRuntime
 
+from ..serve.conftest import Gate, HookedModel
 from .conftest import ManualClock
 
 pytestmark = pytest.mark.gateway
-
-
-class FakeRuntime:
-    """Records submits; the test resolves the returned futures."""
-
-    def __init__(self):
-        self.metrics = MetricsRegistry()
-        self.http_server = None
-        self.submitted = []
-
-    def submit(self, query, top_k=10, deadline=None, ctx=None):
-        future = ServeFuture()
-        self.submitted.append(
-            {"query": query, "top_k": top_k, "deadline": deadline,
-             "ctx": ctx, "future": future})
-        return future
-
-    def resolve(self, index=-1, latency=0.01):
-        entry = self.submitted[index]
-        entry["future"].set_result(
-            ServeResult([1, 2, 3], "model", latency=latency))
 
 
 def wait_until(predicate, timeout=5.0):
@@ -53,199 +35,227 @@ def wait_until(predicate, timeout=5.0):
 
 
 @pytest.fixture()
-def fake():
-    return FakeRuntime()
+def runtime(model, tiny_kg):
+    config = ServeConfig(max_batch_size=4, num_workers=1)
+    with ServeRuntime(model, kg=tiny_kg, config=config) as runtime:
+        yield runtime
+
+
+@contextlib.contextmanager
+def held_runtime(model, kg, clock=time.monotonic):
+    """A runtime whose one worker parks in its first embed until the
+    gate opens; one request per batch, answer cache off."""
+    gate = Gate()
+    config = ServeConfig(max_batch_size=1, num_workers=1,
+                         answer_cache_size=1, answer_ttl=1e-9)
+    with ServeRuntime(HookedModel(model, gate), kg=kg, config=config,
+                      clock=clock) as runtime:
+        yield runtime, gate
+
+
+def served_order(runtime, futures: dict) -> list:
+    """The names of ``futures`` in the order their records were
+    committed — the order the one worker resolved them in."""
+    names = {future.result(10.0).request_id: name
+             for name, future in futures.items()}
+    return [names[record.request_id]
+            for record in reversed(runtime.diag.flight.dump(n=10_000))
+            if record.request_id in names]
 
 
 class TestAdmission:
-    def test_admitted_request_completes(self, fake):
-        with Gateway(fake) as gateway:
-            future = gateway.submit("q", top_k=5)
-            assert wait_until(lambda: fake.submitted)
-            assert fake.submitted[0]["top_k"] == 5
-            fake.resolve(latency=0.02)
-            result = future.result(timeout=5.0)
-        assert result.entity_ids == [1, 2, 3]
-        counters = fake.metrics.snapshot().counters
+    def test_admitted_request_completes(self, runtime, queries):
+        with Gateway(runtime) as gateway:
+            result = gateway.submit(queries[0], top_k=5).result(10.0)
+        assert result.source == "model"
+        assert result.entity_ids == runtime.answer(queries[0],
+                                                   top_k=5).entity_ids
+        counters = runtime.metrics.snapshot().counters
         assert counters["admitted{tenant=default}"] == 1
 
-    def test_ratelimit_sheds_with_retry_after(self, fake):
+    def test_ratelimit_sheds_with_retry_after(self, runtime, queries):
         clock = ManualClock()
         config = GatewayConfig(tenants=(
             TenantConfig("slow", rate=2.0, burst=1),), default_tenant=None)
-        with Gateway(fake, config, clock=clock) as gateway:
-            gateway.submit("q1", tenant="slow")
+        with Gateway(runtime, config, clock=clock) as gateway:
+            gateway.submit(queries[0], tenant="slow")
             with pytest.raises(GatewayRejected) as excinfo:
-                gateway.submit("q2", tenant="slow")
+                gateway.submit(queries[1], tenant="slow")
             assert excinfo.value.reason == "ratelimit"
             assert excinfo.value.status == 429
             assert excinfo.value.retry_after == pytest.approx(0.5)
             clock.advance(0.5)  # bucket refills one token
-            gateway.submit("q3", tenant="slow")
-        counters = fake.metrics.snapshot().counters
+            gateway.submit(queries[2], tenant="slow").result(10.0)
+        counters = runtime.metrics.snapshot().counters
         assert counters["shed{reason=ratelimit,tenant=slow}"] == 1
         assert counters["admitted{tenant=slow}"] == 2
 
-    def test_unknown_tenant_rejected_when_no_default(self, fake):
+    def test_unknown_tenant_rejected_when_no_default(self, runtime,
+                                                     queries):
         config = GatewayConfig(tenants=(TenantConfig("known"),),
                                default_tenant=None)
-        with Gateway(fake, config) as gateway:
+        with Gateway(runtime, config) as gateway:
             with pytest.raises(GatewayRejected) as excinfo:
-                gateway.submit("q", tenant="stranger")
+                gateway.submit(queries[0], tenant="stranger")
             assert excinfo.value.reason == "unknown_tenant"
 
-    def test_default_tenant_template_applies(self, fake):
+    def test_default_tenant_template_applies(self, runtime, queries):
         template = TenantConfig("default", rate=2.0, burst=1)
         config = GatewayConfig(default_tenant=template)
-        with Gateway(fake, config) as gateway:
-            gateway.submit("q", tenant="newcomer")
+        with Gateway(runtime, config) as gateway:
+            gateway.submit(queries[0], tenant="newcomer")
             with pytest.raises(GatewayRejected):  # template's burst of 1
-                gateway.submit("q2", tenant="newcomer")
+                gateway.submit(queries[1], tenant="newcomer")
 
-    def test_queue_full_sheds(self, fake):
+    def test_queue_full_sheds(self, model, tiny_kg, queries):
         config = GatewayConfig(tenants=(
-            TenantConfig("t", max_queue=2),), default_tenant=None,
-            max_inflight=1)
-        with Gateway(fake, config) as gateway:
-            gateway.submit("q1", tenant="t")  # dispatches (inflight 1/1)
-            assert wait_until(lambda: fake.submitted)
-            gateway.submit("q2", tenant="t")  # queued
-            gateway.submit("q3", tenant="t")  # queued (max_queue=2)
+            TenantConfig("t", max_queue=2),), default_tenant=None)
+        with held_runtime(model, tiny_kg) as (runtime, gate), \
+                Gateway(runtime, config) as gateway:
+            futures = [gateway.submit(queries[0], tenant="t")]
+            assert gate.entered.wait(10.0)  # popped: the queue is empty
+            futures += [gateway.submit(q, tenant="t")
+                        for q in queries[1:3]]  # queued (max_queue=2)
             with pytest.raises(GatewayRejected) as excinfo:
-                gateway.submit("q4", tenant="t")
+                gateway.submit(queries[3], tenant="t")
             assert excinfo.value.reason == "queue_full"
-            assert excinfo.value.retry_after > 0 or True  # present field
-            fake.resolve(0)
-            assert wait_until(lambda: len(fake.submitted) >= 2)
+            assert excinfo.value.retry_after > 0
+            gate.open()
+            assert [f.result(10.0).source for f in futures] == \
+                ["model"] * 3
 
-    def test_unknown_priority_is_a_caller_error(self, fake):
-        with Gateway(fake) as gateway:
+    def test_unknown_priority_is_a_caller_error(self, runtime, queries):
+        with Gateway(runtime) as gateway:
             with pytest.raises(ValueError, match="priority"):
-                gateway.submit("q", priority="turbo")
+                gateway.submit(queries[0], priority="turbo")
 
 
 class TestScheduling:
-    def test_interactive_dispatches_before_batch(self, fake):
-        config = GatewayConfig(max_inflight=1)
-        with Gateway(fake, config) as gateway:
-            blocker = gateway.submit("blocker")
-            assert wait_until(lambda: len(fake.submitted) == 1)
-            gateway.submit("bulk1", priority="batch")
-            gateway.submit("bulk2", priority="batch")
-            ui = gateway.submit("ui", priority="interactive")
-            fake.resolve(0)
-            assert wait_until(lambda: len(fake.submitted) == 2)
-            assert fake.submitted[1]["query"] == "ui"
-            for index in (1, 2, 3):
-                fake.resolve(index)
-                wait_until(
-                    lambda: len(fake.submitted) >= min(index + 2, 4))
-            assert [s["query"] for s in fake.submitted] == \
+    def test_interactive_dispatches_before_batch(self, model, tiny_kg,
+                                                 queries):
+        with held_runtime(model, tiny_kg) as (runtime, gate), \
+                Gateway(runtime) as gateway:
+            futures = {"blocker": gateway.submit(queries[0])}
+            assert gate.entered.wait(10.0)
+            futures["bulk1"] = gateway.submit(queries[1], priority="batch")
+            futures["bulk2"] = gateway.submit(queries[2], priority="batch")
+            futures["ui"] = gateway.submit(queries[3],
+                                           priority="interactive")
+            gate.open()
+            assert served_order(runtime, futures) == \
                 ["blocker", "ui", "bulk1", "bulk2"]
-            blocker.result(5.0), ui.result(5.0)
 
-    def test_weighted_fairness_across_tenants(self, fake):
+    def test_weighted_fairness_across_tenants(self, model, tiny_kg,
+                                              queries):
         config = GatewayConfig(tenants=(
             TenantConfig("heavy", weight=3.0),
-            TenantConfig("light", weight=1.0)), default_tenant=None,
-            max_inflight=1)
-        with Gateway(fake, config) as gateway:
-            gateway.submit("blocker", tenant="heavy")
-            assert wait_until(lambda: len(fake.submitted) == 1)
+            TenantConfig("light", weight=1.0)), default_tenant=None)
+        with held_runtime(model, tiny_kg) as (runtime, gate), \
+                Gateway(runtime, config) as gateway:
+            futures = {"blocker": gateway.submit(queries[0],
+                                                 tenant="heavy")}
+            assert gate.entered.wait(10.0)
             for index in range(12):
-                gateway.submit(f"h{index}", tenant="heavy")
-                gateway.submit(f"l{index}", tenant="light")
-            for step in range(1 + 8):
-                fake.resolve(step)
-                assert wait_until(
-                    lambda: len(fake.submitted) >= step + 2)
-            served = [s["query"][0] for s in fake.submitted[1:9]]
-            assert served.count("h") == 6  # 3:1 over the contended run
-            assert served.count("l") == 2
+                futures[f"h{index}"] = gateway.submit(
+                    queries[1 + 2 * index], tenant="heavy")
+                futures[f"l{index}"] = gateway.submit(
+                    queries[2 + 2 * index], tenant="light")
+            gate.open()
+            served = [name[0] for name in served_order(runtime, futures)]
+        assert served[1:9].count("h") == 6  # 3:1 over the contended run
+        assert served[1:9].count("l") == 2
 
 
 class TestDeadlines:
-    def test_deadline_passes_remaining_to_runtime(self, fake):
-        clock = ManualClock()
-        with Gateway(fake, clock=clock) as gateway:
-            gateway.submit("q", deadline=0.75)
-            assert wait_until(lambda: fake.submitted)
-            # frozen clock, immediate dispatch: the full budget survives
-            # the gateway hop bit-for-bit
-            assert fake.submitted[0]["deadline"] == 0.75
+    def test_deadline_passes_remaining_to_runtime(self, model, tiny_kg,
+                                                  queries, monkeypatch):
+        """The gateway hands the caller's budget to the runtime as it
+        came, and the runtime's own default when the caller gave none."""
+        config = ServeConfig(default_deadline=2.5)
+        with ServeRuntime(model, kg=tiny_kg, config=config) as runtime, \
+                Gateway(runtime) as gateway:
+            seen, submit = [], runtime.submit
+            monkeypatch.setattr(runtime, "submit", lambda *args, **kw: (
+                seen.append(kw["deadline"]), submit(*args, **kw))[1])
+            gateway.submit(queries[0], deadline=0.75).result(10.0)
+            gateway.submit(queries[1]).result(10.0)
+        assert seen == [0.75, 2.5]
 
-    def test_expired_while_queued_sheds_before_batcher(self, fake):
+    def test_expired_while_queued_sheds_before_batcher(self, model,
+                                                       tiny_kg, queries):
+        """A request whose deadline passes while it waits is shed when a
+        worker pops it, before any model work is spent on it."""
         clock = ManualClock()
-        config = GatewayConfig(max_inflight=1)
-        with Gateway(fake, config, clock=clock) as gateway:
-            gateway.submit("blocker")
-            assert wait_until(lambda: fake.submitted)
-            doomed = gateway.submit("late", deadline=0.05)
+        with held_runtime(model, tiny_kg, clock) as (runtime, gate), \
+                Gateway(runtime) as gateway:
+            blocker = gateway.submit(queries[0])
+            assert gate.entered.wait(10.0)
+            doomed = gateway.submit(queries[1], deadline=0.05)
             clock.advance(0.2)  # deadline passes while queued
-            fake.resolve(0)
+            gate.open()
             with pytest.raises(GatewayRejected) as excinfo:
-                doomed.result(timeout=5.0)
-            assert excinfo.value.reason == "deadline"
-            # the batcher never saw the doomed request
-            assert wait_until(
-                lambda: "shed{reason=deadline,tenant=default}"
-                in fake.metrics.snapshot().counters)
-            assert len(fake.submitted) == 1
+                doomed.result(timeout=10.0)
+            assert blocker.result(timeout=10.0).source == "model"
+            counters = runtime.metrics.snapshot().counters
+            (record,) = [r for r in runtime.diag.flight.dump()
+                         if r.source == "shed"]
+        assert excinfo.value.reason == "deadline"
+        assert excinfo.value.status == 429
+        assert counters["shed{reason=deadline,tenant=default}"] == 1
+        assert (record.admission, record.error) == ("deadline", "deadline")
+        assert record.embed_ms == 0.0 and record.result_count == 0
+        assert "deadline_overruns" not in counters
 
-    def test_doomed_at_admission_uses_service_estimate(self, fake):
-        clock = ManualClock()
-        with Gateway(fake, clock=clock) as gateway:
-            first = gateway.submit("warm")
-            assert wait_until(lambda: fake.submitted)
-            fake.resolve(0, latency=0.1)  # seeds the EWMA at 100 ms
-            first.result(timeout=5.0)
+    def test_doomed_at_admission_uses_service_estimate(self, runtime,
+                                                       queries):
+        with Gateway(runtime) as gateway:
+            gateway.answer(queries[0], timeout=10.0)
+            # the worker folds the batch's time in after resolving it
             assert wait_until(
                 lambda: gateway.stats()["est_service_ms"] > 0)
             with pytest.raises(GatewayRejected) as excinfo:
-                gateway.submit("q", deadline=0.01)  # 10 ms budget
+                gateway.submit(queries[1], deadline=1e-9)
             assert excinfo.value.reason == "doomed"
-        counters = fake.metrics.snapshot().counters
+        counters = runtime.metrics.snapshot().counters
         assert counters["shed{reason=doomed,tenant=default}"] == 1
 
 
 class TestLifecycle:
-    def test_close_sheds_queue_and_rejects_new_submits(self, fake):
-        config = GatewayConfig(max_inflight=1)
-        gateway = Gateway(fake, config)
-        inflight = gateway.submit("inflight")
-        assert wait_until(lambda: fake.submitted)
-        queued = gateway.submit("queued")
-        gateway.close()
-        with pytest.raises(GatewayRejected) as excinfo:
-            queued.result(timeout=5.0)
-        assert excinfo.value.reason == "shutdown"
-        with pytest.raises(GatewayRejected):
-            gateway.submit("after-close")
-        gateway.close()  # idempotent
-        # the in-flight request still resolves through the runtime
-        fake.resolve(0)
-        assert inflight.result(timeout=5.0).entity_ids == [1, 2, 3]
+    def test_close_serves_the_queue_and_rejects_new_submits(
+            self, model, tiny_kg, queries):
+        with held_runtime(model, tiny_kg) as (runtime, gate):
+            gateway = Gateway(runtime)
+            inflight = gateway.submit(queries[0])
+            assert gate.entered.wait(10.0)
+            queued = gateway.submit(queries[1])
+            gateway.close()
+            with pytest.raises(GatewayRejected) as excinfo:
+                gateway.submit(queries[2])
+            assert excinfo.value.reason == "shutdown"
+            gateway.close()  # idempotent
+            gate.open()
+            # accepted before the close: served like any other
+            assert inflight.result(timeout=10.0).source == "model"
+            assert queued.result(timeout=10.0).source == "model"
 
-    def test_stats_shape(self, fake):
-        with Gateway(fake) as gateway:
+    def test_stats_shape(self, runtime):
+        with Gateway(runtime) as gateway:
             stats = gateway.stats()
         assert stats["queued"] == 0
-        assert stats["inflight"] == 0
         assert "est_service_ms" in stats and "tenants" in stats
+        assert "inflight" not in stats  # one queue, no window
 
 
 class TestMetricHandles:
-    def test_a_known_tenant_renders_no_labelled_key(self, fake,
+    def test_a_known_tenant_renders_no_labelled_key(self, runtime, queries,
                                                     monkeypatch):
-        """``admitted``, ``tenant_queue`` (twice) and
-        ``gateway_latency_ms`` were four labelled lookups — four key
-        renders — per request; the tenant's state now holds them."""
+        """``admitted`` was a labelled lookup — a key render — per
+        request; the tenant's state holds the handle.  (The second
+        request is an answer-cache hit, so the runtime adds none.)"""
         from repro.obs import metrics
 
-        with Gateway(fake) as gateway:
-            warm = gateway.submit("warm", tenant="acme")
-            fake.resolve(0)
-            warm.result(timeout=5.0)
+        with Gateway(runtime) as gateway:
+            gateway.submit(queries[0], tenant="acme").result(10.0)
             rendered = []
             render = metrics.metric_key
             monkeypatch.setattr(
@@ -253,23 +263,18 @@ class TestMetricHandles:
                 lambda name, labels=None: (
                     rendered.append(name) if labels else None,
                     render(name, labels))[1])
-            future = gateway.submit("q", tenant="acme")
-            fake.resolve(1)
-            future.result(timeout=5.0)
+            gateway.submit(queries[0], tenant="acme").result(10.0)
             monkeypatch.undo()
         assert rendered == []
-        snapshot = fake.metrics.snapshot()
+        snapshot = runtime.metrics.snapshot()
         assert snapshot.counters["admitted{tenant=acme}"] == 2
-        assert snapshot.histograms[
-            "gateway_latency_ms{tenant=acme}"].count == 2
-        assert snapshot.gauges["tenant_queue{tenant=acme}"] == 0
 
-    def test_a_tenant_has_no_series_before_its_first_event(self, fake):
+    def test_a_tenant_has_no_series_before_its_first_event(self, runtime):
         """Handles resolve on first use: configuring a tenant adds
-        nothing to ``/metrics`` until it is admitted, queued, served."""
+        nothing to ``/metrics`` until it is admitted or shed."""
         config = GatewayConfig(tenants=(TenantConfig("quiet"),))
-        with Gateway(fake, config):
-            snapshot = fake.metrics.snapshot()
+        with Gateway(runtime, config):
+            snapshot = runtime.metrics.snapshot()
         assert not [key for kind in (snapshot.counters, snapshot.gauges,
                                      snapshot.histograms)
                     for key in kind if "quiet" in key]
@@ -298,3 +303,17 @@ class TestIntegration:
         counters = runtime.metrics.snapshot().counters
         assert counters["admitted{tenant=web}"] == 6
         assert counters["admitted{tenant=batchers}"] == 6
+
+    @pytest.mark.parametrize("timeout", [math.inf,
+                                         2 * threading.TIMEOUT_MAX])
+    def test_a_timeout_past_timeout_max_waits_like_none(
+            self, runtime, queries, timeout):
+        """No wait overflows the lock's timeout: every caller-facing
+        wait takes an infinite timeout as "no timeout"."""
+        with Gateway(runtime) as gateway:
+            assert gateway.answer(queries[0], timeout=timeout).source \
+                == "model"
+        assert runtime.answer(queries[1], timeout=timeout).source \
+            == "model"
+        assert [r.source for r in runtime.answer_batch(
+            queries[2:4], timeout=timeout)] == ["model"] * 2

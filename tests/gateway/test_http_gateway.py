@@ -78,6 +78,21 @@ class TestQueryEndpoint:
                 assert status == 400 and field in body["error"], \
                     (field, value, status, body)
 
+    @pytest.mark.parametrize("field, value", [
+        ("deadline_ms", float("inf")), ("deadline_ms", 1e300),
+        ("deadline_ms", float("nan")), ("tenant", "")])
+    def test_a_bad_body_is_400_and_admits_nothing(self, model, tiny_kg,
+                                                  queries, field, value):
+        """``json.loads`` reads NaN and Infinity: a deadline that is no
+        finite lock timeout, or an empty tenant, is the client's error,
+        refused before anything is admitted."""
+        with serving(model, tiny_kg, queries) as (runtime, _, url):
+            status, _, body = post(url, {"sparql": "0", field: value})
+            counters = runtime.metrics.snapshot().counters
+        assert status == 400 and field in body["error"], (status, body)
+        assert not [key for key, count in counters.items() if count
+                    and key.startswith(("admitted", "shed", "requests"))]
+
     def test_compile_failure_is_400(self, model, tiny_kg, queries):
         with serving(model, tiny_kg, queries) as (_, _, url):
             status, _, body = post(url, {"sparql": "not-an-int"})

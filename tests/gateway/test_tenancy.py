@@ -8,19 +8,19 @@ import math
 
 import pytest
 
-from repro.gateway import (FairScheduler, QueuedRequest, TenantConfig,
-                           TokenBucket, load_tenant_configs,
-                           parse_tenant_spec)
+from repro.gateway import (FairScheduler, TenantConfig, TokenBucket,
+                           load_tenant_configs, parse_tenant_spec)
+from repro.serve import Lane, ServeRequest
 
 from .conftest import ManualClock
 
 pytestmark = pytest.mark.gateway
 
 
-def _entry(tenant: str, priority: str = "interactive", tag=None):
-    return QueuedRequest(query=tag, top_k=1, tenant=tenant,
-                         priority=priority, deadline=None, future=None,
-                         admitted_at=0.0)
+def _entry(tenant: str, priority: str = "interactive", tag=None,
+           weight: float = 1.0):
+    return ServeRequest(query=tag, top_k=1, cache_key=str(tag),
+                        lane=Lane(tenant, priority, weight))
 
 
 class TestTokenBucket:
@@ -118,9 +118,9 @@ class TestFairScheduler:
         """3:1 weights → ~3:1 service over any contended prefix."""
         scheduler = FairScheduler()
         for index in range(60):
-            scheduler.push(_entry("heavy", tag=index), weight=3.0)
-            scheduler.push(_entry("light", tag=index), weight=1.0)
-        first40 = [scheduler.pop().tenant for _ in range(40)]
+            scheduler.push(_entry("heavy", tag=index, weight=3.0))
+            scheduler.push(_entry("light", tag=index, weight=1.0))
+        first40 = [scheduler.pop().lane.tenant for _ in range(40)]
         assert first40.count("heavy") == 30
         assert first40.count("light") == 10
 
@@ -133,7 +133,7 @@ class TestFairScheduler:
             scheduler.pop()
         scheduler.push(_entry("returning", tag="r0"))
         scheduler.push(_entry("returning", tag="r1"))
-        served = [scheduler.pop().tenant for _ in range(4)]
+        served = [scheduler.pop().lane.tenant for _ in range(4)]
         # equal weights: the returning lane alternates, never drains
         # both of its requests before busy gets another turn
         assert served.count("returning") <= 2
@@ -142,16 +142,16 @@ class TestFairScheduler:
     def test_interactive_strictly_before_batch(self):
         scheduler = FairScheduler()
         for index in range(5):
-            scheduler.push(_entry("bulk", priority="batch", tag=index),
-                           weight=100.0)
+            scheduler.push(_entry("bulk", priority="batch", tag=index,
+                                  weight=100.0))
         scheduler.push(_entry("ui", priority="interactive", tag="i"))
-        assert scheduler.pop().priority == "interactive"
-        assert scheduler.pop().priority == "batch"
+        assert scheduler.pop().lane.priority == "interactive"
+        assert scheduler.pop().lane.priority == "batch"
 
     def test_unknown_priority_rejected(self):
-        scheduler = FairScheduler()
+        """A lane names its band: there is no lane for an unknown one."""
         with pytest.raises(ValueError, match="priority"):
-            scheduler.push(_entry("a", priority="turbo"))
+            _entry("a", priority="turbo")
 
     def test_depth_accounting_and_drain(self):
         scheduler = FairScheduler()
@@ -161,5 +161,6 @@ class TestFairScheduler:
         assert len(scheduler) == 3
         assert scheduler.depth("a") == 2
         assert scheduler.depth("missing") == 0
-        drained = scheduler.drain()
-        assert len(drained) == 3 and len(scheduler) == 0
+        while scheduler.pop() is not None:  # workers drain by popping
+            pass
+        assert len(scheduler) == 0 and scheduler.depth("a") == 0

@@ -1,8 +1,9 @@
 """The work-conserving queue: workers pull, nothing waits for a clock.
 
 A free worker takes whatever is queued — up to ``max_batch_size``, in
-arrival order — the moment anything is queued; requests coalesce only
-while every worker is busy.  These tests pin that policy at the batcher
+fair order, which for requests submitted directly (one lane) is arrival
+order — the moment anything is queued; requests coalesce only while
+every worker is busy.  These tests pin that policy at the batcher
 (no model) and through a real runtime whose one worker is held by a
 :class:`~tests.serve.conftest.Gate`.
 """
@@ -14,15 +15,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.queries import Entity, Projection
-from repro.serve import (MicroBatcher, ServeConfig, ServeRequest,
+from repro.serve import (Lane, MicroBatcher, ServeConfig, ServeRequest,
                          ServeRuntime, canonicalize)
 
 from .conftest import Gate, HookedModel
 from .test_runtime import sample_queries
 
 
-def request(name) -> ServeRequest:
-    return ServeRequest(query=name, top_k=1, cache_key=str(name))
+def request(name, lane: Lane = Lane()) -> ServeRequest:
+    return ServeRequest(query=name, top_k=1, cache_key=str(name),
+                        lane=lane)
 
 
 def caches_off(**overrides) -> ServeConfig:
@@ -152,9 +154,36 @@ class TestBulkEnqueue:
         assert runtime.stats().histograms["latency_ms"].count == 2
 
 
-#: one thread's script: submit one, enqueue a bulk of n, or close
-_OPS = st.lists(st.one_of(st.just("submit"), st.integers(2, 7),
-                          st.just("close")), max_size=8)
+class TestServiceEstimate:
+    def test_only_batches_that_did_work_teach_the_estimate(self):
+        """A batch whose every request was shed when popped costs next
+        to nothing; counted, it would pull the doom checks' estimate
+        down under exactly the overload they are for."""
+        def execute(batch):
+            for r in batch:
+                r.future.set_result(r.query)
+            return batch[0].query == "work"
+
+        batcher = MicroBatcher(execute, max_batch_size=1).start()
+        batcher.submit(request("shed"))
+        batcher.close()  # drained and joined: every fold has happened
+        assert batcher.service_time == 0.0
+        batcher = MicroBatcher(execute, max_batch_size=1).start()
+        batcher.submit(request("shed"), request("work"))
+        batcher.close()
+        assert batcher.service_time > 0.0
+
+
+#: the lane an arrival queues in: the default one (no tenant) or one of
+#: two tenants', in either band, at either of two weights
+_LANES = st.builds(Lane, tenant=st.sampled_from(["", "a", "b"]),
+                   priority=st.sampled_from(["interactive", "batch"]),
+                   weight=st.sampled_from([1.0, 3.0]))
+#: one thread's script: submit one, enqueue a bulk of n, or close —
+#: each arrival in its lane
+_OPS = st.lists(st.tuples(st.one_of(st.just("submit"), st.integers(2, 7),
+                                    st.just("close")), _LANES),
+                max_size=8)
 
 
 class TestInterleavings:
@@ -163,8 +192,9 @@ class TestInterleavings:
            workers=st.integers(1, 3), max_batch_size=st.integers(1, 5))
     def test_every_request_gets_exactly_one_outcome(
             self, scripts, workers, max_batch_size):
-        """``submit`` / bulk enqueue / ``close`` from several threads:
-        an accepted request lands in exactly one batch and resolves once,
+        """``submit`` / bulk enqueue / ``close`` from several threads,
+        into any lanes: an accepted request lands in exactly one batch
+        and resolves once,
         a refused one raises and is never executed, nothing is accepted
         once a ``close`` has returned, and the depth gauge ends at 0."""
         executed = []           # request names, appended per batch
@@ -187,13 +217,13 @@ class TestInterleavings:
 
         def run(thread, script):
             start.wait(10.0)
-            for step, op in enumerate(script):
+            for step, (op, lane) in enumerate(script):
                 if op == "close":
                     batcher.close()
                     closed.set()
                     continue
                 was_closed = closed.is_set()
-                arrival = [request((thread, step, i))
+                arrival = [request((thread, step, i), lane)
                            for i in range(1 if op == "submit" else op)]
                 try:
                     batcher.submit(*arrival)
@@ -259,3 +289,17 @@ class TestServeFuture:
         with pytest.raises(ValueError):
             future.result(timeout)
         future.set_result("again")  # resolving twice is not an error
+
+    @pytest.mark.parametrize("timeout", [None, float("inf"),
+                                         2 * threading.TIMEOUT_MAX])
+    def test_a_timeout_past_timeout_max_waits_like_none(self, timeout):
+        from repro.serve import ServeFuture
+        future = ServeFuture()
+        got = []
+        waiter = threading.Thread(
+            target=lambda: got.append(future.result(timeout)))
+        waiter.start()
+        future.set_result("answer")
+        waiter.join(10.0)
+        assert got == ["answer"]
+        assert future.result(timeout) == "answer"

@@ -87,7 +87,7 @@ class TestOptionBudget:
         from repro.serve import ServeConfig
         assert len(dataclasses.fields(ServeConfig)) <= 13
         assert len(dataclasses.fields(DiagConfig)) <= 5
-        assert len(dataclasses.fields(GatewayConfig)) <= 5
+        assert len(dataclasses.fields(GatewayConfig)) <= 2
 
     @pytest.mark.parametrize("knob", ["max_retries", "histogram_window",
                                       "prof_hz"])

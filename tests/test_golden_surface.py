@@ -7,9 +7,11 @@ armed, tracing enabled — with one request of each outcome:
 * ``hit``       — the same query again: answer-cache hit
 * ``emb_hit``   — the same query at another ``top_k``: answer-cache miss,
                   embedding-cache hit
-* ``fallback``  — a deadline that expires while the request waits for
-                  the one worker (held inside ``miss``'s embed): degraded
-                  to the exact symbolic executor
+* ``deadline``  — a deadline that expires while the request waits for
+                  the one worker (held inside ``miss``'s embed): shed
+                  when the worker pops it
+* ``fallback``  — the same query again, whose embed fails on every
+                  attempt: degraded to the exact symbolic executor
 * ``door_shed`` — an unknown tenant, shed synchronously at the door
 
 and freezes what an operator's tooling reads: the ``FlightRecord`` key
@@ -44,8 +46,22 @@ from repro.kg import KnowledgeGraph
 from repro.obs.diag import DiagConfig, FlightRecord
 from repro.queries import Entity, Projection
 from repro.serve import ServeConfig, ServeRuntime
+from repro.serve.runtime import MAX_RETRIES
 
 from .serve.conftest import Gate, HookedModel
+
+
+class GateThenFail(Gate):
+    """A :class:`Gate` that, once open, fails the next ``failures``
+    embeds — every attempt of one batch, when set to 1 + MAX_RETRIES."""
+
+    failures = 0
+
+    def __call__(self):
+        super().__call__()
+        if self.failures:
+            self.failures -= 1
+            raise RuntimeError("injected model failure")
 
 pytestmark = [pytest.mark.diag, pytest.mark.gateway, pytest.mark.dist,
               pytest.mark.http]
@@ -53,7 +69,7 @@ pytestmark = [pytest.mark.diag, pytest.mark.gateway, pytest.mark.dist,
 FLIGHT_KEYS = [
     "request_id", "tenant", "structure", "admission", "priority",
     "source", "error", "fallback", "cache", "embedding_cached",
-    "batch_size", "gateway_wait_ms", "queue_ms", "embed_ms",
+    "batch_size", "queue_ms", "embed_ms",
     "distance_ms", "rank_ms", "latency_ms", "total_ms", "result_count",
     "plan_ops_total", "plan_ops_executed", "plan_stage_ms", "shards",
     "hedge_wins", "model_version", "completed_at", "trace_retained",
@@ -61,9 +77,8 @@ FLIGHT_KEYS = [
 
 #: fields every admitted request fills, whatever its outcome
 ADMITTED = {"request_id", "tenant", "structure", "admission", "priority",
-            "source", "cache", "gateway_wait_ms", "latency_ms",
-            "total_ms", "result_count", "model_version", "completed_at",
-            "trace_retained"}
+            "source", "cache", "latency_ms", "total_ms", "result_count",
+            "model_version", "completed_at", "trace_retained"}
 #: fields a request that went through the batcher fills on top
 BATCHED = ADMITTED | {"batch_size", "queue_ms"}
 RANKED = BATCHED | {"distance_ms", "rank_ms", "shards"}
@@ -73,6 +88,7 @@ NON_DEFAULT = {
                       "plan_stage_ms"},
     "hit": ADMITTED,
     "emb_hit": RANKED | {"embedding_cached"},
+    "deadline": (BATCHED - {"result_count"}) | {"error"},
     "fallback": BATCHED | {"fallback"},
     "door_shed": {"request_id", "tenant", "admission", "source", "error",
                   "completed_at"},
@@ -92,17 +108,20 @@ VALUES = {
                     cache="miss", embedding_cached=True, batch_size=1,
                     result_count=5, shards=2, hedge_wins=0,
                     trace_retained=True),
+    "deadline": dict(tenant="acme", structure="P(E)",
+                     admission="deadline", source="shed", error="deadline",
+                     cache="miss", batch_size=1, result_count=0, shards=0,
+                     fallback="", trace_retained=True),
     "fallback": dict(tenant="acme", structure="P(E)",
                      admission="admitted", source="exact", cache="miss",
-                     fallback="deadline", batch_size=1, shards=0,
+                     fallback="failure", batch_size=1, shards=0,
                      error="", trace_retained=True),
     "door_shed": dict(tenant="ghost", admission="unknown_tenant",
                       source="shed", error="unknown_tenant", priority="",
                       trace_retained=False),
 }
 
-_SUBMIT = [("gateway.request", "gateway.queue"),
-           ("gateway.request", "serve.request"),
+_SUBMIT = [("gateway.request", "serve.request"),
            ("serve.request", "serve.canonicalise"),
            ("serve.request", "serve.cache_lookup")]
 _QUEUED = _SUBMIT + [("serve.request", "serve.queue")]
@@ -114,6 +133,7 @@ TREE_EDGES = {
     "miss": sorted(_RANKED + [("serve.request", "serve.embed")]),
     "hit": sorted(_SUBMIT),
     "emb_hit": sorted(_RANKED),
+    "deadline": sorted(_QUEUED),
     "fallback": sorted(_QUEUED + [("serve.request", "serve.fallback")]),
 }
 
@@ -132,12 +152,11 @@ METRIC_FAMILIES = [
     "repro_admitted_total", "repro_answer_cache_expirations_total",
     "repro_answer_cache_hits_total", "repro_answer_cache_misses_total",
     "repro_answer_cache_size", "repro_batch_size",
-    "repro_batches_total", "repro_deadline_overruns_total",
+    "repro_batches_total",
     "repro_embedding_cache_hits_total",
     "repro_embedding_cache_misses_total", "repro_embedding_cache_size",
-    "repro_fallback_exact_total", "repro_gateway_inflight",
-    "repro_gateway_latency_ms", "repro_gateway_queue_depth",
-    "repro_gateway_wait_ms", "repro_latency_ms", "repro_model_version",
+    "repro_fallback_exact_total", "repro_latency_ms",
+    "repro_model_failures_total", "repro_model_version",
     "repro_plan_cache_hits_total", "repro_plan_cache_misses_total",
     "repro_plan_cse_ops_saved_total", "repro_plan_ops_executed_total",
     "repro_plan_ops_total_total", "repro_plan_stage_bytes_total",
@@ -146,10 +165,11 @@ METRIC_FAMILIES = [
     "repro_prof_overhead_ratio", "repro_prof_samples_total",
     "repro_queue_depth", "repro_rank_block_ms",
     "repro_rank_refine_rows_total", "repro_rank_requests_total",
-    "repro_requests_total", "repro_shards", "repro_shed_total",
+    "repro_requests_total", "repro_retries_total", "repro_shards",
+    "repro_shed_total",
     "repro_slo_alert_active", "repro_slo_burn_rate",
     "repro_stage_seconds_count", "repro_stage_seconds_sum",
-    "repro_tenant_queue", "repro_uptime_seconds",
+    "repro_uptime_seconds",
 ]
 
 
@@ -185,11 +205,11 @@ def run():
         max_batch_size=8, num_workers=1,
         num_shards=2, hedge_shards=True, http_port=0,
         diag=DiagConfig(trace_latency_ms=0.0, trace_top_p=None))
-    # doom_factor=0: the gateway sheds only deadlines already expired,
-    # so the short one below reaches the batcher and expires there,
-    # queued behind the worker that the gate holds in ``miss``'s embed
-    gate = Gate()
-    gateway_config = GatewayConfig(default_tenant=None, doom_factor=0.0,
+    # no batch has run when the short deadline below is admitted, so no
+    # estimate dooms it at the door: it queues behind the worker that
+    # the gate holds in ``miss``'s embed, and expires there
+    gate = GateThenFail()
+    gateway_config = GatewayConfig(default_tenant=None,
                                    tenants=(TenantConfig("acme"),))
     out = {"ids": {}, "trees": {}}
     with obs.enabled():
@@ -208,15 +228,23 @@ def run():
 
                 miss = submit(query, 3)
                 assert gate.entered.wait(10.0)
-                fallback = submit(other, 3, deadline=0.03)
+                late = submit(other, 3, deadline=0.03)
                 time.sleep(0.05)  # its budget runs out in the queue
                 gate.open()
                 assert collect("miss", miss).source == "model"
-                assert collect("fallback", fallback).source == "exact"
+                with pytest.raises(GatewayRejected) as excinfo:
+                    late.result(timeout=30)
+                assert excinfo.value.reason == "deadline"
+                (shed,) = [r for r in runtime.diag.flight.dump()
+                           if r.admission == "deadline"]
+                out["ids"]["deadline"] = shed.request_id
                 assert collect("hit", submit(query, 3)).source \
                     == "answer_cache"
                 assert collect("emb_hit", submit(query, 5)).source \
                     == "model"
+                gate.failures = 1 + MAX_RETRIES
+                assert collect("fallback", submit(other, 3)).source \
+                    == "exact"
                 with pytest.raises(GatewayRejected):
                     gateway.answer(query, top_k=3, tenant="ghost")
                 (shed,) = runtime.diag.flight.dump(tenant="ghost")
@@ -250,8 +278,8 @@ class TestFlightRecords:
             assert list(record) == FLIGHT_KEYS
 
     def test_one_record_per_request(self, run):
-        assert run["flight_total"] == 5
-        assert len(set(run["ids"].values())) == 5
+        assert run["flight_total"] == 6
+        assert len(set(run["ids"].values())) == 6
 
     @pytest.mark.parametrize("outcome", sorted(NON_DEFAULT))
     def test_non_default_fields_per_outcome(self, run, outcome):
@@ -294,11 +322,13 @@ class TestSpanTrees:
                         if not s.name.startswith("plan."))
         assert names == expected
         # the compiled plan traces beside the tree too: the one embed of
-        # the run is anchor + project stages, then finalize
+        # the run is anchor + project stages, then finalize; each of the
+        # fallback's two attempts compiles, executes and fails in its
+        # anchor stage
         plan = Counter(s.name for s in run["spans"]
                        if s.name.startswith("plan."))
-        assert plan == Counter({"plan.compile": 1, "plan.execute": 1,
-                                "plan.stage": 2, "plan.finalize": 1})
+        assert plan == Counter({"plan.compile": 3, "plan.execute": 3,
+                                "plan.stage": 4, "plan.finalize": 1})
 
     def test_shard_plane_edges_and_ids(self, run):
         shard = [s for s in run["spans"]

@@ -95,6 +95,14 @@ def test_requests_wait_for_a_worker_never_for_a_clock():
     assert hits(r"flush_timeout", "") == []
 
 
+def test_one_queue_from_the_door_to_the_worker():
+    """A request waits in one queue — the runtime's fair lanes — under
+    one record: no gateway pump, inflight window or second request
+    record, and ``serve.queue`` is the only wait stage."""
+    assert hits(r"_pump|_pumping|max_inflight|_release_slot|QueuedRequest"
+                r"|gateway\.queue", "") == []
+
+
 def test_one_fallback_rung_one_slab_layout_one_start_method():
     """A shard's segment is its row block and workers are forked by the
     one fork server: no layout switch, row offset or start-method
