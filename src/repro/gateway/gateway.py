@@ -3,15 +3,16 @@
 :class:`Gateway` sits between the socket (or any caller) and the
 runtime.  A request travels::
 
-    submit(query, tenant=, priority=, deadline=)
+    handle_http(body)  — SPARQL text → its walk, remembered per text
+    submit(query or walk, tenant=, priority=, deadline=)
         │  caller thread — synchronous admission verdict
         ├─ token bucket empty?      → GatewayRejected(ratelimit, 429)
-        ├─ tenant queue full?       → GatewayRejected(queue_full, 429)
         ├─ deadline already doomed? → GatewayRejected(doomed, 429)
         ▼  admitted — context minted, still on the caller's thread
-    ServeRuntime.submit(ctx=, lane=(tenant, priority, weight))
+    ServeRuntime.submit(ctx=, lane=(tenant, priority, weight, max_queue))
         ▼  answer-cache hit → resolved before submit returns
     the runtime's one queue (priority bands × per-tenant fair lanes)
+        │  tenant queue full at the push? → GatewayRejected(queue_full)
         ▼  popped by a free worker: doomed → GatewayRejected(deadline)
     model
 
@@ -21,7 +22,10 @@ runtime, on the worker or the caller's thread) finishes its context
 before resolving its future, so a completion touches nothing of the
 gateway's.  A cache
 hit is admitted, looked up and answered on the caller's thread without
-one hand-off; a miss hands off only queue → worker → waiter.
+one hand-off; a miss hands off only queue → worker → waiter.  The HTTP
+door remembers the walk of each SPARQL text it has compiled (an LRU of
+``answer_cache_size`` entries), so a repeated text is neither parsed nor
+walked again.
 
 Why shed at the door *and* when popped: once a worker takes a request
 it spends a batch row and a pass on it whether or not its deadline can
@@ -32,8 +36,10 @@ dooms (an explicit, counted 429 the client can react to, with
 latest moment where shedding still saves work.  (DESIGN.md §9.)
 
 Backpressure is bounded end to end: per-tenant ``max_queue`` caps
-waiting work and the token buckets cap the admission rate — overload
-turns into 429s, not into queue growth.
+waiting work — checked by the queue under the lock of the push, so
+concurrent submitters cannot each take the last place — and the token
+buckets cap the admission rate: overload turns into 429s, not into
+queue growth.
 """
 
 from __future__ import annotations
@@ -47,8 +53,10 @@ from typing import Any, Callable
 
 from ..obs.diag import RequestContext
 from ..obs.trace import Tracer, get_tracer
-from ..serve.batcher import PRIORITIES, Lane, ServeFuture
+from ..serve.batcher import MIN_RETRY_AFTER, PRIORITIES, Lane, ServeFuture
 from ..serve.batcher import ShedError as GatewayRejected
+from ..serve.cache import LruCache
+from ..serve.canonical import walk
 from ..serve.runtime import ServeError, ServeResult, ServeRuntime
 from .tenancy import TenantConfig, TokenBucket
 
@@ -58,8 +66,10 @@ __all__ = ["Gateway", "GatewayConfig", "GatewayRejected"]
 DEFAULT_PRIORITY = "interactive"
 #: seconds an HTTP caller without a deadline waits for a result before 504
 HTTP_TIMEOUT = 30.0
-#: the shortest ``Retry-After`` a shed names, before any batch has run
-MIN_RETRY_AFTER = 0.001
+#: longest SPARQL text (characters) whose walk the HTTP door remembers;
+#: a query is a few hundred, so this bounds the memo's footprint without
+#: turning a real query away
+MAX_MEMO_TEXT = 4096
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,7 +102,8 @@ class _TenantState:
     def __init__(self, config: TenantConfig, clock, metrics):
         self.config = config
         self.bucket = TokenBucket(config.rate, config.burst, clock=clock)
-        self.lanes = {priority: Lane(config.name, priority, config.weight)
+        self.lanes = {priority: Lane(config.name, priority, config.weight,
+                                     config.max_queue)
                       for priority in PRIORITIES}
         self._metrics = metrics
 
@@ -115,7 +126,9 @@ class Gateway:
         tenant, which makes the gateway a deadline-shedding door.
     compile_fn:
         Optional ``str -> computation graph`` (e.g.
-        ``SparqlEngine.compile``) enabling the HTTP query endpoint.
+        ``SparqlEngine.compile``) enabling the HTTP query endpoint.  It
+        must be a function of the text alone: the door remembers each
+        text's result (walked) and does not call it again.
     clock:
         Injectable monotonic clock of the token buckets.
     """
@@ -133,6 +146,8 @@ class Gateway:
         #: by reference, which finishes it — one record per request
         self.diag = getattr(runtime, "diag", None)
         self._compile = compile_fn
+        #: SPARQL text -> its walk; texts that compiled only
+        self._walks = LruCache(runtime.config.answer_cache_size)
         self._clock = clock
         self.tracer = tracer if tracer is not None else get_tracer()
         self._tenants: dict[str, _TenantState] = {
@@ -150,8 +165,11 @@ class Gateway:
                deadline: float | None = None) -> ServeFuture:
         """Admit-or-shed one query; returns the runtime's future.
 
-        Raises :class:`GatewayRejected` synchronously when the request
-        is shed at the door (rate limit, full queue, doomed deadline);
+        ``query`` is a computation graph or its walk
+        (:func:`repro.serve.canonical.walk`).  Raises
+        :class:`GatewayRejected` synchronously when the request is shed
+        at the door (rate limit, doomed deadline) or its tenant's queue
+        is full;
         a request shed later (its deadline doomed by the time a worker
         pops it) resolves its future with the same exception.  An
         answer-cache hit comes back already resolved.
@@ -207,15 +225,14 @@ class Gateway:
     def _verdict(self, state: _TenantState,
                  deadline: float | None) -> tuple[str, float] | None:
         """The ``(reason, retry_after)`` :meth:`_door_shed` is owed,
-        None to admit.  The depths are read without holding the queue,
-        so concurrent submitters of one tenant can each see room."""
+        None to admit.  The tenant's ``max_queue`` is not read here: the
+        queue checks it under the lock of the push (its lane carries
+        it), where no concurrent submitter can take the place meanwhile.
+        """
         if not state.bucket.try_acquire():
             return "ratelimit", state.bucket.retry_after()
-        queue = self.runtime.batcher
-        queued = queue.depth_of(state.config.name)
-        if queued >= state.config.max_queue:
-            return "queue_full", max(queue.wait(queued), MIN_RETRY_AFTER)
         if deadline is not None:
+            queue = self.runtime.batcher
             ahead = queue.depth
             if queue.doomed(deadline, ahead):
                 return "doomed", max(queue.wait(ahead), MIN_RETRY_AFTER)
@@ -244,6 +261,11 @@ class Gateway:
         required.  429 replies carry ``Retry-After`` (whole seconds,
         rounded up) alongside the machine-readable
         ``retry_after_s`` field in the JSON body.
+
+        A text compiled before is not compiled or walked again: its
+        walk comes from an LRU of ``answer_cache_size`` entries, which
+        keeps texts that compiled and are at most
+        :data:`MAX_MEMO_TEXT` characters long.
         """
         if self._compile is None:
             return 503, {}, {"error": "gateway has no query compiler "
@@ -276,10 +298,19 @@ class Gateway:
                 < 1000.0 * (threading.TIMEOUT_MAX - 1.0)):
             return 400, {}, {"error": "'deadline_ms' must be a positive, "
                                       "finite number of milliseconds"}
-        try:
-            query = self._compile(sparql)
-        except Exception as exc:
-            return 400, {}, {"error": f"cannot compile query: {exc}"}
+        query = self._walks.get(sparql)
+        if query is None:
+            try:
+                query = self._compile(sparql)
+            except Exception as exc:
+                return 400, {}, {"error": f"cannot compile query: {exc}"}
+            try:
+                query = walk(query)
+            except Exception:
+                pass  # the graph goes in: the runtime refuses and counts it
+            else:
+                if len(sparql) <= MAX_MEMO_TEXT:
+                    self._walks.put(sparql, query)
         deadline = None if deadline_ms is None else deadline_ms / 1000.0
         try:
             future = self.submit(query, top_k=top_k, tenant=tenant,
@@ -311,7 +342,9 @@ class Gateway:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Small live-state summary (queue depths, service estimate).
+        """Small live-state summary (queue depths, service estimate,
+        and the hits, misses, evictions and size of the HTTP door's
+        text → walk memo under ``query_memo``).
 
         When the runtime carries a continuous sampling profiler
         (``ServeConfig.profiling``), its health rides along —
@@ -323,7 +356,8 @@ class Gateway:
         out = {"queued": queue.depth,
                "tenants": {name: queue.depth_of(name)
                            for name in list(self._tenants)},
-               "est_service_ms": 1000.0 * queue.service_time}
+               "est_service_ms": 1000.0 * queue.service_time,
+               "query_memo": self._walks.stats()}
         prof = getattr(self.runtime, "prof", None)
         if prof is not None:
             out["prof_effective_hz"] = prof.effective_hz

@@ -42,6 +42,8 @@ PRIORITIES = ("interactive", "batch")
 DOOM_FACTOR = 1.0
 #: EWMA smoothing of the batch service-time estimate
 SERVICE_TIME_ALPHA = 0.1
+#: the shortest ``Retry-After`` a shed names, before any batch has run
+MIN_RETRY_AFTER = 0.001
 
 
 class ServeError(RuntimeError):
@@ -165,6 +167,9 @@ class Lane:
     priority: str = "interactive"
     #: share of service under contention (weighted fair queuing)
     weight: float = 1.0
+    #: the most requests of this lane's tenant that may wait, across
+    #: both bands; a push past it is refused (None = unbounded)
+    max_queue: int | None = None
 
     def __post_init__(self):
         if self.priority not in PRIORITIES:
@@ -312,10 +317,26 @@ class MicroBatcher:
     def submit(self, *requests: ServeRequest) -> None:
         """Enqueue ``requests`` as one arrival: no worker can pull
         between two of them, so a bulk pass is cut into batches at
-        ``max_batch_size`` by construction."""
+        ``max_batch_size`` by construction.
+
+        Raises :class:`ShedError` (``queue_full``), enqueuing nothing of
+        the arrival, when a request's lane caps its tenant's depth and
+        that depth is already reached.  The check and the push share
+        one lock hold, so concurrent submitters of one tenant cannot
+        each see the last free place.
+        """
         with self._nonempty:
             if self._closed:
                 raise RuntimeError("batcher is closed")
+            for request in requests:
+                cap = request.lane.max_queue
+                if cap is not None:
+                    queued = self._queue.depth(request.lane.tenant)
+                    if queued >= cap:
+                        raise ShedError(
+                            "queue_full", tenant=request.lane.tenant,
+                            retry_after=max(self.wait(queued),
+                                            MIN_RETRY_AFTER))
             for request in requests:
                 self._queue.push(request)
             self._observe_depth()

@@ -98,6 +98,13 @@ MAX_BODY_BYTES = 1 << 20
 #: longest ``close()`` waits for handler threads to write their replies
 _CLOSE_WAIT_S = 5.0
 
+#: longest header line and most head lines (the blank one included) a
+#: request may send before 431 — ``http.client``'s limits
+_MAX_LINE = 65536
+_MAX_HEAD_LINES = 100
+#: a field name as ``email.parser`` reads one: printable ASCII but ``:``
+_FIELD_NAME = re.compile(r"[!-9;-~]+")
+
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _NAME_FIX = re.compile(r"[^a-zA-Z0-9_:]")
 _LABEL_FIX = re.compile(r"[^a-zA-Z0-9_]")
@@ -201,6 +208,162 @@ def render_prometheus(snapshot: StatsSnapshot) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Head(dict):
+    """A request's header fields: lower-cased name → its first value,
+    the answer ``email.message.Message.get`` gives for the same head."""
+
+    def get(self, name: str, default=None):
+        return dict.get(self, name.lower(), default)
+
+
+class _RequestHandler(BaseHTTPRequestHandler):
+    """The stdlib handler with a request head parsed in plain Python.
+
+    The stdlib hands every head to ``http.client.parse_headers``, which
+    builds an ``email`` message for a handful of fields — most of what a
+    small request costs before the gateway sees it.  :meth:`parse_request`
+    keeps the stdlib's request-line rules as they are (version parsing,
+    400/505, HTTP/0.9 ``GET``, ``//`` folding, ``Connection`` and
+    ``Expect: 100-continue``) and its limits (431 past 65536 bytes a line
+    or 100 lines a head), and reads the fields into a :class:`_Head`.
+    Two rules are stricter than ``email.parser``, which would read the
+    rest of such a head as a body or split a line at a bare CR: a line
+    that is not ``name: value`` (no colon, whitespace in the name, an
+    obs-fold continuation, a bare CR) is a 400, and so are two
+    ``Content-Length`` fields that disagree (RFC 9112 §6.3) — either way
+    the connection closes, since nobody can say where the next request
+    starts.
+    """
+
+    protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT_S
+    # A reply sent in two pieces (stdlib's send_response / end_headers,
+    # then the body) stalls on a persistent connection: Nagle holds the
+    # second until the client's delayed ACK, ~40 ms per request.
+    # TelemetryHTTPServer._reply sends one piece; this is the guard for
+    # whatever does not.
+    disable_nagle_algorithm = True
+    #: ``(whole second, Date string)`` of the last reply
+    _date = (None, "")
+
+    def log_message(self, *args):  # no stderr chatter per scrape
+        pass
+
+    def parse_request(self) -> bool:
+        """Request line and head → ``command``/``path``/``headers``;
+        False once an error reply went out (the stdlib contract)."""
+        self.command = None  # set in case of error on the first line
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1") \
+            .rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:  # enough to determine the protocol version
+            version = words[-1]
+            number = _version_number(version)
+            if number is None:
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            if number >= (1, 1) and self.protocol_version >= "HTTP/1.1":
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(505, f"Invalid HTTP version "
+                                     f"({version[5:]})")
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(400, f"Bad HTTP/0.9 request type "
+                                     f"({command!r})")
+                return False
+        self.command = command
+        # gh-87389: a path starting with '//' reads as a scheme-less
+        # absolute URI to clients (an open redirect); reduce it to one /
+        self.path = "/" + path.lstrip("/") if path.startswith("//") \
+            else path
+
+        self.headers = head = _Head()
+        lengths = set()
+        count = 0
+        while True:
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(431, "Line too long", "header line")
+                return False
+            count += 1
+            if count > _MAX_HEAD_LINES:
+                self.send_error(431, "Too many headers",
+                                f"got more than {_MAX_HEAD_LINES} headers")
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = str(line, "iso-8859-1").partition(":")
+            value = value.lstrip(" \t").rstrip("\r\n")
+            if not colon or not _FIELD_NAME.fullmatch(name) \
+                    or "\r" in value:
+                self.send_error(400, f"Bad header line ({line[:64]!r})")
+                return False
+            name = name.lower()
+            if name == "content-length":
+                lengths.add(value.strip())
+            if name not in head:
+                head[name] = value
+        if len(lengths) > 1:
+            self.send_error(400, "Conflicting Content-Length values")
+            return False
+
+        conntype = head.get("connection", "").lower()
+        if conntype == "close":
+            self.close_connection = True
+        elif conntype == "keep-alive" \
+                and self.protocol_version >= "HTTP/1.1":
+            self.close_connection = False
+        if head.get("expect", "").lower() == "100-continue" \
+                and self.protocol_version >= "HTTP/1.1" \
+                and self.request_version >= "HTTP/1.1":
+            return self.handle_expect_100()
+        return True
+
+    def date_time_string(self, timestamp=None) -> str:
+        """The ``Date`` field value, formatted once per whole second."""
+        if timestamp is not None:
+            return super().date_time_string(timestamp)
+        second = int(time.time())
+        cached_second, text = self._date
+        if cached_second != second:
+            year, month, day, hour, minute, sec, weekday, *_ = \
+                time.gmtime(second)
+            text = (f"{self.weekdayname[weekday]}, {day:02d} "
+                    f"{self.monthname[month]} {year:04d} "
+                    f"{hour:02d}:{minute:02d}:{sec:02d} GMT")
+            # per server (each has its own Handler class), one tuple
+            # swapped whole: a racing thread reads either
+            type(self)._date = (second, text)
+        return text
+
+
+def _version_number(version: str) -> tuple[int, int] | None:
+    """``HTTP/x.y`` → ``(x, y)`` under the stdlib's rules (RFC 2145
+    §3.1: one dot, digits only, leading zeros ignored, at most ten
+    digits a part); None when malformed."""
+    if not version.startswith("HTTP/"):
+        return None
+    parts = version[5:].split(".")
+    if len(parts) != 2 or not all(
+            part.isascii() and part.isdigit() and len(part) <= 10
+            for part in parts):
+        return None
+    return int(parts[0]), int(parts[1])
+
+
 class TelemetryHTTPServer:
     """Threaded HTTP server exposing one runtime's telemetry.
 
@@ -238,19 +401,7 @@ class TelemetryHTTPServer:
                  query_fn=None, diag=None, prof_fn=None, mem_fn=None):
         outer = self
 
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            timeout = IDLE_TIMEOUT_S
-            # A reply sent in two pieces (stdlib's send_response /
-            # end_headers, then the body) stalls on a persistent
-            # connection: Nagle holds the second until the client's
-            # delayed ACK, ~40 ms per request.  _reply sends one piece;
-            # this is the guard for whatever does not.
-            disable_nagle_algorithm = True
-
-            def log_message(self, *args):  # no stderr chatter per scrape
-                pass
-
+        class Handler(_RequestHandler):
             def setup(self):
                 super().setup()
                 outer._opened(self.connection)

@@ -296,15 +296,21 @@ class ServeRuntime:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def submit(self, query: Node, top_k: int = 10,
+    def submit(self, query: Node | Walk, top_k: int = 10,
                deadline: float | None = None,
                ctx: RequestContext | None = None,
                lane: Lane = DEFAULT_LANE) -> ServeFuture:
         """Enqueue one query; returns a future resolving to ServeResult.
 
-        ``ctx`` joins the request to upstream diagnostics (the gateway
-        mints one at admission; else the runtime does) and ``lane`` is
-        where it queues; the runtime finishes the context either way.
+        ``query`` is a computation graph or its :func:`walk` (a caller
+        that has walked it before — the gateway remembers each SPARQL
+        text's walk — hands that in and skips the walk).  ``ctx`` joins
+        the request to upstream diagnostics (the gateway mints one at
+        admission; else the runtime does) and ``lane`` is where it
+        queues; the runtime finishes the context either way.  A lane
+        whose tenant queue is full (``Lane.max_queue``) raises
+        :class:`ShedError` (``queue_full``), counted and recorded as a
+        shed.
         """
         pending: list[_Pending] = []
         future = self._admit(query, top_k, deadline, ctx, pending, lane)
@@ -340,12 +346,14 @@ class ServeRuntime:
                               else max(0.0, ends - time.monotonic()))
                 for future in futures]
 
-    def _admit(self, query: Node, top_k: int, deadline: float | None,
-               ctx: RequestContext | None, pending: list[_Pending],
+    def _admit(self, query: Node | Walk, top_k: int,
+               deadline: float | None, ctx: RequestContext | None,
+               pending: list[_Pending],
                lane: Lane = DEFAULT_LANE) -> ServeFuture:
         """Count, canonicalise and look up one query: its future comes
         back resolved on an answer-cache hit; else its request joins
-        ``pending``, for the caller to enqueue."""
+        ``pending``, for the caller to enqueue.  The one place a graph
+        becomes a walk; a walk handed in is taken as it is."""
         self._requests.inc()
         now = self._clock()
         tracer = self.tracer
@@ -355,7 +363,8 @@ class ServeRuntime:
         try:
             with tracer.activate(root):
                 with tracer.span("serve.canonicalise"):
-                    walked = walk(query)
+                    walked = query if isinstance(query, Walk) \
+                        else walk(query)
                 with tracer.span("serve.cache_lookup"):
                     cached = self._answers.get((walked.key, top_k))
             ctx.note(structure=walked.structure,
@@ -398,6 +407,11 @@ class ServeRuntime:
             return
         try:
             self.batcher.submit(*requests)
+        except ShedError as exc:  # a capped lane is full: nothing got in
+            now = self._clock()
+            for request in requests:
+                self._shed(request, now, exc)
+            raise
         except RuntimeError:  # closed: nothing of the arrival got in
             for request in requests:
                 self._refuse(request.ctx, request.submitted_at, "closed")
@@ -836,14 +850,19 @@ class ServeRuntime:
         self.metrics.counter("fallback_exact").inc()
         return answers[:request.top_k]
 
-    def _shed(self, request: _Pending, now: float) -> None:
-        """A door's request whose budget cannot cover one more batch."""
+    def _shed(self, request: _Pending, now: float,
+              error: ShedError | None = None) -> None:
+        """A door's request refused past admission: by default one whose
+        budget cannot cover one more batch, else ``error``'s reason."""
         tenant = request.lane.tenant
-        self.metrics.counter("shed", reason="deadline", tenant=tenant).inc()
-        request.ctx.note(admission="deadline")
+        if error is None:
+            error = ShedError("deadline", tenant=tenant)
+        reason = error.reason
+        self.metrics.counter("shed", reason=reason, tenant=tenant).inc()
+        request.ctx.note(admission=reason)
         self._leave(request.ctx, now - request.submitted_at, "shed",
-                    error="deadline")
-        request.future.set_exception(ShedError("deadline", tenant=tenant))
+                    error=reason)
+        request.future.set_exception(error)
 
     # ------------------------------------------------------------------
     def _resolve(self, request: _Pending, ids: list[int],

@@ -124,6 +124,65 @@ class TestAdmission:
             assert [f.result(10.0).source for f in futures] == \
                 ["model"] * 3
 
+    def test_concurrent_submitters_cannot_overfill_a_tenant_queue(
+            self, model, tiny_kg, queries, monkeypatch):
+        """Eight threads race for a ``max_queue=2`` tenant's two places.
+
+        The door used to read the depth, then the runtime walked the
+        query and pushed it: every racer saw room.  Each walk here
+        sleeps, so the racers all pass the door before any of them
+        pushes; the queue's own check at the push still lets two in.
+        """
+        from repro.serve import runtime as runtime_module
+        walk = runtime_module.walk
+        barrier = threading.Barrier(8)
+
+        def slow_walk(query):
+            time.sleep(0.05)
+            return walk(query)
+
+        config = GatewayConfig(tenants=(
+            TenantConfig("t", max_queue=2),), default_tenant=None)
+        with held_runtime(model, tiny_kg) as (runtime, gate), \
+                Gateway(runtime, config) as gateway:
+            blocker = gateway.submit(queries[0], tenant="t")
+            assert gate.entered.wait(10.0)  # popped: the queue is empty
+            monkeypatch.setattr(runtime_module, "walk", slow_walk)
+            outcomes = [None] * 8
+
+            def racer(index):
+                barrier.wait()
+                try:
+                    outcomes[index] = gateway.submit(queries[1 + index],
+                                                     tenant="t")
+                except GatewayRejected as exc:
+                    outcomes[index] = exc
+
+            threads = [threading.Thread(target=racer, args=(i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10.0)
+            queued = runtime.batcher.depth_of("t")
+            gate.open()
+            futures = [o for o in outcomes
+                       if not isinstance(o, GatewayRejected)]
+            shed = [o for o in outcomes if isinstance(o, GatewayRejected)]
+            assert queued == 2
+            assert len(futures) == 2 and len(shed) == 6
+            assert {exc.reason for exc in shed} == {"queue_full"}
+            assert all(exc.retry_after > 0 for exc in shed)
+            assert [f.result(10.0).source for f in [blocker, *futures]] \
+                == ["model"] * 3
+        counters = runtime.metrics.snapshot().counters
+        assert counters["shed{reason=queue_full,tenant=t}"] == 6
+        records = [r for r in runtime.diag.flight.dump(tenant="t")
+                   if r.error == "queue_full"]
+        assert len(records) == 6
+        assert {(r.admission, r.source) for r in records} == \
+            {("queue_full", "shed")}
+
     def test_unknown_priority_is_a_caller_error(self, runtime, queries):
         with Gateway(runtime) as gateway:
             with pytest.raises(ValueError, match="priority"):

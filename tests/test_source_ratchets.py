@@ -246,3 +246,22 @@ def test_the_serve_path_walks_a_query_once():
                 if c.split(":")[0] in walks] == [], path
     assert [c for c in calls("plan/executor.py")
             if c.startswith("depths:")] == []
+
+
+def test_request_heads_are_read_without_email():
+    """The door parses request heads itself: ``serve/http.py`` imports
+    neither ``email`` nor ``http.client`` and calls no ``parse_headers``,
+    and its handler overrides the stdlib ``parse_request`` that would
+    (``http.client.parse_headers`` builds an ``email`` message)."""
+    assert hits(r"^\s*(import|from)\s+(email|http\.client)\b",
+                "serve/http.py", "gateway") == []
+    assert [c for c in calls("serve/http.py")
+            if c.startswith("parse_headers:")] == []
+    tree = ast.parse((SRC / "serve/http.py").read_text(encoding="utf-8"))
+    classes = {node.name: node for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    assert "parse_request" in {
+        node.name for node in classes["_RequestHandler"].body
+        if isinstance(node, ast.FunctionDef)}
+    assert [base.id for base in classes["Handler"].bases] == \
+        ["_RequestHandler"]
