@@ -314,7 +314,6 @@ def cmd_serve(args) -> int:
                          answer_ttl=args.answer_ttl,
                          default_deadline=args.deadline,
                          num_shards=getattr(args, "shards", 0),
-                         hedge_shards=args.hedge,
                          http_port=args.http_port,
                          http_host=args.http_host)
     gateway = None
@@ -480,7 +479,7 @@ def cmd_flight(args) -> int:
         return 0
     header = ("request_id", "tenant", "structure", "source", "lat_ms",
               "total_ms", "queue_ms", "cache", "batch", "shards",
-              "hedge", "error")
+              "error")
     rows = [header]
     for r in records:
         rows.append((
@@ -490,8 +489,7 @@ def cmd_flight(args) -> int:
             f"{r.get('total_ms', 0.0):.2f}",
             f"{r.get('queue_ms', 0.0):.2f}",
             r.get("cache", "") or "-", str(r.get("batch_size", 0)),
-            str(r.get("shards", 0)), str(r.get("hedge_wins", 0)),
-            r.get("error", "") or "-"))
+            str(r.get("shards", 0)), r.get("error", "") or "-"))
     widths = [max(len(row[i]) for row in rows)
               for i in range(len(header))]
     for row in rows:
@@ -828,9 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tenant-file", type=pathlib.Path, default=None,
                    help="JSON file with a list of tenant configs "
                         "(implies --gateway)")
-    p.add_argument("--hedge", action="store_true",
-                   help="hedge straggling shard requests with a "
-                        "parent-side duplicate (needs --shards > 0)")
     p.add_argument("--hold", action="store_true",
                    help="after the demo workload, keep the runtime (and "
                         "its HTTP endpoints) alive until Ctrl-C")

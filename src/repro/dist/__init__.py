@@ -21,8 +21,7 @@ from .plan import (
     dist_available,
     partition_rows,
 )
-from .pool import (DistError, HedgeConfig, HedgePolicy, ShardWorkerPool,
-                   WorkerCrash, WorkerRole)
+from .pool import DistError, ShardWorkerPool, WorkerCrash, WorkerRole
 from .ranker import LocalRanker, RankWorkerRole, ShardedRanker
 from .scorer import ArcShardScorer, ShardScorer
 from .trainer import ShardedTrainer, TrainWorkerRole
@@ -31,8 +30,6 @@ __all__ = [
     "ArcShardScorer",
     "DistError",
     "EntityShardPlan",
-    "HedgeConfig",
-    "HedgePolicy",
     "LocalRanker",
     "RankWorkerRole",
     "ShardRange",

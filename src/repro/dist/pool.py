@@ -46,18 +46,6 @@ the dispatching request, with no side channel.  A *stale* reply is
 discarded before any of this is read — a respawned worker's
 re-computation is recorded exactly once, never double-counted.
 
-Hedged dispatch: a straggling shard reply (a worker stalled by the OS
-scheduler, a cold page, or a SIGKILL) can stall the whole gather.  When
-a :class:`HedgePolicy` is installed the parent *duplicates* the
-straggler's work after a p95-derived delay — computing the same shard
-block in-process from the shared-memory table — and the first reply
-wins.  The loser is never recorded: a late worker reply is discarded by
-the existing stale-sequence-number machinery before its measurements
-are read (so each shard's work is counted exactly once), and a hedge's
-result never reaches :meth:`WorkerRole.record`.  Outcomes are counted as
-``hedges{outcome=launched|worker_win|hedge_win|hedge_error}`` plus
-per-shard ``hedge_wins{shard=}``.
-
 Shutdown is graceful-then-firm: a stop message, a bounded ``join``, then
 ``terminate``/``kill`` for stragglers, and queue teardown — tests assert
 no orphan processes and no leaked segments after :meth:`close`.
@@ -72,15 +60,13 @@ import sys
 import threading
 import time
 import traceback
-from dataclasses import dataclass
 
 from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsRegistry
 from ..obs.prof import Profile, ProfileStore, SamplingProfiler
 from ..obs.trace import Span, Tracer
 
-__all__ = ["WorkerRole", "ShardWorkerPool", "WorkerCrash", "DistError",
-           "HedgeConfig", "HedgePolicy"]
+__all__ = ["WorkerRole", "ShardWorkerPool", "WorkerCrash", "DistError"]
 
 #: how long a worker gets to finish cleanly at close() before terminate()
 _STOP_GRACE = 5.0
@@ -136,62 +122,6 @@ class DistError(RuntimeError):
 
 class WorkerCrash(RuntimeError):
     """Raised in tests/injection to simulate a hard worker death."""
-
-
-@dataclass(frozen=True)
-class HedgeConfig:
-    """Knobs of straggler hedging (see :class:`HedgePolicy`)."""
-
-    #: hedge when a reply is this multiple of the p95 overdue
-    delay_factor: float = 1.5
-    #: replies observed before the p95 is trusted (no hedging earlier)
-    min_samples: int = 16
-    #: clamp of the derived delay, in seconds
-    min_delay: float = 0.002
-    max_delay: float = 2.0
-    #: override: hedge after exactly this many seconds (tests; bypasses
-    #: the p95 derivation and ``min_samples`` warm-up entirely)
-    fixed_delay: float | None = None
-    #: sliding window of reply-latency samples behind the p95
-    window: int = 256
-
-
-class HedgePolicy:
-    """When (p95-derived delay) and how (a parent-side duplicate) to
-    hedge a straggling shard request.
-
-    ``compute(index, payload)`` must return a reply *bitwise identical*
-    to what worker ``index`` would return for ``payload`` — the ranker
-    guarantees this by scoring the very same shared-memory row block
-    with the very same scorer (see ``ShardedRanker._hedge_compute``).
-    ``observe``/``delay`` maintain the sliding latency window; both are
-    lock-guarded because gathers and hedge threads overlap.
-    """
-
-    def __init__(self, compute, config: HedgeConfig | None = None):
-        self.compute = compute
-        self.config = config or HedgeConfig()
-        self._samples: list[float] = []
-        self._lock = threading.Lock()
-
-    def observe(self, seconds: float) -> None:
-        with self._lock:
-            self._samples.append(float(seconds))
-            if len(self._samples) > self.config.window:
-                del self._samples[:-self.config.window]
-
-    def delay(self) -> float | None:
-        """Seconds to wait before hedging; None = not enough signal yet."""
-        cfg = self.config
-        if cfg.fixed_delay is not None:
-            return cfg.fixed_delay
-        with self._lock:
-            if len(self._samples) < cfg.min_samples:
-                return None
-            ordered = sorted(self._samples)
-            p95 = ordered[int(0.95 * (len(ordered) - 1))]
-        return min(max(p95 * cfg.delay_factor, cfg.min_delay),
-                   cfg.max_delay)
 
 
 class WorkerRole:
@@ -378,26 +308,17 @@ class ShardWorkerPool:
         owner's registry (the serving runtime does) to surface per-shard
         counters next to the serving metrics; defaults to a pool-local
         registry exposed as :attr:`metrics`.
-    hedge:
-        Optional :class:`HedgePolicy` duplicating straggler requests in
-        the parent; also attachable after construction via :attr:`hedge`
-        (the ranker does, since the policy's compute closure needs the
-        plan the ranker builds around the pool).
     """
 
     def __init__(self, roles: list[WorkerRole],
                  tracer: Tracer | None = None,
-                 metrics: MetricsRegistry | None = None,
-                 hedge: HedgePolicy | None = None):
+                 metrics: MetricsRegistry | None = None):
         if not roles:
             raise ValueError("need at least one worker role")
         self._tracer = tracer
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: per-(role, pid) worker profiles accumulated from reply deltas
         self.profiles = ProfileStore()
-        self.hedge = hedge
-        self._hedge_executor = None
-        self._hedge_lock = threading.Lock()
         self.respawns = 0
         self._seq = 0
         # telemetry context of the newest fan-out (replies to an older
@@ -459,11 +380,8 @@ class ShardWorkerPool:
         split so callers can trace the fan-out separately from the wait.
         ``ctx`` is the dispatching request's
         :class:`~repro.obs.diag.RequestContext`: its id is stamped on
-        every worker span recorded for this fan-out — replies that arrive
-        *after* a hedge already won are discarded by sequence number, so
-        a hedge can never smuggle one request's telemetry into
-        another's — and :meth:`gather` notes the fan-out and hedge wins
-        on its flight record.
+        every worker span recorded for this fan-out, and :meth:`gather`
+        notes the fan-out on its flight record.
         """
         if self._closed:
             raise DistError("pool is closed")
@@ -489,14 +407,11 @@ class ShardWorkerPool:
         replies = [None] * len(self._workers)
         timings = [None] * len(self._workers)
         deadline = None if timeout is None else time.monotonic() + timeout
-        hedge_wins = 0
         for index in range(len(self._workers)):
-            replies[index], timings[index], hedged = self._collect(
+            replies[index], timings[index] = self._collect(
                 index, seq, payloads[index], deadline)
-            hedge_wins += hedged
         if self._request is not None:
-            self._request.note(shards=len(self._workers),
-                               hedge_wins=hedge_wins)
+            self._request.note(shards=len(self._workers))
             self._request = None  # the pool keeps no request alive
         return replies, timings
 
@@ -508,50 +423,10 @@ class ShardWorkerPool:
     def _collect(self, index: int, seq: int, payload, deadline):
         """Wait for worker ``index``'s reply to ``seq``; heal crashes.
 
-        With a :attr:`hedge` policy installed, a reply overdue past the
-        policy's delay triggers a parent-side duplicate computation and
-        the first finisher wins.  A worker reply that loses stays in its
-        queue and is discarded by the ``got_seq != seq`` check of a
-        *later* collect, unread — which is how the registry counts each
-        shard's work exactly once.  Returns ``(reply, (start, end),
-        hedge won)``.
+        Returns ``(reply, (start, end))``.
         """
-        policy = self.hedge
-        hedge_delay = policy.delay() if policy is not None else None
-        hedge_future = None
-        wait_start = time.monotonic()
         while True:
             worker = self._workers[index]
-            if (hedge_future is None and hedge_delay is not None
-                    and time.monotonic() - wait_start >= hedge_delay):
-                hedge_future = self._hedge_pool().submit(
-                    self._run_hedge, policy, index, payload)
-                self.metrics.counter("hedges", outcome="launched").inc()
-            if hedge_future is not None and hedge_future.done():
-                try:
-                    reply, started, ended = hedge_future.result()
-                except Exception:
-                    # a broken hedge never breaks the request — fall back
-                    # to waiting for the worker (which may also respawn)
-                    self.metrics.counter("hedges",
-                                         outcome="hedge_error").inc()
-                    hedge_future, hedge_delay = None, None
-                else:
-                    self.metrics.counter("hedges",
-                                         outcome="hedge_win").inc()
-                    self.metrics.counter("hedge_wins", shard=index).inc()
-                    policy.observe(ended - started)
-                    # the winning hedge reply is attributed to the
-                    # *original* request: same seq, same request id —
-                    # the straggler worker's eventual reply (different
-                    # fate: stale seq) is dropped unread, so the
-                    # request is never double-counted
-                    if self._traced:
-                        self.tracer.record(
-                            "shard.hedge", started, ended,
-                            parent=self._handle_parent, shard=index,
-                            request_id=self._request_id())
-                    return reply, (started, ended), True
             try:
                 kind, got_seq, detail = worker.result_q.get(timeout=_POLL)
             except queue_mod.Empty:
@@ -563,10 +438,9 @@ class ShardWorkerPool:
                     raise DistError(f"shard worker {index} timed out")
                 continue
             if got_seq != seq:
-                # stale reply from before a respawn or a lost hedge race:
-                # dropped before anything in it is read, so a superseded
-                # computation is never recorded (no double counts, no
-                # phantom spans)
+                # stale reply from before a respawn: dropped before
+                # anything in it is read, so a superseded computation is
+                # never recorded (no double counts, no phantom spans)
                 continue
             if kind == "error":
                 raise DistError(f"shard worker {index} failed:\n{detail}")
@@ -574,28 +448,7 @@ class ShardWorkerPool:
             self._record(worker, seq, payload, started, ended, measured)
             if prof is not None:
                 self._record_profile(prof)
-            if policy is not None:
-                policy.observe(ended - started)
-                if hedge_future is not None:
-                    self.metrics.counter("hedges",
-                                         outcome="worker_win").inc()
-            return reply, (started, ended), False
-
-    @staticmethod
-    def _run_hedge(policy: HedgePolicy, index: int, payload):
-        started = time.perf_counter()
-        reply = policy.compute(index, payload)
-        return reply, started, time.perf_counter()
-
-    def _hedge_pool(self):
-        """Lazy executor for parent-side hedge computations."""
-        with self._hedge_lock:
-            if self._hedge_executor is None:
-                from concurrent.futures import ThreadPoolExecutor
-                self._hedge_executor = ThreadPoolExecutor(
-                    max_workers=max(1, len(self._workers)),
-                    thread_name_prefix="dist-hedge")
-            return self._hedge_executor
+            return reply, (started, ended)
 
     def _request_id(self) -> str:
         return self._request.request_id if self._request is not None else ""
@@ -655,8 +508,6 @@ class ShardWorkerPool:
         if self._closed:
             return
         self._closed = True
-        if self._hedge_executor is not None:
-            self._hedge_executor.shutdown(wait=True)
         for worker in self._workers:
             worker.drain()
             worker.stop()

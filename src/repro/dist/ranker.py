@@ -53,30 +53,10 @@ from ..obs.trace import Tracer, get_tracer
 from .merge import merge_topk
 from .plan import EntityShardPlan, SharedArraySpec, ShardRange, \
     dist_available
-from .pool import HedgeConfig, HedgePolicy, ShardWorkerPool, WorkerCrash, \
-    WorkerRole
+from .pool import ShardWorkerPool, WorkerCrash, WorkerRole
 from .scorer import ShardScorer
 
 __all__ = ["LocalRanker", "RankWorkerRole", "ShardedRanker"]
-
-
-def rank_block(scorer: ShardScorer, points: np.ndarray, offset: int,
-               request: dict, stats: dict | None = None,
-               prepared: np.ndarray | None = None) -> dict:
-    """One shard's reply to ``request`` over its row block ``points``.
-
-    The single ranking path of shard workers and the parent-side hedge:
-    both reach the scorer through here with the same rows — and the same
-    ``prepared`` rows of the plan's companion segment — so a hedged
-    reply is the worker's reply by construction.  ``request`` carries
-    the table owner's ``filterable`` verdict (absent = the scorer checks
-    the block itself): workers cannot see a ``refresh``, the parent can.
-    """
-    if request["mode"] == "all":
-        return {"distances": scorer.score(points, request["payload"])}
-    local, vals = scorer.topk(points, request["payload"], request["k"],
-                              stats, request.get("filterable"), prepared)
-    return {"ids": local + offset, "vals": vals}
 
 
 class LocalRanker:
@@ -155,8 +135,18 @@ class RankWorkerRole(WorkerRole):
             raise WorkerCrash("injected crash before compute")
         started = time.perf_counter()
         stats: dict = {}
-        reply = rank_block(self.scorer, points, self.shard.start,
-                           payload, stats, prepared)
+        if payload["mode"] == "all":
+            reply = {"distances": self.scorer.score(points,
+                                                    payload["payload"])}
+        else:
+            # ``filterable`` is the table owner's verdict (absent: the
+            # scorer checks the block itself): a worker cannot see a
+            # refresh, the parent can
+            local, vals = self.scorer.topk(points, payload["payload"],
+                                           payload["k"], stats,
+                                           payload.get("filterable"),
+                                           prepared)
+            reply = {"ids": local + self.shard.start, "vals": vals}
         ended = time.perf_counter()
         if request == "after":  # crash after compute, before reply
             raise WorkerCrash("injected crash after compute")
@@ -205,7 +195,6 @@ class ShardedRanker:
     def __init__(self, model, num_shards: int,
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None,
-                 hedge: HedgeConfig | None = None,
                  profile_hz: float = 0.0):
         if num_shards < 2:
             raise ValueError("sharded execution needs >= 2 shards")
@@ -237,8 +226,6 @@ class ShardedRanker:
         except BaseException:
             self.plan.close()  # the segments exist; no caller can reach them
             raise
-        if hedge is not None:
-            self.pool.hedge = HedgePolicy(self._hedge_compute, hedge)
         #: one dispatch+gather round trip on the pool at a time
         self._round_trip = threading.Lock()
         self._closed = False
@@ -253,7 +240,6 @@ class ShardedRanker:
     def for_model(cls, model, num_shards: int,
                   tracer: Tracer | None = None,
                   metrics: MetricsRegistry | None = None,
-                  hedge: HedgeConfig | None = None,
                   profile_hz: float = 0.0
                   ) -> "ShardedRanker | None":
         """Ranker, or None when sharding is unsupported here.
@@ -268,7 +254,7 @@ class ShardedRanker:
         if model.sharding_spec() is None:
             return None
         return cls(model, num_shards, tracer=tracer, metrics=metrics,
-                   hedge=hedge, profile_hz=profile_hz)
+                   profile_hz=profile_hz)
 
     @property
     def num_shards(self) -> int:
@@ -291,8 +277,7 @@ class ShardedRanker:
         ``ctx`` (the dispatching request's
         :class:`~repro.obs.diag.RequestContext`) rides to the worker
         pool: its id is stamped on the worker spans, and the gather's
-        ``shards`` fan-out and ``hedge_wins`` count are noted on its
-        flight record.
+        ``shards`` fan-out is noted on its flight record.
         """
         replies, timings = self._run(
             {"mode": "topk", "k": int(k), "filterable": self._filterable},
@@ -329,21 +314,6 @@ class ShardedRanker:
                 tracer.record("shard.compute", interval[0], interval[1],
                               parent=parent, shard=index)
         return replies, timings
-
-    def _hedge_compute(self, index: int, payload: dict):
-        """Parent-side duplicate of worker ``index``'s computation.
-
-        Hands the *same* shared-memory row blocks (table and companion)
-        and the *same* scorer the worker uses to the same
-        :func:`rank_block`, so the reply is bitwise identical to what
-        the worker would send — hedging can change latency, never
-        results.  Crash-injection keys in the payload are deliberately
-        ignored: the hedge is the healthy duplicate.
-        """
-        shard = self.plan.ranges[index]
-        return rank_block(self._scorer, self.plan.rows(shard),
-                          shard.start, payload,
-                          prepared=self.plan.rows(shard, prepared=True))
 
     # ------------------------------------------------------------------
     def refresh(self) -> None:

@@ -5,7 +5,7 @@ worker at spawn.  Its :meth:`~ShardScorer.score` turns a query payload
 (the model's :meth:`~repro.core.model.QueryModel.ranking_payload`) plus a
 contiguous block of entity rows into a ``(B, n)`` distance block, and
 its :meth:`~ShardScorer.topk` returns the block's local top-k — the one
-ranking entry point shared by shard workers and the parent-side hedge.
+ranking entry point of every shard worker.
 
 **Bitwise parity contract.** ``score(points[s:e], payload)`` must equal
 columns ``s:e`` of the model's ``distance_to_all`` exactly (same float
@@ -46,10 +46,9 @@ scores the gathered rows, pads are set to ``+inf`` and one
 stays the exact kernel: ``mode="all"`` evaluation needs every distance
 and takes no shortcut.
 
-This is the ranking kernel of *every* serving tier: shard workers, the
-parent-side hedge and in-process serving
-(:class:`repro.dist.ranker.LocalRanker`, the whole table as one block)
-all call :meth:`ShardScorer.topk`.
+This is the ranking kernel of *every* serving tier: shard workers and
+in-process serving (:class:`repro.dist.ranker.LocalRanker`, the whole
+table as one block) both call :meth:`ShardScorer.topk`.
 """
 
 from __future__ import annotations

@@ -6,8 +6,7 @@ deadline-aware shedding at the door, surfacing backpressure as 429 +
 ``Retry-After`` through the serve HTTP layer.  Admitted requests wait in
 the runtime's one queue, in per-tenant lanes of two strict priority
 bands (interactive over batch) with weighted fair shares, and a doomed
-one is shed when a worker pops it.  Hedged dispatch of straggling shard
-requests lives in ``repro.dist``.
+one is shed when a worker pops it.
 """
 
 from ..serve.batcher import PRIORITIES, FairScheduler

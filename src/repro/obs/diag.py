@@ -20,8 +20,8 @@ leave on under full load:
 * **Flight recorder** — a fixed-size ring of compact
   :class:`FlightRecord` entries, one per request: tenant, query
   structure, admission decision, per-stage timings (queue / embed /
-  distance / rank), cache hit/miss, shard fan-out and
-  hedge outcome, result count, error or shed reason.  Always on; one
+  distance / rank), cache hit/miss, shard fan-out, result count,
+  error or shed reason.  Always on; one
   record allocation and one lock-guarded deque append per request.
   Dumpable via ``GET /debug/flight?n=100&tenant=...&min_ms=...`` and
   ``python -m repro.cli flight host:port``.
@@ -29,8 +29,8 @@ leave on under full load:
 * **Tail-based trace sampling** — while ``repro.obs`` tracing is
   enabled, the :class:`TailSampler` decides *at request completion*
   whether the request's full span tree is worth keeping: it finished
-  slow (fixed latency threshold and/or rolling top-p), errored, was
-  shed, or won a hedge.  Retained trees live in a bounded ring keyed by
+  slow (fixed latency threshold and/or rolling top-p), errored or was
+  shed.  Retained trees live in a bounded ring keyed by
   request id (``GET /debug/trace/<request_id>`` exports Chrome trace
   JSON); everything else is discarded, so memory stays bounded no
   matter the traffic.  See DESIGN.md §10 for why the decision happens
@@ -141,9 +141,6 @@ class FlightRecord:
     plan_stage_ms: dict = field(default_factory=dict)
     #: shard fan-out of the ranking pass (0 = in-process)
     shards: int = 0
-    #: hedge wins during this request's ranking gather (the batch's
-    #: gather is shared, so batched siblings report the same value)
-    hedge_wins: int = 0
     model_version: int = 0
     #: wall-clock completion time (time.time; display only — no
     #: deadline arithmetic ever reads this)
@@ -246,12 +243,12 @@ class TailSampler:
     """Keep full traces only for the requests worth debugging.
 
     The decision runs at *completion* (DESIGN.md §10): a request is
-    retained when it errored or was shed, won a hedge, finished slower
-    than ``latency_threshold_ms``, or landed in the rolling slowest
-    ``top_p`` fraction of recent completions.  Retained span trees live
-    in a bounded ring keyed by request id; everything else is dropped
-    on the spot, so memory is bounded by ``max_traces`` × tree size,
-    not by traffic.
+    retained when it errored or was shed, finished slower than
+    ``latency_threshold_ms``, or landed in the rolling slowest ``top_p``
+    fraction of recent completions.  Retained span trees live in a
+    bounded ring keyed by request id; everything else is dropped on the
+    spot, so memory is bounded by ``max_traces`` × tree size, not by
+    traffic.
     """
 
     def __init__(self, latency_threshold_ms: float | None = None,
@@ -297,8 +294,6 @@ class TailSampler:
                 insort(ordered, latency)
         if record.error:
             return "error"
-        if record.hedge_wins:
-            return "hedge_win"
         if self.latency_threshold_ms is not None \
                 and latency >= self.latency_threshold_ms:
             return "slow"
@@ -540,7 +535,7 @@ class DiagConfig:
 
     flight_capacity: int = 4096
     #: retain traces for requests at/above this latency (None = only
-    #: the top-p / error / hedge-win rules apply)
+    #: the top-p / error rules apply)
     trace_latency_ms: float | None = None
     #: retain the rolling slowest fraction of completions (None = off)
     trace_top_p: float | None = 0.05

@@ -431,6 +431,16 @@ class TelemetryHTTPServer:
                     return lambda: outer._method_not_allowed(self)
                 raise AttributeError(name)
 
+            def send_error(self, code, message=None, explain=None):
+                # a head that failed to parse (400, 414, 431, 505) gets
+                # this server's JSON error behind an HTTP/1.1 status
+                # line; the stdlib writes an HTML page, and none at all
+                # behind an unreadable version.  Nobody knows where the
+                # next request would start, so the connection ends.
+                self.close_connection = True
+                outer._json_error(self, code,
+                                  message or self.responses[code][0])
+
         self._snapshot_fn = snapshot_fn
         self._health_fn = health_fn
         self._query_fn = query_fn

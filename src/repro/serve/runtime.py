@@ -73,10 +73,6 @@ class ServeConfig:
     #: worker processes; falls back to in-process when the platform
     #: has no working shared memory — ``health()`` says so)
     num_shards: int = 0
-    #: hedge straggling shard requests: duplicate a reply overdue past
-    #: ``HedgeConfig.delay_factor`` × the p95 reply latency in the
-    #: parent, first reply wins (bitwise-identical results either way)
-    hedge_shards: bool = False
     #: mount the telemetry HTTP server (``/metrics`` ``/healthz``
     #: ``/statusz``) on this port; None = no HTTP, 0 = ephemeral port
     #: (the bound port is ``runtime.http_server.port``)
@@ -272,13 +268,12 @@ class ServeRuntime:
             self.prof = SamplingProfiler(
                 hz=DEFAULT_HZ, role="serve", registry=self.metrics).start()
         if sharded:
-            from ..dist import HedgeConfig, ShardedRanker
-            hedge = HedgeConfig() if self.config.hedge_shards else None
+            from ..dist import ShardedRanker
             # the runtime's registry doubles as the pool's merge target,
             # so per-shard worker metrics surface in stats()/ /metrics
             self._ranker = ShardedRanker(
                 self.model, self.config.num_shards, tracer=self.tracer,
-                metrics=self.metrics, hedge=hedge,
+                metrics=self.metrics,
                 profile_hz=DEFAULT_HZ if self.config.profiling else 0.0)
         self.metrics.gauge("shards").set(
             self._ranker.num_shards if self._ranker is not None else 0)
@@ -738,7 +733,7 @@ class ServeRuntime:
         table, or shard workers over row blocks.  Answers therefore
         agree bitwise *including on ties* — ascending ``(distance,
         entity id)`` — and equal the ``distance_to_all`` oracle's.  The
-        shard pool notes fan-out and hedge outcome on ``ctx``.
+        shard pool notes the fan-out on ``ctx``.
         """
         ids, _ = (self._ranker or self._local).topk(embedding, k, ctx)
         return ids, time.perf_counter()
@@ -750,7 +745,7 @@ class ServeRuntime:
         compile into one shared DAG and come back as one stacked
         embedding per branch count; a cache hit is a one-row group of
         its own.  Every group takes one pass through :meth:`_rank`, so
-        the sharded/hedged machinery sees hits and misses alike.
+        the sharded machinery sees hits and misses alike.
 
         Batched stages are timed once and the interval staged on *every*
         participating request's context, so each request's flight record
@@ -793,8 +788,8 @@ class ServeRuntime:
         answers: list[tuple[_Pending, list[int]]] = []
         for requests, embedding, embedded in groups:
             # a group shares one gather: the pool stamps the first
-            # request's id and notes the shard/hedge outcome on its
-            # record, which is that of the whole group
+            # request's id and notes the fan-out on its record, which
+            # is that of the whole group
             lead = requests[0].ctx
             started = time.perf_counter()
             ids, split = self._rank(embedding,
@@ -802,8 +797,7 @@ class ServeRuntime:
             ended = time.perf_counter()
             fields = dict(embed_fields if embedded else (),
                           embedding_cached=not embedded,
-                          shards=lead.record.shards,
-                          hedge_wins=lead.record.hedge_wins)
+                          shards=lead.record.shards)
             attrs = dict(batch_size=len(requests),
                          embedding_cached=not embedded, sharded=sharded)
             for request, top in zip(requests, ids.tolist()):

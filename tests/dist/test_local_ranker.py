@@ -137,7 +137,7 @@ def test_out_of_range_table_ranks_exactly_and_is_counted(kg, model,
 @requires_shm
 def test_workers_take_the_parents_table_verdict(kg, queries):
     """Workers cannot see a refresh; the parent decides per table and
-    ships the verdict with every request (the hedge reads the same)."""
+    ships the verdict with every request."""
     shifted = _shifted(kg)
     embedding = shifted.embed_batch(queries)
     with ShardedRanker(shifted, 2) as ranker:

@@ -291,12 +291,12 @@ def _reweighted(kg, seed):
 
 
 @requires_shm
-def test_refresh_with_new_weights_reaches_the_filter_and_the_hedge(
+def test_refresh_with_new_weights_reaches_the_filter_and_the_workers(
         kg, queries):
     """After ``refresh`` the filter must read the *new* half-angles: a
     stale companion would pick its candidates from the old table and
-    the refine could only rank those.  The hedge reads the parent's
-    views of the same two segments, so its reply is the worker's."""
+    the refine could only rank those.  Each worker's own reply to a
+    request built after the refresh ranks the new table too."""
     model, table = _reweighted(kg, seed=21)
     with ShardedRanker(model, 3) as ranker:
         before, _ = ranker.topk(model.embed_batch(queries), 10)
@@ -312,10 +312,13 @@ def test_refresh_with_new_weights_reaches_the_filter_and_the_hedge(
         payloads = [request] * ranker.num_shards
         replies, _ = ranker.pool.gather(ranker.pool.dispatch(payloads),
                                         payloads)
-        for index, reply in enumerate(replies):
-            hedged = ranker._hedge_compute(index, request)
-            assert np.array_equal(hedged["ids"], reply["ids"])
-            assert np.array_equal(hedged["vals"], reply["vals"])
+        distances = model.distance_to_all(embedding).data
+        for shard, reply in zip(ranker.plan.ranges, replies):
+            block = distances[:, shard.start:shard.stop]
+            local = topk_rows(block, 10)
+            assert np.array_equal(reply["ids"], local + shard.start)
+            assert np.array_equal(
+                reply["vals"], np.take_along_axis(block, local, axis=-1))
         # in-process serving keeps a private prepared table: same rule
         local = LocalRanker(model)
         model.entity_points.weight.data[...] = table[::-1]

@@ -201,6 +201,43 @@ class TestCrashHealing:
         assert np.array_equal(vals, vals_before)
 
 
+class TestExactlyOnceTelemetry:
+    def test_crashes_count_each_shard_once(self, model, ranker, embedding):
+        """``rank_requests{shard=k}`` grows by exactly the request count
+        even when every worker dies before and after computing.
+
+        A crash before compute sends no reply; a crash after compute
+        dies before its reply ships.  Either way the respawned worker
+        answers the re-sent request, and only that reply is recorded.
+        """
+        metrics = ranker.pool.metrics
+        shards = range(ranker.num_shards)
+
+        def handled():
+            counters = metrics.snapshot().counters
+            return [counters.get(f"rank_requests{{shard={shard}}}", 0)
+                    for shard in shards]
+
+        _, expect_ids, _ = _expected(model, embedding, 5)
+        before = handled()
+        for _ in range(3):  # plain requests
+            ids, _ = ranker.topk(embedding, 5)
+            assert np.array_equal(ids, expect_ids)
+        payload = model.ranking_payload(embedding)
+        request = {"mode": "topk", "k": 5, "payload": payload}
+        for mode in ("before", "after"):
+            crashing = [dict(request, crash=mode) for _ in shards]
+            resend = [dict(request) for _ in shards]
+            seq = ranker.pool.dispatch(crashing)
+            replies, _ = ranker.pool.gather(seq, resend)
+            ids, _ = merge_topk([r["ids"] for r in replies],
+                                [r["vals"] for r in replies], 5)
+            assert np.array_equal(ids, expect_ids)
+        after = handled()
+        assert [a - b for a, b in zip(after, before)] == \
+            [5] * ranker.num_shards
+
+
 class TestTeardown:
     def test_close_leaves_no_workers_or_segments(self, model):
         ranker = ShardedRanker.for_model(model, 2)

@@ -107,17 +107,13 @@ class TestFlightRecorder:
 
 class TestTailSampler:
     @staticmethod
-    def record(latency_ms=1.0, error="", hedge_wins=0):
+    def record(latency_ms=1.0, error=""):
         return FlightRecord(request_id="r", latency_ms=latency_ms,
-                            error=error, hedge_wins=hedge_wins)
+                            error=error)
 
     def test_error_always_retained(self):
         sampler = TailSampler(top_p=None)
         assert sampler.decide(self.record(error="deadline")) == "error"
-
-    def test_hedge_win_always_retained(self):
-        sampler = TailSampler(top_p=None)
-        assert sampler.decide(self.record(hedge_wins=1)) == "hedge_win"
 
     def test_latency_threshold(self):
         sampler = TailSampler(latency_threshold_ms=10.0, top_p=None)
@@ -164,8 +160,6 @@ class TestTailSampler:
             latencies.append(latency)
             if record.error:
                 yield "error"
-            elif record.hedge_wins:
-                yield "hedge_win"
             elif threshold is not None and latency >= threshold:
                 yield "slow"
             elif top_p is not None and len(window) >= warmup \
@@ -183,7 +177,7 @@ class TestTailSampler:
         {"latency_threshold_ms": 40.0, "top_p": None},
     ])
     def test_verdicts_match_the_sort_every_time_rule(self, sampler_args):
-        """2 000 completions — ties, errors, hedge wins, a window that
+        """2 000 completions — ties, errors, a window that
         wraps many times over — get the verdicts a full sort per
         completion gave."""
         import random
@@ -194,15 +188,14 @@ class TestTailSampler:
                 # few distinct values: plenty of exact ties at the cut
                 latency_ms=rng.choice([1.0, 1.0, 2.0, 5.0, 5.0, 30.0,
                                        rng.uniform(0.5, 80.0)]),
-                error="deadline" if rng.random() < 0.03 else "",
-                hedge_wins=int(rng.random() < 0.02))
+                error="deadline" if rng.random() < 0.03 else "")
             record.total_ms = rng.choice([0.0, record.latency_ms + 1.0])
             records.append(record)
         sampler = TailSampler(**sampler_args)
         got = [sampler.decide(record) for record in records]
         want = list(self.sort_every_time(sampler_args, records))
         assert got == want
-        assert {"error", "hedge_win", ""} <= set(want)
+        assert {"error", ""} <= set(want)
         assert ("top_p" in want) == (sampler_args.get("top_p", 0.05)
                                      is not None)
 

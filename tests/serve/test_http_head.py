@@ -4,8 +4,9 @@
 ``http.client.parse_headers`` (which builds an ``email`` message per
 request).  These tests pin that it answers as the stdlib does on every
 well-formed head, that it refuses two disagreeing ``Content-Length``
-fields, and — over raw sockets — that no malformed head gets a 5xx, a
-hang, or a connection that answers the next request wrongly.
+fields, and — over raw sockets — that every malformed head gets an
+``HTTP/1.1`` status line and a JSON ``{"error": ...}`` body, never a
+5xx, a hang, or a connection that answers the next request wrongly.
 
 Same skip contract as ``test_http.py`` for the socket tests.
 """
@@ -14,7 +15,6 @@ import email.utils
 import http.client
 import io
 import json
-import re
 import socket
 import time
 from http.server import BaseHTTPRequestHandler
@@ -207,22 +207,22 @@ def server():
 
 def read_reply(rfile):
     """``(status, headers, body bytes)`` of the next reply, or None when
-    the server closed without one.
-
-    A request line the stdlib cannot read a version from is answered the
-    HTTP/0.9 way — the error page alone, then EOF — so its status comes
-    from the page and its headers say ``Connection: close``.
-    """
+    the server closed without one.  Every reply starts with an
+    ``HTTP/1.1`` status line."""
     status_line = rfile.readline()
     if not status_line:
         return None
-    if not status_line.startswith(b"HTTP/"):
-        page = status_line + rfile.read()
-        code = re.search(rb"Error code: (\d{3})", page)
-        return int(code.group(1)), {"Connection": "close"}, page
+    assert status_line.startswith(b"HTTP/1.1 "), status_line[:80]
     headers = http.client.parse_headers(rfile)
     body = rfile.read(int(headers.get("Content-Length", 0)))
     return int(status_line.split()[1]), headers, body
+
+
+def assert_json_refusal(headers, body):
+    """A refusal in the server's one format: ``{"error": text}``."""
+    assert headers["Content-Type"] == "application/json"
+    error = json.loads(body)
+    assert list(error) == ["error"] and isinstance(error["error"], str)
 
 
 def exchange(server, data: bytes, half_close: bool = False):
@@ -253,10 +253,39 @@ def test_conflicting_lengths_end_the_connection(server):
            + str(len(body)).encode() + b"\r\n\r\n" + body)
     sock, rfile, reply = exchange(server, raw)
     try:
-        status, headers, _ = reply
+        status, headers, body = reply
         assert status == 400
         assert headers["Connection"] == "close"
+        assert_json_refusal(headers, body)
         assert read_reply(rfile) is None  # the smuggled POST got nothing
+    finally:
+        rfile.close()
+        sock.close()
+
+
+@pytest.mark.http
+@pytest.mark.usefixtures("require_loopback_bind")
+@pytest.mark.parametrize("raw, status", [
+    (b"GET /healthz HTTP/1.1.1\r\n\r\n", 400),   # unreadable version
+    (b"GET /healthz HTTP/2.0\r\n\r\n", 505),
+    (b"POST /healthz\r\n\r\n", 400),              # HTTP/0.9 is GET only
+    (b"GET /" + b"a" * 65540 + b" HTTP/1.1\r\n\r\n", 414),
+    (b"GET /healthz HTTP/1.1\r\n" + b"X: y\r\n" * 100 + b"\r\n", 431),
+], ids=["bad-version", "http2", "http09-post", "long-request-line",
+        "100-fields"])
+def test_a_refused_head_gets_a_status_line_and_a_json_body(server, raw,
+                                                          status):
+    """The stdlib's refusals are HTML pages, and one behind a version
+    it cannot read has no status line at all; here each is the server's
+    JSON error behind ``HTTP/1.1 <code>``, and the connection ends."""
+    sock, rfile, reply = exchange(server, raw)
+    try:
+        assert reply is not None
+        got, headers, body = reply
+        assert got == status
+        assert headers["Connection"] == "close"
+        assert_json_refusal(headers, body)
+        assert read_reply(rfile) is None
     finally:
         rfile.close()
         sock.close()
@@ -326,15 +355,16 @@ def malformed(draw):
 @given(malformed())
 def test_a_malformed_head_gets_a_4xx_and_leaves_the_connection_sound(
         server, case):
-    """Never a 5xx, never a hang past the client's timeout, and a
-    connection the server keeps answers the next request correctly;
-    one it ends reads EOF."""
+    """A status line and a JSON error, never a 5xx, never a hang past
+    the client's timeout, and a connection the server keeps answers the
+    next request correctly; one it ends reads EOF."""
     _kind, raw, complete = case
     sock, rfile, reply = exchange(server, raw, half_close=not complete)
     try:
         assert reply is not None, raw[:80]
-        status, headers, _ = reply
+        status, headers, body = reply
         assert 400 <= status < 500, (status, raw[:80])
+        assert_json_refusal(headers, body)
         if not complete:
             return
         if headers.get("Connection", "").lower() == "close":

@@ -139,7 +139,7 @@ class TestServeCommand:
         assert args.repeat == 3
         assert args.batch_size == 64
         assert not args.stats
-        assert not args.gateway and not args.hedge
+        assert not args.gateway
         assert args.tenant is None and args.tenant_file is None
 
     def test_serve_reports_stats(self, tmp_path, capsys):

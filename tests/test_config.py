@@ -85,7 +85,7 @@ class TestOptionBudget:
         from repro.gateway import GatewayConfig
         from repro.obs.diag import DiagConfig
         from repro.serve import ServeConfig
-        assert len(dataclasses.fields(ServeConfig)) <= 13
+        assert len(dataclasses.fields(ServeConfig)) <= 12
         assert len(dataclasses.fields(DiagConfig)) <= 5
         assert len(dataclasses.fields(GatewayConfig)) <= 2
 

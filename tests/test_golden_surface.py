@@ -72,7 +72,7 @@ FLIGHT_KEYS = [
     "batch_size", "queue_ms", "embed_ms",
     "distance_ms", "rank_ms", "latency_ms", "total_ms", "result_count",
     "plan_ops_total", "plan_ops_executed", "plan_stage_ms", "shards",
-    "hedge_wins", "model_version", "completed_at", "trace_retained",
+    "model_version", "completed_at", "trace_retained",
 ]
 
 #: fields every admitted request fills, whatever its outcome
@@ -99,15 +99,14 @@ VALUES = {
                  priority="interactive", source="model", cache="miss",
                  embedding_cached=False, batch_size=1, result_count=3,
                  plan_ops_total=3, plan_ops_executed=3, shards=2,
-                 hedge_wins=0, model_version=1, error="", fallback="",
+                 model_version=1, error="", fallback="",
                  trace_retained=True),
     "hit": dict(tenant="acme", structure="P(E)", admission="admitted",
                 source="answer_cache", cache="hit", result_count=3,
                 shards=0, error="", trace_retained=True),
     "emb_hit": dict(tenant="acme", structure="P(E)", source="model",
                     cache="miss", embedding_cached=True, batch_size=1,
-                    result_count=5, shards=2, hedge_wins=0,
-                    trace_retained=True),
+                    result_count=5, shards=2, trace_retained=True),
     "deadline": dict(tenant="acme", structure="P(E)",
                      admission="deadline", source="shed", error="deadline",
                      cache="miss", batch_size=1, result_count=0, shards=0,
@@ -203,7 +202,7 @@ def run():
     tracer = obs.Tracer()
     config = ServeConfig(
         max_batch_size=8, num_workers=1,
-        num_shards=2, hedge_shards=True, http_port=0,
+        num_shards=2, http_port=0,
         diag=DiagConfig(trace_latency_ms=0.0, trace_top_p=None))
     # no batch has run when the short deadline below is admitted, so no
     # estimate dooms it at the door: it queues behind the worker that

@@ -265,3 +265,10 @@ def test_request_heads_are_read_without_email():
         if isinstance(node, ast.FunctionDef)}
     assert [base.id for base in classes["Handler"].bases] == \
         ["_RequestHandler"]
+
+
+def test_no_straggler_hedging():
+    """A shard's reply comes from its worker only: no hedge policy, no
+    parent-side duplicate of a worker's computation, no hedge option or
+    counter, in any spelling."""
+    assert hits(r"(?i)hedge", "") == []
