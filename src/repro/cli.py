@@ -479,7 +479,7 @@ def cmd_flight(args) -> int:
         return 0
     header = ("request_id", "tenant", "structure", "source", "lat_ms",
               "total_ms", "queue_ms", "cache", "batch", "shards",
-              "error")
+              "trace", "error")
     rows = [header]
     for r in records:
         rows.append((
@@ -489,7 +489,9 @@ def cmd_flight(args) -> int:
             f"{r.get('total_ms', 0.0):.2f}",
             f"{r.get('queue_ms', 0.0):.2f}",
             r.get("cache", "") or "-", str(r.get("batch_size", 0)),
-            str(r.get("shards", 0)), r.get("error", "") or "-"))
+            str(r.get("shards", 0)),
+            "y" if r.get("trace_retained") else "-",
+            r.get("error", "") or "-"))
     widths = [max(len(row[i]) for row in rows)
               for i in range(len(header))]
     for row in rows:

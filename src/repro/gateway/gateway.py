@@ -198,7 +198,7 @@ class Gateway:
         ctx = RequestContext(self, self.diag, self.tracer, tenant=tenant,
                              priority=priority, admission="admitted")
         ctx.enter("gateway.request", tenant=tenant, priority=priority)
-        # by reference: the runtime's serve.request span nests under
+        # by reference: the runtime's serve.request layer nests under
         # the context's gateway.request root
         return self.runtime.submit(query, top_k, deadline=deadline, ctx=ctx,
                                    lane=state.lanes[priority])

@@ -14,7 +14,8 @@ The observability layer used by every tier of the stack:
 * :mod:`repro.obs.export` — Chrome trace-event and JSON-Lines writers;
 * :mod:`repro.obs.diag` — always-on production diagnostics: the
   per-request :class:`RequestContext` (one writer for the flight record,
-  the span tree and the histogram exemplar's id), flight recorder,
+  the stage stamps its span tree is rendered from at completion, and
+  the histogram exemplar's id), flight recorder,
   tail-based trace sampling, SLO burn-rate monitoring;
 * :mod:`repro.obs.prof` — the continuous sampling wall-clock profiler
   (budgeted overhead, cross-process folded stacks, speedscope export)

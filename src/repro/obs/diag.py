@@ -10,8 +10,9 @@ leave on under full load:
   reference through the batcher, the runtime and the shard worker pool.
   It carries the monotonic, pid-stamped request id
   (:func:`next_request_id`, ``r<pid-hex>-<counter>``), the request's
-  :class:`FlightRecord` and its open spans; every stage is timed once
-  and written to both through :meth:`RequestContext.stage`.  The id is
+  :class:`FlightRecord` and its stage stamps; every stage is timed once
+  and written to both through :meth:`RequestContext.stage`.  Spans are
+  a rendering of the stamps, made at completion.  The id is
   stamped on the shard worker spans the pool records and on histogram
   exemplars, and comes back on the
   :class:`~repro.serve.runtime.ServeResult` — every span, metric
@@ -26,11 +27,12 @@ leave on under full load:
   Dumpable via ``GET /debug/flight?n=100&tenant=...&min_ms=...`` and
   ``python -m repro.cli flight host:port``.
 
-* **Tail-based trace sampling** — while ``repro.obs`` tracing is
-  enabled, the :class:`TailSampler` decides *at request completion*
-  whether the request's full span tree is worth keeping: it finished
-  slow (fixed latency threshold and/or rolling top-p), errored or was
-  shed.  Retained trees live in a bounded ring keyed by
+* **Tail-based trace sampling** — the :class:`TailSampler` decides *at
+  request completion* whether the request's full span tree is worth
+  keeping: it finished slow (fixed latency threshold and/or rolling
+  top-p), errored or was shed.  Only a keeper's stamps are rendered as
+  spans (whether or not ``repro.obs`` tracing is on), and retained
+  trees live in a bounded ring keyed by
   request id (``GET /debug/trace/<request_id>`` exports Chrome trace
   JSON); everything else is discarded, so memory stays bounded no
   matter the traffic.  See DESIGN.md §10 for why the decision happens
@@ -60,14 +62,15 @@ import time
 from bisect import bisect_left, insort
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, fields
+from typing import Callable
 
 from .metrics import MetricsRegistry, get_registry
-from .trace import Span, Tracer, get_tracer, is_enabled
+from .trace import Span, Tracer, is_enabled
 
 __all__ = [
     "next_request_id", "FlightRecord", "FlightRecorder",
     "TailSampler", "SloObjective", "SloEngine", "DiagConfig",
-    "Diagnostics", "RequestContext", "collect_request_spans",
+    "Diagnostics", "RequestContext",
 ]
 
 # ----------------------------------------------------------------------
@@ -215,30 +218,6 @@ class FlightRecorder:
 # tail-based trace sampling
 # ----------------------------------------------------------------------
 
-def collect_request_spans(tracer: Tracer, root: Span) -> list[Span]:
-    """The finished-span subtree under ``root`` (root included).
-
-    Walks the tracer's finished ring once; called only for requests the
-    sampler decided to retain, so the O(ring) cost sits on the rare
-    path, never the happy one.
-    """
-    finished = tracer.finished()
-    children: dict[int, list[Span]] = {}
-    for span in finished:
-        if span.parent_id is not None:
-            children.setdefault(span.parent_id, []).append(span)
-    out = [span for span in finished if span.span_id == root.span_id]
-    if not out and root.end is not None:
-        out = [root]  # ring already evicted the root; keep it anyway
-    stack = [root.span_id]
-    while stack:
-        for child in children.get(stack.pop(), ()):
-            out.append(child)
-            stack.append(child.span_id)
-    out.sort(key=lambda s: (s.start, s.span_id))
-    return out
-
-
 class TailSampler:
     """Keep full traces only for the requests worth debugging.
 
@@ -274,24 +253,44 @@ class TailSampler:
         self.discarded = 0
 
     # ------------------------------------------------------------------
-    def decide(self, record: FlightRecord) -> str:
-        """Retention verdict: the reason to keep, or "" to drop.
+    def complete(self, record: FlightRecord,
+                 render: Callable[[], list[Span]]) -> str:
+        """One completion, under one hold of the lock: feed the rolling
+        window, decide, then keep the request's span tree or count it
+        discarded.
 
-        Also feeds the rolling latency window (every completion counts,
-        kept or not, so the top-p quantile tracks *all* traffic).
+        ``render()`` builds the tree and is called only for a request
+        worth keeping; one with no spans (shed at the door, before any
+        layer) is not kept.  Returns why it was kept, "" when it was
+        not.  Every completion feeds the window, kept or not, so the
+        top-p quantile tracks *all* traffic.
         """
         latency = max(record.latency_ms, record.total_ms)
+        with self._lock:
+            reason = self._verdict(record, latency)
+            spans = render() if reason else None
+            if not spans:
+                self.discarded += 1
+                return ""
+            traces = self._traces
+            traces[record.request_id] = spans
+            traces.move_to_end(record.request_id)
+            while len(traces) > self.max_traces:
+                traces.popitem(last=False)
+            self.retained += 1
+            return reason
+
+    def _verdict(self, record: FlightRecord, latency: float) -> str:
+        """The reason to keep, or "" to drop; the caller holds the lock."""
         cut = None
         if self.top_p is not None:  # the window exists for this rule only
-            with self._lock:
-                ordered = self._ordered
-                if len(ordered) >= self._warmup:  # cut of the window so far
-                    cut = ordered[int((1.0 - self.top_p)
-                                      * (len(ordered) - 1))]
-                if len(ordered) == self._latencies.maxlen:
-                    del ordered[bisect_left(ordered, self._latencies[0])]
-                self._latencies.append(latency)
-                insort(ordered, latency)
+            ordered = self._ordered
+            if len(ordered) >= self._warmup:  # cut of the window so far
+                cut = ordered[int((1.0 - self.top_p) * (len(ordered) - 1))]
+            if len(ordered) == self._latencies.maxlen:
+                del ordered[bisect_left(ordered, self._latencies[0])]
+            self._latencies.append(latency)
+            insort(ordered, latency)
         if record.error:
             return "error"
         if self.latency_threshold_ms is not None \
@@ -302,14 +301,6 @@ class TailSampler:
         if cut is not None and latency > cut:
             return "top_p"
         return ""
-
-    def retain(self, request_id: str, spans: list[Span]) -> None:
-        with self._lock:
-            self._traces[request_id] = spans
-            self._traces.move_to_end(request_id)
-            while len(self._traces) > self.max_traces:
-                self._traces.popitem(last=False)
-            self.retained += 1
 
     def trace(self, request_id: str) -> list[Span] | None:
         """The retained span tree of one request, or None."""
@@ -546,18 +537,17 @@ class DiagConfig:
 class Diagnostics:
     """Flight recorder + tail sampler + SLO engine behind one handle.
 
-    :meth:`commit` finalises one record — ring append, SLO observation,
-    and the tail-sampling verdict (collecting the span subtree from the
-    tracer only when the verdict is "keep").  Requests reach it through
+    :meth:`commit` finalises one record — the tail-sampling verdict
+    (rendering the request's span tree only when it is "keep"), SLO
+    observation, ring append.  Requests reach it through
     :meth:`RequestContext.finish`, which is what makes it exactly-once.
     """
 
     def __init__(self, config: DiagConfig | None = None,
                  registry: MetricsRegistry | None = None,
-                 tracer: Tracer | None = None, clock=time.monotonic):
+                 clock=time.monotonic):
         self.config = config or DiagConfig()
         self.registry = registry if registry is not None else get_registry()
-        self.tracer = tracer if tracer is not None else get_tracer()
         self.flight = FlightRecorder(self.config.flight_capacity)
         self.sampler = TailSampler(
             latency_threshold_ms=self.config.trace_latency_ms,
@@ -568,24 +558,15 @@ class Diagnostics:
 
     # ------------------------------------------------------------------
     def commit(self, record: FlightRecord,
-               root: Span | None = None) -> None:
-        """Finalise one record: ring, SLO, tail-sampling (``root`` is the
-        root span of the request's trace tree, None without tracing)."""
+               render: Callable[[], list[Span]] = list) -> None:
+        """Finalise one record: tail sampling, SLO, ring.  ``render``
+        builds the request's span tree; the sampler calls it only for a
+        request it keeps (the default builds none)."""
         record.completed_at = time.time()
+        record.trace_retained = bool(self.sampler.complete(record, render))
+        self.slo.observe(not record.error,
+                         max(record.latency_ms, record.total_ms))
         self.flight.append(record)
-        ok = not record.error
-        self.slo.observe(ok, max(record.latency_ms, record.total_ms))
-        reason = self.sampler.decide(record)
-        if reason and is_enabled() and root is not None:
-            spans = collect_request_spans(self.tracer, root)
-            if spans:
-                for span in spans:
-                    span.attrs.setdefault("request_id",
-                                          record.request_id)
-                self.sampler.retain(record.request_id, spans)
-                record.trace_retained = True
-        if not record.trace_retained:
-            self.sampler.discarded += 1
 
     # ------------------------------------------------------------------
     # HTTP payloads
@@ -630,13 +611,16 @@ class Diagnostics:
 # ----------------------------------------------------------------------
 
 #: the FlightRecord field a stage's duration lands in; a stage not listed
-#: (``serve.fallback``) is a span only
+#: (``serve.fallback``, the two admission stages) is a span only
 _STAGE_FIELDS = {
     "serve.queue": "queue_ms",
     "serve.embed": "embed_ms",
     "serve.distance": "distance_ms",
     "serve.rank": "rank_ms",
 }
+
+#: slots of one stamp in a context's flat ``stamps`` list
+_SLOTS = 6
 
 
 class RequestContext:
@@ -646,16 +630,24 @@ class RequestContext:
     reference — gateway → ``ServeRuntime.submit(ctx=)`` → the batcher →
     ``ShardedRanker.topk(ctx)`` → ``ShardWorkerPool.dispatch(ctx)`` — so
     no layer looks another layer's record up by id.  It holds the
-    request id, the :class:`FlightRecord` and the request's open spans
-    (None while tracing is off), and is the only writer of record and
-    spans alike: :meth:`note` fills record fields, :meth:`stage` turns
-    one pair of instants into a ``*_ms`` field *and* the same-named
-    span, so the two agree by construction.
+    request id, the :class:`FlightRecord` and the request's stamps, and
+    is the only writer of both: :meth:`note` fills record fields,
+    :meth:`stage` turns one pair of ``perf_counter`` instants into a
+    ``*_ms`` field *and* a stamp, so the two agree by construction.
 
-    A request is inside at most two layers at once — the door that
-    minted the context and, under a gateway, the runtime — so the open
-    spans are two slots, ``root`` and ``span`` (the innermost), not a
-    stack: a context is one allocation beside its record.
+    A stamp is six slots, ``name, start, end, thread, attrs, parent``:
+    ``thread`` is the name of the thread that took it, ``attrs`` a dict
+    that may be shared with the request's batch siblings (read, never
+    written) or None, and ``parent`` the offset of the stamp of the
+    layer it sits in (-1 for the first layer).  The layers a request
+    enters (``gateway.request``, ``serve.request``) are stamps whose
+    ``end`` stays None until they close.  All stamps share one flat
+    list: the garbage collector counts every container a request keeps
+    alive, and a batch holds hundreds of requests at once (a list per
+    stamp tripled the full collections of an in-process batch run).
+    Nothing is written to a tracer while the request runs: :meth:`spans`
+    renders the stamps as a span tree at completion, and only for a
+    request the tail sampler keeps or while tracing is on.
 
     Ownership: ``owner`` is whoever minted the context.  Whoever ends
     the request — the door for a shed there, else the runtime, before
@@ -665,8 +657,8 @@ class RequestContext:
     nothing else holds it.
     """
 
-    __slots__ = ("owner", "request_id", "record", "root", "span", "_diag",
-                 "_tracer", "finished")
+    __slots__ = ("owner", "request_id", "record", "stamps", "_inner",
+                 "_above", "_diag", "_tracer", "finished")
 
     #: guards every context's ``finished`` flag; held for one
     #: test-and-set, so sharing it costs less than a lock per request
@@ -677,38 +669,45 @@ class RequestContext:
         self.owner = owner
         self.request_id = request_id or next_request_id()
         self.record = FlightRecord(self.request_id, **fields)
-        #: root of the request's trace tree (the first span entered) and
-        #: the innermost span still open
-        self.root: Span | None = None
-        self.span: Span | None = None
+        self.stamps: list = []
+        #: offset of the innermost open layer's stamp (-1: none open)
+        self._inner = -1
+        #: id of the span the minting thread had open when the first
+        #: layer was entered (the rendered root's parent), or None
+        self._above: int | None = None
         self._diag = diag
         self._tracer = tracer
         self.finished = False
 
-    def enter(self, name: str, **attrs) -> Span | None:
-        """Open one layer's span (``gateway.request``, ``serve.request``).
+    def enter(self, name: str, **attrs) -> None:
+        """Open one layer (``gateway.request``, ``serve.request``).
 
-        It nests under the previous layer's span; the first one nests
-        under whatever span is current on the calling thread and becomes
-        the root of the request's trace tree.
+        It nests under the innermost open layer; the first one nests
+        under whatever span is current on the calling thread and is the
+        root of the request's tree.
         """
-        self.span = self._tracer.start_span(
-            name, parent=self.span, **attrs, request_id=self.request_id)
-        if self.root is None:
-            self.root = self.span
-        return self.span
+        if self._inner < 0:
+            above = self._tracer.current()
+            self._above = None if above is None else above.span_id
+        self.stamps += (name, time.perf_counter(), None,
+                        threading.current_thread().name, attrs,
+                        self._inner)
+        self._inner = len(self.stamps) - _SLOTS
 
     def tag(self, **attrs) -> None:
-        """Attributes on the innermost open span."""
-        if self.span is not None:
-            self.span.attrs.update(attrs)
+        """Attributes on the innermost open layer."""
+        if self._inner >= 0:
+            self.stamps[self._inner + 4].update(attrs)
 
     def leave(self, **attrs) -> None:
-        """Tag and end the innermost open span; the root is innermost
-        again (or nothing is, when it was the root that ended)."""
-        self.tag(**attrs)
-        self._tracer.end_span(self.span)
-        self.span = None if self.span is self.root else self.root
+        """Tag and close the innermost open layer; the one it sits in
+        is innermost again."""
+        at = self._inner
+        if at >= 0:
+            stamps = self.stamps
+            stamps[at + 4].update(attrs)
+            stamps[at + 2] = time.perf_counter()
+            self._inner = stamps[at + 5]
 
     def note(self, **fields) -> None:
         """Fill :class:`FlightRecord` fields."""
@@ -716,29 +715,54 @@ class RequestContext:
         for name, value in fields.items():
             setattr(record, name, value)
 
-    def stage(self, name: str, start: float, end: float, **attrs) -> None:
+    def stage(self, name: str, start: float, end: float,
+              attrs: dict | None = None) -> None:
         """One timed stage, ``perf_counter`` instants: the record's
-        ``*_ms`` field and a ``name`` span under the innermost layer."""
+        ``*_ms`` field and a ``name`` stamp under the innermost layer."""
         field_name = _STAGE_FIELDS.get(name)
         if field_name is not None:
             setattr(self.record, field_name, 1000.0 * (end - start))
-        if self.span is not None:
-            self._tracer.record(name, start, end, parent=self.span,
-                                **attrs)
+        self.stamps += (name, start, end, threading.current_thread().name,
+                        attrs, self._inner)
+
+    def spans(self) -> list[Span]:
+        """The stamps rendered as the request's span tree, oldest first:
+        ids from the tracer's counter, every span tagged with the
+        request id.  Meant for a finished request: a layer still open
+        renders with no end."""
+        stamps = self.stamps
+        ids = [self._tracer.new_id() for _ in range(0, len(stamps), _SLOTS)]
+        pid = os.getpid()
+        out = []
+        for at in range(0, len(stamps), _SLOTS):
+            name, start, end, thread, attrs, parent = stamps[at:at + _SLOTS]
+            out.append(Span(
+                name, start, end, ids[at // _SLOTS],
+                self._above if parent < 0 else ids[parent // _SLOTS],
+                thread, dict(attrs or (), request_id=self.request_id), pid))
+        out.sort(key=lambda span: (span.start, span.span_id))
+        return out
 
     def finish(self, **fields) -> bool:
-        """Fill the last fields, end every open span, commit the record.
+        """Fill the last fields, close every open layer, commit.
 
-        Idempotent and safe under a race: the first call wins (returns
-        True), any later one changes nothing.
+        The tree is rendered here while tracing is on (and lands in the
+        tracer's ring); otherwise only if the tail sampler keeps the
+        request.  Idempotent and safe under a race: the first call wins
+        (returns True), any later one changes nothing.
         """
         with self._finish_lock:
             if self.finished:
                 return False
             self.finished = True
         self.note(**fields)
-        self._tracer.end_span(self.span)
-        self._tracer.end_span(self.root)
+        while self._inner >= 0:
+            self.leave()
+        render = self.spans
+        if is_enabled():
+            spans = self.spans()
+            self._tracer.add(spans)
+            render = spans.copy
         if self._diag is not None:
-            self._diag.commit(self.record, self.root)
+            self._diag.commit(self.record, render)
         return True

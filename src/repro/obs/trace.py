@@ -7,18 +7,16 @@ one thread, spans nest automatically through a thread-local stack::
         with tracer.span("gather"):
             ...
 
-Work that crosses threads (the serve runtime hands requests from the
-submitting thread to the worker thread that pulls them) attaches
-explicitly: the submitter creates a root with :meth:`Tracer.start_span`,
-carries it on the request object, and the worker either *activates* it
-(``with tracer.activate(root): ...``) so new spans nest under it, or
-records pre-timed child intervals with :meth:`Tracer.record` — the way a
-batched stage attributes one measured interval to every request in the
-batch.
+Work timed elsewhere is recorded as pre-timed intervals with
+:meth:`Tracer.record` (the shard plane records each worker's reply
+this way).  A served request's own tree is not written here while it
+runs: its :class:`~repro.obs.diag.RequestContext` keeps the stage
+stamps, and at completion renders them as spans with ids from
+:meth:`Tracer.new_id` and hands them to :meth:`Tracer.add`.
 
 Everything is guarded by the module-level enabled flag (:func:`enable` /
 :func:`disable`): while disabled, :meth:`Tracer.span` returns a shared
-no-op context manager and :meth:`Tracer.start_span` returns None, so
+no-op context manager and :meth:`Tracer.record` returns None, so
 instrumented code paths cost one global read and a function call.
 """
 
@@ -147,33 +145,6 @@ class _SpanContext:
         return False
 
 
-class _Activation:
-    """Context manager pushing an existing span onto this thread's stack."""
-
-    __slots__ = ("_tracer", "_span", "_pushed")
-
-    def __init__(self, tracer: "Tracer", span: Span | None):
-        self._tracer = tracer
-        self._span = span
-        self._pushed = False
-
-    def __enter__(self) -> Span | None:
-        if self._span is not None:
-            self._tracer._stack().append(self._span)
-            self._pushed = True
-        return self._span
-
-    def __exit__(self, *exc_info) -> bool:
-        if self._pushed:
-            stack = self._tracer._stack()
-            if self._span in stack:
-                # pop down to (and including) the activated span; inner
-                # spans left open by an exception are abandoned unfinished
-                while stack and stack.pop() is not self._span:
-                    pass
-        return False
-
-
 class Tracer:
     """Collects span trees; thread-safe, bounded memory.
 
@@ -205,36 +176,12 @@ class Tracer:
             return _NULL_CONTEXT
         return _SpanContext(self, name, attrs)
 
-    def start_span(self, name: str, parent: Span | None = None,
-                   **attrs) -> Span | None:
-        """Begin a span without activating it (for cross-thread roots).
-
-        Returns None while tracing is disabled; pair with
-        :meth:`end_span`, which tolerates None.
-        """
-        if not _ENABLED:
-            return None
-        if parent is None:
-            parent = self.current()
-        return Span(name=name, start=self._clock(), span_id=next(self._ids),
-                    parent_id=None if parent is None else parent.span_id,
-                    thread=threading.current_thread().name, attrs=dict(attrs),
-                    pid=self._pid)
-
-    def end_span(self, span: Span | None) -> None:
-        """Finish a span produced by :meth:`start_span` (None is a no-op)."""
-        if span is None or span.end is not None:
-            return
-        span.end = self._clock()
-        self._store(span)
-
     def record(self, name: str, start: float, end: float,
                parent: Span | None = None, pid: int | None = None,
                **attrs) -> Span | None:
-        """Record a pre-timed interval (e.g. one batched stage shared by
-        several request roots).  ``pid`` names the process that did the
-        work when it is not this one (a shard worker whose reply carried
-        the interval)."""
+        """Record a pre-timed interval.  ``pid`` names the process that
+        did the work when it is not this one (a shard worker whose reply
+        carried the interval)."""
         if not _ENABLED:
             return None
         span = Span(name=name, start=start, end=end,
@@ -242,16 +189,27 @@ class Tracer:
                     parent_id=None if parent is None else parent.span_id,
                     thread=threading.current_thread().name, attrs=dict(attrs),
                     pid=self._pid if pid is None else pid)
-        self._store(span)
+        self.add((span,))
         return span
 
-    def activate(self, span: Span | None) -> "_Activation":
-        """Make ``span`` the current parent for this thread's new spans.
+    def new_id(self) -> int:
+        """A fresh span id from this tracer's counter."""
+        return next(self._ids)
 
-        Accepts None (the disabled-mode :meth:`start_span` result) and
-        does nothing in that case, so call sites need no guard.
-        """
-        return _Activation(self, span)
+    def add(self, spans) -> None:
+        """Put finished spans built elsewhere (a request's rendered
+        record) in the ring and the stage totals, under one lock hold."""
+        with self._lock:
+            for span in spans:
+                self._finished.append(span)
+                duration = span.duration
+                entry = self._totals.get(span.name)
+                if entry is None:
+                    self._totals[span.name] = [1, duration, duration]
+                else:
+                    entry[0] += 1
+                    entry[1] += duration
+                    entry[2] = max(entry[2], duration)
 
     def current(self) -> Span | None:
         """The innermost active span on this thread, if any."""
@@ -310,19 +268,7 @@ class Tracer:
         elif span in stack:  # unbalanced exit: drop down to it
             while stack and stack.pop() is not span:
                 pass
-        self._store(span)
-
-    def _store(self, span: Span) -> None:
-        duration = span.duration
-        with self._lock:
-            self._finished.append(span)
-            entry = self._totals.get(span.name)
-            if entry is None:
-                self._totals[span.name] = [1, duration, duration]
-            else:
-                entry[0] += 1
-                entry[1] += duration
-                entry[2] = max(entry[2], duration)
+        self.add((span,))
 
 
 # The process-wide default tracer used by the instrumented layers

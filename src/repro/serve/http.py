@@ -580,7 +580,7 @@ class TelemetryHTTPServer:
                 self._json_error(
                     handler, 404,
                     f"no retained trace for {request_id!r} (not "
-                    f"tail-sampled, evicted, or tracing disabled)")
+                    f"tail-sampled, shed at the door, or evicted)")
                 return
             from ..obs.export import chrome_trace_events
             body = json.dumps({"traceEvents":

@@ -185,10 +185,13 @@ class ServeRuntime:
         Runtime knobs and an injectable monotonic clock (tests).
     tracer:
         Optional :class:`repro.obs.Tracer`; defaults to the process-wide
-        tracer.  While ``repro.obs`` tracing is enabled, every request
-        produces a span tree (request → canonicalise / cache_lookup /
-        queue / embed / distance / rank, or the fallback stages), and
-        :meth:`stats` folds per-stage timings into the snapshot.
+        tracer.  It numbers the spans of every request tree rendered
+        from a context's stamps (request → canonicalise / cache_lookup /
+        queue / embed / distance / rank, or the fallback stages): a tree
+        the tail sampler keeps, and while ``repro.obs`` tracing is
+        enabled every tree, which then also lands in the tracer's ring
+        so :meth:`stats` folds per-stage timings into the snapshot.
+        Compiled plans and the shard plane trace into it directly.
     """
 
     def __init__(self, model: QueryModel, kg: KnowledgeGraph | None = None,
@@ -236,8 +239,7 @@ class ServeRuntime:
         self.diag: Diagnostics | None = None
         if self.config.diagnostics:
             self.diag = Diagnostics(self.config.diag,
-                                    registry=self.metrics,
-                                    tracer=self.tracer, clock=clock)
+                                    registry=self.metrics, clock=clock)
         self._closed = False
         self._close_lock = threading.Lock()
         self._model_lock = _RWLock()
@@ -351,17 +353,16 @@ class ServeRuntime:
         becomes a walk; a walk handed in is taken as it is."""
         self._requests.inc()
         now = self._clock()
-        tracer = self.tracer
         if ctx is None:
-            ctx = RequestContext(self, self.diag, tracer)
-        root = ctx.enter("serve.request", top_k=top_k)
+            ctx = RequestContext(self, self.diag, self.tracer)
+        ctx.enter("serve.request", top_k=top_k)
         try:
-            with tracer.activate(root):
-                with tracer.span("serve.canonicalise"):
-                    walked = query if isinstance(query, Walk) \
-                        else walk(query)
-                with tracer.span("serve.cache_lookup"):
-                    cached = self._answers.get((walked.key, top_k))
+            started = time.perf_counter()
+            walked = query if isinstance(query, Walk) else walk(query)
+            walked_at = time.perf_counter()
+            cached = self._answers.get((walked.key, top_k))
+            ctx.stage("serve.canonicalise", started, walked_at)
+            ctx.stage("serve.cache_lookup", walked_at, time.perf_counter())
             ctx.note(structure=walked.structure,
                      model_version=self._model_version,
                      cache="miss" if cached is None else "hit")
@@ -805,8 +806,8 @@ class ServeRuntime:
                 ctx.note(**fields)
                 if embedded:
                     ctx.stage("serve.embed", embed_start, embed_end,
-                              **embed_attrs)
-                ctx.stage("serve.distance", started, split, **attrs)
+                              embed_attrs)
+                ctx.stage("serve.distance", started, split, attrs)
                 ctx.stage("serve.rank", split, ended)
                 # a request's top_k prefix of the widest selection is
                 # exactly its own top-k: the order is total
@@ -829,8 +830,8 @@ class ServeRuntime:
             ids = None
         if ids is not None:
             request.ctx.stage("serve.fallback", started,
-                              time.perf_counter(), reason=reason,
-                              path="exact")
+                              time.perf_counter(),
+                              {"reason": reason, "path": "exact"})
             self._resolve(request, ids, source="exact")
             return
         self._refuse(request.ctx, request.submitted_at, reason)

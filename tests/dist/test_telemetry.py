@@ -13,8 +13,7 @@ guarantees that makes:
   or off;
 * a stale reply adds no series and no span, however large the counts
   it carries, and a respawned worker's recomputation is counted exactly
-  once (exactly-once under hedging is ``test_hedging.py`` and
-  ``test_diag_ids.py``);
+  once (a request's adopted worker spans are ``test_diag_ids.py``);
 * the serving runtime's ``/healthz`` flips 503 on a SIGKILLed shard
   worker and back to 200 once supervision respawns it.
 """

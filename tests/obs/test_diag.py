@@ -111,38 +111,66 @@ class TestTailSampler:
         return FlightRecord(request_id="r", latency_ms=latency_ms,
                             error=error)
 
+    @staticmethod
+    def verdict(sampler, record):
+        """The sampler's verdict on a completion with a tree to keep."""
+        return sampler.complete(record, lambda: ["tree"])
+
     def test_error_always_retained(self):
         sampler = TailSampler(top_p=None)
-        assert sampler.decide(self.record(error="deadline")) == "error"
+        assert self.verdict(sampler, self.record(error="deadline")) == "error"
 
     def test_latency_threshold(self):
         sampler = TailSampler(latency_threshold_ms=10.0, top_p=None)
-        assert sampler.decide(self.record(latency_ms=9.0)) == ""
-        assert sampler.decide(self.record(latency_ms=10.0)) == "slow"
+        assert self.verdict(sampler, self.record(latency_ms=9.0)) == ""
+        assert self.verdict(sampler, self.record(latency_ms=10.0)) == "slow"
 
     def test_top_p_needs_warmup(self):
         sampler = TailSampler(top_p=0.05, warmup=50)
         # a huge outlier before warmup is NOT retained: with no history
         # the quantile is meaningless, so the sampler stays quiet
-        assert sampler.decide(self.record(latency_ms=1e6)) == ""
+        assert self.verdict(sampler, self.record(latency_ms=1e6)) == ""
 
     def test_top_p_catches_the_rolling_tail(self):
         sampler = TailSampler(top_p=0.05, warmup=50)
         for _ in range(100):
-            assert sampler.decide(self.record(latency_ms=1.0)) == ""
-        assert sampler.decide(self.record(latency_ms=50.0)) == "top_p"
+            assert self.verdict(sampler, self.record(latency_ms=1.0)) == ""
+        assert self.verdict(sampler, self.record(latency_ms=50.0)) == "top_p"
         # and the fast path stays unretained afterwards
-        assert sampler.decide(self.record(latency_ms=1.0)) == ""
+        assert self.verdict(sampler, self.record(latency_ms=1.0)) == ""
 
     def test_retain_ring_bounded_by_max_traces(self):
         sampler = TailSampler(max_traces=2)
         for index in range(4):
-            sampler.retain(f"r{index}", [])
+            sampler.complete(FlightRecord(f"r{index}", error="shed"),
+                             lambda index=index: [index])
         assert len(sampler) == 2
         assert sampler.request_ids() == ["r2", "r3"]
         assert sampler.trace("r0") is None
-        assert sampler.trace("r3") == []
-        assert sampler.retained == 4
+        assert sampler.trace("r3") == [3]
+        assert (sampler.retained, sampler.discarded) == (4, 0)
+
+    def test_a_keeper_without_spans_is_counted_discarded(self):
+        """A request shed at the door entered no layer: the verdict
+        says keep, but there is no tree, so nothing is retained."""
+        sampler = TailSampler(top_p=None)
+        assert sampler.complete(self.record(error="ratelimit"), list) == ""
+        assert (sampler.retained, sampler.discarded, len(sampler)) == \
+            (0, 1, 0)
+
+    def test_render_runs_only_for_a_keeper(self):
+        sampler = TailSampler(latency_threshold_ms=10.0, top_p=None)
+        calls = []
+
+        def render():
+            calls.append(1)
+            return ["tree"]
+
+        assert sampler.complete(self.record(latency_ms=1.0), render) == ""
+        assert calls == []
+        assert sampler.complete(self.record(latency_ms=20.0),
+                                render) == "slow"
+        assert calls == [1]
 
     @staticmethod
     def sort_every_time(sampler_args, records):
@@ -192,7 +220,7 @@ class TestTailSampler:
             record.total_ms = rng.choice([0.0, record.latency_ms + 1.0])
             records.append(record)
         sampler = TailSampler(**sampler_args)
-        got = [sampler.decide(record) for record in records]
+        got = [self.verdict(sampler, record) for record in records]
         want = list(self.sort_every_time(sampler_args, records))
         assert got == want
         assert {"error", ""} <= set(want)
@@ -209,7 +237,7 @@ class TestTailSampler:
 
         def complete(seed):
             for step in range(500):
-                sampler.decide(self.record(
+                self.verdict(sampler, self.record(
                     latency_ms=float((seed * 7919 + step * 31) % 97)))
 
         threads = [threading.Thread(target=complete, args=(seed,))
@@ -414,47 +442,97 @@ class TestRequestContext:
         assert diag.flight.total == 0
 
     def test_stage_writes_field_and_span_from_one_pair_of_instants(self):
-        with obs.enabled():
-            tracer = obs.Tracer()
-            ctx = RequestContext("owner", self.diag(), tracer)
-            root = ctx.enter("serve.request", top_k=3)
-            ctx.stage("serve.rank", 10.0, 10.25, batch_size=1)
-            ctx.stage("serve.fallback", 11.0, 11.5)  # span only
-            ctx.finish()
-            (rank,) = [s for s in tracer.finished()
-                       if s.name == "serve.rank"]
-            assert rank.parent_id == root.span_id
-            assert rank.attrs == {"batch_size": 1}
-            assert ctx.record.rank_ms == rank.duration_ms == 250.0
-            assert root.end is not None  # finish closed the open layer
-            assert root.attrs == {"top_k": 3,
-                                  "request_id": ctx.request_id}
+        diag = self.diag(trace_latency_ms=0.0)
+        ctx = self.context(diag)
+        ctx.enter("serve.request", top_k=3)
+        ctx.stage("serve.rank", 10.0, 10.25, {"batch_size": 1})
+        ctx.stage("serve.fallback", 11.0, 11.5)  # span only
+        ctx.finish()
+        spans = {s.name: s for s in diag.trace(ctx.request_id)}
+        root, rank = spans["serve.request"], spans["serve.rank"]
+        assert rank.parent_id == spans["serve.fallback"].parent_id \
+            == root.span_id
+        assert rank.attrs == {"batch_size": 1,
+                              "request_id": ctx.request_id}
+        assert ctx.record.rank_ms == rank.duration_ms == 250.0
+        assert root.end is not None  # finish closed the open layer
+        assert root.attrs == {"top_k": 3, "request_id": ctx.request_id}
 
     def test_layers_nest_and_the_first_is_the_root(self):
+        ctx = RequestContext("owner", None, obs.Tracer())
+        ctx.enter("gateway.request")
+        ctx.enter("serve.request")
+        ctx.leave(source="model")
+        ctx.stage("gateway.queue", 1.0, 2.0)  # now under the root
+        ctx.finish()
+        spans = {s.name: s for s in ctx.spans()}
+        outer, inner = spans["gateway.request"], spans["serve.request"]
+        assert outer.parent_id is None
+        assert inner.parent_id == outer.span_id
+        assert spans["gateway.queue"].parent_id == outer.span_id
+        assert inner.attrs["source"] == "model"
+        # leave closed the inner layer; finish closed the root later
+        assert outer.start <= inner.start <= inner.end <= outer.end
+
+    def test_the_root_nests_under_the_callers_open_span(self):
+        """A request begun inside a traced caller (the SPARQL engine's
+        ``sparql.answer``) hangs its tree under that caller's span."""
         with obs.enabled():
             tracer = obs.Tracer()
-            ctx = RequestContext("owner", None, tracer)
-            outer = ctx.enter("gateway.request")
-            inner = ctx.enter("serve.request")
-            assert inner.parent_id == outer.span_id
-            assert ctx.root is outer
-            ctx.leave(source="model")
-            assert inner.end is not None and outer.end is None
-            assert inner.attrs["source"] == "model"
-            ctx.stage("gateway.queue", 1.0, 2.0)  # now under the root
-            (queue,) = [s for s in tracer.finished()
-                        if s.name == "gateway.queue"]
-            assert queue.parent_id == outer.span_id
+            with tracer.span("sparql.answer") as caller:
+                ctx = RequestContext("owner", None, tracer)
+                ctx.enter("serve.request")
+            ctx.finish()
+        (root,) = [s for s in tracer.finished()
+                   if s.name == "serve.request"]
+        assert root.parent_id == caller.span_id
 
     def test_tracing_off_means_no_spans_but_the_same_record(self):
         tracer = obs.Tracer()
         ctx = RequestContext("owner", None, tracer)
-        assert ctx.enter("serve.request") is None
+        ctx.enter("serve.request")
         ctx.tag(structure="P(E)")
         ctx.stage("serve.queue", 0.0, 0.002)
         ctx.leave(source="model")
+        ctx.finish()
         assert ctx.record.queue_ms == 2.0
         assert tracer.finished() == []
+        assert tracer.stage_stats() == {}
+
+    def test_a_kept_tree_is_the_same_with_tracing_on_and_off(
+            self, monkeypatch):
+        """Spans are a rendering of the stamps: the tracing flag decides
+        only whether the tree also lands in the tracer's ring."""
+        from types import SimpleNamespace
+
+        import repro.obs.diag as diag_module
+
+        def run(tracing):
+            ticks = iter(range(100, 200))
+            monkeypatch.setattr(diag_module, "time", SimpleNamespace(
+                perf_counter=lambda: float(next(ticks)), time=time.time))
+            diag = self.diag(trace_latency_ms=0.0)
+            tracer = obs.Tracer()
+            with obs.enabled(tracing):
+                ctx = RequestContext("owner", diag, tracer)
+                ctx.enter("gateway.request", tenant="acme")
+                ctx.enter("serve.request", top_k=3)
+                ctx.stage("serve.canonicalise", 101.0, 101.5)
+                ctx.stage("serve.queue", 101.5, 102.0)
+                ctx.stage("serve.embed", 102.0, 103.0, {"batch_size": 1})
+                ctx.leave(source="model")
+                ctx.finish(latency_ms=5.0)
+            tree = diag.trace(ctx.request_id)
+            assert ctx.record.trace_retained
+            assert tracer.finished() == (tree if tracing else [])
+            return [(s.name, s.span_id, s.parent_id, s.start, s.end,
+                     s.thread) for s in tree]
+
+        traced, untraced = run(True), run(False)
+        assert traced == untraced
+        assert [name for name, *_ in traced] == [
+            "gateway.request", "serve.request", "serve.canonicalise",
+            "serve.queue", "serve.embed"]
 
 
 class TestDiagnostics:
@@ -465,7 +543,7 @@ class TestDiagnostics:
 
     def test_commit_is_exactly_once(self):
         diag = self.diag()
-        ctx = RequestContext("owner", diag, diag.tracer)
+        ctx = RequestContext("owner", diag, obs.get_tracer())
         assert ctx.finish(latency_ms=1.0)
         assert not ctx.finish(latency_ms=99.0)  # second finish: no-op
         assert diag.flight.total == 1
@@ -504,18 +582,51 @@ class TestDiagnostics:
         assert top["latency_ms"] == 19.0
         assert payload["windows"]["fast"] == [300.0, 3600.0, 14.4]
 
-    def test_trace_retention_requires_enabled_tracing(self):
-        """With tracing off there is no span tree to keep: finish still
-        records the flight entry but retains nothing."""
+    def test_trace_retention_needs_no_enabled_tracing(self):
+        """With tracing off a kept request's stamps are still rendered
+        at completion: the tree is retained, and nothing lands in the
+        tracer's ring."""
+        tracer = obs.Tracer()
         diag = Diagnostics(DiagConfig(trace_latency_ms=0.0,
                                       trace_top_p=None),
                            registry=MetricsRegistry())
-        ctx = RequestContext("owner", diag, diag.tracer)
+        ctx = RequestContext("owner", diag, tracer)
         ctx.enter("serve.request")
         ctx.finish(latency_ms=99.0)
         assert diag.flight.total == 1
-        assert not ctx.record.trace_retained
-        assert diag.trace(ctx.request_id) is None
+        assert ctx.record.trace_retained
+        assert [s.name for s in diag.trace(ctx.request_id)] == \
+            ["serve.request"]
+        assert tracer.finished() == []
+
+    def test_sampler_counts_every_commit_under_concurrency(self):
+        """Eight threads committing at once: every completion is counted
+        kept or discarded, none lost between the two counters."""
+        diag = Diagnostics(DiagConfig(trace_latency_ms=5.0),
+                           registry=MetricsRegistry())
+
+        def commit(seed):
+            for step in range(2000):
+                diag.commit(FlightRecord(
+                    f"r{seed}-{step}",
+                    latency_ms=float((seed + step) % 10)),
+                    lambda: ["tree"])
+
+        threads = [threading.Thread(target=commit, args=(seed,))
+                   for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        sampler = diag.sampler
+        assert sampler.retained + sampler.discarded == 16_000
+        assert sampler.retained and sampler.discarded
 
     def test_trace_retention_keeps_the_span_subtree(self):
         registry = MetricsRegistry()
@@ -523,7 +634,7 @@ class TestDiagnostics:
             tracer = obs.get_tracer()
             diag = Diagnostics(DiagConfig(trace_latency_ms=0.0,
                                           trace_top_p=None),
-                               registry=registry, tracer=tracer)
+                               registry=registry)
             ctx = RequestContext("owner", diag, tracer)
             ctx.enter("serve.request")
             ctx.stage("serve.embed", time.perf_counter(),
@@ -542,7 +653,7 @@ class TestDiagnostics:
             tracer = obs.get_tracer()
             diag = Diagnostics(DiagConfig(trace_latency_ms=1000.0,
                                           trace_top_p=None),
-                               registry=MetricsRegistry(), tracer=tracer)
+                               registry=MetricsRegistry())
             ctx = RequestContext("owner", diag, tracer)
             ctx.enter("serve.request")
             ctx.finish(latency_ms=0.5)

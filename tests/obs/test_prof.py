@@ -349,7 +349,14 @@ class TestAttribution:
         Nothing here reads a clock to decide anything: a stage is a
         fixed count of loop iterations (so a loaded machine stretches
         both stages alike and the shares stand), and a run lasts until
-        the sampler holds enough samples, however long that takes.
+        the sampler holds enough samples of the workload thread, however
+        long that takes.  The rate is pinned (``min_hz`` = ``hz``): a
+        pass that loses the GIL mid-walk costs milliseconds, and the
+        overhead budget halved the rate down to 3 Hz, past the minute
+        this test waits.  Samples land where the GIL changes hands, so
+        they are not independent draws: at 150 of them the slowed
+        stage's share spread from 0.69 to 0.87 around its 0.8, and the
+        0.7 bound below failed about one run in twenty.
         """
         unit = 20_000  # iterations; about a millisecond
 
@@ -361,7 +368,11 @@ class TestAttribution:
             for _ in range(units * unit):
                 pass
 
-        def _profiled_run(fast_units, slow_units, samples=300):
+        def workload_samples(profile):
+            return sum(count for stack, count in profile.stacks.items()
+                       if stack.startswith("workload;"))
+
+        def _profiled_run(fast_units, slow_units, samples=600):
             stop = threading.Event()
 
             def work():
@@ -370,11 +381,11 @@ class TestAttribution:
                     _stage_slowed(slow_units)
 
             worker = threading.Thread(target=work, name="workload")
-            sampler = SamplingProfiler(hz=400, role="bench")
+            sampler = SamplingProfiler(hz=400, min_hz=400, role="bench")
             give_up = time.monotonic() + 60.0
             with sampler:
                 worker.start()
-                while sampler.snapshot().samples < samples \
+                while workload_samples(sampler.snapshot()) < samples \
                         and time.monotonic() < give_up:
                     time.sleep(0.02)
                 stop.set()
@@ -390,7 +401,8 @@ class TestAttribution:
 
         baseline = _profiled_run(2, 2)
         latest = _profiled_run(2, 8)  # inject a 4x slowdown
-        assert baseline.samples >= 300 and latest.samples >= 300
+        assert workload_samples(baseline) >= 600 \
+            and workload_samples(latest) >= 600
         riser = max(diff_profiles(baseline, latest, limit=50),
                     key=lambda row: row["delta_share"])
         assert "_stage_slowed" in riser["frame"], (

@@ -26,6 +26,7 @@ from repro.queries import Entity, Projection
 from repro.serve import ServeConfig, ServeRuntime
 from repro.serve import runtime as runtime_module
 
+from ..test_golden_surface import TREE_EDGES
 from .conftest import HookedModel
 
 pytestmark = [pytest.mark.diag, pytest.mark.http,
@@ -139,6 +140,30 @@ class TestDebugSloAndTrace:
         assert events
         names = {e["name"] for e in events if e.get("ph") == "X"}
         assert "serve.request" in names
+
+    def test_stock_runtime_serves_a_kept_trace(self, model, tiny_kg):
+        """No ``obs.enable()`` anywhere: a kept request's tree is still
+        rendered from its record, so ``/debug/trace/<id>`` answers 200
+        with the edges the golden surface freezes for a miss."""
+        config = ServeConfig(
+            max_batch_size=4, num_workers=1, http_port=0,
+            diag=DiagConfig(trace_latency_ms=0.0, trace_top_p=None))
+        assert not obs.is_enabled()
+        with ServeRuntime(model, kg=tiny_kg, config=config) as runtime:
+            gateway = Gateway(runtime, GatewayConfig())
+            try:
+                result = gateway.answer(distinct_queries(tiny_kg, 1)[0],
+                                        top_k=3, tenant="acme")
+                payload = get_json(f"{runtime.http_server.url}"
+                                   f"/debug/trace/{result.request_id}")
+            finally:
+                gateway.close()
+        spans = [e for e in payload["traceEvents"] if e.get("ph") == "X"]
+        names = {e["args"]["span_id"]: e["name"] for e in spans}
+        edges = sorted((names[e["args"]["parent_id"]], e["name"])
+                       for e in spans if "parent_id" in e["args"])
+        assert edges == TREE_EDGES["miss"]
+        assert len(spans) == len(edges) + 1
 
 
 class TestCliFlightAndSlo:

@@ -201,14 +201,44 @@ class TestTailSampledTraces:
                 assert len(runtime.diag.sampler) == 0
 
     def test_tracing_disabled_still_records_flights(self, model, tiny_kg):
+        """Tracing off, a kept request still has its tree: the record's
+        stamps are rendered at completion; the tracer's ring gets
+        nothing."""
         config = ServeConfig(
             max_batch_size=4, num_workers=1,
             diag=DiagConfig(trace_latency_ms=0.0, trace_top_p=None))
-        with ServeRuntime(model, kg=tiny_kg, config=config) as runtime:
+        tracer = obs.Tracer()
+        with ServeRuntime(model, kg=tiny_kg, config=config,
+                          tracer=tracer) as runtime:
             (query,) = distinct_queries(tiny_kg, 1)
             result = runtime.answer(query, top_k=3)
-            assert runtime.diag.flight.get(result.request_id) is not None
-            assert runtime.diag.trace(result.request_id) is None
+            record = runtime.diag.flight.get(result.request_id)
+            assert record.trace_retained
+            spans = runtime.diag.trace(result.request_id)
+            assert {"serve.request", "serve.embed"} <= \
+                {s.name for s in spans}
+            assert tracer.finished() == []
+
+    def test_retention_never_reads_the_tracer_ring(self, model, tiny_kg):
+        """Keeping a request costs its own tree, not a walk of every
+        span the tracer holds."""
+        class RinglessTracer(obs.Tracer):
+            def finished(self):
+                raise AssertionError("retention read the tracer's ring")
+
+        config = ServeConfig(
+            max_batch_size=4, num_workers=1,
+            diag=DiagConfig(trace_latency_ms=0.0, trace_top_p=None))
+        with obs.enabled():
+            with ServeRuntime(model, kg=tiny_kg, config=config,
+                              tracer=RinglessTracer()) as runtime:
+                (query,) = distinct_queries(tiny_kg, 1)
+                result = runtime.answer(query, top_k=3, timeout=10.0)
+                record = runtime.diag.flight.get(result.request_id)
+                assert record.trace_retained
+                spans = runtime.diag.trace(result.request_id)
+                assert {"serve.request", "serve.embed"} <= \
+                    {s.name for s in spans}
 
 
 class TestUptime:

@@ -428,3 +428,28 @@ class TestGenkgCommand:
             assert getattr(splits, split).num_triples == meta["counts"][split]
         assert splits.train.is_subgraph_of(splits.valid)
         assert splits.valid.is_subgraph_of(splits.test)
+
+
+class TestFlightCommand:
+    def test_trace_column_marks_retained_requests(self, monkeypatch,
+                                                  capsys):
+        """The flight table says which requests have a retained tree,
+        i.e. which ids ``/debug/trace/<id>`` answers."""
+        import repro.cli as cli
+
+        records = [
+            {"request_id": "r1-00000002", "source": "model",
+             "latency_ms": 80.0, "trace_retained": True},
+            {"request_id": "r1-00000001", "source": "answer_cache",
+             "latency_ms": 0.1, "trace_retained": False},
+        ]
+        monkeypatch.setattr(cli, "_fetch_json", lambda *_, **__: {
+            "records": records, "total_recorded": 2,
+            "traces_retained": 1})
+        assert main(["flight", "127.0.0.1:1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines[1].split()
+        column = header.index("trace")
+        rows = {line.split()[0]: line.split()[column]
+                for line in lines[2:]}
+        assert rows == {"r1-00000002": "y", "r1-00000001": "-"}

@@ -1,7 +1,7 @@
 """Golden diagnostics surface: one scripted run, every shape frozen.
 
-One run through the whole stack — gateway on, two shard workers, hedging
-armed, tracing enabled — with one request of each outcome:
+One run through the whole stack — gateway on, two shard workers,
+tracing enabled — with one request of each outcome:
 
 * ``miss``      — model path, answer- and embedding-cache miss
 * ``hit``       — the same query again: answer-cache hit
@@ -22,8 +22,8 @@ id), the ``/statusz`` top-level keys and the ``/metrics`` family names.
 A refactor of the diagnostics internals must leave this file untouched
 and green.
 
-Hedging is armed but cannot fire here: the p95 delay needs 16 reply
-samples and the run makes 6, so the span multiset is deterministic.
+Every shard reply comes from its worker (no request is ever sent
+twice), so the span multiset is deterministic.
 """
 
 import json

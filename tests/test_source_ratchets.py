@@ -272,3 +272,13 @@ def test_no_straggler_hedging():
     parent-side duplicate of a worker's computation, no hedge option or
     counter, in any spelling."""
     assert hits(r"(?i)hedge", "") == []
+
+
+def test_a_request_is_one_record():
+    """A request's context keeps its stage stamps and renders them as
+    spans at completion: no cross-thread span API that writes a tree
+    while the request runs, and no walk of the tracer's ring to find a
+    request's spans again."""
+    assert hits(r"start_span|end_span|\.activate\(|_Activation"
+                r"|collect_request_spans", "") == []
+    assert hits(r"\.finished\(\)", "obs/diag.py") == []
