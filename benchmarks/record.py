@@ -29,7 +29,7 @@ When a check fails and recorded continuous profiles exist under
 rotates ``<name>.latest.json`` / ``<name>.baseline.json`` pairs), the
 failure is followed by an attribution table: the frames and plan-op
 kinds whose *self-time share* moved most between baseline and latest
-(``repro.obs.prof.diff_profiles``) — the same table ``cli prof --diff``
+(``repro.obs.prof.diff_profiles``) — the same table ``cli diff``
 prints, so a red gate names its suspects instead of just a number.
 """
 

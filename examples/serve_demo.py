@@ -1,6 +1,6 @@
 """Serving HaLk: micro-batching, multi-tier caching, graceful fallbacks.
 
-Drives a :class:`repro.serve.ServeClient` against a trained model on the
+Drives a :class:`repro.serve.ServeRuntime` against a trained model on the
 FB237 analogue and shows the three serving wins in order:
 
 1. **batching** — a concurrent workload coalesced into a handful of
@@ -23,7 +23,7 @@ from repro.config import ModelConfig, TrainConfig
 from repro.core import HalkModel, Trainer
 from repro.kg import fb237_mini
 from repro.queries import QuerySampler, build_workloads, get_structure
-from repro.serve import ServeClient, ServeConfig, ServeRuntime, format_snapshot
+from repro.serve import ServeConfig, ServeRuntime, format_snapshot
 from repro.sparql import SparqlEngine
 
 
@@ -45,7 +45,6 @@ def main() -> None:
     runtime = ServeRuntime(
         model, kg=kg,
         config=ServeConfig(max_batch_size=32, num_workers=2))
-    client = ServeClient(runtime, engine=engine)
 
     # a mixed workload of the multi-hop structures HaLk targets
     sampler = QuerySampler(kg, splits.test, seed=3)
@@ -60,7 +59,7 @@ def main() -> None:
         sequential = time.perf_counter() - start
 
         start = time.perf_counter()
-        results = client.answer_many(queries, top_k=5)
+        results = runtime.answer_batch(queries, top_k=5)
         batched = time.perf_counter() - start
         print(f"--- batching ({len(queries)} queries)")
         print(f"    sequential loop: {sequential * 1000:7.1f} ms")
@@ -69,7 +68,7 @@ def main() -> None:
 
         # 2. the same workload again: answered from the cache
         start = time.perf_counter()
-        repeats = client.answer_many(queries, top_k=5)
+        repeats = runtime.answer_batch(queries, top_k=5)
         cached = time.perf_counter() - start
         hits = sum(r.source == "answer_cache" for r in repeats)
         print(f"--- caching")
@@ -80,21 +79,22 @@ def main() -> None:
         head, rel, _ = sorted(kg.triples)[0]
         sparql = (f"SELECT ?x WHERE {{ "
                   f"{kg.entity_names[head]} {kg.relation_names[rel]} ?x . }}")
-        result = client.answer(sparql, top_k=5)
-        print(f"--- SPARQL through the client")
+        result = runtime.answer(engine.compile(sparql), top_k=5)
+        names = [kg.entity_names[i] for i in result.entity_ids]
+        print(f"--- SPARQL through the engine's compiler")
         print(f"    {' '.join(sparql.split())}")
-        print(f"    top-5 [{result.source}]: {client.entity_names(result)}")
+        print(f"    top-5 [{result.source}]: {names}")
 
         # 4. graceful degradation under an impossible deadline
         # (a fresh query — anything already served would hit the cache)
         fresh = sampler.sample(get_structure("2ippu")).query
-        degraded = client.answer(fresh, top_k=5, deadline=0.0)
+        degraded = runtime.answer(fresh, top_k=5, deadline=0.0)
         print(f"--- degradation")
         print(f"    deadline=0 answered via '{degraded.source}' "
               f"with {len(degraded)} entities")
 
         print()
-        print(format_snapshot(client.stats(), title="serve stats"))
+        print(format_snapshot(runtime.stats(), title="serve stats"))
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ Walks the whole ``repro.obs`` surface on a small FB237 analogue:
    you can open at ``chrome://tracing`` or https://ui.perfetto.dev;
 3. **continuous profiling** — the same query re-answered in a loop under
    :class:`~repro.obs.SamplingProfiler` (the profiler every serving
-   process runs; ``python -m repro.cli prof host:port`` fetches it from
-   a live server) shows the hottest self-time frames — no method is
+   process runs; ``python -m repro.cli get prof host:port`` fetches it
+   from a live server) shows the hottest self-time frames — no method is
    wrapped, the sampler just reads the stacks.
 
 Run with::

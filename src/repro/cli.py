@@ -8,7 +8,8 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli answer --dataset FB237 --sparql "SELECT ?x WHERE { e12 rotation_0 ?x }"
     python -m repro.cli serve --dataset FB237 --train-if-missing --stats
     python -m repro.cli serve --dataset FB237 --http-port 9105 --hold
-    python -m repro.cli stats 127.0.0.1:9105
+    python -m repro.cli get stats 127.0.0.1:9105
+    python -m repro.cli get flight 127.0.0.1:9105 n=20 min_ms=50
     python -m repro.cli trace --dataset FB237 --structure 3p --out trace.json
     python -m repro.cli train --dataset FB237 --telemetry train.jsonl
 
@@ -17,8 +18,9 @@ Usage (after ``pip install -e .``)::
 them.  ``serve`` drives the batched/cached runtime in ``repro.serve``
 over a workload and reports throughput, cache hit rates, and latency
 percentiles; with ``--http-port`` it also exposes ``/metrics``
-(Prometheus text format), ``/healthz``, and ``/statusz``, and ``stats``
-pretty-prints a running server's ``/statusz`` from another terminal.
+(Prometheus text format), ``/healthz``, and ``/statusz``, and ``get``
+prints one of a running server's JSON endpoints (``/statusz``, the
+flight recorder, SLOs, profile, memory) from another terminal.
 ``trace`` answers one query with ``repro.obs`` tracing
 enabled and writes a Chrome trace-event file; ``train --telemetry``
 streams per-epoch training telemetry as JSON Lines.
@@ -209,10 +211,15 @@ def cmd_evaluate(args) -> int:
     workload = supported_workload(model, bundle.test)
     ranker = None
     if getattr(args, "shards", 0) >= 2:
-        from .dist import ShardedRanker
+        from .dist import ShardedRanker, dist_available
         ranker = ShardedRanker.for_model(model, args.shards)
         if ranker is not None:
             print(f"sharded ranking over {ranker.num_shards} workers")
+        elif not dist_available():
+            print("shared memory unavailable; ranking in-process")
+        else:
+            print(f"{args.method} has no sharding spec; ranking "
+                  f"in-process")
     try:
         results = evaluate(model, workload, ranker=ranker)
     finally:
@@ -298,7 +305,7 @@ def _interrupt(_signum, _frame):
 
 def cmd_serve(args) -> int:
     from .queries import QuerySampler, get_structure
-    from .serve import ServeClient, ServeConfig, format_snapshot
+    from .serve import ServeConfig, format_snapshot
 
     weights, _ = _model_paths(pathlib.Path(args.model_dir), args.dataset,
                               args.method)
@@ -316,6 +323,10 @@ def cmd_serve(args) -> int:
                          num_shards=getattr(args, "shards", 0),
                          http_port=args.http_port,
                          http_host=args.http_host)
+    if config.num_shards >= 2:
+        from .dist import dist_available
+        if not dist_available():
+            print("shared memory unavailable; ranking in-process")
     gateway = None
     with _serve_runtime(model, kg=splits.train, config=config) as runtime:
         if args.gateway or args.tenant or args.tenant_file:
@@ -350,9 +361,8 @@ def cmd_serve(args) -> int:
                                   "method": args.method})
             print(f"watching {weights} for hot reloads "
                   f"(every {args.watch_interval}s)")
-        client = ServeClient(runtime, engine)
         if args.sparql:
-            queries = list(args.sparql)
+            queries = [engine.compile(text) for text in args.sparql]
         else:
             sampler = QuerySampler(splits.train, splits.test,
                                    seed=args.seed)
@@ -363,7 +373,7 @@ def cmd_serve(args) -> int:
         results = []
         for round_index in range(args.repeat):
             start = time.perf_counter()
-            results = client.answer_many(queries, top_k=args.top_k)
+            results = runtime.answer_batch(queries, top_k=args.top_k)
             elapsed = max(time.perf_counter() - start, 1e-9)
             sources: dict[str, int] = {}
             for result in results:
@@ -372,10 +382,11 @@ def cmd_serve(args) -> int:
                   f"{elapsed:.3f}s ({len(results) / elapsed:,.0f} q/s) "
                   f"sources={sources}")
         sample = results[0]
-        names = client.entity_names(sample)[:5]
+        names = [splits.train.entity_names[i]
+                 for i in sample.entity_ids[:5]]
         print(f"sample answer [{sample.source}]: {', '.join(names)}")
         if args.stats:
-            print(format_snapshot(client.stats()))
+            print(format_snapshot(runtime.stats()))
         if args.hold and runtime.http_server is not None:
             # SIGTERM's default action would skip the runtime's close()
             # and orphan the shard workers and their segments: it ends
@@ -412,36 +423,38 @@ def cmd_genkg(args) -> int:
     return 0
 
 
-def _fetch_json(target: str, path: str, timeout: float,
-                query: str = "") -> dict:
+def _fetch_json(url: str, timeout: float) -> dict:
     """GET a JSON endpoint of a running server; SystemExit on failure.
 
-    Failures are one clean line (unreachable host, or a response that
-    is not JSON — the address points at something that is not a repro
-    server), matching the ``cli stats`` convention.
+    Every failure is one clean line: a refusal names the server's status
+    and its JSON ``error``, an unreachable host reads ``cannot reach``,
+    and a body that is not JSON says so (the address points at something
+    that is not a repro server).
     """
     import json
-    from urllib.error import URLError
+    from urllib.error import HTTPError, URLError
     from urllib.request import urlopen
 
-    target = target if "://" in target else f"http://{target}"
-    url = f"{target.rstrip('/')}{path}"
     try:
-        with urlopen(url + (f"?{query}" if query else ""),
-                     timeout=timeout) as response:
-            return json.loads(response.read().decode("utf-8"))
+        with urlopen(url, timeout=timeout) as response:
+            status, body = response.status, response.read()
+    except HTTPError as exc:
+        status, body = exc.code, exc.read()
     except (URLError, OSError) as exc:
         raise SystemExit(f"cannot reach {url}: {exc}") from exc
+    try:
+        payload = json.loads(body.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SystemExit(f"{url} did not return JSON "
                          f"(not a repro server?): {exc}") from exc
+    if status != 200:
+        raise SystemExit(f"{url}: {status} {payload.get('error')}")
+    return payload
 
 
-def cmd_stats(args) -> int:
-    """Fetch a running server's ``/statusz`` and pretty-print it."""
+def _render_stats(payload: dict) -> int:
     from .serve import format_snapshot, snapshot_from_json
 
-    payload = _fetch_json(args.target, "/statusz", args.timeout)
     health = payload.get("health")
     if health is not None:
         state = "ok" if health.get("ok") else "UNHEALTHY"
@@ -458,19 +471,7 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_flight(args) -> int:
-    """Dump a running server's flight recorder as a table."""
-    from urllib.parse import urlencode
-
-    params = {"n": args.n}
-    if args.tenant:
-        params["tenant"] = args.tenant
-    if args.min_ms is not None:
-        params["min_ms"] = args.min_ms
-    if args.request_id:
-        params["request_id"] = args.request_id
-    payload = _fetch_json(args.target, "/debug/flight", args.timeout,
-                          query=urlencode(params))
+def _render_flight(payload: dict) -> int:
     records = payload.get("records", [])
     print(f"{len(records)} of {payload.get('total_recorded', 0)} "
           f"recorded requests "
@@ -500,9 +501,8 @@ def cmd_flight(args) -> int:
     return 0
 
 
-def cmd_slo(args) -> int:
-    """Fetch a running server's ``/debug/slo`` and pretty-print it."""
-    payload = _fetch_json(args.target, "/debug/slo", args.timeout)
+def _render_slo(payload: dict) -> int:
+    """SLO lines; 1 while any alert fires."""
     fast = payload.get("windows", {}).get("fast", [])
     slow = payload.get("windows", {}).get("slow", [])
     if fast and slow:
@@ -530,38 +530,9 @@ def cmd_slo(args) -> int:
     return status
 
 
-def cmd_prof(args) -> int:
-    """Fetch a live profile (``/debug/prof``) or diff two recorded ones."""
-    from urllib.parse import urlencode
+def _render_prof(payload: dict) -> int:
+    from .obs.prof import Profile, format_top
 
-    from .obs.prof import (Profile, diff_plan_ops, diff_profiles,
-                           format_diff, format_top, load_profile_payload)
-
-    if args.diff:
-        base_path, latest_path = args.diff
-        base, base_ops = load_profile_payload(base_path)
-        latest, latest_ops = load_profile_payload(latest_path)
-        print(f"baseline: {base_path} ({base.samples} samples)")
-        print(f"latest:   {latest_path} ({latest.samples} samples)")
-        print()
-        print(format_diff(diff_profiles(base, latest, limit=args.top),
-                          title="self-time share by frame"))
-        if base_ops or latest_ops:
-            print()
-            print(format_diff(diff_plan_ops(base_ops, latest_ops,
-                                            limit=args.top),
-                              title="plan-op share of plan wall time"))
-        return 0
-    if not args.target:
-        raise SystemExit("cli prof needs HOST:PORT (or --diff A B)")
-    params = {}
-    if args.seconds:
-        params["seconds"] = args.seconds
-    if args.role:
-        params["role"] = args.role
-    payload = _fetch_json(args.target, "/debug/prof", args.timeout
-                          + (args.seconds or 0.0),
-                          query=urlencode(params))
     merged = Profile.from_dict(payload.get("merged", {}))
     window = payload.get("window_seconds") or 0.0
     scope = f"{window:g}s window" if window else "since start"
@@ -570,7 +541,7 @@ def cmd_prof(args) -> int:
           f"rate: {payload.get('effective_hz', 0.0):.1f}Hz  "
           f"overhead: {100.0 * payload.get('overhead_ratio', 0.0):.2f}%")
     print()
-    print(format_top(merged, limit=args.top))
+    print(format_top(merged))
     plan_ops = payload.get("plan_ops") or {}
     if plan_ops:
         total = sum(plan_ops.values())
@@ -580,12 +551,6 @@ def cmd_prof(args) -> int:
                                     key=lambda kv: -kv[1]):
             share = 100.0 * seconds / total if total else 0.0
             print(f"  {kind:<12} {seconds:>9.4f}s  {share:>5.1f}%")
-    if args.out:
-        import json as json_mod
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json_mod.dump(payload, handle)
-        print(f"\nprofile payload saved to {args.out} "
-              f"(diff later with `cli prof --diff`)")
     return 0
 
 
@@ -597,9 +562,7 @@ def _human_bytes(n: float) -> str:
     return f"{n:.1f}GiB"  # pragma: no cover - loop always returns
 
 
-def cmd_mem(args) -> int:
-    """Fetch a running server's ``/debug/mem`` and pretty-print it."""
-    payload = _fetch_json(args.target, "/debug/mem", args.timeout)
+def _render_mem(payload: dict) -> int:
     print("process RSS:")
     for proc in payload.get("processes", []):
         print(f"  {proc.get('role', '?'):<10} pid {proc.get('pid', 0):<8} "
@@ -612,23 +575,87 @@ def cmd_mem(args) -> int:
                   f"{_human_bytes(stats.get('bytes', 0)):>10}  "
                   f"hits={stats.get('hits', 0)} "
                   f"misses={stats.get('misses', 0)}")
+    def table(info: dict, where: str) -> str:
+        return (f"{info.get('num_entities', 0):,} x {info.get('dim', 0)} "
+                f"entities, {_human_bytes(info.get('total_bytes', 0))} "
+                f"{where} ({_human_bytes(info.get('prepared_bytes', 0))} "
+                f"of it the filter's float32 table)")
+
     plan = payload.get("shard_plan")
     if plan:
-        print(f"shard plan: {plan.get('num_entities', 0):,} x "
-              f"{plan.get('dim', 0)} entities, "
-              f"{_human_bytes(plan.get('total_bytes', 0))} published "
-              f"({_human_bytes(plan.get('prepared_bytes', 0))} of it the "
-              f"filter's float32 table)")
+        print(f"shard plan: {table(plan, 'published')}")
         for row in plan.get("shards", []):
             print(f"  shard {row.get('shard')}: {row.get('rows', 0):,} "
                   f"rows  {_human_bytes(row.get('bytes', 0))}")
     local = payload.get("local_ranker")
     if local:
-        print(f"in-process ranker: {local.get('num_entities', 0):,} x "
-              f"{local.get('dim', 0)} entities, "
-              f"{_human_bytes(local.get('total_bytes', 0))} private "
-              f"({_human_bytes(local.get('prepared_bytes', 0))} of it the "
-              f"filter's float32 table)")
+        print(f"in-process ranker: {table(local, 'private')}")
+    return 0
+
+
+#: what ``cli get`` reads: endpoint name -> (server path, renderer); a
+#: renderer prints one payload and returns the exit status
+ENDPOINTS = {
+    "stats": ("/statusz", _render_stats),
+    "flight": ("/debug/flight", _render_flight),
+    "slo": ("/debug/slo", _render_slo),
+    "prof": ("/debug/prof", _render_prof),
+    "mem": ("/debug/mem", _render_mem),
+}
+
+
+def _query_word(text: str) -> tuple[str, str]:
+    """argparse type of one ``name=value`` query parameter."""
+    name, sep, value = text.partition("=")
+    if not sep or not name:
+        raise argparse.ArgumentTypeError(f"expected name=value, got "
+                                         f"{text!r}")
+    return name, value
+
+
+def cmd_get(args) -> int:
+    """Fetch one endpoint of a running server and print it."""
+    import json
+    from urllib.parse import urlencode
+
+    path, render = ENDPOINTS[args.endpoint]
+    target = args.target if "://" in args.target \
+        else f"http://{args.target}"
+    url = f"{target.rstrip('/')}{path}"
+    if args.params:
+        url += f"?{urlencode(args.params)}"
+    # a profile window holds the reply back for its length; a value that
+    # is not a number gets the server's 400
+    try:
+        window = float(dict(args.params).get("seconds", 0.0))
+    except ValueError:
+        window = 0.0
+    payload = _fetch_json(url, args.timeout + window)
+    status = render(payload)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        print(f"\n{args.endpoint} payload saved to {args.out}")
+    return status
+
+
+def cmd_diff(args) -> int:
+    """Attribute a regression between two recorded profile payloads."""
+    from .obs.prof import (diff_plan_ops, diff_profiles, format_diff,
+                           load_profile_payload)
+
+    base, base_ops = load_profile_payload(args.baseline)
+    latest, latest_ops = load_profile_payload(args.latest)
+    print(f"baseline: {args.baseline} ({base.samples} samples)")
+    print(f"latest:   {args.latest} ({latest.samples} samples)")
+    print()
+    print(format_diff(diff_profiles(base, latest, limit=args.top),
+                      title="self-time share by frame"))
+    if base_ops or latest_ops:
+        print()
+        print(format_diff(diff_plan_ops(base_ops, latest_ops,
+                                        limit=args.top),
+                          title="plan-op share of plan wall time"))
     return 0
 
 
@@ -707,8 +734,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--shards", type=int, default=0, metavar="N",
                        help="sharded multi-process execution over N "
                             "repro.dist workers (0/1 = single-process; "
-                            "falls back silently where shared memory or "
-                            "the model does not support it)")
+                            "where shared memory or the model does not "
+                            "support it, one line says so and the run "
+                            "stays in-process)")
 
     p = sub.add_parser("datasets", help="list benchmark datasets")
     p.add_argument("--scale", type=float, default=0.5)
@@ -849,68 +877,41 @@ def build_parser() -> argparse.ArgumentParser:
                         "binned above)")
     p.set_defaults(func=cmd_genkg)
 
-    def endpoint(p, target_optional=False):
-        # the one HOST:PORT + --timeout block every telemetry-fetching
-        # subcommand (stats/flight/slo/prof/mem) shares
-        kwargs = {"nargs": "?", "default": None} if target_optional else {}
-        p.add_argument("target", metavar="HOST:PORT",
-                       help="address of the telemetry endpoint, e.g. "
-                            "127.0.0.1:9105", **kwargs)
-        p.add_argument("--timeout", type=float, default=5.0)
-
-    p = sub.add_parser("stats",
-                       help="fetch and pretty-print /statusz from a "
-                            "running `serve --http-port` process")
-    endpoint(p)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("flight",
-                       help="dump the flight recorder (/debug/flight) of "
-                            "a running `serve --http-port` process")
-    endpoint(p)
-    p.add_argument("-n", type=int, default=100,
-                   help="newest N records (default 100)")
-    p.add_argument("--tenant", default=None,
-                   help="only this tenant's requests")
-    p.add_argument("--min-ms", type=float, default=None,
-                   help="only requests at/above this latency")
-    p.add_argument("--request-id", default=None,
-                   help="look up one request by id")
-    p.set_defaults(func=cmd_flight)
-
-    p = sub.add_parser("slo",
-                       help="fetch SLO burn rates (/debug/slo) from a "
-                            "running `serve --http-port` process; exit 1 "
-                            "when any alert is firing")
-    endpoint(p)
-    p.set_defaults(func=cmd_slo)
-
-    p = sub.add_parser("prof",
-                       help="fetch the continuous profile (/debug/prof) "
-                            "of a running `serve --http-port` process, "
-                            "or diff two recorded profiles")
-    endpoint(p, target_optional=True)
-    p.add_argument("--seconds", type=float, default=None,
-                   help="sample a fresh N-second window instead of "
-                        "everything since start")
-    p.add_argument("--role", default=None,
-                   help="only this process role (serve, shard0, ...)")
-    p.add_argument("--top", type=int, default=15,
-                   help="rows in the self-time tables (default 15)")
+    p = sub.add_parser("get",
+                       help="fetch one endpoint of a running `serve "
+                            "--http-port` process and print it as a "
+                            "table (get slo exits 1 while an alert "
+                            "fires)")
+    p.add_argument("endpoint", choices=list(ENDPOINTS),
+                   help="; ".join(f"{name}: {path}" for name, (path, _)
+                                  in ENDPOINTS.items()))
+    p.add_argument("target", metavar="HOST:PORT",
+                   help="address of the telemetry endpoint, e.g. "
+                        "127.0.0.1:9105")
+    p.add_argument("params", nargs="*", type=_query_word,
+                   metavar="NAME=VALUE",
+                   help="query parameters passed to the server as they "
+                        "are, e.g. n=20 min_ms=50 tenant=a "
+                        "request_id=... (flight) or seconds=30 "
+                        "role=shard0 (prof)")
+    p.add_argument("--timeout", type=float, default=5.0,
+                   help="seconds to wait for the reply (a prof seconds= "
+                        "window adds its length)")
     p.add_argument("--out", default=None,
-                   help="save the raw profile payload JSON here")
-    p.add_argument("--diff", nargs=2, metavar=("BASELINE", "LATEST"),
-                   help="attribute a regression: print the frames and "
-                        "plan ops whose self-time share moved most "
-                        "between two recorded profiles")
-    p.set_defaults(func=cmd_prof)
+                   help="also save the raw JSON payload here (a saved "
+                        "prof payload is what `diff` reads)")
+    p.set_defaults(func=cmd_get)
 
-    p = sub.add_parser("mem",
-                       help="fetch the memory inventory (/debug/mem) of "
-                            "a running `serve --http-port` process: RSS, "
-                            "cache residency, shard slab bytes")
-    endpoint(p)
-    p.set_defaults(func=cmd_mem)
+    p = sub.add_parser("diff",
+                       help="attribute a regression: print the frames and "
+                            "plan ops whose self-time share moved most "
+                            "between two recorded profiles")
+    p.add_argument("baseline", metavar="BASELINE",
+                   help="a saved `get prof --out` payload")
+    p.add_argument("latest", metavar="LATEST")
+    p.add_argument("--top", type=int, default=15,
+                   help="rows in each table (default 15)")
+    p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser("trace",
                        help="trace one query through the stack and export "

@@ -25,7 +25,7 @@ leave on under full load:
   error or shed reason.  Always on; one
   record allocation and one lock-guarded deque append per request.
   Dumpable via ``GET /debug/flight?n=100&tenant=...&min_ms=...`` and
-  ``python -m repro.cli flight host:port``.
+  ``python -m repro.cli get flight host:port``.
 
 * **Tail-based trace sampling** — the :class:`TailSampler` decides *at
   request completion* whether the request's full span tree is worth

@@ -436,7 +436,7 @@ def snapshot_to_json(snapshot: StatsSnapshot) -> dict:
 
 def snapshot_from_json(payload: dict) -> StatsSnapshot:
     """Rebuild a snapshot from :func:`snapshot_to_json` output
-    (``cli stats`` renders a remote ``/statusz`` this way)."""
+    (``cli get stats`` renders a remote ``/statusz`` this way)."""
     return StatsSnapshot(
         counters={k: int(v) for k, v in payload.get("counters", {}).items()},
         gauges={k: float(v) for k, v in payload.get("gauges", {}).items()},

@@ -467,7 +467,7 @@ def to_speedscope(profile: Profile, name: str | None = None) -> dict:
 def load_profile_payload(path) -> tuple[Profile, dict]:
     """Read a recorded profile file: ``(profile, plan_op_seconds)``.
 
-    Accepts either a full ``/debug/prof`` payload (``cli prof --out``)
+    Accepts either a full ``/debug/prof`` payload (``cli get prof --out``)
     or a bare :meth:`Profile.to_dict` dump.
     """
     data = json.loads(

@@ -20,13 +20,11 @@ from .batcher import (PRIORITIES, FairScheduler, Lane, MicroBatcher,
                       ServeFuture, ServeRequest, ShedError)
 from .cache import LruCache, TtlCache
 from .canonical import batch_key, cache_key, canonicalize, serialize
-from .client import ServeClient
 from .http import TelemetryHTTPServer, render_prometheus
 from .runtime import ServeConfig, ServeError, ServeResult, ServeRuntime
 
 __all__ = [
     "ServeRuntime", "ServeConfig", "ServeResult", "ServeError",
-    "ServeClient",
     "MicroBatcher", "ServeFuture", "ServeRequest", "ShedError",
     "FairScheduler", "Lane", "PRIORITIES",
     "LruCache", "TtlCache",

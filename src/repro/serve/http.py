@@ -15,8 +15,8 @@ process from outside:
   (runtime closed, model missing, or a shard worker process dead —
   detected via the pool's per-worker liveness).
 * ``GET /statusz``  — the full JSON snapshot (model version, shard
-  liveness, cache hit rates, stage timings); ``cli stats host:port``
-  pretty-prints it.
+  liveness, cache hit rates, stage timings); ``cli get stats
+  host:port`` pretty-prints it.
 * ``POST /v1/query`` — present when a :class:`repro.gateway.Gateway`
   registered itself via :meth:`TelemetryHTTPServer.set_query_fn`.  The
   JSON body names the query (``sparql``), tenant, priority, ``top_k``
@@ -28,7 +28,7 @@ With a :class:`repro.obs.Diagnostics` handle mounted (``diag=``), three
 debug endpoints join them:
 
 * ``GET /debug/flight?n=100&tenant=…&min_ms=…&request_id=…`` — the
-  newest matching flight-recorder entries (``cli flight host:port``
+  newest matching flight-recorder entries (``cli get flight host:port``
   renders a table).
 * ``GET /debug/slo`` — per-objective burn rates over every alert
   window, alert verdicts, and p99-bucket latency exemplars.
@@ -41,11 +41,12 @@ the runtime when ``ServeConfig.profiling`` is on) are independent of
 ``diag``:
 
 * ``GET /debug/prof?seconds=N&role=&format=json|folded|speedscope`` —
-  the merged cross-process profile (``cli prof host:port`` renders it);
+  the merged cross-process profile (``cli get prof host:port`` renders
+  it);
   ``seconds`` blocks for an N-second sampling window, ``folded`` is
   flamegraph.pl input, ``speedscope`` loads in https://speedscope.app.
 * ``GET /debug/mem`` — per-process RSS, cache residency bytes, and the
-  shared-memory shard-slab inventory (``cli mem host:port``).
+  shared-memory shard-slab inventory (``cli get mem host:port``).
 
 Errors are machine-readable: unknown paths, bad methods (405 with an
 ``Allow`` header) and malformed bodies all return a JSON object

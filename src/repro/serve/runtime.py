@@ -568,7 +568,7 @@ class ServeRuntime:
 
     def prof_payload(self, seconds: float = 0.0,
                      role: str | None = None) -> dict:
-        """The ``GET /debug/prof`` payload (also ``cli prof --out``).
+        """The ``GET /debug/prof`` payload (also ``cli get prof --out``).
 
         ``seconds > 0`` returns only samples taken during that window
         (the handler blocks for it); otherwise everything since start.

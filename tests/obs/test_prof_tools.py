@@ -1,4 +1,4 @@
-"""The profile-diff tooling: ``cli prof --diff`` and the regression
+"""The profile-diff tooling: ``cli diff`` and the regression
 gate's attribution table (``benchmarks/record.py``).
 
 Both consume recorded ``/debug/prof`` payloads from disk, so these
@@ -50,8 +50,7 @@ class TestCliProfDiff:
     def test_diff_prints_frame_and_plan_op_tables(self, recorded_pair,
                                                   capsys):
         baseline, latest = recorded_pair
-        assert cli_main(["prof", "--diff", str(baseline),
-                         str(latest)]) == 0
+        assert cli_main(["diff", str(baseline), str(latest)]) == 0
         out = capsys.readouterr().out
         assert "self-time share by frame" in out
         assert "plan-op share of plan wall time" in out
@@ -63,20 +62,23 @@ class TestCliProfDiff:
                    for line in out.splitlines())
 
     def test_diff_needs_no_target(self, recorded_pair):
-        """--diff is offline: no HOST:PORT, no server, no network."""
+        """diff is offline: no HOST:PORT, no server, no network."""
         baseline, latest = recorded_pair
-        assert cli_main(["prof", "--diff", str(baseline),
-                         str(latest)]) == 0
+        assert cli_main(["diff", str(baseline), str(latest)]) == 0
 
-    def test_prof_without_target_or_diff_exits(self):
-        with pytest.raises(SystemExit, match="HOST:PORT"):
-            cli_main(["prof"])
+    def test_prof_without_target_or_diff_exits(self, capsys):
+        """Reading a live profile needs an address; its absence is a
+        usage error naming it."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["get", "prof"])
+        assert excinfo.value.code == 2
+        assert "HOST:PORT" in capsys.readouterr().err
 
     def test_diff_rejects_junk_files(self, tmp_path):
         junk = tmp_path / "junk.json"
         junk.write_text(json.dumps({"nope": 1}))
         with pytest.raises(ValueError, match="not a recorded profile"):
-            cli_main(["prof", "--diff", str(junk), str(junk)])
+            cli_main(["diff", str(junk), str(junk)])
 
 
 def _load_record_module():

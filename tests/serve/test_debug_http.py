@@ -166,14 +166,20 @@ class TestDebugSloAndTrace:
         assert len(spans) == len(edges) + 1
 
 
+ENDPOINTS = ["stats", "flight", "slo", "prof", "mem"]
+
+
 class TestCliFlightAndSlo:
+    """``cli get``: the flight and SLO renderers against a live server,
+    and the one fetch every endpoint shares."""
+
     def test_cli_flight_renders_table(self, served, tiny_kg, capsys):
         from repro.cli import main
 
         runtime, url = served
         result = runtime.answer(distinct_queries(tiny_kg, 1)[0], top_k=3)
         port = runtime.http_server.port
-        assert main(["flight", f"127.0.0.1:{port}"]) == 0
+        assert main(["get", "flight", f"127.0.0.1:{port}"]) == 0
         out = capsys.readouterr().out
         assert result.request_id in out
         assert "recorded requests" in out
@@ -184,12 +190,50 @@ class TestCliFlightAndSlo:
         runtime, _ = served
         runtime.answer(distinct_queries(tiny_kg, 1)[0], top_k=3)
         port = runtime.http_server.port
-        assert main(["slo", f"127.0.0.1:{port}"]) == 0
+        assert main(["get", "slo", f"127.0.0.1:{port}"]) == 0
         out = capsys.readouterr().out
         assert "availability" in out
         assert "latency_p99" in out
 
-    @pytest.mark.parametrize("command", ["flight", "slo"])
+    def test_cli_slo_exits_one_while_an_alert_fires(self, capsys):
+        from repro.cli import main
+        from repro.obs.diag import Diagnostics
+        from repro.obs.metrics import MetricsRegistry
+        from repro.serve import TelemetryHTTPServer
+
+        registry = MetricsRegistry()
+        diag = Diagnostics(registry=registry)
+        for _ in range(10):
+            diag.slo.observe(False, 80.0)
+        with TelemetryHTTPServer(snapshot_fn=registry.snapshot,
+                                 diag=diag) as server:
+            assert main(["get", "slo", f"127.0.0.1:{server.port}"]) == 1
+        out = capsys.readouterr().out
+        assert "alert: FAST" in out
+
+    def test_cli_refusal_names_the_servers_reason(self, served):
+        """A 4xx is the server's answer, not an unreachable host: the
+        line carries its status and its ``error``."""
+        from repro.cli import main
+        from repro.obs.metrics import MetricsRegistry
+        from repro.serve import TelemetryHTTPServer
+
+        with TelemetryHTTPServer(
+                snapshot_fn=MetricsRegistry().snapshot) as server:
+            with pytest.raises(SystemExit) as excinfo:
+                main(["get", "prof", f"127.0.0.1:{server.port}"])
+        message = str(excinfo.value.code)
+        assert "404 profiling disabled on this server" in message
+        assert "cannot reach" not in message
+        runtime, _ = served
+        with pytest.raises(SystemExit) as excinfo:
+            main(["get", "flight", f"127.0.0.1:{runtime.http_server.port}",
+                  "n=0"])
+        message = str(excinfo.value.code)
+        assert "400 bad query parameter n='0'" in message
+        assert "cannot reach" not in message
+
+    @pytest.mark.parametrize("command", ENDPOINTS)
     def test_cli_non_json_response_is_one_clean_line(self, command):
         """Pointing the CLI at something that is not a repro server is a
         single clean error line, not a traceback."""
@@ -212,14 +256,15 @@ class TestCliFlightAndSlo:
         thread.start()
         try:
             with pytest.raises(SystemExit, match="did not return JSON"):
-                main([command, f"127.0.0.1:{server.server_address[1]}",
+                main(["get", command,
+                      f"127.0.0.1:{server.server_address[1]}",
                       "--timeout", "5"])
         finally:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
 
-    @pytest.mark.parametrize("command", ["flight", "slo"])
+    @pytest.mark.parametrize("command", ENDPOINTS)
     def test_cli_unreachable_target_is_one_clean_line(self, command):
         from repro.cli import main
 
@@ -228,7 +273,7 @@ class TestCliFlightAndSlo:
         port = probe.getsockname()[1]
         probe.close()  # nothing listens on `port` now
         with pytest.raises(SystemExit, match="cannot reach"):
-            main([command, f"127.0.0.1:{port}", "--timeout", "0.5"])
+            main(["get", command, f"127.0.0.1:{port}", "--timeout", "0.5"])
 
 
 class Throttle(HookedModel):

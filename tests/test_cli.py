@@ -241,7 +241,7 @@ class TestTraceCommand:
 
     def test_trace_sparql_with_profile(self, tmp_path, capsys):
         """``--sparql`` traces the engine path; ``--profile`` (the
-        Tensor-patching profiler's flag) is gone — ``cli prof`` and the
+        Tensor-patching profiler's flag) is gone — ``cli get prof`` and the
         ``plan.stage`` spans attribute op cost instead."""
         from repro.kg import load_dataset
         common = ["--dataset", "FB237", "--method", "HaLk", "--dim", "8",
@@ -446,10 +446,141 @@ class TestFlightCommand:
         monkeypatch.setattr(cli, "_fetch_json", lambda *_, **__: {
             "records": records, "total_recorded": 2,
             "traces_retained": 1})
-        assert main(["flight", "127.0.0.1:1"]) == 0
+        assert main(["get", "flight", "127.0.0.1:1"]) == 0
         lines = capsys.readouterr().out.splitlines()
         header = lines[1].split()
         column = header.index("trace")
         rows = {line.split()[0]: line.split()[column]
                 for line in lines[2:]}
         assert rows == {"r1-00000002": "y", "r1-00000001": "-"}
+
+
+class TestGetCommand:
+    @pytest.mark.parametrize("old", ["stats", "flight", "slo", "prof",
+                                     "mem"])
+    def test_old_reader_commands_are_gone(self, old, capsys):
+        """The five fetch-and-print commands are one ``get``; their old
+        names are usage errors."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([old, "127.0.0.1:1"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_query_words_reach_the_server_unchanged(self, monkeypatch):
+        import repro.cli as cli
+
+        fetched = []
+        monkeypatch.setattr(cli, "_fetch_json", lambda url, timeout: (
+            fetched.append((url, timeout)) or {}))
+        main(["get", "flight", "127.0.0.1:9105", "n=20", "min_ms=50",
+              "tenant=a", "request_id=r1-00000002"])
+        main(["get", "prof", "http://h:1/", "seconds=30", "role=shard0",
+              "--timeout", "2"])
+        assert fetched == [
+            ("http://127.0.0.1:9105/debug/flight?n=20&min_ms=50&tenant=a"
+             "&request_id=r1-00000002", 5.0),
+            # the profile window holds the reply back for 30 s
+            ("http://h:1/debug/prof?seconds=30&role=shard0", 32.0)]
+
+    def test_a_word_without_equals_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["get", "flight", "127.0.0.1:1", "n"])
+        assert exit_info.value.code == 2
+        assert "expected name=value" in capsys.readouterr().err
+
+    def test_prof_renders_top_frames_and_plan_ops_and_saves(
+            self, monkeypatch, tmp_path, capsys):
+        """``get prof --out`` prints the frames and plan-op seconds and
+        saves the payload ``diff`` reads back."""
+        import repro.cli as cli
+
+        payload = {
+            "merged": {"stacks": {"serve@1;main;a.py:hot": 30,
+                                  "serve@1;main;b.py:cold": 10},
+                       "samples": 40, "duration_s": 1.0, "hz": 67.0,
+                       "pid": 1, "role": "merged", "overhead_ratio": 0.01},
+            "roles": ["serve"], "window_seconds": 3.0,
+            "effective_hz": 66.2, "overhead_ratio": 0.0123,
+            "plan_ops": {"project": 1.5, "anchor": 0.5}}
+        monkeypatch.setattr(cli, "_fetch_json", lambda *_: payload)
+        saved = tmp_path / "p.json"
+        assert main(["get", "prof", "h:1", "--out", str(saved)]) == 0
+        out = capsys.readouterr().out
+        assert "roles: serve  samples: 40 (3s window)  rate: 66.2Hz  " \
+               "overhead: 1.23%" in out
+        assert "a.py:hot" in out and "75.0%" in out
+        assert "plan-op seconds (cumulative):" in out
+        assert "  project         1.5000s   75.0%" in out
+        assert json.loads(saved.read_text()) == payload
+        assert main(["diff", str(saved), str(saved)]) == 0
+
+    def test_mem_renders_processes_caches_and_slabs(self, monkeypatch,
+                                                    capsys):
+        import repro.cli as cli
+
+        monkeypatch.setattr(cli, "_fetch_json", lambda *_: {
+            "processes": [{"role": "serve", "pid": 12,
+                           "rss_bytes": 3 * 2 ** 20}],
+            "caches": {"answer_cache": {"size": 3, "bytes": 2048,
+                                        "hits": 1, "misses": 2}},
+            "shard_plan": {"num_entities": 100000, "dim": 24,
+                           "total_bytes": 3 * 2 ** 20,
+                           "prepared_bytes": 2 ** 20,
+                           "shards": [{"shard": 0, "rows": 50000,
+                                       "bytes": 1024}]}})
+        assert main(["get", "mem", "h:1"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "process RSS:",
+            "  serve      pid 12       3.0MiB",
+            "caches:",
+            "  answer_cache              3 entries      2.0KiB  hits=1 "
+            "misses=2",
+            "shard plan: 100,000 x 24 entities, 3.0MiB published "
+            "(1.0MiB of it the filter's float32 table)",
+            "  shard 0: 50,000 rows  1.0KiB"]
+
+
+class TestShardsFallbackIsSaid:
+    """``--shards N`` that cannot shard says why in one line and runs
+    in-process, as ``train`` does."""
+
+    def _common(self, tmp_path, method="HaLk"):
+        common = ["--dataset", "FB237", "--method", method, "--dim", "8",
+                  "--scale", "0.3", "--model-dir", str(tmp_path)]
+        main(["train", *common, "--epochs", "1", "--queries", "5"])
+        return common
+
+    @staticmethod
+    def _no_shared_memory(monkeypatch):
+        import repro.dist
+        import repro.dist.ranker
+        for module in (repro.dist, repro.dist.ranker):
+            monkeypatch.setattr(module, "dist_available", lambda: False)
+
+    def test_evaluate_without_shared_memory(self, tmp_path, monkeypatch,
+                                            capsys):
+        common = self._common(tmp_path)
+        self._no_shared_memory(monkeypatch)
+        capsys.readouterr()
+        assert main(["evaluate", *common, "--queries", "2",
+                     "--shards", "2"]) == 0
+        assert "shared memory unavailable; ranking in-process" in \
+            capsys.readouterr().out
+
+    def test_evaluate_model_without_sharding_spec(self, tmp_path, capsys):
+        common = self._common(tmp_path, method="ConE")
+        capsys.readouterr()
+        assert main(["evaluate", *common, "--queries", "2",
+                     "--shards", "2"]) == 0
+        assert "ConE has no sharding spec; ranking in-process" in \
+            capsys.readouterr().out
+
+    def test_serve_without_shared_memory(self, tmp_path, monkeypatch,
+                                         capsys):
+        common = self._common(tmp_path)
+        self._no_shared_memory(monkeypatch)
+        capsys.readouterr()
+        assert main(["serve", *common, "--queries", "3", "--repeat", "1",
+                     "--shards", "2"]) == 0
+        assert "shared memory unavailable; ranking in-process" in \
+            capsys.readouterr().out

@@ -282,3 +282,14 @@ def test_a_request_is_one_record():
     assert hits(r"start_span|end_span|\.activate\(|_Activation"
                 r"|collect_request_spans", "") == []
     assert hits(r"\.finished\(\)", "obs/diag.py") == []
+
+
+def test_one_reader_for_a_running_server():
+    """A running server is read through ``cli get``: one fetch, one
+    table of endpoints, no per-endpoint command; and no ``ServeClient``
+    wrapper around a runtime whose callers need the runtime anyway."""
+    import repro.serve
+    assert not hasattr(repro.serve, "ServeClient")
+    assert hits(r"ServeClient", "") == []
+    assert hits(r"def cmd_(stats|flight|slo|prof|mem)\b", "cli.py") == []
+    assert len(hits(r"_fetch_json\(", "cli.py")) == 2  # its def, one call
