@@ -423,33 +423,40 @@ def cmd_genkg(args) -> int:
     return 0
 
 
-def _fetch_json(url: str, timeout: float) -> dict:
-    """GET a JSON endpoint of a running server; SystemExit on failure.
+def _fetch(url: str, timeout: float) -> bytes:
+    """GET one endpoint of a running server: its body; SystemExit on
+    failure.
 
     Every failure is one clean line: a refusal names the server's status
     and its JSON ``error``, an unreachable host reads ``cannot reach``,
-    and a body that is not JSON says so (the address points at something
-    that is not a repro server).
+    and a body that is not JSON where JSON was due says so (the address
+    points at something that is not a repro server).
     """
-    import json
     from urllib.error import HTTPError, URLError
     from urllib.request import urlopen
 
     try:
         with urlopen(url, timeout=timeout) as response:
-            status, body = response.status, response.read()
+            return response.read()
     except HTTPError as exc:
         status, body = exc.code, exc.read()
     except (URLError, OSError) as exc:
         raise SystemExit(f"cannot reach {url}: {exc}") from exc
+    raise SystemExit(f"{url}: {status} {_parse_json(url, body).get('error')}")
+
+
+def _parse_json(url: str, body: bytes) -> dict:
+    import json
     try:
-        payload = json.loads(body.decode("utf-8"))
+        return json.loads(body.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SystemExit(f"{url} did not return JSON "
                          f"(not a repro server?): {exc}") from exc
-    if status != 200:
-        raise SystemExit(f"{url}: {status} {payload.get('error')}")
-    return payload
+
+
+def _fetch_json(url: str, timeout: float) -> dict:
+    """GET a JSON endpoint of a running server (see :func:`_fetch`)."""
+    return _parse_json(url, _fetch(url, timeout))
 
 
 def _render_stats(payload: dict) -> int:
@@ -630,6 +637,17 @@ def cmd_get(args) -> int:
         window = float(dict(args.params).get("seconds", 0.0))
     except ValueError:
         window = 0.0
+    if dict(args.params).get("format", "json") != "json":
+        # an export (prof's folded stacks or speedscope file): written
+        # as the server sent it, to --out or else to stdout
+        body = _fetch(url, args.timeout + window)
+        if not args.out:
+            sys.stdout.write(body.decode("utf-8"))
+            return 0
+        with open(args.out, "wb") as handle:
+            handle.write(body)
+        print(f"{args.endpoint} export saved to {args.out}")
+        return 0
     payload = _fetch_json(url, args.timeout + window)
     status = render(payload)
     if args.out:
@@ -899,7 +917,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "window adds its length)")
     p.add_argument("--out", default=None,
                    help="also save the raw JSON payload here (a saved "
-                        "prof payload is what `diff` reads)")
+                        "prof payload is what `diff` reads); with "
+                        "format=folded or format=speedscope (prof) the "
+                        "export is written here unrendered, else to "
+                        "stdout")
     p.set_defaults(func=cmd_get)
 
     p = sub.add_parser("diff",

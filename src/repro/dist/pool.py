@@ -379,7 +379,7 @@ class ShardWorkerPool:
         Pair with :meth:`gather` (or use :meth:`broadcast` for both) —
         split so callers can trace the fan-out separately from the wait.
         ``ctx`` is the dispatching request's
-        :class:`~repro.obs.diag.RequestContext`: its id is stamped on
+        :class:`~repro.obs.diag.FlightRecord`: its id is stamped on
         every worker span recorded for this fan-out, and :meth:`gather`
         notes the fan-out on its flight record.
         """
@@ -411,7 +411,7 @@ class ShardWorkerPool:
             replies[index], timings[index] = self._collect(
                 index, seq, payloads[index], deadline)
         if self._request is not None:
-            self._request.note(shards=len(self._workers))
+            self._request.shards = len(self._workers)
             self._request = None  # the pool keeps no request alive
         return replies, timings
 

@@ -275,7 +275,7 @@ class ShardedRanker:
         ``(distance, entity id)``.
 
         ``ctx`` (the dispatching request's
-        :class:`~repro.obs.diag.RequestContext`) rides to the worker
+        :class:`~repro.obs.diag.FlightRecord`) rides to the worker
         pool: its id is stamped on the worker spans, and the gather's
         ``shards`` fan-out is noted on its flight record.
         """

@@ -8,7 +8,7 @@ runtime.  A request travels::
         │  caller thread — synchronous admission verdict
         ├─ token bucket empty?      → GatewayRejected(ratelimit, 429)
         ├─ deadline already doomed? → GatewayRejected(doomed, 429)
-        ▼  admitted — context minted, still on the caller's thread
+        ▼  admitted — record minted, still on the caller's thread
     ServeRuntime.submit(ctx=, lane=(tenant, priority, weight, max_queue))
         ▼  answer-cache hit → resolved before submit returns
     the runtime's one queue (priority bands × per-tenant fair lanes)
@@ -18,7 +18,7 @@ runtime.  A request travels::
 
 The gateway keeps only the door.  It owns no thread, no queue and no
 lock, and it is not on the way back: whoever resolves a request (the
-runtime, on the worker or the caller's thread) finishes its context
+runtime, on the worker or the caller's thread) commits its record
 before resolving its future, so a completion touches nothing of the
 gateway's.  A cache
 hit is admitted, looked up and answered on the caller's thread without
@@ -51,9 +51,10 @@ import time
 from functools import cached_property
 from typing import Any, Callable
 
-from ..obs.diag import RequestContext
+from ..obs.diag import FlightRecord
 from ..obs.trace import Tracer, get_tracer
-from ..serve.batcher import MIN_RETRY_AFTER, PRIORITIES, Lane, ServeFuture
+from ..serve.batcher import (MIN_RETRY_AFTER, PRIORITIES, Lane, ServeFuture,
+                             ServeRequest)
 from ..serve.batcher import ShedError as GatewayRejected
 from ..serve.cache import LruCache
 from ..serve.canonical import walk
@@ -142,8 +143,8 @@ class Gateway:
         self.config = config or GatewayConfig()
         self.metrics = runtime.metrics
         #: diagnostics are shared with the runtime: the gateway mints
-        #: each admitted request's context and hands it to the runtime
-        #: by reference, which finishes it — one record per request
+        #: each admitted request's record and hands it to the runtime
+        #: by reference, which commits it — one record per request
         self.diag = getattr(runtime, "diag", None)
         self._compile = compile_fn
         #: SPARQL text -> its walk; texts that compiled only
@@ -195,13 +196,17 @@ class Gateway:
         if shed is not None:
             raise self._door_shed(tenant, shed[0], priority, shed[1])
         state.admitted.inc()
-        ctx = RequestContext(self, self.diag, self.tracer, tenant=tenant,
-                             priority=priority, admission="admitted")
-        ctx.enter("gateway.request", tenant=tenant, priority=priority)
-        # by reference: the runtime's serve.request layer nests under
-        # the context's gateway.request root
-        return self.runtime.submit(query, top_k, deadline=deadline, ctx=ctx,
-                                   lane=state.lanes[priority])
+        # the request's one record, minted here and handed down by
+        # reference: the runtime's serve.request layer nests under its
+        # gateway.request root
+        request = ServeRequest(owner=self, diag=self.diag,
+                               tracer=self.tracer)
+        request.tenant = tenant
+        request.priority = priority
+        request.admission = "admitted"
+        request.gateway_at = time.perf_counter()
+        return self.runtime.submit(query, top_k, deadline=deadline,
+                                   ctx=request, lane=state.lanes[priority])
 
     def answer(self, query: Any, top_k: int = 10, tenant: str = "default",
                priority: str | None = None, deadline: float | None = None,
@@ -242,11 +247,11 @@ class Gateway:
                    retry_after: float = 0.0) -> GatewayRejected:
         """Count and record one shed at the door; returns the rejection
         for the caller to raise.  No request exists past the door, so
-        its context is minted and finished right here."""
+        its record is minted and finished right here."""
         self.metrics.counter("shed", reason=reason, tenant=tenant).inc()
-        RequestContext(self, self.diag, self.tracer, tenant=tenant,
-                       priority=priority).finish(
-            admission=reason, source="shed", error=reason)
+        FlightRecord(owner=self, diag=self.diag, tracer=self.tracer,
+                     tenant=tenant, priority=priority, admission=reason,
+                     source="shed", error=reason).finish()
         return GatewayRejected(reason, retry_after=retry_after,
                                tenant=tenant)
 

@@ -13,10 +13,10 @@ The observability layer used by every tier of the stack:
   series from their replies;
 * :mod:`repro.obs.export` — Chrome trace-event and JSON-Lines writers;
 * :mod:`repro.obs.diag` — always-on production diagnostics: the
-  per-request :class:`RequestContext` (one writer for the flight record,
-  the stage stamps its span tree is rendered from at completion, and
-  the histogram exemplar's id), flight recorder,
-  tail-based trace sampling, SLO burn-rate monitoring;
+  per-request :class:`FlightRecord` (the flight fields, the stage
+  stamps its span tree is rendered from when read, and the histogram
+  exemplar's id), flight recorder, tail-based trace sampling, SLO
+  burn-rate monitoring;
 * :mod:`repro.obs.prof` — the continuous sampling wall-clock profiler
   (budgeted overhead, cross-process folded stacks, speedscope export)
   and the profile-diff regression attribution tooling.
@@ -28,8 +28,7 @@ or module attribute of ``repro.nn`` at run time.
 """
 
 from .diag import (DiagConfig, Diagnostics, FlightRecord, FlightRecorder,
-                   RequestContext, SloEngine, SloObjective, TailSampler,
-                   next_request_id)
+                   SloEngine, SloObjective, TailSampler, next_request_id)
 from .export import (JsonlWriter, chrome_trace_events, format_span_tree,
                      span_to_dict, write_chrome_trace)
 from .metrics import (Counter, Gauge, Histogram, HistogramStats,
@@ -62,8 +61,7 @@ __all__ = [
     "snapshot_to_json", "snapshot_from_json",
     "get_registry", "set_registry",
     "DiagConfig", "Diagnostics", "FlightRecord", "FlightRecorder",
-    "RequestContext", "SloEngine", "SloObjective", "TailSampler",
-    "next_request_id",
+    "SloEngine", "SloObjective", "TailSampler", "next_request_id",
     "Profile", "ProfileStore", "SamplingProfiler",
     "merge_profiles", "window_profiles", "to_folded", "to_speedscope",
     "self_time_shares", "diff_profiles", "diff_plan_ops", "format_diff",

@@ -4,37 +4,35 @@ The always-on layer that answers "what happened to *that* request?"
 after the fact.  Three pieces, all bounded in memory and cheap enough to
 leave on under full load:
 
-* **Request context** — one :class:`RequestContext` per request, minted
-  at the first door it passes (gateway admission, or
-  ``ServeRuntime.submit`` when the gateway is off) and handed down by
-  reference through the batcher, the runtime and the shard worker pool.
-  It carries the monotonic, pid-stamped request id
-  (:func:`next_request_id`, ``r<pid-hex>-<counter>``), the request's
-  :class:`FlightRecord` and its stage stamps; every stage is timed once
-  and written to both through :meth:`RequestContext.stage`.  Spans are
-  a rendering of the stamps, made at completion.  The id is
-  stamped on the shard worker spans the pool records and on histogram
-  exemplars, and comes back on the
-  :class:`~repro.serve.runtime.ServeResult` — every span, metric
+* **Request record** — one :class:`FlightRecord` per request, minted
+  at the first door it passes (gateway admission, or ``ServeRuntime``
+  when the gateway is off) and handed down by reference through the
+  batcher, the runtime and the shard worker pool; in the runtime it is
+  the request itself (``repro.serve.batcher.ServeRequest``: record,
+  queue entry and future in one ``__slots__`` object).  It carries the
+  monotonic, pid-stamped request id (:func:`next_request_id`,
+  ``r<pid-hex>-<counter>``), the flight fields and the stage stamps,
+  all plain attribute writes.  Spans are a rendering of the stamps,
+  made when someone reads them.  The id is stamped on the shard worker
+  spans the pool records and on histogram exemplars, and comes back on
+  the :class:`~repro.serve.runtime.ServeResult` — every span, metric
   exemplar, and flight-recorder entry for one query is joinable.
 
-* **Flight recorder** — a fixed-size ring of compact
-  :class:`FlightRecord` entries, one per request: tenant, query
-  structure, admission decision, per-stage timings (queue / embed /
-  distance / rank), cache hit/miss, shard fan-out, result count,
-  error or shed reason.  Always on; one
-  record allocation and one lock-guarded deque append per request.
+* **Flight recorder** — a fixed-size ring of compact rows, one per
+  request: tenant, query structure, admission decision, per-stage
+  timings (queue / embed / distance / rank), cache hit/miss, shard
+  fan-out, result count, error or shed reason.  Always on; one tuple
+  per request and one lock-guarded append per committed batch.
   Dumpable via ``GET /debug/flight?n=100&tenant=...&min_ms=...`` and
   ``python -m repro.cli get flight host:port``.
 
 * **Tail-based trace sampling** — the :class:`TailSampler` decides *at
   request completion* whether the request's full span tree is worth
   keeping: it finished slow (fixed latency threshold and/or rolling
-  top-p), errored or was shed.  Only a keeper's stamps are rendered as
-  spans (whether or not ``repro.obs`` tracing is on), and retained
-  trees live in a bounded ring keyed by
-  request id (``GET /debug/trace/<request_id>`` exports Chrome trace
-  JSON); everything else is discarded, so memory stays bounded no
+  top-p), errored or was shed.  A keeper's record is held with its
+  stamps in a bounded ring keyed by request id and rendered as spans
+  only when read (``GET /debug/trace/<request_id>`` exports Chrome
+  trace JSON); everything else is discarded, so memory stays bounded no
   matter the traffic.  See DESIGN.md §10 for why the decision happens
   at completion rather than admission.
 
@@ -49,8 +47,8 @@ leave on under full load:
   straight to flight-recorder entries and retained traces.
 
 :class:`Diagnostics` ties the three sinks together; a request reaches
-them once, when whoever minted its context calls
-:meth:`RequestContext.finish` (DESIGN.md §10).
+them once, when whoever ends it commits its record (:func:`commit`, a
+batch at a time in the runtime; DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -61,16 +59,15 @@ import threading
 import time
 from bisect import bisect_left, insort
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field, fields
-from typing import Callable
+from dataclasses import dataclass
 
 from .metrics import MetricsRegistry, get_registry
-from .trace import Span, Tracer, is_enabled
+from .trace import Span, Tracer, get_tracer, is_enabled
 
 __all__ = [
     "next_request_id", "FlightRecord", "FlightRecorder",
     "TailSampler", "SloObjective", "SloEngine", "DiagConfig",
-    "Diagnostics", "RequestContext",
+    "Diagnostics", "commit",
 ]
 
 # ----------------------------------------------------------------------
@@ -93,86 +90,292 @@ def next_request_id() -> str:
 
 
 # ----------------------------------------------------------------------
-# flight recorder
+# the request record and the flight recorder
 # ----------------------------------------------------------------------
 
-@dataclass
-class FlightRecord:
-    """Compact always-on record of one request's life.
-
-    Mutable by design: its :class:`RequestContext` fills the fields as
-    the request flows (admission → queue → batch → embed → rank →
-    resolve) and commits it to the ring exactly once at completion.
-    Fields default to cheap falsy values so a record costs one small
-    allocation.
-    """
-
-    request_id: str
-    tenant: str = ""
+#: the fields of one flight-recorder row (``FlightRecord.to_dict`` keys,
+#: in order)
+FLIGHT_FIELDS = (
+    "request_id", "tenant",
     #: canonical query-structure key (``batch_key``), e.g. ``p(p(e))``
-    structure: str = ""
+    "structure",
     #: gateway verdict: "" (no gateway) | admitted | ratelimit |
     #: queue_full | doomed | deadline | unknown_tenant | shutdown
-    admission: str = ""
-    priority: str = ""
+    "admission", "priority",
     #: which path answered: model | answer_cache | exact | shed | error
-    source: str = ""
+    "source",
     #: shed/error reason; empty on success
-    error: str = ""
+    "error",
     #: degradation path taken: "" | deadline | failure
-    fallback: str = ""
+    "fallback",
     #: answer-cache verdict: hit | miss
-    cache: str = ""
-    embedding_cached: bool = False
-    batch_size: int = 0
+    "cache", "embedding_cached",
+    #: requests the worker took in the turn this request was taken in
+    "batch_size",
     #: stage timings, milliseconds
-    queue_ms: float = 0.0
-    embed_ms: float = 0.0
-    distance_ms: float = 0.0
-    rank_ms: float = 0.0
+    "queue_ms", "embed_ms", "distance_ms", "rank_ms",
     #: runtime submit→resolve latency
-    latency_ms: float = 0.0
+    "latency_ms",
     #: gateway admission→completion latency (0 when the gateway is off)
-    total_ms: float = 0.0
-    result_count: int = 0
+    "total_ms", "result_count",
     #: compiled-plan shape (0/0 unless this request was embedded): ops
     #: the micro-batch would hold without CSE, and ops actually executed
-    plan_ops_total: int = 0
-    plan_ops_executed: int = 0
-    #: per-plan-op-kind milliseconds of the micro-batch this request rode
-    #: (empty on cache hits and fallbacks); shared across batched siblings
-    plan_stage_ms: dict = field(default_factory=dict)
+    "plan_ops_total", "plan_ops_executed",
+    #: per-plan-op-kind milliseconds of the micro-batch this request
+    #: rode (empty on cache hits and fallbacks); shared across siblings
+    "plan_stage_ms",
     #: shard fan-out of the ranking pass (0 = in-process)
-    shards: int = 0
-    model_version: int = 0
+    "shards", "model_version",
     #: wall-clock completion time (time.time; display only — no
     #: deadline arithmetic ever reads this)
-    completed_at: float = 0.0
-    trace_retained: bool = False
+    "completed_at", "trace_retained",
+)
+
+#: the stamps: ``perf_counter`` instants of the request's stages, the
+#: shared attribute dicts of its batched stages, and whose threads took
+#: them.  A stage whose first instant is None did not happen.
+_STAMPS = (
+    "thread",        # the admitting thread: layers, canonicalise, lookup
+    "worker",        # the worker thread: queue, embed, rank, fallback
+    "top_k",
+    "gateway_at",    # gateway.request opened (None: no gateway layer)
+    "received_at",   # serve.request and serve.canonicalise start
+    "walked_at",     # canonicalise → cache_lookup
+    "looked_at",     # cache_lookup end; serve.queue start
+    "dequeued_at",   # serve.queue end
+    "embed_at", "embedded_at", "embed_attrs",
+    "rank_at", "split_at", "ranked_at", "rank_attrs",
+    "fallback_at", "fell_back_at",
+    "left_at",       # every open layer closed
+)
+
+
+class FlightRecord:
+    """One request's record: its flight-recorder fields and its stamps.
+
+    Minted by the first door the request passes (gateway admission, or
+    ``ServeRuntime`` when the gateway is off) and handed down by
+    reference — gateway → ``ServeRuntime.submit(ctx=)`` → the batcher →
+    ``ShardedRanker.topk(ctx)`` → ``ShardWorkerPool.dispatch(ctx)`` — so
+    no layer looks another layer's record up by id.  Every layer writes
+    its fields and stage instants as plain attributes: a stage is its
+    ``perf_counter`` instants (see ``_STAMPS``) plus, for the four timed
+    ones, the ``*_ms`` field computed from the same instants, so the two
+    agree by construction.  In the runtime the record *is* the request
+    (:class:`repro.serve.batcher.ServeRequest` adds the queue fields and
+    the future), so a request costs one object, not five.
+
+    Nothing is written to a tracer while the request runs: :meth:`spans`
+    renders the stamps as the request's span tree — at completion while
+    ``repro.obs`` tracing is on, else only when someone reads a kept
+    trace (``/debug/trace/<id>``).
+
+    Ownership: ``owner`` is whoever minted the record.  Whoever ends the
+    request — the door for a shed there, else the runtime, before it
+    resolves the future — finishes it exactly once (:meth:`finish`, or
+    the runtime's batch commit), which commits it to ``diag``
+    (nowhere, with diagnostics off).  A record never finished is garbage
+    like any other object — nothing else holds it.
+    """
+
+    __slots__ = FLIGHT_FIELDS + _STAMPS + (
+        "owner", "finished", "_diag", "_tracer", "_above", "_spans")
+
+    #: guards every record's ``finished`` flag; held for one test-and-set
+    #: (or one per batch), so sharing it costs less than a lock each
+    _finish_lock = threading.Lock()
+
+    def __init__(self, request_id: str | None = None, owner=None,
+                 diag: "Diagnostics | None" = None,
+                 tracer: Tracer | None = None, **fields):
+        self.request_id = request_id or next_request_id()
+        self.tenant = self.structure = self.admission = self.priority = ""
+        self.source = self.error = self.fallback = self.cache = ""
+        self.embedding_cached = self.trace_retained = False
+        self.batch_size = self.result_count = self.shards = 0
+        self.plan_ops_total = self.plan_ops_executed = 0
+        self.model_version = self.top_k = 0
+        self.queue_ms = self.embed_ms = self.distance_ms = 0.0
+        self.rank_ms = self.latency_ms = self.total_ms = 0.0
+        self.completed_at = 0.0
+        self.plan_stage_ms = _NO_STAGES
+        self.thread = self.worker = ""
+        self.gateway_at = self.received_at = self.walked_at = None
+        self.looked_at = self.dequeued_at = self.left_at = None
+        self.embed_at = self.embedded_at = self.embed_attrs = None
+        self.rank_at = self.split_at = self.ranked_at = None
+        self.rank_attrs = self.fallback_at = self.fell_back_at = None
+        self.owner = owner
+        self.finished = False
+        self._diag = diag
+        self._tracer = tracer if tracer is not None else get_tracer()
+        #: id of the span open on the minting thread (the rendered
+        #: root's parent) — looked up only while tracing is on
+        self._above = None
+        if is_enabled():
+            above = self._tracer.current()
+            self._above = None if above is None else above.span_id
+        self._spans = None
+        for name, value in fields.items():
+            setattr(self, name, value)
 
     def to_dict(self) -> dict:
         """JSON-safe dict (the ``/debug/flight`` row)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        out = dict(zip(FLIGHT_FIELDS, self.row()))
+        out["plan_stage_ms"] = dict(self.plan_stage_ms)  # shared: a copy
+        return out
+
+    def row(self) -> tuple:
+        """The flight fields as one tuple: what the ring keeps."""
+        return (self.request_id, self.tenant, self.structure,
+                self.admission, self.priority, self.source, self.error,
+                self.fallback, self.cache, self.embedding_cached,
+                self.batch_size, self.queue_ms, self.embed_ms,
+                self.distance_ms, self.rank_ms, self.latency_ms,
+                self.total_ms, self.result_count, self.plan_ops_total,
+                self.plan_ops_executed, self.plan_stage_ms, self.shards,
+                self.model_version, self.completed_at, self.trace_retained)
+
+    @classmethod
+    def from_row(cls, row: tuple) -> "FlightRecord":
+        record = cls(row[0])
+        for name, value in zip(FLIGHT_FIELDS, row):
+            setattr(record, name, value)
+        return record
+
+    @property
+    def has_tree(self) -> bool:
+        """Whether any layer was entered: a request shed at the door
+        never was, and has no span tree to keep."""
+        return self.gateway_at is not None or self.received_at is not None
+
+    def spans(self) -> list[Span]:
+        """The stamps rendered as the request's span tree, oldest first,
+        every span tagged with the request id.  Rendered once (ids from
+        the tracer's counter) and kept, so every read of a kept trace
+        sees the same ids.  Meant for a finished request: a layer still
+        open renders with no end."""
+        if self._spans is None:
+            self._spans = self._render()
+        return list(self._spans)
+
+    def _render(self) -> list[Span]:
+        tracer, rid, pid, out = self._tracer, self.request_id, os.getpid(), []
+
+        def add(name, start, end, parent, thread, attrs) -> int:
+            span = Span(name, start, end, tracer.new_id(), parent, thread,
+                        dict(attrs or (), request_id=rid), pid)
+            out.append(span)
+            return span.span_id
+
+        root = self._above
+        if self.gateway_at is not None:
+            root = add("gateway.request", self.gateway_at, self.left_at,
+                       root, self.thread,
+                       {"tenant": self.tenant, "priority": self.priority})
+        if self.received_at is not None:
+            attrs = {"top_k": self.top_k}
+            if self.cache == "miss":
+                attrs.update(structure=self.structure,
+                             model_version=self.model_version)
+            if self.source:
+                attrs["source"] = self.source
+            if self.error:
+                attrs["reason"] = self.error
+            layer = add("serve.request", self.received_at, self.left_at,
+                        root, self.thread, attrs)
+            thread, worker = self.thread, self.worker
+            if self.walked_at is not None:
+                add("serve.canonicalise", self.received_at, self.walked_at,
+                    layer, thread, None)
+                add("serve.cache_lookup", self.walked_at, self.looked_at,
+                    layer, thread, None)
+            if self.dequeued_at is not None:
+                add("serve.queue", self.looked_at, self.dequeued_at, layer,
+                    worker, None)
+            if self.embed_at is not None:
+                add("serve.embed", self.embed_at, self.embedded_at, layer,
+                    worker, self.embed_attrs)
+            if self.rank_at is not None:
+                add("serve.distance", self.rank_at, self.split_at, layer,
+                    worker, self.rank_attrs)
+                add("serve.rank", self.split_at, self.ranked_at, layer,
+                    worker, None)
+            if self.fallback_at is not None:
+                add("serve.fallback", self.fallback_at, self.fell_back_at,
+                    layer, worker, {"reason": self.fallback,
+                                    "path": "exact"})
+        out.sort(key=lambda span: (span.start, span.span_id))
+        return out
+
+    def finish(self) -> bool:
+        """Close every open layer and commit — :func:`commit` of one.
+        Idempotent and safe under a race: the first call wins (returns
+        True), any later one changes nothing."""
+        return bool(commit([self]))
+
+
+#: the plan-stage map of a request that rode no compiled plan (shared;
+#: never written)
+_NO_STAGES: dict = {}
+
+
+def commit(records) -> list[FlightRecord]:
+    """Finish a batch of records: mark each finished under one hold of
+    the finish lock (a record finished before is left out), close every
+    open layer at one instant, render the trees while tracing is on
+    (they land in the tracer's ring), then hand the batch to each
+    record's diagnostics.  Returns the records this call finished."""
+    with FlightRecord._finish_lock:
+        fresh = [record for record in records if not record.finished]
+        for record in fresh:
+            record.finished = True
+    if not fresh:
+        return fresh
+    left = time.perf_counter()
+    for record in fresh:
+        if record.left_at is None:
+            record.left_at = left
+    if is_enabled():
+        for record in fresh:
+            if record.has_tree:
+                record._tracer.add(record.spans())
+    batches: dict = {}  # by diagnostics: in practice one per call
+    for record in fresh:
+        if record._diag is not None:
+            batches.setdefault(record._diag, []).append(record)
+        # a kept record must not hold its minter or its sinks (which
+        # hold it): a closed runtime is then freed without a collection
+        record.owner = record._diag = None
+    for diag, batch in batches.items():
+        diag.commit_many(batch)
+    return fresh
 
 
 class FlightRecorder:
-    """Fixed-size, lock-cheap ring of committed :class:`FlightRecord` s.
+    """Fixed-size, lock-cheap ring of committed flight rows.
 
-    One mutex, one deque append per request; dumps snapshot the deque
-    under the lock and filter outside it.
+    The ring keeps each record's :meth:`FlightRecord.row` — one tuple of
+    plain values, which the collector stops tracking — not the record,
+    so a kept row holds neither the request's answer nor its stamps.
+    One mutex hold per committed batch; dumps snapshot the deque under
+    the lock and rebuild records outside it.
     """
 
     def __init__(self, capacity: int = 4096):
         if capacity < 1:
             raise ValueError("flight recorder capacity must be >= 1")
         self._lock = threading.Lock()
-        self._ring: deque[FlightRecord] = deque(maxlen=capacity)
+        self._ring: deque[tuple] = deque(maxlen=capacity)
         self._total = 0
 
     def append(self, record: FlightRecord) -> None:
+        self.extend([record.row()])
+
+    def extend(self, rows: list[tuple]) -> None:
         with self._lock:
-            self._ring.append(record)
-            self._total += 1
+            self._ring.extend(rows)
+            self._total += len(rows)
 
     @property
     def total(self) -> int:
@@ -190,20 +393,19 @@ class FlightRecorder:
         """Newest-first records matching the filters, at most ``n``
         (none for ``n <= 0``)."""
         with self._lock:
-            records = list(self._ring)
+            rows = list(self._ring)
         out: list[FlightRecord] = []
         if n <= 0:
             return out
-        for record in reversed(records):
-            if tenant is not None and record.tenant != tenant:
+        for row in reversed(rows):
+            if tenant is not None and row[_TENANT] != tenant:
                 continue
             if min_ms is not None and \
-                    max(record.latency_ms, record.total_ms) < min_ms:
+                    max(row[_LATENCY], row[_TOTAL]) < min_ms:
                 continue
-            if request_id is not None and \
-                    record.request_id != request_id:
+            if request_id is not None and row[0] != request_id:
                 continue
-            out.append(record)
+            out.append(FlightRecord.from_row(row))
             if len(out) >= n:
                 break
         return out
@@ -212,6 +414,11 @@ class FlightRecorder:
         """The committed record of one request id, if still in the ring."""
         matches = self.dump(n=1, request_id=request_id)
         return matches[0] if matches else None
+
+
+_TENANT = FLIGHT_FIELDS.index("tenant")
+_LATENCY = FLIGHT_FIELDS.index("latency_ms")
+_TOTAL = FLIGHT_FIELDS.index("total_ms")
 
 
 # ----------------------------------------------------------------------
@@ -224,10 +431,10 @@ class TailSampler:
     The decision runs at *completion* (DESIGN.md §10): a request is
     retained when it errored or was shed, finished slower than
     ``latency_threshold_ms``, or landed in the rolling slowest ``top_p``
-    fraction of recent completions.  Retained span trees live in a
-    bounded ring keyed by request id; everything else is dropped on the
-    spot, so memory is bounded by ``max_traces`` × tree size, not by
-    traffic.
+    fraction of recent completions.  Retained records — stamps, not yet
+    spans — live in a bounded ring keyed by request id; everything else
+    is dropped on the spot, so memory is bounded by ``max_traces``
+    records, not by traffic.
     """
 
     def __init__(self, latency_threshold_ms: float | None = None,
@@ -248,37 +455,41 @@ class TailSampler:
         #: sorted, so a completion pays two bisections instead of a sort
         self._latencies: deque[float] = deque(maxlen=quantile_window)
         self._ordered: list[float] = []
-        self._traces: OrderedDict[str, list[Span]] = OrderedDict()
+        #: kept records by request id; a tree is rendered when read
+        self._traces: OrderedDict[str, FlightRecord] = OrderedDict()
         self.retained = 0
         self.discarded = 0
 
     # ------------------------------------------------------------------
-    def complete(self, record: FlightRecord,
-                 render: Callable[[], list[Span]]) -> str:
-        """One completion, under one hold of the lock: feed the rolling
-        window, decide, then keep the request's span tree or count it
-        discarded.
+    def complete(self, records) -> list[str]:
+        """A batch of completions, under one hold of the lock: each feeds
+        the rolling window, gets its verdict, and is kept — the record
+        itself, its tree unrendered — or counted discarded.
 
-        ``render()`` builds the tree and is called only for a request
-        worth keeping; one with no spans (shed at the door, before any
-        layer) is not kept.  Returns why it was kept, "" when it was
-        not.  Every completion feeds the window, kept or not, so the
-        top-p quantile tracks *all* traffic.
+        Sets each record's ``trace_retained`` and returns why each was
+        kept ("" when it was not).  A record with no tree (shed at the
+        door, before any layer) is not kept.  Every completion feeds the
+        window, kept or not, so the top-p quantile tracks *all* traffic.
         """
-        latency = max(record.latency_ms, record.total_ms)
+        reasons = []
         with self._lock:
-            reason = self._verdict(record, latency)
-            spans = render() if reason else None
-            if not spans:
-                self.discarded += 1
-                return ""
             traces = self._traces
-            traces[record.request_id] = spans
-            traces.move_to_end(record.request_id)
-            while len(traces) > self.max_traces:
-                traces.popitem(last=False)
-            self.retained += 1
-            return reason
+            for record in records:
+                latency = max(record.latency_ms, record.total_ms)
+                reason = self._verdict(record, latency)
+                if not record.has_tree:
+                    reason = ""
+                reasons.append(reason)
+                record.trace_retained = bool(reason)
+                if not reason:
+                    self.discarded += 1
+                    continue
+                traces[record.request_id] = record
+                traces.move_to_end(record.request_id)
+                if len(traces) > self.max_traces:
+                    traces.popitem(last=False)
+                self.retained += 1
+        return reasons
 
     def _verdict(self, record: FlightRecord, latency: float) -> str:
         """The reason to keep, or "" to drop; the caller holds the lock."""
@@ -303,10 +514,11 @@ class TailSampler:
         return ""
 
     def trace(self, request_id: str) -> list[Span] | None:
-        """The retained span tree of one request, or None."""
+        """The retained span tree of one request, rendered from its
+        stamps on the first read, or None."""
         with self._lock:
-            spans = self._traces.get(request_id)
-            return list(spans) if spans is not None else None
+            record = self._traces.get(request_id)
+            return record.spans() if record is not None else None
 
     def request_ids(self) -> list[str]:
         """Ids with retained traces, oldest first."""
@@ -382,13 +594,10 @@ class _BucketRing:
             self._head = index
         return index
 
-    def add(self, ok: bool, now: float) -> None:
-        index = self._advance(now)
-        slot = index % self.slots
-        if ok:
-            self.good[slot] += 1
-        else:
-            self.bad[slot] += 1
+    def add(self, good: int, bad: int, now: float) -> None:
+        slot = self._advance(now) % self.slots
+        self.good[slot] += good
+        self.bad[slot] += bad
 
     def window(self, seconds: float, now: float) -> tuple[int, int]:
         """(good, bad) totals over the trailing ``seconds``."""
@@ -442,14 +651,23 @@ class SloEngine:
     def observe(self, ok: bool, latency_ms: float = 0.0,
                 now: float | None = None) -> None:
         """Fold one request completion into every objective."""
+        self.observe_many([(ok, latency_ms)], now)
+
+    def observe_many(self, outcomes, now: float | None = None) -> None:
+        """Fold ``(ok, latency_ms)`` completions into every objective,
+        under one hold of the lock."""
         if now is None:
             now = self._clock()
         with self._lock:
             for objective in self.objectives:
-                good = ok
                 if objective.kind == "latency":
-                    good = ok and latency_ms <= objective.threshold_ms
-                self._rings[objective.name].add(good, now)
+                    cut = objective.threshold_ms
+                    good = sum(1 for ok, latency_ms in outcomes
+                               if ok and latency_ms <= cut)
+                else:
+                    good = sum(1 for ok, _ in outcomes if ok)
+                self._rings[objective.name].add(
+                    good, len(outcomes) - good, now)
 
     def burn_rate(self, objective: SloObjective, window_s: float,
                   now: float | None = None) -> float:
@@ -537,10 +755,10 @@ class DiagConfig:
 class Diagnostics:
     """Flight recorder + tail sampler + SLO engine behind one handle.
 
-    :meth:`commit` finalises one record — the tail-sampling verdict
-    (rendering the request's span tree only when it is "keep"), SLO
-    observation, ring append.  Requests reach it through
-    :meth:`RequestContext.finish`, which is what makes it exactly-once.
+    :meth:`commit_many` finalises a batch of records — the tail-sampling
+    verdicts, SLO observations, ring appends.  Records reach it through
+    :func:`commit` (or :meth:`FlightRecord.finish`), which is what makes
+    it exactly-once.
     """
 
     def __init__(self, config: DiagConfig | None = None,
@@ -557,16 +775,22 @@ class Diagnostics:
                              clock=clock)
 
     # ------------------------------------------------------------------
-    def commit(self, record: FlightRecord,
-               render: Callable[[], list[Span]] = list) -> None:
-        """Finalise one record: tail sampling, SLO, ring.  ``render``
-        builds the request's span tree; the sampler calls it only for a
-        request it keeps (the default builds none)."""
-        record.completed_at = time.time()
-        record.trace_retained = bool(self.sampler.complete(record, render))
-        self.slo.observe(not record.error,
-                         max(record.latency_ms, record.total_ms))
-        self.flight.append(record)
+    def commit(self, record: FlightRecord) -> None:
+        """Finalise one record: :meth:`commit_many` of one."""
+        self.commit_many([record])
+
+    def commit_many(self, records: list[FlightRecord]) -> None:
+        """Finalise a batch of finished records — tail sampling, SLO,
+        ring — under one hold of each one's lock.  Kept records keep
+        their stamps; a tree is rendered only when read."""
+        completed = time.time()
+        for record in records:
+            record.completed_at = completed
+        self.sampler.complete(records)
+        self.slo.observe_many(
+            [(not record.error, max(record.latency_ms, record.total_ms))
+             for record in records])
+        self.flight.extend([record.row() for record in records])
 
     # ------------------------------------------------------------------
     # HTTP payloads
@@ -602,167 +826,6 @@ class Diagnostics:
                             "slow": list(self.slo.slow)}}
 
     def trace(self, request_id: str) -> list[Span] | None:
-        """Retained span tree of one request (tail-sampled), or None."""
+        """Retained span tree of one request (tail-sampled, rendered
+        when read), or None."""
         return self.sampler.trace(request_id)
-
-
-# ----------------------------------------------------------------------
-# the per-request context
-# ----------------------------------------------------------------------
-
-#: the FlightRecord field a stage's duration lands in; a stage not listed
-#: (``serve.fallback``, the two admission stages) is a span only
-_STAGE_FIELDS = {
-    "serve.queue": "queue_ms",
-    "serve.embed": "embed_ms",
-    "serve.distance": "distance_ms",
-    "serve.rank": "rank_ms",
-}
-
-#: slots of one stamp in a context's flat ``stamps`` list
-_SLOTS = 6
-
-
-class RequestContext:
-    """Everything diagnostics knows about one request, behind one object.
-
-    Minted by the first door the request passes and handed down by
-    reference — gateway → ``ServeRuntime.submit(ctx=)`` → the batcher →
-    ``ShardedRanker.topk(ctx)`` → ``ShardWorkerPool.dispatch(ctx)`` — so
-    no layer looks another layer's record up by id.  It holds the
-    request id, the :class:`FlightRecord` and the request's stamps, and
-    is the only writer of both: :meth:`note` fills record fields,
-    :meth:`stage` turns one pair of ``perf_counter`` instants into a
-    ``*_ms`` field *and* a stamp, so the two agree by construction.
-
-    A stamp is six slots, ``name, start, end, thread, attrs, parent``:
-    ``thread`` is the name of the thread that took it, ``attrs`` a dict
-    that may be shared with the request's batch siblings (read, never
-    written) or None, and ``parent`` the offset of the stamp of the
-    layer it sits in (-1 for the first layer).  The layers a request
-    enters (``gateway.request``, ``serve.request``) are stamps whose
-    ``end`` stays None until they close.  All stamps share one flat
-    list: the garbage collector counts every container a request keeps
-    alive, and a batch holds hundreds of requests at once (a list per
-    stamp tripled the full collections of an in-process batch run).
-    Nothing is written to a tracer while the request runs: :meth:`spans`
-    renders the stamps as a span tree at completion, and only for a
-    request the tail sampler keeps or while tracing is on.
-
-    Ownership: ``owner`` is whoever minted the context.  Whoever ends
-    the request — the door for a shed there, else the runtime, before
-    it resolves the future — calls :meth:`finish`, which commits the
-    record to ``diag`` (nowhere, with diagnostics off) exactly once.  A
-    context that is never finished is garbage like any other object —
-    nothing else holds it.
-    """
-
-    __slots__ = ("owner", "request_id", "record", "stamps", "_inner",
-                 "_above", "_diag", "_tracer", "finished")
-
-    #: guards every context's ``finished`` flag; held for one
-    #: test-and-set, so sharing it costs less than a lock per request
-    _finish_lock = threading.Lock()
-
-    def __init__(self, owner, diag: "Diagnostics | None", tracer: Tracer,
-                 request_id: str | None = None, **fields):
-        self.owner = owner
-        self.request_id = request_id or next_request_id()
-        self.record = FlightRecord(self.request_id, **fields)
-        self.stamps: list = []
-        #: offset of the innermost open layer's stamp (-1: none open)
-        self._inner = -1
-        #: id of the span the minting thread had open when the first
-        #: layer was entered (the rendered root's parent), or None
-        self._above: int | None = None
-        self._diag = diag
-        self._tracer = tracer
-        self.finished = False
-
-    def enter(self, name: str, **attrs) -> None:
-        """Open one layer (``gateway.request``, ``serve.request``).
-
-        It nests under the innermost open layer; the first one nests
-        under whatever span is current on the calling thread and is the
-        root of the request's tree.
-        """
-        if self._inner < 0:
-            above = self._tracer.current()
-            self._above = None if above is None else above.span_id
-        self.stamps += (name, time.perf_counter(), None,
-                        threading.current_thread().name, attrs,
-                        self._inner)
-        self._inner = len(self.stamps) - _SLOTS
-
-    def tag(self, **attrs) -> None:
-        """Attributes on the innermost open layer."""
-        if self._inner >= 0:
-            self.stamps[self._inner + 4].update(attrs)
-
-    def leave(self, **attrs) -> None:
-        """Tag and close the innermost open layer; the one it sits in
-        is innermost again."""
-        at = self._inner
-        if at >= 0:
-            stamps = self.stamps
-            stamps[at + 4].update(attrs)
-            stamps[at + 2] = time.perf_counter()
-            self._inner = stamps[at + 5]
-
-    def note(self, **fields) -> None:
-        """Fill :class:`FlightRecord` fields."""
-        record = self.record
-        for name, value in fields.items():
-            setattr(record, name, value)
-
-    def stage(self, name: str, start: float, end: float,
-              attrs: dict | None = None) -> None:
-        """One timed stage, ``perf_counter`` instants: the record's
-        ``*_ms`` field and a ``name`` stamp under the innermost layer."""
-        field_name = _STAGE_FIELDS.get(name)
-        if field_name is not None:
-            setattr(self.record, field_name, 1000.0 * (end - start))
-        self.stamps += (name, start, end, threading.current_thread().name,
-                        attrs, self._inner)
-
-    def spans(self) -> list[Span]:
-        """The stamps rendered as the request's span tree, oldest first:
-        ids from the tracer's counter, every span tagged with the
-        request id.  Meant for a finished request: a layer still open
-        renders with no end."""
-        stamps = self.stamps
-        ids = [self._tracer.new_id() for _ in range(0, len(stamps), _SLOTS)]
-        pid = os.getpid()
-        out = []
-        for at in range(0, len(stamps), _SLOTS):
-            name, start, end, thread, attrs, parent = stamps[at:at + _SLOTS]
-            out.append(Span(
-                name, start, end, ids[at // _SLOTS],
-                self._above if parent < 0 else ids[parent // _SLOTS],
-                thread, dict(attrs or (), request_id=self.request_id), pid))
-        out.sort(key=lambda span: (span.start, span.span_id))
-        return out
-
-    def finish(self, **fields) -> bool:
-        """Fill the last fields, close every open layer, commit.
-
-        The tree is rendered here while tracing is on (and lands in the
-        tracer's ring); otherwise only if the tail sampler keeps the
-        request.  Idempotent and safe under a race: the first call wins
-        (returns True), any later one changes nothing.
-        """
-        with self._finish_lock:
-            if self.finished:
-                return False
-            self.finished = True
-        self.note(**fields)
-        while self._inner >= 0:
-            self.leave()
-        render = self.spans
-        if is_enabled():
-            spans = self.spans()
-            self._tracer.add(spans)
-            render = spans.copy
-        if self._diag is not None:
-            self._diag.commit(self.record, render)
-        return True

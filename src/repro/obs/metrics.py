@@ -26,6 +26,7 @@ A process-wide default registry (:func:`get_registry` /
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -202,16 +203,22 @@ class Histogram:
             maxlen=self.EXEMPLAR_CAPACITY)
 
     def observe(self, value: float, exemplar: str | None = None) -> None:
-        value = float(value)
-        if not np.isfinite(value):
-            with self._lock:
-                self._dropped += 1
-            return
+        self.observe_many((value,), None if exemplar is None
+                          else (exemplar,))
+
+    def observe_many(self, values, exemplars=None) -> None:
+        """:meth:`observe` of each value (with ``exemplars[i]``, when
+        given) under one lock hold."""
+        values = [float(value) for value in values]
         with self._lock:
-            self._samples.append(value)
-            self._count += 1
-            if exemplar is not None:
-                self._exemplars.append((value, exemplar))
+            for index, value in enumerate(values):
+                if not math.isfinite(value):
+                    self._dropped += 1
+                    continue
+                self._samples.append(value)
+                self._count += 1
+                if exemplars is not None:
+                    self._exemplars.append((value, exemplars[index]))
 
     def exemplars(self, min_value: float | None = None
                   ) -> list[tuple[float, str]]:

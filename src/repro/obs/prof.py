@@ -8,10 +8,10 @@ used by the benchmark regression gate.
 * :class:`SamplingProfiler` — a daemon thread walks
   ``sys._current_frames()`` at a configurable rate and folds every
   thread's stack into ``frame;frame;frame -> count`` counters.  The
-  sampler measures its *own* per-pass cost (EWMA) against a strict
-  overhead budget and halves its rate whenever a pass costs more than
-  ``overhead_budget`` of the sampling interval — the rate adapts to the
-  machine instead of the budget being a hope.
+  sampler measures its *own* per-pass cost (its thread's CPU time,
+  EWMA) against a strict overhead budget and halves its rate whenever
+  a pass costs more than ``overhead_budget`` of the sampling interval —
+  the rate adapts to the machine instead of the budget being a hope.
 * :class:`Profile` — one process's folded samples, picklable, so worker
   processes ship deltas piggybacked on :class:`repro.dist` replies (the
   one thing a worker measures that its owner cannot: its own stacks);
@@ -214,7 +214,10 @@ class SamplingProfiler:
 
     A daemon thread takes one pass per interval: every live thread's
     stack (except the sampler's own) folds into ``stacks``.  Each pass
-    is timed and folded into an EWMA; when the per-pass cost exceeds
+    is timed in the sampler thread's CPU time — a pass that waits for
+    the interpreter lock, or for a core, mid-walk costs the threads it
+    samples nothing while it waits, and wall time would bill it the
+    whole wait — and folded into an EWMA; when the per-pass cost exceeds
     ``overhead_budget`` × interval, the interval doubles (down to
     ``min_hz``) and ``downsamples`` counts the event — the profiler can
     never eat more than its budget no matter how many threads run or
@@ -325,11 +328,11 @@ class SamplingProfiler:
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
-        clock = self._clock
+        cpu = time.thread_time
         while not self._stop.wait(self._interval):
-            t0 = clock()
+            t0 = cpu()
             self.sample_once()
-            self._account(clock() - t0)
+            self._account(cpu() - t0)
 
     def sample_once(self) -> int:
         """One sampling pass over every live thread; returns count.

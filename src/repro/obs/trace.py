@@ -10,9 +10,10 @@ one thread, spans nest automatically through a thread-local stack::
 Work timed elsewhere is recorded as pre-timed intervals with
 :meth:`Tracer.record` (the shard plane records each worker's reply
 this way).  A served request's own tree is not written here while it
-runs: its :class:`~repro.obs.diag.RequestContext` keeps the stage
-stamps, and at completion renders them as spans with ids from
-:meth:`Tracer.new_id` and hands them to :meth:`Tracer.add`.
+runs: its :class:`~repro.obs.diag.FlightRecord` keeps the stage
+stamps, and renders them as spans with ids from :meth:`Tracer.new_id`
+— handed to :meth:`Tracer.add` at completion while tracing is on, else
+only when a kept trace is read.
 
 Everything is guarded by the module-level enabled flag (:func:`enable` /
 :func:`disable`): while disabled, :meth:`Tracer.span` returns a shared

@@ -1,9 +1,10 @@
 """The one request queue: fair lanes that free workers pull batches from.
 
-Every request the runtime accepts waits here, as a :class:`ServeRequest`,
-in a :class:`Lane`: a tenant's queue in one priority band.  A free
-worker pops whatever is queued — up to ``max_batch_size``, in fair
-order (:class:`FairScheduler`), whatever the query structures (the plan
+Every request the runtime accepts waits here, as a :class:`ServeRequest`
+(its record and its future in one object), in a :class:`Lane`: a
+tenant's queue in one priority band.  A free worker pops whatever is
+queued — up to ``max_batch_size``, in fair order
+(:class:`FairScheduler`), whatever the query structures (the plan
 compiler executes mixed batches and needs them for cross-query CSE) —
 the moment anything is queued, so a lone request on an idle runtime is
 a batch of one at once.  Requests coalesce only while every worker is
@@ -13,7 +14,8 @@ no timed wait and no hand-off thread.
 Requests submitted to the runtime directly share one default lane, so
 in-process traffic is served in arrival order; a gateway gives each
 tenant a lane per band, and its doomed requests are shed when a worker
-pops them — before any work is spent on them.
+pops them — before any work is spent on them; the worker then takes as
+many more (:meth:`MicroBatcher.take`), so a shed leaves no row empty.
 
 The batcher knows nothing about models or caches; the runtime supplies
 the function a worker runs on each batch.  This keeps the queueing logic
@@ -28,6 +30,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
+
+from ..obs.diag import FlightRecord
 
 __all__ = ["ServeFuture", "ServeRequest", "MicroBatcher", "FairScheduler",
            "Lane", "PRIORITIES", "ServeError", "ShedError"]
@@ -70,22 +74,38 @@ class ShedError(ServeError):
         self.status = 429
 
 
+#: the state of a future: its latch, flag, outcome and callbacks
+_FUTURE_SLOTS = ("_latch", "_done", "_result", "_error", "_callbacks")
+
+
 class ServeFuture:
     """Write-once result slot handed back to the caller at submit time.
 
     Waiters take turns on ``_latch``, a lock held until the future
-    resolves: one lock per request, not an ``Event``'s two and a list."""
+    resolves: one lock per request, not an ``Event``'s two and a list.
+    A request's future is the request itself (:class:`ServeRequest`);
+    ``ServeFuture()`` alone makes a bare one.  The class holds behaviour
+    only — the state lives in the slots of whichever class it is mixed
+    into, so it adds nothing to a request's layout."""
+
+    __slots__ = ()
 
     #: every future's flag and callback list; held for a test or a swap
     _state_lock = threading.Lock()
 
+    def __new__(cls, *args, **kwargs):
+        return object.__new__(_BareFuture if cls is ServeFuture else cls)
+
     def __init__(self):
+        self._arm()
+
+    def _arm(self) -> None:
         self._latch = threading.Lock()
         self._latch.acquire()
         self._done = False
         self._result: Any = None
         self._error: BaseException | None = None
-        self._callbacks: list[Callable[["ServeFuture"], None]] = []
+        self._callbacks: list | None = None  # made by the first add
 
     def set_result(self, result: Any) -> None:
         self._result = result
@@ -100,9 +120,9 @@ class ServeFuture:
             if self._done:
                 return
             self._done = True
-            callbacks, self._callbacks = self._callbacks, []
+            callbacks, self._callbacks = self._callbacks, None
         self._latch.release()
-        for callback in callbacks:
+        for callback in callbacks or ():
             self._call(callback)
 
     def _call(self, callback: Callable[["ServeFuture"], None]) -> None:
@@ -128,6 +148,8 @@ class ServeFuture:
         """
         with self._state_lock:
             if not self._done:
+                if self._callbacks is None:
+                    self._callbacks = []
                 self._callbacks.append(callback)
                 return
         self._call(callback)
@@ -151,6 +173,12 @@ class ServeFuture:
         if self._error is not None:
             raise self._error
         return self._result
+
+
+class _BareFuture(ServeFuture):
+    """A future that is nothing else (``ServeFuture()``)."""
+
+    __slots__ = _FUTURE_SLOTS
 
 
 @dataclass(frozen=True)
@@ -180,17 +208,36 @@ class Lane:
 DEFAULT_LANE = Lane()
 
 
-@dataclass
-class ServeRequest:
-    """One in-flight query (already canonicalised by the runtime)."""
+class ServeRequest(FlightRecord, ServeFuture):
+    """One in-flight query: its record, its queue entry and its future.
 
-    query: Any
-    top_k: int
-    cache_key: str
-    future: ServeFuture = field(default_factory=ServeFuture)
-    #: absolute deadline on the runtime clock, or None
-    deadline: float | None = None
-    lane: Lane = DEFAULT_LANE
+    One ``__slots__`` object per request: the :class:`FlightRecord`
+    (flight fields and stage stamps), the fields the queue and the
+    runtime read (the canonical ``query``, its ``cache_key`` and walk,
+    the absolute ``deadline``, the ``lane``), and the
+    :class:`ServeFuture` the caller waits on — the request *is* the
+    future handed back at submit time.
+    """
+
+    __slots__ = _FUTURE_SLOTS + ("query", "cache_key", "deadline", "lane",
+                                 "walk", "submitted_at")
+
+    def __init__(self, query: Any = None, top_k: int = 0,
+                 cache_key: str = "", deadline: float | None = None,
+                 lane: "Lane | None" = None, owner=None, diag=None,
+                 tracer=None, request_id: str | None = None):
+        FlightRecord.__init__(self, request_id, owner, diag, tracer)
+        self._arm()
+        self.query = query
+        self.top_k = top_k
+        self.cache_key = cache_key
+        #: absolute deadline on the runtime clock, or None
+        self.deadline = deadline
+        self.lane = DEFAULT_LANE if lane is None else lane
+        #: the query's one walk (admission); the plan compiler reads it
+        self.walk = None
+        #: runtime clock at admission (latency and deadlines)
+        self.submitted_at = 0.0
 
 
 @dataclass
@@ -272,10 +319,11 @@ class MicroBatcher:
     ----------
     execute:
         Called with each batch (``list[ServeRequest]``) on the worker
-        thread that pulled it; it resolves the batch's futures.  Should
-        it raise, the error is logged and set on every future of the
-        batch it left unresolved — a request always gets an outcome and
-        the worker lives on.  It returns whether it spent work on the
+        thread that pulled it; it resolves the batch's futures, and may
+        top the batch up with :meth:`take`.  Should it raise, the error
+        is logged and set on every future of the batch (as topped up)
+        it left unresolved — a request always gets an outcome and the
+        worker lives on.  It returns whether it spent work on the
         batch: only such batches teach :attr:`service_time` (one whose
         requests were all shed costs next to nothing).
     max_batch_size:
@@ -346,13 +394,29 @@ class MicroBatcher:
 
     def close(self) -> None:
         """Stop accepting requests; the workers drain the queue, exit,
-        and are joined."""
+        and are joined.  The batcher then lets go of its callbacks: the
+        runtime it executes for is freed without a cyclic collection."""
         with self._nonempty:
             self._closed = True
             self._nonempty.notify_all()
         for worker in self._workers:
             if worker.is_alive():
                 worker.join()
+        self._execute = self._depth_callback = None
+
+    def take(self, batch: list, count: int) -> list:
+        """Pop up to ``count`` more requests onto ``batch``, in fair
+        order: a worker refilling the rows of requests it shed when it
+        popped them.  Returns the requests taken."""
+        if count <= 0:
+            return []
+        with self._lock:
+            taken = [self._queue.pop()
+                     for _ in range(min(count, len(self._queue)))]
+            if taken:
+                self._observe_depth()
+        batch.extend(taken)
+        return taken
 
     @property
     def depth(self) -> int:
@@ -398,8 +462,8 @@ class MicroBatcher:
                 _LOGGER.exception("batch of %d failed outside the model "
                                   "path", len(batch))
                 for request in batch:
-                    if not request.future.done():
-                        request.future.set_exception(exc)
+                    if not request.done():
+                        request.set_exception(exc)
                 continue
             if worked:
                 took = time.perf_counter() - started

@@ -48,6 +48,21 @@ class LruCache:
             self.hits += 1
             return value
 
+    def get_many(self, keys: list) -> list:
+        """:meth:`get` of each key in order, under one lock hold."""
+        with self._lock:
+            data, out = self._data, []
+            for key in keys:
+                value = data.get(key, _MISSING)
+                if value is _MISSING:
+                    self.misses += 1
+                    out.append(None)
+                else:
+                    data.move_to_end(key)
+                    self.hits += 1
+                    out.append(value)
+            return out
+
     def put(self, key: Hashable, value: Any) -> None:
         with self._lock:
             self._data[key] = value
@@ -55,6 +70,31 @@ class LruCache:
             while len(self._data) > self.capacity:
                 self._data.popitem(last=False)
                 self.evictions += 1
+
+    def put_many(self, keys: list, value_of: Callable[[int], Any]) -> None:
+        """``put(keys[i], value_of(i))`` for each ``i`` in order, under
+        one lock hold — but ``value_of`` runs only for the puts whose
+        entries survive the later ones: the entries, their order and
+        the eviction count come out as the sequential puts leave them."""
+        with self._lock:
+            data = self._data
+            placed: dict = {}  # key -> index of its last put
+            for index, key in enumerate(keys):
+                data[key] = _MISSING
+                data.move_to_end(key)
+                placed[key] = index
+                while len(data) > self.capacity:
+                    data.popitem(last=False)
+                    self.evictions += 1
+            try:
+                for key, index in placed.items():
+                    if key in data:
+                        data[key] = value_of(index)
+            except BaseException:
+                for key in placed:
+                    if data.get(key) is _MISSING:
+                        del data[key]
+                raise
 
     def __len__(self) -> int:
         with self._lock:
@@ -117,12 +157,20 @@ class TtlCache:
             return value
 
     def put(self, key: Hashable, value: Any) -> None:
+        self.put_many([(key, value)])
+
+    def put_many(self, items: list) -> None:
+        """``put`` of each ``(key, value)`` in order, under one lock
+        hold and one clock read."""
         with self._lock:
-            self._data[key] = (self._clock() + self.ttl, value)
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-                self.evictions += 1
+            data = self._data
+            expires_at = self._clock() + self.ttl
+            for key, value in items:
+                data[key] = (expires_at, value)
+                data.move_to_end(key)
+                while len(data) > self.capacity:
+                    data.popitem(last=False)
+                    self.evictions += 1
 
     def purge(self) -> int:
         """Drop every expired entry; returns how many were dropped."""

@@ -700,6 +700,9 @@ class TelemetryHTTPServer:
 
         The whole wait is bounded: a reply that takes longer than
         :data:`_CLOSE_WAIT_S` leaves its daemon thread to finish alone.
+        The server keeps the payload functions it was given no longer
+        than that: the runtime (and gateway) they belong to is then
+        freed without a cyclic collection.
         """
         with self._connections_lock:
             if self._closed:
@@ -714,6 +717,9 @@ class TelemetryHTTPServer:
             self._half_close(connection)
         for thread in (self._thread, *(thread for _, thread in handlers)):
             thread.join(max(0.0, deadline - time.monotonic()))
+        if not any(thread.is_alive() for _, thread in handlers):
+            self._snapshot_fn = self._health_fn = self._query_fn = None
+            self._prof_fn = self._mem_fn = self._diag = None
 
     def __enter__(self) -> "TelemetryHTTPServer":
         return self

@@ -20,6 +20,15 @@ benchmarks) sits on.  A request travels::
 
 Every stage feeds the metrics registry (counters, latency histograms,
 queue-depth gauge), exposed via :meth:`ServeRuntime.stats`.
+
+A request is one object from admission to its answer: the
+:class:`~repro.serve.batcher.ServeRequest` is its flight record, its
+queue entry and the future the caller waits on, and each stage writes
+its instants and fields onto it as plain attributes.  The outcomes of a
+batch are committed together — one hold each of the answer cache, the
+latency histogram and the diagnostics sinks — before its futures
+resolve.  While a runtime is open the heap it was built on is frozen
+(:mod:`repro.serve.heap`).
 """
 
 from __future__ import annotations
@@ -35,11 +44,12 @@ import numpy as np
 from ..ckpt import CheckpointError, load_checkpoint
 from ..core.model import QueryModel
 from ..kg.graph import KnowledgeGraph
-from ..obs.diag import DiagConfig, Diagnostics, RequestContext
+from ..obs.diag import DiagConfig, Diagnostics, commit
 from ..obs.metrics import MetricsRegistry, StatsSnapshot
 from ..obs.trace import Tracer, get_tracer
 from ..queries.computation_graph import Node
 from ..queries.executor import execute
+from . import heap
 from .batcher import (DEFAULT_LANE, Lane, MicroBatcher, ServeError,
                       ServeFuture, ServeRequest, ShedError)
 from .cache import LruCache, TtlCache
@@ -154,18 +164,6 @@ class _RWLock:
             self._cond.notify_all()
 
 
-@dataclass
-class _Pending(ServeRequest):
-    """ServeRequest plus the runtime bookkeeping fields."""
-
-    walk: Walk | None = None  # the query's one walk (admission)
-    submitted_at: float = 0.0
-    #: ``perf_counter`` instant its ``serve.queue`` stage starts
-    queued_at: float = 0.0
-    #: the request's diagnostics; the runtime finishes it
-    ctx: RequestContext | None = None
-
-
 class ServeRuntime:
     """Batched, cached, observable query serving on top of a QueryModel.
 
@@ -186,11 +184,11 @@ class ServeRuntime:
     tracer:
         Optional :class:`repro.obs.Tracer`; defaults to the process-wide
         tracer.  It numbers the spans of every request tree rendered
-        from a context's stamps (request → canonicalise / cache_lookup /
-        queue / embed / distance / rank, or the fallback stages): a tree
-        the tail sampler keeps, and while ``repro.obs`` tracing is
-        enabled every tree, which then also lands in the tracer's ring
-        so :meth:`stats` folds per-stage timings into the snapshot.
+        from a record's stamps (request → canonicalise / cache_lookup /
+        queue / embed / distance / rank, or the fallback stages): a kept
+        tree when it is read, and while ``repro.obs`` tracing is enabled
+        every tree at completion, which then also lands in the tracer's
+        ring so :meth:`stats` folds per-stage timings into the snapshot.
         Compiled plans and the shard plane trace into it directly.
     """
 
@@ -214,6 +212,10 @@ class ServeRuntime:
         self._answers = TtlCache(self.config.answer_cache_size,
                                  self.config.answer_ttl, clock=clock)
         self._embeddings = LruCache(self.config.embedding_cache_size)
+        #: whether the model can slice one query's row out of a batch
+        #: embedding (else the embedding tier stays empty)
+        self._sliceable = getattr(model.slice_embedding, "__func__",
+                                  None) is not QueryModel.slice_embedding
         self.metrics = MetricsRegistry(HISTOGRAM_WINDOW)
         self._latency = self.metrics.histogram("latency_ms")
         self._requests = self.metrics.counter("requests")
@@ -253,6 +255,9 @@ class ServeRuntime:
         self.prof = None
         self._ranker = None
         self.http_server = None
+        #: whether this runtime holds the frozen heap (repro.serve.heap)
+        self._heap_held = False
+        self._gc_lock = threading.Lock()
         # The starting half.  A late step can still fail — the port is
         # taken, a shard worker does not come up — and by then threads,
         # processes and a shared-memory segment exist that no caller
@@ -289,30 +294,34 @@ class ServeRuntime:
                 prof_fn=self.prof_payload if self.prof is not None
                 else None,
                 mem_fn=self.mem_payload)
+        # built: what this runtime serves from is long-lived from here on
+        for generation in range(3):
+            self.metrics.counter("gc_collections", generation=generation)
+            self.metrics.gauge("gc_pause_ms", generation=generation)
+        self._gc_seen, self._gc_pause_base = heap.totals()
+        heap.hold()
+        self._heap_held = True
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
     def submit(self, query: Node | Walk, top_k: int = 10,
                deadline: float | None = None,
-               ctx: RequestContext | None = None,
+               ctx: ServeRequest | None = None,
                lane: Lane = DEFAULT_LANE) -> ServeFuture:
         """Enqueue one query; returns a future resolving to ServeResult.
 
         ``query`` is a computation graph or its :func:`walk` (a caller
         that has walked it before — the gateway remembers each SPARQL
-        text's walk — hands that in and skips the walk).  ``ctx`` joins
-        the request to upstream diagnostics (the gateway mints one at
-        admission; else the runtime does) and ``lane`` is where it
-        queues; the runtime finishes the context either way.  A lane
-        whose tenant queue is full (``Lane.max_queue``) raises
-        :class:`ShedError` (``queue_full``), counted and recorded as a
-        shed.
+        text's walk — hands that in and skips the walk).  ``ctx`` is the
+        request's record when a door minted it (the gateway does, at
+        admission; else the runtime mints one) and ``lane`` is where it
+        queues; the runtime finishes the record either way, and the
+        record is the future returned.  A lane whose tenant queue is
+        full (``Lane.max_queue``) raises :class:`ShedError`
+        (``queue_full``), counted and recorded as a shed.
         """
-        pending: list[_Pending] = []
-        future = self._admit(query, top_k, deadline, ctx, pending, lane)
-        self._enqueue(pending)
-        return future
+        return self._admit([query], top_k, deadline, lane, ctx)[0]
 
     def answer(self, query: Node, top_k: int = 10,
                deadline: float | None = None,
@@ -329,95 +338,95 @@ class ServeRuntime:
         they execute as ⌈misses / max_batch_size⌉ batches in input order
         whatever the workers were doing meanwhile.
         """
-        pending: list[_Pending] = []
+        requests = self._admit(queries, top_k, deadline, DEFAULT_LANE)
+        # ``timeout`` bounds the whole call, not each future's wait
+        ends = None if timeout is None else time.monotonic() + timeout
+        return [request.result(None if ends is None
+                               else max(0.0, ends - time.monotonic()))
+                for request in requests]
+
+    def _admit(self, queries, top_k: int, deadline: float | None,
+               lane: Lane, minted: ServeRequest | None = None
+               ) -> list[ServeRequest]:
+        """Count, canonicalise and look up ``queries`` in order; returns
+        their requests (``minted``, a door's record, for the one query
+        it brings).  The hits are answered on this thread; the misses
+        enter the queue as one arrival.  The one place a graph becomes
+        a walk; a walk handed in is taken as it is.
+
+        A query that does not canonicalise is refused and its error
+        raised — after the ones before it were answered or queued.
+        """
+        if deadline is None:
+            deadline = self.config.default_deadline
+        thread = threading.current_thread().name
+        requests: list[ServeRequest] = []
+        hits: list[ServeRequest] = []
+        cached_ids: list[list[int]] = []
+        pending: list[ServeRequest] = []
+        clock, perf_counter = self._clock, time.perf_counter
         try:
-            futures = [self._admit(query, top_k, deadline, None, pending)
-                       for query in queries]
+            for query in queries:
+                request = minted if minted is not None else ServeRequest(
+                    owner=self, diag=self.diag, tracer=self.tracer)
+                requests.append(request)
+                now = request.submitted_at = clock()
+                request.thread = thread
+                request.top_k = top_k
+                request.received_at = perf_counter()
+                try:
+                    walked = query if isinstance(query, Walk) \
+                        else walk(query)
+                    request.walked_at = perf_counter()
+                    cached = self._answers.get((walked.key, top_k))
+                    request.looked_at = perf_counter()
+                except Exception as exc:
+                    # whatever stopped it, a counted request gets its
+                    # outcome
+                    self._refuse([request], type(exc).__name__)
+                    raise
+                request.structure = walked.structure
+                request.model_version = self._model_version
+                if cached is not None:
+                    request.cache = "hit"
+                    hits.append(request)
+                    cached_ids.append(list(cached))
+                    continue
+                request.cache = "miss"
+                request.query = walked.canonical
+                request.cache_key = walked.key
+                request.walk = walked
+                # deadlines become absolute on self._clock (monotonic)
+                # exactly once, HERE, and are only compared against that
+                # clock (at dequeue); wall-clock time never enters
+                # deadline math — an NTP step must not expire (or
+                # resurrect) in-flight requests.
+                request.deadline = None if deadline is None \
+                    else now + deadline
+                request.lane = lane
+                pending.append(request)
         finally:
             # also when a query did not canonicalise: the ones admitted
             # before it are counted requests and get their outcome
-            self._enqueue(pending)
-        # ``timeout`` bounds the whole call, not each future's wait
-        ends = None if timeout is None else time.monotonic() + timeout
-        return [future.result(None if ends is None
-                              else max(0.0, ends - time.monotonic()))
-                for future in futures]
+            self._requests.inc(len(requests))
+            if hits:
+                self._answer_hits.inc(len(hits))
+                self._answer(hits, cached_ids, "answer_cache")
+            if pending:
+                self._answer_misses.inc(len(pending))
+                self._enqueue(pending)
+        return requests
 
-    def _admit(self, query: Node | Walk, top_k: int,
-               deadline: float | None, ctx: RequestContext | None,
-               pending: list[_Pending],
-               lane: Lane = DEFAULT_LANE) -> ServeFuture:
-        """Count, canonicalise and look up one query: its future comes
-        back resolved on an answer-cache hit; else its request joins
-        ``pending``, for the caller to enqueue.  The one place a graph
-        becomes a walk; a walk handed in is taken as it is."""
-        self._requests.inc()
-        now = self._clock()
-        if ctx is None:
-            ctx = RequestContext(self, self.diag, self.tracer)
-        ctx.enter("serve.request", top_k=top_k)
-        try:
-            started = time.perf_counter()
-            walked = query if isinstance(query, Walk) else walk(query)
-            walked_at = time.perf_counter()
-            cached = self._answers.get((walked.key, top_k))
-            ctx.stage("serve.canonicalise", started, walked_at)
-            ctx.stage("serve.cache_lookup", walked_at, time.perf_counter())
-            ctx.note(structure=walked.structure,
-                     model_version=self._model_version,
-                     cache="miss" if cached is None else "hit")
-        except Exception as exc:
-            # whatever stopped it, a counted request gets its outcome
-            self._refuse(ctx, now, type(exc).__name__)
-            raise
-        if cached is not None:
-            self._answer_hits.inc()
-            latency = self._clock() - now
-            self._leave(ctx, latency, "answer_cache", len(cached))
-            future = ServeFuture()
-            future.set_result(ServeResult(list(cached), "answer_cache",
-                                          latency=latency,
-                                          request_id=ctx.request_id))
-            self._latency.observe(1000.0 * latency, exemplar=ctx.request_id)
-            return future
-        self._answer_misses.inc()
-        if deadline is None:
-            deadline = self.config.default_deadline
-        ctx.tag(structure=walked.structure,
-                model_version=self._model_version)
-        # deadlines become absolute on self._clock (monotonic) exactly
-        # once, HERE, and are only compared against that clock (at
-        # dequeue); wall-clock time never enters deadline math — an NTP
-        # step must not expire (or resurrect) in-flight requests.
-        request = _Pending(
-            query=walked.canonical, top_k=top_k, cache_key=walked.key,
-            deadline=None if deadline is None else now + deadline,
-            lane=lane, walk=walked, submitted_at=now,
-            queued_at=time.perf_counter(), ctx=ctx)
-        pending.append(request)
-        return request.future
-
-    def _enqueue(self, requests: list[_Pending]) -> None:
+    def _enqueue(self, requests: list[ServeRequest]) -> None:
         """Put admitted requests on the queue under one lock acquisition."""
-        if not requests:
-            return
         try:
             self.batcher.submit(*requests)
         except ShedError as exc:  # a capped lane is full: nothing got in
-            now = self._clock()
-            for request in requests:
-                self._shed(request, now, exc)
+            self._shed(requests, exc)
             raise
         except RuntimeError:  # closed: nothing of the arrival got in
-            for request in requests:
-                self._refuse(request.ctx, request.submitted_at, "closed")
+            self._refuse(requests, "closed")
             raise
-
-    def _refuse(self, ctx: RequestContext, since: float,
-                error: str) -> None:
-        """A counted request that ends in an error: its outcome."""
-        self.metrics.counter("errors").inc()
-        self._leave(ctx, self._clock() - since, "error", error=error)
 
     @property
     def model_version(self) -> int:
@@ -523,7 +532,18 @@ class ServeRuntime:
         return ok, detail
 
     def stats(self) -> StatsSnapshot:
-        """Current metrics, with cache tiers and span stages folded in."""
+        """Current metrics, with cache tiers, span stages and the
+        collector's work since this runtime opened folded in."""
+        collections, pause = heap.totals()
+        with self._gc_lock:
+            for generation in range(3):
+                self.metrics.counter(
+                    "gc_collections", generation=generation).inc(
+                    collections[generation] - self._gc_seen[generation])
+                self.metrics.gauge("gc_pause_ms", generation=generation).set(
+                    1000.0 * (pause[generation]
+                              - self._gc_pause_base[generation]))
+            self._gc_seen = collections
         for name, cache in (("answer_cache", self._answers),
                             ("embedding_cache", self._embeddings)):
             self.metrics.gauge(f"{name}_size").set(cache.stats()["size"])
@@ -672,6 +692,9 @@ class ServeRuntime:
             self._ranker.close()
         if self.prof is not None:
             self.prof.stop()
+        if self._heap_held:
+            self._heap_held = False
+            heap.release()
 
     def __enter__(self) -> "ServeRuntime":
         return self
@@ -682,23 +705,40 @@ class ServeRuntime:
     # ------------------------------------------------------------------
     # batch execution (the batcher's worker threads)
     # ------------------------------------------------------------------
-    def _execute_batch(self, batch: list[_Pending]) -> bool:
+    def _execute_batch(self, batch: list[ServeRequest]) -> bool:
         self.metrics.counter("batches").inc()
-        self._batch_sizes.observe(len(batch))
         now = self._clock()
-        dequeued = time.perf_counter()  # queue wait ends for the batch
-        live: list[_Pending] = []
+        worker = threading.current_thread().name
+        live: list[ServeRequest] = []
+        late: list[ServeRequest] = []
+        shed: list[ServeRequest] = []
+        pulled = batch
+        while pulled:
+            dequeued = time.perf_counter()  # queue wait ends for these
+            sheds = len(shed)
+            for request in pulled:
+                request.worker = worker
+                request.dequeued_at = dequeued
+                request.queue_ms = 1000.0 * (dequeued - request.looked_at)
+                if request.deadline is None:
+                    live.append(request)
+                elif request.lane.tenant \
+                        and self.batcher.doomed(request.deadline - now):
+                    shed.append(request)  # a door's: before any work
+                elif now >= request.deadline:
+                    late.append(request)
+                else:
+                    live.append(request)
+            # a request shed here gives its row to the next one waiting
+            pulled = self.batcher.take(batch, len(shed) - sheds)
         for request in batch:
-            request.ctx.stage("serve.queue", request.queued_at, dequeued)
-            request.ctx.note(batch_size=len(batch))
-            if request.deadline is not None and request.lane.tenant \
-                    and self.batcher.doomed(request.deadline - now):
-                self._shed(request, now)  # a door's: before any work
-            elif request.deadline is not None and now >= request.deadline:
-                self.metrics.counter("deadline_overruns").inc()
-                self._fallback(request, reason="deadline")
-            else:
-                live.append(request)
+            request.batch_size = len(batch)
+        self._batch_sizes.observe(len(batch))
+        if shed:
+            self._shed(shed)
+        for request in late:
+            self.metrics.counter("deadline_overruns").inc()
+            self._fallback(request, reason="deadline")
         if not live:
             return False  # no work spent: not a service time
         attempts = 1 + MAX_RETRIES
@@ -719,7 +759,7 @@ class ServeRuntime:
         return True
 
     def _rank(self, embedding, k: int,
-              ctx: RequestContext) -> tuple[np.ndarray, float]:
+              lead: ServeRequest) -> tuple[np.ndarray, float]:
         """Top-k entity ids of a batch embedding — the one ranking path.
 
         Returns ``(ids, split)``: ``ids`` is ``(B, k)`` and ``split`` the
@@ -734,12 +774,12 @@ class ServeRuntime:
         table, or shard workers over row blocks.  Answers therefore
         agree bitwise *including on ties* — ascending ``(distance,
         entity id)`` — and equal the ``distance_to_all`` oracle's.  The
-        shard pool notes the fan-out on ``ctx``.
+        shard pool notes the fan-out on ``lead``'s record.
         """
-        ids, _ = (self._ranker or self._local).topk(embedding, k, ctx)
+        ids, _ = (self._ranker or self._local).topk(embedding, k, lead)
         return ids, time.perf_counter()
 
-    def _model_answer(self, batch: list[_Pending]) -> None:
+    def _model_answer(self, batch: list[ServeRequest]) -> None:
         """The happy path: embedding tier, then one ranking per group.
 
         Embedding-cache misses of the whole (mixed-structure) batch
@@ -748,16 +788,17 @@ class ServeRuntime:
         its own.  Every group takes one pass through :meth:`_rank`, so
         the sharded machinery sees hits and misses alike.
 
-        Batched stages are timed once and the interval staged on *every*
-        participating request's context, so each request's flight record
-        and trace tree stay complete.
+        Batched stages are timed once and the instants written on
+        *every* participating request (the attribute dicts and the
+        plan-stage map are shared, never written after), so each
+        request's flight record and trace tree stay complete.
         """
         sharded = self._ranker is not None
         #: (requests, stacked embedding, came out of the embed stage)
-        groups: list[tuple[list[_Pending], object, bool]] = []
-        misses: list[_Pending] = []
-        for request in batch:
-            embedding = self._embeddings.get(request.cache_key)
+        groups: list[tuple[list[ServeRequest], object, bool]] = []
+        misses: list[ServeRequest] = []
+        cached = self._embeddings.get_many([r.cache_key for r in batch])
+        for request, embedding in zip(batch, cached):
             if embedding is None:
                 misses.append(request)
             else:
@@ -771,112 +812,149 @@ class ServeRuntime:
                                   tracer=self.tracer, registry=self.metrics,
                                   cost=stage_cost)
             embed_end = time.perf_counter()
+            embed_ms = 1000.0 * (embed_end - embed_start)
             plan = compiled.plan
-            embed_fields = dict(plan_ops_total=plan.ops_total,
-                                plan_ops_executed=len(plan.ops),
-                                plan_stage_ms=stage_cost)
             embed_attrs = dict(batch_size=len(misses), ops=len(plan.ops),
                                ops_saved=plan.ops_saved,
                                cache_hits=compiled.cache_hits)
+            if self._sliceable:
+                # sequential puts, but only the rows the tier keeps are
+                # sliced (a one-entry tier keeps the last)
+                rows = [(group.embedding, row) for group in ranked
+                        for row in range(len(group.positions))]
+                self._embeddings.put_many(
+                    [misses[p].cache_key for group in ranked
+                     for p in group.positions],
+                    lambda index: self.model.slice_embedding(*rows[index]))
             for group in ranked:
-                requests = [misses[p] for p in group.positions]
-                for row, request in enumerate(requests):
-                    sliced = self.model.slice_embedding(group.embedding,
-                                                        row)
-                    if sliced is not None:
-                        self._embeddings.put(request.cache_key, sliced)
-                groups.append((requests, group.embedding, True))
-        answers: list[tuple[_Pending, list[int]]] = []
+                groups.append(([misses[p] for p in group.positions],
+                               group.embedding, True))
+        done: list[ServeRequest] = []
+        answers: list[list[int]] = []
         for requests, embedding, embedded in groups:
-            # a group shares one gather: the pool stamps the first
-            # request's id and notes the fan-out on its record, which
-            # is that of the whole group
-            lead = requests[0].ctx
+            # a group shares one gather: the pool notes the fan-out on
+            # the first request's record, which is that of the group
+            lead = requests[0]
             started = time.perf_counter()
             ids, split = self._rank(embedding,
                                     max(r.top_k for r in requests), lead)
             ended = time.perf_counter()
-            fields = dict(embed_fields if embedded else (),
-                          embedding_cached=not embedded,
-                          shards=lead.record.shards)
+            distance_ms = 1000.0 * (split - started)
+            rank_ms = 1000.0 * (ended - split)
             attrs = dict(batch_size=len(requests),
                          embedding_cached=not embedded, sharded=sharded)
+            shards = lead.shards
             for request, top in zip(requests, ids.tolist()):
-                ctx = request.ctx
-                ctx.note(**fields)
                 if embedded:
-                    ctx.stage("serve.embed", embed_start, embed_end,
-                              embed_attrs)
-                ctx.stage("serve.distance", started, split, attrs)
-                ctx.stage("serve.rank", split, ended)
+                    request.plan_ops_total = plan.ops_total
+                    request.plan_ops_executed = len(plan.ops)
+                    request.plan_stage_ms = stage_cost
+                    request.embed_at = embed_start
+                    request.embedded_at = embed_end
+                    request.embed_attrs = embed_attrs
+                    request.embed_ms = embed_ms
+                request.embedding_cached = not embedded
+                request.shards = shards
+                request.rank_at = started
+                request.split_at = split
+                request.ranked_at = ended
+                request.rank_attrs = attrs
+                request.distance_ms = distance_ms
+                request.rank_ms = rank_ms
+                done.append(request)
                 # a request's top_k prefix of the widest selection is
                 # exactly its own top-k: the order is total
-                answers.append((request, top[:request.top_k]))
-        for request, entity_ids in answers:
-            self._resolve(request, entity_ids, source="model")
+                answers.append(top[:request.top_k])
+        self._answer(done, answers, "model")
 
     # ------------------------------------------------------------------
     # graceful degradation
     # ------------------------------------------------------------------
-    def _fallback(self, request: _Pending, reason: str) -> None:
+    def _fallback(self, request: ServeRequest, reason: str) -> None:
         """The one rung below the model path (deadline overrun at
         dequeue, or failure after the retries): the exact symbolic
         answer when a ``kg`` was given, else an error."""
-        request.ctx.note(fallback=reason)
+        request.fallback = reason
         started = time.perf_counter()
         try:
             ids = self._exact_answer(request)
         except Exception:
             ids = None
         if ids is not None:
-            request.ctx.stage("serve.fallback", started,
-                              time.perf_counter(),
-                              {"reason": reason, "path": "exact"})
-            self._resolve(request, ids, source="exact")
+            request.fallback_at = started
+            request.fell_back_at = time.perf_counter()
+            self._answer([request], [ids], "exact")
             return
-        self._refuse(request.ctx, request.submitted_at, reason)
-        request.future.set_exception(ServeError(
+        self._refuse([request], reason)
+        request.set_exception(ServeError(
             f"request failed ({reason}) and no fallback path succeeded"))
 
-    def _exact_answer(self, request: _Pending) -> list[int] | None:
+    def _exact_answer(self, request: ServeRequest) -> list[int] | None:
         if self.kg is None:
             return None
         answers = sorted(execute(request.query, self.kg))
         self.metrics.counter("fallback_exact").inc()
         return answers[:request.top_k]
 
-    def _shed(self, request: _Pending, now: float,
+    def _shed(self, requests: list[ServeRequest],
               error: ShedError | None = None) -> None:
-        """A door's request refused past admission: by default one whose
-        budget cannot cover one more batch, else ``error``'s reason."""
-        tenant = request.lane.tenant
-        if error is None:
-            error = ShedError("deadline", tenant=tenant)
-        reason = error.reason
-        self.metrics.counter("shed", reason=reason, tenant=tenant).inc()
-        request.ctx.note(admission=reason)
-        self._leave(request.ctx, now - request.submitted_at, "shed",
-                    error=reason)
-        request.future.set_exception(error)
+        """A door's requests refused past admission: by default ones
+        whose budget cannot cover one more batch, else ``error``'s
+        reason."""
+        reason = "deadline" if error is None else error.reason
+        for request in requests:
+            self.metrics.counter("shed", reason=reason,
+                                 tenant=request.lane.tenant).inc()
+            request.admission = reason
+        self._end(requests, "shed", error=reason)
+        commit(requests)
+        for request in requests:
+            request.set_exception(
+                error if error is not None
+                else ShedError("deadline", tenant=request.lane.tenant))
+
+    def _refuse(self, requests: list[ServeRequest], error: str) -> None:
+        """Counted requests that end in an error: their outcome."""
+        self.metrics.counter("errors").inc(len(requests))
+        self._end(requests, "error", error=error)
+        commit(requests)
 
     # ------------------------------------------------------------------
-    def _resolve(self, request: _Pending, ids: list[int],
-                 source: str) -> None:
-        latency = self._clock() - request.submitted_at
-        rid = request.ctx.request_id
-        self._latency.observe(1000.0 * latency, exemplar=rid)
+    def _answer(self, requests: list[ServeRequest],
+                answers: list[list[int]], source: str) -> None:
+        """Resolve ``requests`` with their answers, ``answers[i]`` the
+        ids of ``requests[i]``: their outcomes go in under one hold each
+        of the latency histogram, the answer cache (model answers) and
+        the diagnostics sinks, before any future resolves."""
+        latencies = self._end(requests, source, answers=answers)
+        self._latency.observe_many([r.latency_ms for r in requests],
+                                   [r.request_id for r in requests])
         if source == "model":
-            self._answers.put((request.cache_key, request.top_k), ids)
-        self._leave(request.ctx, latency, source, len(ids))
-        request.future.set_result(ServeResult(ids, source, latency,
-                                              request_id=rid))
+            self._answers.put_many(
+                [((request.cache_key, request.top_k), ids)
+                 for request, ids in zip(requests, answers)])
+        commit(requests)
+        for request, ids, latency in zip(requests, answers, latencies):
+            request.set_result(ServeResult(ids, source, latency,
+                                           request_id=request.request_id))
 
-    def _leave(self, ctx: RequestContext, latency: float, source: str,
-               result_count: int = 0, error: str = "") -> None:
-        """The runtime's one exit, taken before the future resolves:
-        stamp the outcome, close ``serve.request`` and finish the
-        context (a door's context also gets its ``total_ms``)."""
-        ctx.note(source=source, result_count=result_count,
-                 latency_ms=1000.0 * latency, error=error)
-        ctx.leave(source=source, **({"reason": error} if error else {}))
-        ctx.finish(total_ms=0.0 if ctx.owner is self else 1000.0 * latency)
+    def _end(self, requests: list[ServeRequest], source: str,
+             error: str = "", answers: list | None = None) -> list[float]:
+        """Stamp the outcome of requests that end now — the runtime's
+        one exit, taken before they are committed — and return their
+        latencies (a door's record also gets its ``total_ms``)."""
+        now = self._clock()
+        latencies = []
+        for index, request in enumerate(requests):
+            latency = now - request.submitted_at
+            latency_ms = 1000.0 * latency
+            request.source = source
+            request.error = error
+            request.latency_ms = latency_ms
+            request.total_ms = 0.0 if request.owner is self else latency_ms
+            if answers is not None:
+                request.result_count = len(answers[index])
+            # the query is answered: a kept record holds only its stamps
+            request.query = request.walk = None
+            latencies.append(latency)
+        return latencies

@@ -10,7 +10,7 @@ import pytest
 
 from repro import obs
 from repro.dist import ShardedRanker
-from repro.obs.diag import RequestContext
+from repro.obs.diag import FlightRecord
 
 from .conftest import requires_shm
 
@@ -33,10 +33,9 @@ def embedding(model, queries):
 
 
 def context(request_id):
-    """A dispatching request's context, as the serving runtime hands it
+    """A dispatching request's record, as the serving runtime hands it
     to ``topk`` (no recorder: only the id and the record matter here)."""
-    return RequestContext(None, None, obs.get_tracer(),
-                          request_id=request_id)
+    return FlightRecord(request_id, tracer=obs.get_tracer())
 
 
 @requires_shm
@@ -44,7 +43,7 @@ class TestRequestIds:
     def test_record_notes_the_fanout(self, traced_ranker, embedding):
         ctx = context("rid-part")
         traced_ranker.topk(embedding, 5, ctx)
-        assert ctx.record.shards == 2
+        assert ctx.shards == 2
 
     def test_spans_carry_the_dispatching_id_only(self, traced_ranker,
                                                  embedding):

@@ -38,7 +38,7 @@ class RecordingScheduler(FairScheduler):
     def pop(self):
         request = super().pop()
         if request is not None:
-            self.popped.append(request.ctx.request_id)
+            self.popped.append(request.request_id)
             if request.lane.priority == "batch" and any(
                     lane.queue
                     for lane in self._bands["interactive"].values()):

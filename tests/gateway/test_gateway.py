@@ -265,6 +265,42 @@ class TestDeadlines:
         assert record.embed_ms == 0.0 and record.result_count == 0
         assert "deadline_overruns" not in counters
 
+    def test_a_request_shed_when_popped_gives_its_row_to_the_next(
+            self, model, tiny_kg, queries):
+        """The worker tops its batch up from the queue for each request
+        it sheds on popping: the two requests queued behind a doomed one
+        ride one batch, where they used to ride two."""
+        clock = ManualClock()
+        gate = Gate()
+        embeds = []
+
+        def hook():
+            embeds.append(1)
+            gate()
+
+        config = ServeConfig(max_batch_size=2, num_workers=1,
+                             answer_cache_size=1, answer_ttl=1e-9)
+        with ServeRuntime(HookedModel(model, hook), kg=tiny_kg,
+                          config=config, clock=clock) as runtime, \
+                Gateway(runtime) as gateway:
+            blocker = runtime.submit(queries[0])
+            assert gate.entered.wait(10.0)
+            doomed = gateway.submit(queries[1], deadline=0.05)
+            behind = [runtime.submit(query) for query in queries[2:4]]
+            clock.advance(0.2)  # the doomed one's deadline passes
+            gate.open()
+            with pytest.raises(GatewayRejected):
+                doomed.result(timeout=10.0)
+            results = [future.result(timeout=10.0)
+                       for future in [blocker] + behind]
+            sizes = [runtime.diag.flight.get(r.request_id).batch_size
+                     for r in results[1:]]
+            counters = runtime.stats().counters
+        assert [r.source for r in results] == ["model"] * 3
+        assert len(embeds) == 2  # the blocker's, then one for both
+        assert counters["batches"] == 2
+        assert sizes == [3, 3]  # taken in one turn, the shed one with them
+
     def test_doomed_at_admission_uses_service_estimate(self, runtime,
                                                        queries):
         with Gateway(runtime) as gateway:

@@ -12,15 +12,13 @@ import re
 import sys
 import threading
 import time
-import weakref
 
 import pytest
 
 from repro import obs
 from repro.obs.diag import (DEFAULT_SLOS, DiagConfig, Diagnostics,
-                            FlightRecord, FlightRecorder, RequestContext,
-                            SloEngine, SloObjective, TailSampler,
-                            next_request_id)
+                            FlightRecord, FlightRecorder, SloEngine,
+                            SloObjective, TailSampler, next_request_id)
 from repro.obs.metrics import MetricsRegistry
 
 pytestmark = [pytest.mark.obs, pytest.mark.diag]
@@ -105,16 +103,23 @@ class TestFlightRecorder:
             FlightRecorder(capacity=0)
 
 
+def with_tree(record: FlightRecord) -> FlightRecord:
+    """``record`` as one that entered the runtime: it has a tree."""
+    record.received_at = record.left_at = 0.0
+    return record
+
+
 class TestTailSampler:
     @staticmethod
     def record(latency_ms=1.0, error=""):
-        return FlightRecord(request_id="r", latency_ms=latency_ms,
-                            error=error)
+        return with_tree(FlightRecord(request_id="r", latency_ms=latency_ms,
+                                      error=error))
 
     @staticmethod
     def verdict(sampler, record):
         """The sampler's verdict on a completion with a tree to keep."""
-        return sampler.complete(record, lambda: ["tree"])
+        (reason,) = sampler.complete([record])
+        return reason
 
     def test_error_always_retained(self):
         sampler = TailSampler(top_p=None)
@@ -142,35 +147,37 @@ class TestTailSampler:
     def test_retain_ring_bounded_by_max_traces(self):
         sampler = TailSampler(max_traces=2)
         for index in range(4):
-            sampler.complete(FlightRecord(f"r{index}", error="shed"),
-                             lambda index=index: [index])
+            sampler.complete([with_tree(FlightRecord(f"r{index}",
+                                                     error="shed"))])
         assert len(sampler) == 2
         assert sampler.request_ids() == ["r2", "r3"]
         assert sampler.trace("r0") is None
-        assert sampler.trace("r3") == [3]
+        assert [s.attrs["request_id"] for s in sampler.trace("r3")] == \
+            ["r3"]
         assert (sampler.retained, sampler.discarded) == (4, 0)
 
     def test_a_keeper_without_spans_is_counted_discarded(self):
         """A request shed at the door entered no layer: the verdict
         says keep, but there is no tree, so nothing is retained."""
         sampler = TailSampler(top_p=None)
-        assert sampler.complete(self.record(error="ratelimit"), list) == ""
+        shed = FlightRecord(request_id="r", error="ratelimit")
+        assert sampler.complete([shed]) == [""]
+        assert not shed.trace_retained
         assert (sampler.retained, sampler.discarded, len(sampler)) == \
             (0, 1, 0)
 
     def test_render_runs_only_for_a_keeper(self):
+        """A keeper is held as its stamps: its tree is rendered when the
+        trace is first read, and a dropped request is never rendered."""
         sampler = TailSampler(latency_threshold_ms=10.0, top_p=None)
-        calls = []
-
-        def render():
-            calls.append(1)
-            return ["tree"]
-
-        assert sampler.complete(self.record(latency_ms=1.0), render) == ""
-        assert calls == []
-        assert sampler.complete(self.record(latency_ms=20.0),
-                                render) == "slow"
-        assert calls == [1]
+        fast, slow = self.record(latency_ms=1.0), self.record(latency_ms=20.0)
+        slow.request_id = "slow"
+        assert sampler.complete([fast, slow]) == ["", "slow"]
+        assert fast._spans is None and slow._spans is None
+        tree = sampler.trace("slow")
+        assert [s.name for s in tree] == ["serve.request"]
+        assert sampler.trace("slow") == tree  # rendered once, same ids
+        assert fast._spans is None
 
     @staticmethod
     def sort_every_time(sampler_args, records):
@@ -372,6 +379,10 @@ class TestSloEngine:
 
 
 class TestRequestContext:
+    """The request record is the context diagnostics knows a request by:
+    minted at the first door, written by plain attribute stores, and
+    committed exactly once."""
+
     @staticmethod
     def diag(**config):
         return Diagnostics(DiagConfig(trace_top_p=None, **config),
@@ -379,13 +390,14 @@ class TestRequestContext:
 
     @staticmethod
     def context(diag, **kwargs):
-        return RequestContext("owner", diag, obs.get_tracer(), **kwargs)
+        return FlightRecord(owner="owner", diag=diag,
+                            tracer=obs.get_tracer(), **kwargs)
 
     def test_context_mints_id_and_carries_its_record(self):
         ctx = self.context(self.diag(), tenant="acme")
         assert re.fullmatch(r"r[0-9a-f]+-\d{8}", ctx.request_id)
-        assert ctx.record.request_id == ctx.request_id
-        assert ctx.record.tenant == "acme"
+        assert ctx.to_dict()["request_id"] == ctx.request_id
+        assert ctx.tenant == "acme"
         assert ctx.owner == "owner"
         # an upstream id (a caller's ticket) is honoured, not re-minted
         assert self.context(None, request_id="ticket-42").request_id == \
@@ -393,7 +405,7 @@ class TestRequestContext:
 
     def test_finish_is_exactly_once_under_a_race(self):
         """A gateway shutting down and a runtime resolving may both try
-        to finish one context: exactly one of them commits."""
+        to finish one record: exactly one of them commits."""
         diag = self.diag()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # force switches inside finish()
@@ -423,55 +435,60 @@ class TestRequestContext:
         """Diagnostics off: the id is still minted, stages still land on
         the record, and finish simply has no ring to append to."""
         ctx = self.context(None)
-        ctx.stage("serve.embed", 1.0, 1.5)
+        ctx.embed_at, ctx.embedded_at, ctx.embed_ms = 1.0, 1.5, 500.0
         assert ctx.request_id
-        assert ctx.record.embed_ms == 500.0
         assert ctx.finish()
-        assert ctx.record.completed_at == 0.0
+        assert ctx.embed_ms == 500.0
+        assert ctx.completed_at == 0.0
 
     def test_unfinished_context_leaks_nothing(self):
-        """Nothing but its creator holds a context, so one that is never
+        """Nothing but its creator holds a record, so one that is never
         finished is plain garbage: no registry to bound, nothing
         committed, nothing kept alive."""
         diag = self.diag()
         ctx = self.context(diag)
-        ref = weakref.ref(ctx.record)  # held by the context alone
+        assert sys.getrefcount(ctx) == 2  # its creator's name, the call's
         del ctx
         gc.collect()
-        assert ref() is None
         assert diag.flight.total == 0
 
     def test_stage_writes_field_and_span_from_one_pair_of_instants(self):
+        """A stage is its instants on the record; its span is rendered
+        from the same instants, under the serve.request layer."""
         diag = self.diag(trace_latency_ms=0.0)
-        ctx = self.context(diag)
-        ctx.enter("serve.request", top_k=3)
-        ctx.stage("serve.rank", 10.0, 10.25, {"batch_size": 1})
-        ctx.stage("serve.fallback", 11.0, 11.5)  # span only
+        ctx = self.context(diag, top_k=3)
+        ctx.received_at = 9.0
+        ctx.rank_at, ctx.split_at, ctx.ranked_at = 9.5, 10.0, 10.25
+        ctx.rank_attrs = {"batch_size": 1}
+        ctx.fallback_at, ctx.fell_back_at = 11.0, 11.5
+        ctx.fallback = "deadline"
         ctx.finish()
         spans = {s.name: s for s in diag.trace(ctx.request_id)}
         root, rank = spans["serve.request"], spans["serve.rank"]
         assert rank.parent_id == spans["serve.fallback"].parent_id \
-            == root.span_id
-        assert rank.attrs == {"batch_size": 1,
-                              "request_id": ctx.request_id}
-        assert ctx.record.rank_ms == rank.duration_ms == 250.0
+            == spans["serve.distance"].parent_id == root.span_id
+        assert spans["serve.distance"].attrs == {
+            "batch_size": 1, "request_id": ctx.request_id}
+        assert rank.duration_ms == 250.0
+        assert spans["serve.fallback"].attrs == {
+            "reason": "deadline", "path": "exact",
+            "request_id": ctx.request_id}
         assert root.end is not None  # finish closed the open layer
         assert root.attrs == {"top_k": 3, "request_id": ctx.request_id}
 
     def test_layers_nest_and_the_first_is_the_root(self):
-        ctx = RequestContext("owner", None, obs.Tracer())
-        ctx.enter("gateway.request")
-        ctx.enter("serve.request")
-        ctx.leave(source="model")
-        ctx.stage("gateway.queue", 1.0, 2.0)  # now under the root
+        ctx = FlightRecord(owner="owner", tracer=obs.Tracer())
+        ctx.gateway_at = time.perf_counter()
+        ctx.received_at = time.perf_counter()
+        ctx.walked_at = ctx.looked_at = time.perf_counter()
+        ctx.source = "model"
         ctx.finish()
         spans = {s.name: s for s in ctx.spans()}
         outer, inner = spans["gateway.request"], spans["serve.request"]
         assert outer.parent_id is None
         assert inner.parent_id == outer.span_id
-        assert spans["gateway.queue"].parent_id == outer.span_id
+        assert spans["serve.cache_lookup"].parent_id == inner.span_id
         assert inner.attrs["source"] == "model"
-        # leave closed the inner layer; finish closed the root later
         assert outer.start <= inner.start <= inner.end <= outer.end
 
     def test_the_root_nests_under_the_callers_open_span(self):
@@ -480,8 +497,8 @@ class TestRequestContext:
         with obs.enabled():
             tracer = obs.Tracer()
             with tracer.span("sparql.answer") as caller:
-                ctx = RequestContext("owner", None, tracer)
-                ctx.enter("serve.request")
+                ctx = FlightRecord(owner="owner", tracer=tracer)
+                ctx.received_at = time.perf_counter()
             ctx.finish()
         (root,) = [s for s in tracer.finished()
                    if s.name == "serve.request"]
@@ -489,50 +506,55 @@ class TestRequestContext:
 
     def test_tracing_off_means_no_spans_but_the_same_record(self):
         tracer = obs.Tracer()
-        ctx = RequestContext("owner", None, tracer)
-        ctx.enter("serve.request")
-        ctx.tag(structure="P(E)")
-        ctx.stage("serve.queue", 0.0, 0.002)
-        ctx.leave(source="model")
+        ctx = FlightRecord(owner="owner", tracer=tracer, queue_ms=2.0)
+        ctx.received_at, ctx.looked_at, ctx.dequeued_at = 0.0, 0.0, 0.002
+        ctx.source = "model"
         ctx.finish()
-        assert ctx.record.queue_ms == 2.0
+        assert ctx.queue_ms == 2.0
         assert tracer.finished() == []
         assert tracer.stage_stats() == {}
 
-    def test_a_kept_tree_is_the_same_with_tracing_on_and_off(
-            self, monkeypatch):
-        """Spans are a rendering of the stamps: the tracing flag decides
-        only whether the tree also lands in the tracer's ring."""
-        from types import SimpleNamespace
-
-        import repro.obs.diag as diag_module
-
+    def test_a_kept_tree_is_the_same_with_tracing_on_and_off(self):
+        """Spans are a rendering of the stamps: with tracing on the tree
+        is rendered at completion (and lands in the tracer's ring), with
+        it off when the kept trace is read — the same tree either way:
+        names, ids and their order, parents, instants, attrs, threads."""
         def run(tracing):
-            ticks = iter(range(100, 200))
-            monkeypatch.setattr(diag_module, "time", SimpleNamespace(
-                perf_counter=lambda: float(next(ticks)), time=time.time))
             diag = self.diag(trace_latency_ms=0.0)
             tracer = obs.Tracer()
             with obs.enabled(tracing):
-                ctx = RequestContext("owner", diag, tracer)
-                ctx.enter("gateway.request", tenant="acme")
-                ctx.enter("serve.request", top_k=3)
-                ctx.stage("serve.canonicalise", 101.0, 101.5)
-                ctx.stage("serve.queue", 101.5, 102.0)
-                ctx.stage("serve.embed", 102.0, 103.0, {"batch_size": 1})
-                ctx.leave(source="model")
-                ctx.finish(latency_ms=5.0)
+                ctx = FlightRecord("r-same", owner="owner", diag=diag,
+                                   tracer=tracer, tenant="acme",
+                                   priority="interactive",
+                                   top_k=3, cache="miss", structure="P(E)",
+                                   model_version=1, latency_ms=5.0)
+                ctx.thread, ctx.worker = "caller", "serve-worker_0"
+                ctx.gateway_at, ctx.received_at = 100.0, 100.5
+                ctx.walked_at, ctx.looked_at = 101.0, 101.5
+                ctx.dequeued_at = 102.0
+                ctx.embed_at, ctx.embedded_at = 102.0, 103.0
+                ctx.embed_attrs = {"batch_size": 1}
+                ctx.rank_at, ctx.split_at, ctx.ranked_at = 103.0, 103.5, 104
+                ctx.rank_attrs = {"batch_size": 1, "sharded": False}
+                ctx.left_at = 105.0
+                ctx.source = "model"
+                ctx.finish()
+                rendered = list(tracer.finished())
             tree = diag.trace(ctx.request_id)
-            assert ctx.record.trace_retained
-            assert tracer.finished() == (tree if tracing else [])
+            assert ctx.trace_retained
+            assert rendered == (tree if tracing else [])
             return [(s.name, s.span_id, s.parent_id, s.start, s.end,
-                     s.thread) for s in tree]
+                     s.attrs, s.thread) for s in tree]
 
-        traced, untraced = run(True), run(False)
-        assert traced == untraced
-        assert [name for name, *_ in traced] == [
+        at_completion, on_read = run(True), run(False)
+        assert at_completion == on_read
+        assert [name for name, *_ in on_read] == [
             "gateway.request", "serve.request", "serve.canonicalise",
-            "serve.queue", "serve.embed"]
+            "serve.cache_lookup", "serve.queue", "serve.embed",
+            "serve.distance", "serve.rank"]
+        assert on_read[1][5] == {"top_k": 3, "structure": "P(E)",
+                                 "model_version": 1, "source": "model",
+                                 "request_id": "r-same"}
 
 
 class TestDiagnostics:
@@ -543,9 +565,10 @@ class TestDiagnostics:
 
     def test_commit_is_exactly_once(self):
         diag = self.diag()
-        ctx = RequestContext("owner", diag, obs.get_tracer())
-        assert ctx.finish(latency_ms=1.0)
-        assert not ctx.finish(latency_ms=99.0)  # second finish: no-op
+        ctx = FlightRecord(owner="owner", diag=diag, latency_ms=1.0)
+        assert ctx.finish()
+        ctx.latency_ms = 99.0
+        assert not ctx.finish()  # second finish: no-op
         assert diag.flight.total == 1
         assert diag.flight.get(ctx.request_id).latency_ms == 1.0
 
@@ -584,17 +607,17 @@ class TestDiagnostics:
 
     def test_trace_retention_needs_no_enabled_tracing(self):
         """With tracing off a kept request's stamps are still rendered
-        at completion: the tree is retained, and nothing lands in the
+        when read: the tree is retained, and nothing lands in the
         tracer's ring."""
         tracer = obs.Tracer()
         diag = Diagnostics(DiagConfig(trace_latency_ms=0.0,
                                       trace_top_p=None),
                            registry=MetricsRegistry())
-        ctx = RequestContext("owner", diag, tracer)
-        ctx.enter("serve.request")
-        ctx.finish(latency_ms=99.0)
+        ctx = with_tree(FlightRecord(owner="owner", diag=diag, tracer=tracer,
+                                     latency_ms=99.0))
+        ctx.finish()
         assert diag.flight.total == 1
-        assert ctx.record.trace_retained
+        assert ctx.trace_retained
         assert [s.name for s in diag.trace(ctx.request_id)] == \
             ["serve.request"]
         assert tracer.finished() == []
@@ -607,10 +630,9 @@ class TestDiagnostics:
 
         def commit(seed):
             for step in range(2000):
-                diag.commit(FlightRecord(
+                diag.commit(with_tree(FlightRecord(
                     f"r{seed}-{step}",
-                    latency_ms=float((seed + step) % 10)),
-                    lambda: ["tree"])
+                    latency_ms=float((seed + step) % 10))))
 
         threads = [threading.Thread(target=commit, args=(seed,))
                    for seed in range(8)]
@@ -635,12 +657,12 @@ class TestDiagnostics:
             diag = Diagnostics(DiagConfig(trace_latency_ms=0.0,
                                           trace_top_p=None),
                                registry=registry)
-            ctx = RequestContext("owner", diag, tracer)
-            ctx.enter("serve.request")
-            ctx.stage("serve.embed", time.perf_counter(),
-                      time.perf_counter())
-            ctx.finish(latency_ms=42.0)
-            assert ctx.record.trace_retained
+            ctx = FlightRecord(owner="owner", diag=diag, tracer=tracer,
+                               latency_ms=42.0)
+            ctx.received_at = ctx.embed_at = time.perf_counter()
+            ctx.embedded_at = time.perf_counter()
+            ctx.finish()
+            assert ctx.trace_retained
             spans = diag.trace(ctx.request_id)
             assert [s.name for s in spans] == \
                 ["serve.request", "serve.embed"]
@@ -654,9 +676,9 @@ class TestDiagnostics:
             diag = Diagnostics(DiagConfig(trace_latency_ms=1000.0,
                                           trace_top_p=None),
                                registry=MetricsRegistry())
-            ctx = RequestContext("owner", diag, tracer)
-            ctx.enter("serve.request")
-            ctx.finish(latency_ms=0.5)
-            assert not ctx.record.trace_retained
+            ctx = with_tree(FlightRecord(owner="owner", diag=diag,
+                                         tracer=tracer, latency_ms=0.5))
+            ctx.finish()
+            assert not ctx.trace_retained
             assert diag.trace(ctx.request_id) is None
             assert diag.sampler.discarded == 1

@@ -109,6 +109,30 @@ class TestOverheadBudget:
         assert sampler.downsamples == 0
         assert sampler.effective_hz == pytest.approx(100.0)
 
+    def test_a_pass_that_waits_off_cpu_costs_only_its_cpu(self,
+                                                          monkeypatch):
+        """A pass that loses the interpreter lock (or its core) mid-walk
+        sits waiting, off the CPU, while the threads it samples run: the
+        wait is not its cost.  Timed on the wall clock, one such pass of
+        a few milliseconds halved the rate and left the overhead ratio
+        above twice the budget for several passes after."""
+        sampler = SamplingProfiler(hz=100, role="test",
+                                   overhead_budget=0.02)
+        passes = threading.Semaphore(0)
+
+        def waiting_pass():
+            time.sleep(0.004)  # 40% of the 10 ms interval, off the CPU
+            passes.release()
+            return 0
+
+        monkeypatch.setattr(sampler, "sample_once", waiting_pass)
+        with sampler:
+            for _ in range(3):
+                assert passes.acquire(timeout=10.0)
+        assert sampler.downsamples == 0
+        assert sampler.effective_hz == pytest.approx(100.0)
+        assert sampler.overhead_ratio < sampler.overhead_budget
+
     def test_budget_metrics_exported(self, parked_thread):
         from repro.obs.metrics import MetricsRegistry
         registry = MetricsRegistry()

@@ -73,7 +73,7 @@ class TestCoalescingWhileBusy:
             held.set()
             release.wait(10.0)
             for r in batch:
-                r.future.set_result(r.query)
+                r.set_result(r.query)
 
         batcher = MicroBatcher(execute, max_batch_size=4).start()
         try:
@@ -85,7 +85,7 @@ class TestCoalescingWhileBusy:
                 batcher.submit(r)
             assert batcher.depth == count
             release.set()
-            assert [r.future.result(10.0) for r in queued] == \
+            assert [r.result(10.0) for r in queued] == \
                 list(range(count))
         finally:
             release.set()
@@ -161,7 +161,7 @@ class TestServiceEstimate:
         down under exactly the overload they are for."""
         def execute(batch):
             for r in batch:
-                r.future.set_result(r.query)
+                r.set_result(r.query)
             return batch[0].query == "work"
 
         batcher = MicroBatcher(execute, max_batch_size=1).start()
@@ -206,7 +206,7 @@ class TestInterleavings:
             with lock:
                 executed.extend(r.query for r in batch)
             for r in batch:
-                r.future.set_result(r.query)
+                r.set_result(r.query)
 
         batcher = MicroBatcher(execute, max_batch_size=max_batch_size,
                                num_workers=workers,
@@ -251,9 +251,9 @@ class TestInterleavings:
             sys.setswitchinterval(interval)
         assert late == []
         assert sorted(executed) == sorted(r.query for r in accepted)
-        assert all(r.future.done() and r.future.result(0) == r.query
+        assert all(r.done() and r.result(0) == r.query
                    for r in accepted)
-        assert not any(r.future.done() for r in refused)
+        assert not any(r.done() for r in refused)
         assert batcher.depth == 0 and (not depths or depths[-1] == 0)
         with pytest.raises(RuntimeError):
             batcher.submit(request("after close"))

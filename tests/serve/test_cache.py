@@ -1,6 +1,7 @@
 """LRU and TTL cache tier behaviour."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.serve import LruCache, TtlCache
 
@@ -45,6 +46,51 @@ class TestLruCache:
         cache.put("a", 2)
         assert cache.get("a") == 2
         assert len(cache) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.integers(1, 5),
+           before=st.lists(st.integers(0, 6), max_size=6),
+           keys=st.lists(st.integers(0, 6), max_size=12))
+    def test_put_many_is_sequential_puts(self, capacity, before, keys):
+        """Entries, their order and every counter come out as the
+        sequential puts leave them; only surviving rows are built."""
+        one, many = LruCache(capacity), LruCache(capacity)
+        for cache in (one, many):
+            for key in before:
+                cache.put(key, ("old", key))
+            cache.get(0)
+        for index, key in enumerate(keys):
+            one.put(key, ("new", index))
+        built = []
+
+        def value_of(index):
+            built.append(index)
+            return ("new", index)
+
+        many.put_many(keys, value_of)
+        assert list(many._data.items()) == list(one._data.items())
+        assert many.stats() == one.stats()
+        survivors = {value for value in one._data.values()
+                     if value[0] == "new"}
+        assert sorted(built) == sorted(index for _, index in survivors)
+
+    def test_a_one_entry_tier_builds_one_row_a_batch(self):
+        cache = LruCache(1)
+        built = []
+        cache.put_many([f"q{i}" for i in range(64)],
+                       lambda index: built.append(index) or index)
+        assert built == [63]
+        assert list(cache._data.items()) == [("q63", 63)]
+        assert cache.stats()["evictions"] == 63
+
+    def test_get_many_is_sequential_gets(self):
+        cache = LruCache(3)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.get_many(["b", "x", "a", "b"]) == [2, None, 1, 2]
+        assert list(cache._data) == ["a", "b"]
+        assert cache.stats() == {"hits": 3, "misses": 1, "evictions": 0,
+                                 "size": 2}
 
 
 class TestTtlCache:

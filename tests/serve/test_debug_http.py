@@ -233,6 +233,37 @@ class TestCliFlightAndSlo:
         assert "400 bad query parameter n='0'" in message
         assert "cannot reach" not in message
 
+    @pytest.mark.parametrize("fmt, body", [
+        ("folded", "serve;main;work 3\n"),
+        ("speedscope", '{"profiles": []}\n')])
+    def test_cli_prof_export_is_written_unrendered(self, fmt, body,
+                                                    tmp_path, capsys):
+        """``format=folded`` (text) and ``format=speedscope`` replies are
+        exports, not payloads to render: the body goes to ``--out`` as
+        the server sent it, or else to stdout."""
+        from repro.cli import main
+        from repro.obs.metrics import MetricsRegistry
+        from repro.serve import TelemetryHTTPServer
+
+        def prof_fn(seconds, role):
+            return {"folded": "serve;main;work 3",
+                    "speedscope": {"profiles": []}}
+
+        out = tmp_path / f"profile.{fmt}"
+        with TelemetryHTTPServer(snapshot_fn=MetricsRegistry().snapshot,
+                                 prof_fn=prof_fn) as server:
+            target = f"127.0.0.1:{server.port}"
+            assert main(["get", "prof", target, f"format={fmt}",
+                         "--out", str(out)]) == 0
+            assert f"prof export saved to {out}" in capsys.readouterr().out
+            assert main(["get", "prof", target, f"format={fmt}"]) == 0
+            assert capsys.readouterr().out == body
+            with pytest.raises(SystemExit) as excinfo:
+                main(["get", "prof", target, "format=svg"])
+        assert out.read_text(encoding="utf-8") == body
+        assert "400 bad query parameter format='svg'" in \
+            str(excinfo.value.code)
+
     @pytest.mark.parametrize("command", ENDPOINTS)
     def test_cli_non_json_response_is_one_clean_line(self, command):
         """Pointing the CLI at something that is not a repro server is a

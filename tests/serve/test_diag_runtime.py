@@ -8,9 +8,9 @@ exemplars, and the ``diagnostics=False`` off-switch.
 import pytest
 
 from repro import obs
-from repro.obs.diag import DiagConfig, RequestContext
+from repro.obs.diag import DiagConfig
 from repro.queries import Entity, Projection
-from repro.serve import ServeConfig, ServeRuntime
+from repro.serve import ServeConfig, ServeRequest, ServeRuntime
 
 pytestmark = pytest.mark.diag
 
@@ -43,11 +43,12 @@ class TestRequestIdsOnResults:
 
     def test_caller_supplied_id_is_honoured(self, runtime, tiny_kg):
         """An upstream layer joins a request to its own diagnostics by
-        handing its context in; the runtime resolves the request, so it
-        finishes the context — before the future resolves."""
+        minting its record; the runtime resolves the request, so it
+        commits the record — before the future resolves."""
         (query,) = distinct_queries(tiny_kg, 1)
-        ctx = RequestContext("upstream", runtime.diag, runtime.tracer,
-                             request_id="ticket-42", tenant="acme")
+        ctx = ServeRequest(owner="upstream", diag=runtime.diag,
+                           tracer=runtime.tracer, request_id="ticket-42")
+        ctx.tenant = "acme"
         result = runtime.submit(query, top_k=3, ctx=ctx).result(timeout=10)
         assert result.request_id == "ticket-42"
         assert ctx.finished and not ctx.finish()  # committed once

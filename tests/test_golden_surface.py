@@ -154,7 +154,9 @@ METRIC_FAMILIES = [
     "repro_batches_total",
     "repro_embedding_cache_hits_total",
     "repro_embedding_cache_misses_total", "repro_embedding_cache_size",
-    "repro_fallback_exact_total", "repro_latency_ms",
+    "repro_fallback_exact_total",
+    "repro_gc_collections_total", "repro_gc_pause_ms",
+    "repro_latency_ms",
     "repro_model_failures_total", "repro_model_version",
     "repro_plan_cache_hits_total", "repro_plan_cache_misses_total",
     "repro_plan_cse_ops_saved_total", "repro_plan_ops_executed_total",

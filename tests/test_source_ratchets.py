@@ -275,13 +275,15 @@ def test_no_straggler_hedging():
 
 
 def test_a_request_is_one_record():
-    """A request's context keeps its stage stamps and renders them as
-    spans at completion: no cross-thread span API that writes a tree
-    while the request runs, and no walk of the tracer's ring to find a
-    request's spans again."""
+    """A request's record keeps its stage stamps and renders them as
+    spans when they are read: no cross-thread span API that writes a
+    tree while the request runs, no walk of the tracer's ring to find a
+    request's spans again, and no second object per request beside the
+    record (the context, the queue entry and the future are all it)."""
     assert hits(r"start_span|end_span|\.activate\(|_Activation"
                 r"|collect_request_spans", "") == []
     assert hits(r"\.finished\(\)", "obs/diag.py") == []
+    assert hits(r"class (RequestContext|_Pending)\b|\.note\(", "") == []
 
 
 def test_one_reader_for_a_running_server():
